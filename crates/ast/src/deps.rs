@@ -14,9 +14,9 @@
 //! declaration bound it as a datatype/exception constructor, which the
 //! extractor cannot know locally. Such names are reported separately in
 //! [`DecNames::pat_vars`]; the graph builder resolves them against the
-//! constructors actually in scope. Since the incremental compiler
-//! invalidates by content hashes (not by this graph), an imprecise edge
-//! can only perturb statistics, never correctness.
+//! constructors actually in scope. Elaboration never reads this graph
+//! (it always runs over the whole program), so an imprecise edge can
+//! only perturb the partition analysis, never correctness.
 
 use crate::ast::*;
 use crate::intern::Symbol;

@@ -33,5 +33,5 @@ pub use deps::{dec_names, DecNames};
 pub use error::{ParseError, ParseResult};
 pub use intern::Symbol;
 pub use parser::{parse, parse_exp};
-pub use print::{print_dec, print_exp, print_program};
+pub use print::{print_exp, print_program};
 pub use span::Span;

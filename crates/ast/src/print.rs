@@ -371,15 +371,6 @@ fn tyvarseq(tvs: &[crate::Symbol], out: &mut String) {
     }
 }
 
-/// Renders one declaration as parseable source text (no trailing
-/// newline). Used by the component partitioner to content-hash each
-/// top-level declaration independently of surrounding whitespace.
-pub fn print_dec(d: &Dec) -> String {
-    let mut out = String::new();
-    dec_into(d, &mut out);
-    out
-}
-
 fn dec_into(d: &Dec, out: &mut String) {
     match &d.kind {
         DecKind::Val {

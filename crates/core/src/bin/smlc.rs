@@ -302,13 +302,10 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
                 match stats {
                     StatsMode::Off => {}
                     StatsMode::Human => eprintln!(
-                        "[{}] code {} instrs | compile {:?} | components {}/{} recompiled | \
-                         cache {}",
+                        "[{}] code {} instrs | compile {:?} | cache {}",
                         v.name(),
                         compiled.stats.code_size,
                         compiled.stats.compile_time,
-                        compiled.stats.components.recompiled,
-                        compiled.stats.components.scc_count,
                         if compiled.from_cache { "hit" } else { "miss" },
                     ),
                     StatsMode::Json => {

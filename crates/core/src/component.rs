@@ -1,9 +1,4 @@
-//! Component-wise incremental compilation: SCC partitioning of the
-//! top-level declaration dependency graph, content/chain hashing, and
-//! the checkpoint cache that lets an edited program resume elaboration
-//! from the deepest still-valid prefix.
-//!
-//! # Partitioning
+//! SCC partitioning of the top-level declaration dependency graph.
 //!
 //! [`partition`] builds a dependency graph over a program's top-level
 //! declarations from the purely syntactic name extraction in
@@ -17,76 +12,42 @@
 //! construction; Tarjan guards the invariant for any cyclic shape the
 //! extractor may report.
 //!
-//! # Invalidation is content-based
-//!
-//! Each component is addressed by `(component_hash, deps_fingerprint,
-//! variant, config_fingerprint)` where `component_hash` digests the
-//! component's own pretty-printed declarations and `deps_fingerprint`
-//! is the *chain hash* of everything before it (the hash of the
-//! previous component's key material, recursively). Editing declaration
-//! `k` therefore changes the chain for every component at or after `k`:
-//! the cached checkpoints for the unedited prefix still match and are
-//! reused, while the dirtied suffix re-elaborates. Because the key
-//! covers the full prefix *content*, the (approximate) dependency graph
-//! can never cause a stale checkpoint to be reused — it only determines
-//! component granularity and the statistics reported in
-//! [`ComponentStats`].
-//!
-//! # Checkpoints
-//!
-//! A [`Checkpoint`] is an [`ElabSession`] deep-forked at a component
-//! boundary (see `sml_elab::incremental`). The fork is a *closed* graph
-//! — no `Rc` inside it is reachable from outside — which is what makes
-//! the `unsafe impl Send` sound: a checkpoint may move between worker
-//! threads, and all access (lookup-fork, insertion, eviction) happens
-//! under the [`ComponentCache`] mutex, so no two threads ever touch one
-//! checkpoint's interior concurrently.
+//! The partition is an analysis only: elaboration always runs over the
+//! whole program (see `docs/ARCHITECTURE.md` §5).
 
-use crate::config::Variant;
-use crate::fxhash::{hash_bytes, FxHasher};
-use sml_ast::{self as ast, dec_names, print_dec, DecKind, Symbol};
-use sml_elab::incremental::ElabSession;
-use sml_elab::ElabResult;
+use sml_ast::{self as ast, dec_names, DecKind, Symbol};
 use std::collections::{HashMap, HashSet};
-use std::hash::Hasher;
 use std::ops::Range;
 
-/// Per-compile component statistics, reported as the `components`
-/// object of the metrics schema (v3); see `docs/OBSERVABILITY.md`.
+/// The `components` object of the metrics schema (v5); see
+/// `docs/OBSERVABILITY.md`.
+///
+/// Elaboration is whole-program, so every compile reports
+/// `enabled: false` and zero counters. The type and its fields are kept
+/// so v5 readers of `--stats=json` and of server responses keep their
+/// shape.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ComponentStats {
-    /// Whether the compile ran the incremental component path at all
-    /// (false for `SessionBuilder::incremental(false)` sessions and for
-    /// whole-program fallbacks).
+    /// Whether the compile ran a component-wise elaboration path;
+    /// always false.
     pub enabled: bool,
-    /// Number of components the program partitioned into.
+    /// Number of components the compile partitioned into; always 0.
     pub scc_count: usize,
-    /// Components actually (re-)elaborated this compile.
+    /// Components re-elaborated this compile; always 0.
     pub recompiled: usize,
-    /// Components served from cached checkpoints.
+    /// Components served from cached checkpoints; always 0.
     pub cache_hits: usize,
-    /// Length of the longest dependency chain in the component DAG.
+    /// Length of the longest dependency chain; always 0.
     pub topo_depth: usize,
 }
 
-/// One component: a contiguous run of top-level declarations compiled
-/// as a unit.
+/// One component: a contiguous run of top-level declarations.
 #[derive(Clone, Debug)]
 pub struct Component {
     /// The half-open range of top-level declaration indices.
     pub decs: Range<usize>,
-    /// Content hash of the component's own declarations (pretty-printed,
-    /// so whitespace/comment edits do not dirty it).
-    pub hash: u64,
-    /// Chain hash of everything *before* this component — the
-    /// `deps_fingerprint` of the component's cache key.
-    pub chain_prev: u64,
-    /// Chain hash *including* this component (the next one's
-    /// `chain_prev`).
-    pub chain: u64,
     /// Indices of earlier components this one references (deduplicated,
-    /// ascending). Drives `topo_depth` and the partitioner tests; not
-    /// used for invalidation (see the module docs).
+    /// ascending).
     pub deps: Vec<usize>,
 }
 
@@ -110,10 +71,6 @@ impl ComponentGraph {
         self.components.is_empty()
     }
 }
-
-/// The value-level chain seed; any fixed odd constant works, this one is
-/// the usual 64-bit golden ratio.
-const CHAIN_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Dependency edges of each declaration on *earlier* declarations, from
 /// the syntactic name extraction. Namespaced binder maps track the
@@ -283,7 +240,7 @@ pub fn partition(prog: &ast::Program) -> ComponentGraph {
         }
     }
 
-    // Component-level dependency edges and hashes.
+    // Component-level dependency edges and depths.
     let mut comp_of_dec = vec![0usize; decs.len()];
     for (c, r) in ranges.iter().enumerate() {
         for d in r.clone() {
@@ -291,18 +248,9 @@ pub fn partition(prog: &ast::Program) -> ComponentGraph {
         }
     }
     let mut components: Vec<Component> = Vec::with_capacity(ranges.len());
-    let mut chain = CHAIN_SEED;
     let mut depth: Vec<usize> = Vec::with_capacity(ranges.len());
     let mut topo_depth = 0usize;
     for (c, r) in ranges.iter().enumerate() {
-        let mut h = FxHasher::default();
-        h.write_usize(r.len());
-        for d in r.clone() {
-            let text = print_dec(&decs[d]);
-            h.write_u64(hash_bytes(text.as_bytes()));
-            h.write_usize(text.len());
-        }
-        let hash = h.finish();
         let mut deps: HashSet<usize> = HashSet::new();
         for d in r.clone() {
             for &e in &edges[d] {
@@ -317,16 +265,8 @@ pub fn partition(prog: &ast::Program) -> ComponentGraph {
         let d = 1 + deps.iter().map(|&p| depth[p]).max().unwrap_or(0);
         depth.push(d);
         topo_depth = topo_depth.max(d);
-        let chain_prev = chain;
-        let mut ch = FxHasher::default();
-        ch.write_u64(chain_prev);
-        ch.write_u64(hash);
-        chain = ch.finish();
         components.push(Component {
             decs: r.clone(),
-            hash,
-            chain_prev,
-            chain,
             deps,
         });
     }
@@ -336,177 +276,9 @@ pub fn partition(prog: &ast::Program) -> ComponentGraph {
     }
 }
 
-// ---------------------------------------------------------------------
-// Checkpoint cache
-// ---------------------------------------------------------------------
-
-/// An elaboration snapshot at a component boundary.
-///
-/// The wrapped session is a deep fork ([`ElabSession::fork`]): a closed
-/// graph whose `Rc`/`RefCell` cells are reachable only through this
-/// value. It is therefore sound to move between threads as long as it
-/// is never *shared* between threads — which the [`ComponentCache`]
-/// mutex enforces: every fork-out and drop happens under the lock.
-struct Checkpoint(ElabSession);
-
-// SAFETY: see the `Checkpoint` docs — the graph is closed by
-// construction (the fork walker rebuilds every `Rc`), and all access is
-// serialized by the owning `Mutex<ComponentCache>`.
-unsafe impl Send for Checkpoint {}
-
-/// Cache key of one component checkpoint: own content, full prefix
-/// content, variant, and session-configuration fingerprint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct ComponentKey {
-    /// The component's own content hash.
-    pub comp_hash: u64,
-    /// Chain hash of the whole prefix before it (`deps_fingerprint`).
-    pub chain_prev: u64,
-    /// Compiler variant.
-    pub variant: Variant,
-    /// Session/job configuration fingerprint.
-    pub fingerprint: u64,
-}
-
-struct CacheSlot {
-    checkpoint: Checkpoint,
-    last_used: u64,
-}
-
-/// An LRU cache of elaboration checkpoints, keyed per component.
-pub(crate) struct ComponentCache {
-    capacity: usize,
-    tick: u64,
-    map: HashMap<ComponentKey, CacheSlot>,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
-}
-
-impl ComponentCache {
-    pub(crate) fn new(capacity: usize) -> ComponentCache {
-        ComponentCache {
-            capacity,
-            tick: 0,
-            map: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn fork_out(&mut self, key: &ComponentKey) -> Option<ElabSession> {
-        self.tick += 1;
-        let tick = self.tick;
-        let slot = self.map.get_mut(key)?;
-        slot.last_used = tick;
-        Some(slot.checkpoint.0.fork())
-    }
-
-    fn insert_if_absent(&mut self, key: ComponentKey, session: &ElabSession) {
-        self.tick += 1;
-        if self.map.contains_key(&key) {
-            return;
-        }
-        if self.map.len() >= self.capacity {
-            if let Some(&victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| k)
-            {
-                self.map.remove(&victim);
-            }
-        }
-        self.map.insert(
-            key,
-            CacheSlot {
-                checkpoint: Checkpoint(session.fork()),
-                last_used: self.tick,
-            },
-        );
-    }
-
-    /// Resident checkpoints (capacity-bound enforcement is visible to
-    /// tests through this).
-    #[cfg(test)]
-    pub(crate) fn entries(&self) -> usize {
-        self.map.len()
-    }
-}
-
-/// Everything the incremental elaboration path needs from the session.
-pub(crate) struct IncrCtx<'a> {
-    pub cache: &'a std::sync::Mutex<ComponentCache>,
-    pub variant: Variant,
-    pub fingerprint: u64,
-}
-
-impl IncrCtx<'_> {
-    fn key(&self, c: &Component) -> ComponentKey {
-        ComponentKey {
-            comp_hash: c.hash,
-            chain_prev: c.chain_prev,
-            variant: self.variant,
-            fingerprint: self.fingerprint,
-        }
-    }
-}
-
-/// Elaborates a program component by component, resuming from the
-/// deepest cached checkpoint whose key still matches and storing a new
-/// checkpoint at every component boundary it (re-)elaborates.
-///
-/// The typed program this returns is isomorphic to what
-/// `sml_elab::elaborate` produces on the same source — forks preserve
-/// cell identity-structure and replay re-runs the identical per-
-/// declaration elaboration — so everything downstream (translation,
-/// CPS, codegen) produces byte-identical artifacts. The differential
-/// tests in `tests/components.rs` and the `incr_bench` gate pin that.
-pub(crate) fn elaborate_incremental(
-    prog: &ast::Program,
-    ctx: &IncrCtx<'_>,
-) -> ElabResult<(sml_elab::Elaboration, ComponentStats)> {
-    let graph = partition(prog);
-    let n = graph.components.len();
-    // Deepest prefix checkpoint whose key matches, forked under the
-    // cache lock (checkpoint interiors must never be touched
-    // concurrently).
-    let (mut session, start) = {
-        let mut cache = ctx.cache.lock().expect("component cache poisoned");
-        let found = (0..n).rev().find_map(|i| {
-            cache
-                .fork_out(&ctx.key(&graph.components[i]))
-                .map(|s| (s, i + 1))
-        });
-        let (session, start) = found.unwrap_or_else(|| (ElabSession::new(), 0));
-        cache.hits += start as u64;
-        cache.misses += (n - start) as u64;
-        (session, start)
-    };
-    for comp in &graph.components[start..] {
-        for dec in &prog.decs[comp.decs.clone()] {
-            session.elab_dec(dec)?;
-        }
-        // The fork for storage happens outside the lock (the working
-        // session is thread-local); only insertion is serialized.
-        ctx.cache
-            .lock()
-            .expect("component cache poisoned")
-            .insert_if_absent(ctx.key(comp), &session);
-    }
-    let stats = ComponentStats {
-        enabled: true,
-        scc_count: n,
-        recompiled: n - start,
-        cache_hits: start,
-        topo_depth: graph.topo_depth,
-    };
-    Ok((session.finish()?, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     fn graph(src: &str) -> ComponentGraph {
         partition(&sml_ast::parse(src).unwrap())
@@ -521,28 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_hash_distinguishes_prefixes() {
-        let g1 = graph("val a = 1 val b = a");
-        let g2 = graph("val a = 2 val b = a");
-        assert_ne!(
-            g1.components[1].chain_prev, g2.components[1].chain_prev,
-            "an edited prefix must dirty downstream keys"
-        );
-        assert_eq!(
-            g1.components[1].hash, g2.components[1].hash,
-            "the unedited dec's own hash is unchanged"
-        );
-    }
-
-    #[test]
-    fn whitespace_edits_do_not_dirty() {
-        let g1 = graph("val a = 1   val b = a");
-        let g2 = graph("val  a  =  1\nval b = a");
-        assert_eq!(g1.components[0].hash, g2.components[0].hash);
-        assert_eq!(g1.components[1].chain, g2.components[1].chain);
-    }
-
-    #[test]
     fn signature_fuses_with_following_structure() {
         let g = graph(
             "val unrelated = 0 \
@@ -553,64 +303,5 @@ mod tests {
         assert_eq!(g.len(), 3, "sig + structure must form one component");
         assert_eq!(g.components[1].decs, 1..3);
         assert_eq!(g.components[2].deps, vec![1]);
-    }
-
-    #[test]
-    fn incremental_replay_caches_prefix() {
-        let cache = Mutex::new(ComponentCache::new(32));
-        let ctx = IncrCtx {
-            cache: &cache,
-            variant: Variant::Ffb,
-            fingerprint: 7,
-        };
-        let p1 = sml_ast::parse("val a = 1 val b = a + 1 val c = b + 1").unwrap();
-        let (_, s1) = elaborate_incremental(&p1, &ctx).unwrap();
-        assert_eq!((s1.scc_count, s1.recompiled, s1.cache_hits), (3, 3, 0));
-        // Edit only the last declaration: both predecessors replay from
-        // cache.
-        let p2 = sml_ast::parse("val a = 1 val b = a + 1 val c = b + 2").unwrap();
-        let (_, s2) = elaborate_incremental(&p2, &ctx).unwrap();
-        assert_eq!((s2.scc_count, s2.recompiled, s2.cache_hits), (3, 1, 2));
-        // Edit the middle: the suffix from there is dirty.
-        let p3 = sml_ast::parse("val a = 1 val b = a + 10 val c = b + 2").unwrap();
-        let (_, s3) = elaborate_incremental(&p3, &ctx).unwrap();
-        assert_eq!((s3.scc_count, s3.recompiled, s3.cache_hits), (3, 2, 1));
-    }
-
-    #[test]
-    fn checkpoint_cache_is_capacity_bounded() {
-        let cache = Mutex::new(ComponentCache::new(4));
-        let ctx = IncrCtx {
-            cache: &cache,
-            variant: Variant::Ffb,
-            fingerprint: 7,
-        };
-        // Each distinct program inserts three checkpoints; the LRU must
-        // hold the line at its capacity.
-        for k in 0..8 {
-            let src = format!("val a = {k} val b = a + 1 val c = b + 1");
-            let prog = sml_ast::parse(&src).unwrap();
-            elaborate_incremental(&prog, &ctx).unwrap();
-        }
-        assert_eq!(cache.lock().unwrap().entries(), 4);
-    }
-
-    #[test]
-    fn different_fingerprints_do_not_share_checkpoints() {
-        let cache = Mutex::new(ComponentCache::new(32));
-        let prog = sml_ast::parse("val a = 1 val b = a").unwrap();
-        let ctx1 = IncrCtx {
-            cache: &cache,
-            variant: Variant::Ffb,
-            fingerprint: 1,
-        };
-        let ctx2 = IncrCtx {
-            cache: &cache,
-            variant: Variant::Ffb,
-            fingerprint: 2,
-        };
-        elaborate_incremental(&prog, &ctx1).unwrap();
-        let (_, s) = elaborate_incremental(&prog, &ctx2).unwrap();
-        assert_eq!(s.cache_hits, 0);
     }
 }

@@ -56,14 +56,18 @@ impl Json {
     /// duplicate object keys are kept in order (last-wins under
     /// [`Json::get`] would be surprising, so `get` returns the first).
     ///
+    /// Arrays and objects may nest at most 256 deep, so a hostile line
+    /// cannot overflow the stack of the recursive parser.
+    ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] with a byte offset and a short message
-    /// on malformed input.
+    /// on malformed or too deeply nested input.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -175,9 +179,16 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// Far above any wire request or metrics document, far below what
+/// would overflow a worker thread's stack.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -222,11 +233,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nested too deeply"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -579,6 +605,32 @@ mod tests {
         let e = Json::parse("[1, @]").unwrap_err();
         assert_eq!(e.offset, 4);
         assert!(e.to_string().contains("at byte 4"));
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        let mut v = Json::parse(&nest(MAX_DEPTH, "[", "]")).unwrap();
+        for _ in 0..MAX_DEPTH {
+            v = match v {
+                Json::Arr(mut items) => items.pop().unwrap(),
+                other => panic!("expected an array, got {other:?}"),
+            };
+        }
+        assert_eq!(v, Json::Int(0));
+        assert!(Json::parse(&nest(MAX_DEPTH, "{\"k\":", "}")).is_ok());
+
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let e = Json::parse(&nest(MAX_DEPTH + 1, open, close)).unwrap_err();
+            assert_eq!(e.message, "arrays and objects nested too deeply");
+            assert_eq!(e.offset, MAX_DEPTH * open.len());
+        }
+        // Far past the limit is the same typed error, not a stack
+        // overflow.
+        let e = Json::parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
     }
 
     #[test]

@@ -28,7 +28,9 @@ use sml_vm::{DispatchStats, InstrClass, Outcome, RunStats, SchedStats, VmResult}
 /// was added. Still 2 after the bounded-pause GC work: the `gc` pause
 /// histograms/slice counters and the top-level `sched` object are pure
 /// additions. **3** — the top-level `components` object
-/// (SCC-incremental elaboration counters, always present) and the
+/// (SCC-incremental elaboration counters, always present; since
+/// elaboration became whole-program again it always reads
+/// `enabled: false` with zero counters) and the
 /// top-level `server` object (compile-server counters, `null` outside
 /// `smlc serve`) were added; bumped because `components` changes what
 /// a "complete" document looks like for schema-checking consumers.
@@ -253,9 +255,9 @@ impl Metrics {
             Some(sched) => doc.field("sched", sched_json(sched)),
             None => doc.field("sched", Json::Null),
         };
-        // Always present (unlike the optional session attachments):
-        // every compile reports its component counters, zeroed with
-        // `enabled: false` when elaboration ran whole-program.
+        // Always present (unlike the optional session attachments) and
+        // always `enabled: false` with zero counters: elaboration is
+        // whole-program, and the object stays for v5 readers.
         doc = doc.field("components", components_json(&self.compile.components));
         doc = match &self.server {
             Some(server) => doc.field("server", server_json(server)),
@@ -265,7 +267,9 @@ impl Metrics {
     }
 }
 
-fn components_json(c: &crate::component::ComponentStats) -> Json {
+/// The `components` object, shared by metrics documents and server
+/// compile responses.
+pub(crate) fn components_json(c: &crate::component::ComponentStats) -> Json {
     Json::obj()
         .field("enabled", c.enabled)
         .field("scc_count", c.scc_count)

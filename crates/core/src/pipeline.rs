@@ -8,7 +8,7 @@
 //! optimizer pass, the closed program after closure conversion, and
 //! the bytecode after code generation.
 
-use crate::component::{elaborate_incremental, ComponentStats, IncrCtx};
+use crate::component::ComponentStats;
 use crate::config::Variant;
 use crate::error::{CompileError, Violation};
 use sml_cps::{close, convert, optimize, optimize_instrumented, OptConfig, OptStats};
@@ -219,8 +219,8 @@ pub struct CompileStats {
     pub lty: LtyStats,
     /// IR-verification counters (all zero when verification is off).
     pub verify: VerifyStats,
-    /// Component-wise incremental elaboration counters (all zero with
-    /// `enabled: false` when the session compiles whole-program). See
+    /// The v5 `components` object: always `enabled: false` with zero
+    /// counters, because elaboration is whole-program. See
     /// [`ComponentStats`].
     pub components: ComponentStats,
     /// Front-end warnings (nonexhaustive matches, redundant rules).
@@ -257,7 +257,6 @@ pub(crate) fn compile_engine(
     limits: &Limits,
     verify: VerifyIr,
     interner: LtyInterner,
-    incr: Option<&IncrCtx<'_>>,
 ) -> Result<Compiled, CompileError> {
     if src.len() > limits.max_source_bytes {
         return Err(CompileError::Limit {
@@ -291,21 +290,12 @@ pub(crate) fn compile_engine(
     phases.push(("parse", t.elapsed()));
 
     let t = Instant::now();
-    // With a component context, elaboration resumes from the deepest
-    // cached checkpoint and replays only the dirtied suffix; the typed
-    // program is isomorphic to the whole-program path's (differential-
-    // gated byte-identity downstream). MTD runs on the working copy
-    // only — checkpoints are deep forks, so its in-place re-linking
-    // cannot corrupt them.
-    let (elab, comp_stats) = contain("elaborate", || {
-        let (mut e, comp_stats) = match incr {
-            Some(ctx) => elaborate_incremental(&prog, ctx)?,
-            None => (sml_elab::elaborate(&prog)?, ComponentStats::default()),
-        };
+    let elab = contain("elaborate", || {
+        let mut e = sml_elab::elaborate(&prog)?;
         if variant.uses_mtd() {
             sml_elab::minimum_typing(&mut e);
         }
-        Ok((e, comp_stats))
+        Ok(e)
     })?
     .map_err(|e: sml_elab::ElabError| CompileError::Elab(e, src.to_owned()))?;
     phases.push(("elaborate", t.elapsed()));
@@ -452,7 +442,7 @@ pub(crate) fn compile_engine(
         opt,
         lty,
         verify: vstats,
-        components: comp_stats,
+        components: ComponentStats::default(),
         warnings: tr.warnings,
     };
     Ok(Compiled {

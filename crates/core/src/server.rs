@@ -6,9 +6,9 @@
 //! responses to a connection come back **in request order** even though
 //! jobs from all connections are dispatched onto a shared worker pool.
 //! Because every worker compiles through the same session, all clients
-//! share the artifact cache, the component-checkpoint cache, and the
-//! LTY hash-cons arena — the whole point of keeping the compiler
-//! resident — and the session's determinism contract guarantees each
+//! share the artifact cache and the LTY hash-cons arena — the whole
+//! point of keeping the compiler resident — and the session's
+//! determinism contract guarantees each
 //! client's artifacts are byte-identical to a solo compile.
 //!
 //! Two front ends share the machinery: [`CompileServer::serve_stdio`]
@@ -21,7 +21,7 @@
 
 use crate::error::CompileError;
 use crate::json::Json;
-use crate::metrics::{result_tag, Metrics};
+use crate::metrics::{components_json, result_tag, Metrics};
 use crate::pipeline::VerifyIr;
 use crate::session::{Job, Session};
 use std::collections::{BTreeMap, VecDeque};
@@ -183,15 +183,7 @@ impl Shared<'_> {
             .field("ok", true)
             .field("variant", compiled.variant.name())
             .field("from_cache", compiled.from_cache)
-            .field(
-                "components",
-                Json::obj()
-                    .field("enabled", compiled.stats.components.enabled)
-                    .field("scc_count", compiled.stats.components.scc_count)
-                    .field("recompiled", compiled.stats.components.recompiled)
-                    .field("cache_hits", compiled.stats.components.cache_hits)
-                    .field("topo_depth", compiled.stats.components.topo_depth),
-            );
+            .field("components", components_json(&compiled.stats.components));
         let outcome = req
             .get("run")
             .and_then(Json::as_bool)

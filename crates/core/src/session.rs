@@ -51,7 +51,6 @@
 //! assert_eq!(session.run(&a).result, VmResult::Value(0));
 //! ```
 
-use crate::component::{ComponentCache, IncrCtx};
 use crate::config::Variant;
 use crate::error::{CompileError, ConfigError};
 use crate::fxhash::{hash_bytes, FxHasher};
@@ -291,8 +290,6 @@ pub struct SessionBuilder {
     reuse_types: bool,
     batch_workers: usize,
     verify: VerifyIr,
-    incremental: bool,
-    component_cache_capacity: usize,
 }
 
 impl Default for SessionBuilder {
@@ -318,8 +315,6 @@ impl Default for SessionBuilder {
             reuse_types: true,
             batch_workers: 0,
             verify,
-            incremental: true,
-            component_cache_capacity: 64,
         }
     }
 }
@@ -399,26 +394,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables or disables SCC-incremental elaboration (enabled by
-    /// default). When on, the session keeps elaborator checkpoints per
-    /// top-level component (see [`crate::component`]) so recompiling an
-    /// edited program replays only the dirtied suffix of components.
-    /// Output is byte-identical either way — the flag is deliberately
-    /// *not* part of the configuration fingerprint, so warm incremental
-    /// and cold whole-program compiles share the artifact cache.
-    pub fn incremental(mut self, enabled: bool) -> SessionBuilder {
-        self.incremental = enabled;
-        self
-    }
-
-    /// Maximum retained component checkpoints (default 64);
-    /// least-recently-used checkpoints are evicted beyond this. Only
-    /// meaningful with [`SessionBuilder::incremental`] enabled.
-    pub fn component_cache_capacity(mut self, capacity: usize) -> SessionBuilder {
-        self.component_cache_capacity = capacity;
-        self
-    }
-
     /// Validates the configuration and builds the session.
     ///
     /// # Errors
@@ -444,9 +419,6 @@ impl SessionBuilder {
         }
         if self.cache_enabled && self.cache_capacity == 0 {
             return nonzero("cache_capacity");
-        }
-        if self.incremental && self.component_cache_capacity == 0 {
-            return nonzero("component_cache_capacity");
         }
         if let Some(vm) = &self.vm {
             if vm.nursery_words == 0 {
@@ -506,9 +478,6 @@ impl SessionBuilder {
                 .cache_enabled
                 .then(|| Mutex::new(ArtifactCache::new(self.cache_capacity))),
             arena: self.reuse_types.then(|| Arc::new(LtyArena::new())),
-            incr: self
-                .incremental
-                .then(|| Mutex::new(ComponentCache::new(self.component_cache_capacity))),
         })
     }
 }
@@ -525,9 +494,7 @@ fn fingerprint(b: &SessionBuilder) -> u64 {
 /// per-job overrides can compute its *effective* fingerprint from the
 /// same encoding the session used — an overridden job whose effective
 /// knobs equal the session's hashes identically, so it still hits the
-/// session's cached artifacts. The `incremental` flag is deliberately
-/// excluded: incremental and whole-program compiles are byte-identical
-/// and must share cache entries.
+/// session's cached artifacts.
 fn fingerprint_of(
     verify: VerifyIr,
     opt: &OptConfig,
@@ -601,9 +568,6 @@ pub struct Session {
     /// The shared hash-cons arena (`None` when `reuse_types(false)`
     /// forces every compile onto a private cold arena).
     arena: Option<Arc<LtyArena>>,
-    /// Elaborator checkpoints per component chain (`None` when
-    /// `incremental(false)` forces whole-program elaboration).
-    incr: Option<Mutex<ComponentCache>>,
 }
 
 impl Default for Session {
@@ -669,12 +633,6 @@ impl Session {
     /// [`SessionBuilder::verify_ir`].
     pub fn verify_ir(&self) -> VerifyIr {
         self.verify
-    }
-
-    /// Whether SCC-incremental elaboration is on; see
-    /// [`SessionBuilder::incremental`].
-    pub fn incremental(&self) -> bool {
-        self.incr.is_some()
     }
 
     /// The VM configuration a run of `variant` would use: the explicit
@@ -928,8 +886,7 @@ impl Session {
 
     /// The compile path behind every public entry point: cache lookup,
     /// then a pipeline run through a fresh view on the shared LTY
-    /// arena (resuming from component checkpoints when incremental
-    /// elaboration is on), then cache insertion.
+    /// arena, then cache insertion.
     fn compile_inner(
         &self,
         src: &str,
@@ -958,16 +915,7 @@ impl Session {
             (Some(arena), InternMode::HashCons) => LtyInterner::with_arena(Arc::clone(arena)),
             _ => LtyInterner::new(mode),
         };
-        // Checkpoints are keyed by variant + effective fingerprint (MTD
-        // variants mutate schemes in place; differently-limited jobs
-        // may observe different elaborator behavior at the budget), so
-        // the component cache never resumes across configurations.
-        let incr = self.incr.as_ref().map(|cache| IncrCtx {
-            cache,
-            variant,
-            fingerprint,
-        });
-        let result = compile_engine(src, variant, opt, limits, verify, view, incr.as_ref());
+        let result = compile_engine(src, variant, opt, limits, verify, view);
         match result {
             Ok(artifact) => {
                 if let Some(cache) = &self.cache {

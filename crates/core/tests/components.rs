@@ -1,46 +1,15 @@
-//! SCC partitioner edge cases and incremental-elaboration differentials.
+//! SCC partitioner edge cases, and the `components` object a
+//! whole-program compile still reports.
 //!
-//! The contract under test is twofold: the partitioner groups
-//! declarations the way `docs/ARCHITECTURE.md` specifies (mutual
-//! recursion fuses, shadowing splits, signatures fuse forward), and the
-//! incremental suffix-replay path is *byte-identical* to whole-program
-//! elaboration — same machine code, warm or cold, across all six
-//! variants and a progen seed sweep.
+//! The partitioner groups declarations the way `docs/ARCHITECTURE.md`
+//! specifies: mutual recursion fuses, shadowing splits, and signatures
+//! fuse forward. Elaboration itself is whole-program, so every compile
+//! reports the v5 `components` object disabled and zeroed.
 
-use sml_testkit::progen::{gen_program, GenConfig};
-use sml_testkit::Rng;
-use smlc::{partition, ComponentGraph, Session, Variant};
+use smlc::{partition, ComponentGraph, ComponentStats, Session};
 
 fn graph(src: &str) -> ComponentGraph {
     partition(&sml_ast::parse(src).unwrap())
-}
-
-/// An incremental session (the default) next to a whole-program one
-/// with the same knobs.
-fn session_pair(v: Variant) -> (Session, Session) {
-    let incr = Session::builder().variant(v).build().unwrap();
-    let whole = Session::builder()
-        .variant(v)
-        .incremental(false)
-        .build()
-        .unwrap();
-    assert!(incr.incremental() && !whole.incremental());
-    (incr, whole)
-}
-
-/// Compile in both sessions and demand byte-identical machine code.
-fn assert_differential(incr: &Session, whole: &Session, src: &str, what: &str) {
-    let a = incr.compile(src).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let b = whole.compile(src).unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert!(
-        a.stats.components.enabled || a.from_cache,
-        "{what}: incremental session must report component stats"
-    );
-    assert_eq!(
-        format!("{}", a.machine),
-        format!("{}", b.machine),
-        "{what}: incremental output diverged from whole-program"
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -97,7 +66,7 @@ fn shadowing_redefinition_splits_components() {
 }
 
 /// A `signature` has no runtime content; it fuses forward with the
-/// `structure` (or `functor`) that first consumes it so a checkpoint
+/// `structure` (or `functor`) that first consumes it so a component
 /// never splits an ascription from its signature.
 #[test]
 fn signature_fuses_with_structure_and_functor() {
@@ -118,103 +87,15 @@ fn signature_fuses_with_structure_and_functor() {
 }
 
 // ---------------------------------------------------------------------
-// Recompiled-counter behaviour (the tentpole's observable contract)
+// The v5 `components` object
 // ---------------------------------------------------------------------
-
-const BASE: &str = "fun id x = x\nval a = id 1\nval _ = print (itos a)";
-
-#[test]
-fn cold_compile_recompiles_every_component() {
-    let s = Session::with_variant(Variant::Ffb);
-    let c = s.compile(BASE).unwrap();
-    let cs = &c.stats.components;
-    assert!(cs.enabled);
-    assert_eq!(cs.scc_count, 3);
-    assert_eq!(cs.recompiled, 3);
-    assert_eq!(cs.cache_hits, 0);
-    assert_eq!(cs.topo_depth, 3);
-}
-
-#[test]
-fn editing_last_declaration_recompiles_only_it() {
-    let s = Session::with_variant(Variant::Ffb);
-    s.compile(BASE).unwrap();
-    let edited = "fun id x = x\nval a = id 1\nval _ = print (itos (a + a))";
-    let c = s.compile(edited).unwrap();
-    let cs = &c.stats.components;
-    assert_eq!((cs.recompiled, cs.cache_hits), (1, 2), "suffix only");
-}
-
-#[test]
-fn editing_middle_declaration_dirties_downstream_only() {
-    let s = Session::with_variant(Variant::Ffb);
-    s.compile(BASE).unwrap();
-    let edited = "fun id x = x\nval a = id 2\nval _ = print (itos a)";
-    let c = s.compile(edited).unwrap();
-    let cs = &c.stats.components;
-    assert_eq!((cs.recompiled, cs.cache_hits), (2, 1));
-}
-
-#[test]
-fn appending_a_declaration_keeps_prefix_warm() {
-    let s = Session::with_variant(Variant::Ffb);
-    s.compile(BASE).unwrap();
-    let appended = format!("{BASE}\nval z = id 9");
-    let c = s.compile(&appended).unwrap();
-    let cs = &c.stats.components;
-    assert_eq!((cs.scc_count, cs.recompiled, cs.cache_hits), (4, 1, 3));
-}
 
 #[test]
 fn whole_program_session_reports_disabled_stats() {
-    let s = Session::builder()
-        .variant(Variant::Ffb)
-        .incremental(false)
-        .build()
+    let s = Session::default();
+    let c = s
+        .compile("fun id x = x\nval a = id 1\nval _ = print (itos a)")
         .unwrap();
-    let c = s.compile(BASE).unwrap();
-    let cs = &c.stats.components;
-    assert!(!cs.enabled);
-    assert_eq!((cs.scc_count, cs.recompiled, cs.cache_hits), (0, 0, 0));
-}
-
-// ---------------------------------------------------------------------
-// Byte-identity differentials: incremental vs whole-program
-// ---------------------------------------------------------------------
-
-/// Cold and warm (post-edit) compiles under every variant — including
-/// the MTD-using ones — must match whole-program output byte for byte.
-#[test]
-fn edit_differential_all_variants() {
-    let edits = [
-        BASE.to_owned(),
-        BASE.replace("id 1", "id 5"),
-        format!("{BASE}\nval tail = id 7\nval _ = print (itos tail)"),
-        BASE.replace("fun id x = x", "fun id x = (x, x)\nfun fst (a, _) = a")
-            .replace("id 1", "fst (id 1)"),
-    ];
-    for v in Variant::ALL {
-        let (incr, whole) = session_pair(v);
-        for (i, src) in edits.iter().enumerate() {
-            assert_differential(&incr, &whole, src, &format!("{v} edit {i}"));
-        }
-    }
-}
-
-/// Progen sweep: each seed's program compiles identically through the
-/// suffix-replay path, then again after a synthesized append (warm
-/// replay over a cached prefix). 60 seeds here; the full 200-seed sweep
-/// runs in `incr_bench` (release).
-#[test]
-fn progen_differential_byte_identity() {
-    let cfg = GenConfig::default();
-    for seed in 0..60u64 {
-        let mut rng = Rng::new(seed);
-        let src = gen_program(&mut rng, &cfg);
-        let v = *Rng::new(seed ^ 0xC0FFEE).pick(&Variant::ALL);
-        let (incr, whole) = session_pair(v);
-        assert_differential(&incr, &whole, &src, &format!("seed {seed} cold"));
-        let appended = format!("{src}\nval zz_{seed} = {seed}");
-        assert_differential(&incr, &whole, &appended, &format!("seed {seed} warm"));
-    }
+    assert_eq!(c.stats.components, ComponentStats::default());
+    assert!(!c.stats.components.enabled);
 }

@@ -178,6 +178,55 @@ fn error_responses_carry_the_exit_code_taxonomy() {
     });
 }
 
+/// A one-megabyte line of `[` is answered with a typed request error
+/// instead of overflowing the parser's stack, and the same connection
+/// then compiles normally. The compile response still carries the v5
+/// `components` object, disabled and zeroed.
+#[test]
+fn deeply_nested_line_is_a_request_error_not_a_crash() {
+    let path = socket_path("deep");
+    let shutdown = AtomicBool::new(false);
+    let server = CompileServer::new(Session::with_variant(Variant::Ffb)).workers(2);
+
+    std::thread::scope(|s| {
+        let handle = s.spawn(|| server.serve_unix(&path, &shutdown).unwrap());
+        let mut stream = connect(&path);
+
+        let resp = roundtrip(&mut stream, &"[".repeat(1_000_000));
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        let err = resp.get("error").expect("error object");
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("request"));
+        assert!(err
+            .get("message")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("nested too deeply")));
+        assert_eq!(resp.get("exit_code").and_then(Json::as_i64), Some(2));
+
+        let resp = roundtrip(
+            &mut stream,
+            "{\"id\": 1, \"src\": \"val _ = print (itos 5)\", \"run\": true}",
+        );
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(resp.get("output").and_then(Json::as_str), Some("5"));
+        let components = resp.get("components").expect("components object");
+        assert_eq!(
+            components.get("enabled").and_then(Json::as_bool),
+            Some(false)
+        );
+        for counter in ["scc_count", "recompiled", "cache_hits", "topo_depth"] {
+            assert_eq!(
+                components.get(counter).and_then(Json::as_i64),
+                Some(0),
+                "{counter}"
+            );
+        }
+
+        shutdown.store(true, Ordering::SeqCst);
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.jobs, 2);
+    });
+}
+
 /// A `{"op":"shutdown"}` request stops the whole server gracefully.
 #[test]
 fn shutdown_op_stops_the_server() {

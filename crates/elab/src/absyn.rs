@@ -49,7 +49,7 @@ impl Access {
 /// Side table of all term variables created during elaboration.
 #[derive(Debug, Default)]
 pub struct VarTable {
-    pub(crate) infos: Vec<VarInfo>,
+    infos: Vec<VarInfo>,
 }
 
 /// Everything known about one term variable.

@@ -42,26 +42,50 @@ pub struct Elaboration {
 /// assert!(!elab.decs.is_empty());
 /// ```
 pub fn elaborate(prog: &ast::Program) -> ElabResult<Elaboration> {
-    let mut session = crate::incremental::ElabSession::new();
+    let registry = TyconRegistry::with_builtins();
+    let mut vars = VarTable::new();
+    let (mut env, builtins) = builtin_env(&registry, &mut vars);
+    let mut elab = Elaborator {
+        reg: registry,
+        vars,
+        level: 0,
+        overloads: Vec::new(),
+        flex: Vec::new(),
+        tyvar_scopes: vec![HashMap::new()],
+        fct_roots: HashMap::new(),
+    };
+    let mut decs: Vec<TDec> = builtins
+        .all()
+        .into_iter()
+        .map(|(var, name)| TDec::Exception {
+            var,
+            name: Symbol::intern(name),
+        })
+        .collect();
     for dec in &prog.decs {
-        session.elab_dec(dec)?;
+        elab.elab_dec(&mut env, dec, &mut decs)?;
     }
-    session.finish()
+    elab.resolve_pending(0, 0, Span::dummy())?;
+    Ok(Elaboration {
+        decs,
+        vars: elab.vars,
+        registry: elab.reg,
+        builtins,
+    })
 }
 
 /// A pending flexible-record constraint: the record type, the fields the
 /// pattern listed, and the span to report if the record never closes.
-pub(crate) type FlexConstraint = (Ty, Vec<(Symbol, Ty)>, Span);
+type FlexConstraint = (Ty, Vec<(Symbol, Ty)>, Span);
 
-#[derive(Debug)]
 pub(crate) struct Elaborator {
     pub(crate) reg: TyconRegistry,
     pub(crate) vars: VarTable,
     pub(crate) level: u32,
     /// Pending overload constraints `(instance var, class, span)`.
-    pub(crate) overloads: Vec<(Ty, OvClass, Span)>,
+    overloads: Vec<(Ty, OvClass, Span)>,
     /// Pending flexible-record constraints.
-    pub(crate) flex: Vec<FlexConstraint>,
+    flex: Vec<FlexConstraint>,
     /// Stack of implicit/explicit type-variable scopes for `'a` syntax.
     pub(crate) tyvar_scopes: Vec<HashMap<Symbol, Ty>>,
     /// Placeholder root variables of functor result environments, keyed

@@ -19,8 +19,6 @@ pub mod absyn;
 pub mod elaborate;
 pub mod env;
 pub mod error;
-mod fork;
-pub mod incremental;
 pub mod modules;
 pub mod mtd;
 
@@ -31,5 +29,4 @@ pub use absyn::{
 pub use elaborate::{elaborate, Elaboration};
 pub use env::{builtin_env, BuiltinExns, Env, OvClass, TyFun, ValBind};
 pub use error::{ElabError, ElabResult};
-pub use incremental::ElabSession;
 pub use mtd::minimum_typing;

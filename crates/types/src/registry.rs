@@ -274,15 +274,6 @@ impl TyconRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &DatatypeDef> {
         self.map.values()
     }
-
-    /// Inserts a fully formed definition under its tycon's stamp,
-    /// replacing any previous entry. Used when deep-forking an
-    /// elaboration checkpoint: representations were already assigned by
-    /// [`TyconRegistry::register_batch`] in the original, so the forked
-    /// copy is re-inserted verbatim rather than re-analyzed.
-    pub fn insert_def(&mut self, def: DatatypeDef) {
-        self.map.insert(def.tycon.stamp, def);
-    }
 }
 
 #[cfg(test)]

@@ -525,26 +525,6 @@ pub struct VmScheduler {
 }
 
 impl VmScheduler {
-    /// Creates a round-robin scheduler with the given cycle quantum
-    /// per slice (at least 1; 0 is treated as 1).
-    #[deprecated(note = "use `SchedulerBuilder` (policy, capacity, validated knobs) instead")]
-    pub fn new(quantum: u64) -> VmScheduler {
-        SchedulerBuilder::new()
-            .quantum(quantum.max(1))
-            .build()
-            .expect("a nonzero quantum with unlimited capacity always validates")
-    }
-
-    /// Adds a tenant by cloning the program into a shared handle.
-    #[deprecated(
-        note = "use `VmScheduler::admit` with a `TenantSpec` (shares the program \
-                         instead of cloning it, and reports admission errors)"
-    )]
-    pub fn spawn(&mut self, prog: &MachineProgram, cfg: &VmConfig) -> usize {
-        self.admit(TenantSpec::new(Arc::new(prog.clone()), cfg))
-            .expect("unlimited capacity admits every tenant")
-    }
-
     /// Admits a tenant, or rejects it (typed error, never a panic) if
     /// its heap/fuel quota would oversubscribe the machine capacity.
     /// Returns the tenant's index, which is also its position in the

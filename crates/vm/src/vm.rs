@@ -425,7 +425,9 @@ impl<'p> VmInstance<'p> {
             nursery_words: cfg.nursery_words,
             tenured_words: cfg.tenured_words,
             promote_after: cfg.promote_after,
-            static_words: static_need.max(64 * 1024),
+            // Exactly the literal pool: nothing else lives there, and
+            // padding would be paid once per tenant.
+            static_words: static_need,
             max_pause_cycles: cfg.max_pause_cycles,
         });
         let mut pool_ptrs = Vec::with_capacity(prog.pool.len());

@@ -540,21 +540,3 @@ fn round_robin_matches_the_pre_policy_schedule() {
     let firsts: Vec<u64> = reports.iter().map(|r| r.first_slice.unwrap()).collect();
     assert_eq!(firsts, vec![0, 1, 2, 3]);
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_constructor_and_spawn_still_schedule() {
-    let p = sum_loop(500);
-    let mut sched = VmScheduler::new(97);
-    for _ in 0..3 {
-        sched.spawn(&p, &VmConfig::default());
-    }
-    let (reports, stats) = sched.run_all();
-    assert_eq!(stats.done, 3);
-    let solo = run(&p, &VmConfig::default());
-    for r in &reports {
-        assert_eq!(r.outcome, TenantOutcome::Done);
-        assert_eq!(r.result, solo.result);
-        assert_eq!(r.stats, solo.stats);
-    }
-}

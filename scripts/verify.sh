@@ -18,6 +18,11 @@ if [[ "${1:-}" == "--update-api-surface" ]]; then
   exit 0
 fi
 
+# Bench binaries write their trajectory documents here, never over the
+# committed BENCH_pr*.json history.
+bench_out="$(mktemp -d)"
+trap 'rm -rf "$bench_out"' EXIT
+
 echo "== tier-1: build (release) =="
 cargo build --release
 
@@ -55,7 +60,7 @@ echo "== verify-ir: fuzz smoke (release, 200 seeds, VerifyIr::Always) =="
 SMLC_VERIFY_IR=always cargo run -q --release -p smlc-bench --bin fuzz_smoke
 
 echo "== verify-ir: overhead bench (BENCH_pr5.json) =="
-cargo run -q --release -p smlc-bench --bin verify_bench
+cargo run -q --release -p smlc-bench --bin verify_bench -- --json="$bench_out/BENCH_pr5.json"
 
 # Differential fuzz smoke (docs/ROBUSTNESS.md): seeded well-typed
 # programs under all six variants, demanding no panic, no trap, and
@@ -72,14 +77,14 @@ cargo run -q --release -p smlc-bench --bin fuzz_smoke
 # from cache with outcomes byte-identical to the serial cold path, and
 # writes the BENCH_pr3.json trajectory.
 echo "== cache bench (BENCH_pr3.json) =="
-cargo run -q --release -p smlc-bench --bin cache_bench
+cargo run -q --release -p smlc-bench --bin cache_bench -- --json="$bench_out/BENCH_pr3.json"
 
 # Generational-GC benchmark: sweeps nursery sizes over the figure
 # benchmarks against the semispace baseline collector, asserts outputs
 # stay byte-identical and that the generational default copies fewer
 # total words, and writes the BENCH_pr4.json trajectory.
 echo "== gc bench (BENCH_pr4.json) =="
-cargo run -q --release -p smlc-bench --bin gc_bench
+cargo run -q --release -p smlc-bench --bin gc_bench -- --json="$bench_out/BENCH_pr4.json"
 
 # Bounded-pause / tenant-isolation gate (docs/ROBUSTNESS.md): the
 # figure benchmarks and a 200-seed progen corpus are run three ways —
@@ -90,7 +95,7 @@ cargo run -q --release -p smlc-bench --bin gc_bench
 # the other fifteen finish with their solo results. Writes the
 # BENCH_pr7.json trajectory.
 echo "== gc pause bench (BENCH_pr7.json) =="
-cargo run -q --release -p smlc-bench --bin gc_pause_bench
+cargo run -q --release -p smlc-bench --bin gc_pause_bench -- --json="$bench_out/BENCH_pr7.json"
 
 echo "== incremental GC / scheduler differential =="
 cargo test -q -p sml-vm --test incremental
@@ -108,24 +113,15 @@ echo "== arena: intern-storm accounting =="
 cargo test -q -p sml-lambda --test intern_storm
 
 echo "== arena bench (BENCH_pr6.json) =="
-cargo run -q --release -p smlc-bench --bin arena_bench
+cargo run -q --release -p smlc-bench --bin arena_bench -- --json="$bench_out/BENCH_pr6.json"
 
-# SCC-incremental compilation gate (docs/ARCHITECTURE.md §Incremental
-# elaboration, docs/SERVER.md): partitioner edge cases, the
-# recompiled-counter contract, and incremental-vs-whole-program
-# byte-identity on edits, progen seeds, and the figure benchmarks; the
-# server suite drives concurrent clients, the wire protocol's error
-# taxonomy, and EOF/SIGTERM shutdown of the `smlc serve` binary.
+# Component partition and compile-server gate (docs/ARCHITECTURE.md
+# §5, docs/SERVER.md): partitioner edge cases and the disabled v5
+# `components` object; the server suite drives concurrent clients, the
+# wire protocol's error taxonomy (including the nesting-depth cap), and
+# EOF/SIGTERM shutdown of the `smlc serve` binary.
 echo "== scc: components + server =="
 cargo test -q -p smlc --test components --test server
-cargo test -q -p smlc-bench --test incremental
-
-# Incremental-elaboration benchmark: a single-declaration edit on a
-# 40-dec chain must replay only the dirtied suffix, and a 200-seed
-# progen sweep must stay byte-identical to whole-program elaboration,
-# cold and warm. Writes the BENCH_pr8.json trajectory.
-echo "== incremental bench (BENCH_pr8.json) =="
-cargo run -q --release -p smlc-bench --bin incr_bench
 
 # Dispatch-engine gate (docs/ARCHITECTURE.md §7): the threaded engine's
 # differential suite (trap parity, fuel sweeps mid-superinstruction,
@@ -138,7 +134,7 @@ echo "== dispatch: engine differential =="
 cargo test -q -p sml-vm --test dispatch
 
 echo "== dispatch bench (BENCH_pr9.json) =="
-cargo run -q --release -p smlc-bench --bin dispatch_bench
+cargo run -q --release -p smlc-bench --bin dispatch_bench -- --json="$bench_out/BENCH_pr9.json"
 
 # Scheduler gate (docs/SCHEDULER.md): the policy suite (builder
 # validation, typed admission errors, EDF feasibility, starvation
@@ -152,7 +148,7 @@ echo "== sched: policy suite =="
 cargo test -q -p sml-vm --test sched
 
 echo "== sched bench (BENCH_pr10.json) =="
-cargo run -q --release -p smlc-bench --bin sched_bench
+cargo run -q --release -p smlc-bench --bin sched_bench -- --json="$bench_out/BENCH_pr10.json"
 
 # Documentation gate: every relative Markdown link in README.md and
 # docs/*.md must resolve (first-party checker, no external deps).
