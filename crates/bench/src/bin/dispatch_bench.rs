@@ -56,6 +56,14 @@ fn run_timed(c: &Compiled, base: &VmConfig, dispatch: Dispatch, reps: u32) -> (O
 /// two engines' outcomes; returns whether the pair was identical.
 fn check_identical(what: &str, dec: &Outcome, thr: &Outcome, failures: &mut Vec<String>) -> bool {
     let before = failures.len();
+    // A pair that ran one engine twice would pass vacuously.
+    if (dec.dispatch.engine, thr.dispatch.engine) != (Dispatch::Decode, Dispatch::Threaded) {
+        failures.push(format!(
+            "{what}: expected a decode/threaded pair, ran {}/{}",
+            dec.dispatch.engine.name(),
+            thr.dispatch.engine.name()
+        ));
+    }
     if thr.result != dec.result {
         failures.push(format!(
             "{what}: results diverge (decode {:?}, threaded {:?})",
@@ -170,7 +178,10 @@ fn main() {
                 }
             };
             let base = v.vm_config();
-            let dec = compiled.run_with(&base);
+            let dec = compiled.run_with(&VmConfig {
+                dispatch: Dispatch::Decode,
+                ..base
+            });
             let thr = compiled.run_with(&VmConfig {
                 dispatch: Dispatch::Threaded,
                 ..base

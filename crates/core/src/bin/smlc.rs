@@ -14,7 +14,7 @@
 //! smlc --batch a.sml b.sml c.sml    # compile a batch in parallel, run in order
 //! smlc -e 'val _ = print "hi\n"'    # compile a command-line snippet
 //! smlc --emit asm program.sml       # disassemble instead of running
-//! smlc run --dispatch=threaded p.sml   # pre-decoded threaded dispatch engine
+//! smlc run --dispatch=decode p.sml  # reference decode loop (threaded is the default)
 //! smlc --verify-ir always prog.sml  # re-check every IR behind each phase
 //! ```
 //!
@@ -78,7 +78,7 @@ fn usage() -> ! {
         "usage: smlc [compile|run|bench] [--variant nrp|fag|rep|mtd|ffb|fp3] \
          [--verify-ir off|debug|always] [--stats[=json]] [--all] [--batch] [--emit asm] \
          [--tenants=N] [--policy=round-robin|priority|deadline] [--deadline=CYCLES] \
-         [--dispatch=decode|threaded] (<file.sml>... | -e <source>)\n\
+         [--dispatch=threaded|decode] (<file.sml>... | -e <source>)\n\
          \x20      smlc serve [--socket <path>] [--workers=N] [--variant V] [--verify-ir M]\n\
          \x20      smlc client --socket <path> [--run] [--stats] [--variant V] \
          (<file.sml>... | -e <source>)"

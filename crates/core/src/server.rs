@@ -397,12 +397,83 @@ impl CompileServer {
     }
 }
 
+/// Room a request line leaves around its escaped source for the other
+/// fields (`id`, `op`, `variant`, `run`, per-job overrides).
+const REQUEST_ENVELOPE_BYTES: usize = 4096;
+
+/// The longest request line a session accepts: its largest source at
+/// the worst-case JSON escaping (`\u00XX`, six bytes per source byte)
+/// plus the envelope. A connection never buffers more than this.
+fn max_request_bytes(session: &Session) -> usize {
+    session
+        .limits()
+        .max_source_bytes
+        .saturating_mul(6)
+        .saturating_add(REQUEST_ENVELOPE_BYTES)
+}
+
+/// What [`read_request`] found.
+enum Request {
+    /// A complete line, without its newline.
+    Line(Vec<u8>),
+    /// A line longer than the cap, consumed through its newline and
+    /// dropped.
+    TooLong,
+    /// End of input.
+    Eof,
+}
+
+/// Reads the next request line, holding at most `cap` bytes of it. The
+/// partial line (`buf`) and whether an overlong one is being skipped
+/// (`skipping`) survive a read timeout, so the caller just calls again.
+fn read_request(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    skipping: &mut bool,
+    cap: usize,
+) -> std::io::Result<Request> {
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            // End of input finishes an unterminated last line.
+            return Ok(if std::mem::take(skipping) {
+                Request::TooLong
+            } else if buf.is_empty() {
+                Request::Eof
+            } else {
+                Request::Line(std::mem::take(buf))
+            });
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let content = &chunk[..newline.unwrap_or(chunk.len())];
+        if !*skipping {
+            if buf.len() + content.len() > cap {
+                *skipping = true;
+                *buf = Vec::new();
+            } else {
+                buf.extend_from_slice(content);
+            }
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            return Ok(if std::mem::take(skipping) {
+                Request::TooLong
+            } else {
+                Request::Line(std::mem::take(buf))
+            });
+        }
+    }
+}
+
 /// Pumps one connection: reads request lines and enqueues them, while a
 /// writer thread puts responses back **in request order** (workers
 /// finish out of order; a reorder buffer serializes them). Returns once
 /// the peer hits EOF / the server shuts down *and* every accepted
 /// request has been answered — which is what makes EOF shutdown
-/// graceful.
+/// graceful. A line over [`max_request_bytes`], or one that is not
+/// UTF-8, is answered in order with a typed `request` error, and the
+/// connection goes on serving.
 fn serve_connection(
     shared: &Shared<'_>,
     mut reader: impl BufRead,
@@ -427,22 +498,30 @@ fn serve_connection(
                 let _ = writer.flush();
             }
         });
+        let cap = max_request_bytes(shared.session);
         let mut seq = 0u64;
-        let mut line = String::new();
+        let mut buf = Vec::new();
+        let mut skipping = false;
         loop {
             if external_stop.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {
                 break;
             }
-            match reader.read_line(&mut line) {
-                Ok(0) => break, // EOF
-                Ok(_) => {
-                    let l = std::mem::take(&mut line);
-                    if l.trim().is_empty() {
-                        continue;
-                    }
+            match read_request(&mut reader, &mut buf, &mut skipping, cap) {
+                Ok(Request::Eof) => break,
+                Ok(Request::Line(bytes)) => {
+                    let line = match String::from_utf8(bytes) {
+                        Ok(line) if line.trim().is_empty() => continue,
+                        Ok(line) => line,
+                        Err(_) => {
+                            let why = "request line is not valid UTF-8";
+                            let _ = tx.send((seq, error_response(0, "request", why, 2)));
+                            seq += 1;
+                            continue;
+                        }
+                    };
                     let item = WorkItem {
                         seq,
-                        line: l,
+                        line,
                         respond: tx.clone(),
                         client: Arc::clone(&client),
                     };
@@ -451,8 +530,16 @@ fn serve_connection(
                     }
                     seq += 1;
                 }
+                Ok(Request::TooLong) => {
+                    let why = format!(
+                        "request line longer than {cap} bytes (6 x max_source_bytes \
+                         + {REQUEST_ENVELOPE_BYTES})"
+                    );
+                    let _ = tx.send((seq, error_response(0, "request", &why, 2)));
+                    seq += 1;
+                }
                 // A read timeout (socket mode) just re-checks shutdown;
-                // a partial line stays in `line` and continues growing.
+                // a partial line stays in `buf` and continues growing.
                 Err(e)
                     if matches!(
                         e.kind(),

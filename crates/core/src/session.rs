@@ -1026,12 +1026,12 @@ mod tests {
         let verified = fingerprint(&SessionBuilder::default().verify_ir(VerifyIr::Always));
         let unverified = fingerprint(&SessionBuilder::default().verify_ir(VerifyIr::Off));
         assert_ne!(verified, unverified);
-        let threaded = fingerprint(&SessionBuilder::default().vm_config(VmConfig {
-            dispatch: sml_vm::Dispatch::Threaded,
+        let decode = fingerprint(&SessionBuilder::default().vm_config(VmConfig {
+            dispatch: sml_vm::Dispatch::Decode,
             ..VmConfig::default()
         }));
-        let decode = fingerprint(&SessionBuilder::default().vm_config(VmConfig::default()));
-        assert_ne!(threaded, decode, "dispatch engine must be fingerprinted");
+        let default = fingerprint(&SessionBuilder::default().vm_config(VmConfig::default()));
+        assert_ne!(default, decode, "dispatch engine must be fingerprinted");
     }
 
     #[test]

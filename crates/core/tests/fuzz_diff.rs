@@ -345,7 +345,13 @@ fn variants_agree_with_reference() {
         for v in Variant::ALL {
             let compiled = compile(&src, v)
                 .unwrap_or_else(|err| panic!("[{}] compile failed: {err}\n{src}", v.name()));
-            let out = compiled.run();
+            // The decode oracle is checked against the evaluator; the
+            // threaded engine is then checked against the oracle.
+            let out = compiled.run_with(&VmConfig {
+                dispatch: Dispatch::Decode,
+                ..v.vm_config()
+            });
+            assert_eq!(out.dispatch.engine, Dispatch::Decode);
             match &expected {
                 Ok(value) => {
                     assert!(
@@ -378,6 +384,7 @@ fn variants_agree_with_reference() {
                 dispatch: Dispatch::Threaded,
                 ..v.vm_config()
             });
+            assert_eq!(thr.dispatch.engine, Dispatch::Threaded);
             assert_eq!(
                 out.result,
                 thr.result,

@@ -265,7 +265,12 @@ fn generated_programs_agree_across_dispatch_engines() {
             for v in Variant::ALL {
                 let c = compile(&src, v)
                     .unwrap_or_else(|e| panic!("[{}] compile failed: {e}\n{src}", v.name()));
-                let dec = c.run();
+                // Both sides name their engine: the reference is the
+                // decode oracle whatever the default engine is.
+                let dec = c.run_with(&VmConfig {
+                    dispatch: Dispatch::Decode,
+                    ..v.vm_config()
+                });
                 let thr = c.run_with(&VmConfig {
                     dispatch: Dispatch::Threaded,
                     ..v.vm_config()
@@ -288,6 +293,7 @@ fn generated_programs_agree_across_dispatch_engines() {
                     "[{}] engines disagree on RunStats for\n{src}",
                     v.name()
                 );
+                assert_eq!(dec.dispatch.engine, Dispatch::Decode);
                 assert_eq!(thr.dispatch.engine, Dispatch::Threaded);
             }
         },

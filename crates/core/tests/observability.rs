@@ -90,7 +90,7 @@ fn golden_default_metrics_document() {
         "\"instrs_by_class\":{\"move\":0,\"int-arith\":0,\"float-arith\":0,",
         "\"memory\":0,\"alloc\":0,\"branch\":0,\"jump\":0,\"runtime\":0,",
         "\"control\":0,\"gc\":0}},",
-        "\"dispatch\":{\"engine\":\"decode\",\"superinstructions\":0,",
+        "\"dispatch\":{\"engine\":\"threaded\",\"superinstructions\":0,",
         "\"stream_len\":0},",
         "\"cache\":{\"enabled\":false,\"hits\":0,\"misses\":0,",
         "\"evictions\":0,\"insertions\":0,\"entries\":0,\"capacity\":0},",

@@ -11,7 +11,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use smlc::{CompileServer, Json, Session, Variant};
+use smlc::{CompileServer, Json, Limits, Session, Variant};
 
 /// A unique socket path per test (tests run concurrently in one
 /// process).
@@ -224,6 +224,80 @@ fn deeply_nested_line_is_a_request_error_not_a_crash() {
         shutdown.store(true, Ordering::SeqCst);
         let stats = handle.join().unwrap();
         assert_eq!(stats.jobs, 2);
+    });
+}
+
+/// A request line one byte over the session's cap (6 x
+/// `max_source_bytes` for JSON escaping, plus a 4096-byte envelope) is
+/// skipped through its newline and answered with a typed request error;
+/// a line of exactly the cap is served, a line that is not UTF-8 gets a
+/// request error, and a compile after all three is served, on the same
+/// connection.
+#[test]
+fn overlong_request_line_is_a_request_error_not_a_buffer() {
+    let path = socket_path("overlong");
+    let shutdown = AtomicBool::new(false);
+    let session = Session::builder()
+        .variant(Variant::Ffb)
+        .limits(Limits {
+            max_source_bytes: 64,
+            ..Limits::default()
+        })
+        .build()
+        .unwrap();
+    let server = CompileServer::new(session).workers(2);
+    let cap = 6 * 64 + 4096;
+
+    std::thread::scope(|s| {
+        let handle = s.spawn(|| server.serve_unix(&path, &shutdown).unwrap());
+        let mut stream = connect(&path);
+
+        let resp = roundtrip(&mut stream, &"x".repeat(cap + 1));
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        let err = resp.get("error").expect("error object");
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("request"));
+        assert!(err
+            .get("message")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains(&format!("longer than {cap} bytes"))));
+        assert_eq!(resp.get("exit_code").and_then(Json::as_i64), Some(2));
+
+        // Exactly at the cap: padded out by a field the server ignores.
+        let head = "{\"id\": 1, \"src\": \"val _ = print (itos 5)\", \"run\": true, \"pad\": \"";
+        let tail = "\"}";
+        let at_cap = format!("{head}{}{tail}", " ".repeat(cap - head.len() - tail.len()));
+        assert_eq!(at_cap.len(), cap);
+        let resp = roundtrip(&mut stream, &at_cap);
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+        assert_eq!(resp.get("output").and_then(Json::as_str), Some("5"));
+
+        // A line that is not UTF-8 is a request error too.
+        stream.write_all(b"{\"id\": 9, \xff\xfe}\n").unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let resp = Json::parse(line.trim()).unwrap();
+        let err = resp.get("error").expect("error object");
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("request"));
+        assert!(err
+            .get("message")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("not valid UTF-8")));
+
+        let resp = roundtrip(
+            &mut stream,
+            "{\"id\": 2, \"src\": \"val _ = print (itos 7)\", \"run\": true}",
+        );
+        assert_eq!(resp.get("id").and_then(Json::as_i64), Some(2));
+        assert_eq!(resp.get("output").and_then(Json::as_str), Some("7"));
+
+        shutdown.store(true, Ordering::SeqCst);
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.jobs, 2, "rejected lines never reach a worker");
     });
 }
 

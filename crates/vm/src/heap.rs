@@ -96,6 +96,7 @@ pub fn descriptor(kind: ObjKind, nscan: u32, nraw: u32) -> u32 {
 }
 
 /// Decodes `(kind, nscan, nraw)` from a descriptor.
+#[inline]
 pub fn decode(desc: u32) -> (u32, u32, u32) {
     (
         desc & KIND_MASK,
@@ -105,16 +106,19 @@ pub fn decode(desc: u32) -> (u32, u32, u32) {
 }
 
 /// Tags an integer.
+#[inline]
 pub fn tag_int(n: i64) -> u32 {
     ((n as u32) << 1) | 1
 }
 
 /// Untags an integer (sign-extended from 31 bits).
+#[inline]
 pub fn untag_int(w: u32) -> i64 {
     ((w as i32) >> 1) as i64
 }
 
 /// True if the word is a pointer.
+#[inline]
 pub fn is_ptr(w: u32) -> bool {
     w & 1 == 0 && w != 0
 }
@@ -315,10 +319,12 @@ impl Heap {
         }
     }
 
+    #[inline]
     fn ptr_of(idx: usize) -> u32 {
         (idx as u32) << 2
     }
 
+    #[inline]
     fn idx_of(ptr: u32) -> usize {
         (ptr >> 2) as usize
     }
@@ -332,10 +338,12 @@ impl Heap {
         want.max(1) + 1
     }
 
+    #[inline]
     fn in_range(at: usize, base: usize, len: usize) -> bool {
         at >= base && at < base + len
     }
 
+    #[inline]
     fn in_tenured(&self, at: usize) -> bool {
         at >= self.static_end + 2 * self.nursery_words
     }
@@ -356,6 +364,7 @@ impl Heap {
     }
 
     /// Reads the word at `ptr + off` words.
+    #[inline]
     pub fn load(&self, ptr: u32, off: usize) -> u32 {
         self.mem[Heap::idx_of(ptr) + off]
     }
@@ -364,6 +373,7 @@ impl Heap {
     /// stores that can never create a tenured→nursery pointer:
     /// initializing stores into just-allocated nursery objects and
     /// unboxed (non-pointer) mutations.
+    #[inline]
     pub fn store(&mut self, ptr: u32, off: usize, v: u32) {
         self.mem[Heap::idx_of(ptr) + off] = v;
     }
@@ -372,6 +382,7 @@ impl Heap {
     /// array-update paths): when the store creates a tenured→nursery
     /// pointer, the slot joins the remembered set so the next minor
     /// collection finds it without scanning tenured space.
+    #[inline]
     pub fn store_barriered(&mut self, ptr: u32, off: usize, v: u32) {
         let base = Heap::idx_of(ptr);
         self.mem[base + off] = v;
@@ -416,6 +427,7 @@ impl Heap {
     }
 
     /// Reads a raw float at word offset `off`.
+    #[inline]
     pub fn load_f64(&self, ptr: u32, off: usize) -> f64 {
         let i = Heap::idx_of(ptr) + off;
         let bits = (self.mem[i] as u64) | ((self.mem[i + 1] as u64) << 32);
@@ -423,6 +435,7 @@ impl Heap {
     }
 
     /// Writes a raw float at word offset `off` (two single-word stores).
+    #[inline]
     pub fn store_f64(&mut self, ptr: u32, off: usize, v: f64) {
         let i = Heap::idx_of(ptr) + off;
         let bits = v.to_bits();
@@ -431,6 +444,7 @@ impl Heap {
     }
 
     /// The descriptor of the object at `ptr`.
+    #[inline]
     pub fn desc(&self, ptr: u32) -> u32 {
         self.mem[Heap::idx_of(ptr) - 1]
     }
@@ -600,6 +614,7 @@ impl Heap {
 
     /// Body words occupied by an object with the given decoded
     /// descriptor (empty objects pad to one word of forwarding space).
+    #[inline]
     fn body_words(kind: u32, nscan: u32, nraw: u32) -> usize {
         let n = if kind == ObjKind::Str as u32 {
             (nscan as usize).div_ceil(4)
@@ -625,30 +640,47 @@ impl Heap {
     /// Returns the violation reason on failure; the VM converts it into
     /// a [`Fault`](crate::VmResult::Fault) trap instead of indexing out
     /// of bounds.
+    #[inline]
     pub fn check_access(&self, ptr: u32, off: usize, words: usize) -> Result<(), String> {
+        // The passing case decides with one descriptor read; the reason
+        // is only worked out (off the hot path) when the access fails.
+        // `at + total <= len` with `total >= 1` implies `at < len`.
+        let at = Heap::idx_of(ptr);
+        if is_ptr(ptr) && at != 0 {
+            if let Some(&desc) = self.mem.get(at - 1) {
+                let (kind, nscan, nraw) = decode(desc);
+                let total = Heap::body_words(kind, nscan, nraw);
+                if kind != FORWARD && off + words <= total && at + total <= self.mem.len() {
+                    return Ok(());
+                }
+            }
+        }
+        Err(self.access_violation(ptr, off, words))
+    }
+
+    /// Why [`Heap::check_access`] rejected an access.
+    #[cold]
+    #[inline(never)]
+    fn access_violation(&self, ptr: u32, off: usize, words: usize) -> String {
         if !is_ptr(ptr) {
-            return Err(format!("memory access through non-pointer {ptr:#x}"));
+            return format!("memory access through non-pointer {ptr:#x}");
         }
         let at = Heap::idx_of(ptr);
         if at == 0 || at >= self.mem.len() {
-            return Err(format!("pointer {ptr:#x} outside the heap"));
+            return format!("pointer {ptr:#x} outside the heap");
         }
-        let desc = self.mem[at - 1];
-        let (kind, nscan, nraw) = decode(desc);
+        let (kind, nscan, nraw) = decode(self.mem[at - 1]);
         if kind == FORWARD {
-            return Err(format!("access to forwarded object at {ptr:#x}"));
+            return format!("access to forwarded object at {ptr:#x}");
         }
         let total = Heap::body_words(kind, nscan, nraw);
         if off + words > total {
-            return Err(format!(
+            return format!(
                 "access to words [{off}, {}) outside object of {total} body words at {ptr:#x}",
                 off + words
-            ));
+            );
         }
-        if at + total > self.mem.len() {
-            return Err(format!("object at {ptr:#x} extends past the heap end"));
-        }
-        Ok(())
+        format!("object at {ptr:#x} extends past the heap end")
     }
 
     /// Validates that `ptr` refers to a string object whose bytes lie in
@@ -1019,15 +1051,23 @@ impl Heap {
     /// major this is exactly [`Heap::load`]. Barrier copy work is
     /// accumulated in a side counter (see [`Heap::take_barrier_words`])
     /// rather than attributed to any pause.
+    #[inline]
     pub fn load_healed(&mut self, ptr: u32, off: usize) -> u32 {
         let slot = Heap::idx_of(ptr) + off;
         let v = self.mem[slot];
+        if self.major.is_none() || !is_ptr(v) {
+            return v;
+        }
+        self.heal(slot, v)
+    }
+
+    /// The read barrier proper: evacuates the from-space target of the
+    /// pointer `v` loaded from `slot` and heals the slot.
+    #[inline(never)]
+    fn heal(&mut self, slot: usize, v: u32) -> u32 {
         let Some(m) = &self.major else {
             return v;
         };
-        if !is_ptr(v) {
-            return v;
-        }
         let at = Heap::idx_of(v);
         if !Heap::in_range(at, self.n_base, self.nursery_words)
             && !Heap::in_range(at, self.t_base, self.tenured_words)
@@ -1080,6 +1120,13 @@ impl Heap {
     /// (the VM charges them to GC time outside any recorded pause).
     pub fn take_barrier_words(&mut self) -> u64 {
         std::mem::take(&mut self.pending_barrier)
+    }
+
+    /// True when the read barrier has copied words not yet drained by
+    /// [`Heap::take_barrier_words`].
+    #[inline]
+    pub fn barrier_words_pending(&self) -> bool {
+        self.pending_barrier != 0
     }
 
     /// Structural self-check: bump pointers inside their spaces,

@@ -331,6 +331,84 @@ impl Instr {
             | Instr::Uncaught { .. } => InstrClass::Control,
         }
     }
+
+    /// The instruction's fixed cycle charge: its base cost plus 2 for
+    /// each spill-modelled register operand (32..63). The VM charges it
+    /// *before* executing the instruction, so a trapping instruction
+    /// pays in full. For the instructions whose cost also depends on
+    /// heap state (`FBox`, `Alloc`, `AllocArr`, `Rt`, `Print`,
+    /// `SBranch`, `PolyEqBranch`) this is the leading part; the
+    /// interpreter charges the rest as it executes them. The one
+    /// run-time term, a cycle of `sml.fp3` callee-save traffic per
+    /// jump, depends on the configuration, so the jumps charge it
+    /// themselves.
+    ///
+    /// This is the one home of the fixed part of the cost model: the
+    /// decode loop calls it per instruction and the threaded
+    /// pre-decoder folds it into each handler record.
+    #[inline]
+    pub fn fixed_cost(&self) -> u64 {
+        fn spill<const N: usize>(rs: [Reg; N]) -> u64 {
+            2 * rs.iter().filter(|&&r| r >= HW_REGS).count() as u64
+        }
+        match *self {
+            Instr::Move { d, s } | Instr::FMove { d, s } => 1 + spill([d, s]),
+            Instr::LoadI { d, .. } | Instr::LoadStr { d, .. } | Instr::LoadLabel { d, .. } => {
+                1 + spill([d])
+            }
+            Instr::LoadF { d, .. } => 2 + spill([d]),
+            Instr::Arith { op, d, a, b } => {
+                let base = match op {
+                    AOp::Add | AOp::Sub => 1,
+                    AOp::Mul => 4,
+                    AOp::Div | AOp::Mod => 12,
+                };
+                base + spill([d, a, b])
+            }
+            Instr::FArith { op, d, a, b } => {
+                let base = match op {
+                    FOp::Add | FOp::Sub => 2,
+                    FOp::Mul => 4,
+                    FOp::Div => 12,
+                };
+                base + spill([d, a, b])
+            }
+            Instr::FUnary { op, d, a } => {
+                let base = match op {
+                    FUOp::Neg => 2,
+                    _ => 20,
+                };
+                base + spill([d, a])
+            }
+            Instr::Floor { d, a } | Instr::IntToReal { d, a } => 3 + spill([d, a]),
+            Instr::Load { d: r, base, .. }
+            | Instr::Store { s: r, base, .. }
+            | Instr::ArrLen { d: r, a: base } => 2 + spill([r, base]),
+            // Store plus the generational bookkeeping.
+            Instr::StoreWB { s, base, .. } => 4 + spill([s, base]),
+            // Raw floats move as two single-word memory operations.
+            Instr::FLoad { d: r, base, .. }
+            | Instr::FStore { s: r, base, .. }
+            | Instr::FUnbox { d: r, s: base } => 4 + spill([r, base]),
+            Instr::LoadIdx { d: r, base, idx } | Instr::StoreIdx { s: r, base, idx } => {
+                3 + spill([r, base, idx])
+            }
+            Instr::StoreIdxWB { s, base, idx } => 5 + spill([s, base, idx]),
+            Instr::Branch { a, b, .. } => 1 + spill([a, b]),
+            Instr::FBranch { a, b, .. } => 2 + spill([a, b]),
+            Instr::Jump { .. } => 1,
+            Instr::JumpReg { r } => 2 + spill([r]),
+            // Bounds check + table load + indirect jump.
+            Instr::Switch { r, .. } => 3 + spill([r]),
+            Instr::GetHdlr { d: r } | Instr::SetHdlr { s: r } => 1 + spill([r]),
+            Instr::Halt { .. } | Instr::Uncaught { .. } | Instr::Print { .. } => 0,
+            Instr::FBox { d, s } => spill([d, s]),
+            Instr::Alloc { d, .. } => spill([d]),
+            Instr::AllocArr { d, len, init } => spill([d, len, init]),
+            Instr::Rt { d, a, b, .. } => spill([d, a, b]),
+            Instr::SBranch { a, b, .. } | Instr::PolyEqBranch { a, b, .. } => spill([a, b]),
+        }
+    }
 }
 
 /// What kind of object an `Alloc` creates (drives the descriptor).

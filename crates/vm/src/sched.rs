@@ -52,21 +52,24 @@
 //!
 //! Fairness is bounded, not merely statistical: each slice advances
 //! one tenant at most its quantum plus one bounded overshoot (the
-//! cycle cost of the single instruction — or fused instruction pair,
-//! for [`crate::vm::Dispatch::Threaded`] tenants — or GC pause
-//! straddling the quantum edge). Overshoot is accounted per tenant
-//! against *that tenant's* quantum ([`TenantReport::max_overshoot`]);
-//! the largest across tenants is [`SchedStats::max_overshoot`]. With a
-//! GC pause budget set ([`VmConfig::max_pause_cycles`]) the overshoot
-//! is itself bounded by the pause budget plus the costliest single
-//! instruction.
+//! cycle cost of the single instruction or GC pause straddling the
+//! quantum edge — under either dispatch engine, since the threaded
+//! engine can preempt between a superinstruction's halves). Overshoot
+//! is accounted per tenant against *that tenant's* quantum
+//! ([`TenantReport::max_overshoot`]); the largest across tenants is
+//! [`SchedStats::max_overshoot`]. With a GC pause budget set
+//! ([`VmConfig::max_pause_cycles`]) the overshoot is itself bounded by
+//! the pause budget plus the costliest single instruction.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use crate::isa::MachineProgram;
-use crate::vm::{DispatchStats, Outcome, RunStats, VmConfig, VmInstance, VmResult};
+use crate::threaded::{predecode, ThreadedProgram};
+use crate::vm::{
+    Dispatch, DispatchStats, Outcome, ProgRef, RunStats, VmConfig, VmInstance, VmResult,
+};
 
 /// The scheduling discipline of a [`VmScheduler`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -118,7 +121,8 @@ impl std::str::FromStr for SchedPolicy {
 #[derive(Clone)]
 pub struct TenantSpec {
     /// The compiled program (shared code; each tenant gets a private
-    /// heap and, under threaded dispatch, its own pre-decoded stream).
+    /// heap, while tenants of one program under threaded dispatch share
+    /// one pre-decoded stream).
     pub program: Arc<MachineProgram>,
     /// The tenant's own VM config: heap quota (`tenured_words`), fuel
     /// quota (`max_cycles`), GC mode, pause budget, dispatch engine,
@@ -352,6 +356,7 @@ impl SchedulerBuilder {
             committed_fuel_cycles: 0,
             rejected: 0,
             tenants: Vec::new(),
+            streams: HashMap::new(),
         })
     }
 }
@@ -522,6 +527,12 @@ pub struct VmScheduler {
     committed_fuel_cycles: u64,
     rejected: u64,
     tenants: Vec<Tenant>,
+    /// One pre-decoded threaded stream per admitted program, shared by
+    /// all of its tenants whatever their configs. Keyed by the
+    /// program's `Arc` address: the tenants own those `Arc`s for the
+    /// scheduler's whole life, so an address cannot be reused while its
+    /// entry exists.
+    streams: HashMap<usize, Arc<ThreadedProgram>>,
 }
 
 impl VmScheduler {
@@ -554,8 +565,15 @@ impl VmScheduler {
         }
         self.committed_heap_words = self.committed_heap_words.saturating_add(heap_req);
         self.committed_fuel_cycles = self.committed_fuel_cycles.saturating_add(fuel_req);
+        let stream = (spec.vm_config.dispatch == Dispatch::Threaded).then(|| {
+            Arc::clone(
+                self.streams
+                    .entry(Arc::as_ptr(&spec.program) as usize)
+                    .or_insert_with(|| Arc::new(predecode(&spec.program))),
+            )
+        });
         self.tenants.push(Tenant {
-            vm: VmInstance::shared(spec.program, &spec.vm_config),
+            vm: VmInstance::with_prog(ProgRef::Shared(spec.program), &spec.vm_config, stream),
             quantum: spec.quantum_cycles.unwrap_or(self.quantum).max(1),
             priority: spec.priority,
             deadline: spec.deadline_cycles,
@@ -709,5 +727,132 @@ impl VmScheduler {
             }
         }
         (reports, stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::isa::{AOp, BrOp, CodeBlock, Instr};
+    use crate::vm::run;
+
+    /// Sums `0..n` in a loop the pre-decoder fuses (`Arith`+`Branch`,
+    /// `LoadI`+`Arith`, `Move`+`Jump`).
+    fn sum_loop(n: i64) -> MachineProgram {
+        let entry = vec![
+            Instr::LoadI { d: 1, imm: 0 },
+            Instr::LoadI { d: 2, imm: 0 },
+            Instr::LoadI { d: 3, imm: n },
+            Instr::Jump { label: 1 },
+        ];
+        let body = vec![
+            Instr::Branch {
+                op: BrOp::Lt,
+                a: 2,
+                b: 3,
+                target: 6,
+            },
+            Instr::Arith {
+                op: AOp::Add,
+                d: 1,
+                a: 1,
+                b: 2,
+            },
+            Instr::LoadI { d: 4, imm: 1 },
+            Instr::Arith {
+                op: AOp::Add,
+                d: 2,
+                a: 2,
+                b: 4,
+            },
+            Instr::Move { d: 5, s: 1 },
+            Instr::Jump { label: 1 },
+            Instr::Halt { s: 1 },
+        ];
+        MachineProgram {
+            blocks: vec![
+                CodeBlock {
+                    name: "entry".into(),
+                    instrs: entry,
+                },
+                CodeBlock {
+                    name: "loop".into(),
+                    instrs: body,
+                },
+            ],
+            entry: 0,
+            pool: Vec::new(),
+        }
+    }
+
+    fn stream(t: &Tenant) -> &Arc<ThreadedProgram> {
+        t.vm.threaded.as_ref().expect("threaded tenant")
+    }
+
+    #[test]
+    fn thousand_tenants_of_one_program_share_one_stream() {
+        let prog = Arc::new(sum_loop(300));
+        let cfg = VmConfig::default();
+        let mut sched = SchedulerBuilder::new().quantum(97).build().unwrap();
+        for _ in 0..1000 {
+            sched.admit(TenantSpec::new(prog.clone(), &cfg)).unwrap();
+        }
+        assert_eq!(sched.streams.len(), 1);
+        let first = stream(&sched.tenants[0]);
+        assert!(sched.tenants.iter().all(|t| Arc::ptr_eq(stream(t), first)));
+        // The scheduler's map plus one handle per tenant.
+        assert_eq!(Arc::strong_count(first), 1001);
+
+        let solo = run(&prog, &cfg);
+        let (reports, stats) = sched.run_all();
+        assert_eq!(stats.done, 1000);
+        for r in &reports {
+            assert_eq!(r.result, solo.result);
+            assert_eq!(r.output, solo.output);
+            assert_eq!(r.stats, solo.stats);
+            assert_eq!(r.dispatch, solo.dispatch);
+        }
+    }
+
+    #[test]
+    fn distinct_programs_get_their_own_streams() {
+        let a = Arc::new(sum_loop(40));
+        // Equal contents, distinct program: not shared.
+        let b = Arc::new((*a).clone());
+        let cfg = VmConfig::default();
+        let fp3 = VmConfig {
+            fp3_overhead: true,
+            ..cfg
+        };
+        let decode = VmConfig {
+            dispatch: Dispatch::Decode,
+            ..cfg
+        };
+        let mut sched = SchedulerBuilder::new().quantum(97).build().unwrap();
+        for (p, c) in [(&a, &cfg), (&b, &cfg), (&a, &cfg), (&b, &cfg), (&a, &fp3)] {
+            sched.admit(TenantSpec::new(p.clone(), c)).unwrap();
+        }
+        sched.admit(TenantSpec::new(a.clone(), &decode)).unwrap();
+        assert_eq!(sched.streams.len(), 2);
+        let t = &sched.tenants;
+        assert!(Arc::ptr_eq(stream(&t[0]), stream(&t[2])));
+        assert!(Arc::ptr_eq(stream(&t[1]), stream(&t[3])));
+        assert!(!Arc::ptr_eq(stream(&t[0]), stream(&t[1])));
+        // The `fp3` jump term is charged at run time, so configs share.
+        assert!(Arc::ptr_eq(stream(&t[0]), stream(&t[4])));
+        assert!(t[5].vm.threaded.is_none());
+
+        let (reports, _) = sched.run_all();
+        for (r, c) in reports.iter().zip([&cfg, &cfg, &cfg, &cfg, &fp3, &decode]) {
+            let solo = run(&a, c);
+            assert_eq!(
+                (&r.result, &r.output, r.stats),
+                (&solo.result, &solo.output, solo.stats)
+            );
+        }
+        assert!(
+            reports[4].stats.cycles > reports[0].stats.cycles,
+            "fp3 jumps cost more"
+        );
     }
 }

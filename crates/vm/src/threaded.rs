@@ -1,173 +1,208 @@
-//! The threaded execution engine: pre-decoded dispatch with peephole
-//! superinstructions.
+//! The threaded execution engine (the default): pre-decoded dispatch
+//! with peephole superinstructions and folded static costs.
 //!
 //! [`predecode`] flattens each [`CodeBlock`]'s `Vec<Instr>` into a
 //! stream of compact, fixed-size [`TInstr`] handler records — the
 //! heap-carrying `Instr` is ~56 bytes with two levels of bounds-checked
 //! indexing per fetch, while a `TInstr` is a small `Copy` record
-//! fetched from one flat slice. A peephole selector fuses the hot
-//! adjacent pairs observed in the figure benchmarks — `LoadI`+`Arith`
-//! (constant operand feeding the ALU), `LoadI`/`Load`/`Arith` feeding a
-//! compare-and-branch, and `Move`+`Jump` (argument shuffle into a tail
-//! call) — into single superinstruction records, eliding one
-//! fetch/decode per pair. A pair is only formed when no branch targets
-//! its second instruction, so every branch target lands on a record
-//! boundary.
+//! fetched from one flat slice. Each record carries its instruction's
+//! fixed cycle charge ([`Instr::fixed_cost`]: base cost plus spills),
+//! computed once here rather than on every execution.
+//! A peephole selector fuses the hot adjacent pairs observed in the
+//! figure benchmarks — `LoadI`+`Arith` (constant operand feeding the
+//! ALU), `LoadI`/`Load`/`Arith` feeding a compare-and-branch, and
+//! `Move`+`Jump` (argument shuffle into a tail call) — into single
+//! superinstruction records, eliding one fetch/decode per pair. A pair
+//! is only formed when no branch targets its second instruction, so
+//! every branch target lands on a record boundary. The stream is
+//! immutable and depends only on the program, so the scheduler builds
+//! one per program and shares it between tenants.
 //!
 //! [`run_slice_threaded`] executes the stream through the same
 //! `#[inline(always)]` [`Engine`] handlers as the decode loop, with
-//! byte-identical per-instruction accounting: each constituent of a
-//! superinstruction is counted, attributed, and fuel-checked exactly as
-//! if decoded separately (the fuel check between the halves mirrors the
-//! decode loop's top-of-iteration check). The only observable
-//! differences are wall-clock speed and slice-preemption granularity —
-//! a pair never splits across a scheduler slice, so a slice may overrun
-//! by one extra instruction.
+//! byte-identical accounting but none of its per-instruction
+//! bookkeeping: `cycles` and `instrs` live in locals and reach
+//! [`RunStats`](crate::RunStats) only at slice exit and around the
+//! synced path; each record charges its folded cost (plus the `sml.fp3`
+//! term on a jump), and its class's two counters at a constant index,
+//! *before* its handler runs, so a trapping record pays exactly what the
+//! decode loop charges; the read
+//! barrier is drained only after loads, the one place it can copy.
+//! Each constituent of a superinstruction is counted and attributed
+//! separately, and the decode loop's top-of-iteration fuel and
+//! preemption checks run between the halves too, so a slice can end
+//! mid-pair (the next slice resumes with the second half alone): slice
+//! boundaries, like every counter, match the decode loop exactly.
 //!
-//! Instructions with vector operands or runtime-call bodies
-//! (`Alloc`, `Switch`, `Rt`, ...) stay in the original stream and
-//! execute through a [`TInstr::Slow`] record that defers to
-//! [`Engine::step`] — they are rare in hot code and not worth
-//! flattening.
+//! Instructions whose cost depends on heap state or that carry vector
+//! operands (`FBox`, `Alloc`, `Switch`, `Rt`, ...) stay in the original
+//! stream and execute through a [`TInstr::Slow`] record on the synced
+//! path: counters written back, [`Engine::exec`] (the decode loop's own
+//! accounted step), counters reloaded.
 //!
 //! The pre-decoded stream is itself verified: `verify::verify_threaded`
-//! round-trips every record back to the original instructions and
-//! re-checks operand bounds, so the typed chain covers the stream the
-//! VM actually executes.
+//! round-trips every record back to the original instructions,
+//! re-checks operand bounds and the folded costs, so the typed chain
+//! covers the stream the VM actually executes.
 
 use crate::isa::*;
 use crate::vm::{drain_barrier, Engine, VmInstance, VmResult};
 
 /// One pre-decoded handler record. Flat (no heap indirection), `Copy`,
 /// and small; branch targets are in *threaded* coordinates (record
-/// indices within the block's stream).
+/// indices within the block's stream). `c` is the record's fixed cycle
+/// charge; a superinstruction carries one per constituent (`c1`, `c2`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum TInstr {
     Move {
         d: Reg,
         s: Reg,
+        c: u8,
     },
     FMove {
         d: FReg,
         s: FReg,
+        c: u8,
     },
     LoadI {
         d: Reg,
         imm: i64,
+        c: u8,
     },
     LoadF {
         d: FReg,
         imm: f64,
+        c: u8,
     },
     LoadStr {
         d: Reg,
         pool: u32,
+        c: u8,
     },
     LoadLabel {
         d: Reg,
         label: u32,
+        c: u8,
     },
     Arith {
         op: AOp,
         d: Reg,
         a: Reg,
         b: Reg,
+        c: u8,
     },
     FArith {
         op: FOp,
         d: FReg,
         a: FReg,
         b: FReg,
+        c: u8,
     },
     FUnary {
         op: FUOp,
         d: FReg,
         a: FReg,
+        c: u8,
     },
     Floor {
         d: Reg,
         a: FReg,
+        c: u8,
     },
     IntToReal {
         d: FReg,
         a: Reg,
+        c: u8,
     },
     Load {
         d: Reg,
         base: Reg,
         off: u16,
+        c: u8,
     },
     Store {
         s: Reg,
         base: Reg,
         off: u16,
+        c: u8,
     },
     StoreWB {
         s: Reg,
         base: Reg,
         off: u16,
+        c: u8,
     },
     FLoad {
         d: FReg,
         base: Reg,
         off: u16,
+        c: u8,
     },
     FStore {
         s: FReg,
         base: Reg,
         off: u16,
+        c: u8,
     },
     LoadIdx {
         d: Reg,
         base: Reg,
         idx: Reg,
+        c: u8,
     },
     StoreIdx {
         s: Reg,
         base: Reg,
         idx: Reg,
+        c: u8,
     },
     StoreIdxWB {
         s: Reg,
         base: Reg,
         idx: Reg,
+        c: u8,
     },
     ArrLen {
         d: Reg,
         a: Reg,
-    },
-    FBox {
-        d: Reg,
-        s: FReg,
+        c: u8,
     },
     FUnbox {
         d: FReg,
         s: Reg,
+        c: u8,
     },
     Branch {
         op: BrOp,
         a: Reg,
         b: Reg,
         t: u32,
+        c: u8,
     },
     FBranch {
         op: FBrOp,
         a: FReg,
         b: FReg,
         t: u32,
+        c: u8,
     },
     Jump {
         label: u32,
+        c: u8,
     },
     JumpReg {
         r: Reg,
+        c: u8,
     },
     GetHdlr {
         d: Reg,
+        c: u8,
     },
     SetHdlr {
         s: Reg,
+        c: u8,
     },
+    /// Halting costs nothing, so the two terminators carry no charge.
     Halt {
         s: Reg,
     },
@@ -182,6 +217,8 @@ pub(crate) enum TInstr {
         d: Reg,
         a: Reg,
         b: Reg,
+        c1: u8,
+        c2: u8,
     },
     /// Superinstruction: `LoadI di, imm` then `Branch op a, b -> t`.
     LoadIBranch {
@@ -191,6 +228,8 @@ pub(crate) enum TInstr {
         a: Reg,
         b: Reg,
         t: u32,
+        c1: u8,
+        c2: u8,
     },
     /// Superinstruction: `Load dl, [base+off]` then `Branch op a, b -> t`.
     LoadBranch {
@@ -201,6 +240,8 @@ pub(crate) enum TInstr {
         a: Reg,
         b: Reg,
         t: u32,
+        c1: u8,
+        c2: u8,
     },
     /// Superinstruction: `Arith aop ad, aa, ab` then `Branch op a, b -> t`.
     ArithBranch {
@@ -212,6 +253,8 @@ pub(crate) enum TInstr {
         a: Reg,
         b: Reg,
         t: u32,
+        c1: u8,
+        c2: u8,
     },
     /// Superinstruction: `Move d, s` then `Jump label` (tail-call
     /// argument shuffle).
@@ -219,10 +262,12 @@ pub(crate) enum TInstr {
         d: Reg,
         s: Reg,
         label: u32,
+        c1: u8,
+        c2: u8,
     },
-    /// Deferral to [`Engine::step`] on the original instruction at
-    /// `pc` (vector operands, runtime calls, or a branch whose target
-    /// cannot be mapped into the stream).
+    /// Deferral to [`Engine::exec`] on the original instruction at
+    /// `pc`: heap-dependent costs, vector operands, runtime calls, or a
+    /// branch whose target cannot be mapped into the stream.
     Slow {
         pc: u32,
     },
@@ -243,14 +288,22 @@ pub(crate) struct ThreadedBlock {
     pub(crate) tpc_to_pc: Vec<u32>,
 }
 
-/// A whole program's pre-decoded streams, built once per
-/// [`VmInstance`].
+/// A whole program's pre-decoded streams: built once per program and
+/// shared, read-only, by every instance running it.
 pub(crate) struct ThreadedProgram {
     pub(crate) blocks: Vec<ThreadedBlock>,
     /// Superinstructions the peephole selector fused.
     pub(crate) fused: u64,
     /// Total handler records across all blocks.
     pub(crate) stream_len: u64,
+}
+
+/// The fixed charge of an instruction the pre-decoder gives a flat
+/// record (every such instruction has one).
+fn cost(ins: &Instr) -> u8 {
+    // At most 24 cycles (a transcendental with two spilled operands);
+    // `verify_threaded` re-checks every folded charge.
+    ins.fixed_cost() as u8
 }
 
 /// Is `(i1, i2)` a fusable pair? Branch-consuming pairs additionally
@@ -271,152 +324,121 @@ fn fusable(i1: &Instr, i2: &Instr, n: usize) -> bool {
 /// Translates one unfused instruction into its flat record, or
 /// [`TInstr::Slow`] for the deferred set.
 fn translate_single(ins: &Instr, pc: usize, pc_map: &[u32], n: usize) -> TInstr {
-    match ins {
-        Instr::Move { d, s } => TInstr::Move { d: *d, s: *s },
-        Instr::FMove { d, s } => TInstr::FMove { d: *d, s: *s },
-        Instr::LoadI { d, imm } => TInstr::LoadI { d: *d, imm: *imm },
-        Instr::LoadF { d, imm } => TInstr::LoadF { d: *d, imm: *imm },
-        Instr::LoadStr { d, pool } => TInstr::LoadStr { d: *d, pool: *pool },
-        Instr::LoadLabel { d, label } => TInstr::LoadLabel {
-            d: *d,
-            label: *label,
+    let c = cost(ins);
+    match *ins {
+        Instr::Move { d, s } => TInstr::Move { d, s, c },
+        Instr::FMove { d, s } => TInstr::FMove { d, s, c },
+        Instr::LoadI { d, imm } => TInstr::LoadI { d, imm, c },
+        Instr::LoadF { d, imm } => TInstr::LoadF { d, imm, c },
+        Instr::LoadStr { d, pool } => TInstr::LoadStr { d, pool, c },
+        Instr::LoadLabel { d, label } => TInstr::LoadLabel { d, label, c },
+        Instr::Arith { op, d, a, b } => TInstr::Arith { op, d, a, b, c },
+        Instr::FArith { op, d, a, b } => TInstr::FArith { op, d, a, b, c },
+        Instr::FUnary { op, d, a } => TInstr::FUnary { op, d, a, c },
+        Instr::Floor { d, a } => TInstr::Floor { d, a, c },
+        Instr::IntToReal { d, a } => TInstr::IntToReal { d, a, c },
+        Instr::Load { d, base, off } => TInstr::Load { d, base, off, c },
+        Instr::Store { s, base, off } => TInstr::Store { s, base, off, c },
+        Instr::StoreWB { s, base, off } => TInstr::StoreWB { s, base, off, c },
+        Instr::FLoad { d, base, off } => TInstr::FLoad { d, base, off, c },
+        Instr::FStore { s, base, off } => TInstr::FStore { s, base, off, c },
+        Instr::LoadIdx { d, base, idx } => TInstr::LoadIdx { d, base, idx, c },
+        Instr::StoreIdx { s, base, idx } => TInstr::StoreIdx { s, base, idx, c },
+        Instr::StoreIdxWB { s, base, idx } => TInstr::StoreIdxWB { s, base, idx, c },
+        Instr::ArrLen { d, a } => TInstr::ArrLen { d, a, c },
+        Instr::FUnbox { d, s } => TInstr::FUnbox { d, s, c },
+        Instr::Branch { op, a, b, target } if target as usize <= n => TInstr::Branch {
+            op,
+            a,
+            b,
+            t: pc_map[target as usize],
+            c,
         },
-        Instr::Arith { op, d, a, b } => TInstr::Arith {
-            op: *op,
-            d: *d,
-            a: *a,
-            b: *b,
+        Instr::FBranch { op, a, b, target } if target as usize <= n => TInstr::FBranch {
+            op,
+            a,
+            b,
+            t: pc_map[target as usize],
+            c,
         },
-        Instr::FArith { op, d, a, b } => TInstr::FArith {
-            op: *op,
-            d: *d,
-            a: *a,
-            b: *b,
-        },
-        Instr::FUnary { op, d, a } => TInstr::FUnary {
-            op: *op,
-            d: *d,
-            a: *a,
-        },
-        Instr::Floor { d, a } => TInstr::Floor { d: *d, a: *a },
-        Instr::IntToReal { d, a } => TInstr::IntToReal { d: *d, a: *a },
-        Instr::Load { d, base, off } => TInstr::Load {
-            d: *d,
-            base: *base,
-            off: *off,
-        },
-        Instr::Store { s, base, off } => TInstr::Store {
-            s: *s,
-            base: *base,
-            off: *off,
-        },
-        Instr::StoreWB { s, base, off } => TInstr::StoreWB {
-            s: *s,
-            base: *base,
-            off: *off,
-        },
-        Instr::FLoad { d, base, off } => TInstr::FLoad {
-            d: *d,
-            base: *base,
-            off: *off,
-        },
-        Instr::FStore { s, base, off } => TInstr::FStore {
-            s: *s,
-            base: *base,
-            off: *off,
-        },
-        Instr::LoadIdx { d, base, idx } => TInstr::LoadIdx {
-            d: *d,
-            base: *base,
-            idx: *idx,
-        },
-        Instr::StoreIdx { s, base, idx } => TInstr::StoreIdx {
-            s: *s,
-            base: *base,
-            idx: *idx,
-        },
-        Instr::StoreIdxWB { s, base, idx } => TInstr::StoreIdxWB {
-            s: *s,
-            base: *base,
-            idx: *idx,
-        },
-        Instr::ArrLen { d, a } => TInstr::ArrLen { d: *d, a: *a },
-        Instr::FBox { d, s } => TInstr::FBox { d: *d, s: *s },
-        Instr::FUnbox { d, s } => TInstr::FUnbox { d: *d, s: *s },
-        Instr::Branch { op, a, b, target } if *target as usize <= n => TInstr::Branch {
-            op: *op,
-            a: *a,
-            b: *b,
-            t: pc_map[*target as usize],
-        },
-        Instr::FBranch { op, a, b, target } if *target as usize <= n => TInstr::FBranch {
-            op: *op,
-            a: *a,
-            b: *b,
-            t: pc_map[*target as usize],
-        },
-        Instr::Jump { label } => TInstr::Jump { label: *label },
-        Instr::JumpReg { r } => TInstr::JumpReg { r: *r },
-        Instr::GetHdlr { d } => TInstr::GetHdlr { d: *d },
-        Instr::SetHdlr { s } => TInstr::SetHdlr { s: *s },
-        Instr::Halt { s } => TInstr::Halt { s: *s },
-        Instr::Uncaught { s } => TInstr::Uncaught { s: *s },
-        // Vector operands, runtime calls, and unmappable branch
-        // targets defer to the decode-path `step`.
+        Instr::Jump { label } => TInstr::Jump { label, c },
+        Instr::JumpReg { r } => TInstr::JumpReg { r, c },
+        Instr::GetHdlr { d } => TInstr::GetHdlr { d, c },
+        Instr::SetHdlr { s } => TInstr::SetHdlr { s, c },
+        Instr::Halt { s } => TInstr::Halt { s },
+        Instr::Uncaught { s } => TInstr::Uncaught { s },
+        // Heap-dependent costs and vector operands stay on the synced
+        // path, as do unmappable branch targets: the decode path faults
+        // with the original pc.
         _ => TInstr::Slow { pc: pc as u32 },
     }
 }
 
 /// Builds the fused record for a pair selected by [`fusable`].
 fn translate_pair(i1: &Instr, i2: &Instr, pc_map: &[u32]) -> TInstr {
+    let (c1, c2) = (cost(i1), cost(i2));
     match (i1, i2) {
-        (Instr::LoadI { d: di, imm }, Instr::Arith { op, d, a, b }) => TInstr::LoadIArith {
-            imm: *imm,
-            di: *di,
-            op: *op,
-            d: *d,
-            a: *a,
-            b: *b,
+        (&Instr::LoadI { d: di, imm }, &Instr::Arith { op, d, a, b }) => TInstr::LoadIArith {
+            imm,
+            di,
+            op,
+            d,
+            a,
+            b,
+            c1,
+            c2,
         },
-        (Instr::LoadI { d: di, imm }, Instr::Branch { op, a, b, target }) => TInstr::LoadIBranch {
-            imm: *imm,
-            di: *di,
-            op: *op,
-            a: *a,
-            b: *b,
-            t: pc_map[*target as usize],
-        },
-        (Instr::Load { d, base, off }, Instr::Branch { op, a, b, target }) => TInstr::LoadBranch {
-            dl: *d,
-            base: *base,
-            off: *off,
-            op: *op,
-            a: *a,
-            b: *b,
-            t: pc_map[*target as usize],
-        },
+        (&Instr::LoadI { d: di, imm }, &Instr::Branch { op, a, b, target }) => {
+            TInstr::LoadIBranch {
+                imm,
+                di,
+                op,
+                a,
+                b,
+                t: pc_map[target as usize],
+                c1,
+                c2,
+            }
+        }
+        (&Instr::Load { d, base, off }, &Instr::Branch { op, a, b, target }) => {
+            TInstr::LoadBranch {
+                dl: d,
+                base,
+                off,
+                op,
+                a,
+                b,
+                t: pc_map[target as usize],
+                c1,
+                c2,
+            }
+        }
         (
-            Instr::Arith { op: aop, d, a, b },
-            Instr::Branch {
+            &Instr::Arith { op: aop, d, a, b },
+            &Instr::Branch {
                 op,
                 a: ba,
                 b: bb,
                 target,
             },
         ) => TInstr::ArithBranch {
-            aop: *aop,
-            ad: *d,
-            aa: *a,
-            ab: *b,
-            op: *op,
-            a: *ba,
-            b: *bb,
-            t: pc_map[*target as usize],
+            aop,
+            ad: d,
+            aa: a,
+            ab: b,
+            op,
+            a: ba,
+            b: bb,
+            t: pc_map[target as usize],
+            c1,
+            c2,
         },
-        (Instr::Move { d, s }, Instr::Jump { label }) => TInstr::MoveJump {
-            d: *d,
-            s: *s,
-            label: *label,
+        (&Instr::Move { d, s }, &Instr::Jump { label }) => TInstr::MoveJump {
+            d,
+            s,
+            label,
+            c1,
+            c2,
         },
         _ => unreachable!("translate_pair on a pair fusable() rejected"),
     }
@@ -489,7 +511,8 @@ fn predecode_block(b: &CodeBlock) -> (ThreadedBlock, u64) {
     )
 }
 
-/// Pre-decodes a whole program into threaded streams.
+/// Pre-decodes a whole program into threaded streams, folding in the
+/// fixed costs.
 pub(crate) fn predecode(prog: &MachineProgram) -> ThreadedProgram {
     let mut blocks = Vec::with_capacity(prog.blocks.len());
     let mut fused = 0u64;
@@ -508,52 +531,60 @@ pub(crate) fn predecode(prog: &MachineProgram) -> ThreadedProgram {
 }
 
 /// Expands a record back into original-coordinate [`Instr`]s (threaded
-/// branch targets mapped back through `tpc_to_pc`). Returns `None` for
+/// branch targets mapped back through `tpc_to_pc`), each with the fixed
+/// charge the record folded in for it. Returns `None` for
 /// [`TInstr::Slow`], which carries no operand copy to round-trip. Used
 /// by `verify::verify_threaded`.
-pub(crate) fn expand(t: &TInstr, tb: &ThreadedBlock) -> Option<Vec<Instr>> {
+pub(crate) fn expand(t: &TInstr, tb: &ThreadedBlock) -> Option<Vec<(Instr, u8)>> {
     let back = |t: u32| tb.tpc_to_pc[t as usize];
     Some(match *t {
-        TInstr::Move { d, s } => vec![Instr::Move { d, s }],
-        TInstr::FMove { d, s } => vec![Instr::FMove { d, s }],
-        TInstr::LoadI { d, imm } => vec![Instr::LoadI { d, imm }],
-        TInstr::LoadF { d, imm } => vec![Instr::LoadF { d, imm }],
-        TInstr::LoadStr { d, pool } => vec![Instr::LoadStr { d, pool }],
-        TInstr::LoadLabel { d, label } => vec![Instr::LoadLabel { d, label }],
-        TInstr::Arith { op, d, a, b } => vec![Instr::Arith { op, d, a, b }],
-        TInstr::FArith { op, d, a, b } => vec![Instr::FArith { op, d, a, b }],
-        TInstr::FUnary { op, d, a } => vec![Instr::FUnary { op, d, a }],
-        TInstr::Floor { d, a } => vec![Instr::Floor { d, a }],
-        TInstr::IntToReal { d, a } => vec![Instr::IntToReal { d, a }],
-        TInstr::Load { d, base, off } => vec![Instr::Load { d, base, off }],
-        TInstr::Store { s, base, off } => vec![Instr::Store { s, base, off }],
-        TInstr::StoreWB { s, base, off } => vec![Instr::StoreWB { s, base, off }],
-        TInstr::FLoad { d, base, off } => vec![Instr::FLoad { d, base, off }],
-        TInstr::FStore { s, base, off } => vec![Instr::FStore { s, base, off }],
-        TInstr::LoadIdx { d, base, idx } => vec![Instr::LoadIdx { d, base, idx }],
-        TInstr::StoreIdx { s, base, idx } => vec![Instr::StoreIdx { s, base, idx }],
-        TInstr::StoreIdxWB { s, base, idx } => vec![Instr::StoreIdxWB { s, base, idx }],
-        TInstr::ArrLen { d, a } => vec![Instr::ArrLen { d, a }],
-        TInstr::FBox { d, s } => vec![Instr::FBox { d, s }],
-        TInstr::FUnbox { d, s } => vec![Instr::FUnbox { d, s }],
-        TInstr::Branch { op, a, b, t } => vec![Instr::Branch {
-            op,
-            a,
-            b,
-            target: back(t),
-        }],
-        TInstr::FBranch { op, a, b, t } => vec![Instr::FBranch {
-            op,
-            a,
-            b,
-            target: back(t),
-        }],
-        TInstr::Jump { label } => vec![Instr::Jump { label }],
-        TInstr::JumpReg { r } => vec![Instr::JumpReg { r }],
-        TInstr::GetHdlr { d } => vec![Instr::GetHdlr { d }],
-        TInstr::SetHdlr { s } => vec![Instr::SetHdlr { s }],
-        TInstr::Halt { s } => vec![Instr::Halt { s }],
-        TInstr::Uncaught { s } => vec![Instr::Uncaught { s }],
+        TInstr::Move { d, s, c } => vec![(Instr::Move { d, s }, c)],
+        TInstr::FMove { d, s, c } => vec![(Instr::FMove { d, s }, c)],
+        TInstr::LoadI { d, imm, c } => vec![(Instr::LoadI { d, imm }, c)],
+        TInstr::LoadF { d, imm, c } => vec![(Instr::LoadF { d, imm }, c)],
+        TInstr::LoadStr { d, pool, c } => vec![(Instr::LoadStr { d, pool }, c)],
+        TInstr::LoadLabel { d, label, c } => vec![(Instr::LoadLabel { d, label }, c)],
+        TInstr::Arith { op, d, a, b, c } => vec![(Instr::Arith { op, d, a, b }, c)],
+        TInstr::FArith { op, d, a, b, c } => vec![(Instr::FArith { op, d, a, b }, c)],
+        TInstr::FUnary { op, d, a, c } => vec![(Instr::FUnary { op, d, a }, c)],
+        TInstr::Floor { d, a, c } => vec![(Instr::Floor { d, a }, c)],
+        TInstr::IntToReal { d, a, c } => vec![(Instr::IntToReal { d, a }, c)],
+        TInstr::Load { d, base, off, c } => vec![(Instr::Load { d, base, off }, c)],
+        TInstr::Store { s, base, off, c } => vec![(Instr::Store { s, base, off }, c)],
+        TInstr::StoreWB { s, base, off, c } => vec![(Instr::StoreWB { s, base, off }, c)],
+        TInstr::FLoad { d, base, off, c } => vec![(Instr::FLoad { d, base, off }, c)],
+        TInstr::FStore { s, base, off, c } => vec![(Instr::FStore { s, base, off }, c)],
+        TInstr::LoadIdx { d, base, idx, c } => vec![(Instr::LoadIdx { d, base, idx }, c)],
+        TInstr::StoreIdx { s, base, idx, c } => vec![(Instr::StoreIdx { s, base, idx }, c)],
+        TInstr::StoreIdxWB { s, base, idx, c } => {
+            vec![(Instr::StoreIdxWB { s, base, idx }, c)]
+        }
+        TInstr::ArrLen { d, a, c } => vec![(Instr::ArrLen { d, a }, c)],
+        TInstr::FUnbox { d, s, c } => vec![(Instr::FUnbox { d, s }, c)],
+        TInstr::Branch { op, a, b, t, c } => vec![(
+            Instr::Branch {
+                op,
+                a,
+                b,
+                target: back(t),
+            },
+            c,
+        )],
+        TInstr::FBranch { op, a, b, t, c } => vec![(
+            Instr::FBranch {
+                op,
+                a,
+                b,
+                target: back(t),
+            },
+            c,
+        )],
+        TInstr::Jump { label, c } => vec![(Instr::Jump { label }, c)],
+        TInstr::JumpReg { r, c } => vec![(Instr::JumpReg { r }, c)],
+        TInstr::GetHdlr { d, c } => vec![(Instr::GetHdlr { d }, c)],
+        TInstr::SetHdlr { s, c } => vec![(Instr::SetHdlr { s }, c)],
+        TInstr::Halt { s } => vec![(Instr::Halt { s }, 0)],
+        TInstr::Uncaught { s } => vec![(Instr::Uncaught { s }, 0)],
         TInstr::LoadIArith {
             imm,
             di,
@@ -561,7 +592,12 @@ pub(crate) fn expand(t: &TInstr, tb: &ThreadedBlock) -> Option<Vec<Instr>> {
             d,
             a,
             b,
-        } => vec![Instr::LoadI { d: di, imm }, Instr::Arith { op, d, a, b }],
+            c1,
+            c2,
+        } => vec![
+            (Instr::LoadI { d: di, imm }, c1),
+            (Instr::Arith { op, d, a, b }, c2),
+        ],
         TInstr::LoadIBranch {
             imm,
             di,
@@ -569,14 +605,19 @@ pub(crate) fn expand(t: &TInstr, tb: &ThreadedBlock) -> Option<Vec<Instr>> {
             a,
             b,
             t,
+            c1,
+            c2,
         } => vec![
-            Instr::LoadI { d: di, imm },
-            Instr::Branch {
-                op,
-                a,
-                b,
-                target: back(t),
-            },
+            (Instr::LoadI { d: di, imm }, c1),
+            (
+                Instr::Branch {
+                    op,
+                    a,
+                    b,
+                    target: back(t),
+                },
+                c2,
+            ),
         ],
         TInstr::LoadBranch {
             dl,
@@ -586,14 +627,19 @@ pub(crate) fn expand(t: &TInstr, tb: &ThreadedBlock) -> Option<Vec<Instr>> {
             a,
             b,
             t,
+            c1,
+            c2,
         } => vec![
-            Instr::Load { d: dl, base, off },
-            Instr::Branch {
-                op,
-                a,
-                b,
-                target: back(t),
-            },
+            (Instr::Load { d: dl, base, off }, c1),
+            (
+                Instr::Branch {
+                    op,
+                    a,
+                    b,
+                    target: back(t),
+                },
+                c2,
+            ),
         ],
         TInstr::ArithBranch {
             aop,
@@ -604,277 +650,372 @@ pub(crate) fn expand(t: &TInstr, tb: &ThreadedBlock) -> Option<Vec<Instr>> {
             a,
             b,
             t,
+            c1,
+            c2,
         } => vec![
-            Instr::Arith {
-                op: aop,
-                d: ad,
-                a: aa,
-                b: ab,
-            },
-            Instr::Branch {
-                op,
-                a,
-                b,
-                target: back(t),
-            },
+            (
+                Instr::Arith {
+                    op: aop,
+                    d: ad,
+                    a: aa,
+                    b: ab,
+                },
+                c1,
+            ),
+            (
+                Instr::Branch {
+                    op,
+                    a,
+                    b,
+                    target: back(t),
+                },
+                c2,
+            ),
         ],
-        TInstr::MoveJump { d, s, label } => vec![Instr::Move { d, s }, Instr::Jump { label }],
+        TInstr::MoveJump {
+            d,
+            s,
+            label,
+            c1,
+            c2,
+        } => vec![(Instr::Move { d, s }, c1), (Instr::Jump { label }, c2)],
         TInstr::Slow { .. } => return None,
     })
 }
 
 /// The threaded dispatch loop: same contract as the decode loop
 /// (`VmInstance::run_slice_decode`), same [`Engine`] handlers, same
-/// accounting — only the fetch/decode mechanics differ.
+/// accounting and slice boundaries — only the fetch/decode mechanics and
+/// the bookkeeping per record differ (see the module docs).
 pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool {
     if vm.finished.is_some() {
         return true;
     }
+    let tp = vm
+        .threaded
+        .as_deref()
+        .expect("threaded dispatch without a pre-decoded stream");
+    let max_cycles = vm.cfg.max_cycles;
+    // The `sml.fp3` callee-save cycle every jump pays on top of its
+    // folded charge.
+    let fp3 = vm.cfg.fp3_overhead as u64;
     let stop_at = vm.stats.cycles.saturating_add(quantum);
+    // One compare per record stands for the decode loop's two
+    // top-of-iteration checks: fuel (`cycles > max_cycles`) and
+    // preemption (`cycles >= stop_at`).
+    let check_at = stop_at.min(max_cycles.saturating_add(1));
+    let mut eng = Engine {
+        prog: &vm.prog,
+        cfg: &vm.cfg,
+        heap: &mut vm.heap,
+        pool_ptrs: &vm.pool_ptrs,
+        regs: &mut vm.regs,
+        fregs: &mut vm.fregs,
+        handler: &mut vm.handler,
+        stats: &mut vm.stats,
+        output: &mut vm.output,
+        yield_ctr: &mut vm.yield_ctr,
+        block: vm.block,
+        pc: vm.pc,
+    };
+    let prog = eng.prog;
+    // The two counters every record bumps live in locals; `RunStats`
+    // sees them at slice exit and around every synced call.
+    let mut cycles = eng.stats.cycles;
+    let mut instrs = eng.stats.instrs;
     let mut out: Option<VmResult> = None;
-    let (block, pc) = {
-        let tp = vm
-            .threaded
-            .as_ref()
-            .expect("threaded dispatch without a pre-decoded stream");
-        let mut eng = Engine {
-            prog: &vm.prog,
-            cfg: &vm.cfg,
-            heap: &mut vm.heap,
-            pool_ptrs: &vm.pool_ptrs,
-            regs: &mut vm.regs,
-            fregs: &mut vm.fregs,
-            handler: &mut vm.handler,
-            stats: &mut vm.stats,
-            output: &mut vm.output,
-            yield_ctr: &mut vm.yield_ctr,
-            block: vm.block,
-            pc: vm.pc,
-        };
-        // The threaded program counter, plus the original pc to report
-        // if the current position has no threaded coordinate (an
-        // out-of-range pc carried in from a branch or a resume).
-        let mut tpc: usize;
-        let mut bad_pc: Option<usize>;
-        if eng.block < tp.blocks.len() {
-            let tb = &tp.blocks[eng.block];
-            if eng.pc < tb.pc_map.len() {
-                tpc = tb.pc_map[eng.pc] as usize;
-                bad_pc = None;
-            } else {
-                tpc = tb.code.len();
-                bad_pc = Some(eng.pc);
-            }
-        } else {
-            tpc = 0;
-            bad_pc = Some(eng.pc);
-        }
+    // The cursor: the current block's records and the threaded pc.
+    // `exit_pc` overrides the original pc the position maps back to —
+    // for a position with no threaded coordinate (an out-of-range pc or
+    // block), or a slice preempted between a pair's halves.
+    let mut code: &[TInstr];
+    let mut tpc: usize;
+    let mut exit_pc: Option<usize>;
 
-        // Per-constituent accounting, identical to one decode-loop
-        // iteration: count, snapshot, execute, drain the read barrier,
-        // attribute mutator vs. GC cycles.
-        macro_rules! acct {
-            ($class:expr, $e:expr) => {{
-                let class = $class as usize;
-                eng.stats.instrs += 1;
-                eng.stats.instrs_by_class[class] += 1;
-                let cycles_before = eng.stats.cycles;
-                let gc_before = eng.stats.gc_cycles;
-                let r = $e;
-                drain_barrier(&mut *eng.heap, &mut *eng.stats);
-                let gc_delta = eng.stats.gc_cycles - gc_before;
-                eng.stats.cycles_by_class[class] += eng.stats.cycles - cycles_before - gc_delta;
-                eng.stats.cycles_by_class[InstrClass::Gc as usize] += gc_delta;
-                r
+    'run: {
+        // Points the cursor at original position (`eng.block`,
+        // `eng.pc`). Fall-through and every branch target land on a
+        // record boundary, so the mapping is exact.
+        macro_rules! rejoin {
+            () => {
+                match tp.blocks.get(eng.block) {
+                    Some(tb) => {
+                        code = &tb.code;
+                        match tb.pc_map.get(eng.pc) {
+                            Some(&t) => {
+                                tpc = t as usize;
+                                exit_pc = None;
+                            }
+                            None => {
+                                tpc = code.len();
+                                exit_pc = Some(eng.pc);
+                            }
+                        }
+                    }
+                    None => {
+                        code = &[];
+                        tpc = 0;
+                        exit_pc = Some(eng.pc);
+                    }
+                }
+            };
+        }
+        // Direct transfer to the start of block `label`.
+        macro_rules! goto {
+            ($label:expr) => {{
+                eng.block = $label;
+                tpc = 0;
+                match tp.blocks.get(eng.block) {
+                    Some(tb) => code = &tb.code,
+                    None => {
+                        code = &[];
+                        exit_pc = Some(0);
+                    }
+                }
             }};
         }
-        macro_rules! trapcheck {
+        // The decode loop's top-of-iteration checks; `$mid` is the pc to
+        // resume at when preempted between a pair's halves.
+        macro_rules! checks {
+            ($($mid:expr)?) => {
+                if cycles >= check_at {
+                    if cycles > max_cycles {
+                        out = Some(VmResult::OutOfFuel);
+                        break 'run;
+                    }
+                    if cycles >= stop_at {
+                        $(exit_pc = Some($mid);)?
+                        break 'run; // quantum spent: preempted
+                    }
+                }
+            };
+        }
+        // A pair's second half is due: check as the decode loop would
+        // before its next instruction.
+        macro_rules! between {
+            () => {
+                checks!(tp.blocks[eng.block].tpc_to_pc[tpc] as usize + 1)
+            };
+        }
+        // Counts one record constituent and charges its folded cost to
+        // its class, before the handler runs.
+        macro_rules! charge {
+            ($class:expr, $c:expr) => {{
+                let c = $c as u64;
+                cycles += c;
+                instrs += 1;
+                eng.stats.cycles_by_class[$class as usize] += c;
+                eng.stats.instrs_by_class[$class as usize] += 1;
+            }};
+        }
+        macro_rules! trap {
             ($r:expr) => {
                 match $r {
                     Ok(v) => v,
                     Err(end) => {
                         out = Some(end);
-                        break;
+                        break 'run;
                     }
                 }
             };
         }
-        // The decode loop checks fuel at the top of every iteration;
-        // between the halves of a fused pair this reproduces that
-        // check.
-        macro_rules! fuelcheck {
+        // After a load: charge any read-barrier copy work to the
+        // collector.
+        macro_rules! drain {
             () => {
-                if eng.stats.cycles > eng.cfg.max_cycles {
-                    out = Some(VmResult::OutOfFuel);
-                    break;
+                if eng.heap.barrier_words_pending() {
+                    let cost = drain_barrier(&mut *eng.heap, &mut *eng.stats);
+                    cycles += cost;
+                    eng.stats.cycles_by_class[InstrClass::Gc as usize] += cost;
                 }
             };
+        }
+        // The synced path: original instruction `pc` of the current
+        // block through the decode loop's accounted step, with the
+        // counters written back before and reloaded after.
+        macro_rules! slow {
+            ($pc:expr) => {{
+                let pc = $pc;
+                let instr = &prog.blocks[eng.block].instrs[pc];
+                eng.pc = pc + 1;
+                eng.stats.cycles = cycles;
+                eng.stats.instrs = instrs;
+                let r = eng.exec(instr);
+                cycles = eng.stats.cycles;
+                instrs = eng.stats.instrs;
+                trap!(r);
+                rejoin!();
+            }};
         }
 
+        rejoin!();
+        // A slice preempted mid-pair resumes with the second half alone.
+        if exit_pc.is_none() && tp.blocks[eng.block].tpc_to_pc[tpc] as usize != eng.pc {
+            checks!(eng.pc);
+            slow!(eng.pc);
+        }
         loop {
-            if eng.stats.cycles > eng.cfg.max_cycles {
-                out = Some(VmResult::OutOfFuel);
-                break;
-            }
-            if eng.stats.cycles >= stop_at {
-                break; // quantum spent: preempted between records
-            }
-            if eng.block >= tp.blocks.len() || tpc >= tp.blocks[eng.block].code.len() {
-                let pc = bad_pc.unwrap_or_else(|| {
-                    if eng.block < tp.blocks.len() {
-                        tp.blocks[eng.block].tpc_to_pc[tpc] as usize
-                    } else {
-                        eng.pc
-                    }
-                });
+            checks!();
+            let Some(rec) = code.get(tpc) else {
+                let pc = exit_pc.unwrap_or_else(|| tp.blocks[eng.block].tpc_to_pc[tpc] as usize);
                 out = Some(VmResult::Fault(format!(
                     "instruction fetch out of range: block {} pc {}",
                     eng.block, pc
                 )));
-                break;
-            }
-            let tb = &tp.blocks[eng.block];
-            match tb.code[tpc] {
-                TInstr::Move { d, s } => {
-                    acct!(InstrClass::Move, eng.m_move(d, s));
+                break 'run;
+            };
+            match *rec {
+                TInstr::Move { d, s, c } => {
+                    charge!(InstrClass::Move, c);
+                    eng.m_move(d, s);
                     tpc += 1;
                 }
-                TInstr::FMove { d, s } => {
-                    acct!(InstrClass::Move, eng.m_fmove(d, s));
+                TInstr::FMove { d, s, c } => {
+                    charge!(InstrClass::Move, c);
+                    eng.m_fmove(d, s);
                     tpc += 1;
                 }
-                TInstr::LoadI { d, imm } => {
-                    acct!(InstrClass::Move, eng.m_loadi(d, imm));
+                TInstr::LoadI { d, imm, c } => {
+                    charge!(InstrClass::Move, c);
+                    eng.m_loadi(d, imm);
                     tpc += 1;
                 }
-                TInstr::LoadF { d, imm } => {
-                    acct!(InstrClass::Move, eng.m_loadf(d, imm));
+                TInstr::LoadF { d, imm, c } => {
+                    charge!(InstrClass::Move, c);
+                    eng.m_loadf(d, imm);
                     tpc += 1;
                 }
-                TInstr::LoadStr { d, pool } => {
-                    let r = acct!(InstrClass::Move, eng.m_loadstr(d, pool));
-                    trapcheck!(r);
+                TInstr::LoadStr { d, pool, c } => {
+                    charge!(InstrClass::Move, c);
+                    trap!(eng.m_loadstr(d, pool));
                     tpc += 1;
                 }
-                TInstr::LoadLabel { d, label } => {
-                    acct!(InstrClass::Move, eng.m_loadlabel(d, label));
+                TInstr::LoadLabel { d, label, c } => {
+                    charge!(InstrClass::Move, c);
+                    eng.m_loadlabel(d, label);
                     tpc += 1;
                 }
-                TInstr::Arith { op, d, a, b } => {
-                    let r = acct!(InstrClass::IntArith, eng.m_arith(op, d, a, b));
-                    trapcheck!(r);
+                TInstr::Arith { op, d, a, b, c } => {
+                    charge!(InstrClass::IntArith, c);
+                    trap!(eng.m_arith(op, d, a, b));
                     tpc += 1;
                 }
-                TInstr::FArith { op, d, a, b } => {
-                    acct!(InstrClass::FloatArith, eng.m_farith(op, d, a, b));
+                TInstr::FArith { op, d, a, b, c } => {
+                    charge!(InstrClass::FloatArith, c);
+                    eng.m_farith(op, d, a, b);
                     tpc += 1;
                 }
-                TInstr::FUnary { op, d, a } => {
-                    acct!(InstrClass::FloatArith, eng.m_funary(op, d, a));
+                TInstr::FUnary { op, d, a, c } => {
+                    charge!(InstrClass::FloatArith, c);
+                    eng.m_funary(op, d, a);
                     tpc += 1;
                 }
-                TInstr::Floor { d, a } => {
-                    acct!(InstrClass::FloatArith, eng.m_floor(d, a));
+                TInstr::Floor { d, a, c } => {
+                    charge!(InstrClass::FloatArith, c);
+                    eng.m_floor(d, a);
                     tpc += 1;
                 }
-                TInstr::IntToReal { d, a } => {
-                    acct!(InstrClass::FloatArith, eng.m_inttoreal(d, a));
+                TInstr::IntToReal { d, a, c } => {
+                    charge!(InstrClass::FloatArith, c);
+                    eng.m_inttoreal(d, a);
                     tpc += 1;
                 }
-                TInstr::Load { d, base, off } => {
-                    let r = acct!(InstrClass::Memory, eng.m_load(d, base, off));
-                    trapcheck!(r);
+                TInstr::Load { d, base, off, c } => {
+                    charge!(InstrClass::Memory, c);
+                    trap!(eng.m_load(d, base, off));
+                    drain!();
                     tpc += 1;
                 }
-                TInstr::Store { s, base, off } => {
-                    let r = acct!(InstrClass::Memory, eng.m_store(s, base, off));
-                    trapcheck!(r);
+                TInstr::Store { s, base, off, c } => {
+                    charge!(InstrClass::Memory, c);
+                    trap!(eng.m_store(s, base, off));
                     tpc += 1;
                 }
-                TInstr::StoreWB { s, base, off } => {
-                    let r = acct!(InstrClass::Memory, eng.m_storewb(s, base, off));
-                    trapcheck!(r);
+                TInstr::StoreWB { s, base, off, c } => {
+                    charge!(InstrClass::Memory, c);
+                    trap!(eng.m_storewb(s, base, off));
                     tpc += 1;
                 }
-                TInstr::FLoad { d, base, off } => {
-                    let r = acct!(InstrClass::Memory, eng.m_fload(d, base, off));
-                    trapcheck!(r);
+                TInstr::FLoad { d, base, off, c } => {
+                    charge!(InstrClass::Memory, c);
+                    trap!(eng.m_fload(d, base, off));
                     tpc += 1;
                 }
-                TInstr::FStore { s, base, off } => {
-                    let r = acct!(InstrClass::Memory, eng.m_fstore(s, base, off));
-                    trapcheck!(r);
+                TInstr::FStore { s, base, off, c } => {
+                    charge!(InstrClass::Memory, c);
+                    trap!(eng.m_fstore(s, base, off));
                     tpc += 1;
                 }
-                TInstr::LoadIdx { d, base, idx } => {
-                    let r = acct!(InstrClass::Memory, eng.m_loadidx(d, base, idx));
-                    trapcheck!(r);
+                TInstr::LoadIdx { d, base, idx, c } => {
+                    charge!(InstrClass::Memory, c);
+                    trap!(eng.m_loadidx(d, base, idx));
+                    drain!();
                     tpc += 1;
                 }
-                TInstr::StoreIdx { s, base, idx } => {
-                    let r = acct!(InstrClass::Memory, eng.m_storeidx(s, base, idx));
-                    trapcheck!(r);
+                TInstr::StoreIdx { s, base, idx, c } => {
+                    charge!(InstrClass::Memory, c);
+                    trap!(eng.m_storeidx(s, base, idx));
                     tpc += 1;
                 }
-                TInstr::StoreIdxWB { s, base, idx } => {
-                    let r = acct!(InstrClass::Memory, eng.m_storeidxwb(s, base, idx));
-                    trapcheck!(r);
+                TInstr::StoreIdxWB { s, base, idx, c } => {
+                    charge!(InstrClass::Memory, c);
+                    trap!(eng.m_storeidxwb(s, base, idx));
                     tpc += 1;
                 }
-                TInstr::ArrLen { d, a } => {
-                    let r = acct!(InstrClass::Memory, eng.m_arrlen(d, a));
-                    trapcheck!(r);
+                TInstr::ArrLen { d, a, c } => {
+                    charge!(InstrClass::Memory, c);
+                    trap!(eng.m_arrlen(d, a));
                     tpc += 1;
                 }
-                TInstr::FBox { d, s } => {
-                    let r = acct!(InstrClass::Alloc, eng.m_fbox(d, s));
-                    trapcheck!(r);
+                TInstr::FUnbox { d, s, c } => {
+                    charge!(InstrClass::Memory, c);
+                    trap!(eng.m_funbox(d, s));
                     tpc += 1;
                 }
-                TInstr::FUnbox { d, s } => {
-                    let r = acct!(InstrClass::Memory, eng.m_funbox(d, s));
-                    trapcheck!(r);
+                TInstr::Branch { op, a, b, t, c } => {
+                    charge!(InstrClass::Branch, c);
+                    tpc = if eng.m_branch(op, a, b) {
+                        tpc + 1
+                    } else {
+                        t as usize
+                    };
+                }
+                TInstr::FBranch { op, a, b, t, c } => {
+                    charge!(InstrClass::Branch, c);
+                    tpc = if eng.m_fbranch(op, a, b) {
+                        tpc + 1
+                    } else {
+                        t as usize
+                    };
+                }
+                TInstr::Jump { label, c } => {
+                    charge!(InstrClass::Jump, c as u64 + fp3);
+                    goto!(label as usize);
+                }
+                TInstr::JumpReg { r, c } => {
+                    charge!(InstrClass::Jump, c as u64 + fp3);
+                    let target = trap!(eng.m_jumpreg(r));
+                    goto!(target);
+                }
+                TInstr::GetHdlr { d, c } => {
+                    charge!(InstrClass::Control, c);
+                    eng.m_gethdlr(d);
                     tpc += 1;
                 }
-                TInstr::Branch { op, a, b, t } => {
-                    let taken = acct!(InstrClass::Branch, eng.m_branch(op, a, b));
-                    tpc = if taken { tpc + 1 } else { t as usize };
-                }
-                TInstr::FBranch { op, a, b, t } => {
-                    let taken = acct!(InstrClass::Branch, eng.m_fbranch(op, a, b));
-                    tpc = if taken { tpc + 1 } else { t as usize };
-                }
-                TInstr::Jump { label } => {
-                    acct!(InstrClass::Jump, eng.m_jump());
-                    eng.block = label as usize;
-                    eng.pc = 0;
-                    bad_pc = None;
-                    tpc = 0;
-                }
-                TInstr::JumpReg { r } => {
-                    let r = acct!(InstrClass::Jump, eng.m_jumpreg(r));
-                    let target = trapcheck!(r);
-                    eng.block = target;
-                    eng.pc = 0;
-                    bad_pc = None;
-                    tpc = 0;
-                }
-                TInstr::GetHdlr { d } => {
-                    acct!(InstrClass::Control, eng.m_gethdlr(d));
-                    tpc += 1;
-                }
-                TInstr::SetHdlr { s } => {
-                    acct!(InstrClass::Control, eng.m_sethdlr(s));
+                TInstr::SetHdlr { s, c } => {
+                    charge!(InstrClass::Control, c);
+                    eng.m_sethdlr(s);
                     tpc += 1;
                 }
                 TInstr::Halt { s } => {
-                    let r: Result<(), VmResult> = acct!(InstrClass::Control, Err(eng.m_halt(s)));
-                    trapcheck!(r);
+                    charge!(InstrClass::Control, 0);
+                    out = Some(eng.m_halt(s));
+                    break 'run;
                 }
                 TInstr::Uncaught { s } => {
-                    let r: Result<(), VmResult> =
-                        acct!(InstrClass::Control, Err(eng.m_uncaught(s)));
-                    trapcheck!(r);
+                    charge!(InstrClass::Control, 0);
+                    out = Some(eng.m_uncaught(s));
+                    break 'run;
                 }
                 TInstr::LoadIArith {
                     imm,
@@ -883,11 +1024,14 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     d,
                     a,
                     b,
+                    c1,
+                    c2,
                 } => {
-                    acct!(InstrClass::Move, eng.m_loadi(di, imm));
-                    fuelcheck!();
-                    let r = acct!(InstrClass::IntArith, eng.m_arith(op, d, a, b));
-                    trapcheck!(r);
+                    charge!(InstrClass::Move, c1);
+                    eng.m_loadi(di, imm);
+                    between!();
+                    charge!(InstrClass::IntArith, c2);
+                    trap!(eng.m_arith(op, d, a, b));
                     tpc += 1;
                 }
                 TInstr::LoadIBranch {
@@ -897,11 +1041,18 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     a,
                     b,
                     t,
+                    c1,
+                    c2,
                 } => {
-                    acct!(InstrClass::Move, eng.m_loadi(di, imm));
-                    fuelcheck!();
-                    let taken = acct!(InstrClass::Branch, eng.m_branch(op, a, b));
-                    tpc = if taken { tpc + 1 } else { t as usize };
+                    charge!(InstrClass::Move, c1);
+                    eng.m_loadi(di, imm);
+                    between!();
+                    charge!(InstrClass::Branch, c2);
+                    tpc = if eng.m_branch(op, a, b) {
+                        tpc + 1
+                    } else {
+                        t as usize
+                    };
                 }
                 TInstr::LoadBranch {
                     dl,
@@ -911,12 +1062,19 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     a,
                     b,
                     t,
+                    c1,
+                    c2,
                 } => {
-                    let r = acct!(InstrClass::Memory, eng.m_load(dl, base, off));
-                    trapcheck!(r);
-                    fuelcheck!();
-                    let taken = acct!(InstrClass::Branch, eng.m_branch(op, a, b));
-                    tpc = if taken { tpc + 1 } else { t as usize };
+                    charge!(InstrClass::Memory, c1);
+                    trap!(eng.m_load(dl, base, off));
+                    drain!();
+                    between!();
+                    charge!(InstrClass::Branch, c2);
+                    tpc = if eng.m_branch(op, a, b) {
+                        tpc + 1
+                    } else {
+                        t as usize
+                    };
                 }
                 TInstr::ArithBranch {
                     aop,
@@ -927,60 +1085,46 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     a,
                     b,
                     t,
+                    c1,
+                    c2,
                 } => {
-                    let r = acct!(InstrClass::IntArith, eng.m_arith(aop, ad, aa, ab));
-                    trapcheck!(r);
-                    fuelcheck!();
-                    let taken = acct!(InstrClass::Branch, eng.m_branch(op, a, b));
-                    tpc = if taken { tpc + 1 } else { t as usize };
-                }
-                TInstr::MoveJump { d, s, label } => {
-                    acct!(InstrClass::Move, eng.m_move(d, s));
-                    fuelcheck!();
-                    acct!(InstrClass::Jump, eng.m_jump());
-                    eng.block = label as usize;
-                    eng.pc = 0;
-                    bad_pc = None;
-                    tpc = 0;
-                }
-                TInstr::Slow { pc } => {
-                    let pc = pc as usize;
-                    let instr = &eng.prog.blocks[eng.block].instrs[pc];
-                    eng.pc = pc + 1;
-                    let r = acct!(instr.class(), eng.step(instr));
-                    trapcheck!(r);
-                    // `step` may have redirected `eng.pc` (Switch,
-                    // string branches, an unmapped Branch); rejoin the
-                    // threaded stream at the record holding it.
-                    // Fall-through and every branch target land on a
-                    // record boundary, so the mapping is exact.
-                    let tb = &tp.blocks[eng.block];
-                    if eng.pc < tb.pc_map.len() {
-                        tpc = tb.pc_map[eng.pc] as usize;
-                        bad_pc = None;
+                    charge!(InstrClass::IntArith, c1);
+                    trap!(eng.m_arith(aop, ad, aa, ab));
+                    between!();
+                    charge!(InstrClass::Branch, c2);
+                    tpc = if eng.m_branch(op, a, b) {
+                        tpc + 1
                     } else {
-                        tpc = tb.code.len();
-                        bad_pc = Some(eng.pc);
-                    }
+                        t as usize
+                    };
                 }
+                TInstr::MoveJump {
+                    d,
+                    s,
+                    label,
+                    c1,
+                    c2,
+                } => {
+                    charge!(InstrClass::Move, c1);
+                    eng.m_move(d, s);
+                    between!();
+                    charge!(InstrClass::Jump, c2 as u64 + fp3);
+                    goto!(label as usize);
+                }
+                TInstr::Slow { pc } => slow!(pc as usize),
             }
         }
-        // Translate the exit position back into original coordinates
-        // so resumption — under either engine — and fault reporting
-        // agree with the decode loop.
-        let pc = match bad_pc {
-            Some(p) => p,
-            None => {
-                if eng.block < tp.blocks.len() {
-                    tp.blocks[eng.block].tpc_to_pc[tpc] as usize
-                } else {
-                    eng.pc
-                }
-            }
-        };
-        (eng.block, pc)
-    };
-    vm.block = block;
+    }
+    eng.stats.cycles = cycles;
+    eng.stats.instrs = instrs;
+    // Translate the exit position back into original coordinates so
+    // resumption — under either engine — and fault reporting agree with
+    // the decode loop.
+    let pc = exit_pc.unwrap_or_else(|| match tp.blocks.get(eng.block) {
+        Some(tb) => tb.tpc_to_pc[tpc] as usize,
+        None => eng.pc,
+    });
+    vm.block = eng.block;
     vm.pc = pc;
     vm.sync_heap_stats();
     vm.finished = out;

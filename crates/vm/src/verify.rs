@@ -129,6 +129,39 @@ fn operand_regs(i: &Instr, regs: &mut Vec<Reg>, fregs: &mut Vec<FReg>) {
     }
 }
 
+/// Describes the first operand among `regs`/`fregs` that lies outside
+/// the register file, e.g. `register r200 out of range (max 63)`.
+fn reg_range(regs: &[Reg], fregs: &[FReg]) -> Option<String> {
+    if let Some(r) = regs.iter().find(|&&r| r >= MAX_REGS) {
+        return Some(format!("register r{r} out of range (max {})", MAX_REGS - 1));
+    }
+    let f = fregs.iter().find(|&&f| f >= MAX_REGS)?;
+    Some(format!(
+        "float register f{f} out of range (max {})",
+        MAX_REGS - 1
+    ))
+}
+
+/// The VM's one register check, made when an instance is created: the
+/// fault for the first register operand outside the register file,
+/// cited like the verifier's `reg-range` rule. After it passes, the
+/// interpreter indexes the register file without per-access bounds
+/// checks.
+pub(crate) fn register_fault(prog: &MachineProgram) -> Option<String> {
+    let (mut regs, mut fregs) = (Vec::new(), Vec::new());
+    for (ix, b) in prog.blocks.iter().enumerate() {
+        for (pc, ins) in b.instrs.iter().enumerate() {
+            regs.clear();
+            fregs.clear();
+            operand_regs(ins, &mut regs, &mut fregs);
+            if let Some(what) = reg_range(&regs, &fregs) {
+                return Some(format!("{what} at L{ix} @{pc}: {ins}"));
+            }
+        }
+    }
+    None
+}
+
 /// The intra-block jump targets an instruction may transfer to (also
 /// used by the threaded pre-decoder to keep branch targets on record
 /// boundaries).
@@ -160,25 +193,8 @@ fn check_instr(
     let mut regs = Vec::new();
     let mut fregs = Vec::new();
     operand_regs(ins, &mut regs, &mut fregs);
-    if let Some(r) = regs.iter().find(|&&r| r >= MAX_REGS) {
-        return Err(violation(
-            "reg-range",
-            format!(
-                "register r{r} out of range (max {}) at {}",
-                MAX_REGS - 1,
-                cite()
-            ),
-        ));
-    }
-    if let Some(f) = fregs.iter().find(|&&f| f >= MAX_REGS) {
-        return Err(violation(
-            "reg-range",
-            format!(
-                "float register f{f} out of range (max {}) at {}",
-                MAX_REGS - 1,
-                cite()
-            ),
-        ));
+    if let Some(what) = reg_range(&regs, &fregs) {
+        return Err(violation("reg-range", format!("{what} at {}", cite())));
     }
 
     let mut targets = Vec::new();
@@ -336,9 +352,12 @@ pub struct ThreadedVerifySummary {
 /// the pc coordinate maps must be mutually consistent, every threaded
 /// branch target must stay inside the stream, every record must
 /// round-trip (expand back to exactly the original instructions,
-/// compared by disassembly), and the expanded operands must respect
-/// register bounds. Pre-decodes internally, so a program that passes
-/// here executes identically under both engines' *static* views.
+/// compared by disassembly), the expanded operands must respect
+/// register bounds, and every folded charge must equal the
+/// instruction's [`Instr::fixed_cost`]. Pre-decodes internally — the
+/// stream depends only on the program, so this is exactly the stream
+/// every threaded run of it executes — and a program that passes here
+/// executes identically under both engines' *static* views.
 pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, BytecodeViolation> {
     use crate::threaded::{expand, predecode, TInstr};
     let tp = predecode(prog);
@@ -407,7 +426,7 @@ pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, B
                     if expansion.len() == 2 {
                         sum.superinstructions += 1;
                     }
-                    for (k, e) in expansion.iter().enumerate() {
+                    for (k, (e, cost)) in expansion.iter().enumerate() {
                         let Some(orig) = b.instrs.get(start + k) else {
                             return Err(violation(
                                 "threaded-round-trip",
@@ -431,13 +450,20 @@ pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, B
                         let mut regs = Vec::new();
                         let mut fregs = Vec::new();
                         operand_regs(e, &mut regs, &mut fregs);
-                        if let Some(r) = regs.iter().chain(fregs.iter()).find(|&&r| r >= MAX_REGS) {
+                        if let Some(what) = reg_range(&regs, &fregs) {
                             return Err(violation(
                                 "threaded-reg-range",
+                                format!("{what} at L{ix} @{}: {e}", start + k),
+                            ));
+                        }
+                        if e.fixed_cost() != *cost as u64 {
+                            return Err(violation(
+                                "threaded-cost",
                                 format!(
-                                    "register r{r} out of range (max {}) at L{ix} @{}: {e}",
-                                    MAX_REGS - 1,
-                                    start + k
+                                    "L{ix} @{}: record charges {cost} cycles for `{e}`, \
+                                     whose fixed cost is {}",
+                                    start + k,
+                                    e.fixed_cost()
                                 ),
                             ));
                         }

@@ -10,6 +10,10 @@
 //! minor collection plus 1 per remembered-set slot scanned, 200 for a
 //! major or semispace collection). Accesses to spill-modelled registers
 //! (32..63) pay 2 extra cycles each, approximating spill loads/stores.
+//! The fixed part of every instruction's cost (base plus spills) lives
+//! in one function, [`Instr::fixed_cost`], charged before the
+//! instruction executes; heap-dependent costs and the `sml.fp3` jump
+//! term are charged as it executes.
 //!
 //! Integer `div`/`mod` use SML floor semantics ([`sml_cps::floor_div`] /
 //! [`sml_cps::floor_mod`]): the quotient rounds toward negative
@@ -25,24 +29,29 @@
 //! Two dispatch engines share these semantics, selected by
 //! [`VmConfig::dispatch`]:
 //!
+//! * [`Dispatch::Threaded`] (the default) — the [`Instr`] stream is
+//!   pre-decoded into a flat threaded stream of compact handler records
+//!   with their fixed costs folded in, a peephole selector fusing hot
+//!   pairs (`LoadI`+`Arith`, load/compare+branch, `Move`+`Jump`) into
+//!   superinstructions (see `threaded.rs`).
 //! * [`Dispatch::Decode`] — the classic fetch/decode `match` loop over
-//!   [`Instr`].
-//! * [`Dispatch::Threaded`] — the [`Instr`] stream is pre-decoded into a
-//!   flat threaded stream of compact handler records, with a peephole
-//!   selector fusing hot pairs (`LoadI`+`Arith`, load/compare+branch,
-//!   `Move`+`Jump`) into superinstructions (see `threaded.rs`).
+//!   [`Instr`], kept as the reference oracle the differential gates
+//!   compare the threaded engine against.
 //!
 //! Both engines call the same `#[inline(always)]` per-instruction
-//! handlers on [`Engine`], so results, output, and every [`RunStats`]
-//! counter are identical between them; only wall-clock time differs.
+//! handlers on [`Engine`], so results, output, every [`RunStats`]
+//! counter and the scheduler's slice boundaries are identical between
+//! them; only wall-clock time differs.
 //!
 //! # Fault containment
 //!
 //! The interpreter never panics on program behavior: every memory access
 //! is bounds-checked against the target object's descriptor and traps as
-//! [`VmResult::Fault`] on violation, heap exhaustion (a collection that
-//! still leaves no room) traps as [`VmResult::HeapExhausted`], and the
-//! cycle budget traps as [`VmResult::OutOfFuel`]. All exit paths —
+//! [`VmResult::Fault`] on violation, a register operand outside the
+//! register file faults the run before its first step, heap exhaustion
+//! (a collection that still leaves no room) traps as
+//! [`VmResult::HeapExhausted`], and the cycle budget traps as
+//! [`VmResult::OutOfFuel`]. All exit paths —
 //! normal and trapping — finalize the heap counters in [`RunStats`], so
 //! `cycles_by_class` sums to `cycles` and allocation totals are accurate
 //! no matter how the run ended. [`FaultInject`] exposes the trap paths
@@ -50,18 +59,22 @@
 
 use crate::heap::{
     decode, is_ptr, tag_int, untag_int, GcKind, GcMode, Heap, HeapConfig, ObjKind, SliceOutcome,
+    MAX_RAW_WORDS, MAX_SCAN_FIELDS,
 };
 use crate::isa::*;
-use crate::threaded::ThreadedProgram;
+use crate::threaded::{predecode, ThreadedProgram};
 use sml_cps::{floor_div, floor_mod};
+use std::sync::Arc;
 
 /// Which execution engine runs the program (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Dispatch {
-    /// The classic decode-dispatch interpreter loop.
-    #[default]
+    /// The classic decode-dispatch interpreter loop: the reference
+    /// oracle.
     Decode,
-    /// Pre-decoded threaded dispatch with peephole superinstructions.
+    /// Pre-decoded threaded dispatch with peephole superinstructions
+    /// (the default).
+    #[default]
     Threaded,
 }
 
@@ -137,9 +150,10 @@ pub struct VmConfig {
     /// which is *reported* in [`RunStats::pause_overruns`] rather than
     /// silently violated.
     pub max_pause_cycles: u64,
-    /// Execution engine (see [`Dispatch`]); decode-dispatch by default.
-    /// Engine choice never changes results or [`RunStats`] counters —
-    /// only wall-clock speed.
+    /// Execution engine (see [`Dispatch`]); threaded by default, with
+    /// [`Dispatch::Decode`] kept as the reference oracle. Engine choice
+    /// never changes results or [`RunStats`] counters — only wall-clock
+    /// speed.
     pub dispatch: Dispatch,
     /// Fault-injection knobs for robustness testing.
     pub fault: FaultInject,
@@ -155,7 +169,7 @@ impl Default for VmConfig {
             tenured_words: 8 << 20,
             promote_after: 2,
             max_pause_cycles: 0,
-            dispatch: Dispatch::Decode,
+            dispatch: Dispatch::Threaded,
             fault: FaultInject::default(),
         }
     }
@@ -375,9 +389,9 @@ pub struct VmInstance<'p> {
     /// Incremental-major slices run since the last fault-injected
     /// yield (drives [`FaultInject::yield_every_n_slices`]).
     pub(crate) yield_ctr: u64,
-    /// The pre-decoded threaded stream; built once at instance creation
-    /// when [`VmConfig::dispatch`] is [`Dispatch::Threaded`].
-    pub(crate) threaded: Option<ThreadedProgram>,
+    /// The pre-decoded threaded stream under [`Dispatch::Threaded`]:
+    /// immutable, so every tenant of one program can share it.
+    pub(crate) threaded: Option<Arc<ThreadedProgram>>,
     pub(crate) finished: Option<VmResult>,
 }
 
@@ -385,24 +399,32 @@ impl<'p> VmInstance<'p> {
     /// Prepares a run: builds the heap (sizing the immortal region to
     /// the literal pool so pool loading can never exhaust it), loads
     /// the literals, and — under [`Dispatch::Threaded`] — pre-decodes
-    /// the instruction stream. A literal the descriptor cannot encode
-    /// marks the instance finished with a `Fault` before the first
-    /// step.
+    /// the instruction stream. A literal the descriptor cannot encode,
+    /// or a register operand outside the register file, marks the
+    /// instance finished with a `Fault` before the first step.
     pub fn new(prog: &'p MachineProgram, cfg: &VmConfig) -> VmInstance<'p> {
-        VmInstance::with_prog(ProgRef::Borrowed(prog), cfg)
+        VmInstance::with_prog(ProgRef::Borrowed(prog), cfg, None)
     }
 
     /// Like [`VmInstance::new`] but holding a shared, owned program
-    /// handle: N tenants of one program pay one compilation (and one
-    /// threaded pre-decode *each* — the stream is per-instance, the
-    /// code is not). The `'static` lifetime frees the instance from
-    /// the caller's stack, which is what lets the scheduler own its
-    /// tenants.
-    pub fn shared(prog: std::sync::Arc<MachineProgram>, cfg: &VmConfig) -> VmInstance<'static> {
-        VmInstance::with_prog(ProgRef::Shared(prog), cfg)
+    /// handle, so N tenants of one program pay one compilation. The
+    /// `'static` lifetime frees the instance from the caller's stack,
+    /// which is what lets the scheduler own its tenants. (The
+    /// scheduler also shares one pre-decoded stream per program; an
+    /// instance built here pre-decodes its own.)
+    pub fn shared(prog: Arc<MachineProgram>, cfg: &VmConfig) -> VmInstance<'static> {
+        VmInstance::with_prog(ProgRef::Shared(prog), cfg, None)
     }
 
-    fn with_prog(prog: ProgRef<'p>, cfg: &VmConfig) -> VmInstance<'p> {
+    /// The one constructor. `stream`, when given, must be the
+    /// pre-decode of this program (the scheduler passes the one it
+    /// shares between tenants); it is ignored under
+    /// [`Dispatch::Decode`].
+    pub(crate) fn with_prog(
+        prog: ProgRef<'p>,
+        cfg: &VmConfig,
+        stream: Option<Arc<ThreadedProgram>>,
+    ) -> VmInstance<'p> {
         let static_need: usize = prog
             .pool
             .iter()
@@ -414,12 +436,14 @@ impl<'p> VmInstance<'p> {
             .iter()
             .find(|s| s.len() > Heap::MAX_STRING_BYTES)
             .map(|s| {
-                VmResult::Fault(format!(
+                format!(
                     "string literal of {} bytes exceeds the descriptor limit of {}",
                     s.len(),
                     Heap::MAX_STRING_BYTES
-                ))
-            });
+                )
+            })
+            .or_else(|| crate::verify::register_fault(&prog))
+            .map(VmResult::Fault);
         let mut heap = Heap::new(&HeapConfig {
             mode: cfg.gc_mode,
             nursery_words: cfg.nursery_words,
@@ -438,7 +462,7 @@ impl<'p> VmInstance<'p> {
         }
         let threaded = match cfg.dispatch {
             Dispatch::Decode => None,
-            Dispatch::Threaded => Some(crate::threaded::predecode(&prog)),
+            Dispatch::Threaded => Some(stream.unwrap_or_else(|| Arc::new(predecode(&prog)))),
         };
         let entry = prog.entry as usize;
         VmInstance {
@@ -518,12 +542,11 @@ impl<'p> VmInstance<'p> {
     }
 
     /// Executes until roughly `quantum` more cycles have been charged
-    /// (preemption is checked between instructions, so a slice overruns
-    /// by at most one instruction's cost — two for a threaded
-    /// superinstruction pair, which never splits across slices —
-    /// including its GC pause, which a pause budget keeps bounded) or
-    /// the run ends. Returns `true` when the run is finished, `false`
-    /// when preempted.
+    /// (preemption is checked between instructions — between the two
+    /// halves of a threaded superinstruction too — so a slice overruns
+    /// by at most one instruction's cost, including its GC pause, which
+    /// a pause budget keeps bounded) or the run ends. Returns `true`
+    /// when the run is finished, `false` when preempted.
     pub fn run_slice(&mut self, quantum: u64) -> bool {
         match self.cfg.dispatch {
             Dispatch::Decode => self.run_slice_decode(quantum),
@@ -545,8 +568,8 @@ impl<'p> VmInstance<'p> {
         self.stats.remembered_peak = self.heap.rs_peak;
     }
 
-    /// The decode-dispatch loop: fetch, account, execute via
-    /// [`Engine::step`], attribute.
+    /// The decode-dispatch loop: fetch, then execute with full
+    /// accounting via [`Engine::exec`].
     fn run_slice_decode(&mut self, quantum: u64) -> bool {
         if self.finished.is_some() {
             return true;
@@ -586,22 +609,7 @@ impl<'p> VmInstance<'p> {
                 }
                 let instr = &prog.blocks[eng.block].instrs[eng.pc];
                 eng.pc += 1;
-                // Per-class accounting: everything the handler adds to
-                // `cycles` lands in the instruction's class, except
-                // collector work (which bumps `gc_cycles`); that lands
-                // in the Gc pseudo-class so the breakdown still sums to
-                // `cycles` — on trap exits too.
-                let class = instr.class() as usize;
-                eng.stats.instrs += 1;
-                eng.stats.instrs_by_class[class] += 1;
-                let cycles_before = eng.stats.cycles;
-                let gc_before = eng.stats.gc_cycles;
-                let r = eng.step(instr);
-                drain_barrier(&mut *eng.heap, &mut *eng.stats);
-                let gc_delta = eng.stats.gc_cycles - gc_before;
-                eng.stats.cycles_by_class[class] += eng.stats.cycles - cycles_before - gc_delta;
-                eng.stats.cycles_by_class[InstrClass::Gc as usize] += gc_delta;
-                if let Err(end) = r {
+                if let Err(end) = eng.exec(instr) {
                     out = Some(end);
                     break;
                 }
@@ -639,16 +647,34 @@ pub(crate) struct Engine<'a, 'p> {
     pub(crate) pc: usize,
 }
 
+/// Register-file index. Every register operand is range-checked once,
+/// when the instance is created ([`VmInstance::new`] faults a program
+/// that names a register past the file), so the mask never changes an
+/// index; it only lets the compiler drop the bounds check.
+#[inline(always)]
+fn ri(r: u8) -> usize {
+    r as usize & (MAX_REGS as usize - 1)
+}
+
 impl<'p> Engine<'_, 'p> {
-    /// Charges the spill cost for each named register above the
-    /// hardware file.
     #[inline(always)]
-    fn spill<const N: usize>(&mut self, rs: [u8; N]) {
-        for r in rs {
-            if r >= HW_REGS {
-                self.stats.cycles += 2;
-            }
-        }
+    fn r(&self, r: Reg) -> u32 {
+        self.regs[ri(r)]
+    }
+
+    #[inline(always)]
+    fn set(&mut self, r: Reg, v: u32) {
+        self.regs[ri(r)] = v;
+    }
+
+    #[inline(always)]
+    fn f(&self, r: FReg) -> f64 {
+        self.fregs[ri(r)]
+    }
+
+    #[inline(always)]
+    fn set_f(&mut self, r: FReg, v: f64) {
+        self.fregs[ri(r)] = v;
     }
 
     /// Bounds-checks one object access; `Err` is a Fault trap.
@@ -753,282 +779,234 @@ impl<'p> Engine<'_, 'p> {
     // ----- per-instruction handlers ------------------------------------
     //
     // One method per hot (fixed-operand) instruction; both engines call
-    // these, so the cost model and trap behavior live in exactly one
-    // place. Vector-operand and runtime-call instructions execute
-    // through `step`'s match arms (the threaded engine routes them via
-    // its `Slow` record).
+    // these, so trap behavior lives in exactly one place. They charge
+    // nothing: the caller has already charged the instruction's fixed
+    // cost (`Instr::fixed_cost`) and, for a jump, the `sml.fp3` term,
+    // which is why a trapping instruction pays in full. Vector-operand and runtime-call instructions execute
+    // through `step`'s match arms, which charge their heap-dependent
+    // costs as they go (the threaded engine routes them via its `Slow`
+    // record).
 
     #[inline(always)]
     pub(crate) fn m_move(&mut self, d: Reg, s: Reg) {
-        self.spill([d, s]);
-        self.stats.cycles += 1;
-        self.regs[d as usize] = self.regs[s as usize];
+        self.set(d, self.r(s));
     }
 
     #[inline(always)]
     pub(crate) fn m_fmove(&mut self, d: FReg, s: FReg) {
-        self.spill([d, s]);
-        self.stats.cycles += 1;
-        self.fregs[d as usize] = self.fregs[s as usize];
+        self.set_f(d, self.f(s));
     }
 
     #[inline(always)]
     pub(crate) fn m_loadi(&mut self, d: Reg, imm: i64) {
-        self.spill([d]);
-        self.stats.cycles += 1;
-        self.regs[d as usize] = tag_int(imm);
+        self.set(d, tag_int(imm));
     }
 
     #[inline(always)]
     pub(crate) fn m_loadf(&mut self, d: FReg, imm: f64) {
-        self.spill([d]);
-        self.stats.cycles += 2;
-        self.fregs[d as usize] = imm;
+        self.set_f(d, imm);
     }
 
     #[inline(always)]
     pub(crate) fn m_loadstr(&mut self, d: Reg, pool: u32) -> Result<(), VmResult> {
-        self.spill([d]);
-        self.stats.cycles += 1;
-        if pool as usize >= self.pool_ptrs.len() {
+        let Some(&p) = self.pool_ptrs.get(pool as usize) else {
             return Err(VmResult::Fault(format!(
                 "string pool index {pool} out of range"
             )));
-        }
-        self.regs[d as usize] = self.pool_ptrs[pool as usize];
+        };
+        self.set(d, p);
         Ok(())
     }
 
     #[inline(always)]
     pub(crate) fn m_loadlabel(&mut self, d: Reg, label: u32) {
-        self.spill([d]);
-        self.stats.cycles += 1;
-        self.regs[d as usize] = tag_int(label as i64);
+        self.set(d, tag_int(label as i64));
     }
 
     #[inline(always)]
     pub(crate) fn m_arith(&mut self, op: AOp, d: Reg, a: Reg, b: Reg) -> Result<(), VmResult> {
-        self.spill([d, a, b]);
-        let x = untag_int(self.regs[a as usize]);
-        let y = untag_int(self.regs[b as usize]);
-        let (v, cost) = match op {
-            AOp::Add => (x.wrapping_add(y), 1),
-            AOp::Sub => (x.wrapping_sub(y), 1),
-            AOp::Mul => (x.wrapping_mul(y), 4),
+        let x = untag_int(self.r(a));
+        let y = untag_int(self.r(b));
+        let v = match op {
+            AOp::Add => x.wrapping_add(y),
+            AOp::Sub => x.wrapping_sub(y),
+            AOp::Mul => x.wrapping_mul(y),
             // SML floor division/modulus, wrapping at `i64::MIN div ~1`.
             // A zero divisor is an arithmetic trap (charged like the
             // divide it attempted); compiled code guards `div`/`mod`
             // with a zero test that raises `Div` before reaching here.
             AOp::Div | AOp::Mod => {
                 if y == 0 {
-                    self.stats.cycles += 12;
                     return Err(VmResult::Fault("integer division by zero".into()));
                 }
-                let v = if op == AOp::Div {
+                if op == AOp::Div {
                     floor_div(x, y)
                 } else {
                     floor_mod(x, y)
-                };
-                (v, 12)
+                }
             }
         };
-        self.stats.cycles += cost;
-        self.regs[d as usize] = tag_int(v);
+        self.set(d, tag_int(v));
         Ok(())
     }
 
     #[inline(always)]
     pub(crate) fn m_farith(&mut self, op: FOp, d: FReg, a: FReg, b: FReg) {
-        self.spill([d, a, b]);
-        let x = self.fregs[a as usize];
-        let y = self.fregs[b as usize];
-        let (v, cost) = match op {
-            FOp::Add => (x + y, 2),
-            FOp::Sub => (x - y, 2),
-            FOp::Mul => (x * y, 4),
-            FOp::Div => (x / y, 12),
+        let x = self.f(a);
+        let y = self.f(b);
+        let v = match op {
+            FOp::Add => x + y,
+            FOp::Sub => x - y,
+            FOp::Mul => x * y,
+            FOp::Div => x / y,
         };
-        self.stats.cycles += cost;
-        self.fregs[d as usize] = v;
+        self.set_f(d, v);
     }
 
     #[inline(always)]
     pub(crate) fn m_funary(&mut self, op: FUOp, d: FReg, a: FReg) {
-        self.spill([d, a]);
-        let x = self.fregs[a as usize];
-        let (v, cost) = match op {
-            FUOp::Neg => (-x, 2),
-            FUOp::Sqrt => (x.sqrt(), 20),
-            FUOp::Sin => (x.sin(), 20),
-            FUOp::Cos => (x.cos(), 20),
-            FUOp::Atan => (x.atan(), 20),
-            FUOp::Exp => (x.exp(), 20),
-            FUOp::Ln => (x.ln(), 20),
+        let x = self.f(a);
+        let v = match op {
+            FUOp::Neg => -x,
+            FUOp::Sqrt => x.sqrt(),
+            FUOp::Sin => x.sin(),
+            FUOp::Cos => x.cos(),
+            FUOp::Atan => x.atan(),
+            FUOp::Exp => x.exp(),
+            FUOp::Ln => x.ln(),
         };
-        self.stats.cycles += cost;
-        self.fregs[d as usize] = v;
+        self.set_f(d, v);
     }
 
     #[inline(always)]
     pub(crate) fn m_floor(&mut self, d: Reg, a: FReg) {
-        self.spill([d, a]);
-        self.stats.cycles += 3;
-        self.regs[d as usize] = tag_int(self.fregs[a as usize].floor() as i64);
+        self.set(d, tag_int(self.f(a).floor() as i64));
     }
 
     #[inline(always)]
     pub(crate) fn m_inttoreal(&mut self, d: FReg, a: Reg) {
-        self.spill([d, a]);
-        self.stats.cycles += 3;
-        self.fregs[d as usize] = untag_int(self.regs[a as usize]) as f64;
+        self.set_f(d, untag_int(self.r(a)) as f64);
     }
 
     #[inline(always)]
     pub(crate) fn m_load(&mut self, d: Reg, base: Reg, off: u16) -> Result<(), VmResult> {
-        self.spill([d, base]);
-        self.stats.cycles += 2;
-        self.mem(self.regs[base as usize], off as usize, 1)?;
+        let p = self.r(base);
+        self.mem(p, off as usize, 1)?;
         // Through the read barrier: during an active incremental major
         // a from-space target is evacuated and the slot healed, so
         // registers only ever hold to-space pointers.
-        self.regs[d as usize] = self
-            .heap
-            .load_healed(self.regs[base as usize], off as usize);
+        let v = self.heap.load_healed(p, off as usize);
+        self.set(d, v);
         Ok(())
     }
 
     #[inline(always)]
     pub(crate) fn m_store(&mut self, s: Reg, base: Reg, off: u16) -> Result<(), VmResult> {
-        self.spill([s, base]);
-        self.stats.cycles += 2;
-        self.mem(self.regs[base as usize], off as usize, 1)?;
+        let p = self.r(base);
+        self.mem(p, off as usize, 1)?;
         // Unboxed stores skip the barrier; the compiler must prove the
         // value is a non-pointer (paper §4.4).
         debug_assert!(
-            !self
-                .heap
-                .would_need_barrier(self.regs[base as usize], self.regs[s as usize]),
+            !self.heap.would_need_barrier(p, self.r(s)),
             "unbarriered Store created a tenured→nursery pointer"
         );
-        self.heap.store(
-            self.regs[base as usize],
-            off as usize,
-            self.regs[s as usize],
-        );
+        self.heap.store(p, off as usize, self.r(s));
         Ok(())
     }
 
     #[inline(always)]
     pub(crate) fn m_storewb(&mut self, s: Reg, base: Reg, off: u16) -> Result<(), VmResult> {
-        self.spill([s, base]);
-        self.stats.cycles += 4; // store + generational bookkeeping
-        self.mem(self.regs[base as usize], off as usize, 1)?;
-        self.heap.store_barriered(
-            self.regs[base as usize],
-            off as usize,
-            self.regs[s as usize],
-        );
+        let p = self.r(base);
+        self.mem(p, off as usize, 1)?;
+        self.heap.store_barriered(p, off as usize, self.r(s));
         Ok(())
     }
 
     #[inline(always)]
     pub(crate) fn m_fload(&mut self, d: FReg, base: Reg, off: u16) -> Result<(), VmResult> {
-        self.spill([d, base]);
-        self.stats.cycles += 4; // two single-word loads
-        self.mem(self.regs[base as usize], off as usize, 2)?;
-        self.fregs[d as usize] = self.heap.load_f64(self.regs[base as usize], off as usize);
+        let p = self.r(base);
+        self.mem(p, off as usize, 2)?;
+        self.set_f(d, self.heap.load_f64(p, off as usize));
         Ok(())
     }
 
     #[inline(always)]
     pub(crate) fn m_fstore(&mut self, s: FReg, base: Reg, off: u16) -> Result<(), VmResult> {
-        self.spill([s, base]);
-        self.stats.cycles += 4;
-        self.mem(self.regs[base as usize], off as usize, 2)?;
-        self.heap.store_f64(
-            self.regs[base as usize],
-            off as usize,
-            self.fregs[s as usize],
-        );
+        let p = self.r(base);
+        self.mem(p, off as usize, 2)?;
+        self.heap.store_f64(p, off as usize, self.f(s));
         Ok(())
+    }
+
+    /// The element index in `idx`, or the negative-index Fault.
+    #[inline(always)]
+    fn index(&self, idx: Reg) -> Result<usize, VmResult> {
+        let i = untag_int(self.r(idx));
+        if i < 0 {
+            return Err(VmResult::Fault(format!("negative index {i}")));
+        }
+        Ok(i as usize)
     }
 
     #[inline(always)]
     pub(crate) fn m_loadidx(&mut self, d: Reg, base: Reg, idx: Reg) -> Result<(), VmResult> {
-        self.spill([d, base, idx]);
-        self.stats.cycles += 3;
-        let i = untag_int(self.regs[idx as usize]);
-        if i < 0 {
-            return Err(VmResult::Fault(format!("negative index {i}")));
-        }
-        self.mem(self.regs[base as usize], i as usize, 1)?;
-        self.regs[d as usize] = self.heap.load_healed(self.regs[base as usize], i as usize);
+        let i = self.index(idx)?;
+        let p = self.r(base);
+        self.mem(p, i, 1)?;
+        let v = self.heap.load_healed(p, i);
+        self.set(d, v);
         Ok(())
     }
 
     #[inline(always)]
     pub(crate) fn m_storeidx(&mut self, s: Reg, base: Reg, idx: Reg) -> Result<(), VmResult> {
-        self.spill([s, base, idx]);
-        self.stats.cycles += 3;
-        let i = untag_int(self.regs[idx as usize]);
-        if i < 0 {
-            return Err(VmResult::Fault(format!("negative index {i}")));
-        }
-        self.mem(self.regs[base as usize], i as usize, 1)?;
+        let i = self.index(idx)?;
+        let p = self.r(base);
+        self.mem(p, i, 1)?;
         debug_assert!(
-            !self
-                .heap
-                .would_need_barrier(self.regs[base as usize], self.regs[s as usize]),
+            !self.heap.would_need_barrier(p, self.r(s)),
             "unbarriered StoreIdx created a tenured→nursery pointer"
         );
-        self.heap
-            .store(self.regs[base as usize], i as usize, self.regs[s as usize]);
+        self.heap.store(p, i, self.r(s));
         Ok(())
     }
 
     #[inline(always)]
     pub(crate) fn m_storeidxwb(&mut self, s: Reg, base: Reg, idx: Reg) -> Result<(), VmResult> {
-        self.spill([s, base, idx]);
-        self.stats.cycles += 5;
-        let i = untag_int(self.regs[idx as usize]);
-        if i < 0 {
-            return Err(VmResult::Fault(format!("negative index {i}")));
-        }
-        self.mem(self.regs[base as usize], i as usize, 1)?;
-        self.heap
-            .store_barriered(self.regs[base as usize], i as usize, self.regs[s as usize]);
+        let i = self.index(idx)?;
+        let p = self.r(base);
+        self.mem(p, i, 1)?;
+        self.heap.store_barriered(p, i, self.r(s));
         Ok(())
     }
 
     #[inline(always)]
     pub(crate) fn m_arrlen(&mut self, d: Reg, a: Reg) -> Result<(), VmResult> {
-        self.spill([d, a]);
-        self.stats.cycles += 2;
-        self.mem(self.regs[a as usize], 0, 0)?;
-        let (_, nscan, _) = decode(self.heap.desc(self.regs[a as usize]));
-        self.regs[d as usize] = tag_int(nscan as i64);
+        let p = self.r(a);
+        self.mem(p, 0, 0)?;
+        let (_, nscan, _) = decode(self.heap.desc(p));
+        self.set(d, tag_int(nscan as i64));
         Ok(())
     }
 
-    #[inline(always)]
-    pub(crate) fn m_fbox(&mut self, d: Reg, s: FReg) -> Result<(), VmResult> {
-        self.spill([d, s]);
+    /// Boxes a float. Its cost depends on the collector, so unlike the
+    /// other handlers it charges as it goes.
+    fn m_fbox(&mut self, d: Reg, s: FReg) -> Result<(), VmResult> {
         self.alloc_guard(2)?;
         let Some(p) = self.heap.alloc(ObjKind::BoxedFloat, 0, 1) else {
             return Err(VmResult::HeapExhausted);
         };
-        self.heap.store_f64(p, 0, self.fregs[s as usize]);
+        self.heap.store_f64(p, 0, self.f(s));
         self.stats.cycles += 1 + 2 + 4; // descriptor+bump, then two stores
-        self.regs[d as usize] = p;
+        self.set(d, p);
         Ok(())
     }
 
     #[inline(always)]
     pub(crate) fn m_funbox(&mut self, d: FReg, s: Reg) -> Result<(), VmResult> {
-        self.spill([d, s]);
-        self.stats.cycles += 4;
-        self.mem(self.regs[s as usize], 0, 2)?;
-        self.fregs[d as usize] = self.heap.load_f64(self.regs[s as usize], 0);
+        let p = self.r(s);
+        self.mem(p, 0, 2)?;
+        self.set_f(d, self.heap.load_f64(p, 0));
         Ok(())
     }
 
@@ -1036,10 +1014,8 @@ impl<'p> Engine<'_, 'p> {
     /// control when the comparison is false (branch-on-false ISA).
     #[inline(always)]
     pub(crate) fn m_branch(&mut self, op: BrOp, a: Reg, b: Reg) -> bool {
-        self.spill([a, b]);
-        self.stats.cycles += 1;
-        let x = self.regs[a as usize];
-        let y = self.regs[b as usize];
+        let x = self.r(a);
+        let y = self.r(b);
         match op {
             BrOp::Lt => untag_int(x) < untag_int(y),
             BrOp::Le => untag_int(x) <= untag_int(y),
@@ -1054,10 +1030,8 @@ impl<'p> Engine<'_, 'p> {
     /// Evaluates a float branch comparison (branch-on-false).
     #[inline(always)]
     pub(crate) fn m_fbranch(&mut self, op: FBrOp, a: FReg, b: FReg) -> bool {
-        self.spill([a, b]);
-        self.stats.cycles += 2;
-        let x = self.fregs[a as usize];
-        let y = self.fregs[b as usize];
+        let x = self.f(a);
+        let y = self.f(b);
         match op {
             FBrOp::Lt => x < y,
             FBrOp::Le => x <= y,
@@ -1068,24 +1042,10 @@ impl<'p> Engine<'_, 'p> {
         }
     }
 
-    /// Charges a direct jump; the caller performs the block transfer.
-    #[inline(always)]
-    pub(crate) fn m_jump(&mut self) {
-        self.stats.cycles += 1;
-        if self.cfg.fp3_overhead {
-            self.stats.cycles += 1;
-        }
-    }
-
     /// Validates an indirect jump and returns the target block.
     #[inline(always)]
     pub(crate) fn m_jumpreg(&mut self, r: Reg) -> Result<usize, VmResult> {
-        self.spill([r]);
-        self.stats.cycles += 2;
-        if self.cfg.fp3_overhead {
-            self.stats.cycles += 1;
-        }
-        let w = self.regs[r as usize];
+        let w = self.r(r);
         if is_ptr(w) {
             return Err(VmResult::Fault(format!(
                 "jump through non-label {w:#x} from block {} ({})",
@@ -1104,16 +1064,12 @@ impl<'p> Engine<'_, 'p> {
 
     #[inline(always)]
     pub(crate) fn m_gethdlr(&mut self, d: Reg) {
-        self.spill([d]);
-        self.stats.cycles += 1;
-        self.regs[d as usize] = *self.handler;
+        self.set(d, *self.handler);
     }
 
     #[inline(always)]
     pub(crate) fn m_sethdlr(&mut self, s: Reg) {
-        self.spill([s]);
-        self.stats.cycles += 1;
-        *self.handler = self.regs[s as usize];
+        *self.handler = self.r(s);
     }
 
     /// The final result of a normal halt.
@@ -1121,7 +1077,7 @@ impl<'p> Engine<'_, 'p> {
     pub(crate) fn m_halt(&mut self, s: Reg) -> VmResult {
         // Resolve so a pointer-valued result is reported at its
         // canonical address (identity outside an active major).
-        let w = self.heap.resolve(self.regs[s as usize]);
+        let w = self.heap.resolve(self.r(s));
         let v = if is_ptr(w) { w as i64 } else { untag_int(w) };
         VmResult::Value(v)
     }
@@ -1129,54 +1085,78 @@ impl<'p> Engine<'_, 'p> {
     /// The final result of an uncaught-exception exit.
     #[inline(always)]
     pub(crate) fn m_uncaught(&mut self, s: Reg) -> VmResult {
-        VmResult::Uncaught(uncaught_name(self.heap, self.regs[s as usize]))
+        VmResult::Uncaught(uncaught_name(self.heap, self.r(s)))
+    }
+
+    /// Executes one instruction with full accounting — the decode
+    /// loop's body, and the threaded engine's path for everything it
+    /// does not run from a flat record. Counts the instruction, charges
+    /// its fixed cost up front, runs [`Engine::step`], drains the read
+    /// barrier, and splits the cycles it added between its class and
+    /// the `Gc` pseudo-class (collector work), so the breakdown sums to
+    /// `cycles` on trap exits too.
+    #[inline(always)]
+    pub(crate) fn exec(&mut self, instr: &Instr) -> Result<(), VmResult> {
+        let class = instr.class() as usize;
+        self.stats.instrs += 1;
+        self.stats.instrs_by_class[class] += 1;
+        let cycles_before = self.stats.cycles;
+        let gc_before = self.stats.gc_cycles;
+        self.stats.cycles += instr.fixed_cost();
+        let r = self.step(instr);
+        if self.heap.barrier_words_pending() {
+            self.stats.cycles += drain_barrier(self.heap, self.stats);
+        }
+        let gc_delta = self.stats.gc_cycles - gc_before;
+        self.stats.cycles_by_class[class] += self.stats.cycles - cycles_before - gc_delta;
+        self.stats.cycles_by_class[InstrClass::Gc as usize] += gc_delta;
+        r
     }
 
     /// Executes one instruction: updates registers/heap/output, charges
-    /// its cycles, and advances `self.pc`/`self.block` for control
-    /// transfers. `Err` ends the run (trap or normal halt); the calling
-    /// loop attributes accrued cycles to the instruction's class either
-    /// way.
+    /// any heap-dependent cycles, and advances `self.pc`/`self.block`
+    /// for control transfers. The caller has charged the fixed cost
+    /// ([`Instr::fixed_cost`]). `Err` ends the run (trap or normal
+    /// halt).
     pub(crate) fn step(&mut self, instr: &Instr) -> Result<(), VmResult> {
-        match instr {
-            Instr::Move { d, s } => self.m_move(*d, *s),
-            Instr::FMove { d, s } => self.m_fmove(*d, *s),
-            Instr::LoadI { d, imm } => self.m_loadi(*d, *imm),
-            Instr::LoadF { d, imm } => self.m_loadf(*d, *imm),
-            Instr::LoadStr { d, pool } => self.m_loadstr(*d, *pool)?,
-            Instr::LoadLabel { d, label } => self.m_loadlabel(*d, *label),
-            Instr::Arith { op, d, a, b } => self.m_arith(*op, *d, *a, *b)?,
-            Instr::FArith { op, d, a, b } => self.m_farith(*op, *d, *a, *b),
-            Instr::FUnary { op, d, a } => self.m_funary(*op, *d, *a),
-            Instr::Floor { d, a } => self.m_floor(*d, *a),
-            Instr::IntToReal { d, a } => self.m_inttoreal(*d, *a),
-            Instr::Load { d, base, off } => self.m_load(*d, *base, *off)?,
-            Instr::Store { s, base, off } => self.m_store(*s, *base, *off)?,
-            Instr::StoreWB { s, base, off } => self.m_storewb(*s, *base, *off)?,
-            Instr::FLoad { d, base, off } => self.m_fload(*d, *base, *off)?,
-            Instr::FStore { s, base, off } => self.m_fstore(*s, *base, *off)?,
-            Instr::LoadIdx { d, base, idx } => self.m_loadidx(*d, *base, *idx)?,
-            Instr::StoreIdx { s, base, idx } => self.m_storeidx(*s, *base, *idx)?,
-            Instr::StoreIdxWB { s, base, idx } => self.m_storeidxwb(*s, *base, *idx)?,
-            Instr::ArrLen { d, a } => self.m_arrlen(*d, *a)?,
-            Instr::FBox { d, s } => self.m_fbox(*d, *s)?,
-            Instr::FUnbox { d, s } => self.m_funbox(*d, *s)?,
+        match *instr {
+            Instr::Move { d, s } => self.m_move(d, s),
+            Instr::FMove { d, s } => self.m_fmove(d, s),
+            Instr::LoadI { d, imm } => self.m_loadi(d, imm),
+            Instr::LoadF { d, imm } => self.m_loadf(d, imm),
+            Instr::LoadStr { d, pool } => self.m_loadstr(d, pool)?,
+            Instr::LoadLabel { d, label } => self.m_loadlabel(d, label),
+            Instr::Arith { op, d, a, b } => self.m_arith(op, d, a, b)?,
+            Instr::FArith { op, d, a, b } => self.m_farith(op, d, a, b),
+            Instr::FUnary { op, d, a } => self.m_funary(op, d, a),
+            Instr::Floor { d, a } => self.m_floor(d, a),
+            Instr::IntToReal { d, a } => self.m_inttoreal(d, a),
+            Instr::Load { d, base, off } => self.m_load(d, base, off)?,
+            Instr::Store { s, base, off } => self.m_store(s, base, off)?,
+            Instr::StoreWB { s, base, off } => self.m_storewb(s, base, off)?,
+            Instr::FLoad { d, base, off } => self.m_fload(d, base, off)?,
+            Instr::FStore { s, base, off } => self.m_fstore(s, base, off)?,
+            Instr::LoadIdx { d, base, idx } => self.m_loadidx(d, base, idx)?,
+            Instr::StoreIdx { s, base, idx } => self.m_storeidx(s, base, idx)?,
+            Instr::StoreIdxWB { s, base, idx } => self.m_storeidxwb(s, base, idx)?,
+            Instr::ArrLen { d, a } => self.m_arrlen(d, a)?,
+            Instr::FBox { d, s } => self.m_fbox(d, s)?,
+            Instr::FUnbox { d, s } => self.m_funbox(d, s)?,
             Instr::Branch { op, a, b, target } => {
-                if !self.m_branch(*op, *a, *b) {
-                    self.pc = *target as usize;
+                if !self.m_branch(op, a, b) {
+                    self.pc = target as usize;
                 }
             }
             Instr::FBranch { op, a, b, target } => {
-                if !self.m_fbranch(*op, *a, *b) {
-                    self.pc = *target as usize;
+                if !self.m_fbranch(op, a, b) {
+                    self.pc = target as usize;
                 }
             }
             Instr::SBranch { op, a, b, target } => {
-                self.spill([*a, *b]);
-                self.strchk(self.regs[*a as usize])?;
-                self.strchk(self.regs[*b as usize])?;
-                let sa = self.heap.read_string(self.regs[*a as usize]);
-                let sb = self.heap.read_string(self.regs[*b as usize]);
+                self.strchk(self.r(a))?;
+                self.strchk(self.r(b))?;
+                let sa = self.heap.read_string(self.r(a));
+                let sb = self.heap.read_string(self.r(b));
                 self.stats.cycles += 3 + (sa.len().min(sb.len()) as u64) / 4;
                 let taken = match op {
                     SBrOp::Eq => sa == sb,
@@ -1187,12 +1167,11 @@ impl<'p> Engine<'_, 'p> {
                     SBrOp::Ge => sa >= sb,
                 };
                 if !taken {
-                    self.pc = *target as usize;
+                    self.pc = target as usize;
                 }
             }
             Instr::PolyEqBranch { a, b, target } => {
-                self.spill([*a, *b]);
-                let (wa, wb) = (self.regs[*a as usize], self.regs[*b as usize]);
+                let (wa, wb) = (self.r(a), self.r(b));
                 if is_ptr(wa) {
                     self.mem(wa, 0, 0)?;
                 }
@@ -1204,107 +1183,110 @@ impl<'p> Engine<'_, 'p> {
                 // descriptor) plus the traversal.
                 self.stats.cycles += 15 + 3 * cost;
                 if !eq {
-                    self.pc = *target as usize;
+                    self.pc = target as usize;
                 }
             }
             Instr::Switch {
                 r,
                 lo,
-                table,
+                ref table,
                 default,
             } => {
-                self.spill([*r]);
-                self.stats.cycles += 3; // bounds check + table load + indirect jump
-                let n = untag_int(self.regs[*r as usize]);
+                let n = untag_int(self.r(r));
                 let idx = n - lo;
                 self.pc = if idx >= 0 && (idx as usize) < table.len() {
                     table[idx as usize] as usize
                 } else {
-                    *default as usize
+                    default as usize
                 };
             }
             Instr::Jump { label } => {
-                self.m_jump();
-                self.block = *label as usize;
+                self.stats.cycles += self.cfg.fp3_overhead as u64;
+                self.block = label as usize;
                 self.pc = 0;
             }
             Instr::JumpReg { r } => {
-                self.block = self.m_jumpreg(*r)?;
+                self.stats.cycles += self.cfg.fp3_overhead as u64;
+                self.block = self.m_jumpreg(r)?;
                 self.pc = 0;
             }
-            Instr::Rt { op, d, a, b, fa } => {
-                self.spill([*d, *a, *b]);
-                match op {
-                    RtOp::StrCat => {
-                        self.strchk(self.regs[*a as usize])?;
-                        self.strchk(self.regs[*b as usize])?;
-                        let sa = self.heap.read_string(self.regs[*a as usize]);
-                        let sb = self.heap.read_string(self.regs[*b as usize]);
-                        let joined = sa + &sb;
-                        if joined.len() > Heap::MAX_STRING_BYTES {
-                            return Err(VmResult::Fault(format!(
-                                "string of {} bytes exceeds the descriptor limit of {}",
-                                joined.len(),
-                                Heap::MAX_STRING_BYTES
-                            )));
-                        }
-                        let words = joined.len().div_ceil(4);
-                        self.alloc_guard(words)?;
-                        self.stats.cycles += 5 + words as u64;
-                        let Some(p) = self.heap.alloc_string(&joined) else {
-                            return Err(VmResult::HeapExhausted);
-                        };
-                        self.regs[*d as usize] = p;
+            Instr::Rt { op, d, a, b, fa } => match op {
+                RtOp::StrCat => {
+                    self.strchk(self.r(a))?;
+                    self.strchk(self.r(b))?;
+                    let sa = self.heap.read_string(self.r(a));
+                    let sb = self.heap.read_string(self.r(b));
+                    let joined = sa + &sb;
+                    if joined.len() > Heap::MAX_STRING_BYTES {
+                        return Err(VmResult::Fault(format!(
+                            "string of {} bytes exceeds the descriptor limit of {}",
+                            joined.len(),
+                            Heap::MAX_STRING_BYTES
+                        )));
                     }
-                    RtOp::StrSize => {
-                        self.stats.cycles += 2;
-                        self.strchk(self.regs[*a as usize])?;
-                        self.regs[*d as usize] =
-                            tag_int(self.heap.string_len(self.regs[*a as usize]) as i64);
-                    }
-                    RtOp::StrSub => {
-                        self.stats.cycles += 3;
-                        self.strchk(self.regs[*a as usize])?;
-                        let i = untag_int(self.regs[*b as usize]);
-                        let len = self.heap.string_len(self.regs[*a as usize]);
-                        if i < 0 || i as usize >= len {
-                            return Err(VmResult::Fault(format!(
-                                "string index {i} out of bounds for length {len}"
-                            )));
-                        }
-                        self.regs[*d as usize] = tag_int(
-                            self.heap.string_byte(self.regs[*a as usize], i as usize) as i64,
-                        );
-                    }
-                    RtOp::IntToString => {
-                        let s = untag_int(self.regs[*a as usize]).to_string();
-                        let words = s.len().div_ceil(4);
-                        self.alloc_guard(words)?;
-                        self.stats.cycles += 20;
-                        let Some(p) = self.heap.alloc_string(&s) else {
-                            return Err(VmResult::HeapExhausted);
-                        };
-                        self.regs[*d as usize] = p;
-                    }
-                    RtOp::RealToString => {
-                        let s = format!("{:?}", self.fregs[*fa as usize]);
-                        let words = s.len().div_ceil(4);
-                        self.alloc_guard(words)?;
-                        self.stats.cycles += 40;
-                        let Some(p) = self.heap.alloc_string(&s) else {
-                            return Err(VmResult::HeapExhausted);
-                        };
-                        self.regs[*d as usize] = p;
-                    }
+                    let words = joined.len().div_ceil(4);
+                    self.alloc_guard(words)?;
+                    self.stats.cycles += 5 + words as u64;
+                    let Some(p) = self.heap.alloc_string(&joined) else {
+                        return Err(VmResult::HeapExhausted);
+                    };
+                    self.set(d, p);
                 }
-            }
+                RtOp::StrSize => {
+                    self.stats.cycles += 2;
+                    self.strchk(self.r(a))?;
+                    self.set(d, tag_int(self.heap.string_len(self.r(a)) as i64));
+                }
+                RtOp::StrSub => {
+                    self.stats.cycles += 3;
+                    self.strchk(self.r(a))?;
+                    let i = untag_int(self.r(b));
+                    let len = self.heap.string_len(self.r(a));
+                    if i < 0 || i as usize >= len {
+                        return Err(VmResult::Fault(format!(
+                            "string index {i} out of bounds for length {len}"
+                        )));
+                    }
+                    self.set(
+                        d,
+                        tag_int(self.heap.string_byte(self.r(a), i as usize) as i64),
+                    );
+                }
+                RtOp::IntToString => {
+                    let s = untag_int(self.r(a)).to_string();
+                    let words = s.len().div_ceil(4);
+                    self.alloc_guard(words)?;
+                    self.stats.cycles += 20;
+                    let Some(p) = self.heap.alloc_string(&s) else {
+                        return Err(VmResult::HeapExhausted);
+                    };
+                    self.set(d, p);
+                }
+                RtOp::RealToString => {
+                    let s = format!("{:?}", self.f(fa));
+                    let words = s.len().div_ceil(4);
+                    self.alloc_guard(words)?;
+                    self.stats.cycles += 40;
+                    let Some(p) = self.heap.alloc_string(&s) else {
+                        return Err(VmResult::HeapExhausted);
+                    };
+                    self.set(d, p);
+                }
+            },
             Instr::Alloc {
                 d,
                 kind,
-                words,
-                flts,
+                ref words,
+                ref flts,
             } => {
-                self.spill([*d]);
+                if words.len() > MAX_SCAN_FIELDS as usize || 2 * flts.len() > MAX_RAW_WORDS as usize
+                {
+                    return Err(VmResult::Fault(format!(
+                        "record of {} scanned and {} raw words exceeds the descriptor limit",
+                        words.len(),
+                        2 * flts.len()
+                    )));
+                }
                 let total = words.len() + 2 * flts.len();
                 self.alloc_guard(total)?;
                 let k = match kind {
@@ -1317,19 +1299,17 @@ impl<'p> Engine<'_, 'p> {
                 // Initializing stores go through the barrier too: large
                 // objects allocate directly in tenured space and may be
                 // initialized with nursery pointers.
-                for (i, r) in words.iter().enumerate() {
-                    self.heap.store_barriered(p, i, self.regs[*r as usize]);
+                for (i, &r) in words.iter().enumerate() {
+                    self.heap.store_barriered(p, i, self.r(r));
                 }
-                for (j, f) in flts.iter().enumerate() {
-                    self.heap
-                        .store_f64(p, words.len() + 2 * j, self.fregs[*f as usize]);
+                for (j, &f) in flts.iter().enumerate() {
+                    self.heap.store_f64(p, words.len() + 2 * j, self.f(f));
                 }
                 self.stats.cycles += 1 + total as u64 + 2 * flts.len() as u64;
-                self.regs[*d as usize] = p;
+                self.set(d, p);
             }
             Instr::AllocArr { d, len, init } => {
-                self.spill([*d, *len, *init]);
-                let n = untag_int(self.regs[*len as usize]).max(0) as usize;
+                let n = untag_int(self.r(len)).max(0) as usize;
                 if n > Heap::MAX_ARRAY_LEN {
                     return Err(VmResult::Fault(format!(
                         "array of {n} elements exceeds the descriptor limit of {}",
@@ -1340,23 +1320,23 @@ impl<'p> Engine<'_, 'p> {
                 let Some(p) = self.heap.alloc(ObjKind::Array, n as u32, 0) else {
                     return Err(VmResult::HeapExhausted);
                 };
-                let v = self.regs[*init as usize];
+                let v = self.r(init);
                 for i in 0..n {
                     self.heap.store_barriered(p, i, v);
                 }
                 self.stats.cycles += 1 + n as u64;
-                self.regs[*d as usize] = p;
+                self.set(d, p);
             }
-            Instr::GetHdlr { d } => self.m_gethdlr(*d),
-            Instr::SetHdlr { s } => self.m_sethdlr(*s),
+            Instr::GetHdlr { d } => self.m_gethdlr(d),
+            Instr::SetHdlr { s } => self.m_sethdlr(s),
             Instr::Print { s } => {
-                self.strchk(self.regs[*s as usize])?;
-                let txt = self.heap.read_string(self.regs[*s as usize]);
+                self.strchk(self.r(s))?;
+                let txt = self.heap.read_string(self.r(s));
                 self.stats.cycles += 5 + txt.len() as u64 / 4;
                 self.output.push_str(&txt);
             }
-            Instr::Halt { s } => return Err(self.m_halt(*s)),
-            Instr::Uncaught { s } => return Err(self.m_uncaught(*s)),
+            Instr::Halt { s } => return Err(self.m_halt(s)),
+            Instr::Uncaught { s } => return Err(self.m_uncaught(s)),
         }
         Ok(())
     }
@@ -1466,16 +1446,16 @@ fn record_pause(stats: &mut RunStats, minor: bool, cost: u64, budget: u64) {
 
 /// Charges read-barrier copy work accumulated since the last drain to
 /// GC time (it belongs to no recorded pause — that is the point of the
-/// barrier: the copy happens during mutator time).
-pub(crate) fn drain_barrier(heap: &mut Heap, stats: &mut RunStats) {
+/// barrier: the copy happens during mutator time). Returns the cycles
+/// to add to the run's total, which the caller holds.
+#[cold]
+pub(crate) fn drain_barrier(heap: &mut Heap, stats: &mut RunStats) -> u64 {
     let words = heap.take_barrier_words();
-    if words > 0 {
-        let cost = 3 * words;
-        stats.cycles += cost;
-        stats.gc_cycles += cost;
-        stats.major_gc_cycles += cost;
-        stats.barrier_words += words;
-    }
+    let cost = 3 * words;
+    stats.gc_cycles += cost;
+    stats.major_gc_cycles += cost;
+    stats.barrier_words += words;
+    cost
 }
 
 /// Runs one stop-the-world collection with the VM roots (all registers

@@ -1,6 +1,7 @@
 //! The two execution engines are observationally identical: same
-//! results, same output, same `RunStats` counters — under normal
-//! completion, every trap path, and scheduler preemption. Plus the
+//! results, same output, same `RunStats` counters, same slice
+//! boundaries — under normal completion, every trap path, and
+//! scheduler preemption (mid-superinstruction included). Plus the
 //! floor div/mod semantics both engines now share, and the threaded
 //! stream verifier.
 
@@ -256,17 +257,65 @@ fn scheduler_runs_threaded_tenants_identically() {
         }
         sched.run_all()
     };
-    let (dec, _) = run_tenants(Dispatch::Decode);
-    let (thr, _) = run_tenants(Dispatch::Threaded);
+    let (dec, dec_stats) = run_tenants(Dispatch::Decode);
+    let (thr, thr_stats) = run_tenants(Dispatch::Threaded);
     for (d, t) in dec.iter().zip(&thr) {
         assert_eq!(d.result, t.result);
         assert_eq!(d.output, t.output);
         assert_eq!(d.stats, t.stats, "per-tenant stats diverge");
+        assert_eq!(d.slices, t.slices, "slice boundaries diverge");
+        assert_eq!(d.max_overshoot, t.max_overshoot);
         assert_eq!(t.dispatch.engine, Dispatch::Threaded);
         assert!(t.dispatch.superinstructions > 0);
     }
-    // Slice counts may differ (pairs don't split across slices), but
-    // every tenant still finishes with solo-identical results.
+    assert_eq!(
+        (
+            dec_stats.slices,
+            dec_stats.preemptions,
+            dec_stats.max_overshoot
+        ),
+        (
+            thr_stats.slices,
+            thr_stats.preemptions,
+            thr_stats.max_overshoot
+        )
+    );
+}
+
+/// Sweeping the quantum lands slice edges between the two halves of
+/// every fused pair in the loop; the threaded engine must preempt there
+/// exactly as the decode loop does, and resume with the second half
+/// alone, so every slice — not just every result — matches.
+#[test]
+fn slices_split_superinstructions_exactly_like_decode() {
+    let p = sum_loop(20);
+    for quantum in 1..=24 {
+        let slices = |dispatch| {
+            let mut vm = VmInstance::new(&p, &cfg(dispatch));
+            let mut trace = Vec::new();
+            loop {
+                let done = vm.run_slice(quantum);
+                trace.push((vm.stats().cycles, vm.stats().instrs));
+                if done {
+                    break;
+                }
+                // An empty slice must leave the position alone, even
+                // between a pair's halves.
+                assert!(!vm.run_slice(0));
+                assert_eq!(trace.last(), Some(&(vm.stats().cycles, vm.stats().instrs)));
+                assert!(trace.len() < 1_000, "no progress at quantum {quantum}");
+            }
+            (trace, vm.into_outcome())
+        };
+        let (dec_trace, dec) = slices(Dispatch::Decode);
+        let (thr_trace, thr) = slices(Dispatch::Threaded);
+        assert_eq!(
+            dec_trace, thr_trace,
+            "slice edges diverge at quantum {quantum}"
+        );
+        assert_eq!(dec.result, thr.result);
+        assert_eq!(dec.stats, thr.stats);
+    }
 }
 
 #[test]

@@ -6,8 +6,10 @@
 use sml_vm::isa::{AOp, AllocKind, RtOp};
 use sml_vm::vm::FaultInject;
 use sml_vm::{
-    run, CodeBlock, Instr, InstrClass, MachineProgram, Outcome, RunStats, VmConfig, VmResult,
+    run, CodeBlock, Dispatch, Instr, InstrClass, MachineProgram, Outcome, RunStats,
+    SchedulerBuilder, TenantOutcome, TenantSpec, VmConfig, VmResult,
 };
+use std::sync::Arc;
 
 fn prog(instrs: Vec<Instr>) -> MachineProgram {
     MachineProgram {
@@ -422,6 +424,49 @@ fn string_pool_index_out_of_range_faults() {
         Instr::Halt { s: 1 },
     ]));
     expect_fault(&o, "pool index");
+}
+
+/// A register operand past the 64-register file (unverified bytecode)
+/// is a typed Fault before the first step under both engines — not a
+/// host panic on the register-file index — for integer and float
+/// registers alike, and through the scheduler too.
+#[test]
+fn out_of_range_register_faults_before_the_first_step() {
+    let cases = [
+        (
+            prog(vec![Instr::LoadI { d: 200, imm: 1 }, Instr::Halt { s: 0 }]),
+            "register r200 out of range (max 63) at L0 @0",
+        ),
+        (
+            prog(vec![
+                Instr::LoadI { d: 1, imm: 1 },
+                Instr::FMove { d: 3, s: 64 },
+                Instr::Halt { s: 1 },
+            ]),
+            "float register f64 out of range (max 63) at L0 @1",
+        ),
+    ];
+    for (p, needle) in &cases {
+        for dispatch in [Dispatch::Decode, Dispatch::Threaded] {
+            let cfg = VmConfig {
+                dispatch,
+                ..VmConfig::default()
+            };
+            let o = run(p, &cfg);
+            expect_fault(&o, needle);
+            assert_eq!(o.stats, RunStats::default(), "nothing may execute");
+
+            let mut sched = SchedulerBuilder::new().build().unwrap();
+            sched
+                .admit(TenantSpec::new(Arc::new(p.clone()), &cfg))
+                .unwrap();
+            let (reports, stats) = sched.run_all();
+            assert_eq!(reports[0].outcome, TenantOutcome::Fault);
+            assert_eq!(reports[0].result, o.result);
+            assert_eq!(reports[0].first_slice, None);
+            assert_eq!(stats.fault, 1);
+        }
+    }
 }
 
 /// Promotion plus the write barrier, driven end-to-end through the VM:

@@ -125,13 +125,17 @@ cargo test -q -p smlc --test components --test server
 
 # Dispatch-engine gate (docs/ARCHITECTURE.md §7): the threaded engine's
 # differential suite (trap parity, fuel sweeps mid-superinstruction,
-# scheduler slicing, stream verification), then the bench gate proving
-# decode/threaded observational identity over the figure benchmarks ×
-# all six variants plus a 200-seed progen corpus and recording the
-# threaded engine's wall-time geomean. Writes the BENCH_pr9.json
-# trajectory.
+# slice edges between a pair's halves, stream verification), the
+# hostile-bytecode differential (every bytecode corruption in the
+# mutation catalog plus seeded operand perturbations, unverified, on the
+# figure programs: no panic, engines identical), then the bench gate
+# proving decode/threaded observational identity over the figure
+# benchmarks × all six variants plus a 200-seed progen corpus and
+# recording the threaded engine's wall-time geomean. Writes the
+# BENCH_pr9.json trajectory.
 echo "== dispatch: engine differential =="
 cargo test -q -p sml-vm --test dispatch
+cargo test -q -p smlc-bench --test hostile_bytecode
 
 echo "== dispatch bench (BENCH_pr9.json) =="
 cargo run -q --release -p smlc-bench --bin dispatch_bench -- --json="$bench_out/BENCH_pr9.json"
