@@ -18,6 +18,7 @@
 pub mod ast;
 pub mod deps;
 pub mod error;
+pub mod fx;
 pub mod intern;
 pub mod lexer;
 pub mod parser;
@@ -31,6 +32,7 @@ pub use ast::{
 };
 pub use deps::{dec_names, DecNames};
 pub use error::{ParseError, ParseResult};
+pub use fx::{FxHashMap, FxHashSet};
 pub use intern::Symbol;
 pub use parser::{parse, parse_exp};
 pub use print::{print_exp, print_program};

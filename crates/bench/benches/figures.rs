@@ -11,20 +11,19 @@
 //! provides wall-clock medians on the same workloads.
 
 use smlc::{Session, Variant};
-use smlc_bench::benchmarks;
+use smlc_bench::{benchmarks, median};
 use std::time::Instant;
 
 /// Median wall-clock seconds of `iters` runs of `f`.
 fn median_secs(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..iters)
+    let samples: Vec<f64> = (0..iters)
         .map(|_| {
             let t = Instant::now();
             f();
             t.elapsed().as_secs_f64()
         })
         .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    median(&samples)
 }
 
 fn main() {

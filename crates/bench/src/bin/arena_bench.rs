@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use sml_lambda::{Lty, LtyArena, LtyKind};
 use smlc::{CompileError, Compiled, Job, Json, Session, Variant, METRICS_SCHEMA_VERSION};
-use smlc_bench::{benchmarks, json_path_from_args, Benchmark};
+use smlc_bench::{benchmarks, json_path_from_args, median, Benchmark};
 
 /// Measured grid passes per configuration (interleaved cold/warm).
 const GRID_REPS: usize = 5;
@@ -55,11 +55,6 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let r = f();
     (r, t0.elapsed().as_secs_f64() * 1e3)
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
 }
 
 /// The benchmark×variant job grid, in deterministic order.
@@ -226,10 +221,10 @@ fn main() {
     }
     assert_eq!(checksum, 0, "cold and warm replays must agree per round");
 
-    let grid_cold = median(&mut cold_ms);
-    let grid_warm = median(&mut warm_ms);
-    let intern_cold = median(&mut icold_ms);
-    let intern_warm = median(&mut iwarm_ms);
+    let grid_cold = median(&cold_ms);
+    let grid_warm = median(&warm_ms);
+    let intern_cold = median(&icold_ms);
+    let intern_warm = median(&iwarm_ms);
     let intern_speedup = intern_cold / intern_warm;
 
     println!(

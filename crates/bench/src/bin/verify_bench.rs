@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use smlc::{Json, SessionBuilder, Variant, VerifyIr, METRICS_SCHEMA_VERSION};
-use smlc_bench::benchmarks;
+use smlc_bench::{benchmarks, median};
 
 /// Representation extremes plus the paper's allocation-study variant.
 const VARIANTS: [Variant; 3] = [Variant::Nrp, Variant::Ffb, Variant::Fp3];
@@ -32,11 +32,6 @@ const VARIANTS: [Variant; 3] = [Variant::Nrp, Variant::Ffb, Variant::Fp3];
 /// Compile repetitions per (benchmark, variant, mode); the median
 /// timing is reported.
 const REPS: usize = 3;
-
-fn median_ms(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
 
 fn main() {
     let mut path = "BENCH_pr5.json".to_owned();
@@ -107,8 +102,8 @@ fn main() {
                 last = Some(ca);
             }
             let ca = last.unwrap();
-            let o = median_ms(off_ms);
-            let a = median_ms(always_ms);
+            let o = median(&off_ms);
+            let a = median(&always_ms);
             off_total += o;
             always_total += a;
             rows.push(

@@ -429,6 +429,25 @@ pub fn degraded_cells(matrix: &[Vec<BenchCell>]) -> Vec<&Degraded> {
         .collect()
 }
 
+/// The median of a sample: its upper middle element, so an even-sized
+/// sample reports one of its own values.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(smlc_bench::median(&[3.0, 1.0, 2.0]), 2.0);
+/// assert_eq!(smlc_bench::median(&[4.0, 1.0, 3.0, 2.0]), 3.0);
+/// ```
+///
+/// # Panics
+///
+/// Panics on an empty sample.
+pub fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
 /// Geometric mean of a slice of ratios.
 ///
 /// The empty product convention applies: an empty slice has geomean 1.0

@@ -1,11 +1,12 @@
-//! A first-party Fx-style hasher for content addressing.
+//! The Fx-style hasher for content addressing.
 //!
 //! The artifact cache keys compilations by `(source_hash, variant,
-//! config_fingerprint)`; both hashes come from this module. The
-//! algorithm is the multiply-rotate word hash popularized by the
-//! Firefox/rustc `FxHasher` — not cryptographic, but fast, portable,
-//! and (unlike `std::collections::hash_map::DefaultHasher`'s seeded
-//! SipHash) **stable across processes and runs**, which is what a
+//! config_fingerprint)`; both hashes come from [`FxHasher`], the
+//! compiler's one first-party hasher (defined in `sml_ast::fx`, where the
+//! compiler crates' integer-keyed maps use it too). It is not
+//! cryptographic, but fast, portable and (unlike
+//! `std::collections::hash_map::DefaultHasher`'s seeded SipHash)
+//! **stable across processes and runs**, which is what a
 //! content-addressed key needs. Collisions are tolerated by design:
 //! cache entries verify the full source text on lookup (see
 //! `session::ArtifactCache`), so a hash collision costs a recompile,
@@ -13,12 +14,7 @@
 
 use std::hash::Hasher;
 
-/// The multiplier from the Fx hash family (a close relative of the
-/// golden-ratio constant used by Fibonacci hashing), 64-bit flavor.
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-const ROTATE: u32 = 5;
-
-/// A deterministic, process-stable `Hasher`.
+/// A deterministic, process-stable `Hasher` (defined in `sml_ast::fx`).
 ///
 /// # Examples
 ///
@@ -31,54 +27,7 @@ const ROTATE: u32 = 5;
 /// assert_eq!(a, h.finish());
 /// assert_ne!(a, hash_bytes(b"val x = 2"));
 /// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FxHasher {
-    state: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.state = (self.state.rotate_left(ROTATE) ^ word).wrapping_mul(SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            // Fold the length in so "ab" ++ [0] and "ab\0" differ.
-            self.add(u64::from_le_bytes(tail) ^ (rest.len() as u64) << 56);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
+pub use sml_ast::fx::FxHasher;
 
 /// Hashes a byte string to a stable 64-bit digest.
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
@@ -109,5 +58,23 @@ mod tests {
         b.write_u64(9);
         b.write_u64(7);
         assert_ne!(a.finish(), b.finish(), "order matters");
+    }
+
+    /// Digests are content addresses: a change to the hasher must not
+    /// move them. The values are the ones every earlier build produced.
+    #[test]
+    fn digests_are_pinned() {
+        assert_eq!(hash_bytes(b""), 0);
+        assert_eq!(hash_bytes(b"\0"), 0x9500_0000_0000_0000);
+        assert_eq!(hash_bytes(b"val x = 1"), 0x3c00_d083_2485_8ec3);
+        assert_eq!(
+            hash_bytes(b"fun f x = x + 1 (* twelve+ *)"),
+            0xb362_b9dc_1ea4_dec4
+        );
+        let mut h = FxHasher::default();
+        h.write_u8(1);
+        h.write_usize(20);
+        h.write_u64(u64::MAX);
+        assert_eq!(h.finish(), 0xe574_3862_9498_821a);
     }
 }

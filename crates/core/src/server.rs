@@ -63,15 +63,33 @@ struct ClientState {
     jobs: AtomicU64,
 }
 
+/// Requests each worker may have waiting in the dispatch queue. Once
+/// `workers × QUEUE_PER_WORKER` are waiting, a new request is not
+/// queued: it is answered at once, in its place in the request order,
+/// with an `overloaded` error. Clients see backpressure instead of the
+/// server buffering without limit.
+const QUEUE_PER_WORKER: usize = 16;
+
 struct QueueState {
     items: VecDeque<WorkItem>,
     closed: bool,
+}
+
+/// Why [`Shared::enqueue`] turned a request away.
+enum Rejected {
+    /// The queue is at capacity; the request comes back to be answered
+    /// with an `overloaded` error.
+    Full(WorkItem),
+    /// The server is shutting down; the caller should stop reading.
+    Closed,
 }
 
 /// Everything workers and connection pumps share.
 struct Shared<'a> {
     session: &'a Session,
     queue: Mutex<QueueState>,
+    /// The most requests the queue holds (see [`QUEUE_PER_WORKER`]).
+    capacity: usize,
     ready: Condvar,
     stats: Mutex<ServerStats>,
     /// Raised by a `shutdown` request; checked alongside the caller's
@@ -80,12 +98,15 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    /// Enqueues a request for the worker pool; `false` when the server
-    /// is already shutting down (the caller should stop reading).
-    fn enqueue(&self, item: WorkItem) -> bool {
+    /// Enqueues a request for the worker pool, unless the queue is full
+    /// or the server is shutting down.
+    fn enqueue(&self, item: WorkItem) -> Result<(), Rejected> {
         let mut q = self.queue.lock().expect("server queue poisoned");
         if q.closed {
-            return false;
+            return Err(Rejected::Closed);
+        }
+        if q.items.len() >= self.capacity {
+            return Err(Rejected::Full(item));
         }
         q.items.push_back(item);
         let depth = q.items.len();
@@ -95,7 +116,7 @@ impl Shared<'_> {
         s.queue_depth_peak = s.queue_depth_peak.max(depth);
         drop(s);
         self.ready.notify_one();
-        true
+        Ok(())
     }
 
     fn close(&self) {
@@ -320,6 +341,7 @@ impl CompileServer {
                 items: VecDeque::new(),
                 closed: false,
             }),
+            capacity: self.worker_count() * QUEUE_PER_WORKER,
             ready: Condvar::new(),
             stats: Mutex::new(ServerStats::default()),
             stop: AtomicBool::new(false),
@@ -472,7 +494,8 @@ fn read_request(
 /// the peer hits EOF / the server shuts down *and* every accepted
 /// request has been answered — which is what makes EOF shutdown
 /// graceful. A line over [`max_request_bytes`], or one that is not
-/// UTF-8, is answered in order with a typed `request` error, and the
+/// UTF-8, is answered in order with a typed `request` error, a request
+/// that finds the queue full with a typed `overloaded` error, and the
 /// connection goes on serving.
 fn serve_connection(
     shared: &Shared<'_>,
@@ -525,8 +548,21 @@ fn serve_connection(
                         respond: tx.clone(),
                         client: Arc::clone(&client),
                     };
-                    if !shared.enqueue(item) {
-                        break;
+                    match shared.enqueue(item) {
+                        Ok(()) => {}
+                        Err(Rejected::Full(item)) => {
+                            let id = Json::parse(&item.line)
+                                .ok()
+                                .and_then(|req| req.get("id").and_then(Json::as_i64))
+                                .unwrap_or(0);
+                            let why = format!(
+                                "server overloaded: {} requests already queued \
+                                 ({QUEUE_PER_WORKER} per worker); retry later",
+                                shared.capacity
+                            );
+                            let _ = tx.send((seq, error_response(id, "overloaded", &why, 4)));
+                        }
+                        Err(Rejected::Closed) => break,
                     }
                     seq += 1;
                 }

@@ -801,3 +801,44 @@ fn large_tuples_spread_up_to_limit() {
         &format!("{}\n", 55 + 66),
     );
 }
+
+/// Elaboration scopes share bindings between an environment and its
+/// copies; a binding made in an inner scope must still win inside it
+/// and never leak out. Nested `let`, `fn`, `case`, `fun`-clause,
+/// structure, datatype, exception and type bindings shadow a top-level
+/// name (`x`, the constructor `A`, the type `t`) and a built-in one
+/// (`ord`); the printout after each shows the outer binding intact.
+/// (The subset has no `open`; a structure declared in a `let` is the
+/// nearest form.)
+#[test]
+fn nested_scopes_shadow_without_leaking() {
+    let src = r#"
+val x = 1
+fun show tag v = (print tag; print "="; print (itos v); print " ")
+val _ = show "ord" (let fun ord c = 100 in ord #"A" end)
+val _ = show "ord" (ord #"A")
+val _ = show "let" (let val x = 10 in let val x = x + 1 in x end + x end)
+val _ = show "x" x
+val _ = show "fn" ((fn x => x * 2) 7 + x)
+val _ = show "case" (case (5, 6) of (x, y) => x + y)
+fun f 0 = x | f x = x + 100
+val _ = show "fun" (f 0 + f 3)
+fun g x = let val x = x * 3 in x end + x
+val _ = show "g" (g 2)
+val _ = show "fx" (let fun x y = y + 1 in x 5 end)
+val _ = show "str" (let structure S = struct val x = 40 fun ord c = 2 end in S.x + S.ord #"z" + x end)
+datatype t = A | B
+val _ = show "dt" (let datatype u = A of int in case A 5 of A n => n end)
+val _ = show "con" (case A of A => 1 | B => 2)
+val _ = show "ty" (let type t = int val y : t = 3 in y end)
+val _ = show "ty" (case (B : t) of A => 1 | B => 2)
+val _ = show "exn" (let exception E of int in (raise E 9) handle E n => n end)
+val _ = show "x" x
+val _ = show "ord" (ord #"B")
+"#;
+    check(
+        src,
+        "ord=100 ord=65 let=21 x=1 fn=15 case=11 fun=104 g=8 fx=6 str=43 dt=5 con=1 \
+         ty=3 ty=2 exn=9 x=1 ord=66 ",
+    );
+}

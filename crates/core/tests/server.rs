@@ -301,6 +301,81 @@ fn overlong_request_line_is_a_request_error_not_a_buffer() {
     });
 }
 
+/// With one worker busy on a slow job, a pipelined burst past the queue
+/// bound is answered, not buffered: every request gets exactly one
+/// response, in request order, the overflow as typed `overloaded`
+/// errors, and the connection then serves a later compile normally.
+#[test]
+fn burst_past_the_queue_bound_is_answered_overloaded_in_order() {
+    let path = socket_path("overloaded");
+    let shutdown = AtomicBool::new(false);
+    let server = CompileServer::new(Session::with_variant(Variant::Ffb)).workers(1);
+    // Far more than one worker's queue holds.
+    const BURST: i64 = 64;
+
+    std::thread::scope(|s| {
+        let handle = s.spawn(|| server.serve_unix(&path, &shutdown).unwrap());
+        let mut stream = connect(&path);
+        let slow = "fun spin 0 = 0 | spin n = spin (n - 1)\nval _ = print (itos (spin 10000000))";
+        let mut burst = format!("{{\"id\": 0, \"src\": {}, \"run\": true}}\n", quoted(slow));
+        for id in 1..=BURST {
+            let src = format!("val _ = print (itos {id})");
+            burst += &format!(
+                "{{\"id\": {id}, \"src\": {}, \"run\": true}}\n",
+                quoted(&src)
+            );
+        }
+        stream.write_all(burst.as_bytes()).unwrap();
+        stream.flush().unwrap();
+
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut overloaded = 0;
+        for id in 0..=BURST {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let resp =
+                Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"));
+            assert_eq!(resp.get("id").and_then(Json::as_i64), Some(id), "{resp:?}");
+            if resp.get("ok").and_then(Json::as_bool) == Some(true) {
+                // The slow job prints `spin`'s result, 0; the rest their id.
+                let want = id.to_string();
+                assert_eq!(resp.get("output").and_then(Json::as_str), Some(&*want));
+                continue;
+            }
+            let err = resp.get("error").expect("error object");
+            assert_eq!(
+                err.get("kind").and_then(Json::as_str),
+                Some("overloaded"),
+                "{resp:?}"
+            );
+            assert!(err
+                .get("message")
+                .and_then(Json::as_str)
+                .is_some_and(|m| m.contains("16 requests already queued")));
+            assert_eq!(resp.get("exit_code").and_then(Json::as_i64), Some(4));
+            overloaded += 1;
+        }
+        assert!(overloaded > 0, "the burst never hit the bound");
+        assert!(overloaded < BURST, "nothing of the burst was queued");
+
+        let resp = roundtrip(
+            &mut stream,
+            "{\"id\": 99, \"src\": \"val _ = print (itos 7)\", \"run\": true}",
+        );
+        assert_eq!(resp.get("id").and_then(Json::as_i64), Some(99));
+        assert_eq!(resp.get("output").and_then(Json::as_str), Some("7"));
+
+        shutdown.store(true, Ordering::SeqCst);
+        let stats = handle.join().unwrap();
+        assert_eq!(
+            stats.jobs,
+            (BURST + 2 - overloaded) as u64,
+            "overloaded requests never reach a worker"
+        );
+        assert!(stats.queue_depth_peak <= 16, "{stats:?}");
+    });
+}
+
 /// A `{"op":"shutdown"}` request stops the whole server gracefully.
 #[test]
 fn shutdown_op_stops_the_server() {

@@ -17,7 +17,8 @@
 
 use crate::convert::CpsProgram;
 use crate::cps::*;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use sml_ast::{FxHashMap, FxHashSet};
+use std::collections::BTreeSet;
 
 /// A first-order CPS program: closed functions plus an entry expression.
 #[derive(Debug)]
@@ -32,17 +33,17 @@ pub struct ClosedProgram {
 
 /// Converts a CPS program to first-order form.
 pub fn close(prog: CpsProgram) -> ClosedProgram {
-    let mut var_cty = HashMap::new();
+    let mut var_cty = FxHashMap::default();
     collect_ctys(&prog.body, &mut var_cty);
-    let mut fnnames = HashSet::new();
+    let mut fnnames = FxHashSet::default();
     collect_fn_names(&prog.body, &mut fnnames);
-    let mut escaping = HashSet::new();
+    let mut escaping = FxHashSet::default();
     collect_escaping(&prog.body, &fnnames, &mut escaping);
 
     // Free variables per function (raw: vars minus params, including
     // function names).
-    let mut raw_fvs: HashMap<CVar, BTreeSet<CVar>> = HashMap::new();
-    let mut siblings: HashMap<CVar, Vec<CVar>> = HashMap::new();
+    let mut raw_fvs: FxHashMap<CVar, BTreeSet<CVar>> = FxHashMap::default();
+    let mut siblings: FxHashMap<CVar, Vec<CVar>> = FxHashMap::default();
     collect_fvs(&prog.body, &mut raw_fvs, &mut siblings);
 
     // Fixpoint: a reference to a known function adds that function's
@@ -85,7 +86,7 @@ pub fn close(prog: CpsProgram) -> ClosedProgram {
     // Per-function closure environment: ordered fv list excluding all
     // function names (those are rebuilt or passed as extra args).
     // Escaping groups share the union of their members' lists.
-    let mut env_of: HashMap<CVar, Vec<CVar>> = HashMap::new();
+    let mut env_of: FxHashMap<CVar, Vec<CVar>> = FxHashMap::default();
     for (f, fv) in &raw_fvs {
         let mut list: Vec<CVar> = fv
             .iter()
@@ -141,7 +142,7 @@ pub fn close(prog: CpsProgram) -> ClosedProgram {
         env_of,
         out: Vec::new(),
     };
-    let entry = cl.go(prog.body, &HashMap::new());
+    let entry = cl.go(prog.body, &FxHashMap::default());
     ClosedProgram {
         funs: cl.out,
         entry,
@@ -149,7 +150,7 @@ pub fn close(prog: CpsProgram) -> ClosedProgram {
     }
 }
 
-fn collect_ctys(e: &Cexp, out: &mut HashMap<CVar, Cty>) {
+fn collect_ctys(e: &Cexp, out: &mut FxHashMap<CVar, Cty>) {
     match e {
         Cexp::Record {
             dst,
@@ -199,7 +200,7 @@ fn collect_ctys(e: &Cexp, out: &mut HashMap<CVar, Cty>) {
     }
 }
 
-fn collect_fn_names(e: &Cexp, out: &mut HashSet<CVar>) {
+fn collect_fn_names(e: &Cexp, out: &mut FxHashSet<CVar>) {
     match e {
         Cexp::Fix { funs, rest } => {
             for f in funs {
@@ -227,8 +228,8 @@ fn collect_fn_names(e: &Cexp, out: &mut HashSet<CVar>) {
 }
 
 /// A function escapes if its name appears anywhere but an App head.
-fn collect_escaping(e: &Cexp, fnnames: &HashSet<CVar>, out: &mut HashSet<CVar>) {
-    let mark = |v: &Value, out: &mut HashSet<CVar>| {
+fn collect_escaping(e: &Cexp, fnnames: &FxHashSet<CVar>, out: &mut FxHashSet<CVar>) {
+    let mark = |v: &Value, out: &mut FxHashSet<CVar>| {
         if let Value::Var(x) | Value::Label(x) = v {
             if fnnames.contains(x) {
                 out.insert(*x);
@@ -280,11 +281,11 @@ fn collect_escaping(e: &Cexp, fnnames: &HashSet<CVar>, out: &mut HashSet<CVar>) 
 /// Raw free variables of each function, and sibling groups.
 fn collect_fvs(
     e: &Cexp,
-    out: &mut HashMap<CVar, BTreeSet<CVar>>,
-    siblings: &mut HashMap<CVar, Vec<CVar>>,
+    out: &mut FxHashMap<CVar, BTreeSet<CVar>>,
+    siblings: &mut FxHashMap<CVar, Vec<CVar>>,
 ) {
-    fn vars(e: &Cexp, bound: &mut HashSet<CVar>, free: &mut BTreeSet<CVar>) {
-        let val = |v: &Value, bound: &HashSet<CVar>, free: &mut BTreeSet<CVar>| {
+    fn vars(e: &Cexp, bound: &mut FxHashSet<CVar>, free: &mut BTreeSet<CVar>) {
+        let val = |v: &Value, bound: &FxHashSet<CVar>, free: &mut BTreeSet<CVar>| {
             if let Value::Var(x) | Value::Label(x) = v {
                 if !bound.contains(x) {
                     free.insert(*x);
@@ -357,7 +358,7 @@ fn collect_fvs(
         Cexp::Fix { funs, rest } => {
             let names: Vec<CVar> = funs.iter().map(|f| f.name).collect();
             for f in funs {
-                let mut bound: HashSet<CVar> = HashSet::new();
+                let mut bound: FxHashSet<CVar> = FxHashSet::default();
                 bound.insert(f.name);
                 for (p, _) in &f.params {
                     bound.insert(*p);
@@ -390,10 +391,10 @@ fn collect_fvs(
 
 struct Closer {
     next: u32,
-    var_cty: HashMap<CVar, Cty>,
-    fnnames: HashSet<CVar>,
-    escaping: HashSet<CVar>,
-    env_of: HashMap<CVar, Vec<CVar>>,
+    var_cty: FxHashMap<CVar, Cty>,
+    fnnames: FxHashSet<CVar>,
+    escaping: FxHashSet<CVar>,
+    env_of: FxHashMap<CVar, Vec<CVar>>,
     out: Vec<FunDef>,
 }
 
@@ -408,7 +409,7 @@ impl Closer {
         self.var_cty.get(&v).copied().unwrap_or(Cty::Ptr(None))
     }
 
-    fn rv(&self, v: &Value, sub: &HashMap<CVar, Value>) -> Value {
+    fn rv(&self, v: &Value, sub: &FxHashMap<CVar, Value>) -> Value {
         match v {
             Value::Var(x) => sub.get(x).cloned().unwrap_or(Value::Var(*x)),
             other => other.clone(),
@@ -417,7 +418,7 @@ impl Closer {
 
     /// Rewrites an expression; `sub` maps original variables to local
     /// values (closure selects, closure params, rebuilt siblings).
-    fn go(&mut self, e: Cexp, sub: &HashMap<CVar, Value>) -> Cexp {
+    fn go(&mut self, e: Cexp, sub: &FxHashMap<CVar, Value>) -> Cexp {
         match e {
             Cexp::Fix { funs, rest } => self.close_fix(funs, *rest, sub),
             Cexp::Record {
@@ -549,7 +550,7 @@ impl Closer {
         }
     }
 
-    fn close_app(&mut self, f: Value, args: Vec<Value>, sub: &HashMap<CVar, Value>) -> Cexp {
+    fn close_app(&mut self, f: Value, args: Vec<Value>, sub: &FxHashMap<CVar, Value>) -> Cexp {
         let args: Vec<Value> = args.iter().map(|v| self.rv(v, sub)).collect();
         match &f {
             Value::Var(x) | Value::Label(x) if self.fnnames.contains(x) => {
@@ -597,7 +598,7 @@ impl Closer {
         }
     }
 
-    fn close_fix(&mut self, funs: Vec<FunDef>, rest: Cexp, sub: &HashMap<CVar, Value>) -> Cexp {
+    fn close_fix(&mut self, funs: Vec<FunDef>, rest: Cexp, sub: &FxHashMap<CVar, Value>) -> Cexp {
         let esc_members: Vec<CVar> = funs
             .iter()
             .filter(|f| self.escaping.contains(&f.name))
@@ -610,7 +611,7 @@ impl Closer {
             if self.escaping.contains(&name) {
                 // Closure layout: [code, word fvs..., float fvs...].
                 let cparam = self.fresh();
-                let mut fsub: HashMap<CVar, Value> = HashMap::new();
+                let mut fsub: FxHashMap<CVar, Value> = FxHashMap::default();
                 fsub.insert(name, Value::Var(cparam));
                 // Compute physical offsets within the closure.
                 let words: Vec<CVar> = env
@@ -687,7 +688,7 @@ impl Closer {
             } else {
                 // Known function: free variables become parameters under
                 // their original names.
-                let mut fsub: HashMap<CVar, Value> = HashMap::new();
+                let mut fsub: FxHashMap<CVar, Value> = FxHashMap::default();
                 // References to escaping siblings inside a known function
                 // are resolved through the caller-passed closure values
                 // (they are part of `env` when used).
@@ -745,9 +746,9 @@ impl Closer {
 /// Returns a description of the first violation, if any. Used as an
 /// invariant check by the test suite.
 pub fn verify_closed(prog: &ClosedProgram) -> Result<(), String> {
-    let labels: HashSet<CVar> = prog.funs.iter().map(|f| f.name).collect();
-    fn walk(e: &Cexp, scope: &mut HashSet<CVar>, labels: &HashSet<CVar>) -> Result<(), String> {
-        let chk = |v: &Value, scope: &HashSet<CVar>| -> Result<(), String> {
+    let labels: FxHashSet<CVar> = prog.funs.iter().map(|f| f.name).collect();
+    fn walk(e: &Cexp, scope: &mut FxHashSet<CVar>, labels: &FxHashSet<CVar>) -> Result<(), String> {
+        let chk = |v: &Value, scope: &FxHashSet<CVar>| -> Result<(), String> {
             match v {
                 Value::Var(x) => {
                     if scope.contains(x) || labels.contains(x) {
@@ -830,9 +831,9 @@ pub fn verify_closed(prog: &ClosedProgram) -> Result<(), String> {
         }
     }
     for f in &prog.funs {
-        let mut scope: HashSet<CVar> = f.params.iter().map(|(p, _)| *p).collect();
+        let mut scope: FxHashSet<CVar> = f.params.iter().map(|(p, _)| *p).collect();
         walk(&f.body, &mut scope, &labels).map_err(|e| format!("function L{}: {e}", f.name))?;
     }
-    let mut scope = HashSet::new();
+    let mut scope = FxHashSet::default();
     walk(&prog.entry, &mut scope, &labels).map_err(|e| format!("entry: {e}"))
 }

@@ -11,8 +11,8 @@
 //! argument.
 
 use crate::cps::*;
+use sml_ast::{FxHashMap, FxHashSet};
 use sml_lambda::{LVar, Lexp, Lty, LtyInterner, LtyKind, Primop};
-use std::collections::{HashMap, HashSet};
 
 /// Argument/result flattening policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,9 +66,9 @@ pub fn convert(
     first_var: u32,
     cfg: &CpsConfig,
 ) -> CpsProgram {
-    let mut known = HashSet::new();
+    let mut known = FxHashSet::default();
     collect_known(lexp, &mut known);
-    let mut known_arity = HashMap::new();
+    let mut known_arity = FxHashMap::default();
     if cfg.spread == SpreadMode::KnownOnly {
         collect_known_arity(lexp, &known, cfg.max_spread, &mut known_arity);
     }
@@ -76,8 +76,8 @@ pub fn convert(
         i: interner,
         cfg: *cfg,
         next: first_var,
-        env: HashMap::new(),
-        subst: HashMap::new(),
+        env: FxHashMap::default(),
+        subst: FxHashMap::default(),
         known,
         known_arity,
     };
@@ -90,8 +90,8 @@ pub fn convert(
 
 /// Finds LEXP `Fix`-bound functions whose every occurrence is a direct
 /// call head (known functions, eligible for `sml.fag` flattening).
-fn collect_known(e: &Lexp, known: &mut HashSet<LVar>) {
-    fn bound(e: &Lexp, out: &mut HashSet<LVar>) {
+fn collect_known(e: &Lexp, known: &mut FxHashSet<LVar>) {
+    fn bound(e: &Lexp, out: &mut FxHashSet<LVar>) {
         match e {
             Lexp::Fix(fs, b) => {
                 for (v, _, f) in fs {
@@ -134,7 +134,7 @@ fn collect_known(e: &Lexp, known: &mut HashSet<LVar>) {
             _ => {}
         }
     }
-    fn escapes(e: &Lexp, known: &mut HashSet<LVar>) {
+    fn escapes(e: &Lexp, known: &mut FxHashSet<LVar>) {
         match e {
             Lexp::Var(v) => {
                 known.remove(v);
@@ -190,11 +190,16 @@ fn collect_known(e: &Lexp, known: &mut HashSet<LVar>) {
 /// syntactic analysis requiring no type information.
 fn collect_known_arity(
     e: &Lexp,
-    known: &HashSet<LVar>,
+    known: &FxHashSet<LVar>,
     max: usize,
-    out: &mut HashMap<LVar, Option<usize>>,
+    out: &mut FxHashMap<LVar, Option<usize>>,
 ) {
-    fn walk(e: &Lexp, known: &HashSet<LVar>, max: usize, out: &mut HashMap<LVar, Option<usize>>) {
+    fn walk(
+        e: &Lexp,
+        known: &FxHashSet<LVar>,
+        max: usize,
+        out: &mut FxHashMap<LVar, Option<usize>>,
+    ) {
         if let Lexp::App(f, a) = e {
             if let Lexp::Var(v) = &**f {
                 if known.contains(v) {
@@ -253,7 +258,7 @@ fn collect_known_arity(
             _ => {}
         }
     }
-    let mut tmp: HashMap<LVar, Option<usize>> = HashMap::new();
+    let mut tmp: FxHashMap<LVar, Option<usize>> = FxHashMap::default();
     walk(e, known, max, &mut tmp);
     let _ = out;
     *out = tmp;
@@ -280,14 +285,14 @@ struct Conv<'i> {
     cfg: CpsConfig,
     next: u32,
     /// LTY environment for LEXP/CPS variables.
-    env: HashMap<LVar, Lty>,
+    env: FxHashMap<LVar, Lty>,
     /// Values substituted for let-bound variables.
-    subst: HashMap<LVar, Value>,
-    known: HashSet<LVar>,
+    subst: FxHashMap<LVar, Value>,
+    known: FxHashSet<LVar>,
     /// Kranz-style syntactic flattening (`sml.fag`): known functions
     /// whose every call site passes a literal record of one consistent
     /// arity (`None` when inconsistent).
-    known_arity: HashMap<LVar, Option<usize>>,
+    known_arity: FxHashMap<LVar, Option<usize>>,
 }
 
 impl Conv<'_> {

@@ -9,7 +9,7 @@
 //! small functions runs between contraction fixpoints.
 
 use crate::cps::*;
-use std::collections::HashMap;
+use sml_ast::FxHashMap;
 
 /// Optimizer knobs.
 #[derive(Clone, Copy, Debug)]
@@ -106,7 +106,7 @@ pub fn optimize_instrumented<E>(
             let mut inliner = Inline {
                 next: prog.next_var,
                 size_limit: cfg.inline_size,
-                bodies: HashMap::new(),
+                bodies: FxHashMap::default(),
                 stats: &mut stats,
                 budget: 4000,
             };
@@ -130,12 +130,12 @@ enum Def {
 struct Contract<'s> {
     stats: &'s mut OptStats,
     next: u32,
-    uses: HashMap<CVar, u32>,
-    calls: HashMap<CVar, u32>,
-    defs: HashMap<CVar, Def>,
-    subst: HashMap<CVar, Value>,
+    uses: FxHashMap<CVar, u32>,
+    calls: FxHashMap<CVar, u32>,
+    defs: FxHashMap<CVar, Def>,
+    subst: FxHashMap<CVar, Value>,
     /// Bodies of functions to inline at their unique call site.
-    pending_inline: HashMap<CVar, FunDef>,
+    pending_inline: FxHashMap<CVar, FunDef>,
     changed: bool,
 }
 
@@ -144,11 +144,11 @@ impl<'s> Contract<'s> {
         Contract {
             stats,
             next,
-            uses: HashMap::new(),
-            calls: HashMap::new(),
-            defs: HashMap::new(),
-            subst: HashMap::new(),
-            pending_inline: HashMap::new(),
+            uses: FxHashMap::default(),
+            calls: FxHashMap::default(),
+            defs: FxHashMap::default(),
+            subst: FxHashMap::default(),
+            pending_inline: FxHashMap::default(),
             changed: false,
         }
     }
@@ -660,7 +660,7 @@ fn fold_branch(op: BranchOp, args: &[Value]) -> Option<bool> {
 struct Inline<'s> {
     next: u32,
     size_limit: usize,
-    bodies: HashMap<CVar, FunDef>,
+    bodies: FxHashMap<CVar, FunDef>,
     stats: &'s mut OptStats,
     budget: i64,
 }
@@ -695,7 +695,7 @@ impl Inline<'_> {
                             if def.params.len() == args.len() {
                                 self.stats.inlined += 1;
                                 self.budget -= def.body.size() as i64;
-                                let mut map: HashMap<CVar, Value> = HashMap::new();
+                                let mut map: FxHashMap<CVar, Value> = FxHashMap::default();
                                 for ((p, _), a) in def.params.iter().zip(&args) {
                                     map.insert(*p, a.clone());
                                 }
@@ -829,13 +829,13 @@ fn calls_self(f: &FunDef) -> bool {
 
 /// Alpha-renames an expression, substituting via `map` and freshening
 /// every binder.
-pub fn rename(e: &Cexp, map: &mut HashMap<CVar, Value>, next: &mut u32) -> Cexp {
+pub fn rename(e: &Cexp, map: &mut FxHashMap<CVar, Value>, next: &mut u32) -> Cexp {
     let fresh = |next: &mut u32| {
         let v = *next;
         *next += 1;
         v
     };
-    let rv = |v: &Value, map: &HashMap<CVar, Value>| match v {
+    let rv = |v: &Value, map: &FxHashMap<CVar, Value>| match v {
         Value::Var(x) => map.get(x).cloned().unwrap_or(Value::Var(*x)),
         Value::Label(x) => match map.get(x) {
             Some(Value::Var(y)) => Value::Label(*y),

@@ -29,7 +29,7 @@
 use crate::closure::ClosedProgram;
 use crate::convert::CpsProgram;
 use crate::cps::*;
-use std::collections::{HashMap, HashSet};
+use sml_ast::{FxHashMap, FxHashSet};
 
 /// A structured invariant violation found by [`verify_cps`] or
 /// [`verify_closed_program`].
@@ -103,15 +103,15 @@ fn branch_arity(op: BranchOp) -> usize {
 struct Vfy {
     next_var: u32,
     /// After closure conversion: lifted function name → arity.
-    labels: HashMap<CVar, usize>,
+    labels: FxHashMap<CVar, usize>,
     /// Before closure conversion: in-scope `Fix`-bound name → arity.
-    fn_arity: HashMap<CVar, usize>,
+    fn_arity: FxHashMap<CVar, usize>,
     closed: bool,
     sum: CpsVerifySummary,
 }
 
 impl Vfy {
-    fn chk_val(&self, v: &Value, scope: &HashSet<CVar>) -> Result<(), CpsViolation> {
+    fn chk_val(&self, v: &Value, scope: &FxHashSet<CVar>) -> Result<(), CpsViolation> {
         match v {
             // Variables and labels are distinct namespaces after
             // closure conversion (codegen resolves a `Var` through its
@@ -140,7 +140,7 @@ impl Vfy {
         }
     }
 
-    fn bind(&self, v: CVar, scope: &mut HashSet<CVar>) -> Result<(), CpsViolation> {
+    fn bind(&self, v: CVar, scope: &mut FxHashSet<CVar>) -> Result<(), CpsViolation> {
         if v >= self.next_var {
             return Err(violation(
                 "var-range",
@@ -156,7 +156,7 @@ impl Vfy {
         Ok(())
     }
 
-    fn walk(&mut self, e: &Cexp, scope: &mut HashSet<CVar>) -> Result<(), CpsViolation> {
+    fn walk(&mut self, e: &Cexp, scope: &mut FxHashSet<CVar>) -> Result<(), CpsViolation> {
         self.sum.ops += 1;
         match e {
             Cexp::Record {
@@ -327,7 +327,7 @@ impl Vfy {
         }
     }
 
-    fn walk_fun(&mut self, f: &FunDef, scope: &mut HashSet<CVar>) -> Result<(), CpsViolation> {
+    fn walk_fun(&mut self, f: &FunDef, scope: &mut FxHashSet<CVar>) -> Result<(), CpsViolation> {
         self.sum.funs += 1;
         for (p, _) in &f.params {
             self.bind(*p, scope).map_err(|v| {
@@ -358,12 +358,12 @@ impl Vfy {
 pub fn verify_cps(prog: &CpsProgram) -> Result<CpsVerifySummary, CpsViolation> {
     let mut v = Vfy {
         next_var: prog.next_var,
-        labels: HashMap::new(),
-        fn_arity: HashMap::new(),
+        labels: FxHashMap::default(),
+        fn_arity: FxHashMap::default(),
         closed: false,
         sum: CpsVerifySummary::default(),
     };
-    v.walk(&prog.body, &mut HashSet::new())?;
+    v.walk(&prog.body, &mut FxHashSet::default())?;
     Ok(v.sum)
 }
 
@@ -375,7 +375,7 @@ pub fn verify_cps(prog: &CpsProgram) -> Result<CpsVerifySummary, CpsViolation> {
 /// [`crate::closure::verify_closed`]; the pipeline verifier uses this
 /// form so failures carry a machine-readable rule tag.
 pub fn verify_closed_program(prog: &ClosedProgram) -> Result<CpsVerifySummary, CpsViolation> {
-    let mut dup = HashSet::new();
+    let mut dup = FxHashSet::default();
     for f in &prog.funs {
         if !dup.insert(f.name) {
             return Err(violation(
@@ -387,14 +387,14 @@ pub fn verify_closed_program(prog: &ClosedProgram) -> Result<CpsVerifySummary, C
     let mut v = Vfy {
         next_var: prog.next_var,
         labels: prog.funs.iter().map(|f| (f.name, f.params.len())).collect(),
-        fn_arity: HashMap::new(),
+        fn_arity: FxHashMap::default(),
         closed: true,
         sum: CpsVerifySummary::default(),
     };
     for f in &prog.funs {
-        v.walk_fun(f, &mut HashSet::new())?;
+        v.walk_fun(f, &mut FxHashSet::default())?;
     }
-    v.walk(&prog.entry, &mut HashSet::new())
+    v.walk(&prog.entry, &mut FxHashSet::default())
         .map_err(|e| violation(e.rule, format!("entry: {}", e.detail)))?;
     Ok(v.sum)
 }

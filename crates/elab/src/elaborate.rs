@@ -8,11 +8,11 @@
 use crate::absyn::*;
 use crate::env::*;
 use crate::error::{ElabError, ElabResult};
+use sml_ast::FxHashMap;
 use sml_ast::{self as ast, ExpKind, PatKind, Span, Symbol, TyKind};
 use sml_types::{
     generalize_many, unify, EqProp, Scheme, Tv, TvRef, Ty, Tycon, TyconRegistry, UnifyResult,
 };
-use std::collections::HashMap;
 
 /// The result of elaborating a whole program.
 #[derive(Debug)]
@@ -51,8 +51,8 @@ pub fn elaborate(prog: &ast::Program) -> ElabResult<Elaboration> {
         level: 0,
         overloads: Vec::new(),
         flex: Vec::new(),
-        tyvar_scopes: vec![HashMap::new()],
-        fct_roots: HashMap::new(),
+        tyvar_scopes: vec![FxHashMap::default()],
+        fct_roots: FxHashMap::default(),
     };
     let mut decs: Vec<TDec> = builtins
         .all()
@@ -87,10 +87,10 @@ pub(crate) struct Elaborator {
     /// Pending flexible-record constraints.
     flex: Vec<FlexConstraint>,
     /// Stack of implicit/explicit type-variable scopes for `'a` syntax.
-    pub(crate) tyvar_scopes: Vec<HashMap<Symbol, Ty>>,
+    pub(crate) tyvar_scopes: Vec<FxHashMap<Symbol, Ty>>,
     /// Placeholder root variables of functor result environments, keyed
     /// by the functor's closure variable.
-    pub(crate) fct_roots: HashMap<VarId, VarId>,
+    pub(crate) fct_roots: FxHashMap<VarId, VarId>,
 }
 
 impl Elaborator {
@@ -1079,7 +1079,7 @@ impl Elaborator {
     }
 
     fn push_tyvar_scope(&mut self, tyvars: &[Symbol]) {
-        let mut scope = HashMap::new();
+        let mut scope = FxHashMap::default();
         for tv in tyvars {
             let eq = tv.as_str().starts_with("''");
             scope.insert(*tv, Ty::Var(TvRef::fresh_eq(self.level + 1, eq)));
@@ -1094,7 +1094,7 @@ impl Elaborator {
         tyvars: &[Symbol],
         body: &ast::Ty,
     ) -> ElabResult<TyFun> {
-        let mut scope = HashMap::new();
+        let mut scope = FxHashMap::default();
         let mut params = Vec::new();
         for tv in tyvars {
             let cell = TvRef::fresh(self.level);
@@ -1131,7 +1131,7 @@ impl Elaborator {
         let mut batch = Vec::new();
         let mut all_params = Vec::new();
         for (b, tycon) in binds.iter().zip(&tycons) {
-            let mut scope = HashMap::new();
+            let mut scope = FxHashMap::default();
             let mut params = Vec::new();
             for tv in &b.tyvars {
                 let cell = TvRef::fresh(self.level);

@@ -1,9 +1,8 @@
 //! Elaboration environments and the initial (built-in) environment.
 
 use crate::absyn::{Access, CompTy, ConInfo, Prim, StrTy, VarId, VarTable};
-use sml_ast::{SigExp, Symbol};
+use sml_ast::{FxHashMap, SigExp, Symbol};
 use sml_types::{ConRep, Scheme, Stamp, Tv, TvRef, Ty, Tycon, TyconRegistry};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Overload classes for the overloaded source operators.
@@ -236,19 +235,95 @@ pub struct FctDef {
     pub result_ty: StrTy,
 }
 
+/// One namespace of an [`Env`]: bindings by name, each behind an `Rc`.
+///
+/// Elaboration copies its environment at every `let`, match rule, `fun`
+/// declaration and clause, and signature definition. Cloning a scope
+/// copies pointers, never bindings. A write through [`Scope::get_mut`]
+/// or [`Scope::values_mut`] first copies the one binding it touches
+/// (`Rc::make_mut`), so a mutated scope never shows through its clones.
+#[derive(Debug)]
+pub struct Scope<V>(FxHashMap<Symbol, Rc<V>>);
+
+impl<V> Default for Scope<V> {
+    fn default() -> Self {
+        Scope(FxHashMap::default())
+    }
+}
+
+impl<V> Clone for Scope<V> {
+    fn clone(&self) -> Self {
+        Scope(self.0.clone())
+    }
+}
+
+impl<V: Clone> Scope<V> {
+    /// The binding of `name`, if any.
+    pub fn get(&self, name: &Symbol) -> Option<&V> {
+        self.0.get(name).map(|v| &**v)
+    }
+
+    /// Whether `name` is bound.
+    pub fn contains_key(&self, name: &Symbol) -> bool {
+        self.0.contains_key(name)
+    }
+
+    /// Binds `name`, shadowing any earlier binding.
+    pub fn insert(&mut self, name: Symbol, bind: V) {
+        self.0.insert(name, Rc::new(bind));
+    }
+
+    /// The binding of `name`, unshared first so the write stays private
+    /// to this scope.
+    pub fn get_mut(&mut self, name: &Symbol) -> Option<&mut V> {
+        self.0.get_mut(name).map(Rc::make_mut)
+    }
+
+    /// Every binding, each unshared first (see [`Scope::get_mut`]).
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.0.values_mut().map(Rc::make_mut)
+    }
+
+    /// Binds every name of `other` here, sharing its bindings.
+    fn extend(&mut self, other: &Scope<V>) {
+        self.0
+            .extend(other.0.iter().map(|(k, v)| (*k, Rc::clone(v))));
+    }
+}
+
+impl<V: Clone> std::ops::Index<&Symbol> for Scope<V> {
+    type Output = V;
+
+    fn index(&self, name: &Symbol) -> &V {
+        self.get(name).expect("name is bound in this scope")
+    }
+}
+
+impl<V: Clone> IntoIterator for Scope<V> {
+    type Item = (Symbol, V);
+    type IntoIter = std::iter::Map<
+        std::collections::hash_map::IntoIter<Symbol, Rc<V>>,
+        fn((Symbol, Rc<V>)) -> (Symbol, V),
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter().map(|(k, v)| (k, Rc::unwrap_or_clone(v)))
+    }
+}
+
 /// An elaboration environment: five namespaces, functionally extended.
 #[derive(Clone, Debug, Default)]
 pub struct Env {
     /// Value bindings (variables, constructors, primitives).
-    pub vals: HashMap<Symbol, ValBind>,
+    pub vals: Scope<ValBind>,
     /// Type constructor bindings.
-    pub tycons: HashMap<Symbol, TyconBind>,
+    pub tycons: Scope<TyconBind>,
     /// Structure bindings.
-    pub strs: HashMap<Symbol, StrEntry>,
+    pub strs: Scope<StrEntry>,
     /// Signature bindings.
-    pub sigs: HashMap<Symbol, SigDef>,
+    pub sigs: Scope<SigDef>,
     /// Functor bindings.
-    pub fcts: HashMap<Symbol, FctDef>,
+    pub fcts: Scope<FctDef>,
 }
 
 impl Env {
@@ -257,23 +332,14 @@ impl Env {
         Env::default()
     }
 
-    /// Merges `other`'s bindings over `self`'s (right-biased).
+    /// Merges `other`'s bindings over `self`'s (right-biased), sharing
+    /// them rather than copying.
     pub fn extend(&mut self, other: &Env) {
-        for (k, v) in &other.vals {
-            self.vals.insert(*k, v.clone());
-        }
-        for (k, v) in &other.tycons {
-            self.tycons.insert(*k, v.clone());
-        }
-        for (k, v) in &other.strs {
-            self.strs.insert(*k, v.clone());
-        }
-        for (k, v) in &other.sigs {
-            self.sigs.insert(*k, v.clone());
-        }
-        for (k, v) in &other.fcts {
-            self.fcts.insert(*k, v.clone());
-        }
+        self.vals.extend(&other.vals);
+        self.tycons.extend(&other.tycons);
+        self.strs.extend(&other.strs);
+        self.sigs.extend(&other.sigs);
+        self.fcts.extend(&other.fcts);
     }
 }
 
@@ -690,6 +756,66 @@ pub fn builtin_env(reg: &TyconRegistry, vars: &mut VarTable) -> (Env, BuiltinExn
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tycon_named(env: &Env, name: &str) -> Option<Tycon> {
+        match env.tycons.get(&Symbol::intern(name))? {
+            TyconBind::Tycon(t) => Some(t.clone()),
+            TyconBind::Abbrev(_) => None,
+        }
+    }
+
+    #[test]
+    fn inserting_into_a_clone_leaves_the_original_unchanged() {
+        let mut s: Scope<u32> = Scope::default();
+        let (a, b) = (Symbol::intern("scope_a"), Symbol::intern("scope_b"));
+        s.insert(a, 1);
+        let mut c = s.clone();
+        c.insert(a, 2);
+        c.insert(b, 3);
+        assert_eq!((s.get(&a), s.get(&b)), (Some(&1), None));
+        assert_eq!((c.get(&a), c.get(&b)), (Some(&2), Some(&3)));
+    }
+
+    #[test]
+    fn writing_through_a_clone_leaves_the_original_unchanged() {
+        let mut s: Scope<Vec<u32>> = Scope::default();
+        let a = Symbol::intern("scope_a");
+        s.insert(a, vec![1]);
+        let mut c = s.clone();
+        c.get_mut(&a).expect("bound").push(2);
+        for v in c.values_mut() {
+            v.push(3);
+        }
+        assert_eq!(s[&a], vec![1]);
+        assert_eq!(c[&a], vec![1, 2, 3]);
+        // And the other way round: the original's writes stay its own.
+        s.get_mut(&a).expect("bound").push(9);
+        assert_eq!(
+            (s[&a].as_slice(), c[&a].as_slice()),
+            (&[1, 9][..], &[1, 2, 3][..])
+        );
+    }
+
+    #[test]
+    fn extend_shares_bindings_and_shadows() {
+        let reg = TyconRegistry::with_builtins();
+        let mut vars = VarTable::new();
+        let (base, _) = builtin_env(&reg, &mut vars);
+        let mut inner = Env::new();
+        inner.tycons.insert(
+            Symbol::intern("int"),
+            TyconBind::Abbrev(TyFun::constant(Ty::unit())),
+        );
+        let mut env = base.clone();
+        env.extend(&inner);
+        assert!(tycon_named(&env, "int").is_none(), "the extension shadows");
+        assert!(tycon_named(&base, "int").is_some(), "the base is untouched");
+        let plus = Symbol::intern("+");
+        assert!(
+            Rc::ptr_eq(&env.vals.0[&plus], &base.vals.0[&plus]),
+            "shared, not copied"
+        );
+    }
 
     #[test]
     fn builtin_env_has_core_bindings() {

@@ -12,9 +12,9 @@ use crate::absyn::*;
 use crate::elaborate::Elaborator;
 use crate::env::*;
 use crate::error::{ElabError, ElabResult};
+use sml_ast::FxHashMap;
 use sml_ast::{self as ast, Span, Spec, Symbol};
 use sml_types::{ConRep, EqProp, Scheme, Stamp, Tv, TvRef, Ty, Tycon};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// The result of elaborating a structure expression: its typed form, its
@@ -64,7 +64,7 @@ pub(crate) fn reroot_env(env: &Env, root: VarId, new: &Access) -> Env {
 // ----- tycon substitution (functor instantiation) --------------------------
 
 /// Substitutes flexible tycons by type functions throughout a type.
-pub(crate) fn subst_ty(ty: &Ty, map: &HashMap<Stamp, TyFun>) -> Ty {
+pub(crate) fn subst_ty(ty: &Ty, map: &FxHashMap<Stamp, TyFun>) -> Ty {
     match ty.head() {
         Ty::Var(v) => Ty::Var(v),
         Ty::Con(c, args) => {
@@ -79,7 +79,7 @@ pub(crate) fn subst_ty(ty: &Ty, map: &HashMap<Stamp, TyFun>) -> Ty {
     }
 }
 
-fn ty_mentions(ty: &Ty, map: &HashMap<Stamp, TyFun>) -> bool {
+fn ty_mentions(ty: &Ty, map: &FxHashMap<Stamp, TyFun>) -> bool {
     match ty.head() {
         Ty::Var(_) => false,
         Ty::Con(c, args) => map.contains_key(&c.stamp) || args.iter().any(|a| ty_mentions(a, map)),
@@ -88,7 +88,7 @@ fn ty_mentions(ty: &Ty, map: &HashMap<Stamp, TyFun>) -> bool {
     }
 }
 
-fn subst_scheme(s: &Scheme, map: &HashMap<Stamp, TyFun>) -> Scheme {
+fn subst_scheme(s: &Scheme, map: &FxHashMap<Stamp, TyFun>) -> Scheme {
     Scheme {
         arity: s.arity,
         eq_flags: s.eq_flags.clone(),
@@ -97,7 +97,7 @@ fn subst_scheme(s: &Scheme, map: &HashMap<Stamp, TyFun>) -> Scheme {
     }
 }
 
-fn subst_strty(t: &StrTy, map: &HashMap<Stamp, TyFun>) -> StrTy {
+fn subst_strty(t: &StrTy, map: &FxHashMap<Stamp, TyFun>) -> StrTy {
     StrTy(
         t.0.iter()
             .map(|(n, c)| {
@@ -112,7 +112,7 @@ fn subst_strty(t: &StrTy, map: &HashMap<Stamp, TyFun>) -> StrTy {
     )
 }
 
-fn subst_env(env: &Env, map: &HashMap<Stamp, TyFun>) -> Env {
+fn subst_env(env: &Env, map: &FxHashMap<Stamp, TyFun>) -> Env {
     let mut out = env.clone();
     for bind in out.vals.values_mut() {
         match bind {
@@ -150,7 +150,7 @@ fn subst_env(env: &Env, map: &HashMap<Stamp, TyFun>) -> Env {
 /// structure type, a result component environment rooted at a fresh
 /// placeholder, that placeholder, and the instantiation map from the
 /// signature's flexible stamps to the structure's actual type functions.
-pub(crate) type SigMatch = (Vec<ThinItem>, StrTy, Env, VarId, HashMap<Stamp, TyFun>);
+pub(crate) type SigMatch = (Vec<ThinItem>, StrTy, Env, VarId, FxHashMap<Stamp, TyFun>);
 
 impl Elaborator {
     // ----- structure bindings ---------------------------------------------
@@ -500,7 +500,7 @@ impl Elaborator {
     ) -> ElabResult<()> {
         match spec {
             Spec::Val(name, ty) => {
-                self.tyvar_scopes.push(HashMap::new());
+                self.tyvar_scopes.push(FxHashMap::default());
                 self.level += 1;
                 let t = self.elab_ty(local, ty);
                 self.level -= 1;
@@ -539,7 +539,7 @@ impl Elaborator {
                 scratch
                     .tycons
                     .insert(db.name, TyconBind::Tycon(tycon.clone()));
-                let mut scope = HashMap::new();
+                let mut scope = FxHashMap::default();
                 let mut params = Vec::new();
                 for tv in &db.tyvars {
                     let cell = TvRef::fresh(self.level);
@@ -726,7 +726,7 @@ impl Elaborator {
         opaque: bool,
         span: Span,
     ) -> ElabResult<SigMatch> {
-        let mut instmap: HashMap<Stamp, TyFun> = HashMap::new();
+        let mut instmap: FxHashMap<Stamp, TyFun> = FxHashMap::default();
         let (items, ty, env, root) =
             self.match_sig_inner(src_ty, src_env, si, opaque, span, &mut instmap)?;
         Ok((items, ty, env, root, instmap))
@@ -739,7 +739,7 @@ impl Elaborator {
         si: &SigInstance,
         opaque: bool,
         span: Span,
-        instmap: &mut HashMap<Stamp, TyFun>,
+        instmap: &mut FxHashMap<Stamp, TyFun>,
     ) -> ElabResult<(Vec<ThinItem>, StrTy, Env, VarId)> {
         let root = self.vars.fresh(Symbol::intern("<thin>"), Ty::unit());
         let mut items = Vec::new();

@@ -15,7 +15,7 @@
 
 use crate::lexp::{LVar, Lexp};
 use crate::lty::{Lty, LtyInterner, LtyKind};
-use std::collections::HashMap;
+use sml_ast::FxHashMap;
 
 /// A fresh-variable generator for the lambda language.
 #[derive(Debug, Default)]
@@ -233,7 +233,7 @@ fn coerce_inner(
 #[derive(Debug, Default)]
 pub struct CoercionCache {
     enabled: bool,
-    map: HashMap<(Lty, Lty), LVar>,
+    map: FxHashMap<(Lty, Lty), LVar>,
     /// Generated shared coercion functions `(name, from, to)`.
     defs: Vec<(LVar, Lty, Lty)>,
 }
@@ -244,7 +244,7 @@ impl CoercionCache {
     pub fn new(enabled: bool) -> CoercionCache {
         CoercionCache {
             enabled,
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             defs: Vec::new(),
         }
     }
@@ -319,7 +319,7 @@ mod tests {
     use super::*;
     use crate::lexp::type_of;
     use crate::lty::InternMode;
-    use std::collections::HashMap as Map;
+    use sml_ast::FxHashMap as Map;
 
     fn setup() -> (LtyInterner, VarGen, CoerceStats) {
         (
@@ -352,7 +352,7 @@ mod tests {
         let e = coerce_exp(&mut i, &mut vg, &mut st, Lexp::Real(1.5), real, boxed);
         assert!(matches!(e, Lexp::Wrap(..)));
         assert_eq!(st.wraps, 1);
-        let t = type_of(&e, &mut Map::new(), &mut i).unwrap();
+        let t = type_of(&e, &mut Map::default(), &mut i).unwrap();
         assert_eq!(t, i.boxed());
     }
 
@@ -368,7 +368,7 @@ mod tests {
         let e = coerce_exp(&mut i, &mut vg, &mut st, rec, flat, rb);
         assert_eq!(st.record_rebuilds, 1);
         assert_eq!(st.wraps, 2, "each REAL field is wrapped");
-        let t = type_of(&e, &mut Map::new(), &mut i).unwrap();
+        let t = type_of(&e, &mut Map::default(), &mut i).unwrap();
         // Result is a record of boxed fields — a standard representation.
         assert!(matches!(i.kind(t), LtyKind::Record(fs) if fs.len() == 2));
     }
@@ -381,7 +381,7 @@ mod tests {
         let rb = i.rboxed();
         let v = vg.fresh();
         let e = coerce_exp(&mut i, &mut vg, &mut st, Lexp::Var(v), rb, flat);
-        let mut env = Map::new();
+        let mut env = Map::default();
         env.insert(v, rb);
         let t = type_of(&e, &mut env, &mut i).unwrap();
         assert!(i.same(t, flat));
@@ -401,7 +401,7 @@ mod tests {
         let e = coerce_exp(&mut i, &mut vg, &mut st, Lexp::Var(f), mono, poly);
         assert_eq!(st.fn_wrappers, 1);
         assert_eq!(st.wraps, 2, "argument funwrap + result fwrap");
-        let mut env = Map::new();
+        let mut env = Map::default();
         env.insert(f, mono);
         let t = type_of(&e, &mut env, &mut i).unwrap();
         assert!(matches!(i.kind(t), LtyKind::Arrow(..)));
@@ -418,7 +418,7 @@ mod tests {
         let v = vg.fresh();
         let boxed_e = coerce_exp(&mut i, &mut vg, &mut st, Lexp::Var(v), flat, rb);
         let back = coerce_exp(&mut i, &mut vg, &mut st, boxed_e, rb, flat);
-        let mut env = Map::new();
+        let mut env = Map::default();
         env.insert(v, flat);
         let t = type_of(&back, &mut env, &mut i).unwrap();
         assert!(i.same(t, flat));
@@ -443,7 +443,7 @@ mod tests {
         };
         assert_eq!(f1, f2);
         // Emitting produces a well-typed program.
-        let mut env = Map::new();
+        let mut env = Map::default();
         env.insert(100, s1);
         env.insert(101, s2);
         let body = Lexp::Int(0);

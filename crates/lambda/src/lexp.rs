@@ -7,7 +7,7 @@
 //! all other expressions are computed bottom-up ([`type_of`]).
 
 use crate::lty::{Lty, LtyInterner, LtyKind};
-use std::collections::HashMap;
+use sml_ast::FxHashMap;
 
 /// A lambda-language variable.
 pub type LVar = u32;
@@ -261,7 +261,11 @@ pub fn compat(i: &mut LtyInterner, a: Lty, b: Lty) -> bool {
 /// Returns a description of the first internal type inconsistency; this
 /// indicates a compiler bug, and the tests use it as an invariant check
 /// after translation and after each optimization.
-pub fn type_of(e: &Lexp, env: &mut HashMap<LVar, Lty>, i: &mut LtyInterner) -> Result<Lty, String> {
+pub fn type_of(
+    e: &Lexp,
+    env: &mut FxHashMap<LVar, Lty>,
+    i: &mut LtyInterner,
+) -> Result<Lty, String> {
     match e {
         Lexp::Var(v) => env
             .get(v)
@@ -460,7 +464,7 @@ mod tests {
 
     fn check(e: &Lexp) -> Result<Lty, String> {
         let mut i = LtyInterner::new(InternMode::HashCons);
-        type_of(e, &mut HashMap::new(), &mut i)
+        type_of(e, &mut FxHashMap::default(), &mut i)
     }
 
     #[test]
@@ -487,7 +491,7 @@ mod tests {
             )),
             Box::new(Lexp::Int(41)),
         );
-        let t = type_of(&e, &mut HashMap::new(), &mut i).unwrap();
+        let t = type_of(&e, &mut FxHashMap::default(), &mut i).unwrap();
         assert_eq!(t, i.int());
     }
 
@@ -507,7 +511,7 @@ mod tests {
                 Lexp::Wrap(real, Box::new(Lexp::Real(2.0))),
             ],
         );
-        assert!(type_of(&e, &mut HashMap::new(), &mut i).is_ok());
+        assert!(type_of(&e, &mut FxHashMap::default(), &mut i).is_ok());
     }
 
     #[test]
@@ -517,7 +521,7 @@ mod tests {
             Box::new(Lexp::Record(vec![Lexp::Int(1), Lexp::Real(2.0)])),
         );
         let mut i = LtyInterner::new(InternMode::HashCons);
-        let t = type_of(&e, &mut HashMap::new(), &mut i).unwrap();
+        let t = type_of(&e, &mut FxHashMap::default(), &mut i).unwrap();
         assert_eq!(t, i.real());
         let bad = Lexp::Select(5, Box::new(Lexp::Record(vec![Lexp::Int(1)])));
         assert!(check(&bad).is_err());
@@ -528,7 +532,7 @@ mod tests {
         let mut i = LtyInterner::new(InternMode::HashCons);
         let real = i.real();
         let e = Lexp::Unwrap(real, Box::new(Lexp::Wrap(real, Box::new(Lexp::Real(3.0)))));
-        let t = type_of(&e, &mut HashMap::new(), &mut i).unwrap();
+        let t = type_of(&e, &mut FxHashMap::default(), &mut i).unwrap();
         assert_eq!(t, i.real());
     }
 

@@ -37,6 +37,7 @@
 //! `ablation_hashcons` bench). Structural views are self-contained and
 //! single-threaded; they never touch an arena.
 
+use sml_ast::fx::FxHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -159,67 +160,13 @@ const ATOMS: [LtyKind; 5] = [
     LtyKind::Bottom,
 ];
 
-/// Multiplier/rotation of the Fx word-hash family — the same
-/// process-stable construction as `smlc::fxhash`, duplicated here
-/// because `sml_lambda` sits below the `smlc` crate in the graph.
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-const FX_ROTATE: u32 = 5;
-
-/// A deterministic (process-stable, thread-independent) hasher used to
-/// pick a kind's shard. `std`'s default SipHash is seeded per process,
-/// which would still be *consistent* within a process, but a fixed
-/// hash keeps shard assignment reproducible run-to-run for debugging
-/// and makes the determinism argument independent of `std` internals.
-#[derive(Default)]
-struct StableHasher {
-    state: u64,
-}
-
-impl Hasher for StableHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u8(b);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.mix(n as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.mix(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl StableHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.state = (self.state.rotate_left(FX_ROTATE) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
 /// Stable content hash of a kind (child handles are hashed as their
-/// `u32` values, which is self-consistent within one arena).
+/// `u32` values, which is self-consistent within one arena). The Fx
+/// hasher is process-stable, unlike `std`'s per-process seeded SipHash,
+/// so shard assignment is reproducible run to run and the determinism
+/// argument does not depend on `std` internals.
 fn stable_hash(kind: &LtyKind) -> u64 {
-    let mut h = StableHasher::default();
+    let mut h = FxHasher::default();
     kind.hash(&mut h);
     h.finish()
 }
@@ -808,6 +755,51 @@ impl LtyInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shards and handles are part of every compile's identity (a
+    /// handle encodes its shard, and interning order fixes its slot):
+    /// the hasher behind `shard_of` must keep these values.
+    #[test]
+    fn shard_of_and_handles_are_pinned() {
+        let pinned = [
+            (LtyKind::Int, 0, 0),
+            (LtyKind::Real, 5, 0x517c_c1b7_2722_0a95),
+            (LtyKind::Boxed, 4, 0x45f3_06dc_9c88_2a54),
+            (LtyKind::RBoxed, 9, 0x976f_c893_c3aa_34e9),
+            (LtyKind::Bottom, 8, 0x8be6_0db9_3910_54a8),
+            (
+                LtyKind::Record(vec![Lty(0), Lty(1)]),
+                9,
+                0x9545_3163_c32a_0a5a,
+            ),
+            (LtyKind::Arrow(Lty(2), Lty(3)), 2, 0x20c3_6f41_1f50_6c8f),
+            (
+                LtyKind::SRecord(vec![Lty(4), Lty(49), Lty(7)]),
+                15,
+                0xf050_03a2_e21a_9d64,
+            ),
+            (
+                LtyKind::PRecord(vec![(0, Lty(1)), (3, Lty(82))]),
+                11,
+                0xb1b7_02da_470b_0f63,
+            ),
+            (LtyKind::Record(vec![]), 1, 0x1a8a_d3dc_8fa7_81e4),
+        ];
+        for (kind, shard, hash) in pinned {
+            assert_eq!(
+                (shard_of(&kind), stable_hash(&kind)),
+                (shard, hash),
+                "{kind:?}"
+            );
+        }
+        let mut i = LtyInterner::new(InternMode::HashCons);
+        let atoms = [i.int(), i.real(), i.boxed(), i.rboxed(), i.bottom()];
+        assert_eq!(atoms, [Lty(0), Lty(5), Lty(4), Lty(9), Lty(8)]);
+        let a = i.record(vec![i.int(), i.real()]);
+        let b = i.arrow(a, i.boxed());
+        let c = i.srecord(vec![a, b, i.rboxed()]);
+        assert_eq!([a, b, c], [Lty(13), Lty(21), Lty(10)]);
+    }
 
     #[test]
     fn hash_consing_dedupes() {

@@ -10,12 +10,12 @@
 use crate::coerce::{coerce_exp, CoerceStats, CoercionCache, VarGen};
 use crate::lexp::{LVar, Lexp, Primop};
 use crate::lty::{InternMode, Lty, LtyInterner, LtyKind};
+use sml_ast::{FxHashMap, FxHashSet};
 use sml_elab::{
     Access, CompTy, ConInfo, Elaboration, Prim, StrTy, TDec, TExp, TExpKind, TStrExp, ThinItem,
     VarId,
 };
 use sml_types::{ConRep, Scheme, Tv, Ty, TyconKind};
-use std::collections::{HashMap, HashSet};
 
 /// Configuration of the lambda translation, distinguishing the paper's
 /// compiler variants.
@@ -87,7 +87,7 @@ pub fn translate_seeded(elab: &Elaboration, cfg: &LambdaConfig, seed: LtyInterne
         cfg: *cfg,
         interner,
         vg: VarGen::new(),
-        vmap: HashMap::new(),
+        vmap: FxHashMap::default(),
         cache: CoercionCache::new(cfg.memo_coercions),
         stats: CoerceStats::default(),
         warnings: Vec::new(),
@@ -112,7 +112,7 @@ pub(crate) struct Translator<'a> {
     pub(crate) cfg: LambdaConfig,
     pub(crate) interner: LtyInterner,
     pub(crate) vg: VarGen,
-    pub(crate) vmap: HashMap<VarId, LVar>,
+    pub(crate) vmap: FxHashMap<VarId, LVar>,
     pub(crate) cache: CoercionCache,
     pub(crate) stats: CoerceStats,
     pub(crate) warnings: Vec<String>,
@@ -158,7 +158,7 @@ impl Translator<'_> {
         if !self.cfg.type_based {
             return self.ltc_untyped(ty);
         }
-        let mut marked = HashSet::new();
+        let mut marked = FxHashSet::default();
         mark_con_vars(ty, false, &mut marked);
         self.ltc_go(ty, &marked)
     }
@@ -182,7 +182,7 @@ impl Translator<'_> {
         }
     }
 
-    fn ltc_go(&mut self, ty: &Ty, marked: &HashSet<VarKey>) -> Lty {
+    fn ltc_go(&mut self, ty: &Ty, marked: &FxHashSet<VarKey>) -> Lty {
         match ty.head() {
             Ty::Var(v) => {
                 if marked.contains(&var_key(&v)) {
@@ -1203,7 +1203,7 @@ fn var_key(v: &sml_types::TvRef) -> VarKey {
 /// Marks type variables that appear anywhere under a (rigid or flexible)
 /// type constructor (paper Figure 6: such variables translate to
 /// `RBOXEDty` because datatype contents use standard representations).
-fn mark_con_vars(ty: &Ty, under_con: bool, marked: &mut HashSet<VarKey>) {
+fn mark_con_vars(ty: &Ty, under_con: bool, marked: &mut FxHashSet<VarKey>) {
     match ty.head() {
         Ty::Var(v) => {
             if under_con {

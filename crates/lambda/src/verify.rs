@@ -20,7 +20,7 @@
 
 use crate::lexp::{compat, LVar, Lexp};
 use crate::lty::{Lty, LtyInterner, LtyKind};
-use std::collections::HashMap;
+use sml_ast::FxHashMap;
 
 /// A structured well-formedness violation found by [`verify_lexp`].
 ///
@@ -70,12 +70,12 @@ pub fn verify_lexp(e: &Lexp, i: &mut LtyInterner) -> Result<LexpVerifySummary, L
         i,
         sum: LexpVerifySummary::default(),
     };
-    ck.infer(e, &mut HashMap::new())?;
+    ck.infer(e, &mut FxHashMap::default())?;
     Ok(ck.sum)
 }
 
 impl Check<'_> {
-    fn infer(&mut self, e: &Lexp, env: &mut HashMap<LVar, Lty>) -> Result<Lty, LexpViolation> {
+    fn infer(&mut self, e: &Lexp, env: &mut FxHashMap<LVar, Lty>) -> Result<Lty, LexpViolation> {
         self.sum.nodes += 1;
         match e {
             Lexp::Var(v) => env

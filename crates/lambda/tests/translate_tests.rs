@@ -2,7 +2,6 @@
 //! typed-IR invariant under every compiler configuration.
 
 use sml_lambda::{translate, type_of, InternMode, LambdaConfig, Lexp, Translation};
-use std::collections::HashMap;
 
 fn configs() -> Vec<(&'static str, LambdaConfig)> {
     vec![
@@ -62,11 +61,11 @@ fn trans_mtd(src: &str, cfg: &LambdaConfig) -> Translation {
 fn check_all(src: &str) {
     for (name, cfg) in configs() {
         let mut tr = trans(src, &cfg);
-        if let Err(e) = type_of(&tr.lexp, &mut HashMap::new(), &mut tr.interner) {
+        if let Err(e) = type_of(&tr.lexp, &mut Default::default(), &mut tr.interner) {
             panic!("[{name}] ill-typed LEXP for program:\n{src}\nerror: {e}");
         }
         let mut tr = trans_mtd(src, &cfg);
-        if let Err(e) = type_of(&tr.lexp, &mut HashMap::new(), &mut tr.interner) {
+        if let Err(e) = type_of(&tr.lexp, &mut Default::default(), &mut tr.interner) {
             panic!("[{name}+mtd] ill-typed LEXP for program:\n{src}\nerror: {e}");
         }
     }
@@ -411,7 +410,7 @@ fn structural_interning_still_correct() {
          val s = map (fn x => x + 1.0) [1.0, 2.0]",
         &cfg,
     );
-    assert!(type_of(&tr.lexp, &mut HashMap::new(), &mut tr.interner).is_ok());
+    assert!(type_of(&tr.lexp, &mut Default::default(), &mut tr.interner).is_ok());
     assert!(
         tr.interner.deep_compares > 0,
         "structural mode exercises deep compares"

@@ -8,8 +8,8 @@
 //! otherwise value-carrying constructors become `[tag, value]` records.
 
 use crate::ty::{Stamp, Tv, TvRef, Ty, Tycon, TyconKind};
+use sml_ast::FxHashMap;
 use sml_ast::Symbol;
-use std::collections::HashMap;
 
 /// One datatype in a `register_batch` call: the type constructor,
 /// its bound variables, and its `(constructor, payload)` list.
@@ -128,7 +128,7 @@ pub fn assign_reps(cons: &[(Symbol, Option<Ty>)]) -> Vec<ConDef> {
 /// All datatypes known to a compilation, keyed by tycon stamp.
 #[derive(Clone, Debug, Default)]
 pub struct TyconRegistry {
-    map: HashMap<Stamp, DatatypeDef>,
+    map: FxHashMap<Stamp, DatatypeDef>,
 }
 
 impl TyconRegistry {
@@ -199,7 +199,7 @@ impl TyconRegistry {
     pub fn register_batch(&mut self, batch: Vec<DatatypeBatchItem>) {
         let stamps: Vec<Stamp> = batch.iter().map(|(t, _, _)| t.stamp).collect();
         // Optimistically assume every member admits equality, then iterate.
-        let mut admits: HashMap<Stamp, bool> = stamps.iter().map(|s| (*s, true)).collect();
+        let mut admits: FxHashMap<Stamp, bool> = stamps.iter().map(|s| (*s, true)).collect();
         loop {
             let mut changed = false;
             for (tycon, _, cons) in &batch {
@@ -236,7 +236,7 @@ impl TyconRegistry {
 
     /// Equality admission for a payload type, assuming generic parameters
     /// admit equality and using `pending` for members of the current batch.
-    fn payload_admits_eq(&self, t: &Ty, pending: &HashMap<Stamp, bool>) -> bool {
+    fn payload_admits_eq(&self, t: &Ty, pending: &FxHashMap<Stamp, bool>) -> bool {
         match t.head() {
             Ty::Var(_) => true, // parameters assumed eq
             Ty::Record(fs) => fs.iter().all(|(_, t)| self.payload_admits_eq(t, pending)),

@@ -11,10 +11,11 @@
 //! move with scratch-register cycle breaking.
 
 use crate::isa::*;
+use sml_ast::{FxHashMap, FxHashSet};
 use sml_cps::{
     AllocOp, BranchOp, CVar, Cexp, ClosedProgram, Cty, FunDef, LookOp, PureOp, SetOp, Value,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Maximum word parameters before trailing parameters are packed into a
 /// record (the spill-record transformation).
@@ -27,37 +28,36 @@ const FSCRATCH: FReg = 31;
 
 /// Compiles a closed CPS program to machine code.
 pub fn codegen(prog: &ClosedProgram) -> MachineProgram {
-    let mut prog = limit_params(prog);
+    let packed = limit_params(prog);
+    let prog = packed.as_ref().unwrap_or(prog);
     let mut pool: Vec<String> = Vec::new();
+    // Keyed by source string literals: std's seeded hasher, so crafted
+    // source cannot force collisions.
     let mut pool_ix: HashMap<String, u32> = HashMap::new();
 
     // Label numbering: function name -> block index. Entry gets block 0,
     // the uncaught-exception stub block 1.
-    let mut label_of: HashMap<CVar, u32> = HashMap::new();
-    for (i, f) in prog.funs.iter().enumerate() {
-        label_of.insert(f.name, (i + 2) as u32);
-    }
-    // Parameter CTYs per label (for call-site argument placement).
-    let mut params_of: HashMap<u32, Vec<Cty>> = HashMap::new();
-    for f in &prog.funs {
-        params_of.insert(
-            label_of[&f.name],
-            f.params.iter().map(|(_, c)| *c).collect(),
-        );
-    }
+    let label_of: FxHashMap<CVar, u32> = prog
+        .funs
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.name, (i + 2) as u32))
+        .collect();
 
     let mut blocks = Vec::new();
 
     // Block 0: entry. Prologue installs the uncaught-exception handler
     // closure, then runs the program body.
     {
+        let live = Liveness::of(&prog.entry);
         let mut g = Gen {
             label_of: &label_of,
-            params_of: &params_of,
             pool: &mut pool,
             pool_ix: &mut pool_ix,
+            live: &live,
+            next_node: 0,
             instrs: Vec::new(),
-            loc: HashMap::new(),
+            loc: FxHashMap::default(),
             free_r: (SCRATCH + 1..MAX_REGS)
                 .rev()
                 .chain((1..CSCRATCH).rev())
@@ -76,8 +76,7 @@ pub fn codegen(prog: &ClosedProgram) -> MachineProgram {
             flts: vec![],
         });
         g.instrs.push(Instr::SetHdlr { s: 2 });
-        let entry = std::mem::replace(&mut prog.entry, Cexp::Halt { v: Value::Int(0) });
-        g.gen(entry);
+        g.gen(&prog.entry);
         blocks.push(CodeBlock {
             name: "entry".into(),
             instrs: g.instrs,
@@ -92,21 +91,23 @@ pub fn codegen(prog: &ClosedProgram) -> MachineProgram {
     });
 
     for f in &prog.funs {
+        let live = Liveness::of(&f.body);
         let mut g = Gen {
             label_of: &label_of,
-            params_of: &params_of,
             pool: &mut pool,
             pool_ix: &mut pool_ix,
+            live: &live,
+            next_node: 0,
             instrs: Vec::new(),
-            loc: HashMap::new(),
+            loc: FxHashMap::default(),
             free_r: Vec::new(),
             free_f: Vec::new(),
         };
         // Assign parameters per convention.
         let mut next_r: Reg = 1;
         let mut next_f: FReg = 0;
-        let mut used_r = HashSet::new();
-        let mut used_f = HashSet::new();
+        let mut used_r = FxHashSet::default();
+        let mut used_f = FxHashSet::default();
         for (p, c) in &f.params {
             if c.is_word() {
                 g.loc.insert(*p, Loc::R(next_r));
@@ -128,7 +129,7 @@ pub fn codegen(prog: &ClosedProgram) -> MachineProgram {
             .chain((0..FSCRATCH).rev())
             .filter(|r| !used_f.contains(r))
             .collect();
-        g.gen((*f.body).clone());
+        g.gen(&f.body);
         blocks.push(CodeBlock {
             name: format!("f{}", f.name),
             instrs: g.instrs,
@@ -142,9 +143,10 @@ pub fn codegen(prog: &ClosedProgram) -> MachineProgram {
     }
 }
 
-/// Packs trailing parameters of over-wide functions into records.
-fn limit_params(prog: &ClosedProgram) -> ClosedProgram {
-    let mut packed: HashMap<CVar, usize> = HashMap::new();
+/// Packs trailing parameters of over-wide functions into records, or
+/// returns `None` when no function is over-wide.
+fn limit_params(prog: &ClosedProgram) -> Option<ClosedProgram> {
+    let mut packed: FxHashMap<CVar, usize> = FxHashMap::default();
     for f in &prog.funs {
         let words = f.params.iter().filter(|(_, c)| c.is_word()).count();
         if words > MAX_WORD_PARAMS || f.params.len() > 24 {
@@ -152,11 +154,7 @@ fn limit_params(prog: &ClosedProgram) -> ClosedProgram {
         }
     }
     if packed.is_empty() {
-        return ClosedProgram {
-            funs: prog.funs.clone(),
-            entry: prog.entry.clone(),
-            next_var: prog.next_var,
-        };
+        return None;
     }
     let mut next = prog.next_var;
     let funs = prog
@@ -207,14 +205,14 @@ fn limit_params(prog: &ClosedProgram) -> ClosedProgram {
         })
         .collect();
     let entry = rewrite_calls(&prog.entry, &packed, &mut next);
-    ClosedProgram {
+    Some(ClosedProgram {
         funs,
         entry,
         next_var: next,
-    }
+    })
 }
 
-fn rewrite_calls(e: &Cexp, packed: &HashMap<CVar, usize>, next: &mut u32) -> Cexp {
+fn rewrite_calls(e: &Cexp, packed: &FxHashMap<CVar, usize>, next: &mut u32) -> Cexp {
     match e {
         Cexp::App { f, args } => {
             if let Value::Label(l) | Value::Var(l) = f {
@@ -356,14 +354,126 @@ enum Loc {
     F(FReg),
 }
 
+/// What is live on entry to every node of one function body, computed
+/// in one bottom-up pass: node `i` of the preorder [`Gen::gen`] visits
+/// (a switch's arms and then its default, a branch's true and then its
+/// false side) gets the sorted free variables of its subtree.
+struct Liveness {
+    /// Node `i`'s set is `vars[spans[i].0..spans[i].1]`.
+    spans: Vec<(u32, u32)>,
+    vars: Vec<CVar>,
+    /// Scratch for the set being built.
+    set: Vec<CVar>,
+}
+
+impl Liveness {
+    fn of(body: &Cexp) -> Liveness {
+        let mut l = Liveness {
+            spans: Vec::new(),
+            vars: Vec::new(),
+            set: Vec::new(),
+        };
+        l.node(body);
+        l
+    }
+
+    /// The live set of preorder node `i`.
+    fn at(&self, i: usize) -> &[CVar] {
+        let (a, b) = self.spans[i];
+        &self.vars[a as usize..b as usize]
+    }
+
+    /// Numbers `e` and its subtree in preorder, fills in their sets
+    /// (children first), and returns `e`'s number.
+    fn node(&mut self, e: &Cexp) -> usize {
+        let i = self.spans.len();
+        self.spans.push((0, 0));
+        match e {
+            Cexp::Record {
+                fields, dst, rest, ..
+            } => {
+                let k = self.node(rest);
+                self.fill(i, &[k], Some(*dst), fields.iter().map(|(v, _)| v));
+            }
+            Cexp::Select { rec, dst, rest, .. } => {
+                let k = self.node(rest);
+                self.fill(i, &[k], Some(*dst), std::iter::once(rec));
+            }
+            Cexp::Pure {
+                args, dst, rest, ..
+            }
+            | Cexp::Alloc {
+                args, dst, rest, ..
+            }
+            | Cexp::Look {
+                args, dst, rest, ..
+            } => {
+                let k = self.node(rest);
+                self.fill(i, &[k], Some(*dst), args.iter());
+            }
+            Cexp::Set { args, rest, .. } => {
+                let k = self.node(rest);
+                self.fill(i, &[k], None, args.iter());
+            }
+            Cexp::Switch {
+                v, arms, default, ..
+            } => {
+                let mut kids: Vec<usize> = arms.iter().map(|a| self.node(a)).collect();
+                kids.push(self.node(default));
+                self.fill(i, &kids, None, std::iter::once(v));
+            }
+            Cexp::Branch { args, tru, fls, .. } => {
+                let t = self.node(tru);
+                let f = self.node(fls);
+                self.fill(i, &[t, f], None, args.iter());
+            }
+            Cexp::App { f, args } => self.fill(i, &[], None, std::iter::once(f).chain(args)),
+            Cexp::Halt { v } => self.fill(i, &[], None, std::iter::once(v)),
+            Cexp::Fix { .. } => unreachable!("closure conversion removed Fix"),
+        }
+        i
+    }
+
+    /// Node `i`'s set: its children's, less the variable it binds, plus
+    /// the variables it uses.
+    fn fill<'v>(
+        &mut self,
+        i: usize,
+        kids: &[usize],
+        dst: Option<CVar>,
+        uses: impl Iterator<Item = &'v Value>,
+    ) {
+        let mut set = std::mem::take(&mut self.set);
+        set.clear();
+        for &k in kids {
+            set.extend_from_slice(self.at(k));
+        }
+        if let Some(d) = dst {
+            set.retain(|v| *v != d);
+        }
+        set.extend(uses.filter_map(|v| match v {
+            Value::Var(x) => Some(*x),
+            _ => None,
+        }));
+        set.sort_unstable();
+        set.dedup();
+        let start = self.vars.len() as u32;
+        self.vars.extend_from_slice(&set);
+        self.spans[i] = (start, self.vars.len() as u32);
+        self.set = set;
+    }
+}
+
 struct Gen<'a> {
-    label_of: &'a HashMap<CVar, u32>,
-    #[allow(dead_code)]
-    params_of: &'a HashMap<u32, Vec<Cty>>,
+    label_of: &'a FxHashMap<CVar, u32>,
     pool: &'a mut Vec<String>,
     pool_ix: &'a mut HashMap<String, u32>,
+    /// The function body's live sets, and the preorder number of the
+    /// next node [`Gen::gen`] visits.
+    live: &'a Liveness,
+    next_node: usize,
     instrs: Vec<Instr>,
-    loc: HashMap<CVar, Loc>,
+    loc: FxHashMap<CVar, Loc>,
     free_r: Vec<Reg>,
     free_f: Vec<FReg>,
 }
@@ -390,18 +500,21 @@ impl Gen<'_> {
         }
     }
 
-    /// Releases every variable not live in `live`.
+    /// Releases every variable not live on entry to the next node.
     ///
     /// Dead variables are released in sorted order: `loc` is a hash map,
     /// and releasing in its iteration order would push registers onto the
-    /// free lists in a run-dependent order, making spill decisions — and
-    /// therefore code size and cycle counts — nondeterministic.
-    fn prune(&mut self, live: &HashSet<CVar>) {
+    /// free lists in an order that depends on the hasher, making spill
+    /// decisions — and therefore code size and cycle counts — depend on
+    /// it too.
+    fn prune(&mut self) {
+        let live = self.live.at(self.next_node);
+        self.next_node += 1;
         let mut dead: Vec<CVar> = self
             .loc
             .keys()
             .copied()
-            .filter(|v| !live.contains(v))
+            .filter(|v| live.binary_search(v).is_err())
             .collect();
         dead.sort_unstable();
         for v in dead {
@@ -486,22 +599,17 @@ impl Gen<'_> {
         f
     }
 
-    fn gen(&mut self, e: Cexp) {
-        let live = free_vars(&e);
-        self.prune(&live);
+    fn gen(&mut self, e: &Cexp) {
+        self.prune();
         match e {
             Cexp::Record {
-                fields,
-                nflt,
-                dst,
-                rest,
+                fields, dst, rest, ..
             } => {
-                let _ = nflt;
                 let mut words = Vec::new();
                 let mut flts = Vec::new();
                 let mut temps = Vec::new();
                 let mut ftemps = Vec::new();
-                for (v, c) in &fields {
+                for (v, c) in fields {
                     if c.is_word() {
                         let (r, t) = self.word_reg(v);
                         words.push(r);
@@ -518,42 +626,41 @@ impl Gen<'_> {
                 for t in ftemps {
                     self.free_ftemp(t);
                 }
-                let d = self.bind_r(dst);
+                let d = self.bind_r(*dst);
                 self.instrs.push(Instr::Alloc {
                     d,
                     kind: AllocKind::Record,
                     words,
                     flts,
                 });
-                self.gen(*rest);
+                self.gen(rest);
             }
             Cexp::Select {
                 rec,
                 word_off,
                 flt,
                 dst,
-                cty,
                 rest,
+                ..
             } => {
-                let (base, t) = self.word_reg(&rec);
+                let (base, t) = self.word_reg(rec);
                 self.free_temp(t);
-                let _ = cty;
-                if flt {
-                    let d = self.bind_f(dst);
+                if *flt {
+                    let d = self.bind_f(*dst);
                     self.instrs.push(Instr::FLoad {
                         d,
                         base,
-                        off: word_off as u16,
+                        off: *word_off as u16,
                     });
                 } else {
-                    let d = self.bind_r(dst);
+                    let d = self.bind_r(*dst);
                     self.instrs.push(Instr::Load {
                         d,
                         base,
-                        off: word_off as u16,
+                        off: *word_off as u16,
                     });
                 }
-                self.gen(*rest);
+                self.gen(rest);
             }
             Cexp::Pure {
                 op,
@@ -562,8 +669,8 @@ impl Gen<'_> {
                 cty,
                 rest,
             } => {
-                self.gen_pure(op, &args, dst, cty);
-                self.gen(*rest);
+                self.gen_pure(*op, args, *dst, *cty);
+                self.gen(rest);
             }
             Cexp::Alloc {
                 op,
@@ -575,7 +682,7 @@ impl Gen<'_> {
                     AllocOp::MakeRef => {
                         let (s, t) = self.word_reg(&args[0]);
                         self.free_temp(t);
-                        let d = self.bind_r(dst);
+                        let d = self.bind_r(*dst);
                         self.instrs.push(Instr::Alloc {
                             d,
                             kind: AllocKind::Ref,
@@ -588,25 +695,24 @@ impl Gen<'_> {
                         let (init, t2) = self.word_reg(&args[1]);
                         self.free_temp(t1);
                         self.free_temp(t2);
-                        let d = self.bind_r(dst);
+                        let d = self.bind_r(*dst);
                         self.instrs.push(Instr::AllocArr { d, len, init });
                     }
                 }
-                self.gen(*rest);
+                self.gen(rest);
             }
             Cexp::Look {
                 op,
                 args,
                 dst,
-                cty,
                 rest,
+                ..
             } => {
-                let _ = cty;
                 match op {
                     LookOp::Deref => {
                         let (base, t) = self.word_reg(&args[0]);
                         self.free_temp(t);
-                        let d = self.bind_r(dst);
+                        let d = self.bind_r(*dst);
                         self.instrs.push(Instr::Load { d, base, off: 0 });
                     }
                     LookOp::ArraySub => {
@@ -614,15 +720,15 @@ impl Gen<'_> {
                         let (idx, t2) = self.word_reg(&args[1]);
                         self.free_temp(t1);
                         self.free_temp(t2);
-                        let d = self.bind_r(dst);
+                        let d = self.bind_r(*dst);
                         self.instrs.push(Instr::LoadIdx { d, base, idx });
                     }
                     LookOp::GetHandler => {
-                        let d = self.bind_r(dst);
+                        let d = self.bind_r(*dst);
                         self.instrs.push(Instr::GetHdlr { d });
                     }
                 }
-                self.gen(*rest);
+                self.gen(rest);
             }
             Cexp::Set { op, args, rest } => {
                 match op {
@@ -631,7 +737,7 @@ impl Gen<'_> {
                         let (s, t2) = self.word_reg(&args[1]);
                         self.free_temp(t1);
                         self.free_temp(t2);
-                        if op == SetOp::Assign {
+                        if *op == SetOp::Assign {
                             self.instrs.push(Instr::StoreWB { s, base, off: 0 });
                         } else {
                             self.instrs.push(Instr::Store { s, base, off: 0 });
@@ -644,7 +750,7 @@ impl Gen<'_> {
                         self.free_temp(t1);
                         self.free_temp(t2);
                         self.free_temp(t3);
-                        if op == SetOp::ArrayUpdate {
+                        if *op == SetOp::ArrayUpdate {
                             self.instrs.push(Instr::StoreIdxWB { s, base, idx });
                         } else {
                             self.instrs.push(Instr::StoreIdx { s, base, idx });
@@ -661,7 +767,7 @@ impl Gen<'_> {
                         self.instrs.push(Instr::SetHdlr { s });
                     }
                 }
-                self.gen(*rest);
+                self.gen(rest);
             }
             Cexp::Switch {
                 v,
@@ -669,12 +775,12 @@ impl Gen<'_> {
                 arms,
                 default,
             } => {
-                let (r, t) = self.word_reg(&v);
+                let (r, t) = self.word_reg(v);
                 self.free_temp(t);
                 let sw_at = self.instrs.len();
                 self.instrs.push(Instr::Switch {
                     r,
-                    lo,
+                    lo: *lo,
                     table: vec![0; arms.len()],
                     default: 0,
                 });
@@ -693,29 +799,29 @@ impl Gen<'_> {
                 self.loc = saved_loc;
                 self.free_r = saved_r;
                 self.free_f = saved_f;
-                self.gen(*default);
+                self.gen(default);
                 if let Instr::Switch { table, default, .. } = &mut self.instrs[sw_at] {
                     *table = starts;
                     *default = dstart;
                 }
             }
             Cexp::Branch { op, args, tru, fls } => {
-                let patch_at = self.gen_branch_test(op, &args);
+                let patch_at = self.gen_branch_test(*op, args);
                 // True branch with a cloned allocator state.
                 let saved_loc = self.loc.clone();
                 let saved_r = self.free_r.clone();
                 let saved_f = self.free_f.clone();
-                self.gen(*tru);
+                self.gen(tru);
                 self.loc = saved_loc;
                 self.free_r = saved_r;
                 self.free_f = saved_f;
                 let here = self.instrs.len() as u32;
                 self.patch(patch_at, here);
-                self.gen(*fls);
+                self.gen(fls);
             }
             Cexp::App { f, args } => self.gen_app(f, args),
             Cexp::Halt { v } => {
-                let (r, _) = self.word_reg(&v);
+                let (r, _) = self.word_reg(v);
                 self.instrs.push(Instr::Halt { s: r });
             }
             Cexp::Fix { .. } => unreachable!("closure conversion removed Fix"),
@@ -990,10 +1096,10 @@ impl Gen<'_> {
         }
     }
 
-    fn gen_app(&mut self, f: Value, args: Vec<Value>) {
+    fn gen_app(&mut self, f: &Value, args: &[Value]) {
         // If the callee's register would be clobbered by argument moves,
         // save it to scratch first.
-        let callee_reg: Option<Reg> = if let Value::Var(x) = &f {
+        let callee_reg: Option<Reg> = if let Value::Var(x) = f {
             if let Some(Loc::R(r)) = self.loc.get(x) {
                 let n_word_args = args
                     .iter()
@@ -1020,7 +1126,7 @@ impl Gen<'_> {
         let mut dest_flts: Vec<(Value, FReg)> = Vec::new();
         let mut next_r: Reg = 1;
         let mut next_f: FReg = 0;
-        for a in &args {
+        for a in args {
             let is_flt = match a {
                 Value::Real(_) => true,
                 Value::Var(x) => matches!(self.loc.get(x), Some(Loc::F(_))),
@@ -1092,12 +1198,12 @@ impl Gen<'_> {
         // Transfer.
         match f {
             Value::Label(l) => {
-                let label = self.label_of[&l];
+                let label = self.label_of[l];
                 self.instrs.push(Instr::Jump { label });
             }
             Value::Var(x) => match callee_reg {
                 Some(r) => self.instrs.push(Instr::JumpReg { r }),
-                None => match self.loc[&x] {
+                None => match self.loc[x] {
                     Loc::R(r) => self.instrs.push(Instr::JumpReg { r }),
                     Loc::F(_) => panic!("calling a float"),
                 },
@@ -1165,77 +1271,146 @@ impl Gen<'_> {
     }
 }
 
-/// Free variables of a CPS expression (no binders escape their subtree).
-fn free_vars(e: &Cexp) -> HashSet<CVar> {
-    fn go(e: &Cexp, bound: &mut HashSet<CVar>, free: &mut HashSet<CVar>) {
-        let val = |v: &Value, bound: &HashSet<CVar>, free: &mut HashSet<CVar>| {
-            if let Value::Var(x) = v {
-                if !bound.contains(x) {
-                    free.insert(*x);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smlc::Variant;
+    use std::collections::HashSet;
+
+    /// The reference the live sets are checked against: a walk of the
+    /// whole subtree.
+    fn free_vars(e: &Cexp) -> HashSet<CVar> {
+        fn go(e: &Cexp, bound: &mut HashSet<CVar>, free: &mut HashSet<CVar>) {
+            let val = |v: &Value, bound: &HashSet<CVar>, free: &mut HashSet<CVar>| {
+                if let Value::Var(x) = v {
+                    if !bound.contains(x) {
+                        free.insert(*x);
+                    }
                 }
+            };
+            match e {
+                Cexp::Record {
+                    fields, dst, rest, ..
+                } => {
+                    fields.iter().for_each(|(v, _)| val(v, bound, free));
+                    bound.insert(*dst);
+                    go(rest, bound, free);
+                }
+                Cexp::Select { rec, dst, rest, .. } => {
+                    val(rec, bound, free);
+                    bound.insert(*dst);
+                    go(rest, bound, free);
+                }
+                Cexp::Pure {
+                    args, dst, rest, ..
+                }
+                | Cexp::Alloc {
+                    args, dst, rest, ..
+                }
+                | Cexp::Look {
+                    args, dst, rest, ..
+                } => {
+                    args.iter().for_each(|v| val(v, bound, free));
+                    bound.insert(*dst);
+                    go(rest, bound, free);
+                }
+                Cexp::Set { args, rest, .. } => {
+                    args.iter().for_each(|v| val(v, bound, free));
+                    go(rest, bound, free);
+                }
+                Cexp::Switch {
+                    v, arms, default, ..
+                } => {
+                    val(v, bound, free);
+                    arms.iter().for_each(|a| go(a, &mut bound.clone(), free));
+                    go(default, &mut bound.clone(), free);
+                }
+                Cexp::Branch { args, tru, fls, .. } => {
+                    args.iter().for_each(|v| val(v, bound, free));
+                    go(tru, &mut bound.clone(), free);
+                    go(fls, &mut bound.clone(), free);
+                }
+                Cexp::Fix { funs, rest } => {
+                    for f in funs {
+                        bound.insert(f.name);
+                    }
+                    for f in funs {
+                        let mut b2 = bound.clone();
+                        b2.extend(f.params.iter().map(|(p, _)| *p));
+                        go(&f.body, &mut b2, free);
+                    }
+                    go(rest, bound, free);
+                }
+                Cexp::App { f, args } => {
+                    val(f, bound, free);
+                    args.iter().for_each(|v| val(v, bound, free));
+                }
+                Cexp::Halt { v } => val(v, bound, free),
             }
-        };
+        }
+        let mut free = HashSet::new();
+        go(e, &mut HashSet::new(), &mut free);
+        free
+    }
+
+    /// Every node of `e`, in the preorder `Gen::gen` visits.
+    fn preorder<'e>(e: &'e Cexp, out: &mut Vec<&'e Cexp>) {
+        out.push(e);
         match e {
-            Cexp::Record {
-                fields, dst, rest, ..
-            } => {
-                fields.iter().for_each(|(v, _)| val(v, bound, free));
-                bound.insert(*dst);
-                go(rest, bound, free);
+            Cexp::Record { rest, .. }
+            | Cexp::Select { rest, .. }
+            | Cexp::Pure { rest, .. }
+            | Cexp::Alloc { rest, .. }
+            | Cexp::Look { rest, .. }
+            | Cexp::Set { rest, .. } => preorder(rest, out),
+            Cexp::Switch { arms, default, .. } => {
+                arms.iter().for_each(|a| preorder(a, out));
+                preorder(default, out);
             }
-            Cexp::Select { rec, dst, rest, .. } => {
-                val(rec, bound, free);
-                bound.insert(*dst);
-                go(rest, bound, free);
+            Cexp::Branch { tru, fls, .. } => {
+                preorder(tru, out);
+                preorder(fls, out);
             }
-            Cexp::Pure {
-                args, dst, rest, ..
-            }
-            | Cexp::Alloc {
-                args, dst, rest, ..
-            }
-            | Cexp::Look {
-                args, dst, rest, ..
-            } => {
-                args.iter().for_each(|v| val(v, bound, free));
-                bound.insert(*dst);
-                go(rest, bound, free);
-            }
-            Cexp::Set { args, rest, .. } => {
-                args.iter().for_each(|v| val(v, bound, free));
-                go(rest, bound, free);
-            }
-            Cexp::Switch {
-                v, arms, default, ..
-            } => {
-                val(v, bound, free);
-                arms.iter().for_each(|a| go(a, &mut bound.clone(), free));
-                go(default, &mut bound.clone(), free);
-            }
-            Cexp::Branch { args, tru, fls, .. } => {
-                args.iter().for_each(|v| val(v, bound, free));
-                go(tru, &mut bound.clone(), free);
-                go(fls, &mut bound.clone(), free);
-            }
-            Cexp::Fix { funs, rest } => {
-                for f in funs {
-                    bound.insert(f.name);
-                }
-                for f in funs {
-                    let mut b2 = bound.clone();
-                    b2.extend(f.params.iter().map(|(p, _)| *p));
-                    go(&f.body, &mut b2, free);
-                }
-                go(rest, bound, free);
-            }
-            Cexp::App { f, args } => {
-                val(f, bound, free);
-                args.iter().for_each(|v| val(v, bound, free));
-            }
-            Cexp::Halt { v } => val(v, bound, free),
+            Cexp::App { .. } | Cexp::Halt { .. } | Cexp::Fix { .. } => {}
         }
     }
-    let mut free = HashSet::new();
-    go(e, &mut HashSet::new(), &mut free);
-    free
+
+    /// The closed program of a figure benchmark under one variant, as
+    /// the compiler's phases hand it to `codegen`.
+    fn closed(src: &str, v: Variant) -> ClosedProgram {
+        let prog = sml_ast::parse(src).expect("figure programs parse");
+        let mut elab = sml_elab::elaborate(&prog).expect("figure programs elaborate");
+        if v.uses_mtd() {
+            sml_elab::minimum_typing(&mut elab);
+        }
+        let mut tr = sml_lambda::translate(&elab, &v.lambda_config());
+        let mut cps = sml_cps::convert(&tr.lexp, &mut tr.interner, tr.n_vars, &v.cps_config());
+        sml_cps::optimize(&mut cps, &sml_cps::OptConfig::default());
+        sml_cps::close(cps)
+    }
+
+    #[test]
+    fn live_sets_equal_free_variables_on_figure_programs() {
+        let mut nodes_checked = 0;
+        for b in smlc_bench::benchmarks() {
+            let src = b.source();
+            for v in Variant::ALL {
+                let prog = closed(&src, v);
+                let bodies = std::iter::once(&prog.entry).chain(prog.funs.iter().map(|f| &*f.body));
+                for body in bodies {
+                    let live = Liveness::of(body);
+                    let mut nodes = Vec::new();
+                    preorder(body, &mut nodes);
+                    assert_eq!(live.spans.len(), nodes.len(), "{} [{v}]", b.name);
+                    for (i, node) in nodes.into_iter().enumerate() {
+                        let mut want: Vec<CVar> = free_vars(node).into_iter().collect();
+                        want.sort_unstable();
+                        assert_eq!(live.at(i), want, "{} [{v}]: node {i}", b.name);
+                        nodes_checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(nodes_checked > 10_000, "only {nodes_checked} nodes checked");
+    }
 }

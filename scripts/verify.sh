@@ -18,6 +18,15 @@ if [[ "${1:-}" == "--update-api-surface" ]]; then
   exit 0
 fi
 
+# The emitted code of the 12x6 figure matrix is pinned in
+# crates/bench/tests/codegen_golden.txt; a change meant to alter it
+# regenerates the file here.
+if [[ "${1:-}" == "--update-codegen-golden" ]]; then
+  cargo test -q --release -p smlc-bench --test codegen_golden -- --ignored --exact regenerate_codegen_golden
+  echo "updated crates/bench/tests/codegen_golden.txt ($(grep -vc '^#' crates/bench/tests/codegen_golden.txt) cells)"
+  exit 0
+fi
+
 # Bench binaries write their trajectory documents here, never over the
 # committed BENCH_pr*.json history.
 bench_out="$(mktemp -d)"
