@@ -4,12 +4,14 @@
 //! costs folded at pre-decode, so unverified, corrupted bytecode is
 //! where the two engines could part ways or the host could panic. Every
 //! `bc-*` corruption in `sml_testkit::mutate`, plus seeded operand
-//! perturbations, is applied to the compiled figure programs and run —
+//! perturbations (allocation operand lists included), is applied to the
+//! compiled figure programs and run —
 //! never verified — under both engines inside `catch_unwind`: no run may
 //! panic, and `(result, output, stats)` must agree.
 
 use sml_testkit::mutate::bytecode_mutations;
 use sml_testkit::Rng;
+use sml_vm::heap::MAX_SCAN_FIELDS;
 use sml_vm::{run, Dispatch, Instr, MachineProgram, VmConfig};
 use smlc::{Session, Variant};
 use smlc_bench::benchmarks;
@@ -72,11 +74,24 @@ fn one<'a, const N: usize>(rng: &mut Rng, operands: [&'a mut u8; N]) -> &'a mut 
 }
 
 /// Overwrites one operand of `ins` with a random value: a register (in
-/// or past the file), a field offset, a branch target, a block label.
+/// or past the file), a field offset, a branch target, a block label;
+/// or grows an `Alloc`'s word list past what a descriptor can hold.
 /// `false` when the instruction has no operand this perturbs.
 fn perturb(ins: &mut Instr, rng: &mut Rng, block_len: usize, n_blocks: usize) -> bool {
     let reg = |rng: &mut Rng| rng.range_usize(0, 80) as u8;
     match ins {
+        Instr::Alloc { d, words, flts, .. } => {
+            if rng.flip() {
+                let len = MAX_SCAN_FIELDS as usize + 1 + rng.range_usize(0, 3);
+                words.resize(len, 1);
+            } else {
+                let mut operands: Vec<&mut u8> = words.iter_mut().chain(flts.iter_mut()).collect();
+                operands.push(d);
+                let i = rng.range_usize(0, operands.len());
+                *operands[i] = reg(rng);
+            }
+        }
+        Instr::FBox { d, s } => *one(rng, [d, s]) = reg(rng),
         Instr::Move { d, s } | Instr::FMove { d, s } => *one(rng, [d, s]) = reg(rng),
         Instr::LoadI { d, .. } | Instr::GetHdlr { d } => *d = reg(rng),
         Instr::Arith { d, a, b, .. } => *one(rng, [d, a, b]) = reg(rng),
@@ -127,6 +142,39 @@ fn perturbed_operands_run_identically_under_both_engines() {
         let pc = rng.range_usize(0, block_len);
         if perturb(&mut p.blocks[b].instrs[pc], &mut rng, block_len, n_blocks) {
             applied += 1;
+            let what = format!("{name} L{b} @{pc}: {}", p.blocks[b].instrs[pc]);
+            assert_engines_agree(&what, &p);
+        }
+    }
+    // Allocations are a small share of the instructions, and `FBox` a
+    // rare one under `sml.ffb`, so eight more perturbations each aim
+    // at them directly.
+    for is_kind in [
+        |i: &Instr| matches!(i, Instr::Alloc { .. }),
+        |i: &Instr| matches!(i, Instr::FBox { .. }),
+    ] {
+        let mut sites = Vec::new();
+        for (ix, (_, p)) in programs.iter().enumerate() {
+            for (b, blk) in p.blocks.iter().enumerate() {
+                for (pc, i) in blk.instrs.iter().enumerate() {
+                    if is_kind(i) {
+                        sites.push((ix, b, pc));
+                    }
+                }
+            }
+        }
+        assert!(!sites.is_empty(), "the figure programs allocate");
+        for _ in 0..8 {
+            let &(ix, b, pc) = rng.pick(&sites);
+            let (name, clean) = &programs[ix];
+            let mut p = clean.clone();
+            let (block_len, n_blocks) = (p.blocks[b].instrs.len(), p.blocks.len());
+            assert!(perturb(
+                &mut p.blocks[b].instrs[pc],
+                &mut rng,
+                block_len,
+                n_blocks
+            ));
             let what = format!("{name} L{b} @{pc}: {}", p.blocks[b].instrs[pc]);
             assert_engines_agree(&what, &p);
         }

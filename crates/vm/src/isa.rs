@@ -409,6 +409,28 @@ impl Instr {
             Instr::SBranch { a, b, .. } | Instr::PolyEqBranch { a, b, .. } => spill([a, b]),
         }
     }
+
+    /// The static part of an allocating instruction's charge, paid on
+    /// top of [`Instr::fixed_cost`] once the object is allocated:
+    /// `Alloc` pays 1 (descriptor and bump) plus one per body word plus
+    /// 2 per raw float field, `FBox` 7 (1, its 2 body words, and 4 for
+    /// the two single-word stores of its float). 0 for every other
+    /// instruction; `AllocArr` and the string runtime calls charge by
+    /// the size they compute.
+    ///
+    /// `Engine::step` charges it as it allocates and the threaded
+    /// pre-decoder folds it into the `Alloc` and `FBox` records.
+    #[inline]
+    pub(crate) fn alloc_cost(&self) -> u64 {
+        match self {
+            Instr::Alloc { words, flts, .. } => {
+                let body = words.len() + 2 * flts.len();
+                1 + body as u64 + 2 * flts.len() as u64
+            }
+            Instr::FBox { .. } => 7,
+            _ => 0,
+        }
+    }
 }
 
 /// What kind of object an `Alloc` creates (drives the descriptor).

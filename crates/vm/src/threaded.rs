@@ -1,57 +1,86 @@
 //! The threaded execution engine (the default): pre-decoded dispatch
-//! with peephole superinstructions and folded static costs.
+//! with superinstructions and folded static costs.
 //!
 //! [`predecode`] flattens each [`CodeBlock`]'s `Vec<Instr>` into a
 //! stream of compact, fixed-size [`TInstr`] handler records — the
 //! heap-carrying `Instr` is ~56 bytes with two levels of bounds-checked
-//! indexing per fetch, while a `TInstr` is a small `Copy` record
-//! fetched from one flat slice. Each record carries its instruction's
-//! fixed cycle charge ([`Instr::fixed_cost`]: base cost plus spills),
+//! indexing per fetch, while a `TInstr` is a 24-byte `Copy` record
+//! fetched from one flat slice. Each record carries its instructions'
+//! fixed cycle charges ([`Instr::fixed_cost`]: base cost plus spills),
 //! computed once here rather than on every execution.
-//! A peephole selector fuses the hot adjacent pairs observed in the
-//! figure benchmarks — `LoadI`+`Arith` (constant operand feeding the
-//! ALU), `LoadI`/`Load`/`Arith` feeding a compare-and-branch, and
-//! `Move`+`Jump` (argument shuffle into a tail call) — into single
-//! superinstruction records, eliding one fetch/decode per pair. A pair
-//! is only formed when no branch targets its second instruction, so
-//! every branch target lands on a record boundary. The stream is
-//! immutable and depends only on the program, so the scheduler builds
-//! one per program and shares it between tenants.
+//!
+//! A record stands for one instruction or for several (its
+//! *constituents*):
+//!
+//! * a *run*: a maximal sequence of at least two `Move`s, or of at
+//!   least two `Load`s from one base register ending at the first load
+//!   that overwrites the base. Its `(d, s)` or `(d, off)` pairs sit in
+//!   the program's operand pool; the record holds the run's total
+//!   charge and the charge of all its constituents but the last;
+//! * a fused *pair* observed hot in the figure benchmarks:
+//!   `LoadI`+`Arith` (constant operand feeding the ALU),
+//!   `LoadI`/`Load`/`Arith` feeding a compare-and-branch, and
+//!   `Move`+`Jump` (argument shuffle into a tail call);
+//! * a single instruction, `Alloc` and `FBox` included: an `Alloc`'s
+//!   operand registers sit in the pool and both fold in their static
+//!   charge ([`Instr::alloc_cost`]).
+//!
+//! No branch targets a record after its first constituent, so every
+//! branch lands on a record boundary. The stream is immutable and
+//! depends only on the program, so the scheduler builds one per program
+//! and shares it between tenants.
 //!
 //! [`run_slice_threaded`] executes the stream through the same
 //! `#[inline(always)]` [`Engine`] handlers as the decode loop, with
 //! byte-identical accounting but none of its per-instruction
 //! bookkeeping: `cycles` and `instrs` live in locals and reach
 //! [`RunStats`](crate::RunStats) only at slice exit and around the
-//! synced path; each record charges its folded cost (plus the `sml.fp3`
-//! term on a jump), and its class's two counters at a constant index,
-//! *before* its handler runs, so a trapping record pays exactly what the
-//! decode loop charges; the read
-//! barrier is drained only after loads, the one place it can copy.
-//! Each constituent of a superinstruction is counted and attributed
-//! separately, and the decode loop's top-of-iteration fuel and
-//! preemption checks run between the halves too, so a slice can end
-//! mid-pair (the next slice resumes with the second half alone): slice
-//! boundaries, like every counter, match the decode loop exactly.
+//! synced path; a record charges its folded costs (plus the `sml.fp3`
+//! term on a jump) and its classes' counters at constant indices
+//! *before* the handler that could trap, so a trapping record pays
+//! exactly what the decode loop charges; the read barrier is drained
+//! only after loads, the one place it can copy.
 //!
-//! Instructions whose cost depends on heap state or that carry vector
-//! operands (`FBox`, `Alloc`, `Switch`, `Rt`, ...) stay in the original
-//! stream and execute through a [`TInstr::Slow`] record on the synced
-//! path: counters written back, [`Engine::exec`] (the decode loop's own
-//! accounted step), counters reloaded.
+//! Every record has a fast path, taken only when it provably does
+//! exactly what the decode loop would, and a fallback that runs its
+//! constituents one at a time through [`Engine::exec`] (the decode
+//! loop's own accounted step, on the synced path: counters written
+//! back, then reloaded) with the decode loop's fuel and preemption
+//! checks before each. One rule covers every record of several
+//! constituents: it takes its fast path only when no such check could
+//! fire inside it, i.e. `cycles` plus the charge of all constituents
+//! but the last is below the next check point. On top of that, an
+//! `Alloc` or `FBox` needs an allocation protocol with nothing to do
+//! ([`Engine::alloc_ready`]); a `Load` run, and `Load`+`Branch`, need
+//! no active incremental major; and a `Load` run needs one bounds check
+//! covering all its offsets to pass. A slice that ends mid-record
+//! resumes through the same fallback loop, at the constituent where it
+//! stopped: slice boundaries, like every counter, match the decode loop
+//! exactly.
+//!
+//! `AllocArr`, `Switch`, `Rt`, `Print`, `SBranch`, `PolyEqBranch`,
+//! `Alloc`s past the descriptor limits, and branches whose target
+//! cannot be mapped into the stream pre-decode to a [`TInstr::Slow`]
+//! record, which only has the fallback.
 //!
 //! The pre-decoded stream is itself verified: `verify::verify_threaded`
-//! round-trips every record back to the original instructions,
-//! re-checks operand bounds and the folded costs, so the typed chain
-//! covers the stream the VM actually executes.
+//! round-trips every record back to the original instructions through
+//! the operand pool and re-checks operand bounds, the folded costs and
+//! each run's shape, so the typed chain covers the stream the VM
+//! actually executes.
 
+use crate::heap::{MAX_RAW_WORDS, MAX_SCAN_FIELDS};
 use crate::isa::*;
 use crate::vm::{drain_barrier, Engine, VmInstance, VmResult};
 
 /// One pre-decoded handler record. Flat (no heap indirection), `Copy`,
-/// and small; branch targets are in *threaded* coordinates (record
-/// indices within the block's stream). `c` is the record's fixed cycle
-/// charge; a superinstruction carries one per constituent (`c1`, `c2`).
+/// and at most 24 bytes; branch targets are in *threaded* coordinates
+/// (record indices within the block's stream), operand lists are
+/// ranges of the program's operand pools. `c` is the record's fixed
+/// cycle charge; a pair carries one per constituent (`c1`, `c2`), a run
+/// its `total` and the charge `pre` of all its constituents but the
+/// last, and an allocation its static charge `sc`
+/// ([`Instr::alloc_cost`]) too.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum TInstr {
     Move {
@@ -83,6 +112,14 @@ pub(crate) enum TInstr {
         d: Reg,
         label: u32,
         c: u8,
+    },
+    /// A run of at least two `Move`s: the `(d, s)` pairs
+    /// `run_ops[at..at + n]`.
+    MoveRun {
+        at: u32,
+        n: u32,
+        total: u32,
+        pre: u32,
     },
     Arith {
         op: AOp,
@@ -119,6 +156,17 @@ pub(crate) enum TInstr {
         base: Reg,
         off: u16,
         c: u8,
+    },
+    /// A run of at least two `Load`s from `base`, ending at the first
+    /// that overwrites it: the `(d, off)` pairs `run_ops[at..at + n]`,
+    /// `max_off` the largest offset.
+    LoadRun {
+        base: Reg,
+        max_off: u16,
+        at: u32,
+        n: u32,
+        total: u32,
+        pre: u32,
     },
     Store {
         s: Reg,
@@ -166,6 +214,23 @@ pub(crate) enum TInstr {
         d: Reg,
         a: Reg,
         c: u8,
+    },
+    /// `Alloc` within the descriptor limits: `nw` word then `nf` float
+    /// operand registers at `alloc_ops[at..]`.
+    Alloc {
+        d: Reg,
+        kind: AllocKind,
+        nw: u16,
+        nf: u16,
+        at: u32,
+        c: u8,
+        sc: u32,
+    },
+    FBox {
+        d: Reg,
+        s: FReg,
+        c: u8,
+        sc: u8,
     },
     FUnbox {
         d: FReg,
@@ -266,8 +331,9 @@ pub(crate) enum TInstr {
         c2: u8,
     },
     /// Deferral to [`Engine::exec`] on the original instruction at
-    /// `pc`: heap-dependent costs, vector operands, runtime calls, or a
-    /// branch whose target cannot be mapped into the stream.
+    /// `pc`: heap-dependent costs, jump tables, runtime calls, an
+    /// oversize `Alloc`, or a branch whose target cannot be mapped into
+    /// the stream.
     Slow {
         pc: u32,
     },
@@ -292,7 +358,13 @@ pub(crate) struct ThreadedBlock {
 /// shared, read-only, by every instance running it.
 pub(crate) struct ThreadedProgram {
     pub(crate) blocks: Vec<ThreadedBlock>,
-    /// Superinstructions the peephole selector fused.
+    /// The operand pools every block's records index: `Alloc` operand
+    /// registers (words, then floats), and runs' `(d, s)` or
+    /// `(d, off)` pairs.
+    pub(crate) alloc_ops: Vec<Reg>,
+    pub(crate) run_ops: Vec<(Reg, u16)>,
+    /// Superinstructions: records of more than one constituent (pairs
+    /// and runs).
     pub(crate) fused: u64,
     /// Total handler records across all blocks.
     pub(crate) stream_len: u64,
@@ -321,9 +393,43 @@ fn fusable(i1: &Instr, i2: &Instr, n: usize) -> bool {
     }
 }
 
-/// Translates one unfused instruction into its flat record, or
-/// [`TInstr::Slow`] for the deferred set.
-fn translate_single(ins: &Instr, pc: usize, pc_map: &[u32], n: usize) -> TInstr {
+/// The length of the run starting at `pc`: `Move`s, or `Load`s from
+/// one base up to and including the first that overwrites it, never
+/// extending onto a branch target. 1 when no run starts there.
+fn run_len(instrs: &[Instr], pc: usize, is_target: &[bool]) -> usize {
+    let mut k = 1;
+    match instrs[pc] {
+        Instr::Move { .. } => {
+            while matches!(instrs.get(pc + k), Some(Instr::Move { .. })) && !is_target[pc + k] {
+                k += 1;
+            }
+        }
+        Instr::Load { d, base, .. } if d != base => {
+            while let Some(&Instr::Load { d, base: b, .. }) = instrs.get(pc + k) {
+                if b != base || is_target[pc + k] {
+                    break;
+                }
+                k += 1;
+                if d == base {
+                    break;
+                }
+            }
+        }
+        _ => {}
+    }
+    k
+}
+
+/// Translates one unfused instruction into its flat record (an
+/// `Alloc`'s operand registers go to `alloc_ops`), or [`TInstr::Slow`]
+/// for the deferred set.
+fn translate_single(
+    ins: &Instr,
+    pc: usize,
+    pc_map: &[u32],
+    n: usize,
+    alloc_ops: &mut Vec<Reg>,
+) -> TInstr {
     let c = cost(ins);
     match *ins {
         Instr::Move { d, s } => TInstr::Move { d, s, c },
@@ -346,6 +452,33 @@ fn translate_single(ins: &Instr, pc: usize, pc_map: &[u32], n: usize) -> TInstr 
         Instr::StoreIdx { s, base, idx } => TInstr::StoreIdx { s, base, idx, c },
         Instr::StoreIdxWB { s, base, idx } => TInstr::StoreIdxWB { s, base, idx, c },
         Instr::ArrLen { d, a } => TInstr::ArrLen { d, a, c },
+        Instr::Alloc {
+            d,
+            kind,
+            ref words,
+            ref flts,
+        } if words.len() <= MAX_SCAN_FIELDS as usize
+            && 2 * flts.len() <= MAX_RAW_WORDS as usize =>
+        {
+            let at = alloc_ops.len() as u32;
+            alloc_ops.extend_from_slice(words);
+            alloc_ops.extend_from_slice(flts);
+            TInstr::Alloc {
+                d,
+                kind,
+                nw: words.len() as u16,
+                nf: flts.len() as u16,
+                at,
+                c,
+                sc: ins.alloc_cost() as u32,
+            }
+        }
+        Instr::FBox { d, s } => TInstr::FBox {
+            d,
+            s,
+            c,
+            sc: ins.alloc_cost() as u8,
+        },
         Instr::FUnbox { d, s } => TInstr::FUnbox { d, s, c },
         Instr::Branch { op, a, b, target } if target as usize <= n => TInstr::Branch {
             op,
@@ -367,9 +500,9 @@ fn translate_single(ins: &Instr, pc: usize, pc_map: &[u32], n: usize) -> TInstr 
         Instr::SetHdlr { s } => TInstr::SetHdlr { s, c },
         Instr::Halt { s } => TInstr::Halt { s },
         Instr::Uncaught { s } => TInstr::Uncaught { s },
-        // Heap-dependent costs and vector operands stay on the synced
-        // path, as do unmappable branch targets: the decode path faults
-        // with the original pc.
+        // Heap-dependent costs, jump tables, runtime calls and oversize
+        // allocations stay on the synced path, as do unmappable branch
+        // targets: the decode path faults with the original pc.
         _ => TInstr::Slow { pc: pc as u32 },
     }
 }
@@ -444,17 +577,59 @@ fn translate_pair(i1: &Instr, i2: &Instr, pc_map: &[u32]) -> TInstr {
     }
 }
 
+/// Builds the record for a run selected by [`run_len`], its pairs
+/// appended to `run_ops`.
+fn translate_run(run: &[Instr], run_ops: &mut Vec<(Reg, u16)>) -> TInstr {
+    let at = run_ops.len() as u32;
+    let n = run.len() as u32;
+    let pre: u32 = run[..run.len() - 1].iter().map(|i| cost(i) as u32).sum();
+    let total = pre + cost(&run[run.len() - 1]) as u32;
+    match run[0] {
+        Instr::Move { .. } => {
+            run_ops.extend(run.iter().map(|i| match *i {
+                Instr::Move { d, s } => (d, s as u16),
+                _ => unreachable!("a Move run holds only moves"),
+            }));
+            TInstr::MoveRun { at, n, total, pre }
+        }
+        Instr::Load { base, .. } => {
+            let mut max_off = 0;
+            run_ops.extend(run.iter().map(|i| match *i {
+                Instr::Load { d, off, .. } => {
+                    max_off = max_off.max(off);
+                    (d, off)
+                }
+                _ => unreachable!("a Load run holds only loads"),
+            }));
+            TInstr::LoadRun {
+                base,
+                max_off,
+                at,
+                n,
+                total,
+                pre,
+            }
+        }
+        _ => unreachable!("translate_run on a sequence run_len rejected"),
+    }
+}
+
 /// Pre-decodes one block: segments the instruction stream into records
 /// (pass 1), then emits them with branch targets mapped into threaded
-/// coordinates (pass 2).
-fn predecode_block(b: &CodeBlock) -> (ThreadedBlock, u64) {
+/// coordinates (pass 2). Returns the block and its superinstruction
+/// count.
+fn predecode_block(
+    b: &CodeBlock,
+    alloc_ops: &mut Vec<Reg>,
+    run_ops: &mut Vec<(Reg, u16)>,
+) -> (ThreadedBlock, u64) {
     let instrs = &b.instrs;
     let n = instrs.len();
 
     // Original pcs that any branch in the block may target (a target
     // beyond the block is left unmapped — the slow path preserves its
-    // fault pc). A targeted pc must start a record, so it blocks
-    // fusion as a second constituent.
+    // fault pc). A targeted pc must start a record, so it ends a run
+    // and blocks fusion as a second constituent.
     let mut is_target = vec![false; n + 1];
     let mut targets = Vec::new();
     for ins in instrs {
@@ -467,45 +642,44 @@ fn predecode_block(b: &CodeBlock) -> (ThreadedBlock, u64) {
         }
     }
 
-    // Pass 1: segmentation. Decide which pcs fuse with their successor
-    // and assign every pc its record index.
+    // Pass 1: segmentation. A run if one starts here, else a pair if
+    // the instruction fuses with its successor, else a single; every
+    // pc gets its record index.
     let mut pc_map = vec![0u32; n + 1];
-    let mut starts: Vec<u32> = Vec::with_capacity(n);
-    let mut pair: Vec<bool> = Vec::with_capacity(n);
+    let mut starts: Vec<u32> = Vec::with_capacity(n + 1);
     let mut pc = 0usize;
     while pc < n {
-        let fuse = pc + 1 < n && !is_target[pc + 1] && fusable(&instrs[pc], &instrs[pc + 1], n);
-        let rec = starts.len() as u32;
-        pc_map[pc] = rec;
-        if fuse {
-            pc_map[pc + 1] = rec;
-        }
+        let len = match run_len(instrs, pc, &is_target) {
+            1 if pc + 1 < n && !is_target[pc + 1] && fusable(&instrs[pc], &instrs[pc + 1], n) => 2,
+            k => k,
+        };
+        pc_map[pc..pc + len].fill(starts.len() as u32);
         starts.push(pc as u32);
-        pair.push(fuse);
-        pc += if fuse { 2 } else { 1 };
+        pc += len;
     }
     pc_map[n] = starts.len() as u32;
+    starts.push(n as u32);
 
     // Pass 2: emission, now that every branch target's record index is
     // known.
-    let mut code = Vec::with_capacity(starts.len());
+    let mut code = Vec::with_capacity(starts.len() - 1);
     let mut fused = 0u64;
-    for (rec, &start) in starts.iter().enumerate() {
-        let start = start as usize;
-        if pair[rec] {
+    for w in starts.windows(2) {
+        let (start, end) = (w[0] as usize, w[1] as usize);
+        code.push(match &instrs[start..end] {
+            [one] => translate_single(one, start, &pc_map, n, alloc_ops),
+            [i1, i2] if fusable(i1, i2, n) => translate_pair(i1, i2, &pc_map),
+            run => translate_run(run, run_ops),
+        });
+        if end - start > 1 {
             fused += 1;
-            code.push(translate_pair(&instrs[start], &instrs[start + 1], &pc_map));
-        } else {
-            code.push(translate_single(&instrs[start], start, &pc_map, n));
         }
     }
-    let mut tpc_to_pc = starts;
-    tpc_to_pc.push(n as u32);
     (
         ThreadedBlock {
             code,
             pc_map,
-            tpc_to_pc,
+            tpc_to_pc: starts,
         },
         fused,
     )
@@ -515,27 +689,123 @@ fn predecode_block(b: &CodeBlock) -> (ThreadedBlock, u64) {
 /// fixed costs.
 pub(crate) fn predecode(prog: &MachineProgram) -> ThreadedProgram {
     let mut blocks = Vec::with_capacity(prog.blocks.len());
+    let (mut alloc_ops, mut run_ops) = (Vec::new(), Vec::new());
     let mut fused = 0u64;
     let mut stream_len = 0u64;
     for b in &prog.blocks {
-        let (tb, f) = predecode_block(b);
+        let (tb, f) = predecode_block(b, &mut alloc_ops, &mut run_ops);
         fused += f;
         stream_len += tb.code.len() as u64;
         blocks.push(tb);
     }
     ThreadedProgram {
         blocks,
+        alloc_ops,
+        run_ops,
         fused,
         stream_len,
     }
 }
 
+/// A record expanded back into original-coordinate [`Instr`]s, with the
+/// charges it folded in.
+pub(crate) struct Expansion {
+    pub(crate) instrs: Vec<Instr>,
+    /// Fixed charge of every constituent but the last.
+    pub(crate) pre: u64,
+    /// Fixed charge of all the constituents.
+    pub(crate) total: u64,
+    /// Static allocation charge ([`Instr::alloc_cost`]): 0 but for
+    /// `Alloc` and `FBox`.
+    pub(crate) alloc: u64,
+}
+
+impl Expansion {
+    /// Constituents that each carry their own fixed charge.
+    fn each(parts: Vec<(Instr, u8)>) -> Expansion {
+        let last = parts.last().map_or(0, |&(_, c)| c as u64);
+        let total = parts.iter().map(|&(_, c)| c as u64).sum::<u64>();
+        Expansion {
+            instrs: parts.into_iter().map(|(i, _)| i).collect(),
+            pre: total - last,
+            total,
+            alloc: 0,
+        }
+    }
+}
+
 /// Expands a record back into original-coordinate [`Instr`]s (threaded
-/// branch targets mapped back through `tpc_to_pc`), each with the fixed
-/// charge the record folded in for it. Returns `None` for
-/// [`TInstr::Slow`], which carries no operand copy to round-trip. Used
-/// by `verify::verify_threaded`.
-pub(crate) fn expand(t: &TInstr, tb: &ThreadedBlock) -> Option<Vec<(Instr, u8)>> {
+/// branch targets mapped back through `tpc_to_pc`, operand lists read
+/// from the pools exactly as the engine reads them) with the charges it
+/// folded in. Returns `None` for [`TInstr::Slow`], which carries no
+/// operand copy to round-trip, and for a record whose operand range
+/// lies outside its pool. Used by `verify::verify_threaded`.
+pub(crate) fn expand(t: &TInstr, tb: &ThreadedBlock, tp: &ThreadedProgram) -> Option<Expansion> {
+    let run = |at: u32, n: u32| tp.run_ops.get(at as usize..at as usize + n as usize);
+    Some(match *t {
+        TInstr::Alloc {
+            d,
+            kind,
+            nw,
+            nf,
+            at,
+            c,
+            sc,
+        } => {
+            let ops = tp
+                .alloc_ops
+                .get(at as usize..at as usize + nw as usize + nf as usize)?;
+            let (words, flts) = ops.split_at(nw as usize);
+            Expansion {
+                instrs: vec![Instr::Alloc {
+                    d,
+                    kind,
+                    words: words.to_vec(),
+                    flts: flts.to_vec(),
+                }],
+                pre: 0,
+                total: c as u64,
+                alloc: sc as u64,
+            }
+        }
+        TInstr::FBox { d, s, c, sc } => Expansion {
+            instrs: vec![Instr::FBox { d, s }],
+            pre: 0,
+            total: c as u64,
+            alloc: sc as u64,
+        },
+        TInstr::MoveRun { at, n, total, pre } => Expansion {
+            instrs: run(at, n)?
+                .iter()
+                .map(|&(d, s)| Instr::Move { d, s: s as Reg })
+                .collect(),
+            pre: pre as u64,
+            total: total as u64,
+            alloc: 0,
+        },
+        TInstr::LoadRun {
+            base,
+            at,
+            n,
+            total,
+            pre,
+            ..
+        } => Expansion {
+            instrs: run(at, n)?
+                .iter()
+                .map(|&(d, off)| Instr::Load { d, base, off })
+                .collect(),
+            pre: pre as u64,
+            total: total as u64,
+            alloc: 0,
+        },
+        _ => Expansion::each(constituents(t, tb)?),
+    })
+}
+
+/// The constituents of a single-instruction or pair record, each with
+/// the fixed charge folded in for it; `None` for the other records.
+fn constituents(t: &TInstr, tb: &ThreadedBlock) -> Option<Vec<(Instr, u8)>> {
     let back = |t: u32| tb.tpc_to_pc[t as usize];
     Some(match *t {
         TInstr::Move { d, s, c } => vec![(Instr::Move { d, s }, c)],
@@ -679,7 +949,11 @@ pub(crate) fn expand(t: &TInstr, tb: &ThreadedBlock) -> Option<Vec<(Instr, u8)>>
             c1,
             c2,
         } => vec![(Instr::Move { d, s }, c1), (Instr::Jump { label }, c2)],
-        TInstr::Slow { .. } => return None,
+        TInstr::Alloc { .. }
+        | TInstr::FBox { .. }
+        | TInstr::MoveRun { .. }
+        | TInstr::LoadRun { .. }
+        | TInstr::Slow { .. } => return None,
     })
 }
 
@@ -719,6 +993,7 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
         pc: vm.pc,
     };
     let prog = eng.prog;
+    let (alloc_ops, run_ops) = (&tp.alloc_ops[..], &tp.run_ops[..]);
     // The two counters every record bumps live in locals; `RunStats`
     // sees them at slice exit and around every synced call.
     let mut cycles = eng.stats.cycles;
@@ -727,7 +1002,7 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
     // The cursor: the current block's records and the threaded pc.
     // `exit_pc` overrides the original pc the position maps back to —
     // for a position with no threaded coordinate (an out-of-range pc or
-    // block), or a slice preempted between a pair's halves.
+    // block), or a slice that ended mid-record.
     let mut code: &[TInstr];
     let mut tpc: usize;
     let mut exit_pc: Option<usize>;
@@ -775,7 +1050,7 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
             }};
         }
         // The decode loop's top-of-iteration checks; `$mid` is the pc to
-        // resume at when preempted between a pair's halves.
+        // resume at when the slice ends mid-record.
         macro_rules! checks {
             ($($mid:expr)?) => {
                 if cycles >= check_at {
@@ -790,22 +1065,30 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                 }
             };
         }
-        // A pair's second half is due: check as the decode loop would
-        // before its next instruction.
-        macro_rules! between {
-            () => {
-                checks!(tp.blocks[eng.block].tpc_to_pc[tpc] as usize + 1)
+        // The one mid-record rule: a record of several constituents
+        // takes its fast path only when no fuel or preemption check
+        // could fire inside it, i.e. when `cycles` plus `$pre`, the
+        // charge of all its constituents but the last, is below
+        // `check_at`. Every record starts with `cycles < check_at` (the
+        // checks above just passed), so the subtraction cannot
+        // overflow.
+        macro_rules! fits {
+            ($pre:expr) => {
+                ($pre as u64) < check_at - cycles
             };
         }
-        // Counts one record constituent and charges its folded cost to
-        // its class, before the handler runs.
+        // Counts `$n` record constituents of one class and charges their
+        // folded cost `$c`, before the handler runs.
         macro_rules! charge {
-            ($class:expr, $c:expr) => {{
-                let c = $c as u64;
+            ($class:expr, $c:expr) => {
+                charge!($class, $c, 1)
+            };
+            ($class:expr, $c:expr, $n:expr) => {{
+                let (c, n) = ($c as u64, $n as u64);
                 cycles += c;
-                instrs += 1;
+                instrs += n;
                 eng.stats.cycles_by_class[$class as usize] += c;
-                eng.stats.instrs_by_class[$class as usize] += 1;
+                eng.stats.instrs_by_class[$class as usize] += n;
             }};
         }
         macro_rules! trap {
@@ -830,29 +1113,42 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                 }
             };
         }
-        // The synced path: original instruction `pc` of the current
-        // block through the decode loop's accounted step, with the
-        // counters written back before and reloaded after.
-        macro_rules! slow {
-            ($pc:expr) => {{
-                let pc = $pc;
-                let instr = &prog.blocks[eng.block].instrs[pc];
-                eng.pc = pc + 1;
-                eng.stats.cycles = cycles;
-                eng.stats.instrs = instrs;
-                let r = eng.exec(instr);
-                cycles = eng.stats.cycles;
-                instrs = eng.stats.instrs;
-                trap!(r);
+        // The synced path: the current record's constituents from
+        // original pc `$from` to its end, one at a time through the
+        // decode loop's accounted step with its checks before each, the
+        // counters written back before and reloaded after. It is every
+        // record's fallback, `Slow`'s only path, and how a slice that
+        // ended mid-record resumes.
+        macro_rules! one_by_one {
+            ($from:expr) => {{
+                let end = tp.blocks[eng.block].tpc_to_pc[tpc + 1] as usize;
+                let mut pc = $from;
+                while pc < end {
+                    checks!(pc);
+                    let instr = &prog.blocks[eng.block].instrs[pc];
+                    eng.pc = pc + 1;
+                    eng.stats.cycles = cycles;
+                    eng.stats.instrs = instrs;
+                    let r = eng.exec(instr);
+                    cycles = eng.stats.cycles;
+                    instrs = eng.stats.instrs;
+                    trap!(r);
+                    pc += 1;
+                }
                 rejoin!();
             }};
         }
+        // A record that cannot take its fast path: all of it, one by one.
+        macro_rules! fallback {
+            () => {
+                one_by_one!(tp.blocks[eng.block].tpc_to_pc[tpc] as usize)
+            };
+        }
 
         rejoin!();
-        // A slice preempted mid-pair resumes with the second half alone.
+        // A slice that ended mid-record resumes with the rest of it.
         if exit_pc.is_none() && tp.blocks[eng.block].tpc_to_pc[tpc] as usize != eng.pc {
-            checks!(eng.pc);
-            slow!(eng.pc);
+            one_by_one!(eng.pc);
         }
         loop {
             checks!();
@@ -869,6 +1165,18 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     charge!(InstrClass::Move, c);
                     eng.m_move(d, s);
                     tpc += 1;
+                }
+                TInstr::MoveRun { at, n, total, pre } => {
+                    if fits!(pre) {
+                        charge!(InstrClass::Move, total, n);
+                        // In order: a later move sees an earlier one.
+                        for &(d, s) in &run_ops[at as usize..at as usize + n as usize] {
+                            eng.m_move(d, s as Reg);
+                        }
+                        tpc += 1;
+                    } else {
+                        fallback!();
+                    }
                 }
                 TInstr::FMove { d, s, c } => {
                     charge!(InstrClass::Move, c);
@@ -926,6 +1234,22 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     drain!();
                     tpc += 1;
                 }
+                TInstr::LoadRun {
+                    base,
+                    max_off,
+                    at,
+                    n,
+                    total,
+                    pre,
+                } => {
+                    let pairs = &run_ops[at as usize..at as usize + n as usize];
+                    if fits!(pre) && eng.m_loads(base, max_off, pairs) {
+                        charge!(InstrClass::Memory, total, n);
+                        tpc += 1;
+                    } else {
+                        fallback!();
+                    }
+                }
                 TInstr::Store { s, base, off, c } => {
                     charge!(InstrClass::Memory, c);
                     trap!(eng.m_store(s, base, off));
@@ -966,6 +1290,35 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     charge!(InstrClass::Memory, c);
                     trap!(eng.m_arrlen(d, a));
                     tpc += 1;
+                }
+                TInstr::Alloc {
+                    d,
+                    kind,
+                    nw,
+                    nf,
+                    at,
+                    c,
+                    sc,
+                } => {
+                    let (nw, nf) = (nw as usize, nf as usize);
+                    if eng.alloc_ready(nw + 2 * nf) {
+                        charge!(InstrClass::Alloc, c as u64 + sc as u64);
+                        let ops = &alloc_ops[at as usize..at as usize + nw + nf];
+                        let (words, flts) = ops.split_at(nw);
+                        trap!(eng.m_alloc(d, kind, words, flts));
+                        tpc += 1;
+                    } else {
+                        fallback!();
+                    }
+                }
+                TInstr::FBox { d, s, c, sc } => {
+                    if eng.alloc_ready(2) {
+                        charge!(InstrClass::Alloc, c as u64 + sc as u64);
+                        trap!(eng.m_fbox(d, s));
+                        tpc += 1;
+                    } else {
+                        fallback!();
+                    }
                 }
                 TInstr::FUnbox { d, s, c } => {
                     charge!(InstrClass::Memory, c);
@@ -1027,12 +1380,15 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     c1,
                     c2,
                 } => {
-                    charge!(InstrClass::Move, c1);
-                    eng.m_loadi(di, imm);
-                    between!();
-                    charge!(InstrClass::IntArith, c2);
-                    trap!(eng.m_arith(op, d, a, b));
-                    tpc += 1;
+                    if fits!(c1) {
+                        charge!(InstrClass::Move, c1);
+                        eng.m_loadi(di, imm);
+                        charge!(InstrClass::IntArith, c2);
+                        trap!(eng.m_arith(op, d, a, b));
+                        tpc += 1;
+                    } else {
+                        fallback!();
+                    }
                 }
                 TInstr::LoadIBranch {
                     imm,
@@ -1044,15 +1400,18 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     c1,
                     c2,
                 } => {
-                    charge!(InstrClass::Move, c1);
-                    eng.m_loadi(di, imm);
-                    between!();
-                    charge!(InstrClass::Branch, c2);
-                    tpc = if eng.m_branch(op, a, b) {
-                        tpc + 1
+                    if fits!(c1) {
+                        charge!(InstrClass::Move, c1);
+                        eng.m_loadi(di, imm);
+                        charge!(InstrClass::Branch, c2);
+                        tpc = if eng.m_branch(op, a, b) {
+                            tpc + 1
+                        } else {
+                            t as usize
+                        };
                     } else {
-                        t as usize
-                    };
+                        fallback!();
+                    }
                 }
                 TInstr::LoadBranch {
                     dl,
@@ -1065,16 +1424,21 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     c1,
                     c2,
                 } => {
-                    charge!(InstrClass::Memory, c1);
-                    trap!(eng.m_load(dl, base, off));
-                    drain!();
-                    between!();
-                    charge!(InstrClass::Branch, c2);
-                    tpc = if eng.m_branch(op, a, b) {
-                        tpc + 1
+                    // With no incremental major active the load cannot
+                    // copy, so there is nothing to drain and the charge
+                    // before the branch is exactly `c1`.
+                    if fits!(c1) && !eng.heap.major_active() {
+                        charge!(InstrClass::Memory, c1);
+                        trap!(eng.m_load(dl, base, off));
+                        charge!(InstrClass::Branch, c2);
+                        tpc = if eng.m_branch(op, a, b) {
+                            tpc + 1
+                        } else {
+                            t as usize
+                        };
                     } else {
-                        t as usize
-                    };
+                        fallback!();
+                    }
                 }
                 TInstr::ArithBranch {
                     aop,
@@ -1088,15 +1452,18 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     c1,
                     c2,
                 } => {
-                    charge!(InstrClass::IntArith, c1);
-                    trap!(eng.m_arith(aop, ad, aa, ab));
-                    between!();
-                    charge!(InstrClass::Branch, c2);
-                    tpc = if eng.m_branch(op, a, b) {
-                        tpc + 1
+                    if fits!(c1) {
+                        charge!(InstrClass::IntArith, c1);
+                        trap!(eng.m_arith(aop, ad, aa, ab));
+                        charge!(InstrClass::Branch, c2);
+                        tpc = if eng.m_branch(op, a, b) {
+                            tpc + 1
+                        } else {
+                            t as usize
+                        };
                     } else {
-                        t as usize
-                    };
+                        fallback!();
+                    }
                 }
                 TInstr::MoveJump {
                     d,
@@ -1105,13 +1472,16 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     c1,
                     c2,
                 } => {
-                    charge!(InstrClass::Move, c1);
-                    eng.m_move(d, s);
-                    between!();
-                    charge!(InstrClass::Jump, c2 as u64 + fp3);
-                    goto!(label as usize);
+                    if fits!(c1) {
+                        charge!(InstrClass::Move, c1);
+                        eng.m_move(d, s);
+                        charge!(InstrClass::Jump, c2 as u64 + fp3);
+                        goto!(label as usize);
+                    } else {
+                        fallback!();
+                    }
                 }
-                TInstr::Slow { pc } => slow!(pc as usize),
+                TInstr::Slow { pc } => one_by_one!(pc as usize),
             }
         }
     }
@@ -1129,4 +1499,14 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
     vm.sync_heap_stats();
     vm.finished = out;
     vm.finished.is_some()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::TInstr;
+
+    #[test]
+    fn records_stay_within_24_bytes() {
+        assert!(std::mem::size_of::<TInstr>() <= 24);
+    }
 }

@@ -343,21 +343,27 @@ pub fn verify_bytecode(prog: &MachineProgram) -> Result<BytecodeVerifySummary, B
 pub struct ThreadedVerifySummary {
     /// Threaded handler records checked.
     pub tinstrs: u64,
-    /// Superinstruction (fused-pair) records among them.
+    /// Superinstructions among them: records of more than one
+    /// constituent (fused pairs and runs), counted as the pre-decoder
+    /// counts them.
     pub superinstructions: u64,
 }
 
 /// Verifies the pre-decoded threaded stream the [`Dispatch::Threaded`]
 /// (see [`crate::vm::Dispatch`]) engine would execute for this program:
-/// the pc coordinate maps must be mutually consistent, every threaded
-/// branch target must stay inside the stream, every record must
-/// round-trip (expand back to exactly the original instructions,
-/// compared by disassembly), the expanded operands must respect
-/// register bounds, and every folded charge must equal the
-/// instruction's [`Instr::fixed_cost`]. Pre-decodes internally — the
-/// stream depends only on the program, so this is exactly the stream
-/// every threaded run of it executes — and a program that passes here
-/// executes identically under both engines' *static* views.
+/// the pc coordinate maps must be mutually consistent, every branch
+/// target must start a record and every threaded one stay inside the
+/// stream, every record must round-trip through the operand pools
+/// (expand back to exactly the instructions it spans, compared by
+/// disassembly), the expanded operands must respect register bounds,
+/// every folded charge must equal its instructions'
+/// [`Instr::fixed_cost`] (a run's total and all-but-last sums, a
+/// pair's two halves) and the static allocation charge, and a `Load`
+/// run must hold its largest offset and overwrite its base only last.
+/// Pre-decodes internally — the stream depends only on the program, so
+/// this is exactly the stream every threaded run of it executes — and
+/// a program that passes here executes identically under both engines'
+/// *static* views.
 pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, BytecodeViolation> {
     use crate::threaded::{expand, predecode, TInstr};
     let tp = predecode(prog);
@@ -378,6 +384,20 @@ pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, B
                     n,
                     tb.code.len()
                 ),
+            ));
+        }
+        let mut targets = Vec::new();
+        for ins in &b.instrs {
+            branch_targets(ins, &mut targets);
+        }
+        if let Some(t) = targets
+            .iter()
+            .map(|&t| t as usize)
+            .find(|&t| t <= n && tb.tpc_to_pc[tb.pc_map[t] as usize] as usize != t)
+        {
+            return Err(violation(
+                "threaded-target",
+                format!("block L{ix}: branch target @{t} lies inside a record"),
             ));
         }
         for (rec, t) in tb.code.iter().enumerate() {
@@ -407,67 +427,108 @@ pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, B
                     ));
                 }
             }
-            match expand(t, tb) {
-                None => {
-                    let TInstr::Slow { pc } = t else {
-                        unreachable!("only Slow records decline expansion")
-                    };
-                    if *pc as usize != start {
-                        return Err(violation(
-                            "threaded-round-trip",
-                            format!(
-                                "block L{ix}: slow record {rec} points at pc {pc}, \
-                                 expected {start}"
-                            ),
-                        ));
-                    }
+            let Some(exp) = expand(t, tb, &tp) else {
+                let TInstr::Slow { pc } = t else {
+                    return Err(violation(
+                        "threaded-round-trip",
+                        format!("block L{ix}: record {rec} reads operands outside its pool"),
+                    ));
+                };
+                if *pc as usize != start {
+                    return Err(violation(
+                        "threaded-round-trip",
+                        format!(
+                            "block L{ix}: slow record {rec} points at pc {pc}, expected {start}"
+                        ),
+                    ));
                 }
-                Some(expansion) => {
-                    if expansion.len() == 2 {
-                        sum.superinstructions += 1;
-                    }
-                    for (k, (e, cost)) in expansion.iter().enumerate() {
-                        let Some(orig) = b.instrs.get(start + k) else {
-                            return Err(violation(
-                                "threaded-round-trip",
-                                format!(
-                                    "block L{ix}: record {rec} expands past the end of the \
-                                     block at pc {}",
-                                    start + k
-                                ),
-                            ));
-                        };
-                        if format!("{e}") != format!("{orig}") {
-                            return Err(violation(
-                                "threaded-round-trip",
-                                format!(
-                                    "L{ix} @{}: stream decodes to `{e}` but the program \
-                                     has `{orig}`",
-                                    start + k
-                                ),
-                            ));
-                        }
-                        let mut regs = Vec::new();
-                        let mut fregs = Vec::new();
-                        operand_regs(e, &mut regs, &mut fregs);
-                        if let Some(what) = reg_range(&regs, &fregs) {
-                            return Err(violation(
-                                "threaded-reg-range",
-                                format!("{what} at L{ix} @{}: {e}", start + k),
-                            ));
-                        }
-                        if e.fixed_cost() != *cost as u64 {
-                            return Err(violation(
-                                "threaded-cost",
-                                format!(
-                                    "L{ix} @{}: record charges {cost} cycles for `{e}`, \
-                                     whose fixed cost is {}",
-                                    start + k,
-                                    e.fixed_cost()
-                                ),
-                            ));
-                        }
-                    }
+                sum.tinstrs += 1;
+                continue;
+            };
+            let span = (tb.tpc_to_pc[rec + 1] as usize).saturating_sub(start);
+            if exp.instrs.len() != span {
+                return Err(violation(
+                    "threaded-round-trip",
+                    format!(
+                        "block L{ix}: record {rec} spans {span} instructions but expands to {}",
+                        exp.instrs.len()
+                    ),
+                ));
+            }
+            if exp.instrs.len() > 1 {
+                sum.superinstructions += 1;
+            }
+            let (mut pre, mut total, mut alloc) = (0, 0, 0);
+            for (k, e) in exp.instrs.iter().enumerate() {
+                let Some(orig) = b.instrs.get(start + k) else {
+                    return Err(violation(
+                        "threaded-round-trip",
+                        format!(
+                            "block L{ix}: record {rec} expands past the end of the block at pc {}",
+                            start + k
+                        ),
+                    ));
+                };
+                if format!("{e}") != format!("{orig}") {
+                    return Err(violation(
+                        "threaded-round-trip",
+                        format!(
+                            "L{ix} @{}: stream decodes to `{e}` but the program has `{orig}`",
+                            start + k
+                        ),
+                    ));
+                }
+                let mut regs = Vec::new();
+                let mut fregs = Vec::new();
+                operand_regs(e, &mut regs, &mut fregs);
+                if let Some(what) = reg_range(&regs, &fregs) {
+                    return Err(violation(
+                        "threaded-reg-range",
+                        format!("{what} at L{ix} @{}: {e}", start + k),
+                    ));
+                }
+                pre = total;
+                total += e.fixed_cost();
+                alloc += e.alloc_cost();
+            }
+            if (exp.pre, exp.total, exp.alloc) != (pre, total, alloc) {
+                return Err(violation(
+                    "threaded-cost",
+                    format!(
+                        "L{ix} @{start}: record {rec} charges {}/{} cycles (all constituents \
+                         but the last / all) plus {} for allocation, where its instructions \
+                         cost {pre}/{total} plus {alloc}",
+                        exp.pre, exp.total, exp.alloc
+                    ),
+                ));
+            }
+            if let TInstr::LoadRun { base, max_off, .. } = *t {
+                // The fast path checks `[0, max_off]` once and reads the
+                // base register once.
+                let offs = exp.instrs.iter().map(|e| match *e {
+                    Instr::Load { off, .. } => off,
+                    _ => 0,
+                });
+                if offs.max() != Some(max_off) {
+                    return Err(violation(
+                        "threaded-run",
+                        format!(
+                            "L{ix} @{start}: load run records largest offset {max_off}, \
+                             not its loads' largest"
+                        ),
+                    ));
+                }
+                let early = &exp.instrs[..span.saturating_sub(1)];
+                if early
+                    .iter()
+                    .any(|e| matches!(*e, Instr::Load { d, .. } if d == base))
+                {
+                    return Err(violation(
+                        "threaded-run",
+                        format!(
+                            "L{ix} @{start}: load run overwrites its base before its last load"
+                        ),
+                    ));
                 }
             }
             sum.tinstrs += 1;

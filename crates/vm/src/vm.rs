@@ -31,9 +31,10 @@
 //!
 //! * [`Dispatch::Threaded`] (the default) — the [`Instr`] stream is
 //!   pre-decoded into a flat threaded stream of compact handler records
-//!   with their fixed costs folded in, a peephole selector fusing hot
-//!   pairs (`LoadI`+`Arith`, load/compare+branch, `Move`+`Jump`) into
-//!   superinstructions (see `threaded.rs`).
+//!   with their fixed costs folded in, allocations included; hot pairs
+//!   (`LoadI`+`Arith`, load/compare+branch, `Move`+`Jump`) and runs of
+//!   `Move`s or same-base `Load`s become superinstructions (see
+//!   `threaded.rs`).
 //! * [`Dispatch::Decode`] — the classic fetch/decode `match` loop over
 //!   [`Instr`], kept as the reference oracle the differential gates
 //!   compare the threaded engine against.
@@ -112,7 +113,8 @@ impl std::str::FromStr for Dispatch {
 pub struct DispatchStats {
     /// The engine that executed the program.
     pub engine: Dispatch,
-    /// Superinstructions the peephole selector fused (0 under
+    /// Superinstructions in the pre-decoded stream: records of more
+    /// than one instruction, fused pairs and runs (0 under
     /// [`Dispatch::Decode`]).
     pub superinstructions: u64,
     /// Total length of the pre-decoded threaded stream, in handler
@@ -542,8 +544,8 @@ impl<'p> VmInstance<'p> {
     }
 
     /// Executes until roughly `quantum` more cycles have been charged
-    /// (preemption is checked between instructions — between the two
-    /// halves of a threaded superinstruction too — so a slice overruns
+    /// (preemption is checked between instructions — inside a threaded
+    /// superinstruction too — so a slice overruns
     /// by at most one instruction's cost, including its GC pause, which
     /// a pause budget keeps bounded) or the run ends. Returns `true`
     /// when the run is finished, `false` when preempted.
@@ -689,6 +691,31 @@ impl<'p> Engine<'_, 'p> {
         self.heap.check_string(ptr).map_err(VmResult::Fault)
     }
 
+    /// Does fault injection force a collection before the next
+    /// allocation ([`FaultInject::gc_every_n_allocs`])?
+    #[inline(always)]
+    fn gc_forced(&self) -> bool {
+        self.cfg
+            .fault
+            .gc_every_n_allocs
+            .is_some_and(|k| k > 0 && (self.heap.n_allocs + 1).is_multiple_of(k))
+    }
+
+    /// True when [`Engine::alloc_guard`] has nothing to do for `want`
+    /// body words: no injected failure or forced collection is due, no
+    /// incremental major is active, the heap is not exhausted, and the
+    /// target space has room without a collection. The guard tests it
+    /// first, and the threaded `Alloc`/`FBox` records take their fast
+    /// path only when it holds, so the two cannot drift apart.
+    #[inline(always)]
+    pub(crate) fn alloc_ready(&self, want: usize) -> bool {
+        self.cfg.fault.fail_alloc_at != Some(self.heap.n_allocs + 1)
+            && !self.gc_forced()
+            && !self.heap.major_active()
+            && !self.heap.is_exhausted()
+            && !self.heap.needs_gc(want)
+    }
+
     /// Runs the allocation protocol for `want` body words: injected
     /// failure, forced or scheduled minor collection (or slice pumping
     /// while an incremental major is active), then a major collection —
@@ -697,17 +724,16 @@ impl<'p> Engine<'_, 'p> {
     /// trap.
     #[inline(always)]
     fn alloc_guard(&mut self, want: usize) -> Result<(), VmResult> {
+        if self.alloc_ready(want) {
+            return Ok(());
+        }
         if self.cfg.fault.fail_alloc_at == Some(self.heap.n_allocs + 1) {
             return Err(VmResult::HeapExhausted);
         }
         if self.heap.is_exhausted() {
             return Err(VmResult::HeapExhausted);
         }
-        let forced = self
-            .cfg
-            .fault
-            .gc_every_n_allocs
-            .is_some_and(|k| k > 0 && (self.heap.n_allocs + 1).is_multiple_of(k));
+        let forced = self.gc_forced();
         // `true` once a full major has finished in this guard: if room
         // is still short after that, the heap is genuinely exhausted.
         let mut major_done = false;
@@ -778,14 +804,17 @@ impl<'p> Engine<'_, 'p> {
 
     // ----- per-instruction handlers ------------------------------------
     //
-    // One method per hot (fixed-operand) instruction; both engines call
-    // these, so trap behavior lives in exactly one place. They charge
-    // nothing: the caller has already charged the instruction's fixed
-    // cost (`Instr::fixed_cost`) and, for a jump, the `sml.fp3` term,
-    // which is why a trapping instruction pays in full. Vector-operand and runtime-call instructions execute
-    // through `step`'s match arms, which charge their heap-dependent
-    // costs as they go (the threaded engine routes them via its `Slow`
-    // record).
+    // One method per hot instruction; both engines call these, so trap
+    // behavior lives in exactly one place. They charge nothing: the
+    // caller has already charged the instruction's fixed cost
+    // (`Instr::fixed_cost`) and, for a jump, the `sml.fp3` term, which
+    // is why a trapping instruction pays in full. An allocation's
+    // static charge (`Instr::alloc_cost`) is the caller's too: `step`
+    // pays it once the object is allocated, a threaded `Alloc`/`FBox`
+    // record up front when the allocation protocol has nothing to do.
+    // Array, jump-table and runtime-call instructions execute through
+    // `step`'s match arms, which charge their heap-dependent costs as
+    // they go (the threaded engine routes them via its `Slow` record).
 
     #[inline(always)]
     pub(crate) fn m_move(&mut self, d: Reg, s: Reg) {
@@ -900,6 +929,26 @@ impl<'p> Engine<'_, 'p> {
         Ok(())
     }
 
+    /// A threaded same-base `Load` run's fast path: its `(d, off)`
+    /// pairs as plain loads from the one value of `base`, in order.
+    /// Taken only when no incremental major is active — so each
+    /// `load_healed` would be a plain load with nothing to drain — and
+    /// one bounds check of `[0, max_off]` passes, which it does exactly
+    /// when every constituent's own check would. Otherwise returns
+    /// `false` having done nothing, and the caller runs the
+    /// constituents one by one.
+    #[inline(always)]
+    pub(crate) fn m_loads(&mut self, base: Reg, max_off: u16, pairs: &[(Reg, u16)]) -> bool {
+        let p = self.r(base);
+        if self.heap.major_active() || self.heap.check_access(p, 0, max_off as usize + 1).is_err() {
+            return false;
+        }
+        for &(d, off) in pairs {
+            self.set(d, self.heap.load(p, off as usize));
+        }
+        true
+    }
+
     #[inline(always)]
     pub(crate) fn m_store(&mut self, s: Reg, base: Reg, off: u16) -> Result<(), VmResult> {
         let p = self.r(base);
@@ -989,15 +1038,47 @@ impl<'p> Engine<'_, 'p> {
         Ok(())
     }
 
-    /// Boxes a float. Its cost depends on the collector, so unlike the
-    /// other handlers it charges as it goes.
-    fn m_fbox(&mut self, d: Reg, s: FReg) -> Result<(), VmResult> {
-        self.alloc_guard(2)?;
+    /// Boxes a float: `FBox`'s body, shared by `step` and the threaded
+    /// `FBox` record. The caller has run the allocation protocol and
+    /// charges [`Instr::alloc_cost`].
+    #[inline(always)]
+    pub(crate) fn m_fbox(&mut self, d: Reg, s: FReg) -> Result<(), VmResult> {
         let Some(p) = self.heap.alloc(ObjKind::BoxedFloat, 0, 1) else {
             return Err(VmResult::HeapExhausted);
         };
         self.heap.store_f64(p, 0, self.f(s));
-        self.stats.cycles += 1 + 2 + 4; // descriptor+bump, then two stores
+        self.set(d, p);
+        Ok(())
+    }
+
+    /// Allocates and initialises a record: `Alloc`'s body, shared by
+    /// `step` and the threaded `Alloc` record. The caller has checked
+    /// the descriptor limits, run the allocation protocol, and charges
+    /// [`Instr::alloc_cost`].
+    #[inline(always)]
+    pub(crate) fn m_alloc(
+        &mut self,
+        d: Reg,
+        kind: AllocKind,
+        words: &[Reg],
+        flts: &[FReg],
+    ) -> Result<(), VmResult> {
+        let k = match kind {
+            AllocKind::Record => ObjKind::Record,
+            AllocKind::Ref => ObjKind::Ref,
+        };
+        let Some(p) = self.heap.alloc(k, words.len() as u32, flts.len() as u32) else {
+            return Err(VmResult::HeapExhausted);
+        };
+        // Initializing stores go through the barrier too: large
+        // objects allocate directly in tenured space and may be
+        // initialized with nursery pointers.
+        for (i, &r) in words.iter().enumerate() {
+            self.heap.store_barriered(p, i, self.r(r));
+        }
+        for (j, &f) in flts.iter().enumerate() {
+            self.heap.store_f64(p, words.len() + 2 * j, self.f(f));
+        }
         self.set(d, p);
         Ok(())
     }
@@ -1140,7 +1221,11 @@ impl<'p> Engine<'_, 'p> {
             Instr::StoreIdx { s, base, idx } => self.m_storeidx(s, base, idx)?,
             Instr::StoreIdxWB { s, base, idx } => self.m_storeidxwb(s, base, idx)?,
             Instr::ArrLen { d, a } => self.m_arrlen(d, a)?,
-            Instr::FBox { d, s } => self.m_fbox(d, s)?,
+            Instr::FBox { d, s } => {
+                self.alloc_guard(2)?;
+                self.m_fbox(d, s)?;
+                self.stats.cycles += instr.alloc_cost();
+            }
             Instr::FUnbox { d, s } => self.m_funbox(d, s)?,
             Instr::Branch { op, a, b, target } => {
                 if !self.m_branch(op, a, b) {
@@ -1287,26 +1372,9 @@ impl<'p> Engine<'_, 'p> {
                         2 * flts.len()
                     )));
                 }
-                let total = words.len() + 2 * flts.len();
-                self.alloc_guard(total)?;
-                let k = match kind {
-                    AllocKind::Record => ObjKind::Record,
-                    AllocKind::Ref => ObjKind::Ref,
-                };
-                let Some(p) = self.heap.alloc(k, words.len() as u32, flts.len() as u32) else {
-                    return Err(VmResult::HeapExhausted);
-                };
-                // Initializing stores go through the barrier too: large
-                // objects allocate directly in tenured space and may be
-                // initialized with nursery pointers.
-                for (i, &r) in words.iter().enumerate() {
-                    self.heap.store_barriered(p, i, self.r(r));
-                }
-                for (j, &f) in flts.iter().enumerate() {
-                    self.heap.store_f64(p, words.len() + 2 * j, self.f(f));
-                }
-                self.stats.cycles += 1 + total as u64 + 2 * flts.len() as u64;
-                self.set(d, p);
+                self.alloc_guard(words.len() + 2 * flts.len())?;
+                self.m_alloc(d, kind, words, flts)?;
+                self.stats.cycles += instr.alloc_cost();
             }
             Instr::AllocArr { d, len, init } => {
                 let n = untag_int(self.r(len)).max(0) as usize;

@@ -1,14 +1,14 @@
 //! The two execution engines are observationally identical: same
 //! results, same output, same `RunStats` counters, same slice
-//! boundaries — under normal completion, every trap path, and
-//! scheduler preemption (mid-superinstruction included). Plus the
-//! floor div/mod semantics both engines now share, and the threaded
-//! stream verifier.
+//! boundaries — under normal completion, every trap path, fault
+//! injection, an active incremental major, and scheduler preemption
+//! (mid-superinstruction included). Plus the floor div/mod semantics
+//! both engines now share, and the threaded stream verifier.
 
-use sml_vm::isa::{AOp, BrOp};
+use sml_vm::isa::{AOp, AllocKind, BrOp};
 use sml_vm::{
-    run, verify_threaded, CodeBlock, Dispatch, Instr, MachineProgram, Outcome, SchedulerBuilder,
-    TenantSpec, VmConfig, VmInstance, VmResult,
+    run, verify_threaded, CodeBlock, Dispatch, FaultInject, GcMode, Instr, MachineProgram, Outcome,
+    SchedulerBuilder, TenantSpec, VmConfig, VmInstance, VmResult,
 };
 use std::sync::Arc;
 
@@ -102,6 +102,126 @@ fn sum_loop(n: i64) -> MachineProgram {
         ],
         entry: 0,
         pool: Vec::new(),
+    }
+}
+
+/// A loop that pushes one node per iteration onto a linked list and
+/// sums the `i` field of the node it replaces; returns
+/// `(n - 1)(n - 2) / 2`. Its body holds every kind of threaded record
+/// of several constituents, plus the flat allocation records: a
+/// `LoadLabel` feeding an `Alloc`, an `FBox`, a same-base `Load` run
+/// that ends by overwriting its base (the next load, from the new base
+/// value, must not join it), a `Load`+`Branch` pair whose branch targets
+/// the second instruction of four `Move`s, leaving a `Move` run of three
+/// (one through a spill-modelled register), a `LoadI`+`Arith` pair and
+/// a `Move`+`Jump` pair.
+fn record_loop(n: i64) -> MachineProgram {
+    // A node: [link, i, label | 2.5].
+    let node = |d| Instr::Alloc {
+        d,
+        kind: AllocKind::Record,
+        words: vec![14, 2, 6],
+        flts: vec![1],
+    };
+    MachineProgram {
+        blocks: vec![
+            CodeBlock {
+                name: "entry".into(),
+                instrs: vec![
+                    Instr::LoadI { d: 1, imm: 0 }, // acc
+                    Instr::LoadI { d: 2, imm: 0 }, // i
+                    Instr::LoadI { d: 3, imm: n }, // limit
+                    Instr::LoadF { d: 1, imm: 2.5 },
+                    // Two sentinel nodes, so the loop can always follow
+                    // the old head's link.
+                    node(14),
+                    node(14),
+                    Instr::Jump { label: 1 },
+                ],
+            },
+            CodeBlock {
+                name: "loop".into(),
+                instrs: vec![
+                    Instr::Branch {
+                        op: BrOp::Lt,
+                        a: 2,
+                        b: 3,
+                        target: 17,
+                    },
+                    Instr::LoadLabel { d: 6, label: 1 },
+                    node(7),
+                    Instr::FBox { d: 8, s: 1 },
+                    // Load run from the old head, ending where its base
+                    // is overwritten with its link.
+                    Instr::Load {
+                        d: 9,
+                        base: 14,
+                        off: 1,
+                    },
+                    Instr::Load {
+                        d: 14,
+                        base: 14,
+                        off: 0,
+                    },
+                    // Load+Branch: the link's link, a pointer unless it
+                    // is the first sentinel's.
+                    Instr::Load {
+                        d: 10,
+                        base: 14,
+                        off: 0,
+                    },
+                    Instr::Branch {
+                        op: BrOp::Boxed,
+                        a: 10,
+                        b: 10,
+                        target: 9,
+                    },
+                    Instr::Move { d: 40, s: 10 },
+                    // Move run: the new head, then a shuffle.
+                    Instr::Move { d: 14, s: 7 },
+                    Instr::Move { d: 11, s: 9 },
+                    Instr::Move { d: 41, s: 11 },
+                    Instr::LoadI { d: 4, imm: 1 },
+                    Instr::Arith {
+                        op: AOp::Add,
+                        d: 2,
+                        a: 2,
+                        b: 4,
+                    },
+                    Instr::Arith {
+                        op: AOp::Add,
+                        d: 1,
+                        a: 1,
+                        b: 41,
+                    },
+                    Instr::Move { d: 5, s: 1 },
+                    Instr::Jump { label: 1 },
+                    Instr::Halt { s: 1 },
+                ],
+            },
+        ],
+        entry: 0,
+        pool: Vec::new(),
+    }
+}
+
+/// Sliced majors that yield after every slice of one copied word, one
+/// started or resumed at every allocation: an incremental major is
+/// active nearly all the time, so `record_loop`'s allocations, loads
+/// and pairs meet one and take their fallbacks. Its loads then read
+/// evacuated nodes before they are scanned, whose links still point
+/// into from-space, and the read barrier copies.
+fn active_major() -> VmConfig {
+    VmConfig {
+        gc_mode: GcMode::Semispace,
+        tenured_words: 1 << 12,
+        max_pause_cycles: 206,
+        fault: FaultInject {
+            yield_every_n_slices: Some(1),
+            gc_every_n_allocs: Some(1),
+            ..FaultInject::default()
+        },
+        ..VmConfig::default()
     }
 }
 
@@ -230,17 +350,26 @@ fn fetch_faults_carry_identical_messages() {
 
 #[test]
 fn out_of_fuel_is_identical_even_mid_superinstruction() {
-    // Sweep fuel limits across the whole run of a fusing loop so some
-    // limit lands between the two halves of each fused pair; the
-    // threaded engine must cut off at exactly the same instruction.
-    let p = sum_loop(4);
-    let full = run(&p, &VmConfig::default());
-    for fuel in 0..full.stats.cycles + 2 {
-        let base = VmConfig {
-            max_cycles: fuel,
-            ..VmConfig::default()
-        };
-        both(&p, &base);
+    // Sweep fuel limits across the whole run of each loop, so some
+    // limit lands between every two constituents of every record of
+    // several; the threaded engine must cut off at exactly the same
+    // instruction.
+    for (p, cfg) in [
+        (sum_loop(4), VmConfig::default()),
+        (record_loop(3), VmConfig::default()),
+        (record_loop(3), active_major()),
+    ] {
+        let full = run(&p, &cfg);
+        assert!(matches!(full.result, VmResult::Value(_)), "{full:?}");
+        for fuel in 0..full.stats.cycles + 2 {
+            both(
+                &p,
+                &VmConfig {
+                    max_cycles: fuel,
+                    ..cfg
+                },
+            );
+        }
     }
 }
 
@@ -282,16 +411,25 @@ fn scheduler_runs_threaded_tenants_identically() {
     );
 }
 
-/// Sweeping the quantum lands slice edges between the two halves of
-/// every fused pair in the loop; the threaded engine must preempt there
-/// exactly as the decode loop does, and resume with the second half
-/// alone, so every slice — not just every result — matches.
+/// Sweeping the quantum lands slice edges between every two
+/// constituents of every record of several in each loop (a quantum of
+/// 1 alone ends a slice after every instruction); the threaded engine
+/// must preempt there exactly as the decode loop does, and resume with
+/// the rest of the record, so every slice — not just every result —
+/// matches.
 #[test]
 fn slices_split_superinstructions_exactly_like_decode() {
-    let p = sum_loop(20);
-    for quantum in 1..=24 {
+    let inputs = [
+        (sum_loop(20), VmConfig::default()),
+        (record_loop(6), VmConfig::default()),
+        (record_loop(6), active_major()),
+    ];
+    for ((p, base), quantum) in inputs
+        .iter()
+        .flat_map(|input| (1..=24).map(move |q| (input, q)))
+    {
         let slices = |dispatch| {
-            let mut vm = VmInstance::new(&p, &cfg(dispatch));
+            let mut vm = VmInstance::new(p, &VmConfig { dispatch, ..*base });
             let mut trace = Vec::new();
             loop {
                 let done = vm.run_slice(quantum);
@@ -300,7 +438,7 @@ fn slices_split_superinstructions_exactly_like_decode() {
                     break;
                 }
                 // An empty slice must leave the position alone, even
-                // between a pair's halves.
+                // inside a record.
                 assert!(!vm.run_slice(0));
                 assert_eq!(trace.last(), Some(&(vm.stats().cycles, vm.stats().instrs)));
                 assert!(trace.len() < 1_000, "no progress at quantum {quantum}");
@@ -313,6 +451,7 @@ fn slices_split_superinstructions_exactly_like_decode() {
             dec_trace, thr_trace,
             "slice edges diverge at quantum {quantum}"
         );
+        assert!(matches!(dec.result, VmResult::Value(_)), "{dec:?}");
         assert_eq!(dec.result, thr.result);
         assert_eq!(dec.stats, thr.stats);
     }
@@ -320,14 +459,98 @@ fn slices_split_superinstructions_exactly_like_decode() {
 
 #[test]
 fn verify_threaded_accepts_and_counts_fusion() {
-    let p = sum_loop(10);
+    // The sum loop fuses two pairs; the record loop has a `Load` run, a
+    // `Move` run and three pairs.
+    for (p, fused) in [(sum_loop(10), 2), (record_loop(3), 5)] {
+        let sum = verify_threaded(&p).expect("well-formed stream");
+        assert_eq!(sum.superinstructions, fused, "{sum:?}");
+        assert!(sum.tinstrs > 0);
+        // And matches what the engine actually pre-decodes.
+        let vm = VmInstance::new(&p, &cfg(Dispatch::Threaded));
+        assert_eq!(vm.dispatch_stats().superinstructions, sum.superinstructions);
+        assert_eq!(vm.dispatch_stats().stream_len, sum.tinstrs);
+    }
+}
+
+#[test]
+fn load_run_past_its_object_faults_like_decode() {
+    // The third load of the run reads past the two-word record: one
+    // bounds check cannot cover the run, so it falls back and faults
+    // at that load, with decode's text and counters.
+    let p = prog(vec![
+        Instr::LoadI { d: 1, imm: 7 },
+        Instr::Alloc {
+            d: 5,
+            kind: AllocKind::Record,
+            words: vec![1, 1],
+            flts: vec![],
+        },
+        Instr::Load {
+            d: 6,
+            base: 5,
+            off: 0,
+        },
+        Instr::Load {
+            d: 7,
+            base: 5,
+            off: 1,
+        },
+        Instr::Load {
+            d: 8,
+            base: 5,
+            off: 2,
+        },
+        Instr::Halt { s: 6 },
+    ]);
     let sum = verify_threaded(&p).expect("well-formed stream");
-    assert!(sum.superinstructions >= 2, "{sum:?}");
-    assert!(sum.tinstrs > 0);
-    // And matches what the engine actually pre-decodes.
-    let vm = VmInstance::new(&p, &cfg(Dispatch::Threaded));
-    assert_eq!(vm.dispatch_stats().superinstructions, sum.superinstructions);
-    assert_eq!(vm.dispatch_stats().stream_len, sum.tinstrs);
+    assert_eq!(sum.superinstructions, 1, "the three loads form one run");
+    let o = both(&p, &VmConfig::default());
+    let VmResult::Fault(msg) = &o.result else {
+        panic!("expected a fault, got {:?}", o.result);
+    };
+    assert!(
+        msg.starts_with("access to words [2, 3) outside object of 2 body words"),
+        "{msg}"
+    );
+    assert_eq!(o.stats.instrs, 5, "the fault comes at the third load");
+}
+
+#[test]
+fn allocation_records_match_decode_under_fault_injection_and_active_majors() {
+    let p = record_loop(40);
+    let want = VmResult::Value(39 * 38 / 2);
+    for k in [1, 2, 3, 8, 80] {
+        let o = both(
+            &p,
+            &VmConfig {
+                fault: FaultInject {
+                    fail_alloc_at: Some(k),
+                    ..FaultInject::default()
+                },
+                ..VmConfig::default()
+            },
+        );
+        assert_eq!(o.result, VmResult::HeapExhausted, "fail_alloc_at {k}");
+    }
+    for k in [1, 2, 3] {
+        let o = both(
+            &p,
+            &VmConfig {
+                nursery_words: 64,
+                fault: FaultInject {
+                    gc_every_n_allocs: Some(k),
+                    ..FaultInject::default()
+                },
+                ..VmConfig::default()
+            },
+        );
+        assert_eq!(o.result, want, "gc_every_n_allocs {k}");
+        assert!(o.stats.n_gcs >= 80 / k, "{:?}", o.stats);
+    }
+    let o = both(&p, &active_major());
+    assert_eq!(o.result, want);
+    assert!(o.stats.major_slices > o.stats.n_major_gcs, "{:?}", o.stats);
+    assert!(o.stats.barrier_words > 0, "{:?}", o.stats);
 }
 
 #[test]

@@ -133,11 +133,12 @@ echo "== scc: components + server =="
 cargo test -q -p smlc --test components --test server
 
 # Dispatch-engine gate (docs/ARCHITECTURE.md §7): the threaded engine's
-# differential suite (trap parity, fuel sweeps mid-superinstruction,
-# slice edges between a pair's halves, stream verification), the
-# hostile-bytecode differential (every bytecode corruption in the
-# mutation catalog plus seeded operand perturbations, unverified, on the
-# figure programs: no panic, engines identical), then the bench gate
+# differential suite (trap parity, fault injection and active majors,
+# fuel sweeps and slice edges inside every kind of record, stream
+# verification), the hostile-bytecode differential (every bytecode
+# corruption in the mutation catalog plus seeded operand perturbations,
+# allocation operand lists included, unverified, on the figure
+# programs: no panic, engines identical), then the bench gate
 # proving decode/threaded observational identity over the figure
 # benchmarks × all six variants plus a 200-seed progen corpus and
 # recording the threaded engine's wall-time geomean. Writes the
