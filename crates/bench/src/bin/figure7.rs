@@ -2,9 +2,8 @@
 //! of all six compilers, with `sml.nrp` as the baseline (1.00).
 //!
 //! ```sh
-//! cargo run --release -p smlc-bench --bin figure7            # table only
-//! cargo run --release -p smlc-bench --bin figure7 -- --json  # + BENCH_pr1.json
-//! cargo run --release -p smlc-bench --bin figure7 -- --json=out.json
+//! cargo run --release -p smlc-bench --bin figure7                      # table only
+//! cargo run --release -p smlc-bench --bin figure7 -- --json=out.json   # + trajectory
 //! ```
 //!
 //! A degraded cell (compile error, VM trap, panic, or output

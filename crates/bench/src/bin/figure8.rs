@@ -3,8 +3,8 @@
 //! compilers (baseline `sml.nrp` = 1.00).
 //!
 //! ```sh
-//! cargo run --release -p smlc-bench --bin figure8            # table only
-//! cargo run --release -p smlc-bench --bin figure8 -- --json  # + BENCH_pr1.json
+//! cargo run --release -p smlc-bench --bin figure8                      # table only
+//! cargo run --release -p smlc-bench --bin figure8 -- --json=out.json   # + trajectory
 //! ```
 //!
 //! Only rows where every variant ran cleanly contribute to the means;

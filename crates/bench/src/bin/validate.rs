@@ -3,15 +3,14 @@
 //!
 //! ```sh
 //! cargo run --release -p smlc-bench --bin validate
-//! cargo run --release -p smlc-bench --bin validate -- --json
+//! cargo run --release -p smlc-bench --bin validate -- --json=out.json
 //! ```
 //!
 //! Every failure mode — compile error, VM trap, escaped panic, output
 //! divergence — is contained to its cell and printed as a `DEGRADED`
-//! line. With `--json[=PATH]`, the `BENCH_*.json` trajectory document
-//! (default `BENCH_pr1.json`) is written even when cells degraded: the
-//! document marks them explicitly, and the process still exits 1 so CI
-//! notices.
+//! line. With `--json=PATH`, the `BENCH_*.json` trajectory document is
+//! written to `PATH` even when cells degraded: the document marks them
+//! explicitly, and the process still exits 1 so CI notices.
 
 use smlc_bench::{degraded_cells, json_path_from_args, run_matrix, write_bench_json};
 

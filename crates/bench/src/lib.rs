@@ -308,8 +308,8 @@ pub fn run_cell(b: &Benchmark, v: Variant) -> BenchCell {
 }
 
 /// The session the parallel matrix drivers use: default knobs plus an
-/// artifact cache big enough that a repeated matrix (the cache bench's
-/// warm pass) is served entirely from cache.
+/// artifact cache big enough that a repeated matrix (the warm pass of
+/// the `cache` gate in `tests/gates.rs`) is served entirely from cache.
 pub fn matrix_session() -> Session {
     Session::builder()
         .cache_capacity(256)
@@ -539,22 +539,17 @@ pub fn write_bench_json(
     std::fs::write(path, doc)
 }
 
-/// Default output path for trajectory files, relative to the working
-/// directory (`cargo run` leaves that at the workspace root).
-pub const BENCH_JSON_PATH: &str = "BENCH_pr1.json";
-
-/// Parses `--json` / `--json=PATH` out of a bench binary's arguments,
-/// returning the trajectory output path if one was requested.
-/// Exits with status 2 on any other argument.
+/// Parses `--json=PATH` out of a figure binary's arguments, returning
+/// the trajectory output path if one was given. Exits with status 2 on
+/// any other argument, a bare `--json` included: there is no default
+/// path, so a run writes only where it is told to.
 pub fn json_path_from_args(args: impl Iterator<Item = String>) -> Option<String> {
     let mut path = None;
     for a in args {
-        if a == "--json" {
-            path = Some(BENCH_JSON_PATH.to_owned());
-        } else if let Some(p) = a.strip_prefix("--json=") {
+        if let Some(p) = a.strip_prefix("--json=") {
             path = Some(p.to_owned());
         } else {
-            eprintln!("unknown argument `{a}` (only --json[=PATH])");
+            eprintln!("unknown argument `{a}` (only --json=PATH)");
             std::process::exit(2);
         }
     }

@@ -1,12 +1,7 @@
-//! Measures the shared LTY hash-cons arena and writes the
-//! `BENCH_pr6.json` trajectory document.
+//! The shared LTY hash-cons arena: outcome-invisible, exactly
+//! accounted, and no slower than per-compile tables.
 //!
-//! ```sh
-//! cargo run --release -p smlc-bench --bin arena_bench              # writes BENCH_pr6.json
-//! cargo run --release -p smlc-bench --bin arena_bench -- --json=out.json
-//! ```
-//!
-//! Two levels of measurement, one assertion each:
+//! Two levels, one wall-time assertion each:
 //!
 //! **Grid level** — the full benchmark×variant job grid compiles with
 //! the artifact cache off under two sessions: *cold*
@@ -26,18 +21,25 @@
 //! configuration gives every compile a fresh arena, so each distinct
 //! kind pays the insert path (write lock, kind clones, slot push); the
 //! warm configuration shares one resident arena, so the same touches
-//! are read-lock probes. Here warm must **strictly beat** cold — this
-//! is the headline `intern_warm_speedup` in the JSON document.
+//! are read-lock probes. Here warm must **strictly beat** cold.
 //!
-//! The binary also asserts the arena is outcome-invisible (warm and
-//! cold grid artifacts byte-identical to a serial cold reference) and
-//! that the arena accounting balances.
+//! The test also asserts that warm and cold grid artifacts are
+//! byte-identical to a serial cold reference and that the arena
+//! accounting balances.
+//!
+//! It is the only test in this file because it times: cargo runs test
+//! binaries one at a time, so nothing else shares the CPU with it. It
+//! is ignored in the dev profile; run it with
+//!
+//! ```sh
+//! cargo test --release -p smlc-bench --test arena_gate
+//! ```
 
 use std::time::Instant;
 
 use sml_lambda::{Lty, LtyArena, LtyKind};
-use smlc::{CompileError, Compiled, Job, Json, Session, Variant, METRICS_SCHEMA_VERSION};
-use smlc_bench::{benchmarks, json_path_from_args, median, Benchmark};
+use smlc::{CompileError, Compiled, Job, Session, Variant};
+use smlc_bench::{benchmarks, median, Benchmark};
 
 /// Measured grid passes per configuration (interleaved cold/warm).
 const GRID_REPS: usize = 5;
@@ -129,17 +131,13 @@ fn intern_round(shared: Option<&LtyArena>) -> u64 {
     sum
 }
 
-fn main() {
-    let path = json_path_from_args(std::env::args().skip(1))
-        .unwrap_or_else(|| "BENCH_pr6.json".to_owned());
-
-    let benches = benchmarks();
-    let jobs = job_grid(&benches);
-    let n_cells = jobs.len() as u64;
+#[test]
+#[cfg_attr(debug_assertions, ignore = "times optimized compiles; release only")]
+fn shared_arena_is_invisible_balanced_and_no_slower() {
+    let jobs = job_grid(&benchmarks());
 
     // Reference artifacts: serial and cold, one fresh session per job —
     // maximally independent of batch scheduling.
-    eprintln!("serial cold reference ...");
     let reference: Vec<Compiled> = jobs
         .iter()
         .map(|j| {
@@ -156,7 +154,6 @@ fn main() {
     // Grid level: interleaved cold/warm passes. The warm session is
     // primed by one unmeasured pass — the steady state a long-lived
     // session reaches.
-    eprintln!("grid passes ({GRID_REPS} interleaved cold/warm pairs) ...");
     let cold_session = session(false);
     let warm_session = session(true);
     let _ = compile_grid(&warm_session, &jobs);
@@ -206,7 +203,6 @@ fn main() {
 
     // Intern level: interleaved rounds against a primed shared arena vs
     // fresh per-compile arenas.
-    eprintln!("intern replay ({INTERN_ROUNDS} interleaved rounds) ...");
     let shared = LtyArena::new();
     let _ = intern_round(Some(&shared)); // prime
     let (mut icold_ms, mut iwarm_ms) = (Vec::new(), Vec::new());
@@ -225,35 +221,6 @@ fn main() {
     let grid_warm = median(&warm_ms);
     let intern_cold = median(&icold_ms);
     let intern_warm = median(&iwarm_ms);
-    let intern_speedup = intern_cold / intern_warm;
-
-    println!(
-        "arena_bench: {n_cells} compile jobs ({} benchmarks x {} variants), cache off",
-        benches.len(),
-        Variant::ALL.len()
-    );
-    println!("  grid cold (per-compile tables)  median {grid_cold:9.1} ms");
-    println!("  grid warm (shared arena)        median {grid_warm:9.1} ms");
-    println!(
-        "  grid warm/cold                  {:9.3}",
-        grid_warm / grid_cold
-    );
-    println!(
-        "  intern replay cold              median {intern_cold:9.3} ms  ({INTERN_COMPILES} compiles x {} touches)",
-        2 + 2 * INTERN_DISTINCT
-    );
-    println!("  intern replay warm              median {intern_warm:9.3} ms");
-    println!("  intern warm speedup             {intern_speedup:9.3}x");
-    println!(
-        "  arena: {} resident kinds, {} hits / {} queries ({:.1}% hit), {} retries",
-        arena_stats.resident(),
-        arena_stats.hits(),
-        arena_stats.queries(),
-        100.0 * arena_stats.hits() as f64 / arena_stats.queries().max(1) as f64,
-        arena_stats.retries(),
-    );
-    println!("  artifacts: byte-identical to serial cold reference");
-
     assert!(
         grid_warm <= grid_cold * GRID_ALLOWANCE,
         "warm grid compiles regressed past the noise allowance: \
@@ -264,54 +231,4 @@ fn main() {
         "warm interning must beat cold interning: \
          warm {intern_warm:.3} ms vs cold {intern_cold:.3} ms"
     );
-
-    let pass_json = |ms: &[f64], med: f64| {
-        Json::obj()
-            .field("reps", ms.len() as u64)
-            .field(
-                "wall_ms",
-                Json::Arr(ms.iter().map(|&m| Json::from(m)).collect()),
-            )
-            .field("median_ms", med)
-    };
-    let doc = Json::obj()
-        .field("schema_version", METRICS_SCHEMA_VERSION)
-        .field("generator", "arena_bench")
-        .field(
-            "grid",
-            Json::obj()
-                .field("benchmarks", benches.len())
-                .field("variants", Variant::ALL.len())
-                .field("cells", n_cells)
-                .field("cold_per_compile_tables", pass_json(&cold_ms, grid_cold))
-                .field("warm_shared_arena", pass_json(&warm_ms, grid_warm))
-                .field("warm_over_cold", grid_warm / grid_cold)
-                .field("noise_allowance", GRID_ALLOWANCE),
-        )
-        .field(
-            "intern_replay",
-            Json::obj()
-                .field("compiles_per_round", INTERN_COMPILES as u64)
-                .field("touches_per_compile", u64::from(2 + 2 * INTERN_DISTINCT))
-                .field("cold_fresh_arenas", pass_json(&icold_ms, intern_cold))
-                .field("warm_resident_arena", pass_json(&iwarm_ms, intern_warm)),
-        )
-        .field("intern_warm_speedup", intern_speedup)
-        .field(
-            "arena",
-            Json::obj()
-                .field("resident", arena_stats.resident() as u64)
-                .field("hits", arena_stats.hits())
-                .field("misses", arena_stats.misses())
-                .field("retries", arena_stats.retries())
-                .field("queries", arena_stats.queries()),
-        )
-        .field("identical_to_serial", true);
-    let mut text = doc.to_string_pretty();
-    text.push('\n');
-    std::fs::write(&path, text).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote {path}");
 }

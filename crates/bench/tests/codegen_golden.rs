@@ -5,6 +5,11 @@
 //! (`MachineProgram: Display`, which prints every block, instruction
 //! and string-pool entry).
 //!
+//! The same cells compiled under `VerifyIr::Always` must emit the same
+//! code: verification only ever checks an IR, it never rewrites one.
+//! Every `Off` compile runs zero verifier checks and every `Always`
+//! compile runs some.
+//!
 //! A compiler change that is meant to leave the emitted code alone
 //! passes this test unchanged. A change that is meant to alter code
 //! regenerates the file with
@@ -21,10 +26,11 @@ use smlc_bench::benchmarks;
 
 const GOLDEN: &str = "tests/codegen_golden.txt";
 
-/// One line per cell: `program variant code_size digest`.
-fn digests() -> String {
+/// One line per cell, compiled under `mode`: `program variant code_size
+/// digest`.
+fn digests(mode: VerifyIr) -> String {
     let session = Session::builder()
-        .verify_ir(VerifyIr::Off)
+        .verify_ir(mode)
         .cache(false)
         .build()
         .expect("default knobs are valid");
@@ -40,28 +46,48 @@ fn digests() -> String {
             Variant::ALL[i % Variant::ALL.len()],
         );
         let c = c.unwrap_or_else(|e| panic!("{} failed under {v}: {e}", b.name));
+        let checks = c.stats.verify.total_checks();
+        assert_eq!(
+            checks == 0,
+            mode == VerifyIr::Off,
+            "{} under {v}: VerifyIr::{mode:?} ran {checks} verifier checks",
+            b.name
+        );
         let digest = hash_bytes(c.machine.to_string().as_bytes());
         out += &format!("{} {v} {} {digest:016x}\n", b.name, c.machine.code_size());
     }
     out
 }
 
-#[test]
-fn emitted_code_matches_golden() {
-    let want = std::fs::read_to_string(GOLDEN).expect("golden file is committed");
-    let got = digests();
-    let moved: Vec<String> = want
-        .lines()
+/// The cells whose lines differ between `want` and `got`, each as a
+/// want/got pair.
+fn moved(want: &str, got: &str) -> Vec<String> {
+    want.lines()
         .zip(got.lines())
         .filter(|(w, g)| w != g)
         .map(|(w, g)| format!("  want {w}\n  got  {g}"))
-        .collect();
+        .collect()
+}
+
+#[test]
+fn emitted_code_matches_golden() {
+    let want = std::fs::read_to_string(GOLDEN).expect("golden file is committed");
+    let got = digests(VerifyIr::Off);
+    let moved_off = moved(&want, &got);
     assert!(
-        moved.is_empty() && want.lines().count() == got.lines().count(),
+        moved_off.is_empty() && want.lines().count() == got.lines().count(),
         "emitted code differs from {GOLDEN} in {} cell(s):\n{}\n\
          (regenerate with scripts/verify.sh --update-codegen-golden if the change is intended)",
-        moved.len(),
-        moved.join("\n")
+        moved_off.len(),
+        moved_off.join("\n")
+    );
+    // Both digests cover the same cells, so their line counts agree.
+    let moved_always = moved(&got, &digests(VerifyIr::Always));
+    assert!(
+        moved_always.is_empty(),
+        "VerifyIr::Always changed the emitted code in {} cell(s):\n{}",
+        moved_always.len(),
+        moved_always.join("\n")
     );
 }
 
@@ -70,5 +96,5 @@ fn emitted_code_matches_golden() {
 #[test]
 #[ignore = "rewrites the golden file"]
 fn regenerate_codegen_golden() {
-    std::fs::write(GOLDEN, digests()).expect("golden file is writable");
+    std::fs::write(GOLDEN, digests(VerifyIr::Off)).expect("golden file is writable");
 }

@@ -253,8 +253,8 @@ fn generated_programs_agree_across_dispatch_engines() {
     // pre-decoded threaded engine must be observationally identical to
     // the decode loop on every variant — same result, same output, and
     // the same `RunStats` to the last counter (the full 200-seed ×
-    // 6-variant sweep runs in `dispatch_bench`; this keeps a
-    // representative slice in the tier-1 suite).
+    // 6-variant sweep is a release gate in `crates/bench/tests/gates.rs`;
+    // this keeps a representative slice in the tier-1 suite).
     use smlc::{Dispatch, VmConfig};
     let cfg = GenConfig::default();
     run_cases(

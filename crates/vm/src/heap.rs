@@ -27,7 +27,7 @@
 //! [`GcMode::Semispace`] keeps the pre-generational single-semispace
 //! collector (every collection copies the whole live set on a fixed
 //! allocation schedule) as a reference baseline for differential
-//! testing and the `gc_bench` comparison.
+//! testing and the copied-words comparison of the `gc` release gate.
 //!
 //! # Incremental major collection
 //!
