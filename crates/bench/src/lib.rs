@@ -14,7 +14,7 @@
 //! hash-cons arena, which is insertion-order-independent, so cells
 //! stay scheduling-invariant even warm), then
 //! runs the compiled artifacts under the same parallel driver;
-//! [`run_matrix_serial`] is the single-threaded reference the
+//! [`run_matrix_serial_of`] is the single-threaded reference the
 //! differential test compares against — a one-worker [`Session`] over
 //! the identical job list. [`matrix_json`] turns a result matrix into
 //! the `BENCH_*.json` trajectory document described in
@@ -122,7 +122,7 @@ pub struct BenchResult {
 
 impl BenchResult {
     /// This cell as a [`Metrics`] snapshot (the per-variant schema of
-    /// `smlc --stats=json`).
+    /// `smlc run --stats=json`).
     pub fn metrics(&self) -> Metrics {
         Metrics {
             variant: self.variant.name().to_owned(),
@@ -137,34 +137,6 @@ impl BenchResult {
             sched: None,
             server: None,
         }
-    }
-}
-
-/// Compiles and runs one benchmark under one variant.
-///
-/// # Panics
-///
-/// Panics on compile errors or abnormal termination — the benchmarks are
-/// fixed programs that must run cleanly. Matrix drivers use the
-/// fault-containing [`run_cell`] instead.
-pub fn run_one(b: &Benchmark, v: Variant) -> BenchResult {
-    let session = Session::with_variant(v);
-    let compiled = session
-        .compile(&b.source())
-        .unwrap_or_else(|e| panic!("{} failed to compile under {v}: {e}", b.name));
-    let outcome = session.run(&compiled);
-    assert!(
-        matches!(outcome.result, VmResult::Value(_)),
-        "{} under {v} ended abnormally: {:?} (output {:?})",
-        b.name,
-        outcome.result,
-        outcome.output
-    );
-    BenchResult {
-        name: b.name,
-        variant: v,
-        compile: compiled.stats,
-        outcome,
     }
 }
 
@@ -324,7 +296,7 @@ pub fn matrix_session() -> Session {
 ///
 /// Cells are handed to worker threads through `Session::compile_batch`'s
 /// atomic work queue; the matrix comes back in the same deterministic
-/// order as [`run_matrix_serial`], and compilation/execution is fully
+/// order as [`run_matrix_serial_of`], and compilation/execution is fully
 /// deterministic per cell (the shared LTY arena is insertion-order-
 /// independent and per-cell counters come from per-compile views), so
 /// the two produce identical outputs and counters. A cell
@@ -332,11 +304,6 @@ pub fn matrix_session() -> Session {
 /// aborts the matrix.
 pub fn run_matrix() -> Vec<Vec<BenchCell>> {
     run_matrix_of(&benchmarks())
-}
-
-/// Single-threaded reference implementation of [`run_matrix`].
-pub fn run_matrix_serial() -> Vec<Vec<BenchCell>> {
-    run_matrix_serial_of(&benchmarks())
 }
 
 /// Parallel matrix run over an explicit benchmark list (see

@@ -2,7 +2,7 @@
 //! instruction of every compiled benchmark must survive
 //! `Display -> parse_instr -> Display` unchanged. This pins the textual
 //! ISA as a faithful, re-parseable encoding of the bytecode — the same
-//! property the `smlc --disasm` output relies on.
+//! property the `smlc compile --emit asm` output relies on.
 
 use sml_vm::parse_instr;
 use smlc::{Session, Variant};

@@ -1,10 +1,10 @@
-//! First-party documentation link checker: verifies every relative
-//! Markdown link in `README.md` and `docs/*.md` resolves to a real
-//! file, without taking any dependency on an external link checker.
+//! First-party documentation link checker: every relative Markdown
+//! link in the repository's `README.md` and `docs/*.md` must resolve to
+//! a real file, without taking any dependency on an external link
+//! checker.
 //!
 //! ```sh
-//! cargo run --release -p smlc-bench --bin docs_lint            # checks the repo root
-//! cargo run --release -p smlc-bench --bin docs_lint -- <root>  # or an explicit root
+//! cargo test -p smlc-bench --test docs_lint
 //! ```
 //!
 //! Checked: inline links `[text](target)` whose target is a relative
@@ -12,7 +12,7 @@
 //! link; a `#fragment` suffix is stripped first. Skipped: absolute
 //! URLs (`http://`, `https://`, `mailto:`), pure in-page anchors
 //! (`#...`), and fenced code blocks (link-shaped text inside ``` ... ```
-//! is code, not a link). Exit status 1 lists every broken link.
+//! is code, not a link). A failure lists every broken link.
 
 use std::path::{Path, PathBuf};
 
@@ -99,40 +99,30 @@ fn check_file(path: &Path, broken: &mut Vec<String>) {
     }
 }
 
-fn main() {
-    let root = std::env::args()
-        .nth(1)
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-
+#[test]
+fn relative_links_resolve() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("the crate sits two levels below the repository root");
     let mut files: Vec<PathBuf> = vec![root.join("README.md")];
-    let docs = root.join("docs");
-    if let Ok(entries) = std::fs::read_dir(&docs) {
-        let mut md: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "md"))
-            .collect();
-        md.sort();
-        files.extend(md);
-    }
+    let mut md: Vec<PathBuf> = std::fs::read_dir(root.join("docs"))
+        .expect("docs/ is readable")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "md"))
+        .collect();
+    md.sort();
+    files.extend(md);
 
     let mut broken = Vec::new();
-    let mut n_checked = 0usize;
     for f in &files {
-        if f.exists() {
-            check_file(f, &mut broken);
-            n_checked += 1;
-        }
+        check_file(f, &mut broken);
     }
-
-    if broken.is_empty() {
-        println!("docs_lint: {n_checked} files, all relative links resolve");
-    } else {
-        eprintln!("docs_lint: {} broken link(s):", broken.len());
-        for b in &broken {
-            eprintln!("  {b}");
-        }
-        std::process::exit(1);
-    }
+    assert!(
+        broken.is_empty(),
+        "{} broken link(s):\n  {}",
+        broken.len(),
+        broken.join("\n  ")
+    );
 }

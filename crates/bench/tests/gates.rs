@@ -217,8 +217,8 @@ mod pause {
 
     use super::report;
 
-    /// Seed salt: disjoint from both the unit tests' corpus and
-    /// `fuzz_smoke`'s.
+    /// Seed salt: disjoint from both the unit tests' corpus and the
+    /// seeded batch sweep's (`crates/core/tests/fuzz_programs.rs`).
     const SALT: u64 = 0x5eed_f00d_cafe_0007;
 
     /// Generated programs in the differential corpus.

@@ -1,28 +1,25 @@
 //! The `smlc` command-line compiler driver.
 //!
 //! ```sh
-//! smlc run program.sml              # compile with sml.ffb and run
-//! smlc compile program.sml          # compile only (type-check + codegen)
-//! smlc bench program.sml            # compile and run under all six variants
-//! smlc serve --socket /tmp/smlc.sock   # start a compile server
+//! smlc run program.sml                  # compile with sml.ffb and run
+//! smlc compile program.sml              # compile only (type-check + codegen)
+//! smlc bench program.sml                # compile and run under all six variants
+//! smlc serve --socket /tmp/smlc.sock    # start a compile server
 //! smlc client --socket /tmp/smlc.sock --run program.sml
-//! smlc program.sml                  # no subcommand = `run` (legacy spelling)
-//! smlc --variant nrp program.sml    # pick a compiler variant
-//! smlc --stats program.sml          # print compile/run statistics
-//! smlc --stats=json program.sml     # emit structured metrics as JSON
-//! smlc --all program.sml            # run under all six variants
-//! smlc --batch a.sml b.sml c.sml    # compile a batch in parallel, run in order
-//! smlc -e 'val _ = print "hi\n"'    # compile a command-line snippet
-//! smlc --emit asm program.sml       # disassemble instead of running
-//! smlc run --dispatch=decode p.sml  # reference decode loop (threaded is the default)
-//! smlc --verify-ir always prog.sml  # re-check every IR behind each phase
+//! smlc run --variant nrp program.sml    # pick a compiler variant
+//! smlc run --stats program.sml          # print compile/run statistics
+//! smlc run --stats=json program.sml     # emit structured metrics as JSON
+//! smlc run --all program.sml            # run under all six variants
+//! smlc run --batch a.sml b.sml c.sml    # compile a batch in parallel, run in order
+//! smlc run -e 'val _ = print "hi\n"'    # compile a command-line snippet
+//! smlc compile --emit asm program.sml   # disassemble instead of running
+//! smlc run --dispatch=decode p.sml      # reference decode loop (threaded is the default)
+//! smlc run --verify-ir always prog.sml  # re-check every IR behind each phase
 //! ```
 //!
-//! The first argument picks a subcommand — `compile`, `run`, `bench`,
-//! `serve`, or `client`; anything else falls through to the legacy
-//! flag-only spelling, which behaves exactly like `run` (every old
-//! invocation keeps working, with the same exit codes and the same
-//! `--stats=json` schema).
+//! The first argument is the subcommand and is required: `compile`,
+//! `run`, `bench`, `serve`, or `client`. Anything else prints usage and
+//! exits 2.
 //!
 //! Every compile goes through one [`Session`]: `--batch` fans the
 //! file×variant job list out over [`Session::compile_batch`]'s parallel
@@ -67,7 +64,7 @@ enum StatsMode {
 enum DriveMode {
     /// `smlc compile`: stop after code generation.
     CompileOnly,
-    /// `smlc run` (and the legacy flag-only spelling): compile and run.
+    /// `smlc run`: compile and run.
     Run,
     /// `smlc bench`: `run` forced across all six variants.
     Bench,
@@ -75,7 +72,7 @@ enum DriveMode {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: smlc [compile|run|bench] [--variant nrp|fag|rep|mtd|ffb|fp3] \
+        "usage: smlc (compile|run|bench) [--variant nrp|fag|rep|mtd|ffb|fp3] \
          [--verify-ir off|debug|always] [--stats[=json]] [--all] [--batch] [--emit asm] \
          [--tenants=N] [--policy=round-robin|priority|deadline] [--deadline=CYCLES] \
          [--dispatch=threaded|decode] (<file.sml>... | -e <source>)\n\
@@ -128,13 +125,11 @@ fn main() -> ExitCode {
         Some("bench") => drive(&args[1..], DriveMode::Bench),
         Some("serve") => serve(&args[1..]),
         Some("client") => client(&args[1..]),
-        // Legacy flag-only spelling: identical to `run`.
-        _ => drive(&args, DriveMode::Run),
+        _ => usage(),
     }
 }
 
-/// The `compile` / `run` / `bench` driver (and the legacy no-subcommand
-/// path).
+/// The `compile` / `run` / `bench` driver.
 fn drive(args: &[String], mode: DriveMode) -> ExitCode {
     let mut args = args.iter();
     let mut variant = Variant::Ffb;

@@ -1,7 +1,7 @@
 //! Structured pipeline observability: one [`Metrics`] value captures a
 //! whole compile (and optionally a run) as machine-readable data.
 //!
-//! This is the layer behind `smlc --stats=json` and the bench
+//! This is the layer behind `smlc run --stats=json` and the bench
 //! harness's `BENCH_*.json` trajectory files: every per-phase
 //! wall-clock span, LTY hash-cons hit/miss count, coercion-memo hit,
 //! optimizer rewrite count, and VM runtime counter (allocation, Cheney
@@ -74,7 +74,7 @@ pub struct Metrics {
     /// `compile.lty` counters are deterministic.
     pub arena: Option<InternStats>,
     /// Multi-tenant scheduler fairness counters, when the run went
-    /// through a `VmScheduler` (see `smlc --tenants`); `None`
+    /// through a `VmScheduler` (see `smlc run --tenants`); `None`
     /// serializes as `"sched": null`.
     pub sched: Option<SchedStats>,
     /// Compile-server counters, when the compile was served by `smlc

@@ -182,9 +182,9 @@ impl Shared<'_> {
         };
         let mut job = Job::new(src);
         if let Some(name) = req.get("variant").and_then(Json::as_str) {
-            // Accept both the flag spelling (`ffb`) and the paper's
-            // full name (`sml.ffb`).
-            match name.strip_prefix("sml.").unwrap_or(name).parse() {
+            // `Variant::from_str` takes both the flag spelling (`ffb`)
+            // and the paper's full name (`sml.ffb`).
+            match name.parse() {
                 Ok(v) => job = job.variant(v),
                 Err(e) => return error_response(id, "request", &e.to_string(), 2),
             }

@@ -294,16 +294,6 @@ pub struct SessionBuilder {
 
 impl Default for SessionBuilder {
     fn default() -> SessionBuilder {
-        // The `SMLC_VERIFY_IR` environment variable (off / debug /
-        // always) overrides the default verification mode, so a test
-        // harness can force `always` across a whole run without
-        // plumbing a flag through every driver. An explicit
-        // `.verify_ir(..)` call still wins, and an unparsable value
-        // falls back to the default.
-        let verify = std::env::var("SMLC_VERIFY_IR")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_default();
         SessionBuilder {
             variant: Variant::Ffb,
             opt: OptConfig::default(),
@@ -314,7 +304,7 @@ impl Default for SessionBuilder {
             cache_capacity: 256,
             reuse_types: true,
             batch_workers: 0,
-            verify,
+            verify: VerifyIr::default(),
         }
     }
 }
@@ -794,7 +784,7 @@ impl Session {
     /// of hits vs. retries depends on thread scheduling; the totals
     /// balance exactly at quiescence (`hits + misses == queries`,
     /// `misses == resident`). Surfaced as the `arena` object of
-    /// `smlc --stats=json`; see `docs/OBSERVABILITY.md`.
+    /// `smlc run --stats=json`; see `docs/OBSERVABILITY.md`.
     pub fn arena_stats(&self) -> Option<InternStats> {
         self.arena.as_ref().map(|a| a.stats())
     }

@@ -4,10 +4,19 @@
 //! (b) produce the identical result value and print output across
 //! variants — the variant-equivalence oracle behind the paper's
 //! Figure 7/8 matrix.
+//!
+//! The `seeded_batch_*` sweep compiles its whole corpus in one batch:
+//! 40 programs in the dev profile, where every IR verifier runs, and
+//! 200 in release, once in the default mode and once with every
+//! verifier forced on. `scripts/verify.sh` runs the release legs:
+//!
+//! ```sh
+//! cargo test --release -p smlc --test fuzz_programs -- seeded_batch
+//! ```
 
 use sml_testkit::progen::{gen_program, GenConfig};
 use sml_testkit::{run_cases, Rng};
-use smlc::{CompileError, Compiled, Session, Variant, VmResult};
+use smlc::{par_map, CompileError, Compiled, Job, Session, Variant, VerifyIr, VmResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Compiles through a fresh single-variant session.
@@ -64,6 +73,99 @@ fn generated_programs_agree_across_variants() {
             }
         }
     });
+}
+
+/// Programs in the batch sweep's corpus.
+const BATCH_SEEDS: u64 = if cfg!(debug_assertions) { 40 } else { 200 };
+
+/// Mixed into every batch-sweep seed, so the corpus is disjoint from the
+/// `run_cases`-derived seeds of the other tests.
+const BATCH_SALT: u64 = 0x5eed_f00d_cafe_0001;
+
+/// Compiles seeds `0..BATCH_SEEDS` under all six variants with one
+/// `compile_batch` on a cache-off session (every program is distinct)
+/// in verification mode `mode`, runs every artifact with panics
+/// contained, and fails with every failure: a compile error, an escaped
+/// panic, an abnormal result, or a variant whose result or output
+/// differs from the first variant's. Each failure names its seed (the
+/// program is `gen_program(Rng::new(seed ^ BATCH_SALT))`) and source.
+fn check_batch(mode: VerifyIr) {
+    let session = Session::builder()
+        .cache(false)
+        .verify_ir(mode)
+        .build()
+        .expect("fuzz session configuration is valid");
+    let cfg = GenConfig::default();
+    let sources: Vec<String> = (0..BATCH_SEEDS)
+        .map(|seed| gen_program(&mut Rng::new(seed ^ BATCH_SALT), &cfg))
+        .collect();
+    let jobs: Vec<Job> = sources
+        .iter()
+        .flat_map(|src| Variant::ALL.map(|v| Job::with_variant(src.clone(), v)))
+        .collect();
+    let compiled = session.compile_batch(&jobs);
+    let runs: Vec<Result<(VmResult, String), String>> =
+        par_map(&compiled, session.batch_workers(), |_, result| {
+            let c = result
+                .as_ref()
+                .map_err(|e| format!("compile failed: {e}"))?;
+            catch_unwind(AssertUnwindSafe(|| session.run(c)))
+                .map(|o| (o.result, o.output))
+                .map_err(|_| "PANIC escaped the pipeline".to_owned())
+        });
+
+    let mut failures = Vec::new();
+    let rows = runs.chunks(Variant::ALL.len());
+    for (seed, (src, row)) in sources.iter().zip(rows).enumerate() {
+        let mut reference: Option<(&VmResult, &String, &'static str)> = None;
+        for (v, outcome) in Variant::ALL.iter().zip(row) {
+            let name = v.name();
+            let (result, output) = match outcome {
+                Err(why) => {
+                    failures.push(format!("seed {seed} [{name}]: {why}\n{src}"));
+                    continue;
+                }
+                Ok(pair) => pair,
+            };
+            if !matches!(result, VmResult::Value(_)) {
+                failures.push(format!(
+                    "seed {seed} [{name}]: abnormal result {result:?}\n{src}"
+                ));
+                continue;
+            }
+            match reference {
+                None => reference = Some((result, output, name)),
+                Some((r_res, r_out, r_name)) if (result, output) != (r_res, r_out) => {
+                    failures.push(format!(
+                        "seed {seed} [{name}]: diverges from {r_name} \
+                         ({result:?} {output:?} vs {r_res:?} {r_out:?})\n{src}"
+                    ));
+                }
+                Some(_) => {}
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} failure(s) over {BATCH_SEEDS} seeds x {} variants under VerifyIr::{mode:?}:\n{}",
+        failures.len(),
+        Variant::ALL.len(),
+        failures.join("\n\n")
+    );
+}
+
+#[test]
+fn seeded_batch_agrees_across_variants() {
+    check_batch(VerifyIr::default());
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the dev profile's default mode already runs every verifier; release only"
+)]
+fn seeded_batch_agrees_across_variants_with_every_verifier() {
+    check_batch(VerifyIr::Always);
 }
 
 #[test]

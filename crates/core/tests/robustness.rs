@@ -240,3 +240,21 @@ fn trap_results_have_stable_metric_tags() {
     assert_eq!(smlc::result_tag(&VmResult::Fault("x".into())), "fault");
     assert_eq!(smlc::result_tag(&VmResult::OutOfFuel), "out-of-fuel");
 }
+
+#[test]
+fn cli_requires_a_subcommand() {
+    // The subcommand is required: flags first is a usage error (exit 2)
+    // that compiles and prints nothing; the same flags after `run` work.
+    let smlc = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_smlc"))
+            .args(args)
+            .output()
+            .expect("smlc starts")
+    };
+    let bare = smlc(&["--stats=json", "-e", "val x = 1"]);
+    assert_eq!(bare.status.code(), Some(2));
+    assert_eq!(String::from_utf8_lossy(&bare.stdout), "");
+    let run = smlc(&["run", "--stats=json", "-e", "val x = 1"]);
+    assert_eq!(run.status.code(), Some(0));
+    assert!(!run.stdout.is_empty());
+}

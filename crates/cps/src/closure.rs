@@ -738,102 +738,3 @@ impl Closer {
         rest
     }
 }
-
-/// Verifies that a closed program is truly first-order and closed: no
-/// nested `Fix` remains, and every function body references only its own
-/// parameters, labels of lifted functions, and constants.
-///
-/// Returns a description of the first violation, if any. Used as an
-/// invariant check by the test suite.
-pub fn verify_closed(prog: &ClosedProgram) -> Result<(), String> {
-    let labels: FxHashSet<CVar> = prog.funs.iter().map(|f| f.name).collect();
-    fn walk(e: &Cexp, scope: &mut FxHashSet<CVar>, labels: &FxHashSet<CVar>) -> Result<(), String> {
-        let chk = |v: &Value, scope: &FxHashSet<CVar>| -> Result<(), String> {
-            match v {
-                Value::Var(x) => {
-                    if scope.contains(x) || labels.contains(x) {
-                        Ok(())
-                    } else {
-                        Err(format!("free variable v{x}"))
-                    }
-                }
-                Value::Label(x) => {
-                    if labels.contains(x) {
-                        Ok(())
-                    } else {
-                        Err(format!("unknown label L{x}"))
-                    }
-                }
-                _ => Ok(()),
-            }
-        };
-        match e {
-            Cexp::Record {
-                fields, dst, rest, ..
-            } => {
-                for (v, _) in fields {
-                    chk(v, scope)?;
-                }
-                scope.insert(*dst);
-                walk(rest, scope, labels)
-            }
-            Cexp::Select { rec, dst, rest, .. } => {
-                chk(rec, scope)?;
-                scope.insert(*dst);
-                walk(rest, scope, labels)
-            }
-            Cexp::Pure {
-                args, dst, rest, ..
-            }
-            | Cexp::Alloc {
-                args, dst, rest, ..
-            }
-            | Cexp::Look {
-                args, dst, rest, ..
-            } => {
-                for v in args {
-                    chk(v, scope)?;
-                }
-                scope.insert(*dst);
-                walk(rest, scope, labels)
-            }
-            Cexp::Set { args, rest, .. } => {
-                for v in args {
-                    chk(v, scope)?;
-                }
-                walk(rest, scope, labels)
-            }
-            Cexp::Switch {
-                v, arms, default, ..
-            } => {
-                chk(v, scope)?;
-                for a in arms {
-                    walk(a, scope, labels)?;
-                }
-                walk(default, scope, labels)
-            }
-            Cexp::Branch { args, tru, fls, .. } => {
-                for v in args {
-                    chk(v, scope)?;
-                }
-                walk(tru, scope, labels)?;
-                walk(fls, scope, labels)
-            }
-            Cexp::Fix { .. } => Err("nested Fix survived closure conversion".into()),
-            Cexp::App { f, args } => {
-                chk(f, scope)?;
-                for v in args {
-                    chk(v, scope)?;
-                }
-                Ok(())
-            }
-            Cexp::Halt { v } => chk(v, scope),
-        }
-    }
-    for f in &prog.funs {
-        let mut scope: FxHashSet<CVar> = f.params.iter().map(|(p, _)| *p).collect();
-        walk(&f.body, &mut scope, &labels).map_err(|e| format!("function L{}: {e}", f.name))?;
-    }
-    let mut scope = FxHashSet::default();
-    walk(&prog.entry, &mut scope, &labels).map_err(|e| format!("entry: {e}"))
-}

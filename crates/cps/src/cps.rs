@@ -51,16 +51,6 @@ pub enum Value {
     Str(String),
 }
 
-impl Value {
-    /// The variable, if this is one.
-    pub fn as_var(&self) -> Option<CVar> {
-        match self {
-            Value::Var(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
 /// Pure value operators (no observable effect, one result).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[allow(missing_docs)]

@@ -371,9 +371,9 @@ pub fn verify_cps(prog: &CpsProgram) -> Result<CpsVerifySummary, CpsViolation> {
 /// [`verify_cps`] checks, plus closedness, label resolution, label-call
 /// arity, and the absence of surviving `Fix` nodes.
 ///
-/// This is the structured counterpart of
-/// [`crate::closure::verify_closed`]; the pipeline verifier uses this
-/// form so failures carry a machine-readable rule tag.
+/// This is the one check of closure conversion's output: the pipeline
+/// runs it after `close`, and the tests run it on every closed program
+/// they build.
 pub fn verify_closed_program(prog: &ClosedProgram) -> Result<CpsVerifySummary, CpsViolation> {
     let mut dup = FxHashSet::default();
     for f in &prog.funs {

@@ -1,7 +1,7 @@
 //! Pipeline tests: source → LEXP → CPS → optimized CPS → closed
 //! first-order program, with invariant checks under every configuration.
 
-use sml_cps::{close, closure::verify_closed, convert, optimize, CpsConfig, OptConfig, SpreadMode};
+use sml_cps::{close, convert, optimize, verify_closed_program, CpsConfig, OptConfig, SpreadMode};
 use sml_lambda::{translate, InternMode, LambdaConfig};
 
 struct Variant {
@@ -84,8 +84,8 @@ fn pipeline(src: &str, v: &Variant) -> sml_cps::ClosedProgram {
 fn check_all(src: &str) {
     for v in variants() {
         let closed = pipeline(src, &v);
-        if let Err(e) = verify_closed(&closed) {
-            panic!("[{}] not closed for:\n{src}\n{e}", v.name);
+        if let Err(e) = verify_closed_program(&closed) {
+            panic!("[{}] ill-formed closed program for:\n{src}\n{e}", v.name);
         }
     }
 }
@@ -301,7 +301,7 @@ fn fag_flattens_only_literal_tuple_calls() {
     let mut cps = convert(&tr.lexp, &mut tr.interner, tr.n_vars, &cfg);
     optimize(&mut cps, &OptConfig::default());
     let closed = close(cps);
-    verify_closed(&closed).unwrap();
+    verify_closed_program(&closed).unwrap();
     // `add` has a non-literal call site (through fwd), so it keeps the
     // one-argument convention: no escaping/known function may take two
     // spread Ptr(None) args where add's tuple would have been.
@@ -342,7 +342,7 @@ fn bytype_spreads_escaping_functions() {
         },
     );
     let closed = close(cps);
-    verify_closed(&closed).unwrap();
+    verify_closed_program(&closed).unwrap();
     // add/mul escape (passed to apply); under ByType their definitions
     // still take 2 spread args + closure + continuation = 4+ params.
     let spreads = closed

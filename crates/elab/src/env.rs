@@ -283,12 +283,6 @@ impl<V: Clone> Scope<V> {
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.0.values_mut().map(Rc::make_mut)
     }
-
-    /// Binds every name of `other` here, sharing its bindings.
-    fn extend(&mut self, other: &Scope<V>) {
-        self.0
-            .extend(other.0.iter().map(|(k, v)| (*k, Rc::clone(v))));
-    }
 }
 
 impl<V: Clone> std::ops::Index<&Symbol> for Scope<V> {
@@ -330,16 +324,6 @@ impl Env {
     /// An empty environment.
     pub fn new() -> Env {
         Env::default()
-    }
-
-    /// Merges `other`'s bindings over `self`'s (right-biased), sharing
-    /// them rather than copying.
-    pub fn extend(&mut self, other: &Env) {
-        self.vals.extend(&other.vals);
-        self.tycons.extend(&other.tycons);
-        self.strs.extend(&other.strs);
-        self.sigs.extend(&other.sigs);
-        self.fcts.extend(&other.fcts);
     }
 }
 
@@ -757,13 +741,6 @@ pub fn builtin_env(reg: &TyconRegistry, vars: &mut VarTable) -> (Env, BuiltinExn
 mod tests {
     use super::*;
 
-    fn tycon_named(env: &Env, name: &str) -> Option<Tycon> {
-        match env.tycons.get(&Symbol::intern(name))? {
-            TyconBind::Tycon(t) => Some(t.clone()),
-            TyconBind::Abbrev(_) => None,
-        }
-    }
-
     #[test]
     fn inserting_into_a_clone_leaves_the_original_unchanged() {
         let mut s: Scope<u32> = Scope::default();
@@ -793,27 +770,6 @@ mod tests {
         assert_eq!(
             (s[&a].as_slice(), c[&a].as_slice()),
             (&[1, 9][..], &[1, 2, 3][..])
-        );
-    }
-
-    #[test]
-    fn extend_shares_bindings_and_shadows() {
-        let reg = TyconRegistry::with_builtins();
-        let mut vars = VarTable::new();
-        let (base, _) = builtin_env(&reg, &mut vars);
-        let mut inner = Env::new();
-        inner.tycons.insert(
-            Symbol::intern("int"),
-            TyconBind::Abbrev(TyFun::constant(Ty::unit())),
-        );
-        let mut env = base.clone();
-        env.extend(&inner);
-        assert!(tycon_named(&env, "int").is_none(), "the extension shadows");
-        assert!(tycon_named(&base, "int").is_some(), "the base is untouched");
-        let plus = Symbol::intern("+");
-        assert!(
-            Rc::ptr_eq(&env.vals.0[&plus], &base.vals.0[&plus]),
-            "shared, not copied"
         );
     }
 

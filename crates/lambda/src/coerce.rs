@@ -317,8 +317,8 @@ impl CoercionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexp::type_of;
     use crate::lty::InternMode;
+    use crate::verify::lty_of;
     use sml_ast::FxHashMap as Map;
 
     fn setup() -> (LtyInterner, VarGen, CoerceStats) {
@@ -352,7 +352,7 @@ mod tests {
         let e = coerce_exp(&mut i, &mut vg, &mut st, Lexp::Real(1.5), real, boxed);
         assert!(matches!(e, Lexp::Wrap(..)));
         assert_eq!(st.wraps, 1);
-        let t = type_of(&e, &mut Map::default(), &mut i).unwrap();
+        let t = lty_of(&e, &mut Map::default(), &mut i).unwrap();
         assert_eq!(t, i.boxed());
     }
 
@@ -368,7 +368,7 @@ mod tests {
         let e = coerce_exp(&mut i, &mut vg, &mut st, rec, flat, rb);
         assert_eq!(st.record_rebuilds, 1);
         assert_eq!(st.wraps, 2, "each REAL field is wrapped");
-        let t = type_of(&e, &mut Map::default(), &mut i).unwrap();
+        let t = lty_of(&e, &mut Map::default(), &mut i).unwrap();
         // Result is a record of boxed fields — a standard representation.
         assert!(matches!(i.kind(t), LtyKind::Record(fs) if fs.len() == 2));
     }
@@ -383,7 +383,7 @@ mod tests {
         let e = coerce_exp(&mut i, &mut vg, &mut st, Lexp::Var(v), rb, flat);
         let mut env = Map::default();
         env.insert(v, rb);
-        let t = type_of(&e, &mut env, &mut i).unwrap();
+        let t = lty_of(&e, &mut env, &mut i).unwrap();
         assert!(i.same(t, flat));
         assert_eq!(st.wraps, 2);
     }
@@ -403,7 +403,7 @@ mod tests {
         assert_eq!(st.wraps, 2, "argument funwrap + result fwrap");
         let mut env = Map::default();
         env.insert(f, mono);
-        let t = type_of(&e, &mut env, &mut i).unwrap();
+        let t = lty_of(&e, &mut env, &mut i).unwrap();
         assert!(matches!(i.kind(t), LtyKind::Arrow(..)));
     }
 
@@ -420,7 +420,7 @@ mod tests {
         let back = coerce_exp(&mut i, &mut vg, &mut st, boxed_e, rb, flat);
         let mut env = Map::default();
         env.insert(v, flat);
-        let t = type_of(&back, &mut env, &mut i).unwrap();
+        let t = lty_of(&back, &mut env, &mut i).unwrap();
         assert!(i.same(t, flat));
     }
 

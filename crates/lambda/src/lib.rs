@@ -29,7 +29,7 @@ pub mod verify;
 
 pub use coerce::{coerce_exp, is_identity, CoerceStats, CoercionCache, VarGen};
 pub use exhaustive::{check_rules, irrefutable};
-pub use lexp::{compat, type_of, LVar, Lexp, Primop};
+pub use lexp::{LVar, Lexp, Primop};
 pub use lty::{InternMode, InternStats, Lty, LtyArena, LtyInterner, LtyKind, LtyStats, ShardStats};
 pub use translate::{translate, translate_seeded, LambdaConfig, Translation};
-pub use verify::{verify_lexp, LexpVerifySummary, LexpViolation};
+pub use verify::{compat, verify_lexp, LexpVerifySummary, LexpViolation};

@@ -1,24 +1,25 @@
-//! Post-translation LEXP verifier.
+//! The LEXP type checker: the one statement of the typed lambda
+//! language's typing rules.
 //!
-//! Re-derives the LTY of every LEXP term bottom-up against the
-//! hash-consed type table and reports the first well-formedness
-//! violation as a structured [`LexpViolation`] with a stable `rule`
-//! tag (schema in `docs/VERIFY_IR.md`). This is deliberately an
-//! independent re-implementation of the derivation rather than a
-//! wrapper over [`crate::lexp::type_of`]: a checker that shares code
-//! with the phase it audits inherits that phase's bugs.
+//! [`verify_lexp`] re-derives the LTY of every term of a closed program
+//! bottom-up against the hash-consed type table and reports the first
+//! well-formedness violation as a structured [`LexpViolation`] with a
+//! stable `rule` tag (schema in `docs/VERIFY_IR.md`). The unit tests
+//! reach the same derivation through `lty_of`, which types an open term
+//! under an environment for its free variables.
 //!
-//! On top of the plain type reconstruction the verifier enforces one
-//! rule the legacy checker does not: **WRAP/UNWRAP pairing** — an
+//! Values flow along [`compat`]: one-word types stand in for each other,
+//! but a raw `REAL` never reaches a one-word context without a `WRAP`.
+//! On top of that the checker enforces **WRAP/UNWRAP pairing**: an
 //! `UNWRAP` applied directly to a `WRAP` must agree on the wrapped
-//! type; `UNWRAP(int, WRAP(real, e))` type-checks under the lenient
-//! box/word compatibility relation but is a guaranteed miscompile (the
-//! float would be reinterpreted as a word). (`SRecord` module-boundary
-//! fields are deliberately *not* forced to one-word standard
-//! representation: under the unboxed-float variants, flat float fields
-//! in structure records are exactly the optimization being measured.)
+//! type. `UNWRAP(int, WRAP(real, e))` passes `compat` but is a
+//! guaranteed miscompile (the float would be reinterpreted as a word).
+//! (`SRecord` module-boundary fields are deliberately *not* forced to
+//! one-word standard representation: under the unboxed-float variants,
+//! flat float fields in structure records are exactly the optimization
+//! being measured.)
 
-use crate::lexp::{compat, LVar, Lexp};
+use crate::lexp::{LVar, Lexp};
 use crate::lty::{Lty, LtyInterner, LtyKind};
 use sml_ast::FxHashMap;
 
@@ -51,6 +52,36 @@ pub struct LexpVerifySummary {
     pub boundary_fields: u64,
 }
 
+/// Checks whether two lambda types are compatible at a value flow edge.
+///
+/// `BOXED` and `RBOXED` are one-word types interchangeable with any other
+/// one-word type (the coercions that make this safe are explicit `WRAP`/
+/// `UNWRAP` nodes). The crucial invariant is that `REAL` (an unboxed
+/// float, living in float registers) never flows into a one-word context
+/// without a `WRAP`.
+pub fn compat(i: &mut LtyInterner, a: Lty, b: Lty) -> bool {
+    if i.same(a, b) {
+        return true;
+    }
+    if matches!(i.kind(a), LtyKind::Bottom) || matches!(i.kind(b), LtyKind::Bottom) {
+        return true;
+    }
+    let a_word = i.is_word(a);
+    let b_word = i.is_word(b);
+    let a_box = matches!(i.kind(a), LtyKind::Boxed | LtyKind::RBoxed);
+    let b_box = matches!(i.kind(b), LtyKind::Boxed | LtyKind::RBoxed);
+    if (a_box && b_word) || (b_box && a_word) {
+        return true;
+    }
+    match (i.kind(a).clone(), i.kind(b).clone()) {
+        (LtyKind::Arrow(a1, r1), LtyKind::Arrow(a2, r2)) => compat(i, a1, a2) && compat(i, r1, r2),
+        (LtyKind::Record(x), LtyKind::Record(y)) | (LtyKind::SRecord(x), LtyKind::SRecord(y)) => {
+            x.len() == y.len() && x.iter().zip(&y).all(|(p, q)| compat(i, *p, *q))
+        }
+        _ => false,
+    }
+}
+
 struct Check<'i> {
     i: &'i mut LtyInterner,
     sum: LexpVerifySummary,
@@ -72,6 +103,23 @@ pub fn verify_lexp(e: &Lexp, i: &mut LtyInterner) -> Result<LexpVerifySummary, L
     };
     ck.infer(e, &mut FxHashMap::default())?;
     Ok(ck.sum)
+}
+
+/// Derives the type of `e` under `env`, which types its free variables,
+/// by the rules [`verify_lexp`] applies to a closed program. Binders
+/// inside `e` are added to `env`. The unit tests use it to assert on
+/// derived types.
+#[cfg(test)]
+pub(crate) fn lty_of(
+    e: &Lexp,
+    env: &mut FxHashMap<LVar, Lty>,
+    i: &mut LtyInterner,
+) -> Result<Lty, LexpViolation> {
+    Check {
+        i,
+        sum: LexpVerifySummary::default(),
+    }
+    .infer(e, env)
 }
 
 impl Check<'_> {
@@ -351,10 +399,75 @@ impl Check<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexp::Primop;
     use crate::lty::InternMode;
 
     fn interner() -> LtyInterner {
         LtyInterner::new(InternMode::HashCons)
+    }
+
+    /// The type the checker derives for a closed, well-typed term.
+    fn closed_lty(e: &Lexp, i: &mut LtyInterner) -> Lty {
+        lty_of(e, &mut FxHashMap::default(), i).expect("well-typed")
+    }
+
+    #[test]
+    fn literals() {
+        let mut i = interner();
+        assert_eq!(closed_lty(&Lexp::Int(3), &mut i), i.int());
+        assert_eq!(closed_lty(&Lexp::Real(1.5), &mut i), i.real());
+        assert_eq!(closed_lty(&Lexp::Str("s".into()), &mut i), i.boxed());
+    }
+
+    #[test]
+    fn fn_and_app() {
+        let mut i = interner();
+        let int = i.int();
+        // (fn x : int => x + 1) 41
+        let e = Lexp::App(
+            Box::new(Lexp::Fn(
+                0,
+                int,
+                int,
+                Box::new(Lexp::PrimApp(
+                    Primop::IAdd,
+                    vec![Lexp::Var(0), Lexp::Int(1)],
+                )),
+            )),
+            Box::new(Lexp::Int(41)),
+        );
+        assert_eq!(closed_lty(&e, &mut i), int);
+    }
+
+    #[test]
+    fn real_into_word_context_rejected() {
+        // A raw REAL may not be used where a word is expected without a
+        // WRAP.
+        let mut i = interner();
+        let e = Lexp::PrimApp(Primop::PolyEq, vec![Lexp::Real(1.0), Lexp::Real(2.0)]);
+        assert_eq!(verify_lexp(&e, &mut i).unwrap_err().rule, "prim-arg");
+        // With wraps it is fine.
+        let real = i.real();
+        let e = Lexp::PrimApp(
+            Primop::PolyEq,
+            vec![
+                Lexp::Wrap(real, Box::new(Lexp::Real(1.0))),
+                Lexp::Wrap(real, Box::new(Lexp::Real(2.0))),
+            ],
+        );
+        assert_eq!(closed_lty(&e, &mut i), i.int());
+    }
+
+    #[test]
+    fn records_and_select() {
+        let mut i = interner();
+        let e = Lexp::Select(
+            1,
+            Box::new(Lexp::Record(vec![Lexp::Int(1), Lexp::Real(2.0)])),
+        );
+        assert_eq!(closed_lty(&e, &mut i), i.real());
+        let bad = Lexp::Select(5, Box::new(Lexp::Record(vec![Lexp::Int(1)])));
+        assert_eq!(verify_lexp(&bad, &mut i).unwrap_err().rule, "select-bounds");
     }
 
     #[test]
@@ -365,6 +478,7 @@ mod tests {
         let sum = verify_lexp(&e, &mut i).expect("well-formed");
         assert_eq!(sum.coercions, 2);
         assert!(sum.nodes >= 3);
+        assert_eq!(closed_lty(&e, &mut i), real);
     }
 
     #[test]

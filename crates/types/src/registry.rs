@@ -35,13 +35,6 @@ pub enum ConRep {
     ExnConst,
 }
 
-impl ConRep {
-    /// True if values with this representation are heap pointers.
-    pub fn is_boxed(self) -> bool {
-        !matches!(self, ConRep::Constant(_))
-    }
-}
-
 /// Description of one data constructor.
 #[derive(Clone, Debug)]
 pub struct ConDef {

@@ -186,14 +186,6 @@ impl TvRef {
         TvRef(Rc::new(RefCell::new(Tv::Unbound { id, level, eq })))
     }
 
-    /// The cell's unique id if unbound, or `None`.
-    pub fn unbound_id(&self) -> Option<u32> {
-        match &*self.0.borrow() {
-            Tv::Unbound { id, .. } => Some(*id),
-            _ => None,
-        }
-    }
-
     /// Pointer identity.
     pub fn same(&self, other: &TvRef) -> bool {
         Rc::ptr_eq(&self.0, &other.0)
@@ -430,11 +422,6 @@ impl Scheme {
     /// The identity instantiation: each generic variable maps to itself.
     pub fn identity_instance(&self) -> Vec<Ty> {
         self.cells.iter().map(|c| Ty::Var(c.clone())).collect()
-    }
-
-    /// True if the scheme binds no variables.
-    pub fn is_mono(&self) -> bool {
-        self.arity == 0
     }
 
     /// Instantiates the scheme with fresh unification variables at

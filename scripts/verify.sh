@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification gate: the tier-1 test suite plus formatting, lint,
-# and fuzz checks. Run from anywhere inside the repository; CI and
-# pre-merge checks should pass this script exactly as-is.
+# the public-API snapshot and the release-only gates. Run from anywhere
+# inside the repository; CI and pre-merge checks should pass this
+# script exactly as-is.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +31,14 @@ fi
 echo "== tier-1: build (release) =="
 cargo build --release
 
+# Every test binary of the workspace, once, in the dev profile: debug
+# assertions are live and VerifyIr::Debug runs every IR verifier. That
+# includes the verifier mutation harness (crates/core/tests/verify_ir.rs),
+# the differential suites over collectors, dispatch engines, the
+# scheduler, the shared LTY arena and hostile bytecode, the compile
+# server, the 40-program seeded batch sweep
+# (crates/core/tests/fuzz_programs.rs) and the documentation link check
+# (crates/bench/tests/docs_lint.rs).
 echo "== tier-1: tests =="
 cargo test -q
 
@@ -50,68 +59,6 @@ if ! diff -u tests/api_surface.txt <(api_snapshot); then
   exit 1
 fi
 
-# Typed-IR verification gate (docs/VERIFY_IR.md). Tier-1 tests already
-# run with VerifyIr::Debug active (dev profile), and codegen_golden
-# asserts there that VerifyIr::Off runs zero checks and that
-# VerifyIr::Always never changes the emitted code; here the fuzz smoke
-# is repeated in release with every verifier forced on, and the
-# mutation harness proves the seeded IR corruptions are rejected at
-# their introducing phase.
-echo "== verify-ir: mutation harness =="
-cargo test -q -p smlc --test verify_ir
-
-echo "== verify-ir: fuzz smoke (release, 200 seeds, VerifyIr::Always) =="
-SMLC_VERIFY_IR=always cargo run -q --release -p smlc-bench --bin fuzz_smoke
-
-# Differential fuzz smoke (docs/ROBUSTNESS.md): seeded well-typed
-# programs under all six variants, demanding no panic, no trap, and
-# identical output. First a short dev-profile pass so debug assertions
-# in the compiler and VM are live, then the full release sweep.
-echo "== fuzz smoke (dev profile, debug assertions) =="
-cargo run -q -p smlc-bench --bin fuzz_smoke -- --seeds=40
-
-echo "== fuzz smoke (release, 200 seeds) =="
-cargo run -q --release -p smlc-bench --bin fuzz_smoke
-
-echo "== incremental GC / scheduler differential =="
-cargo test -q -p sml-vm --test incremental
-
-# Shared LTY arena gate (docs/ARCHITECTURE.md): the scheduling-
-# permutation differential test pins that warm parallel batches are
-# byte-identical to the serial cold reference across worker counts and
-# shuffled job orders; the intern-storm property test pins exact arena
-# accounting under contention.
-echo "== arena: scheduling-permutation differential =="
-cargo test -q -p smlc --test arena_determinism
-
-echo "== arena: intern-storm accounting =="
-cargo test -q -p sml-lambda --test intern_storm
-
-# Component partition and compile-server gate (docs/ARCHITECTURE.md
-# §5, docs/SERVER.md): partitioner edge cases and the disabled v5
-# `components` object; the server suite drives concurrent clients, the
-# wire protocol's error taxonomy (including the nesting-depth cap), and
-# EOF/SIGTERM shutdown of the `smlc serve` binary.
-echo "== scc: components + server =="
-cargo test -q -p smlc --test components --test server
-
-# Dispatch-engine gate (docs/ARCHITECTURE.md §7): the threaded engine's
-# differential suite (trap parity, fault injection and active majors,
-# fuel sweeps and slice edges inside every kind of record, stream
-# verification) and the hostile-bytecode differential (every bytecode
-# corruption in the mutation catalog plus seeded operand perturbations,
-# allocation operand lists included, unverified, on the figure
-# programs: no panic, engines identical).
-echo "== dispatch: engine differential =="
-cargo test -q -p sml-vm --test dispatch
-cargo test -q -p smlc-bench --test hostile_bytecode
-
-# Scheduler gate (docs/SCHEDULER.md): builder validation, typed
-# admission errors, EDF feasibility, starvation aging, overshoot
-# accounting, a fault-injected 1000-tenant isolation storm.
-echo "== sched: policy suite =="
-cargo test -q -p sml-vm --test sched
-
 # Release-only gates over the figure benchmarks and seeded generated
 # corpora (crates/bench/tests/gates.rs): the artifact cache, the
 # collectors and the two dispatch engines are outcome-invisible, no GC
@@ -119,13 +66,11 @@ cargo test -q -p sml-vm --test sched
 # quota, and 1000-tenant storms stay solo-identical under every
 # policy with EDF meeting every feasible deadline. arena_gate times the
 # shared LTY arena against per-compile tables; it is a test binary of
-# its own, so nothing shares the CPU while it times.
+# its own, so nothing shares the CPU while it times. The seeded batch
+# sweep runs its 200-program release legs (docs/ROBUSTNESS.md): once in
+# the default mode and once with every IR verifier forced on.
 echo "== release gates =="
 cargo test -q --release -p smlc-bench --test gates --test arena_gate
-
-# Documentation gate: every relative Markdown link in README.md and
-# docs/*.md must resolve (first-party checker, no external deps).
-echo "== docs: relative-link check =="
-cargo run -q --release -p smlc-bench --bin docs_lint
+cargo test -q --release -p smlc --test fuzz_programs -- seeded_batch
 
 echo "verify: all gates passed"
