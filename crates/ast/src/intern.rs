@@ -27,6 +27,10 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
+/// How many numeric labels (`0 ..`) [`Symbol::numeric`] caches: wider
+/// than any tuple or record the compiler builds in practice.
+const NUMERIC_CACHE: usize = 64;
+
 struct Interner {
     map: HashMap<&'static str, u32>,
     strings: Vec<&'static str>,
@@ -63,8 +67,17 @@ impl Symbol {
     }
 
     /// A numeric label symbol (`1`, `2`, ...) used for tuple fields.
+    ///
+    /// Labels below [`NUMERIC_CACHE`] are interned on their first use,
+    /// as any symbol is, and then answered from a table without
+    /// formatting or locking.
     pub fn numeric(n: usize) -> Symbol {
-        Symbol::intern(&n.to_string())
+        static SMALL: [OnceLock<Symbol>; NUMERIC_CACHE] =
+            [const { OnceLock::new() }; NUMERIC_CACHE];
+        match SMALL.get(n) {
+            Some(cell) => *cell.get_or_init(|| Symbol::intern(&n.to_string())),
+            None => Symbol::intern(&n.to_string()),
+        }
     }
 
     /// If this symbol is a numeric label, its value.
@@ -117,6 +130,13 @@ mod tests {
         assert_eq!(one.as_str(), "1");
         assert_eq!(one.as_numeric(), Some(1));
         assert_eq!(Symbol::intern("x").as_numeric(), None);
+        // Cached and uncached labels are the symbols of their digits.
+        for n in [0, NUMERIC_CACHE - 1, NUMERIC_CACHE, 1_000] {
+            let s = Symbol::numeric(n);
+            assert_eq!(s, Symbol::intern(&n.to_string()));
+            assert_eq!(s, Symbol::numeric(n));
+            assert_eq!(s.as_numeric(), Some(n));
+        }
     }
 
     #[test]

@@ -1,0 +1,102 @@
+//! Pins how much the compiler allocates: one compile of each of the 72
+//! (benchmark, variant) cells, on a fresh session with the IR verifiers
+//! off, may make at most [`MAX_ALLOCS_PER_COMPILE`] heap allocations on
+//! average.
+//!
+//! The count is a property of the program, not of the host: it repeats
+//! exactly from run to run and is the same in the debug and release
+//! profiles, so a change that adds copies to the front or middle end
+//! fails here before any timer would notice it.
+
+use smlc::{Job, Session, Variant, VerifyIr};
+use smlc_bench::benchmarks;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The budget: 17,962, the count once types shared their children and
+/// the CPS optimizer reused its nodes, plus 5%. Deep-copying types and
+/// re-boxing every CPS node on every round had made it 30,136.
+const MAX_ALLOCS_PER_COMPILE: u64 = 18_860;
+
+/// Counts the calling thread's allocations, so the test harness's own
+/// threads do not disturb the figure.
+struct Counting;
+
+thread_local! {
+    // Const-initialised with no destructor: touching it never
+    // allocates, so the allocator below may use it.
+    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn note(bytes: usize) {
+    let _ = ALLOCS.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments, so `System`'s guarantees are this allocator's; the counter
+// is a thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Compiles every job on its own fresh session and returns this
+/// thread's (allocations, bytes) over the whole pass.
+fn compile_all(jobs: &[Job]) -> (u64, u64) {
+    let before = ALLOCS.with(Cell::get);
+    for job in jobs {
+        let session = Session::builder()
+            .verify_ir(VerifyIr::Off)
+            .build()
+            .expect("default knobs are valid");
+        if let Err(e) = session.compile_job(job) {
+            panic!("a figure program failed to compile: {e}");
+        }
+    }
+    let after = ALLOCS.with(Cell::get);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+#[test]
+fn compiles_stay_inside_the_allocation_budget() {
+    let jobs: Vec<Job> = benchmarks()
+        .iter()
+        .flat_map(|b| Variant::ALL.map(|v| Job::with_variant(b.source(), v)))
+        .collect();
+    // The symbol interner is process-global: the first pass interns
+    // every name, later passes only look them up.
+    compile_all(&jobs);
+    let (allocs, bytes) = compile_all(&jobs);
+    let n = jobs.len() as u64;
+    let per_compile = allocs / n;
+    eprintln!(
+        "{per_compile} allocations and {} bytes per compile over {n} compiles",
+        bytes / n
+    );
+    assert!(
+        per_compile <= MAX_ALLOCS_PER_COMPILE,
+        "{per_compile} allocations per compile, over the budget of {MAX_ALLOCS_PER_COMPILE}"
+    );
+}

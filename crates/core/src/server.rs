@@ -23,7 +23,7 @@ use crate::error::CompileError;
 use crate::json::Json;
 use crate::metrics::{components_json, result_tag, Metrics};
 use crate::pipeline::VerifyIr;
-use crate::session::{Job, Session};
+use crate::session::{spawn_compile_thread, Job, Session};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
@@ -355,7 +355,7 @@ impl CompileServer {
         let stdin = std::io::stdin();
         std::thread::scope(|s| {
             for _ in 0..self.worker_count() {
-                s.spawn(|| shared.work());
+                spawn_compile_thread(s, || shared.work());
             }
             // `Stdout` (unlike `StdoutLock`) is `Send`, which the
             // writer thread needs; its internal lock serializes lines.
@@ -387,7 +387,7 @@ impl CompileServer {
         let shared = self.shared();
         std::thread::scope(|s| -> std::io::Result<()> {
             for _ in 0..self.worker_count() {
-                s.spawn(|| shared.work());
+                spawn_compile_thread(s, || shared.work());
             }
             loop {
                 if shutdown.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {

@@ -921,6 +921,31 @@ impl Session {
     }
 }
 
+/// The stack size of every thread this crate starts to compile on: the
+/// compile server's workers and [`par_map`]'s. Each phase after the
+/// parser recurses once per element of a flat source shape (an infix
+/// chain, a list literal, a declaration sequence), so the stack bounds
+/// the widest program a thread compiles. This is what the CLI's main
+/// thread gets; on std's 2 MiB default a release-built server aborted
+/// on a 300-term `+` chain.
+pub(crate) const COMPILE_STACK_BYTES: usize = 8 << 20;
+
+/// Starts a scoped thread with a [`COMPILE_STACK_BYTES`] stack.
+///
+/// # Panics
+///
+/// Panics if the operating system cannot start the thread, as
+/// `Scope::spawn` does.
+pub(crate) fn spawn_compile_thread<'scope, T: Send + 'scope>(
+    s: &'scope std::thread::Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, T> {
+    std::thread::Builder::new()
+        .stack_size(COMPILE_STACK_BYTES)
+        .spawn_scoped(s, f)
+        .expect("failed to spawn a compile thread")
+}
+
 /// Order-preserving parallel map over a slice: `workers` scoped threads
 /// (0 = available parallelism) pull indices from a shared atomic
 /// counter and results are reassembled in input order, so the output is
@@ -953,7 +978,7 @@ where
     let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                s.spawn(|| {
+                spawn_compile_thread(s, || {
                     let mut out = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);

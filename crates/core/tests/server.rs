@@ -467,6 +467,49 @@ fn serve_stdio_eof_shutdown_flushes_stats() {
     assert_eq!(server.get("clients").and_then(Json::as_i64), Some(1));
 }
 
+/// A server worker compiles as wide a program as its stack allows, so
+/// `smlc serve` must survive a `+` chain that std's 2 MiB default
+/// thread stack does not: its workers get the CLI's 8 MiB. The chain is
+/// about four times what 2 MiB holds in the test's build profile
+/// (unoptimized frames are far larger), and the server answers it and
+/// the next request on the same connection. A child process, because a
+/// stack overflow aborts the whole process.
+#[test]
+fn serve_survives_a_chain_that_overflows_a_default_stack() {
+    let terms = if cfg!(debug_assertions) { 40 } else { 800 };
+    let chain = format!("val s = 1{}", " + 1".repeat(terms - 1));
+    let mut child = smlc()
+        .args(["serve", "--workers=1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    {
+        let mut stdin = child.stdin.take().unwrap();
+        writeln!(stdin, "{{\"id\": 0, \"src\": {}}}", quoted(&chain)).unwrap();
+        writeln!(stdin, "{{\"id\": 1, \"src\": \"val x = 1\"}}").unwrap();
+    }
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let responses: Vec<Json> = stdout.lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(
+        responses.len(),
+        2,
+        "status {:?}, stderr: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for resp in &responses {
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+    }
+    assert!(out.status.success(), "status {:?}", out.status);
+}
+
 /// `smlc serve --socket` exits cleanly on SIGTERM: in-flight work
 /// drains, final stats reach stderr, and the socket file is removed.
 #[test]

@@ -110,8 +110,7 @@ pub fn optimize_instrumented<E>(
                 stats: &mut stats,
                 budget: 4000,
             };
-            let body = std::mem::replace(&mut prog.body, Cexp::Halt { v: Value::Int(0) });
-            prog.body = inliner.go(body);
+            inliner.go(&mut prog.body);
             prog.next_var = inliner.next;
         }
         check(pass, prog)?;
@@ -124,7 +123,9 @@ pub fn optimize_instrumented<E>(
 enum Def {
     Record(Vec<(Value, Cty)>, usize),
     Select(Value, usize),
-    Pure(PureOp, Vec<Value>),
+    /// The operator and its first argument, all wrap/unwrap
+    /// cancellation looks at.
+    Pure(PureOp, Option<Value>),
 }
 
 struct Contract<'s> {
@@ -231,7 +232,7 @@ impl<'s> Contract<'s> {
                 fields,
                 nflt,
                 dst,
-                rest,
+                mut rest,
             } => {
                 let fields: Vec<(Value, Cty)> =
                     fields.into_iter().map(|(v, c)| (self.val(v), c)).collect();
@@ -249,12 +250,12 @@ impl<'s> Contract<'s> {
                     return self.go(*rest);
                 }
                 self.defs.insert(dst, Def::Record(fields.clone(), nflt));
-                let rest = self.go(*rest);
+                *rest = self.go(*rest);
                 Cexp::Record {
                     fields,
                     nflt,
                     dst,
-                    rest: Box::new(rest),
+                    rest,
                 }
             }
             Cexp::Select {
@@ -263,7 +264,7 @@ impl<'s> Contract<'s> {
                 flt,
                 dst,
                 cty,
-                rest,
+                mut rest,
             } => {
                 let rec = self.val(rec);
                 if self.n_uses(dst) == 0 {
@@ -284,14 +285,14 @@ impl<'s> Contract<'s> {
                     }
                 }
                 self.defs.insert(dst, Def::Select(rec.clone(), word_off));
-                let rest = self.go(*rest);
+                *rest = self.go(*rest);
                 Cexp::Select {
                     rec,
                     word_off,
                     flt,
                     dst,
                     cty,
-                    rest: Box::new(rest),
+                    rest,
                 }
             }
             Cexp::Pure {
@@ -299,7 +300,7 @@ impl<'s> Contract<'s> {
                 args,
                 dst,
                 cty,
-                rest,
+                mut rest,
             } => {
                 let args = self.vals(args);
                 if self.n_uses(dst) == 0 {
@@ -331,21 +332,21 @@ impl<'s> Contract<'s> {
                         }
                     }
                 }
-                self.defs.insert(dst, Def::Pure(op, args.clone()));
-                let rest = self.go(*rest);
+                self.defs.insert(dst, Def::Pure(op, args.first().cloned()));
+                *rest = self.go(*rest);
                 Cexp::Pure {
                     op,
                     args,
                     dst,
                     cty,
-                    rest: Box::new(rest),
+                    rest,
                 }
             }
             Cexp::Alloc {
                 op,
                 args,
                 dst,
-                rest,
+                mut rest,
             } => {
                 let args = self.vals(args);
                 if self.n_uses(dst) == 0 {
@@ -353,12 +354,12 @@ impl<'s> Contract<'s> {
                     self.stats.dead += 1;
                     return self.go(*rest);
                 }
-                let rest = self.go(*rest);
+                *rest = self.go(*rest);
                 Cexp::Alloc {
                     op,
                     args,
                     dst,
-                    rest: Box::new(rest),
+                    rest,
                 }
             }
             Cexp::Look {
@@ -366,7 +367,7 @@ impl<'s> Contract<'s> {
                 args,
                 dst,
                 cty,
-                rest,
+                mut rest,
             } => {
                 let args = self.vals(args);
                 if self.n_uses(dst) == 0 {
@@ -374,29 +375,25 @@ impl<'s> Contract<'s> {
                     self.stats.dead += 1;
                     return self.go(*rest);
                 }
-                let rest = self.go(*rest);
+                *rest = self.go(*rest);
                 Cexp::Look {
                     op,
                     args,
                     dst,
                     cty,
-                    rest: Box::new(rest),
+                    rest,
                 }
             }
-            Cexp::Set { op, args, rest } => {
+            Cexp::Set { op, args, mut rest } => {
                 let args = self.vals(args);
-                let rest = self.go(*rest);
-                Cexp::Set {
-                    op,
-                    args,
-                    rest: Box::new(rest),
-                }
+                *rest = self.go(*rest);
+                Cexp::Set { op, args, rest }
             }
             Cexp::Switch {
                 v,
                 lo,
                 arms,
-                default,
+                mut default,
             } => {
                 let v = self.val(v);
                 if let Value::Int(n) = v {
@@ -409,77 +406,74 @@ impl<'s> Contract<'s> {
                     return self.go(*default);
                 }
                 let arms = arms.into_iter().map(|a| self.go(a)).collect();
-                let default = self.go(*default);
+                *default = self.go(*default);
                 Cexp::Switch {
                     v,
                     lo,
                     arms,
-                    default: Box::new(default),
+                    default,
                 }
             }
-            Cexp::Branch { op, args, tru, fls } => {
+            Cexp::Branch {
+                op,
+                args,
+                mut tru,
+                mut fls,
+            } => {
                 let args = self.vals(args);
                 if let Some(cond) = fold_branch(op, &args) {
                     self.changed = true;
                     return self.go(if cond { *tru } else { *fls });
                 }
-                let tru = self.go(*tru);
-                let fls = self.go(*fls);
-                Cexp::Branch {
-                    op,
-                    args,
-                    tru: Box::new(tru),
-                    fls: Box::new(fls),
-                }
+                *tru = self.go(*tru);
+                *fls = self.go(*fls);
+                Cexp::Branch { op, args, tru, fls }
             }
-            Cexp::Fix { funs, rest } => {
-                let mut kept = Vec::new();
-                for f in funs {
-                    let uses = self.n_uses(f.name);
-                    if uses == 0 {
-                        self.changed = true;
-                        self.stats.dead += 1;
-                        continue;
-                    }
-                    let calls = self.calls.get(&f.name).copied().unwrap_or(0);
-                    // Beta-contraction: exactly one occurrence, and it is
-                    // a call.
-                    if uses == 1 && calls == 1 {
-                        self.changed = true;
-                        self.stats.beta += 1;
-                        self.pending_inline.insert(f.name, f);
-                        continue;
-                    }
-                    // Eta: fn f(x...) = g(x...)  =>  f := g.
-                    if let Cexp::App { f: g, args } = &*f.body {
-                        let params_match = args.len() == f.params.len()
-                            && args
-                                .iter()
-                                .zip(&f.params)
-                                .all(|(a, (p, _))| matches!(a, Value::Var(x) if x == p));
-                        let self_free = !matches!(g, Value::Var(x) if *x == f.name);
-                        if params_match && self_free {
+            Cexp::Fix { funs, mut rest } => {
+                let mut kept: Vec<FunDef> = funs
+                    .into_iter()
+                    .filter_map(|f| {
+                        let uses = self.n_uses(f.name);
+                        if uses == 0 {
                             self.changed = true;
-                            self.subst.insert(f.name, g.clone());
-                            continue;
+                            self.stats.dead += 1;
+                            return None;
                         }
-                    }
-                    kept.push(f);
-                }
-                let mut out = Vec::new();
-                for mut f in kept {
+                        let calls = self.calls.get(&f.name).copied().unwrap_or(0);
+                        // Beta-contraction: exactly one occurrence, and it
+                        // is a call.
+                        if uses == 1 && calls == 1 {
+                            self.changed = true;
+                            self.stats.beta += 1;
+                            self.pending_inline.insert(f.name, f);
+                            return None;
+                        }
+                        // Eta: fn f(x...) = g(x...)  =>  f := g.
+                        if let Cexp::App { f: g, args } = &*f.body {
+                            let params_match = args.len() == f.params.len()
+                                && args
+                                    .iter()
+                                    .zip(&f.params)
+                                    .all(|(a, (p, _))| matches!(a, Value::Var(x) if x == p));
+                            let self_free = !matches!(g, Value::Var(x) if *x == f.name);
+                            if params_match && self_free {
+                                self.changed = true;
+                                self.subst.insert(f.name, g.clone());
+                                return None;
+                            }
+                        }
+                        Some(f)
+                    })
+                    .collect();
+                for f in &mut kept {
                     let body = std::mem::replace(&mut *f.body, Cexp::Halt { v: Value::Int(0) });
                     *f.body = self.go(body);
-                    out.push(f);
                 }
-                let rest = self.go(*rest);
-                if out.is_empty() {
-                    rest
+                *rest = self.go(*rest);
+                if kept.is_empty() {
+                    *rest
                 } else {
-                    Cexp::Fix {
-                        funs: out,
-                        rest: Box::new(rest),
-                    }
+                    Cexp::Fix { funs: kept, rest }
                 }
             }
             Cexp::App { f, args } => {
@@ -552,7 +546,7 @@ impl<'s> Contract<'s> {
             return None;
         };
         match self.defs.get(a)? {
-            Def::Pure(op2, args2) if *op2 == inverse => args2.first().cloned(),
+            Def::Pure(op2, arg) if *op2 == inverse => arg.clone(),
             _ => None,
         }
     }
@@ -666,135 +660,60 @@ struct Inline<'s> {
 }
 
 impl Inline<'_> {
-    fn go(&mut self, e: Cexp) -> Cexp {
+    /// Expands, in place, every call to a registered small function.
+    fn go(&mut self, e: &mut Cexp) {
         match e {
             Cexp::Fix { funs, rest } => {
-                for f in &funs {
+                for f in funs.iter() {
                     if f.body.size() <= self.size_limit && !calls_self(f) {
                         self.bodies.insert(f.name, f.clone());
                     }
                 }
-                let funs = funs
-                    .into_iter()
-                    .map(|mut f| {
-                        let body = std::mem::replace(&mut *f.body, Cexp::Halt { v: Value::Int(0) });
-                        *f.body = self.go(body);
-                        f
-                    })
-                    .collect();
-                let rest = self.go(*rest);
-                Cexp::Fix {
-                    funs,
-                    rest: Box::new(rest),
+                for f in funs.iter_mut() {
+                    self.go(&mut f.body);
                 }
+                self.go(rest);
             }
             Cexp::App { f, args } => {
-                if self.budget > 0 {
-                    if let Value::Var(x) | Value::Label(x) = &f {
-                        if let Some(def) = self.bodies.get(x).cloned() {
-                            if def.params.len() == args.len() {
-                                self.stats.inlined += 1;
-                                self.budget -= def.body.size() as i64;
-                                let mut map: FxHashMap<CVar, Value> = FxHashMap::default();
-                                for ((p, _), a) in def.params.iter().zip(&args) {
-                                    map.insert(*p, a.clone());
-                                }
-                                let body = rename(&def.body, &mut map, &mut self.next);
-                                // Do not recursively inline into the
-                                // freshly inlined body this pass.
-                                return body;
-                            }
-                        }
-                    }
+                if self.budget <= 0 {
+                    return;
                 }
-                Cexp::App { f, args }
+                let (Value::Var(x) | Value::Label(x)) = f else {
+                    return;
+                };
+                let Some(def) = self.bodies.get(x) else {
+                    return;
+                };
+                if def.params.len() != args.len() {
+                    return;
+                }
+                self.stats.inlined += 1;
+                self.budget -= def.body.size() as i64;
+                let mut map: FxHashMap<CVar, Value> = FxHashMap::default();
+                for ((p, _), a) in def.params.iter().zip(args.iter()) {
+                    map.insert(*p, a.clone());
+                }
+                // Do not recursively inline into the freshly inlined body
+                // this pass.
+                *e = rename(&def.body, &mut map, &mut self.next);
             }
-            Cexp::Record {
-                fields,
-                nflt,
-                dst,
-                rest,
-            } => Cexp::Record {
-                fields,
-                nflt,
-                dst,
-                rest: Box::new(self.go(*rest)),
-            },
-            Cexp::Select {
-                rec,
-                word_off,
-                flt,
-                dst,
-                cty,
-                rest,
-            } => Cexp::Select {
-                rec,
-                word_off,
-                flt,
-                dst,
-                cty,
-                rest: Box::new(self.go(*rest)),
-            },
-            Cexp::Pure {
-                op,
-                args,
-                dst,
-                cty,
-                rest,
-            } => Cexp::Pure {
-                op,
-                args,
-                dst,
-                cty,
-                rest: Box::new(self.go(*rest)),
-            },
-            Cexp::Alloc {
-                op,
-                args,
-                dst,
-                rest,
-            } => Cexp::Alloc {
-                op,
-                args,
-                dst,
-                rest: Box::new(self.go(*rest)),
-            },
-            Cexp::Look {
-                op,
-                args,
-                dst,
-                cty,
-                rest,
-            } => Cexp::Look {
-                op,
-                args,
-                dst,
-                cty,
-                rest: Box::new(self.go(*rest)),
-            },
-            Cexp::Set { op, args, rest } => Cexp::Set {
-                op,
-                args,
-                rest: Box::new(self.go(*rest)),
-            },
-            Cexp::Switch {
-                v,
-                lo,
-                arms,
-                default,
-            } => Cexp::Switch {
-                v,
-                lo,
-                arms: arms.into_iter().map(|a| self.go(a)).collect(),
-                default: Box::new(self.go(*default)),
-            },
-            Cexp::Branch { op, args, tru, fls } => Cexp::Branch {
-                op,
-                args,
-                tru: Box::new(self.go(*tru)),
-                fls: Box::new(self.go(*fls)),
-            },
-            other => other,
+            Cexp::Record { rest, .. }
+            | Cexp::Select { rest, .. }
+            | Cexp::Pure { rest, .. }
+            | Cexp::Alloc { rest, .. }
+            | Cexp::Look { rest, .. }
+            | Cexp::Set { rest, .. } => self.go(rest),
+            Cexp::Switch { arms, default, .. } => {
+                for a in arms {
+                    self.go(a);
+                }
+                self.go(default);
+            }
+            Cexp::Branch { tru, fls, .. } => {
+                self.go(tru);
+                self.go(fls);
+            }
+            Cexp::Halt { .. } => {}
         }
     }
 }

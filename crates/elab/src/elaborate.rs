@@ -13,6 +13,7 @@ use sml_ast::{self as ast, ExpKind, PatKind, Span, Symbol, TyKind};
 use sml_types::{
     generalize_many, unify, EqProp, Scheme, Tv, TvRef, Ty, Tycon, TyconRegistry, UnifyResult,
 };
+use std::rc::Rc;
 
 /// The result of elaborating a whole program.
 #[derive(Debug)]
@@ -265,7 +266,7 @@ impl Elaborator {
                     fs.push((*lab, self.elab_ty(env, t)?));
                 }
                 sml_types::sort_fields(&mut fs);
-                Ok(Ty::Record(fs))
+                Ok(Ty::Record(fs.into()))
             }
             TyKind::Arrow(a, b) => Ok(Ty::arrow(self.elab_ty(env, a)?, self.elab_ty(env, b)?)),
         }
@@ -753,7 +754,7 @@ impl Elaborator {
                         inst,
                         arg: Some(Box::new(targ)),
                     },
-                    ty: *result_ty,
+                    ty: Rc::unwrap_or_clone(result_ty),
                 })
             }
             PatKind::Tuple(parts) => {
@@ -1167,7 +1168,7 @@ impl Elaborator {
                 .expect("just registered")
                 .clone();
             for con in &def.cons {
-                let args: Vec<Ty> = def.params.iter().map(|c| Ty::Var(c.clone())).collect();
+                let args = def.params.iter().map(|c| Ty::Var(c.clone())).collect();
                 let dt_ty = Ty::Con(tycon.clone(), args);
                 let body = match &con.payload {
                     Some(p) => Ty::arrow(p.clone(), dt_ty),

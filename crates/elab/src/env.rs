@@ -99,7 +99,7 @@ impl TyconBind {
     /// Applies the binding to argument types.
     pub fn apply(&self, args: Vec<Ty>) -> Ty {
         match self {
-            TyconBind::Tycon(t) => Ty::Con(t.clone(), args),
+            TyconBind::Tycon(t) => Ty::Con(t.clone(), args.into()),
             TyconBind::Abbrev(f) => f.apply(&args),
         }
     }
@@ -450,7 +450,7 @@ pub fn builtin_env(reg: &TyconRegistry, vars: &mut VarTable) -> (Env, BuiltinExn
     // ----- datatype constructors -----------------------------------------
     for dt in reg.iter() {
         for con in &dt.cons {
-            let args: Vec<Ty> = dt.params.iter().map(|c| Ty::Var(c.clone())).collect();
+            let args = dt.params.iter().map(|c| Ty::Var(c.clone())).collect();
             let dt_ty = Ty::Con(dt.tycon.clone(), args);
             let body = match &con.payload {
                 Some(p) => Ty::arrow(p.clone(), dt_ty),

@@ -68,7 +68,7 @@ pub(crate) fn subst_ty(ty: &Ty, map: &FxHashMap<Stamp, TyFun>) -> Ty {
     match ty.head() {
         Ty::Var(v) => Ty::Var(v),
         Ty::Con(c, args) => {
-            let args: Vec<Ty> = args.iter().map(|a| subst_ty(a, map)).collect();
+            let args: Rc<[Ty]> = args.iter().map(|a| subst_ty(a, map)).collect();
             match map.get(&c.stamp) {
                 Some(f) => f.apply(&args),
                 None => Ty::Con(c, args),
@@ -567,7 +567,7 @@ impl Elaborator {
                     .clone();
                 let mut infos = Vec::new();
                 for con in &def.cons {
-                    let args: Vec<Ty> = def.params.iter().map(|c| Ty::Var(c.clone())).collect();
+                    let args = def.params.iter().map(|c| Ty::Var(c.clone())).collect();
                     let dt_ty = Ty::Con(tycon.clone(), args);
                     let body = match &con.payload {
                         Some(p) => Ty::arrow(p.clone(), dt_ty),
@@ -966,7 +966,7 @@ impl Elaborator {
                 let eq = want.eq_flags.get(i).copied().unwrap_or(false);
                 Ty::Con(
                     Tycon::fresh_abstract(Symbol::intern(&format!("?{name}{i}")), 0, eq),
-                    Vec::new(),
+                    Rc::new([]),
                 )
             })
             .collect();

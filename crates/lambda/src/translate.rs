@@ -1211,12 +1211,12 @@ fn mark_con_vars(ty: &Ty, under_con: bool, marked: &mut FxHashSet<VarKey>) {
             }
         }
         Ty::Con(_, args) => {
-            for a in &args {
+            for a in args.iter() {
                 mark_con_vars(a, true, marked);
             }
         }
         Ty::Record(fs) => {
-            for (_, t) in &fs {
+            for (_, t) in fs.iter() {
                 mark_con_vars(t, under_con, marked);
             }
         }

@@ -126,7 +126,7 @@ impl AntiUnifier {
             Ty::Record(fs0) => {
                 let all_same = heads.iter().all(|h| {
                     matches!(h, Ty::Record(fs) if fs.len() == fs0.len()
-                        && fs.iter().zip(fs0).all(|((l, _), (l0, _))| l == l0))
+                        && fs.iter().zip(fs0.iter()).all(|((l, _), (l0, _))| l == l0))
                 });
                 if all_same {
                     let fields = (0..fs0.len())

@@ -331,7 +331,7 @@ mod tests {
 
         // Recursive datatype over ints admits equality.
         let t2 = Tycon::fresh_data(Symbol::intern("tree"), 0, crate::ty::EqProp::IfArgs);
-        let rec_ty = Ty::Con(t2.clone(), vec![]);
+        let rec_ty = Ty::Con(t2.clone(), std::rc::Rc::new([]));
         reg.register_batch(vec![(
             t2.clone(),
             Vec::new(),

@@ -8,6 +8,12 @@
 //! shares a cell sees the same change — this sharing is what makes the
 //! minimum-typing-derivation pass (paper §3) a constant-time re-linking of
 //! cells rather than a re-elaboration.
+//!
+//! Everything else in a type is immutable and shares its children
+//! through `Rc`: cloning a type, or following its links with
+//! [`Ty::head`], bumps reference counts instead of copying a tree, and
+//! [`Ty::zonk`] and [`Ty::subst_gen`] rebuild only the path down to what
+//! they change.
 
 use sml_ast::Symbol;
 use std::cell::RefCell;
@@ -15,6 +21,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
+use std::sync::OnceLock;
 
 /// A unique identity for a type constructor.
 ///
@@ -91,9 +98,11 @@ macro_rules! builtin_tycon {
     ($fname:ident, $stamp:expr, $name:expr, $arity:expr, $kind:expr, $eq:expr) => {
         #[doc = concat!("The built-in `", $name, "` type constructor.")]
         pub fn $fname() -> Tycon {
+            // Interned on first use, like any name, then kept.
+            static NAME: OnceLock<Symbol> = OnceLock::new();
             Tycon {
                 stamp: Stamp($stamp),
-                name: Symbol::intern($name),
+                name: *NAME.get_or_init(|| Symbol::intern($name)),
                 arity: $arity,
                 kind: $kind,
                 eq: $eq,
@@ -208,73 +217,73 @@ pub enum Ty {
     /// A unification variable (possibly resolved via its cell).
     Var(TvRef),
     /// Constructor application; all primitive types are nullary `Con`s.
-    Con(Tycon, Vec<Ty>),
+    Con(Tycon, Rc<[Ty]>),
     /// Record type with fields sorted by [`label_cmp`]; tuples use numeric
     /// labels `1..n` and `unit` is the empty record.
-    Record(Vec<(Symbol, Ty)>),
+    Record(Rc<[(Symbol, Ty)]>),
     /// Function type.
-    Arrow(Box<Ty>, Box<Ty>),
+    Arrow(Rc<Ty>, Rc<Ty>),
 }
 
 impl Ty {
     /// The `int` type.
     pub fn int() -> Ty {
-        Ty::Con(Tycon::int(), Vec::new())
+        Ty::Con(Tycon::int(), Rc::new([]))
     }
 
     /// The `real` type.
     pub fn real() -> Ty {
-        Ty::Con(Tycon::real(), Vec::new())
+        Ty::Con(Tycon::real(), Rc::new([]))
     }
 
     /// The `string` type.
     pub fn string() -> Ty {
-        Ty::Con(Tycon::string(), Vec::new())
+        Ty::Con(Tycon::string(), Rc::new([]))
     }
 
     /// The `char` type.
     pub fn char() -> Ty {
-        Ty::Con(Tycon::char(), Vec::new())
+        Ty::Con(Tycon::char(), Rc::new([]))
     }
 
     /// The `bool` type.
     pub fn bool() -> Ty {
-        Ty::Con(Tycon::bool(), Vec::new())
+        Ty::Con(Tycon::bool(), Rc::new([]))
     }
 
     /// The `exn` type.
     pub fn exn() -> Ty {
-        Ty::Con(Tycon::exn(), Vec::new())
+        Ty::Con(Tycon::exn(), Rc::new([]))
     }
 
     /// The `unit` type (empty record).
     pub fn unit() -> Ty {
-        Ty::Record(Vec::new())
+        Ty::Record(Rc::new([]))
     }
 
     /// `t list`.
     pub fn list(t: Ty) -> Ty {
-        Ty::Con(Tycon::list(), vec![t])
+        Ty::Con(Tycon::list(), Rc::new([t]))
     }
 
     /// `t ref`.
     pub fn reference(t: Ty) -> Ty {
-        Ty::Con(Tycon::reference(), vec![t])
+        Ty::Con(Tycon::reference(), Rc::new([t]))
     }
 
     /// `t array`.
     pub fn array(t: Ty) -> Ty {
-        Ty::Con(Tycon::array(), vec![t])
+        Ty::Con(Tycon::array(), Rc::new([t]))
     }
 
     /// `t cont`.
     pub fn cont(t: Ty) -> Ty {
-        Ty::Con(Tycon::cont(), vec![t])
+        Ty::Con(Tycon::cont(), Rc::new([t]))
     }
 
     /// `t1 -> t2`.
     pub fn arrow(a: Ty, b: Ty) -> Ty {
-        Ty::Arrow(Box::new(a), Box::new(b))
+        Ty::Arrow(Rc::new(a), Rc::new(b))
     }
 
     /// An n-tuple with numeric labels (already in order).
@@ -293,32 +302,25 @@ impl Ty {
         Ty::tuple(vec![a, b])
     }
 
-    /// Follows `Link` cells one step at a time until the head is not a
-    /// resolved variable; returns a structural clone of the head.
+    /// Follows `Link` cells until the head is not a resolved variable.
+    /// The result shares its children with the type it came from, so
+    /// this costs a reference-count bump, not a copy.
     pub fn head(&self) -> Ty {
         let mut t = self.clone();
-        loop {
-            match t {
-                Ty::Var(ref v) => {
-                    let next = match &*v.0.borrow() {
-                        Tv::Link(u) => u.clone(),
-                        _ => return t.clone(),
-                    };
-                    t = next;
-                }
-                _ => return t,
-            }
+        while let Ty::Var(v) = &t {
+            let next = match &*v.0.borrow() {
+                Tv::Link(u) => u.clone(),
+                _ => break,
+            };
+            t = next;
         }
+        t
     }
 
-    /// Deeply resolves all links, producing a canonical type.
+    /// Deeply resolves all links, producing a canonical type. Subtrees
+    /// without links are shared with `self`, not copied.
     pub fn zonk(&self) -> Ty {
-        match self.head() {
-            Ty::Var(v) => Ty::Var(v),
-            Ty::Con(c, args) => Ty::Con(c, args.iter().map(Ty::zonk).collect()),
-            Ty::Record(fs) => Ty::Record(fs.iter().map(|(l, t)| (*l, t.zonk())).collect()),
-            Ty::Arrow(a, b) => Ty::arrow(a.zonk(), b.zonk()),
-        }
+        self.rebuild(&|_| None)
     }
 
     /// True if the zonked type contains no unbound or generic variables.
@@ -356,24 +358,60 @@ impl Ty {
     }
 
     /// Substitutes generic variables: `Gen(i)` becomes `subst[i]`.
-    /// Positions beyond `subst.len()` are left as-is.
+    /// Positions beyond `subst.len()` are left as-is. Links are resolved
+    /// on the way; subtrees with neither links nor substituted variables
+    /// are shared with `self`.
     pub fn subst_gen(&self, subst: &[Ty]) -> Ty {
-        match self.head() {
-            Ty::Var(v) => {
-                if let Tv::Gen(i) = *v.0.borrow() {
-                    if let Some(t) = subst.get(i as usize) {
-                        return t.clone();
-                    }
-                }
-                Ty::Var(v)
+        self.rebuild(&|i| subst.get(i as usize).cloned())
+    }
+
+    /// `self` with every link resolved and every `Gen(i)` that `gen`
+    /// maps replaced.
+    fn rebuild(&self, gen: &impl Fn(u32) -> Option<Ty>) -> Ty {
+        self.rebuilt(gen).unwrap_or_else(|| self.clone())
+    }
+
+    /// [`Ty::rebuild`], or `None` where that would change nothing, so
+    /// the caller shares the subtree it already has.
+    fn rebuilt(&self, gen: &impl Fn(u32) -> Option<Ty>) -> Option<Ty> {
+        match self {
+            Ty::Var(v) => match &*v.0.borrow() {
+                Tv::Link(t) => Some(t.rebuild(gen)),
+                Tv::Gen(i) => gen(*i),
+                Tv::Unbound { .. } => None,
+            },
+            Ty::Con(c, args) => {
+                rebuilt_slice(args, |t| t.rebuilt(gen)).map(|a| Ty::Con(c.clone(), a))
             }
-            Ty::Con(c, args) => Ty::Con(c, args.iter().map(|a| a.subst_gen(subst)).collect()),
             Ty::Record(fs) => {
-                Ty::Record(fs.iter().map(|(l, t)| (*l, t.subst_gen(subst))).collect())
+                rebuilt_slice(fs, |(l, t)| t.rebuilt(gen).map(|t| (*l, t))).map(Ty::Record)
             }
-            Ty::Arrow(a, b) => Ty::arrow(a.subst_gen(subst), b.subst_gen(subst)),
+            Ty::Arrow(a, b) => match (a.rebuilt(gen), b.rebuilt(gen)) {
+                (None, None) => None,
+                (a2, b2) => Some(Ty::Arrow(
+                    a2.map_or_else(|| a.clone(), Rc::new),
+                    b2.map_or_else(|| b.clone(), Rc::new),
+                )),
+            },
         }
     }
+}
+
+/// Maps `xs` through `f`, where `None` means "element unchanged";
+/// `None` when no element changed, so the caller keeps sharing `xs`.
+fn rebuilt_slice<T: Clone>(xs: &[T], f: impl Fn(&T) -> Option<T>) -> Option<Rc<[T]>> {
+    let (at, first) = xs.iter().enumerate().find_map(|(i, x)| Some((i, f(x)?)))?;
+    let mut first = Some(first);
+    Some(
+        xs.iter()
+            .enumerate()
+            .map(|(i, x)| match i.cmp(&at) {
+                Ordering::Less => x.clone(),
+                Ordering::Equal => first.take().expect("one element at `at`"),
+                Ordering::Greater => f(x).unwrap_or_else(|| x.clone()),
+            })
+            .collect(),
+    )
 }
 
 /// SML record-label ordering: numeric labels numerically, before
@@ -552,6 +590,24 @@ mod tests {
         let t = Ty::Var(v.clone());
         *v.0.borrow_mut() = Tv::Link(Ty::int());
         assert!(matches!(t.head(), Ty::Con(c, _) if c.kind == TyconKind::Int));
+    }
+
+    #[test]
+    fn clone_head_and_zonk_share_children() {
+        let t = Ty::arrow(Ty::list(Ty::int()), Ty::pair(Ty::int(), Ty::real()));
+        let v = TvRef::fresh(0);
+        *v.0.borrow_mut() = Tv::Link(t.clone());
+        let linked = Ty::Var(v);
+        // A link-free subtree is shared, not copied, by every walk.
+        for u in [t.clone(), linked.head(), linked.zonk(), t.subst_gen(&[])] {
+            let (Ty::Arrow(a1, r1), Ty::Arrow(a2, r2)) = (&t, &u) else {
+                panic!("expected two arrows, got {t} and {u}");
+            };
+            assert!(
+                Rc::ptr_eq(a1, a2) && Rc::ptr_eq(r1, r2),
+                "{u} copied a child"
+            );
+        }
     }
 
     #[test]

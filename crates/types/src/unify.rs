@@ -50,7 +50,7 @@ pub fn unify(reg: &TyconRegistry, a: &Ty, b: &Ty) -> UnifyResult {
             if ca.stamp != cb.stamp || argsa.len() != argsb.len() {
                 return Err(UnifyError::Mismatch(a.clone(), b.clone()));
             }
-            for (x, y) in argsa.iter().zip(argsb) {
+            for (x, y) in argsa.iter().zip(argsb.iter()) {
                 unify(reg, x, y)?;
             }
             Ok(())
@@ -59,7 +59,7 @@ pub fn unify(reg: &TyconRegistry, a: &Ty, b: &Ty) -> UnifyResult {
             if fa.len() != fb.len() {
                 return Err(UnifyError::Mismatch(a.clone(), b.clone()));
             }
-            for ((la, ta), (lb, tb)) in fa.iter().zip(fb) {
+            for ((la, ta), (lb, tb)) in fa.iter().zip(fb.iter()) {
                 if la != lb {
                     return Err(UnifyError::Mismatch(a.clone(), b.clone()));
                 }
@@ -158,13 +158,14 @@ pub fn force_equality(reg: &TyconRegistry, t: &Ty) -> UnifyResult {
 /// canonically. Duplicate labels are the caller's responsibility.
 pub fn make_record(mut fields: Vec<(sml_ast::Symbol, Ty)>) -> Ty {
     fields.sort_by(|(a, _), (b, _)| label_cmp(*a, *b));
-    Ty::Record(fields)
+    Ty::Record(fields.into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ty::Tycon;
+    use std::rc::Rc;
 
     fn reg() -> TyconRegistry {
         TyconRegistry::with_builtins()
@@ -278,10 +279,10 @@ mod tests {
         let t2 = Tycon::fresh_abstract(sml_ast::Symbol::intern("t"), 0, false);
         assert!(unify(
             &r,
-            &Ty::Con(t1.clone(), vec![]),
-            &Ty::Con(t1.clone(), vec![])
+            &Ty::Con(t1.clone(), Rc::new([])),
+            &Ty::Con(t1.clone(), Rc::new([]))
         )
         .is_ok());
-        assert!(unify(&r, &Ty::Con(t1, vec![]), &Ty::Con(t2, vec![])).is_err());
+        assert!(unify(&r, &Ty::Con(t1, Rc::new([])), &Ty::Con(t2, Rc::new([]))).is_err());
     }
 }
