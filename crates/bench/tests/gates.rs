@@ -544,9 +544,10 @@ mod dispatch {
 
 /// The policy-driven scheduler at thousand-tenant scale.
 mod sched {
+    use smlc::fxhash::hash_bytes;
     use smlc::{
-        AdmissionError, MachineProgram, Outcome, SchedPolicy, SchedulerBuilder, Session,
-        TenantOutcome, TenantReport, TenantSpec, Variant, VmConfig, VmScheduler,
+        AdmissionError, MachineProgram, Outcome, SchedPolicy, SchedStats, SchedulerBuilder,
+        Session, TenantOutcome, TenantReport, TenantSpec, Variant, VmConfig, VmScheduler,
     };
     use std::sync::Arc;
 
@@ -586,6 +587,11 @@ mod sched {
     const DEADLINE_COHORT: usize = 20;
     /// Background tenant counts swept by the curve stage.
     const LOADS: [usize; 4] = [0, 25, 100, 200];
+
+    /// Deadline misses of the curve stage, one row per entry of
+    /// [`LOADS`], one column per entry of [`POLICIES`]. Misses are
+    /// judged on the machine's cycle clock, so they are exact.
+    const CURVE_MISSED: [[u64; 3]; 4] = [[0, 0, 0], [0, 0, 0], [20, 0, 0], [20, 0, 0]];
 
     const POLICIES: [SchedPolicy; 3] = [
         SchedPolicy::RoundRobin,
@@ -664,12 +670,61 @@ mod sched {
         }
     }
 
+    /// A digest of every tenant's place in a schedule: its outcome,
+    /// slice count, first slice and largest overshoot, in admission
+    /// order.
+    fn schedule_digest(reports: &[TenantReport]) -> u64 {
+        let text: String = reports
+            .iter()
+            .map(|r| {
+                format!(
+                    "{:?} {} {:?} {}\n",
+                    r.outcome, r.slices, r.first_slice, r.max_overshoot
+                )
+            })
+            .collect();
+        hash_bytes(text.as_bytes())
+    }
+
+    /// The storm's schedule under `policy`: its full [`SchedStats`] and
+    /// the [`schedule_digest`] of its reports. The schedule is a pure
+    /// function of the tenant set, the policy and the quantum, so how
+    /// `run_all` executes it (on how many threads, in what host order)
+    /// must leave both alone. A change meant to alter the schedule
+    /// updates these numbers. Every policy hands out the same slices;
+    /// only their order, and so the digest, differs.
+    fn expected_storm(policy: SchedPolicy) -> (SchedStats, u64) {
+        let digest = match policy {
+            SchedPolicy::RoundRobin => 0x6553_3e5e_0ac7_0d4b,
+            SchedPolicy::Priority => 0x100d_957a_8d23_5b40,
+            SchedPolicy::Deadline => 0x2a17_fffb_4c1b_31e6,
+        };
+        let stats = SchedStats {
+            policy,
+            quantum: QUANTUM,
+            tenants: STORM_TENANTS as u64,
+            rejected: 0,
+            rounds: 51,
+            slices: 50_538,
+            preemptions: 49_538,
+            max_overshoot: 12_856,
+            ready_peak: STORM_TENANTS as u64,
+            done: 989,
+            heap_exhausted: 11,
+            fault: 0,
+            out_of_fuel: 0,
+            deadline_missed: 0,
+        };
+        (stats, digest)
+    }
+
     /// The storm, once per policy: every 97th tenant is hostile on a
     /// starved quota. Under every policy each hostile tenant must trap
     /// `HeapExhausted` alone and every good tenant must finish with
     /// result, output and `RunStats` identical to its solo run.
     /// Priorities are varied under every policy (they are inert outside
     /// `Priority`) so the same spec set exercises each ready-queue key.
+    /// The schedule itself is pinned by [`expected_storm`].
     #[test]
     #[cfg_attr(debug_assertions, ignore = "1000-tenant storms; release only")]
     fn storm_is_solo_identical_under_every_policy() {
@@ -726,6 +781,15 @@ mod sched {
                     stats.deadline_missed
                 ));
             }
+            let got = (stats, schedule_digest(&reports));
+            if got != expected_storm(policy) {
+                failures.push(format!(
+                    "storm[{}]: schedule moved: {:?}, digest {:#x}",
+                    policy.name(),
+                    got.0,
+                    got.1
+                ));
+            }
         }
         report(&failures);
     }
@@ -735,15 +799,16 @@ mod sched {
     /// deadline-less background and it finishes well inside its
     /// deadline), so EDF must meet every deadline at every load level.
     /// Round-robin must miss at the heaviest load, which proves the
-    /// curve bends and `DeadlineMissed` is exercised.
+    /// curve bends and `DeadlineMissed` is exercised. Every (load,
+    /// policy) point's miss count is pinned in [`CURVE_MISSED`].
     #[test]
     #[cfg_attr(debug_assertions, ignore = "release-only gate")]
     fn edf_meets_every_deadline_and_round_robin_misses_under_load() {
         let t = tenants();
         let deadline = t.solo.stats.cycles * DEADLINE_COHORT as u64 * 3;
         let mut failures: Vec<String> = Vec::new();
-        for load in LOADS {
-            for policy in POLICIES {
+        for (row, load) in LOADS.into_iter().enumerate() {
+            for (col, policy) in POLICIES.into_iter().enumerate() {
                 let mut sched = build_sched(policy);
                 for _ in 0..DEADLINE_COHORT {
                     sched
@@ -760,6 +825,14 @@ mod sched {
                         .expect("uncapped curve admits the background load");
                 }
                 let (_, stats) = sched.run_all();
+                if stats.deadline_missed != CURVE_MISSED[row][col] {
+                    failures.push(format!(
+                        "curve: {} missed {} deadline(s) at load {load}, expected {}",
+                        policy.name(),
+                        stats.deadline_missed,
+                        CURVE_MISSED[row][col]
+                    ));
+                }
                 if policy == SchedPolicy::Deadline && stats.deadline_missed != 0 {
                     failures.push(format!(
                         "curve: EDF missed {} deadline(s) at load {load} on a feasible workload",

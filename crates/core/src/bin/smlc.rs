@@ -36,6 +36,7 @@
 //! into `BENCH_*.json` trajectory files — including the session's
 //! artifact-cache counters under `"cache"`.
 
+use sml_vm::spawn_compile_thread;
 use smlc::{
     error_json, CompileError, CompileServer, Dispatch, Job, Json, Metrics, SchedPolicy,
     SchedulerBuilder, Session, TenantSpec, Variant, VerifyIr, VmResult,
@@ -119,14 +120,21 @@ fn read_input(inputs: &mut Vec<Input>, path: &str) -> Result<(), ExitCode> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("compile") => drive(&args[1..], DriveMode::CompileOnly),
-        Some("run") => drive(&args[1..], DriveMode::Run),
-        Some("bench") => drive(&args[1..], DriveMode::Bench),
-        Some("serve") => serve(&args[1..]),
-        Some("client") => client(&args[1..]),
-        _ => usage(),
-    }
+    // Every subcommand works on a thread with the one compile stack
+    // size, so the widest program the CLI compiles does not depend on
+    // what `ulimit -s` gives the main thread.
+    std::thread::scope(|s| {
+        spawn_compile_thread(s, || match args.first().map(String::as_str) {
+            Some("compile") => drive(&args[1..], DriveMode::CompileOnly),
+            Some("run") => drive(&args[1..], DriveMode::Run),
+            Some("bench") => drive(&args[1..], DriveMode::Bench),
+            Some("serve") => serve(&args[1..]),
+            Some("client") => client(&args[1..]),
+            _ => usage(),
+        })
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
 }
 
 /// The `compile` / `run` / `bench` driver.

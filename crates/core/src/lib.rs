@@ -52,10 +52,10 @@ pub use json::{Json, JsonError};
 pub use metrics::{error_json, result_tag, Metrics, RunMetrics, METRICS_SCHEMA_VERSION};
 pub use pipeline::{CompileStats, Compiled, Limits, ParseVerifyIrError, VerifyIr, VerifyStats};
 pub use server::{CompileServer, ServerStats};
-pub use session::{par_map, CacheStats, Job, Session, SessionBuilder};
+pub use session::{CacheStats, Job, Session, SessionBuilder};
 pub use sml_cps::OptConfig;
 pub use sml_vm::{
-    AdmissionError, Dispatch, DispatchStats, FaultInject, GcMode, InstrClass, MachineProgram,
-    Outcome, RunStats, SchedConfigError, SchedPolicy, SchedStats, SchedulerBuilder, TenantOutcome,
-    TenantReport, TenantSpec, VmConfig, VmResult, VmScheduler,
+    par_map, AdmissionError, Dispatch, DispatchStats, FaultInject, GcMode, InstrClass,
+    MachineProgram, Outcome, RunStats, SchedConfigError, SchedPolicy, SchedStats, SchedulerBuilder,
+    TenantOutcome, TenantReport, TenantSpec, VmConfig, VmResult, VmScheduler,
 };

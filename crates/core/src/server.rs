@@ -23,7 +23,8 @@ use crate::error::CompileError;
 use crate::json::Json;
 use crate::metrics::{components_json, result_tag, Metrics};
 use crate::pipeline::VerifyIr;
-use crate::session::{spawn_compile_thread, Job, Session};
+use crate::session::{Job, Session};
+use sml_vm::spawn_compile_thread;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;

@@ -58,12 +58,11 @@ use crate::pipeline::{compile_engine, Compiled, Limits, VerifyIr};
 use sml_cps::OptConfig;
 use sml_lambda::{InternMode, InternStats, LtyArena, LtyInterner};
 use sml_vm::{
-    AdmissionError, FaultInject, Outcome, SchedStats, SchedulerBuilder, TenantReport, TenantSpec,
-    VmConfig, VmScheduler,
+    par_map, AdmissionError, FaultInject, Outcome, SchedStats, SchedulerBuilder, TenantReport,
+    TenantSpec, VmConfig, VmScheduler,
 };
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The description of one compilation — the single unit of work every
@@ -921,100 +920,9 @@ impl Session {
     }
 }
 
-/// The stack size of every thread this crate starts to compile on: the
-/// compile server's workers and [`par_map`]'s. Each phase after the
-/// parser recurses once per element of a flat source shape (an infix
-/// chain, a list literal, a declaration sequence), so the stack bounds
-/// the widest program a thread compiles. This is what the CLI's main
-/// thread gets; on std's 2 MiB default a release-built server aborted
-/// on a 300-term `+` chain.
-pub(crate) const COMPILE_STACK_BYTES: usize = 8 << 20;
-
-/// Starts a scoped thread with a [`COMPILE_STACK_BYTES`] stack.
-///
-/// # Panics
-///
-/// Panics if the operating system cannot start the thread, as
-/// `Scope::spawn` does.
-pub(crate) fn spawn_compile_thread<'scope, T: Send + 'scope>(
-    s: &'scope std::thread::Scope<'scope, '_>,
-    f: impl FnOnce() -> T + Send + 'scope,
-) -> std::thread::ScopedJoinHandle<'scope, T> {
-    std::thread::Builder::new()
-        .stack_size(COMPILE_STACK_BYTES)
-        .spawn_scoped(s, f)
-        .expect("failed to spawn a compile thread")
-}
-
-/// Order-preserving parallel map over a slice: `workers` scoped threads
-/// (0 = available parallelism) pull indices from a shared atomic
-/// counter and results are reassembled in input order, so the output is
-/// deterministic for a deterministic `f`. With one worker (or one
-/// item) this degrades to a plain in-order loop. This is the driver
-/// under [`Session::compile_batch`] and the bench matrix's run phase.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` after all workers finish.
-pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    }
-    .min(n);
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                spawn_compile_thread(s, || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(i, &items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
-    });
-    done.sort_by_key(|(i, _)| *i);
-    done.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_preserves_order_and_covers_all_items() {
-        let items: Vec<usize> = (0..100).collect();
-        for workers in [0, 1, 3, 16] {
-            let out = par_map(&items, workers, |i, &x| {
-                assert_eq!(i, x);
-                x * 2
-            });
-            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        }
-    }
 
     #[test]
     fn fingerprint_distinguishes_configs() {

@@ -510,6 +510,29 @@ fn serve_survives_a_chain_that_overflows_a_default_stack() {
     assert!(out.status.success(), "status {:?}", out.status);
 }
 
+/// The CLI compiles on a thread with the server workers' stack size,
+/// not on its main thread, so `ulimit -s` cannot shrink the widest
+/// program it compiles: the chain above, which a 2 MiB stack does not
+/// hold, compiles with the main thread's stack limited to 2 MiB. A
+/// child process, because a stack overflow aborts the whole process.
+#[test]
+fn cli_compiles_a_chain_that_overflows_a_2_mib_main_stack() {
+    let terms = if cfg!(debug_assertions) { 40 } else { 800 };
+    let chain = format!("val s = 1{}", " + 1".repeat(terms - 1));
+    let out = Command::new("sh")
+        .args(["-c", "ulimit -s 2048 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_smlc"))
+        .args(["compile", "-e", &chain])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "status {:?}, stderr: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 /// `smlc serve --socket` exits cleanly on SIGTERM: in-flight work
 /// drains, final stats reach stderr, and the socket file is removed.
 #[test]

@@ -9,7 +9,7 @@
 //! small functions runs between contraction fixpoints.
 
 use crate::cps::*;
-use sml_ast::FxHashMap;
+use sml_ast::{FxHashMap, FxHashSet};
 
 /// Optimizer knobs.
 #[derive(Clone, Copy, Debug)]
@@ -106,6 +106,7 @@ pub fn optimize_instrumented<E>(
             let mut inliner = Inline {
                 next: prog.next_var,
                 size_limit: cfg.inline_size,
+                called: callees(&prog.body),
                 bodies: FxHashMap::default(),
                 stats: &mut stats,
                 budget: 4000,
@@ -654,6 +655,10 @@ fn fold_branch(op: BranchOp, args: &[Value]) -> Option<bool> {
 struct Inline<'s> {
     next: u32,
     size_limit: usize,
+    /// The functions some `App` of the tree names as the pass starts.
+    /// Only these can be inlined: freshly inlined bodies are not
+    /// revisited, so no other call site is ever looked up.
+    called: FxHashSet<CVar>,
     bodies: FxHashMap<CVar, FunDef>,
     stats: &'s mut OptStats,
     budget: i64,
@@ -665,7 +670,10 @@ impl Inline<'_> {
         match e {
             Cexp::Fix { funs, rest } => {
                 for f in funs.iter() {
-                    if f.body.size() <= self.size_limit && !calls_self(f) {
+                    if self.called.contains(&f.name)
+                        && size_at_most(&f.body, self.size_limit)
+                        && !calls_self(f)
+                    {
                         self.bodies.insert(f.name, f.clone());
                     }
                 }
@@ -716,6 +724,77 @@ impl Inline<'_> {
             Cexp::Halt { .. } => {}
         }
     }
+}
+
+/// The functions some `App` of `e` names.
+fn callees(e: &Cexp) -> FxHashSet<CVar> {
+    fn walk(e: &Cexp, out: &mut FxHashSet<CVar>) {
+        match e {
+            Cexp::Record { rest, .. }
+            | Cexp::Select { rest, .. }
+            | Cexp::Pure { rest, .. }
+            | Cexp::Alloc { rest, .. }
+            | Cexp::Look { rest, .. }
+            | Cexp::Set { rest, .. } => walk(rest, out),
+            Cexp::Switch { arms, default, .. } => {
+                for a in arms {
+                    walk(a, out);
+                }
+                walk(default, out);
+            }
+            Cexp::Branch { tru, fls, .. } => {
+                walk(tru, out);
+                walk(fls, out);
+            }
+            Cexp::Fix { funs, rest } => {
+                for f in funs {
+                    walk(&f.body, out);
+                }
+                walk(rest, out);
+            }
+            Cexp::App {
+                f: Value::Var(x) | Value::Label(x),
+                ..
+            } => {
+                out.insert(*x);
+            }
+            Cexp::App { .. } | Cexp::Halt { .. } => {}
+        }
+    }
+    let mut out = FxHashSet::default();
+    walk(e, &mut out);
+    out
+}
+
+/// Whether `e` has at most `limit` nodes ([`Cexp::size`]). Stops
+/// counting once the limit is passed, so a large body costs no more
+/// than a small one.
+fn size_at_most(e: &Cexp, limit: usize) -> bool {
+    /// Charges each node to `left`; false once a node finds it empty.
+    fn fits(e: &Cexp, left: &mut usize) -> bool {
+        if *left == 0 {
+            return false;
+        }
+        *left -= 1;
+        match e {
+            Cexp::Record { rest, .. }
+            | Cexp::Select { rest, .. }
+            | Cexp::Pure { rest, .. }
+            | Cexp::Alloc { rest, .. }
+            | Cexp::Look { rest, .. }
+            | Cexp::Set { rest, .. } => fits(rest, left),
+            Cexp::Branch { tru, fls, .. } => fits(tru, left) && fits(fls, left),
+            Cexp::Switch { arms, default, .. } => {
+                fits(default, left) && arms.iter().all(|a| fits(a, left))
+            }
+            Cexp::Fix { funs, rest } => {
+                fits(rest, left) && funs.iter().all(|f| fits(&f.body, left))
+            }
+            Cexp::App { .. } | Cexp::Halt { .. } => true,
+        }
+    }
+    let mut left = limit;
+    fits(e, &mut left)
 }
 
 fn calls_self(f: &FunDef) -> bool {
@@ -918,6 +997,41 @@ pub fn rename(e: &Cexp, map: &mut FxHashMap<CVar, Value>, next: &mut u32) -> Cex
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `size_at_most` answers `size() <= limit` at every limit, on a
+    /// tree with each kind of branching node.
+    #[test]
+    fn size_at_most_agrees_with_size() {
+        let halt = |v| Box::new(Cexp::Halt { v: Value::Var(v) });
+        let branch = Cexp::Branch {
+            op: BranchOp::ILt,
+            args: vec![Value::Var(1), Value::Int(0)],
+            tru: halt(1),
+            fls: Box::new(Cexp::App {
+                f: Value::Var(0),
+                args: vec![Value::Var(1)],
+            }),
+        };
+        let e = Cexp::Fix {
+            funs: vec![FunDef {
+                kind: FunKind::Known,
+                name: 0,
+                params: vec![(1, Cty::Int)],
+                body: Box::new(branch),
+            }],
+            rest: Box::new(Cexp::Switch {
+                v: Value::Var(2),
+                lo: 0,
+                arms: vec![Cexp::Halt { v: Value::Int(0) }, *halt(2)],
+                default: halt(3),
+            }),
+        };
+        assert_eq!(e.size(), 8);
+        for limit in 0..=9 {
+            assert_eq!(size_at_most(&e, limit), limit >= 8, "limit {limit}");
+        }
+        assert_eq!(callees(&e), FxHashSet::from_iter([0]));
+    }
 
     /// The SML definition: `a div b` floors, `a mod b` takes the
     /// divisor's sign, and the quotient–remainder law ties them.

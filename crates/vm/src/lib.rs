@@ -9,6 +9,7 @@ pub mod codegen;
 pub mod disasm;
 pub mod heap;
 pub mod isa;
+mod par;
 pub mod sched;
 mod threaded;
 pub mod verify;
@@ -18,6 +19,7 @@ pub use codegen::codegen;
 pub use disasm::parse_instr;
 pub use heap::{GcKind, GcMode, Heap, HeapConfig, ObjKind, SliceOutcome};
 pub use isa::{CodeBlock, Instr, InstrClass, MachineProgram, N_INSTR_CLASSES};
+pub use par::{par_map, spawn_compile_thread};
 pub use sched::{
     AdmissionError, SchedConfigError, SchedPolicy, SchedStats, SchedulerBuilder, TenantOutcome,
     TenantReport, TenantSpec, VmScheduler,

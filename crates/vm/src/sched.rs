@@ -63,9 +63,10 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::isa::MachineProgram;
+use crate::par::par_map;
 use crate::threaded::{predecode, ThreadedProgram};
 use crate::vm::{
     Dispatch, DispatchStats, Outcome, ProgRef, RunStats, VmConfig, VmInstance, VmResult,
@@ -400,7 +401,7 @@ impl TenantOutcome {
 
 /// One tenant's final report: governance outcome plus the full
 /// [`Outcome`] fields it would have produced running solo.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TenantReport {
     /// Governance classification of `result` (plus the deadline
     /// judgment — see [`TenantOutcome::DeadlineMissed`]).
@@ -424,7 +425,7 @@ pub struct TenantReport {
 }
 
 /// Scheduler-level fairness, admission, and outcome counters.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// The scheduling discipline that produced this schedule.
     pub policy: SchedPolicy,
@@ -472,11 +473,38 @@ struct Tenant {
     priority: u32,
     /// Absolute deadline on the machine cycle clock.
     deadline: Option<u64>,
+    /// Slices the tenant took to finish when it ran ahead.
+    ran: u64,
+    /// Cycles each of those slices used; recorded only when some
+    /// tenant carries a deadline, the machine clock's one reader.
+    used: Vec<u64>,
+    /// Slices the schedule replay has handed out so far.
     slices: u64,
     max_overshoot: u64,
     first_slice: Option<u64>,
     /// Machine clock when the tenant's final slice ended.
     finished_at: u64,
+}
+
+impl Tenant {
+    /// Runs the tenant to completion one quantum at a time, recording
+    /// what the schedule replay reads: the slice count, the largest
+    /// overshoot and, when `timed`, each slice's cycles. Nothing here
+    /// depends on other tenants or on the order slices are taken in:
+    /// the heap, registers and counters are the tenant's own.
+    fn run_ahead(&mut self, timed: bool) {
+        let mut finished = self.vm.finished();
+        while !finished {
+            let before = self.vm.stats().cycles;
+            finished = self.vm.run_slice(self.quantum);
+            let used = self.vm.stats().cycles - before;
+            self.ran += 1;
+            self.max_overshoot = self.max_overshoot.max(used.saturating_sub(self.quantum));
+            if timed {
+                self.used.push(used);
+            }
+        }
+    }
 }
 
 /// Min-ordered ready-queue entry ([`BinaryHeap`] is a max-heap, so the
@@ -577,6 +605,8 @@ impl VmScheduler {
             quantum: spec.quantum_cycles.unwrap_or(self.quantum).max(1),
             priority: spec.priority,
             deadline: spec.deadline_cycles,
+            ran: 0,
+            used: Vec::new(),
             slices: 0,
             max_overshoot: 0,
             first_slice: None,
@@ -627,7 +657,33 @@ impl VmScheduler {
     /// returns the per-tenant reports (indexed by admission order)
     /// plus the scheduler's counters. Deterministic: the schedule is a
     /// pure function of the tenant set, the policy, and the quanta.
-    pub fn run_all(mut self) -> (Vec<TenantReport>, SchedStats) {
+    ///
+    /// It executes in two steps. First every tenant runs ahead to
+    /// completion, slice by slice, on one of W workers: the calling
+    /// thread plus W − 1 started ones, W being the host's available
+    /// parallelism capped at the tenant count. Then the ready-queue
+    /// loop replays the schedule from what each tenant recorded. A
+    /// tenant's slices depend on that tenant alone, and the queue keys
+    /// read only slice counts, so every report and counter is the same
+    /// for every W; only the host time changes (docs/SCHEDULER.md).
+    pub fn run_all(self) -> (Vec<TenantReport>, SchedStats) {
+        self.run_all_on(0)
+    }
+
+    /// [`VmScheduler::run_all`] on `workers` workers (0 = the host's
+    /// available parallelism). Tests pick the count; nothing else does.
+    fn run_all_on(mut self, workers: usize) -> (Vec<TenantReport>, SchedStats) {
+        let timed = self.tenants.iter().any(|t| t.deadline.is_some());
+        // Each tenant is run by exactly one worker, so its lock is
+        // never contended; it only hands the worker a `&mut`.
+        let cells: Vec<Mutex<&mut Tenant>> = self.tenants.iter_mut().map(Mutex::new).collect();
+        par_map(&cells, workers, |_, t| {
+            t.lock()
+                .expect("a tenant lock is poisoned only by a panicking run, which propagates")
+                .run_ahead(timed)
+        });
+        drop(cells);
+
         let mut stats = SchedStats {
             policy: self.policy,
             quantum: self.quantum,
@@ -636,12 +692,13 @@ impl VmScheduler {
             ..SchedStats::default()
         };
         // The machine's deterministic cycle clock: total cycles
-        // executed across all tenants. Deadlines are judged against it.
+        // executed across all tenants. Deadlines are judged against it,
+        // so it only advances when some tenant carries one.
         let mut clock: u64 = 0;
         let mut seq: u64 = 0;
         let mut ready = BinaryHeap::with_capacity(self.tenants.len());
         for idx in 0..self.tenants.len() {
-            if !self.tenants[idx].vm.finished() {
+            if self.tenants[idx].ran > 0 {
                 ready.push(Ready {
                     key: self.key_for(idx, seq),
                     idx,
@@ -651,23 +708,18 @@ impl VmScheduler {
         }
         stats.ready_peak = ready.len() as u64;
         while let Some(Ready { idx, .. }) = ready.pop() {
-            let quantum = self.tenants[idx].quantum;
             let t = &mut self.tenants[idx];
             if t.first_slice.is_none() {
                 t.first_slice = Some(stats.slices);
             }
-            let before = t.vm.stats().cycles;
-            let finished = t.vm.run_slice(quantum);
-            let used = t.vm.stats().cycles - before;
-            clock += used;
+            if timed {
+                clock += t.used[t.slices as usize];
+            }
             t.slices += 1;
             stats.slices += 1;
             stats.rounds = stats.rounds.max(t.slices);
-            let overshoot = used.saturating_sub(quantum);
-            t.max_overshoot = t.max_overshoot.max(overshoot);
-            stats.max_overshoot = stats.max_overshoot.max(overshoot);
-            if finished {
-                self.tenants[idx].finished_at = clock;
+            if t.slices == t.ran {
+                t.finished_at = clock;
             } else {
                 stats.preemptions += 1;
                 ready.push(Ready {
@@ -718,6 +770,7 @@ impl VmScheduler {
             })
             .collect();
         for r in &reports {
+            stats.max_overshoot = stats.max_overshoot.max(r.max_overshoot);
             match r.outcome {
                 TenantOutcome::Done => stats.done += 1,
                 TenantOutcome::HeapExhausted => stats.heap_exhausted += 1,
@@ -733,7 +786,7 @@ impl VmScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{AOp, BrOp, CodeBlock, Instr};
+    use crate::isa::{AOp, AllocKind, BrOp, CodeBlock, Instr};
     use crate::vm::run;
 
     /// Sums `0..n` in a loop the pre-decoder fuses (`Arith`+`Branch`,
@@ -782,6 +835,150 @@ mod tests {
             ],
             entry: 0,
             pool: Vec::new(),
+        }
+    }
+
+    /// `sum_loop(n)` that faults after its loop: the final load goes
+    /// through the integer sum instead of a pointer.
+    fn faults_after(n: i64) -> MachineProgram {
+        let mut p = sum_loop(n);
+        p.blocks[1].instrs[6] = Instr::Load {
+            d: 6,
+            base: 1,
+            off: 0,
+        };
+        p.blocks[1].instrs.push(Instr::Halt { s: 6 });
+        p
+    }
+
+    /// Conses onto one list forever: any heap quota ends it.
+    fn retainer() -> MachineProgram {
+        let block = |name: &str, instrs| CodeBlock {
+            name: name.into(),
+            instrs,
+        };
+        MachineProgram {
+            blocks: vec![
+                block(
+                    "entry",
+                    vec![Instr::LoadI { d: 3, imm: 0 }, Instr::Jump { label: 1 }],
+                ),
+                block(
+                    "loop",
+                    vec![
+                        Instr::Alloc {
+                            d: 4,
+                            kind: AllocKind::Record,
+                            words: vec![3, 3],
+                            flts: vec![],
+                        },
+                        Instr::Move { d: 3, s: 4 },
+                        Instr::Jump { label: 1 },
+                    ],
+                ),
+            ],
+            entry: 0,
+            pool: Vec::new(),
+        }
+    }
+
+    /// Seven tenants per dispatch engine under `policy`: a met and a
+    /// missed deadline, a quantum override, and one tenant each ending
+    /// `HeapExhausted`, `OutOfFuel`, `Fault` mid-run and `Fault` at
+    /// admission (an out-of-range register).
+    fn mixed(policy: SchedPolicy) -> VmScheduler {
+        let long = Arc::new(sum_loop(400));
+        let short = Arc::new(sum_loop(60));
+        let retain = Arc::new(retainer());
+        let faulty = Arc::new(faults_after(90));
+        let bad_reg = Arc::new(MachineProgram {
+            blocks: vec![CodeBlock {
+                name: "entry".into(),
+                instrs: vec![Instr::LoadI { d: 200, imm: 1 }, Instr::Halt { s: 0 }],
+            }],
+            entry: 0,
+            pool: Vec::new(),
+        });
+        let mut sched = SchedulerBuilder::new()
+            .quantum(97)
+            .policy(policy)
+            .aging_slices(3)
+            .build()
+            .unwrap();
+        for dispatch in [Dispatch::Threaded, Dispatch::Decode] {
+            let cfg = VmConfig {
+                dispatch,
+                ..VmConfig::default()
+            };
+            let starved = VmConfig {
+                nursery_words: 64,
+                tenured_words: 256,
+                ..cfg
+            };
+            let fuel = VmConfig {
+                max_cycles: 2_000,
+                ..cfg
+            };
+            for spec in [
+                TenantSpec::new(long.clone(), &cfg)
+                    .priority(1)
+                    .deadline_cycles(1_000_000),
+                TenantSpec::new(long.clone(), &cfg).deadline_cycles(500),
+                TenantSpec::new(short.clone(), &cfg)
+                    .priority(3)
+                    .quantum_cycles(31),
+                TenantSpec::new(retain.clone(), &starved),
+                TenantSpec::new(long.clone(), &fuel).priority(2),
+                TenantSpec::new(faulty.clone(), &cfg).quantum_cycles(200),
+                TenantSpec::new(bad_reg.clone(), &cfg),
+            ] {
+                sched.admit(spec).unwrap();
+            }
+        }
+        sched
+    }
+
+    #[test]
+    fn worker_count_cannot_change_a_report() {
+        for policy in [
+            SchedPolicy::RoundRobin,
+            SchedPolicy::Priority,
+            SchedPolicy::Deadline,
+        ] {
+            let (reports, stats) = mixed(policy).run_all_on(1);
+            let outcomes: Vec<_> = reports.iter().map(|r| r.outcome).collect();
+            let per_engine = [
+                TenantOutcome::Done,
+                TenantOutcome::DeadlineMissed,
+                TenantOutcome::Done,
+                TenantOutcome::HeapExhausted,
+                TenantOutcome::OutOfFuel,
+                TenantOutcome::Fault,
+                TenantOutcome::Fault,
+            ];
+            assert_eq!(outcomes, [per_engine, per_engine].concat(), "{policy:?}");
+            let unscheduled: Vec<usize> = (0..reports.len())
+                .filter(|&i| reports[i].first_slice.is_none())
+                .collect();
+            assert_eq!(unscheduled, [6, 13], "{policy:?}");
+            for workers in [2, 3, 64] {
+                assert_eq!(
+                    mixed(policy).run_all_on(workers),
+                    (reports.clone(), stats),
+                    "{policy:?} on {workers} workers"
+                );
+            }
+        }
+        for workers in [1, 2, 3] {
+            let (reports, stats) = SchedulerBuilder::new().build().unwrap().run_all_on(workers);
+            assert!(reports.is_empty());
+            assert_eq!(
+                stats,
+                SchedStats {
+                    quantum: 10_000,
+                    ..SchedStats::default()
+                }
+            );
         }
     }
 
