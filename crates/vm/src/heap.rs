@@ -29,6 +29,25 @@
 //! allocation schedule) as a reference baseline for differential
 //! testing and the copied-words comparison of the `gc` release gate.
 //!
+//! # Fast paths
+//!
+//! Allocation and minor collection are the mutator's hot heap paths,
+//! and both have one that moves no counter:
+//!
+//! - The heap keeps a *nursery limit*: the nursery end while plain
+//!   nursery allocation applies (generational mode, no major active,
+//!   heap not exhausted), else 0, re-derived at each change of state.
+//!   `Heap::bump_young` allocates against it with one compare, the
+//!   inline allocation of SML/NJ's mutator; [`Heap::alloc`] tries it
+//!   first and keeps the rest of the protocol for tenured, black and
+//!   failing allocations. The threaded engine's `Alloc`/`FBox` records
+//!   call it directly and initialise the object with plain stores.
+//! - A minor collection runs its Cheney loop on a `Minor` struct that
+//!   borrows the memory, the ages and the remembered set apart from the
+//!   counters, keeps the copy frontiers and counts in its own fields
+//!   and folds them back at the end. Its roots arrive as an iterator,
+//!   so no collection builds a root vector.
+//!
 //! # Incremental major collection
 //!
 //! A major collection can run either stop-the-world ([`Heap::collect`]
@@ -234,6 +253,10 @@ pub struct Heap {
     /// Current nursery from-space base and bump pointer.
     n_base: usize,
     n_free: usize,
+    /// The nursery end while plain nursery allocation applies
+    /// (generational mode, no major active, not exhausted), else 0:
+    /// the one bound [`Heap::bump_young`] compares against.
+    young_limit: usize,
     /// Current tenured from-space base and bump pointer.
     t_base: usize,
     t_free: usize,
@@ -288,7 +311,7 @@ impl Heap {
             GcMode::Semispace => 0,
         };
         let t_lo = cfg.static_words + 2 * n;
-        Heap {
+        let mut heap = Heap {
             mem: vec![0; t_lo + 2 * cfg.tenured_words],
             static_free: 1, // keep address 0 invalid
             static_end: cfg.static_words,
@@ -299,6 +322,7 @@ impl Heap {
             promote_after: cfg.promote_after.max(1),
             n_base: cfg.static_words,
             n_free: cfg.static_words,
+            young_limit: 0,
             t_base: t_lo,
             t_free: t_lo,
             since_gc: 0,
@@ -316,7 +340,25 @@ impl Heap {
             n_major_gcs: 0,
             promoted_words: 0,
             rs_peak: 0,
+        };
+        heap.reset_young_limit();
+        heap
+    }
+
+    /// [`Heap::bump_young`]'s bound in the heap's current state: the
+    /// nursery end while plain nursery allocation applies, else 0,
+    /// which no allocation fits under.
+    fn young_limit_now(&self) -> usize {
+        if self.mode == GcMode::Generational && self.major.is_none() && !self.exhausted {
+            self.n_base + self.nursery_words
+        } else {
+            0
         }
+    }
+
+    /// Re-derives the nursery limit after a change of state.
+    fn reset_young_limit(&mut self) {
+        self.young_limit = self.young_limit_now();
     }
 
     #[inline]
@@ -488,10 +530,45 @@ impl Heap {
         Heap::footprint(want) <= limit - free
     }
 
+    /// Bump-allocates `want` body words in the nursery with one
+    /// compare, when plain nursery allocation applies: generational
+    /// mode, no major active, the heap not exhausted, and the nursery
+    /// has room. Exactly then is this `Some`, placing the object where
+    /// [`Heap::alloc`] would and counting it the same way. Returns the
+    /// body's word index; the descriptor and fields are the caller's to
+    /// write, with plain stores.
+    #[inline(always)]
+    pub(crate) fn bump_young(&mut self, want: usize) -> Option<usize> {
+        let total = Heap::footprint(want);
+        if self.n_free + total > self.young_limit {
+            return None;
+        }
+        let at = self.n_free + 1;
+        self.n_free += total;
+        self.ages[at - self.static_end] = 0;
+        Some(self.counted(at, total))
+    }
+
+    /// Counts an allocation of `total` words placed at `at`; returns
+    /// `at`.
+    #[inline(always)]
+    fn counted(&mut self, at: usize, total: usize) -> usize {
+        self.since_gc += total;
+        self.alloc_words += total as u64;
+        self.n_allocs += 1;
+        at
+    }
+
     fn bump(&mut self, want: usize) -> Option<usize> {
+        if let Some(at) = self.bump_young(want) {
+            return Some(at);
+        }
         if !self.has_room(want) {
             return None; // space exhausted; caller collects or traps
         }
+        // Not the plain nursery case, so tenured space: black
+        // allocation during a major, or an object the nursery cannot
+        // hold, or semispace mode.
         let total = Heap::footprint(want);
         let at = if let Some(m) = self.major.as_mut() {
             // Black allocation: the new object lands ahead of the scan
@@ -501,24 +578,11 @@ impl Heap {
             m.free += total;
             at
         } else {
-            match self.target_space(want) {
-                Space::Nursery => {
-                    let at = self.n_free + 1;
-                    self.n_free += total;
-                    self.ages[at - self.static_end] = 0;
-                    at
-                }
-                Space::Tenured => {
-                    let at = self.t_free + 1;
-                    self.t_free += total;
-                    at
-                }
-            }
+            let at = self.t_free + 1;
+            self.t_free += total;
+            at
         };
-        self.since_gc += total;
-        self.alloc_words += total as u64;
-        self.n_allocs += 1;
-        Some(at)
+        Some(self.counted(at, total))
     }
 
     /// Allocates an object with `nscan` scanned one-word fields and
@@ -528,6 +592,18 @@ impl Heap {
     /// trap after a final collection attempt).
     pub fn alloc(&mut self, kind: ObjKind, nscan: u32, nraw: u32) -> Option<u32> {
         let at = self.bump((nscan + 2 * nraw) as usize)?;
+        self.mem[at - 1] = descriptor(kind, nscan, nraw);
+        Some(Heap::ptr_of(at))
+    }
+
+    /// [`Heap::alloc`] in the plain nursery case only
+    /// ([`Heap::bump_young`]); `None`, having done nothing, otherwise.
+    /// The object is young, so its fields take plain stores
+    /// ([`Heap::store`], [`Heap::store_f64`]): the write barrier only
+    /// ever remembers slots of tenured objects.
+    #[inline(always)]
+    pub(crate) fn alloc_young(&mut self, kind: ObjKind, nscan: u32, nraw: u32) -> Option<u32> {
+        let at = self.bump_young((nscan + 2 * nraw) as usize)?;
         self.mem[at - 1] = descriptor(kind, nscan, nraw);
         Some(Heap::ptr_of(at))
     }
@@ -712,7 +788,11 @@ impl Heap {
     ///
     /// Panics if an incremental major collection is active — pump
     /// [`Heap::major_slice`] to completion first.
-    pub fn collect(&mut self, roots: &mut [&mut u32], kind: GcKind) -> bool {
+    pub fn collect<'r>(
+        &mut self,
+        roots: impl IntoIterator<Item = &'r mut u32>,
+        kind: GcKind,
+    ) -> bool {
         assert!(
             self.major.is_none(),
             "collect() during an active incremental major"
@@ -769,7 +849,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if a major is already active or the heap is exhausted.
-    pub fn begin_major(&mut self, roots: &mut [&mut u32]) -> bool {
+    pub fn begin_major<'r>(&mut self, roots: impl IntoIterator<Item = &'r mut u32>) -> bool {
         assert!(self.major.is_none(), "begin_major: major already active");
         assert!(!self.exhausted, "begin_major on an exhausted heap");
         self.n_gcs += 1;
@@ -782,9 +862,10 @@ impl Heap {
         };
         let limit = to_base + self.tenured_words;
         let mut free = to_base;
-        for r in roots.iter_mut() {
-            match self.forward_major(**r, &mut free, limit) {
-                Some(nv) => **r = nv,
+        self.young_limit = 0; // allocation goes black from here
+        for r in roots {
+            match self.forward_major(*r, &mut free, limit) {
+                Some(nv) => *r = nv,
                 None => {
                     self.major = Some(MajorState {
                         to_base,
@@ -861,6 +942,7 @@ impl Heap {
         self.remembered.clear();
         self.rs_member.clear();
         self.since_gc = 0;
+        self.reset_young_limit();
         SliceOutcome::Done
     }
 
@@ -881,12 +963,15 @@ impl Heap {
         self.rs_member.clear();
         self.since_gc = 0;
         self.exhausted = true;
+        self.reset_young_limit();
     }
 
     /// Minor collection: Cheney over the nursery only. Roots are the
     /// VM roots plus the remembered set; copy targets are the nursery
-    /// to-space and (for promotion) the tenured bump frontier.
-    fn collect_minor(&mut self, roots: &mut [&mut u32]) {
+    /// to-space and (for promotion) the tenured bump frontier. The copy
+    /// loop runs on a [`Minor`], which borrows the memory, the ages and
+    /// the remembered set apart from the counters folded back here.
+    fn collect_minor<'r>(&mut self, roots: impl IntoIterator<Item = &'r mut u32>) {
         debug_assert!(self.major.is_none(), "minor during an active major");
         self.n_gcs += 1;
         self.n_minor_gcs += 1;
@@ -895,105 +980,48 @@ impl Heap {
         } else {
             self.static_end
         };
-        let mut n_free = to_base;
-        let mut n_scan = to_base;
-        let mut t_scan = self.t_free; // promoted objects land from here
-
-        for r in roots.iter_mut() {
-            **r = self.forward_minor(**r, &mut n_free);
+        let t_start = self.t_free; // promoted objects land from here
+        let mut c = Minor {
+            mem: &mut self.mem,
+            ages: &mut self.ages,
+            remembered: &mut self.remembered,
+            rs_member: &mut self.rs_member,
+            static_end: self.static_end,
+            from_base: self.n_base,
+            to_base,
+            nursery_words: self.nursery_words,
+            promote_after: self.promote_after,
+            t_limit: self.t_base + self.tenured_words,
+            n_free: to_base,
+            t_free: t_start,
+            copied: 0,
+            promoted: 0,
+        };
+        for r in roots {
+            *r = c.forward(*r);
         }
-        // Remembered slots are the only tenured words a minor collection
-        // visits; keep the ones whose target is still young.
-        let slots = std::mem::take(&mut self.remembered);
-        self.rs_member.clear();
-        for &slot in &slots {
-            let nv = self.forward_minor(self.mem[slot], &mut n_free);
-            self.mem[slot] = nv;
-            if is_ptr(nv) && Heap::in_range(Heap::idx_of(nv), to_base, self.nursery_words) {
-                self.remember(slot);
-            }
-        }
+        c.forward_remembered();
         // Scan both copy targets to a fixpoint: scanning promoted
         // objects can copy more into the nursery and vice versa.
-        while n_scan < n_free || t_scan < self.t_free {
-            if n_scan < n_free {
-                n_scan = self.scan_minor(n_scan, &mut n_free, to_base, false);
+        let (mut n_scan, mut t_scan) = (to_base, t_start);
+        while n_scan < c.n_free || t_scan < c.t_free {
+            if n_scan < c.n_free {
+                n_scan = c.scan(n_scan, false);
             } else {
-                t_scan = self.scan_minor(t_scan, &mut n_free, to_base, true);
+                t_scan = c.scan(t_scan, true);
             }
         }
+        let (n_free, t_free, copied, promoted) = (c.n_free, c.t_free, c.copied, c.promoted);
         self.n_base = to_base;
         self.n_free = n_free;
+        self.t_free = t_free;
+        self.copied_words += copied;
+        self.promoted_words += promoted;
+        // The set only grew during the collection: its peak is its size
+        // now.
+        self.rs_peak = self.rs_peak.max(self.remembered.len() as u64);
         self.since_gc = 0;
-    }
-
-    /// Scans one object during a minor collection; `promoted` marks
-    /// objects living in tenured space, whose still-young fields must
-    /// join the remembered set. Returns the next scan position.
-    fn scan_minor(
-        &mut self,
-        at: usize,
-        n_free: &mut usize,
-        to_base: usize,
-        promoted: bool,
-    ) -> usize {
-        let desc = self.mem[at];
-        let (kind, nscan, nraw) = decode(desc);
-        let fields = at + 1;
-        for i in 0..Heap::scanned_fields(kind, nscan) {
-            let nv = self.forward_minor(self.mem[fields + i], n_free);
-            self.mem[fields + i] = nv;
-            if promoted
-                && is_ptr(nv)
-                && Heap::in_range(Heap::idx_of(nv), to_base, self.nursery_words)
-            {
-                self.remember(fields + i);
-            }
-        }
-        fields + Heap::body_words(kind, nscan, nraw)
-    }
-
-    fn forward_minor(&mut self, v: u32, n_free: &mut usize) -> u32 {
-        if !is_ptr(v) {
-            return v;
-        }
-        let at = Heap::idx_of(v);
-        if !Heap::in_range(at, self.n_base, self.nursery_words) {
-            return v; // static, tenured, or already evacuated
-        }
-        let desc = self.mem[at - 1];
-        if desc & KIND_MASK == FORWARD {
-            return self.mem[at]; // already copied; new addr in field 0
-        }
-        let (kind, nscan, nraw) = decode(desc);
-        let total = Heap::body_words(kind, nscan, nraw);
-        let age = self.ages[at - self.static_end].saturating_add(1);
-        // Promotion needs `total` body words plus the descriptor.
-        let tenure = u32::from(age) >= self.promote_after
-            && total < self.t_base + self.tenured_words - self.t_free;
-        let new_at = if tenure {
-            let na = self.t_free + 1;
-            self.t_free += total + 1;
-            self.promoted_words += (total + 1) as u64;
-            na
-        } else {
-            // Not old enough — or tenured space is full, in which case
-            // the object stays young: survivors always fit in the
-            // to-space, so a minor collection cannot fail.
-            let na = *n_free + 1;
-            *n_free += total + 1;
-            self.ages[na - self.static_end] = age;
-            na
-        };
-        self.mem[new_at - 1] = desc;
-        for i in 0..total {
-            self.mem[new_at + i] = self.mem[at + i];
-        }
-        self.copied_words += (total + 1) as u64;
-        let new_ptr = Heap::ptr_of(new_at);
-        self.mem[at - 1] = FORWARD;
-        self.mem[at] = new_ptr;
-        new_ptr
+        self.reset_young_limit();
     }
 
     /// Stop-the-world major collection: [`Heap::begin_major`] plus one
@@ -1001,7 +1029,7 @@ impl Heap {
     /// incremental collector, with identical copy order and placement.
     /// Returns `false` on to-space overflow (the heap is then finalized
     /// exhausted and the caller must end the run).
-    fn collect_major(&mut self, roots: &mut [&mut u32]) -> bool {
+    fn collect_major<'r>(&mut self, roots: impl IntoIterator<Item = &'r mut u32>) -> bool {
         if !self.begin_major(roots) {
             return false;
         }
@@ -1132,10 +1160,10 @@ impl Heap {
     /// Structural self-check: bump pointers inside their spaces,
     /// counters mutually consistent, remembered slots in tenured space,
     /// and both collected spaces linearly scannable (valid descriptors,
-    /// bodies in bounds, no forwarding pointers left in live spaces).
-    /// Used by tests and by the VM's trap paths to assert the heap is
-    /// left well-formed — in particular after a major-collection
-    /// overflow finalization.
+    /// bodies in bounds, no forwarding pointers left in live spaces),
+    /// and the nursery limit the one its state gives. Tests use it to
+    /// assert the heap is left well-formed — in particular after a
+    /// major-collection overflow finalization.
     pub fn check_consistency(&self) -> Result<(), String> {
         if self.static_free > self.static_end {
             return Err("static region overran".into());
@@ -1162,6 +1190,13 @@ impl Heap {
         }
         if (self.remembered.len() as u64) > self.rs_peak {
             return Err("remembered set above its recorded peak".into());
+        }
+        if self.young_limit != self.young_limit_now() {
+            return Err(format!(
+                "nursery allocation limit {} where the heap's state gives {}",
+                self.young_limit,
+                self.young_limit_now()
+            ));
         }
         for &slot in &self.remembered {
             if !self.in_tenured(slot) {
@@ -1268,6 +1303,129 @@ impl Heap {
     }
 }
 
+/// One minor collection's Cheney state: the heap's memory, ages and
+/// remembered set, borrowed apart from its counters, with the copy
+/// frontiers and the copy counts in fields that
+/// [`Heap::collect_minor`] folds back at the end.
+struct Minor<'h> {
+    mem: &'h mut [u32],
+    /// Per nursery body index, relative to `static_end`.
+    ages: &'h mut [u8],
+    remembered: &'h mut Vec<usize>,
+    rs_member: &'h mut HashSet<usize>,
+    static_end: usize,
+    /// The nursery half being evacuated, and the one copied into.
+    from_base: usize,
+    to_base: usize,
+    nursery_words: usize,
+    promote_after: u32,
+    /// The end of the tenured from-space: promotion's bound.
+    t_limit: usize,
+    /// Copy frontiers in the nursery to-space and in tenured space.
+    n_free: usize,
+    t_free: usize,
+    copied: u64,
+    promoted: u64,
+}
+
+impl Minor<'_> {
+    /// True when `v` points into the nursery to-space: a slot holding
+    /// it must stay remembered.
+    #[inline(always)]
+    fn young(&self, v: u32) -> bool {
+        is_ptr(v) && Heap::idx_of(v).wrapping_sub(self.to_base) < self.nursery_words
+    }
+
+    fn remember(&mut self, slot: usize) {
+        if self.rs_member.insert(slot) {
+            self.remembered.push(slot);
+        }
+    }
+
+    /// Forwards every remembered slot, keeping, in their order, the ones
+    /// whose target is still young: the only tenured words a minor
+    /// collection visits.
+    fn forward_remembered(&mut self) {
+        self.rs_member.clear();
+        let mut kept = 0;
+        for i in 0..self.remembered.len() {
+            let slot = self.remembered[i];
+            let nv = self.forward(self.mem[slot]);
+            self.mem[slot] = nv;
+            if self.young(nv) {
+                self.rs_member.insert(slot);
+                self.remembered[kept] = slot;
+                kept += 1;
+            }
+        }
+        self.remembered.truncate(kept);
+    }
+
+    /// Scans one copied object; `promoted` marks objects in tenured
+    /// space, whose still-young fields must join the remembered set.
+    /// Returns the next scan position.
+    #[inline(always)]
+    fn scan(&mut self, at: usize, promoted: bool) -> usize {
+        let (kind, nscan, nraw) = decode(self.mem[at]);
+        let fields = at + 1;
+        for slot in fields..fields + Heap::scanned_fields(kind, nscan) {
+            let nv = self.forward(self.mem[slot]);
+            self.mem[slot] = nv;
+            if promoted && self.young(nv) {
+                self.remember(slot);
+            }
+        }
+        fields + Heap::body_words(kind, nscan, nraw)
+    }
+
+    /// Evacuates the nursery object `v` points to, once, and returns its
+    /// new address; any other value is returned as it is.
+    #[inline(always)]
+    fn forward(&mut self, v: u32) -> u32 {
+        let at = Heap::idx_of(v);
+        if !is_ptr(v) || at.wrapping_sub(self.from_base) >= self.nursery_words {
+            return v; // not a pointer; static, tenured, or already evacuated
+        }
+        let desc = self.mem[at - 1];
+        if desc & KIND_MASK == FORWARD {
+            return self.mem[at]; // already copied; new addr in field 0
+        }
+        let (kind, nscan, nraw) = decode(desc);
+        let total = Heap::body_words(kind, nscan, nraw);
+        let age = self.ages[at - self.static_end].saturating_add(1);
+        // Promotion needs `total` body words plus the descriptor.
+        let new_at = if u32::from(age) >= self.promote_after && total < self.t_limit - self.t_free {
+            let na = self.t_free + 1;
+            self.t_free += total + 1;
+            self.promoted += (total + 1) as u64;
+            na
+        } else {
+            // Not old enough — or tenured space is full, in which case
+            // the object stays young: survivors always fit in the
+            // to-space, so a minor collection cannot fail.
+            let na = self.n_free + 1;
+            self.n_free += total + 1;
+            self.ages[na - self.static_end] = age;
+            na
+        };
+        self.mem[new_at - 1] = desc;
+        if total <= 4 {
+            // Most bodies are a few words; `copy_within` would be a
+            // `memmove` call for each.
+            for i in 0..total {
+                self.mem[new_at + i] = self.mem[at + i];
+            }
+        } else {
+            self.mem.copy_within(at..at + total, new_at);
+        }
+        self.copied += (total + 1) as u64;
+        let new_ptr = Heap::ptr_of(new_at);
+        self.mem[at - 1] = FORWARD;
+        self.mem[at] = new_ptr;
+        new_ptr
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1345,7 +1503,7 @@ mod tests {
         for _ in 0..100 {
             h.alloc(ObjKind::Record, 2, 0).unwrap();
         }
-        h.collect(&mut [&mut root], GcKind::Minor);
+        h.collect([&mut root], GcKind::Minor);
         assert_ne!(root, outer, "object moved");
         let inner2 = h.load(root, 0);
         assert_eq!(untag_int(h.load(root, 1)), 7);
@@ -1364,7 +1522,7 @@ mod tests {
         h.store(obj, 0, tag_int(5));
         let mut r1 = obj;
         let mut r2 = obj;
-        h.collect(&mut [&mut r1, &mut r2], GcKind::Minor);
+        h.collect([&mut r1, &mut r2], GcKind::Minor);
         assert_eq!(r1, r2);
     }
 
@@ -1373,9 +1531,9 @@ mod tests {
         let mut h = gen_heap(4096, 4096);
         let s = h.alloc_static_string("immortal");
         let mut root = s;
-        h.collect(&mut [&mut root], GcKind::Minor);
+        h.collect([&mut root], GcKind::Minor);
         assert_eq!(root, s, "static strings never move");
-        h.collect(&mut [&mut root], GcKind::Major);
+        h.collect([&mut root], GcKind::Major);
         assert_eq!(root, s);
         assert_eq!(h.read_string(root), "immortal");
     }
@@ -1402,6 +1560,48 @@ mod tests {
                 }
             }
         }
+        // The one-compare nursery bump: it succeeds exactly when there
+        // is room, the target is the nursery and no major is active, in
+        // every state a heap passes through.
+        let mut h = gen_heap(16, 64);
+        let mut root = build_list(&mut h, 2);
+        for _ in 0..4 {
+            check_young(&mut h, "fresh");
+        }
+        h.collect([&mut root], GcKind::Minor);
+        check_young(&mut h, "post-minor");
+        assert!(h.begin_major([&mut root]));
+        check_young(&mut h, "flipped");
+        assert_eq!(h.major_slice(1), SliceOutcome::More);
+        check_young(&mut h, "mid-major");
+        while h.major_slice(u64::MAX) != SliceOutcome::Done {}
+        check_young(&mut h, "post-major");
+        assert_eq!(list_sum(&h, root), 1);
+        let mut h = gen_heap(256, 64);
+        let mut root = build_list(&mut h, 40);
+        assert!(!h.collect([&mut root], GcKind::Major));
+        check_young(&mut h, "overflowed");
+        check_young(&mut semi_heap(64, 1 << 20), "semispace");
+    }
+
+    /// Sweeps [`Heap::bump_young`] over small and oversized requests,
+    /// checking each against [`Heap::has_room`], the target space and
+    /// the major state, and the heap (its nursery limit included)
+    /// consistent before and after.
+    fn check_young(h: &mut Heap, what: &str) {
+        h.check_consistency().unwrap();
+        for want in [0, 1, 2, 3, 15, 16] {
+            let young = h.has_room(want)
+                && matches!(h.target_space(want), Space::Nursery)
+                && !h.major_active();
+            let got = h.bump_young(want);
+            assert_eq!(got.is_some(), young, "{what}: want={want}");
+            if let Some(at) = got {
+                h.mem[at - 1] = descriptor(ObjKind::Record, want as u32, 0);
+                h.mem[at..at + want].fill(tag_int(0));
+            }
+        }
+        h.check_consistency().unwrap();
     }
 
     #[test]
@@ -1425,9 +1625,9 @@ mod tests {
         h.store(q, 0, p);
         assert_eq!(h.alloc_words, 4, "empty objects pad to one body word");
         let (mut r1, mut r2) = (p, q);
-        h.collect(&mut [&mut r1, &mut r2], GcKind::Minor);
+        h.collect([&mut r1, &mut r2], GcKind::Minor);
         assert_eq!(h.load(r2, 0), r1, "sharing survives via the pad word");
-        h.collect(&mut [&mut r1, &mut r2], GcKind::Major);
+        h.collect([&mut r1, &mut r2], GcKind::Major);
         assert_eq!(h.load(r2, 0), r1);
     }
 
@@ -1444,7 +1644,7 @@ mod tests {
         let mut roots = [e, p];
         {
             let [r0, r1] = &mut roots;
-            h.collect(&mut [r0, r1], GcKind::Minor);
+            h.collect([r0, r1], GcKind::Minor);
         }
         assert_eq!(h.read_string(roots[0]), "");
         assert_eq!(roots[1], p, "tenured objects do not move in a minor");
@@ -1460,7 +1660,7 @@ mod tests {
             h.store(p, i, tag_int(1));
         }
         let mut root = p;
-        assert!(h.collect(&mut [&mut root], GcKind::Major));
+        assert!(h.collect([&mut root], GcKind::Major));
         assert_eq!(decode(h.desc(root)).1, n);
         assert_eq!(untag_int(h.load(root, n as usize - 1)), 1);
     }
@@ -1471,16 +1671,16 @@ mod tests {
         let p = h.alloc(ObjKind::Record, 1, 0).unwrap();
         h.store(p, 0, tag_int(42));
         let mut root = p;
-        h.collect(&mut [&mut root], GcKind::Minor);
+        h.collect([&mut root], GcKind::Minor);
         assert!(!h.is_tenured_ptr(root), "one survival: still young");
         assert_eq!(h.promoted_words, 0);
-        h.collect(&mut [&mut root], GcKind::Minor);
+        h.collect([&mut root], GcKind::Minor);
         assert!(h.is_tenured_ptr(root), "promote_after=2 survivals");
         assert_eq!(h.promoted_words, 2, "one field plus descriptor");
         assert_eq!(untag_int(h.load(root, 0)), 42);
         // With everything tenured, a minor collection copies nothing.
         let before = h.copied_words;
-        h.collect(&mut [&mut root], GcKind::Minor);
+        h.collect([&mut root], GcKind::Minor);
         assert_eq!(h.copied_words, before, "minors never scan tenured");
     }
 
@@ -1490,8 +1690,8 @@ mod tests {
         let r = h.alloc(ObjKind::Ref, 1, 0).unwrap();
         h.store(r, 0, tag_int(0));
         let mut root = r;
-        h.collect(&mut [&mut root], GcKind::Minor);
-        h.collect(&mut [&mut root], GcKind::Minor);
+        h.collect([&mut root], GcKind::Minor);
+        h.collect([&mut root], GcKind::Minor);
         assert!(h.is_tenured_ptr(root));
         let young = h.alloc(ObjKind::Record, 1, 0).unwrap();
         h.store(young, 0, tag_int(7));
@@ -1500,13 +1700,13 @@ mod tests {
         assert_eq!(h.remembered_len(), 1);
         // The young object is reachable only through the remembered
         // slot: the minor collection must still find and move it.
-        h.collect(&mut [&mut root], GcKind::Minor);
+        h.collect([&mut root], GcKind::Minor);
         let moved = h.load(root, 0);
         assert!(is_ptr(moved) && !h.is_tenured_ptr(moved));
         assert_eq!(untag_int(h.load(moved, 0)), 7);
         assert_eq!(h.remembered_len(), 1, "slot re-remembered while young");
         // Once the target promotes, the slot leaves the remembered set.
-        h.collect(&mut [&mut root], GcKind::Minor);
+        h.collect([&mut root], GcKind::Minor);
         assert!(h.is_tenured_ptr(h.load(root, 0)));
         assert_eq!(h.remembered_len(), 0);
         assert!(h.rs_peak >= 1);
@@ -1524,7 +1724,7 @@ mod tests {
         }
         // 120 live words cannot fit a 64-word tenured semispace.
         let mut root = head;
-        assert!(!h.collect(&mut [&mut root], GcKind::Major));
+        assert!(!h.collect([&mut root], GcKind::Major));
     }
 
     #[test]
@@ -1538,7 +1738,7 @@ mod tests {
         let obj = h.alloc(ObjKind::Record, 1, 0).unwrap();
         h.store(obj, 0, tag_int(5));
         let mut root = obj;
-        h.collect(&mut [&mut root], GcKind::Minor);
+        h.collect([&mut root], GcKind::Minor);
         assert_ne!(root, obj, "semispace collections move everything");
         assert_eq!(untag_int(h.load(root, 0)), 5);
         assert_eq!(h.n_major_gcs, 1, "minor degrades to a full collection");
@@ -1579,8 +1779,8 @@ mod tests {
         let mut inc = gen_heap(256, 4096);
         let mut r1 = build_list(&mut stw, 50);
         let mut r2 = build_list(&mut inc, 50);
-        assert!(stw.collect(&mut [&mut r1], GcKind::Major));
-        assert!(inc.begin_major(&mut [&mut r2]));
+        assert!(stw.collect([&mut r1], GcKind::Major));
+        assert!(inc.begin_major([&mut r2]));
         let mut slices = 0;
         loop {
             match inc.major_slice(8) {
@@ -1603,7 +1803,7 @@ mod tests {
     fn slice_budget_bounds_copy_work() {
         let mut h = gen_heap(256, 4096);
         let mut root = build_list(&mut h, 60);
-        assert!(h.begin_major(&mut [&mut root]));
+        assert!(h.begin_major([&mut root]));
         loop {
             let before = h.copied_words;
             let out = h.major_slice(10);
@@ -1621,7 +1821,7 @@ mod tests {
     fn black_allocation_during_major() {
         let mut h = gen_heap(256, 4096);
         let mut root = build_list(&mut h, 40);
-        assert!(h.begin_major(&mut [&mut root]));
+        assert!(h.begin_major([&mut root]));
         assert!(h.major_slice(4) == SliceOutcome::More);
         // Mutator allocates while the collection is paused: the object
         // must land in to-space (black) and survive the rest.
@@ -1645,7 +1845,7 @@ mod tests {
         let outer = h.alloc(ObjKind::Record, 1, 0).unwrap();
         h.store(outer, 0, inner);
         let mut root = outer;
-        assert!(h.begin_major(&mut [&mut root]));
+        assert!(h.begin_major([&mut root]));
         // No slice has run: outer is copied (root), inner is not.
         let healed = h.load_healed(root, 0);
         assert_ne!(healed, inner, "barrier must evacuate the target");
@@ -1667,8 +1867,8 @@ mod tests {
         // regression shape for incomplete-major finalization.
         let mut h = gen_heap(128, 128);
         let mut root = build_list(&mut h, 20); // 60 live words
-        h.collect(&mut [&mut root], GcKind::Minor);
-        h.collect(&mut [&mut root], GcKind::Minor); // list now tenured
+        h.collect([&mut root], GcKind::Minor);
+        h.collect([&mut root], GcKind::Minor); // list now tenured
         let young = h.alloc(ObjKind::Record, 1, 0).unwrap();
         h.store(young, 0, tag_int(5));
         // Overwrite the head's int field (not the next pointer — the
@@ -1678,7 +1878,7 @@ mod tests {
         // Grow the live set past one tenured semispace:
         // 60 + 2 + 120 = 182 live words > 128.
         let mut extra = build_list(&mut h, 40);
-        assert!(!h.collect(&mut [&mut root, &mut extra], GcKind::Major));
+        assert!(!h.collect([&mut root, &mut extra], GcKind::Major));
         assert!(h.is_exhausted());
         h.check_consistency()
             .expect("heap must be consistent after overflow finalization");
@@ -1725,7 +1925,7 @@ mod tests {
         // (which are every collection) slice the same way.
         let mut h = semi_heap(1 << 12, 1 << 20);
         let mut root = build_list(&mut h, 30);
-        assert!(h.begin_major(&mut [&mut root]));
+        assert!(h.begin_major([&mut root]));
         let mut slices = 1;
         while h.major_slice(8) != SliceOutcome::Done {
             slices += 1;

@@ -465,10 +465,28 @@ pub struct SchedStats {
     pub deadline_missed: u64,
 }
 
-/// One admitted tenant: the live instance plus its scheduling
-/// attributes and per-tenant counters.
+/// A tenant's run: what building its instance needs until it runs
+/// ahead, then the finished run's outcome. The instance, and with it
+/// the tenant's heap, exists only in between.
+// The outcome stays inline: boxing it allocates once per tenant on the
+// worker that ran it, which raised a 1000-tenant storm's peak RSS by
+// about 0.6 MiB.
+#[allow(clippy::large_enum_variant)]
+enum Run {
+    Admitted {
+        program: Arc<MachineProgram>,
+        config: VmConfig,
+        /// The program's shared pre-decoded stream under
+        /// [`Dispatch::Threaded`].
+        stream: Option<Arc<ThreadedProgram>>,
+    },
+    Finished(Outcome),
+}
+
+/// One admitted tenant: its run plus its scheduling attributes and
+/// per-tenant counters.
 struct Tenant {
-    vm: VmInstance<'static>,
+    run: Run,
     quantum: u64,
     priority: u32,
     /// Absolute deadline on the machine cycle clock.
@@ -487,23 +505,37 @@ struct Tenant {
 }
 
 impl Tenant {
-    /// Runs the tenant to completion one quantum at a time, recording
-    /// what the schedule replay reads: the slice count, the largest
-    /// overshoot and, when `timed`, each slice's cycles. Nothing here
-    /// depends on other tenants or on the order slices are taken in:
-    /// the heap, registers and counters are the tenant's own.
+    /// Builds the tenant's instance and runs it to completion one
+    /// quantum at a time, recording what the schedule replay reads: the
+    /// slice count, the largest overshoot and, when `timed`, each
+    /// slice's cycles. Only the outcome is kept: the instance and its
+    /// heap are freed before the worker takes its next tenant. Nothing
+    /// here depends on other tenants or on the order slices are taken
+    /// in: the heap, registers and counters are the tenant's own. An
+    /// instance that faults at construction finishes with no slice.
     fn run_ahead(&mut self, timed: bool) {
-        let mut finished = self.vm.finished();
+        let Run::Admitted {
+            program,
+            config,
+            stream,
+        } = &self.run
+        else {
+            return;
+        };
+        let mut vm =
+            VmInstance::with_prog(ProgRef::Shared(Arc::clone(program)), config, stream.clone());
+        let mut finished = vm.finished();
         while !finished {
-            let before = self.vm.stats().cycles;
-            finished = self.vm.run_slice(self.quantum);
-            let used = self.vm.stats().cycles - before;
+            let before = vm.stats().cycles;
+            finished = vm.run_slice(self.quantum);
+            let used = vm.stats().cycles - before;
             self.ran += 1;
             self.max_overshoot = self.max_overshoot.max(used.saturating_sub(self.quantum));
             if timed {
                 self.used.push(used);
             }
         }
+        self.run = Run::Finished(vm.into_outcome());
     }
 }
 
@@ -568,6 +600,11 @@ impl VmScheduler {
     /// its heap/fuel quota would oversubscribe the machine capacity.
     /// Returns the tenant's index, which is also its position in the
     /// [`VmScheduler::run_all`] report vector.
+    ///
+    /// Admission does no heap work: it records the program, its
+    /// config and the program's shared pre-decoded stream, and
+    /// [`VmScheduler::run_all`] builds the tenant's instance when the
+    /// tenant runs.
     pub fn admit(&mut self, spec: TenantSpec) -> Result<usize, AdmissionError> {
         let heap_req = spec.vm_config.tenured_words as u64;
         let fuel_req = spec.vm_config.max_cycles;
@@ -601,7 +638,11 @@ impl VmScheduler {
             )
         });
         self.tenants.push(Tenant {
-            vm: VmInstance::with_prog(ProgRef::Shared(spec.program), &spec.vm_config, stream),
+            run: Run::Admitted {
+                program: spec.program,
+                config: spec.vm_config,
+                stream,
+            },
             quantum: spec.quantum_cycles.unwrap_or(self.quantum).max(1),
             priority: spec.priority,
             deadline: spec.deadline_cycles,
@@ -661,11 +702,13 @@ impl VmScheduler {
     /// It executes in two steps. First every tenant runs ahead to
     /// completion, slice by slice, on one of W workers: the calling
     /// thread plus W − 1 started ones, W being the host's available
-    /// parallelism capped at the tenant count. Then the ready-queue
-    /// loop replays the schedule from what each tenant recorded. A
-    /// tenant's slices depend on that tenant alone, and the queue keys
-    /// read only slice counts, so every report and counter is the same
-    /// for every W; only the host time changes (docs/SCHEDULER.md).
+    /// parallelism capped at the tenant count. A worker builds the
+    /// tenant's instance, runs it and keeps only its outcome, so at
+    /// most W tenant heaps exist at once. Then the ready-queue loop
+    /// replays the schedule from what each tenant recorded. A tenant's
+    /// slices depend on that tenant alone, and the queue keys read only
+    /// slice counts, so every report and counter is the same for every
+    /// W; only the host time and memory change (docs/SCHEDULER.md).
     pub fn run_all(self) -> (Vec<TenantReport>, SchedStats) {
         self.run_all_on(0)
     }
@@ -735,20 +778,23 @@ impl VmScheduler {
             .into_iter()
             .map(|t| {
                 let Tenant {
-                    vm,
+                    run: Run::Finished(outcome),
                     deadline,
                     slices,
                     max_overshoot,
                     first_slice,
                     finished_at,
                     ..
-                } = t;
+                } = t
+                else {
+                    unreachable!("every tenant ran ahead to completion")
+                };
                 let Outcome {
                     result,
                     stats,
                     output,
                     dispatch,
-                } = vm.into_outcome();
+                } = outcome;
                 let mut outcome = TenantOutcome::of(&result);
                 if outcome == TenantOutcome::Done {
                     if let Some(d) = deadline {
@@ -982,8 +1028,11 @@ mod tests {
         }
     }
 
-    fn stream(t: &Tenant) -> &Arc<ThreadedProgram> {
-        t.vm.threaded.as_ref().expect("threaded tenant")
+    fn stream(t: &Tenant) -> Option<&Arc<ThreadedProgram>> {
+        match &t.run {
+            Run::Admitted { stream, .. } => stream.as_ref(),
+            Run::Finished(_) => panic!("tenant already ran"),
+        }
     }
 
     #[test]
@@ -995,8 +1044,11 @@ mod tests {
             sched.admit(TenantSpec::new(prog.clone(), &cfg)).unwrap();
         }
         assert_eq!(sched.streams.len(), 1);
-        let first = stream(&sched.tenants[0]);
-        assert!(sched.tenants.iter().all(|t| Arc::ptr_eq(stream(t), first)));
+        let first = stream(&sched.tenants[0]).expect("threaded tenant");
+        assert!(sched
+            .tenants
+            .iter()
+            .all(|t| stream(t).is_some_and(|s| Arc::ptr_eq(s, first))));
         // The scheduler's map plus one handle per tenant.
         assert_eq!(Arc::strong_count(first), 1001);
 
@@ -1031,13 +1083,14 @@ mod tests {
         }
         sched.admit(TenantSpec::new(a.clone(), &decode)).unwrap();
         assert_eq!(sched.streams.len(), 2);
-        let t = &sched.tenants;
-        assert!(Arc::ptr_eq(stream(&t[0]), stream(&t[2])));
-        assert!(Arc::ptr_eq(stream(&t[1]), stream(&t[3])));
-        assert!(!Arc::ptr_eq(stream(&t[0]), stream(&t[1])));
+        let t: Vec<_> = sched.tenants.iter().map(stream).collect();
+        let same = |i: usize, j: usize| Arc::ptr_eq(t[i].unwrap(), t[j].unwrap());
+        assert!(same(0, 2));
+        assert!(same(1, 3));
+        assert!(!same(0, 1));
         // The `fp3` jump term is charged at run time, so configs share.
-        assert!(Arc::ptr_eq(stream(&t[0]), stream(&t[4])));
-        assert!(t[5].vm.threaded.is_none());
+        assert!(same(0, 4));
+        assert!(t[5].is_none());
 
         let (reports, _) = sched.run_all();
         for (r, c) in reports.iter().zip([&cfg, &cfg, &cfg, &cfg, &fp3, &decode]) {

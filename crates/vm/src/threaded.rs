@@ -50,10 +50,16 @@
 //! constituents: it takes its fast path only when no such check could
 //! fire inside it, i.e. `cycles` plus the charge of all constituents
 //! but the last is below the next check point. On top of that, an
-//! `Alloc` or `FBox` needs an allocation protocol with nothing to do
-//! ([`Engine::alloc_ready`]); a `Load` run, and `Load`+`Branch`, need
-//! no active incremental major; and a `Load` run needs one bounds check
-//! covering all its offsets to pass. A slice that ends mid-record
+//! `Alloc` or `FBox` needs plain nursery allocation to apply, which
+//! [`Heap::bump_young`](crate::heap::Heap::bump_young) decides with one
+//! compare against the heap's nursery limit; its fields then take plain
+//! stores, since the write barrier only remembers slots of tenured
+//! objects. With allocation fault injection configured (checked once
+//! per slice: it counts allocations one by one) every allocation falls
+//! back to the full allocation protocol, which is all the decode loop
+//! ever runs. A `Load` run, and `Load`+`Branch`, need no active
+//! incremental major; and a `Load` run needs one bounds check covering
+//! all its offsets to pass. A slice that ends mid-record
 //! resumes through the same fallback loop, at the constituent where it
 //! stopped: slice boundaries, like every counter, match the decode loop
 //! exactly.
@@ -978,6 +984,9 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
     // top-of-iteration checks: fuel (`cycles > max_cycles`) and
     // preemption (`cycles >= stop_at`).
     let check_at = stop_at.min(max_cycles.saturating_add(1));
+    // Allocation fault injection counts allocations one by one, so with
+    // it configured every allocation takes the protocol path.
+    let young = vm.cfg.fault.fail_alloc_at.is_none() && vm.cfg.fault.gc_every_n_allocs.is_none();
     let mut eng = Engine {
         prog: &vm.prog,
         cfg: &vm.cfg,
@@ -1000,12 +1009,16 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
     let mut instrs = eng.stats.instrs;
     let mut out: Option<VmResult> = None;
     // The cursor: the current block's records and the threaded pc.
-    // `exit_pc` overrides the original pc the position maps back to —
-    // for a position with no threaded coordinate (an out-of-range pc or
-    // block), or a slice that ended mid-record.
+    // `exit_pc`, unless it is `NO_PC`, overrides the original pc the
+    // position maps back to — for a position with no threaded
+    // coordinate (an out-of-range pc or block), or a slice that ended
+    // mid-record. A sentinel rather than an `Option`: it is live across
+    // every record, and one register where an `Option` takes two keeps
+    // the dispatch path free of spills.
+    const NO_PC: usize = usize::MAX;
     let mut code: &[TInstr];
     let mut tpc: usize;
-    let mut exit_pc: Option<usize>;
+    let mut exit_pc: usize;
 
     'run: {
         // Points the cursor at original position (`eng.block`,
@@ -1019,18 +1032,18 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                         match tb.pc_map.get(eng.pc) {
                             Some(&t) => {
                                 tpc = t as usize;
-                                exit_pc = None;
+                                exit_pc = NO_PC;
                             }
                             None => {
                                 tpc = code.len();
-                                exit_pc = Some(eng.pc);
+                                exit_pc = eng.pc;
                             }
                         }
                     }
                     None => {
                         code = &[];
                         tpc = 0;
-                        exit_pc = Some(eng.pc);
+                        exit_pc = eng.pc;
                     }
                 }
             };
@@ -1044,7 +1057,7 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     Some(tb) => code = &tb.code,
                     None => {
                         code = &[];
-                        exit_pc = Some(0);
+                        exit_pc = 0;
                     }
                 }
             }};
@@ -1059,7 +1072,7 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                         break 'run;
                     }
                     if cycles >= stop_at {
-                        $(exit_pc = Some($mid);)?
+                        $(exit_pc = $mid;)?
                         break 'run; // quantum spent: preempted
                     }
                 }
@@ -1147,13 +1160,17 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
 
         rejoin!();
         // A slice that ended mid-record resumes with the rest of it.
-        if exit_pc.is_none() && tp.blocks[eng.block].tpc_to_pc[tpc] as usize != eng.pc {
+        if exit_pc == NO_PC && tp.blocks[eng.block].tpc_to_pc[tpc] as usize != eng.pc {
             one_by_one!(eng.pc);
         }
         loop {
             checks!();
             let Some(rec) = code.get(tpc) else {
-                let pc = exit_pc.unwrap_or_else(|| tp.blocks[eng.block].tpc_to_pc[tpc] as usize);
+                let pc = if exit_pc == NO_PC {
+                    tp.blocks[eng.block].tpc_to_pc[tpc] as usize
+                } else {
+                    exit_pc
+                };
                 out = Some(VmResult::Fault(format!(
                     "instruction fetch out of range: block {} pc {}",
                     eng.block, pc
@@ -1300,21 +1317,18 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
                     c,
                     sc,
                 } => {
-                    let (nw, nf) = (nw as usize, nf as usize);
-                    if eng.alloc_ready(nw + 2 * nf) {
+                    let ops = &alloc_ops[at as usize..at as usize + nw as usize + nf as usize];
+                    let (words, flts) = ops.split_at(nw as usize);
+                    if young && eng.m_alloc_young(d, kind, words, flts) {
                         charge!(InstrClass::Alloc, c as u64 + sc as u64);
-                        let ops = &alloc_ops[at as usize..at as usize + nw + nf];
-                        let (words, flts) = ops.split_at(nw);
-                        trap!(eng.m_alloc(d, kind, words, flts));
                         tpc += 1;
                     } else {
                         fallback!();
                     }
                 }
                 TInstr::FBox { d, s, c, sc } => {
-                    if eng.alloc_ready(2) {
+                    if young && eng.m_fbox_young(d, s) {
                         charge!(InstrClass::Alloc, c as u64 + sc as u64);
-                        trap!(eng.m_fbox(d, s));
                         tpc += 1;
                     } else {
                         fallback!();
@@ -1490,10 +1504,11 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
     // Translate the exit position back into original coordinates so
     // resumption — under either engine — and fault reporting agree with
     // the decode loop.
-    let pc = exit_pc.unwrap_or_else(|| match tp.blocks.get(eng.block) {
+    let pc = match tp.blocks.get(eng.block) {
+        _ if exit_pc != NO_PC => exit_pc,
         Some(tb) => tb.tpc_to_pc[tpc] as usize,
         None => eng.pc,
-    });
+    };
     vm.block = eng.block;
     vm.pc = pc;
     vm.sync_heap_stats();

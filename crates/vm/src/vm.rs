@@ -649,6 +649,15 @@ pub(crate) struct Engine<'a, 'p> {
     pub(crate) pc: usize,
 }
 
+/// The heap object kind an `Alloc` of `kind` builds.
+#[inline(always)]
+fn obj_kind(kind: AllocKind) -> ObjKind {
+    match kind {
+        AllocKind::Record => ObjKind::Record,
+        AllocKind::Ref => ObjKind::Ref,
+    }
+}
+
 /// Register-file index. Every register operand is range-checked once,
 /// when the instance is created ([`VmInstance::new`] faults a program
 /// that names a register past the file), so the mask never changes an
@@ -701,32 +710,17 @@ impl<'p> Engine<'_, 'p> {
             .is_some_and(|k| k > 0 && (self.heap.n_allocs + 1).is_multiple_of(k))
     }
 
-    /// True when [`Engine::alloc_guard`] has nothing to do for `want`
-    /// body words: no injected failure or forced collection is due, no
-    /// incremental major is active, the heap is not exhausted, and the
-    /// target space has room without a collection. The guard tests it
-    /// first, and the threaded `Alloc`/`FBox` records take their fast
-    /// path only when it holds, so the two cannot drift apart.
-    #[inline(always)]
-    pub(crate) fn alloc_ready(&self, want: usize) -> bool {
-        self.cfg.fault.fail_alloc_at != Some(self.heap.n_allocs + 1)
-            && !self.gc_forced()
-            && !self.heap.major_active()
-            && !self.heap.is_exhausted()
-            && !self.heap.needs_gc(want)
-    }
-
     /// Runs the allocation protocol for `want` body words: injected
     /// failure, forced or scheduled minor collection (or slice pumping
     /// while an incremental major is active), then a major collection —
     /// pumped to completion unless a fault-injected yield interleaves
     /// the mutator — as the final attempt before the HeapExhausted
-    /// trap.
+    /// trap. With no failure or collection due, no major active and
+    /// room in the target space, it has nothing to do. Every
+    /// allocation of the decode loop, and every one the threaded
+    /// engine does not take through [`Heap::bump_young`], comes here.
     #[inline(always)]
     fn alloc_guard(&mut self, want: usize) -> Result<(), VmResult> {
-        if self.alloc_ready(want) {
-            return Ok(());
-        }
         if self.cfg.fault.fail_alloc_at == Some(self.heap.n_allocs + 1) {
             return Err(VmResult::HeapExhausted);
         }
@@ -734,6 +728,9 @@ impl<'p> Engine<'_, 'p> {
             return Err(VmResult::HeapExhausted);
         }
         let forced = self.gc_forced();
+        if !forced && !self.heap.major_active() && !self.heap.needs_gc(want) {
+            return Ok(());
+        }
         // `true` once a full major has finished in this guard: if room
         // is still short after that, the heap is genuinely exhausted.
         let mut major_done = false;
@@ -811,7 +808,7 @@ impl<'p> Engine<'_, 'p> {
     // is why a trapping instruction pays in full. An allocation's
     // static charge (`Instr::alloc_cost`) is the caller's too: `step`
     // pays it once the object is allocated, a threaded `Alloc`/`FBox`
-    // record up front when the allocation protocol has nothing to do.
+    // record once its nursery fast path has allocated.
     // Array, jump-table and runtime-call instructions execute through
     // `step`'s match arms, which charge their heap-dependent costs as
     // they go (the threaded engine routes them via its `Slow` record).
@@ -1038,11 +1035,10 @@ impl<'p> Engine<'_, 'p> {
         Ok(())
     }
 
-    /// Boxes a float: `FBox`'s body, shared by `step` and the threaded
-    /// `FBox` record. The caller has run the allocation protocol and
-    /// charges [`Instr::alloc_cost`].
+    /// Boxes a float: `FBox`'s body in `step`. The caller has run the
+    /// allocation protocol and charges [`Instr::alloc_cost`].
     #[inline(always)]
-    pub(crate) fn m_fbox(&mut self, d: Reg, s: FReg) -> Result<(), VmResult> {
+    fn m_fbox(&mut self, d: Reg, s: FReg) -> Result<(), VmResult> {
         let Some(p) = self.heap.alloc(ObjKind::BoxedFloat, 0, 1) else {
             return Err(VmResult::HeapExhausted);
         };
@@ -1051,22 +1047,33 @@ impl<'p> Engine<'_, 'p> {
         Ok(())
     }
 
-    /// Allocates and initialises a record: `Alloc`'s body, shared by
-    /// `step` and the threaded `Alloc` record. The caller has checked
-    /// the descriptor limits, run the allocation protocol, and charges
-    /// [`Instr::alloc_cost`].
+    /// The threaded `FBox` record's fast path: boxes the float in the
+    /// nursery ([`Heap::alloc_young`]) with a plain store. Returns
+    /// `false`, having done nothing, when plain nursery allocation does
+    /// not apply; the caller then runs the allocation protocol through
+    /// `step`.
     #[inline(always)]
-    pub(crate) fn m_alloc(
+    pub(crate) fn m_fbox_young(&mut self, d: Reg, s: FReg) -> bool {
+        let Some(p) = self.heap.alloc_young(ObjKind::BoxedFloat, 0, 1) else {
+            return false;
+        };
+        self.heap.store_f64(p, 0, self.f(s));
+        self.set(d, p);
+        true
+    }
+
+    /// Allocates and initialises a record: `Alloc`'s body in `step`. The
+    /// caller has checked the descriptor limits, run the allocation
+    /// protocol, and charges [`Instr::alloc_cost`].
+    #[inline(always)]
+    fn m_alloc(
         &mut self,
         d: Reg,
         kind: AllocKind,
         words: &[Reg],
         flts: &[FReg],
     ) -> Result<(), VmResult> {
-        let k = match kind {
-            AllocKind::Record => ObjKind::Record,
-            AllocKind::Ref => ObjKind::Ref,
-        };
+        let k = obj_kind(kind);
         let Some(p) = self.heap.alloc(k, words.len() as u32, flts.len() as u32) else {
             return Err(VmResult::HeapExhausted);
         };
@@ -1081,6 +1088,37 @@ impl<'p> Engine<'_, 'p> {
         }
         self.set(d, p);
         Ok(())
+    }
+
+    /// The threaded `Alloc` record's fast path: allocates the record in
+    /// the nursery ([`Heap::alloc_young`]) and initialises it with plain
+    /// stores, which a young object never needs the barrier for.
+    /// Returns `false`, having done nothing, when plain nursery
+    /// allocation does not apply; the caller then runs the allocation
+    /// protocol through `step`.
+    #[inline(always)]
+    pub(crate) fn m_alloc_young(
+        &mut self,
+        d: Reg,
+        kind: AllocKind,
+        words: &[Reg],
+        flts: &[FReg],
+    ) -> bool {
+        let k = obj_kind(kind);
+        let Some(p) = self
+            .heap
+            .alloc_young(k, words.len() as u32, flts.len() as u32)
+        else {
+            return false;
+        };
+        for (i, &r) in words.iter().enumerate() {
+            self.heap.store(p, i, self.r(r));
+        }
+        for (j, &f) in flts.iter().enumerate() {
+            self.heap.store_f64(p, words.len() + 2 * j, self.f(f));
+        }
+        self.set(d, p);
+        true
     }
 
     #[inline(always)]
@@ -1484,12 +1522,7 @@ fn pump_major(
 /// Forwards all VM roots (registers plus the handler) into a fresh
 /// major collection.
 fn begin_with_roots(heap: &mut Heap, regs: &mut [u32], handler: &mut u32) -> bool {
-    let mut roots: Vec<&mut u32> = Vec::with_capacity(regs.len() + 1);
-    for r in regs.iter_mut() {
-        roots.push(r);
-    }
-    roots.push(handler);
-    heap.begin_major(&mut roots)
+    heap.begin_major(regs.iter_mut().chain(std::iter::once(handler)))
 }
 
 /// Charges one recorded GC pause: total and per-class cycle counters,
@@ -1540,15 +1573,7 @@ fn gc(
 ) -> bool {
     let before = heap.copied_words;
     let rs_slots = heap.remembered_len() as u64;
-    let complete = {
-        let mut roots: Vec<&mut u32> = Vec::with_capacity(regs.len() + 1);
-        let mut iter = regs.iter_mut();
-        for r in &mut iter {
-            roots.push(r);
-        }
-        roots.push(handler);
-        heap.collect(&mut roots, kind)
-    };
+    let complete = heap.collect(regs.iter_mut().chain(std::iter::once(handler)), kind);
     let copied = heap.copied_words - before;
     // In semispace mode every collection is a full one and pays the
     // major-pause cost.

@@ -205,6 +205,122 @@ fn record_loop(n: i64) -> MachineProgram {
     }
 }
 
+/// Counts to `n`, running `body` each time round, and halts with the
+/// count: r2 counts, r3 is the limit, r5 the step, and f1 holds 2.5
+/// for `body`'s `FBox`es.
+fn alloc_loop(n: i64, body: Vec<Instr>) -> MachineProgram {
+    let exit = body.len() as u32 + 4;
+    let mut instrs = vec![Instr::Branch {
+        op: BrOp::Lt,
+        a: 2,
+        b: 3,
+        target: exit,
+    }];
+    instrs.extend(body);
+    instrs.extend([
+        Instr::LoadI { d: 5, imm: 1 },
+        Instr::Arith {
+            op: AOp::Add,
+            d: 2,
+            a: 2,
+            b: 5,
+        },
+        Instr::Jump { label: 1 },
+        Instr::Halt { s: 2 },
+    ]);
+    MachineProgram {
+        blocks: vec![
+            CodeBlock {
+                name: "entry".into(),
+                instrs: vec![
+                    Instr::LoadI { d: 2, imm: 0 },
+                    Instr::LoadI { d: 3, imm: n },
+                    Instr::LoadF { d: 1, imm: 2.5 },
+                    Instr::Jump { label: 1 },
+                ],
+            },
+            CodeBlock {
+                name: "loop".into(),
+                instrs,
+            },
+        ],
+        entry: 0,
+        pool: Vec::new(),
+    }
+}
+
+/// A two-word record of the count into `d`: three words with its
+/// descriptor.
+fn pair(d: u8) -> Instr {
+    Instr::Alloc {
+        d,
+        kind: AllocKind::Record,
+        words: vec![2, 2],
+        flts: vec![],
+    }
+}
+
+/// Grows a list without bound, walking all of it after every cell
+/// added: any heap quota ends it in `HeapExhausted`. Between the
+/// slices of a major that yields, a walk overtakes the collector's scan
+/// and its loads copy through the read barrier. r3 is the list, r10
+/// the walk cursor.
+fn grow_and_walk() -> MachineProgram {
+    MachineProgram {
+        blocks: vec![
+            CodeBlock {
+                name: "entry".into(),
+                instrs: vec![
+                    Instr::LoadI { d: 2, imm: 0 },
+                    Instr::LoadI { d: 3, imm: 0 },
+                    Instr::LoadI { d: 5, imm: 1 },
+                    Instr::Jump { label: 1 },
+                ],
+            },
+            CodeBlock {
+                name: "grow".into(),
+                instrs: vec![
+                    Instr::Alloc {
+                        d: 4,
+                        kind: AllocKind::Record,
+                        words: vec![2, 3],
+                        flts: vec![],
+                    },
+                    Instr::Move { d: 3, s: 4 },
+                    Instr::Arith {
+                        op: AOp::Add,
+                        d: 2,
+                        a: 2,
+                        b: 5,
+                    },
+                    Instr::Move { d: 10, s: 3 },
+                    Instr::Jump { label: 2 },
+                ],
+            },
+            CodeBlock {
+                name: "walk".into(),
+                instrs: vec![
+                    Instr::Branch {
+                        op: BrOp::Boxed,
+                        a: 10,
+                        b: 10,
+                        target: 3,
+                    },
+                    Instr::Load {
+                        d: 10,
+                        base: 10,
+                        off: 1,
+                    },
+                    Instr::Jump { label: 2 },
+                    Instr::Jump { label: 1 },
+                ],
+            },
+        ],
+        entry: 0,
+        pool: Vec::new(),
+    }
+}
+
 /// Sliced majors that yield after every slice of one copied word, one
 /// started or resumed at every allocation: an incremental major is
 /// active nearly all the time, so `record_loop`'s allocations, loads
@@ -551,6 +667,148 @@ fn allocation_records_match_decode_under_fault_injection_and_active_majors() {
     assert_eq!(o.result, want);
     assert!(o.stats.major_slices > o.stats.n_major_gcs, "{:?}", o.stats);
     assert!(o.stats.barrier_words > 0, "{:?}", o.stats);
+
+    // The edges of the threaded engine's one-compare nursery
+    // allocation: wherever plain nursery allocation stops applying, the
+    // `Alloc` and `FBox` records must fall back to the allocation
+    // protocol at exactly the allocation the decode loop collects,
+    // pre-tenures or traps at.
+    let nursery = |words| VmConfig {
+        nursery_words: words,
+        ..VmConfig::default()
+    };
+    // A pair that is garbage at once: ten exactly fill a 30-word
+    // nursery, and the eleventh collects an empty one.
+    let o = both(
+        &alloc_loop(40, vec![pair(4), Instr::LoadI { d: 4, imm: 0 }]),
+        &nursery(30),
+    );
+    assert_eq!(o.result, VmResult::Value(40));
+    assert_eq!(o.stats.n_minor_gcs, 3, "{:?}", o.stats);
+    assert_eq!(o.stats.gc_copied_words, 0, "{:?}", o.stats);
+
+    // An `Alloc` wider than the nursery goes straight to tenured space
+    // with a nursery pointer in each field; those slots keep the young
+    // pair alive, and up to date, through the minors that follow.
+    let wide = alloc_loop(
+        30,
+        vec![
+            pair(4),
+            Instr::Alloc {
+                d: 6,
+                kind: AllocKind::Record,
+                words: vec![4; 40],
+                flts: vec![1],
+            },
+            Instr::LoadI { d: 4, imm: 0 },
+            pair(7),
+            pair(7),
+            Instr::Load {
+                d: 8,
+                base: 6,
+                off: 39,
+            },
+            Instr::Load {
+                d: 9,
+                base: 8,
+                off: 1,
+            },
+            Instr::Branch {
+                op: BrOp::Eq,
+                a: 9,
+                b: 2,
+                target: 100,
+            },
+        ],
+    );
+    let o = both(&wide, &nursery(30));
+    assert_eq!(o.result, VmResult::Value(30));
+    assert!(o.stats.n_minor_gcs > 10, "{:?}", o.stats);
+    assert!(o.stats.remembered_peak >= 40, "{:?}", o.stats);
+
+    // An `FBox` that exactly fills the nursery (30 words: five rounds
+    // of a pair and a box), and one that must collect because a pair
+    // filled it (33 words), around every size in between.
+    let boxes = alloc_loop(
+        40,
+        vec![
+            pair(4),
+            Instr::FBox { d: 6, s: 1 },
+            Instr::LoadI { d: 4, imm: 0 },
+            Instr::LoadI { d: 6, imm: 0 },
+        ],
+    );
+    for words in 29..=34 {
+        let o = both(&boxes, &nursery(words));
+        assert_eq!(o.result, VmResult::Value(40), "nursery {words}");
+        assert!(o.stats.n_minor_gcs > 0, "nursery {words}: {:?}", o.stats);
+    }
+
+    // Semispace mode (no nursery: every allocation takes the
+    // protocol) and a nursery clamped by a pause budget:
+    // (270 - 150) / 4 = 30 words whatever `nursery_words` says.
+    for cfg in [
+        VmConfig {
+            gc_mode: GcMode::Semispace,
+            nursery_words: 64,
+            ..VmConfig::default()
+        },
+        VmConfig {
+            max_pause_cycles: 270,
+            ..VmConfig::default()
+        },
+    ] {
+        let o = both(&p, &cfg);
+        assert_eq!(o.result, want, "{cfg:?}");
+        assert!(o.stats.n_gcs > 0, "{cfg:?}: {:?}", o.stats);
+        let o = both(&boxes, &cfg);
+        assert_eq!(o.result, VmResult::Value(40), "{cfg:?}");
+    }
+    let vm = VmInstance::new(
+        &p,
+        &VmConfig {
+            max_pause_cycles: 270,
+            ..VmConfig::default()
+        },
+    );
+    assert_eq!(vm.heap().nursery_capacity(), 30);
+
+    // Allocation on an exhausted heap: a live set that outgrows a small
+    // tenured space, collected stop-the-world and in slices that yield
+    // to the mutator between them.
+    let small = VmConfig {
+        nursery_words: 64,
+        tenured_words: 512,
+        promote_after: 1,
+        ..VmConfig::default()
+    };
+    let sliced = VmConfig {
+        max_pause_cycles: 400,
+        fault: FaultInject {
+            yield_every_n_slices: Some(1),
+            ..FaultInject::default()
+        },
+        ..small
+    };
+    for cfg in [small, sliced] {
+        let o = both(&grow_and_walk(), &cfg);
+        assert_eq!(o.result, VmResult::HeapExhausted, "{cfg:?}");
+        assert!(o.stats.n_major_gcs > 0, "{cfg:?}: {:?}", o.stats);
+    }
+    // Sliced, the read barrier is what overflows the to-space: the heap
+    // is exhausted while the mutator still runs, and its next
+    // allocation is the one that traps.
+    let p = grow_and_walk();
+    let mut vm = VmInstance::new(&p, &sliced);
+    let mut exhausted_while_running = false;
+    while !vm.run_slice(1) {
+        exhausted_while_running |= vm.heap().is_exhausted();
+    }
+    assert!(exhausted_while_running);
+    assert!(vm.stats().barrier_words > 0);
+    vm.heap()
+        .check_consistency()
+        .expect("an exhausted heap stays well-formed");
 }
 
 #[test]

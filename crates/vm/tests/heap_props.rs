@@ -152,7 +152,7 @@ fn graphs_survive_collection() {
             } else {
                 GcKind::Minor
             };
-            assert!(h.collect(&mut [&mut root], kind), "collection overflowed");
+            assert!(h.collect([&mut root], kind), "collection overflowed");
             assert!(verify(&h, &n, root).is_ok(), "{:?}", verify(&h, &n, root));
         }
     });

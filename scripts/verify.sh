@@ -64,13 +64,21 @@ fi
 # collectors and the two dispatch engines are outcome-invisible, no GC
 # pause exceeds its budget, a hostile tenant exhausts only its own
 # quota, and 1000-tenant storms stay solo-identical under every
-# policy with EDF meeting every feasible deadline. arena_gate times the
-# shared LTY arena against per-compile tables; it is a test binary of
-# its own, so nothing shares the CPU while it times. The seeded batch
+# policy with EDF meeting every feasible deadline. run_stats_golden
+# pins every run's counters: crates/bench/tests/run_stats_golden.txt
+# holds a digest of the result, the output and the full RunStats of
+# the 72 figure cells under each variant's default VmConfig and of the
+# 12 sml.ffb programs under five heap configurations (the storm
+# geometry under both engines, a 1,024-word nursery promoting after
+# three minors, semispace, a 2,000-cycle pause budget), so any change
+# to copy order, promotion, the remembered set or a charge fails it.
+# arena_gate times the shared LTY arena against per-compile tables; it
+# is a test binary of its own, so nothing shares the CPU while it
+# times. The seeded batch
 # sweep runs its 200-program release legs (docs/ROBUSTNESS.md): once in
 # the default mode and once with every IR verifier forced on.
 echo "== release gates =="
-cargo test -q --release -p smlc-bench --test gates --test arena_gate
+cargo test -q --release -p smlc-bench --test gates --test run_stats_golden --test arena_gate
 cargo test -q --release -p smlc --test fuzz_programs -- seeded_batch
 
 echo "verify: all gates passed"
