@@ -9,15 +9,15 @@
 //! The compiler uses it in two ways:
 //!
 //! - as a content digest, where stability is the point: the session's
-//!   artifact cache keys (`smlc::fxhash::hash_bytes`) and the LTY
-//!   arena's choice of shard for a type kind;
+//!   artifact cache keys (`smlc::fxhash::hash_bytes`);
 //! - as the hasher of [`FxHashMap`]/[`FxHashSet`], the maps and sets
 //!   keyed by compiler-assigned integers (symbols, variable ids, stamps),
 //!   where one multiply per key is much cheaper than SipHash.
 //!
 //! Maps keyed by strings taken from the source text (the symbol
 //! interner, the code generator's string pool) keep std's seeded
-//! SipHash, so crafted source cannot force collisions.
+//! SipHash, so crafted source cannot force collisions; so does the LTY
+//! table's index of type structures (`sml_lambda::LtyInterner`).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

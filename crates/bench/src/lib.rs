@@ -10,9 +10,8 @@
 //! strings, and Yacc parses token streams.
 //!
 //! [`run_matrix`] fans the 12×6 grid out through
-//! [`Session::compile_batch`] (workers share the session's LTY
-//! hash-cons arena, which is insertion-order-independent, so cells
-//! stay scheduling-invariant even warm), then
+//! [`Session::compile_batch`] (each compile owns its LTY table, so
+//! cells are scheduling-invariant), then
 //! runs the compiled artifacts under the same parallel driver;
 //! [`run_matrix_serial_of`] is the single-threaded reference the
 //! differential test compares against — a one-worker [`Session`] over
@@ -133,7 +132,6 @@ impl BenchResult {
             }),
             dispatch: Some(self.outcome.dispatch),
             cache: None,
-            arena: None,
             sched: None,
             server: None,
         }
@@ -297,9 +295,8 @@ pub fn matrix_session() -> Session {
 /// Cells are handed to worker threads through `Session::compile_batch`'s
 /// atomic work queue; the matrix comes back in the same deterministic
 /// order as [`run_matrix_serial_of`], and compilation/execution is fully
-/// deterministic per cell (the shared LTY arena is insertion-order-
-/// independent and per-cell counters come from per-compile views), so
-/// the two produce identical outputs and counters. A cell
+/// deterministic per cell (each compile owns its LTY table), so the
+/// two produce identical outputs and counters. A cell
 /// that fails in any way degrades in place (see [`cell_of`]); it never
 /// aborts the matrix.
 pub fn run_matrix() -> Vec<Vec<BenchCell>> {

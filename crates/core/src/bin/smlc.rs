@@ -41,7 +41,7 @@ use smlc::{
     error_json, CompileError, CompileServer, Dispatch, Job, Json, Metrics, SchedPolicy,
     SchedulerBuilder, Session, TenantSpec, Variant, VerifyIr, VmResult,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -51,6 +51,37 @@ use std::sync::Arc;
 /// rejected configuration 4, abnormal VM terminations 5, and contained
 /// internal compiler errors (including IR-verifier rejections) 101.
 const EXIT_VM_TRAP: u8 = 5;
+
+/// Set by the first stdout write that finds its reader gone.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// The one stdout writer of `compile`, `run`, `bench` and `client`
+/// (through `out!`/`outln!`). A reader that went away (`smlc compile
+/// --emit asm f.sml | head`) is not a compiler fault: the first
+/// `BrokenPipe` quietly drops the rest of stdout, and the command exits
+/// with the code it would have returned anyway. Any other write error
+/// panics, as `print!` does.
+fn write_stdout(args: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() != ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 /// How much statistics reporting the user asked for.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -256,7 +287,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
             let e: CompileError = e.into();
             eprintln!("smlc: {e}");
             if stats == StatsMode::Json {
-                println!("{}", error_json(variant, &e).to_string_pretty());
+                outln!("{}", error_json(variant, &e).to_string_pretty());
             }
             return ExitCode::from(e.exit_code());
         }
@@ -274,11 +305,11 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
     let mut job_ix = 0;
     for input in &inputs {
         if batch && inputs.len() > 1 {
-            println!("=== {} ===", input.label);
+            outln!("=== {} ===", input.label);
         }
         for &v in &variants {
             if all {
-                println!("== {} ==", v.name());
+                outln!("== {} ==", v.name());
             }
             let result = &results[job_ix];
             job_ix += 1;
@@ -289,7 +320,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
                     // Structured output is emitted on failure paths too, so
                     // JSON consumers never have to parse stderr.
                     if stats == StatsMode::Json {
-                        println!("{}", error_json(v, e).to_string_pretty());
+                        outln!("{}", error_json(v, e).to_string_pretty());
                     }
                     return ExitCode::from(e.exit_code());
                 }
@@ -298,7 +329,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
                 eprintln!("smlc: {w}");
             }
             if emit_asm {
-                print!("{}", compiled.machine);
+                out!("{}", compiled.machine);
                 continue;
             }
             if mode == DriveMode::CompileOnly {
@@ -312,10 +343,8 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
                         if compiled.from_cache { "hit" } else { "miss" },
                     ),
                     StatsMode::Json => {
-                        let m = Metrics::of_compile(compiled)
-                            .with_cache(session.cache_stats())
-                            .with_arena(session.arena_stats());
-                        println!("{}", m.to_json().to_string_pretty());
+                        let m = Metrics::of_compile(compiled).with_cache(session.cache_stats());
+                        outln!("{}", m.to_json().to_string_pretty());
                     }
                 }
                 continue;
@@ -363,7 +392,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
             } else {
                 (compiled.run_with(&cfg), None)
             };
-            print!("{}", outcome.output);
+            out!("{}", outcome.output);
             // Abnormal terminations still report statistics below (the
             // metrics schema carries the result tag), but fail the process.
             let failed = match &outcome.result {
@@ -402,13 +431,12 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
                     if compiled.from_cache { "hit" } else { "miss" },
                 ),
                 StatsMode::Json => {
-                    let mut m = Metrics::of_run(compiled, &outcome)
-                        .with_cache(session.cache_stats())
-                        .with_arena(session.arena_stats());
+                    let mut m =
+                        Metrics::of_run(compiled, &outcome).with_cache(session.cache_stats());
                     if let Some(sched) = sched {
                         m = m.with_sched(sched);
                     }
-                    println!("{}", m.to_json().to_string_pretty());
+                    outln!("{}", m.to_json().to_string_pretty());
                 }
             }
             if failed {
@@ -610,7 +638,7 @@ fn client(args: &[String]) -> ExitCode {
         let label = inputs.get(id).map_or("<unknown>", |i| i.label.as_str());
         if resp.get("ok").and_then(Json::as_bool) == Some(true) {
             if let Some(output) = resp.get("output").and_then(Json::as_str) {
-                print!("{output}");
+                out!("{output}");
             }
             if let Some(result) = resp.get("result").and_then(Json::as_str) {
                 if result != "value" {
@@ -620,7 +648,7 @@ fn client(args: &[String]) -> ExitCode {
             }
             if stats {
                 if let Some(metrics) = resp.get("metrics") {
-                    println!("{}", metrics.to_string_pretty());
+                    outln!("{}", metrics.to_string_pretty());
                 }
             }
         } else {

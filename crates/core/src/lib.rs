@@ -12,9 +12,8 @@
 //! (`sml.nrp` … `sml.fp3`).
 //!
 //! The entry point is a [`Session`] (see `docs/API.md`): it bundles the
-//! configuration knobs, caches compiled artifacts by content, keeps the
-//! LTY hash-cons table warm across compiles, and drives parallel
-//! batches.
+//! configuration knobs, caches compiled artifacts by content, and drives
+//! parallel batches.
 //!
 //! # Examples
 //!

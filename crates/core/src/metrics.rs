@@ -13,7 +13,6 @@ use crate::json::Json;
 use crate::pipeline::{CompileStats, Compiled};
 use crate::server::ServerStats;
 use crate::session::CacheStats;
-use sml_lambda::InternStats;
 use sml_vm::{DispatchStats, InstrClass, Outcome, RunStats, SchedStats, VmResult};
 
 /// Version stamped into every emitted document as `schema_version`;
@@ -46,7 +45,10 @@ use sml_vm::{DispatchStats, InstrClass, Outcome, RunStats, SchedStats, VmResult}
 /// any one tenant consumed (identical for round-robin, defined for
 /// every policy) and `max_overshoot` is measured against each
 /// tenant's *own* quantum (identical when all tenants share the
-/// global quantum); bumped for those redefinitions.
+/// global quantum); bumped for those redefinitions. Still 5 now that
+/// each compile owns its LTY table: the `arena` object it once filled
+/// with the session's shared-table totals is always `null`, which v5
+/// already allowed.
 pub const METRICS_SCHEMA_VERSION: u64 = 5;
 
 /// A structured snapshot of one compilation and (optionally) one run.
@@ -67,12 +69,6 @@ pub struct Metrics {
     /// session whose counters were captured (see
     /// `Session::cache_stats`); `None` serializes as `"cache": null`.
     pub cache: Option<CacheStats>,
-    /// Shared LTY arena totals, when captured from a session (see
-    /// `Session::arena_stats`); `None` serializes as `"arena": null`.
-    /// Arena totals span every compile of the session and their
-    /// per-shard split is scheduling-dependent — only the per-compile
-    /// `compile.lty` counters are deterministic.
-    pub arena: Option<InternStats>,
     /// Multi-tenant scheduler fairness counters, when the run went
     /// through a `VmScheduler` (see `smlc run --tenants`); `None`
     /// serializes as `"sched": null`.
@@ -107,7 +103,6 @@ impl Default for Metrics {
             }),
             dispatch: Some(DispatchStats::default()),
             cache: Some(CacheStats::default()),
-            arena: Some(InternStats::default()),
             sched: Some(SchedStats::default()),
             server: Some(ServerStats::default()),
         }
@@ -177,7 +172,6 @@ impl Metrics {
             run: None,
             dispatch: None,
             cache: None,
-            arena: None,
             sched: None,
             server: None,
         }
@@ -194,7 +188,6 @@ impl Metrics {
             }),
             dispatch: Some(o.dispatch),
             cache: None,
-            arena: None,
             sched: None,
             server: None,
         }
@@ -203,14 +196,6 @@ impl Metrics {
     /// Attaches a session's artifact-cache counters to the snapshot.
     pub fn with_cache(mut self, stats: CacheStats) -> Metrics {
         self.cache = Some(stats);
-        self
-    }
-
-    /// Attaches a session's shared-arena counters to the snapshot
-    /// (usually from `Session::arena_stats`; `None` is a valid input
-    /// for `reuse_types(false)` sessions and keeps `"arena": null`).
-    pub fn with_arena(mut self, stats: Option<InternStats>) -> Metrics {
-        self.arena = stats;
         self
     }
 
@@ -247,10 +232,8 @@ impl Metrics {
             Some(cache) => doc.field("cache", cache_json(cache)),
             None => doc.field("cache", Json::Null),
         };
-        doc = match &self.arena {
-            Some(arena) => doc.field("arena", arena_json(arena)),
-            None => doc.field("arena", Json::Null),
-        };
+        // Kept for v5 readers; no session-wide LTY table exists.
+        doc = doc.field("arena", Json::Null);
         doc = match &self.sched {
             Some(sched) => doc.field("sched", sched_json(sched)),
             None => doc.field("sched", Json::Null),
@@ -283,27 +266,6 @@ fn server_json(s: &ServerStats) -> Json {
         .field("jobs", s.jobs)
         .field("clients", s.clients)
         .field("queue_depth_peak", s.queue_depth_peak)
-}
-
-fn arena_json(a: &InternStats) -> Json {
-    let shards: Vec<Json> = a
-        .shards
-        .iter()
-        .map(|s| {
-            Json::obj()
-                .field("resident", s.resident)
-                .field("hits", s.hits)
-                .field("misses", s.misses)
-                .field("retries", s.retries)
-        })
-        .collect();
-    Json::obj()
-        .field("resident", a.resident())
-        .field("hits", a.hits())
-        .field("misses", a.misses())
-        .field("retries", a.retries())
-        .field("queries", a.queries())
-        .field("shards", Json::Arr(shards))
 }
 
 fn cache_json(c: &CacheStats) -> Json {

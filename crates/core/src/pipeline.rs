@@ -12,7 +12,7 @@ use crate::component::ComponentStats;
 use crate::config::Variant;
 use crate::error::{CompileError, Violation};
 use sml_cps::{close, convert, optimize, optimize_instrumented, OptConfig, OptStats};
-use sml_lambda::{translate_seeded, CoerceStats, LtyInterner, LtyStats};
+use sml_lambda::{translate, CoerceStats, LtyStats};
 use sml_vm::{codegen, run as vm_run, MachineProgram, Outcome, VmConfig};
 use std::cell::Cell;
 use std::fmt;
@@ -211,10 +211,8 @@ pub struct CompileStats {
     pub coerce: CoerceStats,
     /// Optimizer statistics.
     pub opt: OptStats,
-    /// LTY interner statistics for this compile's private view: the
-    /// types and intern calls attributable to this compilation alone.
-    /// Deterministic by construction — identical whether the session's
-    /// shared arena was cold or warm, serial or parallel — and
+    /// Statistics of this compile's LTY table: its types and intern
+    /// calls. A pure function of the source and variant, and
     /// `interned == hashcons_misses` always holds.
     pub lty: LtyStats,
     /// IR-verification counters (all zero when verification is off).
@@ -242,12 +240,7 @@ pub struct Compiled {
     pub from_cache: bool,
 }
 
-/// Compiles `src` through the given LTY interner view — typically one
-/// opened on the session's shared [`sml_lambda::LtyArena`], so the
-/// hash-cons table is warm across compiles (and across batch workers)
-/// while `stats.lty` still reports exactly this compile's activity.
-/// A view whose mode disagrees with the variant's is replaced by a
-/// fresh one inside `translate_seeded`. Every phase runs under panic
+/// Compiles `src` under `variant`. Every phase runs under panic
 /// containment, so the only ways out are a [`Compiled`] program or a
 /// typed [`CompileError`].
 pub(crate) fn compile_engine(
@@ -256,7 +249,6 @@ pub(crate) fn compile_engine(
     opt_cfg: &OptConfig,
     limits: &Limits,
     verify: VerifyIr,
-    interner: LtyInterner,
 ) -> Result<Compiled, CompileError> {
     if src.len() > limits.max_source_bytes {
         return Err(CompileError::Limit {
@@ -302,9 +294,7 @@ pub(crate) fn compile_engine(
 
     let t = Instant::now();
     let lambda_cfg = variant.lambda_config();
-    let mut tr = contain("translate", || {
-        translate_seeded(&elab, &lambda_cfg, interner)
-    })?;
+    let mut tr = contain("translate", || translate(&elab, &lambda_cfg))?;
     phases.push(("translate", t.elapsed()));
     let lexp_size = tr.lexp.size();
     if lexp_size > limits.max_lexp_nodes {

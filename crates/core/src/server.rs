@@ -6,9 +6,8 @@
 //! responses to a connection come back **in request order** even though
 //! jobs from all connections are dispatched onto a shared worker pool.
 //! Because every worker compiles through the same session, all clients
-//! share the artifact cache and the LTY hash-cons arena — the whole
-//! point of keeping the compiler resident — and the session's
-//! determinism contract guarantees each
+//! share the artifact cache — the point of keeping the compiler
+//! resident — and the session's determinism contract guarantees each
 //! client's artifacts are byte-identical to a solo compile.
 //!
 //! Two front ends share the machinery: [`CompileServer::serve_stdio`]
@@ -231,7 +230,6 @@ impl Shared<'_> {
             };
             m = m
                 .with_cache(self.session.cache_stats())
-                .with_arena(self.session.arena_stats())
                 .with_server(*self.stats.lock().expect("server stats poisoned"));
             resp = resp.field("metrics", m.to_json());
         }

@@ -10,30 +10,18 @@
 //!   variant, config_fingerprint)` — repeat compiles of the same source
 //!   under the same configuration return the cached [`Compiled`]
 //!   artifact and record a hit (see [`CacheStats`]);
-//! * a **shared LTY hash-cons arena** ([`sml_lambda::LtyArena`]):
-//!   every compile — the serial path *and* every batch worker — opens
-//!   a private per-compile view onto one sharded concurrent arena, so
-//!   the paper's global static hash-consing (§4.1, §4.5) is actually
-//!   global across compiles, not rebuilt per compile (the string
-//!   interner is already process-global, see `sml_ast::Symbol`);
 //! * a **deterministic parallel batch driver**,
 //!   [`Session::compile_batch`], which fans jobs out over a shared
 //!   atomic work queue and reassembles results in input order.
 //!
 //! Determinism contract: compilation output is a pure function of
-//! `(source, variant, configuration)`. The arena hands equal type
-//! structures equal handles no matter which thread interns them first
-//! (children are interned before parents, so a parent's kind is
-//! canonical on arrival — insertion-order independence), and nothing
-//! downstream reads a raw handle value, so a *warm parallel* batch is
-//! byte-identical to the same jobs compiled serially on a cold session
-//! regardless of scheduling — the property the scheduling-permutation
-//! differential test pins across thread counts and shuffled job
-//! orders. Per-compile LTY statistics come from the compile's private
-//! view, never the shared arena, so even the reported counters are
-//! warmth- and schedule-invariant (arena-wide totals are a separate,
-//! explicitly nondeterministic surface: [`Session::arena_stats`]).
-//! The full argument lives in `docs/ARCHITECTURE.md`.
+//! `(source, variant, configuration)`. Each compile owns its LTY
+//! hash-cons table (`sml_lambda::LtyInterner`), so neither earlier
+//! compiles nor batch scheduling can reach its types, handles or
+//! counters: a parallel batch is byte-identical to the same jobs
+//! compiled serially on fresh sessions, in any worker count and job
+//! order — the property the scheduling-permutation differential test
+//! pins. See `docs/ARCHITECTURE.md`.
 //!
 //! # Examples
 //!
@@ -56,14 +44,13 @@ use crate::error::{CompileError, ConfigError};
 use crate::fxhash::{hash_bytes, FxHasher};
 use crate::pipeline::{compile_engine, Compiled, Limits, VerifyIr};
 use sml_cps::OptConfig;
-use sml_lambda::{InternMode, InternStats, LtyArena, LtyInterner};
 use sml_vm::{
     par_map, AdmissionError, FaultInject, Outcome, SchedStats, SchedulerBuilder, TenantReport,
     TenantSpec, VmConfig, VmScheduler,
 };
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The description of one compilation — the single unit of work every
 /// compile entry point reduces to.
@@ -71,11 +58,10 @@ use std::sync::{Arc, Mutex};
 /// [`Session::compile`] and [`Session::compile_variant`] are thin
 /// wrappers that build a `Job` and call [`Session::compile_job`];
 /// [`Session::compile_batch`] fans a slice of jobs out in parallel. A
-/// job can override the session's variant, IR-verification mode,
-/// resource budgets, and optimizer settings per compile; every `None`
-/// field inherits the session's value. Overrides fold into the job's
-/// effective configuration fingerprint, so cached artifacts never leak
-/// between differently-configured jobs.
+/// job can override the session's variant and IR-verification mode;
+/// a `None` field inherits the session's value. A verification
+/// override folds into the job's configuration fingerprint, so cached
+/// artifacts never leak between differently-verified jobs.
 ///
 /// # Examples
 ///
@@ -94,10 +80,6 @@ pub struct Job {
     pub variant: Option<Variant>,
     /// IR-verification mode; `None` uses the session's mode.
     pub verify_ir: Option<VerifyIr>,
-    /// Resource budgets; `None` uses the session's limits.
-    pub limits: Option<Limits>,
-    /// Optimizer settings; `None` uses the session's settings.
-    pub opt: Option<OptConfig>,
 }
 
 impl Job {
@@ -128,28 +110,6 @@ impl Job {
     pub fn verify_ir(mut self, mode: VerifyIr) -> Job {
         self.verify_ir = Some(mode);
         self
-    }
-
-    /// Overrides the session's resource budgets for this job. Validated
-    /// by [`Session::compile_job`] exactly like the builder's knobs.
-    pub fn limits(mut self, limits: Limits) -> Job {
-        self.limits = Some(limits);
-        self
-    }
-
-    /// Overrides the session's optimizer settings for this job.
-    /// Validated by [`Session::compile_job`] exactly like the builder's
-    /// knobs.
-    pub fn opt_config(mut self, opt: OptConfig) -> Job {
-        self.opt = Some(opt);
-        self
-    }
-
-    /// Whether any per-job configuration override is set (the variant
-    /// is dispatch, not configuration — it is part of every cache key
-    /// already).
-    fn has_overrides(&self) -> bool {
-        self.verify_ir.is_some() || self.limits.is_some() || self.opt.is_some()
     }
 }
 
@@ -286,7 +246,6 @@ pub struct SessionBuilder {
     fault: Option<FaultInject>,
     cache_enabled: bool,
     cache_capacity: usize,
-    reuse_types: bool,
     batch_workers: usize,
     verify: VerifyIr,
 }
@@ -301,7 +260,6 @@ impl Default for SessionBuilder {
             fault: None,
             cache_enabled: true,
             cache_capacity: 256,
-            reuse_types: true,
             batch_workers: 0,
             verify: VerifyIr::default(),
         }
@@ -353,16 +311,6 @@ impl SessionBuilder {
     /// artifacts are evicted beyond this.
     pub fn cache_capacity(mut self, capacity: usize) -> SessionBuilder {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Whether compiles share the session's LTY hash-cons arena
-    /// (default true) — the serial path and batch workers alike. When
-    /// disabled, every compile builds a private cold arena; output is
-    /// byte-identical either way (see the module docs), sharing only
-    /// changes interning speed.
-    pub fn reuse_types(mut self, reuse: bool) -> SessionBuilder {
-        self.reuse_types = reuse;
         self
     }
 
@@ -466,7 +414,6 @@ impl SessionBuilder {
             cache: self
                 .cache_enabled
                 .then(|| Mutex::new(ArtifactCache::new(self.cache_capacity))),
-            arena: self.reuse_types.then(|| Arc::new(LtyArena::new())),
         })
     }
 }
@@ -480,10 +427,10 @@ fn fingerprint(b: &SessionBuilder) -> u64 {
 }
 
 /// The digest behind [`fingerprint`], parameterized so a [`Job`] with
-/// per-job overrides can compute its *effective* fingerprint from the
-/// same encoding the session used — an overridden job whose effective
-/// knobs equal the session's hashes identically, so it still hits the
-/// session's cached artifacts.
+/// a verification override can compute its *effective* fingerprint
+/// from the same encoding the session used — an override equal to the
+/// session's mode hashes identically, so it still hits the session's
+/// cached artifacts.
 fn fingerprint_of(
     verify: VerifyIr,
     opt: &OptConfig,
@@ -554,9 +501,6 @@ pub struct Session {
     verify: VerifyIr,
     fingerprint: u64,
     cache: Option<Mutex<ArtifactCache>>,
-    /// The shared hash-cons arena (`None` when `reuse_types(false)`
-    /// forces every compile onto a private cold arena).
-    arena: Option<Arc<LtyArena>>,
 }
 
 impl Default for Session {
@@ -661,50 +605,38 @@ impl Session {
     }
 
     /// Compiles one [`Job`] — the single entry point every other
-    /// compile surface reduces to. Applies the job's configuration
-    /// overrides on top of the session's (validating them exactly like
-    /// [`SessionBuilder::build`]), computes the job's effective
+    /// compile surface reduces to. Applies the job's variant and
+    /// verification overrides, computes the job's effective
     /// configuration fingerprint, and consults the artifact cache under
-    /// that fingerprint, so overridden jobs never collide with plain
-    /// ones and two jobs with equal effective configurations share
-    /// entries.
+    /// that fingerprint, so differently-verified jobs never collide and
+    /// two jobs with equal effective configurations share entries. A
+    /// miss runs the pipeline and caches its artifact.
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Config`] for a degenerate override (a
-    /// zero resource budget or zero `opt.max_rounds`), otherwise
-    /// exactly the errors of [`Session::compile`].
+    /// Returns [`CompileError`]; see [`Session::compile`].
     pub fn compile_job(&self, job: &Job) -> Result<Compiled, CompileError> {
-        let nonzero =
-            |field: &'static str| Err(CompileError::Config(ConfigError::MustBeNonzero { field }));
-        if let Some(limits) = &job.limits {
-            if limits.max_source_bytes == 0 {
-                return nonzero("job.limits.max_source_bytes");
-            }
-            if limits.max_lexp_nodes == 0 {
-                return nonzero("job.limits.max_lexp_nodes");
-            }
-            if limits.max_cps_ops == 0 {
-                return nonzero("job.limits.max_cps_ops");
-            }
-        }
-        if let Some(opt) = &job.opt {
-            if opt.max_rounds == 0 {
-                return nonzero("job.opt.max_rounds");
-            }
-        }
+        let src = job.src.as_str();
         let variant = job.variant.unwrap_or(self.variant);
+        let key = self.key_of(src, variant, self.job_fingerprint(job));
+        if let Some(cache) = &self.cache {
+            let hit = cache
+                .lock()
+                .expect("artifact cache poisoned")
+                .lookup(&key, src);
+            if let Some(artifact) = hit {
+                return Ok(artifact);
+            }
+        }
         let verify = job.verify_ir.unwrap_or(self.verify);
-        let opt = job.opt.as_ref().unwrap_or(&self.opt);
-        let limits = job.limits.as_ref().unwrap_or(&self.limits);
-        self.compile_inner(
-            &job.src,
-            variant,
-            verify,
-            opt,
-            limits,
-            self.job_fingerprint(job),
-        )
+        let artifact = compile_engine(src, variant, &self.opt, &self.limits, verify)?;
+        if let Some(cache) = &self.cache {
+            cache
+                .lock()
+                .expect("artifact cache poisoned")
+                .insert(key, src, &artifact);
+        }
+        Ok(artifact)
     }
 
     /// Runs a compiled program under the session's VM configuration
@@ -775,28 +707,14 @@ impl Session {
         }
     }
 
-    /// A per-shard snapshot of the shared LTY arena's counters
-    /// (resident kinds, hits, misses, contention retries), or `None`
-    /// for a `reuse_types(false)` session, whose compiles use private
-    /// arenas. Unlike every per-compile statistic, these arena-wide
-    /// totals aggregate *all* compiles so far, and the per-shard split
-    /// of hits vs. retries depends on thread scheduling; the totals
-    /// balance exactly at quiescence (`hits + misses == queries`,
-    /// `misses == resident`). Surfaced as the `arena` object of
-    /// `smlc run --stats=json`; see `docs/OBSERVABILITY.md`.
-    pub fn arena_stats(&self) -> Option<InternStats> {
-        self.arena.as_ref().map(|a| a.stats())
-    }
-
     /// Compiles a batch of jobs in parallel, returning results in job
     /// order. Duplicate jobs (same source, variant, and configuration)
     /// are compiled once and served to the remaining indices from the
     /// cache. Workers pull from a shared atomic queue (work stealing by
-    /// idleness) and all intern through the session's shared LTY arena,
-    /// so later jobs reuse every type earlier jobs interned — yet the
-    /// result vector stays byte-identical to a serial cold run of the
-    /// same jobs regardless of worker count, scheduling, or submission
-    /// order (see the module docs' determinism contract).
+    /// idleness), and the result vector is byte-identical to a serial
+    /// run of the same jobs on fresh sessions regardless of worker
+    /// count, scheduling, or submission order (see the module docs'
+    /// determinism contract).
     pub fn compile_batch(&self, jobs: &[Job]) -> Vec<Result<Compiled, CompileError>> {
         // Within-batch dedup only makes sense when hits can be served
         // from the cache; without it every job compiles independently.
@@ -857,65 +775,14 @@ impl Session {
     }
 
     /// A job's effective configuration fingerprint: the session's when
-    /// nothing is overridden (the overwhelmingly common case, free),
-    /// otherwise recomputed from the effective knobs — which makes an
-    /// override whose values equal the session's hash identically.
+    /// the job does not override the verification mode (the
+    /// overwhelmingly common case, free), otherwise recomputed with the
+    /// job's mode — which makes an override equal to the session's mode
+    /// hash identically. The variant is part of every cache key already.
     fn job_fingerprint(&self, job: &Job) -> u64 {
-        if !job.has_overrides() {
-            return self.fingerprint;
-        }
-        fingerprint_of(
-            job.verify_ir.unwrap_or(self.verify),
-            job.opt.as_ref().unwrap_or(&self.opt),
-            job.limits.as_ref().unwrap_or(&self.limits),
-            &self.vm,
-            &self.fault,
-        )
-    }
-
-    /// The compile path behind every public entry point: cache lookup,
-    /// then a pipeline run through a fresh view on the shared LTY
-    /// arena, then cache insertion.
-    fn compile_inner(
-        &self,
-        src: &str,
-        variant: Variant,
-        verify: VerifyIr,
-        opt: &OptConfig,
-        limits: &Limits,
-        fingerprint: u64,
-    ) -> Result<Compiled, CompileError> {
-        let key = self.key_of(src, variant, fingerprint);
-        if let Some(cache) = &self.cache {
-            let hit = cache
-                .lock()
-                .expect("artifact cache poisoned")
-                .lookup(&key, src);
-            if let Some(artifact) = hit {
-                return Ok(artifact);
-            }
-        }
-        // Every compile gets its own interner view; with type reuse on
-        // (and a hash-consing variant — all of them today) the views
-        // share the session arena, otherwise each is a private cold
-        // store. Views are cheap: the arena holds the actual kinds.
-        let mode = variant.lambda_config().intern_mode;
-        let view = match (&self.arena, mode) {
-            (Some(arena), InternMode::HashCons) => LtyInterner::with_arena(Arc::clone(arena)),
-            _ => LtyInterner::new(mode),
-        };
-        let result = compile_engine(src, variant, opt, limits, verify, view);
-        match result {
-            Ok(artifact) => {
-                if let Some(cache) = &self.cache {
-                    cache
-                        .lock()
-                        .expect("artifact cache poisoned")
-                        .insert(key, src, &artifact);
-                }
-                Ok(artifact)
-            }
-            Err(e) => Err(e),
+        match job.verify_ir {
+            None => self.fingerprint,
+            Some(verify) => fingerprint_of(verify, &self.opt, &self.limits, &self.vm, &self.fault),
         }
     }
 }

@@ -1,17 +1,18 @@
-//! Scheduling-permutation differential test for the shared LTY arena.
+//! Scheduling-permutation differential test for batch compiles.
 //!
-//! The arena's determinism contract (see `docs/ARCHITECTURE.md`) says
-//! generated code is a pure function of `(source, variant, config)` —
-//! independent of how many batch workers run, how the scheduler
-//! interleaves them, and in which order jobs arrive. This suite pins
-//! that contract by compiling a mixed workload under every combination
-//! of worker count {1, 2, 8} and several deterministically shuffled job
-//! orders, comparing each artifact byte-for-byte against a serial cold
-//! reference compiled in its own fresh session.
+//! The session's determinism contract (see `docs/ARCHITECTURE.md` §4)
+//! says generated code is a pure function of `(source, variant,
+//! config)` — independent of how many batch workers run, how the
+//! scheduler interleaves them, in which order jobs arrive, and what the
+//! session compiled before ("warm" below). This suite pins that
+//! contract by compiling a mixed workload under every combination of
+//! worker count {1, 2, 8} and several deterministically shuffled job
+//! orders, comparing each artifact byte-for-byte against a serial
+//! "cold" reference compiled in its own fresh session.
 //!
-//! Per-compile LTY statistics are compared too: they come from each
-//! compile's private interner view, so they must be identical warm or
-//! cold, serial or parallel.
+//! Per-compile LTY statistics are compared too: each compile counts its
+//! own LTY table, so they must be identical warm or cold, serial or
+//! parallel.
 
 use smlc::{Compiled, Job, Session, Variant};
 
@@ -63,9 +64,8 @@ const EXCEPTIONS: &str = r#"
 
 const SOURCES: [&str; 5] = [POLY_LISTS, FLOATS, RECORDS, CLOSURES, EXCEPTIONS];
 
-/// Variants mixed into the workload. Using more than one variant makes
-/// distinct interner modes and representation choices contend for the
-/// same arena shards.
+/// Variants mixed into the workload, so one batch interleaves distinct
+/// representation choices.
 const VARIANTS: [Variant; 3] = [Variant::Ffb, Variant::Nrp, Variant::Fp3];
 
 /// The canonical byte string of a compiled artifact.
@@ -135,8 +135,8 @@ fn warm_batches_are_byte_identical_across_workers_and_orders() {
                 })
                 .collect();
 
-            // One shared warm session per permutation; the cache is off
-            // so every job really compiles through the shared arena.
+            // One session per permutation; the cache is off so every
+            // job really compiles.
             let session = Session::builder()
                 .batch_workers(workers)
                 .cache(false)

@@ -258,3 +258,29 @@ fn cli_requires_a_subcommand() {
     assert_eq!(run.status.code(), Some(0));
     assert!(!run.stdout.is_empty());
 }
+
+#[test]
+fn closed_stdout_is_not_a_compiler_crash() {
+    // A reader that goes away (`smlc ... | head`) is not a compiler
+    // fault. The read end of the child's stdout is closed before the
+    // child starts, so its first write fails every time; the command
+    // must still exit 0, with no panic and no message.
+    let fib = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fib.sml");
+    for args in [
+        &["compile", "--emit", "asm", fib][..],
+        &["run", "--stats=json", fib],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_smlc"))
+            .args(args)
+            .stdout(writer)
+            .stderr(std::process::Stdio::piped())
+            .output()
+            .expect("smlc starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{args:?}: {stderr}");
+    }
+}

@@ -1,8 +1,9 @@
 //! Integration tests for the session API: artifact-cache correctness
 //! (a hit is byte-identical to a forced recompile, including under
-//! fault injection), warm-session determinism (reusing a session's LTY
-//! table never changes generated code), LRU eviction accounting, batch
-//! dedup, VM-configuration routing, and builder validation.
+//! fault injection), reused-session determinism (what a session compiled
+//! before never changes generated code or counters), LRU eviction
+//! accounting, batch dedup, VM-configuration routing, and builder
+//! validation.
 
 use smlc::{CompileError, Compiled, FaultInject, Job, Session, Variant, VmConfig, VmResult};
 
@@ -106,9 +107,9 @@ fn cache_correct_under_fault_injection_config() {
 
 #[test]
 fn reused_session_compiles_byte_identical_to_fresh() {
-    // Warm the reused session's LTY table on a *different* program so
-    // the target compile is a cache miss that exercises the warm
-    // interner rather than the artifact cache.
+    // Use the reused session on a *different* program first, so the
+    // target compile is a cache miss that follows another compile
+    // rather than an artifact-cache hit.
     let reused = Session::with_variant(Variant::Ffb);
     reused.compile(WARMUP).expect("warmup compiles");
     let warm = reused.compile(PROGRAM).expect("compiles");
@@ -120,67 +121,25 @@ fn reused_session_compiles_byte_identical_to_fresh() {
     assert_eq!(
         code_bytes(&warm),
         code_bytes(&cold),
-        "warm LTY table must not change generated code"
+        "an earlier compile must not change generated code"
     );
     assert_eq!(warm.stats.code_size, cold.stats.code_size);
     assert_eq!(reused.run(&warm).output, fresh.run(&cold).output);
 
-    // Counter fields are per-compile view deltas: the warm compile's
-    // statistics are *exactly* the cold compile's, because each compile
-    // counts through its own first-touch view regardless of what the
-    // shared arena already holds. Pinning equality (not `<=`) is the
-    // regression guard for the per-view accounting.
+    // Each compile counts its own LTY table, so the reused session's
+    // statistics are *exactly* the fresh session's. Pinning equality
+    // (not `<=`) is the regression guard for per-compile accounting.
     assert_eq!(
         warm.stats.lty, cold.stats.lty,
-        "per-compile LTY stats must be warmth-invariant"
+        "per-compile LTY stats must not depend on earlier compiles"
     );
-}
-
-#[test]
-fn arena_stats_track_sharing_and_gate_on_reuse_types() {
-    // Default sessions own a shared arena; `arena_stats` reports it.
-    let session = Session::with_variant(Variant::Ffb);
-    let before = session.arena_stats().expect("default session has an arena");
-    // The arena pre-interns the five atoms at construction.
-    assert_eq!(before.resident(), 5);
-    assert_eq!(before.misses(), 5);
-
-    session.compile(WARMUP).expect("compiles");
-    let mid = session.arena_stats().expect("arena persists");
-    assert!(mid.resident() > 5, "a compile adds resident kinds");
-    assert_eq!(
-        mid.hits() + mid.misses(),
-        mid.queries(),
-        "hits and misses partition arena queries"
-    );
-    assert_eq!(
-        mid.misses(),
-        mid.resident() as u64,
-        "every miss adds one kind"
-    );
-    assert!(mid.retries() <= mid.hits());
-
-    // A second compile of a *different* program reuses shared kinds:
-    // arena hits strictly increase while per-compile stats stay views.
-    session.compile(PROGRAM).expect("compiles");
-    let after = session.arena_stats().expect("arena persists");
-    assert!(after.hits() > mid.hits(), "warm compile must hit the arena");
-    assert!(after.resident() >= mid.resident());
-
-    // `reuse_types(false)` drops the arena entirely.
-    let cold = Session::builder()
-        .variant(Variant::Ffb)
-        .reuse_types(false)
-        .build()
-        .expect("valid");
-    assert!(cold.arena_stats().is_none(), "no arena without type reuse");
 }
 
 #[test]
 fn warm_parallel_batch_is_byte_identical_to_serial_cold() {
-    // The core determinism promise of the shared arena: a warm parallel
-    // batch over many distinct programs produces byte-identical machine
-    // code to compiling each program in its own fresh session.
+    // The core determinism promise: a parallel batch over many distinct
+    // programs, run twice on one session, produces byte-identical
+    // machine code to compiling each program in its own fresh session.
     let srcs = [PROGRAM, WARMUP, ALLOCATOR];
     let jobs: Vec<Job> = srcs.iter().map(|s| Job::new((*s).to_owned())).collect();
 
@@ -199,7 +158,7 @@ fn warm_parallel_batch_is_byte_identical_to_serial_cold() {
             .cache(false)
             .build()
             .expect("valid");
-        // Two consecutive batches: the second runs fully warm.
+        // Two consecutive batches on one session.
         for round in 0..2 {
             let results = session.compile_batch(&jobs);
             for (i, r) in results.iter().enumerate() {
@@ -212,26 +171,6 @@ fn warm_parallel_batch_is_byte_identical_to_serial_cold() {
             }
         }
     }
-}
-
-#[test]
-fn disabling_type_reuse_restores_cold_counters() {
-    let session = Session::builder()
-        .variant(Variant::Ffb)
-        .reuse_types(false)
-        .cache(false)
-        .build()
-        .expect("valid");
-    session.compile(WARMUP).expect("compiles");
-    let second = session.compile(PROGRAM).expect("compiles");
-    let cold = Session::builder()
-        .variant(Variant::Ffb)
-        .cache(false)
-        .build()
-        .expect("valid")
-        .compile(PROGRAM)
-        .expect("compiles");
-    assert_eq!(second.stats.lty, cold.stats.lty);
 }
 
 #[test]

@@ -5,9 +5,8 @@
 //! with representation `t1` into one with representation `t2`:
 //!
 //! * equal types need no coercion (a constant-time handle comparison:
-//!   LTYs are hash-consed in the shared [`crate::lty::LtyArena`], so
-//!   equal structure means equal handle no matter which compile — or
-//!   which batch worker thread — interned the type first);
+//!   LTYs are hash-consed in the compile's [`crate::lty::LtyInterner`],
+//!   so equal structure means equal handle);
 //! * `BOXED` on either side is a primitive `WRAP`/`UNWRAP`;
 //! * `RBOXED` recursively coerces through `dup` (Leroy-style recursive
 //!   wrapping);
@@ -227,9 +226,9 @@ fn coerce_inner(
 /// match.
 ///
 /// The memo key is the `(from, to)` handle pair. Handles are canonical
-/// within the arena, so the key is exactly "this pair of structures";
-/// the cache itself is per-compile (insertion-ordered `defs` keep
-/// emitted output deterministic), only type *identity* is shared.
+/// within the compile's interner, so the key is exactly "this pair of
+/// structures"; insertion-ordered `defs` keep emitted output
+/// deterministic.
 #[derive(Debug, Default)]
 pub struct CoercionCache {
     enabled: bool,

@@ -1,11 +1,11 @@
 //! The typed lambda middle end of the `smlc` compiler (paper §4).
 //!
-//! Provides hash-consed lambda types (LTY) backed by a sharded
-//! concurrent arena, the typed lambda language
-//! (LEXP), the `coerce` compilation function with memo-ized module
-//! coercions, pattern-match compilation, and the translation from typed
-//! abstract syntax into LEXP with representation-analysis coercions
-//! inserted at every abstraction and instantiation site.
+//! Provides hash-consed lambda types (LTY) in one table per compile,
+//! the typed lambda language (LEXP), the `coerce` compilation function
+//! with memo-ized module coercions, pattern-match compilation, and the
+//! translation from typed abstract syntax into LEXP with
+//! representation-analysis coercions inserted at every abstraction and
+//! instantiation site.
 //!
 //! # Examples
 //!
@@ -30,6 +30,6 @@ pub mod verify;
 pub use coerce::{coerce_exp, is_identity, CoerceStats, CoercionCache, VarGen};
 pub use exhaustive::{check_rules, irrefutable};
 pub use lexp::{LVar, Lexp, Primop};
-pub use lty::{InternMode, InternStats, Lty, LtyArena, LtyInterner, LtyKind, LtyStats, ShardStats};
-pub use translate::{translate, translate_seeded, LambdaConfig, Translation};
+pub use lty::{InternMode, Lty, LtyInterner, LtyKind, LtyStats};
+pub use translate::{translate, LambdaConfig, Translation};
 pub use verify::{compat, verify_lexp, LexpVerifySummary, LexpViolation};

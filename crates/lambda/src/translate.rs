@@ -62,30 +62,14 @@ pub struct Translation {
     pub warnings: Vec<String>,
 }
 
-/// Translates an elaborated program into LEXP.
+/// Translates an elaborated program into LEXP, interning its types in
+/// a fresh [`LtyInterner`] that the [`Translation`] hands on to the
+/// back end.
 pub fn translate(elab: &Elaboration, cfg: &LambdaConfig) -> Translation {
-    translate_seeded(elab, cfg, LtyInterner::new(cfg.intern_mode))
-}
-
-/// Translates through the given interner view, so a long-lived driver
-/// (a compilation session) can amortize the hash-cons arena across
-/// compiles by opening each compile's view on one shared
-/// [`crate::lty::LtyArena`]. Hash-consing guarantees structural
-/// equality iff handle equality whether or not the arena is warm, so a
-/// warm arena changes only interning speed, never the translation —
-/// and the view's hit/miss accounting stays per-compile either way. A
-/// seed whose mode disagrees with `cfg.intern_mode` is discarded and
-/// replaced by a fresh interner.
-pub fn translate_seeded(elab: &Elaboration, cfg: &LambdaConfig, seed: LtyInterner) -> Translation {
-    let interner = if seed.mode() == cfg.intern_mode {
-        seed
-    } else {
-        LtyInterner::new(cfg.intern_mode)
-    };
     let mut tr = Translator {
         elab,
         cfg: *cfg,
-        interner,
+        interner: LtyInterner::new(cfg.intern_mode),
         vg: VarGen::new(),
         vmap: FxHashMap::default(),
         cache: CoercionCache::new(cfg.memo_coercions),

@@ -341,10 +341,11 @@ fn parse_label(tok: &str) -> Result<u32, String> {
 /// Parses one instruction back from its [`Display`] rendering.
 ///
 /// The disassembly grammar is regular, so every line the disassembler
-/// prints re-parses to an instruction that renders identically; the
-/// bytecode verifier relies on this to cite violations by disassembly
-/// line. Leading whitespace and a `<pc>:` margin (as printed by block
-/// listings) are accepted and ignored.
+/// prints re-parses to an instruction that renders identically. The
+/// `disasm_roundtrip` test of `smlc-bench` checks that over every figure
+/// program, which keeps the disassembly digest of `codegen_golden`
+/// lossless. Leading whitespace and a `<pc>:` margin (as printed by
+/// block listings) are accepted and ignored.
 pub fn parse_instr(line: &str) -> Result<Instr, String> {
     let mut text = line.trim();
     // Strip the listing margin, e.g. `  12:  move ...`.

@@ -35,10 +35,9 @@ cargo build --release
 # assertions are live and VerifyIr::Debug runs every IR verifier. That
 # includes the verifier mutation harness (crates/core/tests/verify_ir.rs),
 # the differential suites over collectors, dispatch engines, the
-# scheduler, the shared LTY arena and hostile bytecode, the compile
-# server, the 40-program seeded batch sweep
-# (crates/core/tests/fuzz_programs.rs) and the documentation link check
-# (crates/bench/tests/docs_lint.rs).
+# scheduler, batch compiles and hostile bytecode, the compile server,
+# the 40-program seeded batch sweep (crates/core/tests/fuzz_programs.rs)
+# and the documentation link check (crates/bench/tests/docs_lint.rs).
 echo "== tier-1: tests =="
 cargo test -q
 
@@ -72,13 +71,11 @@ fi
 # geometry under both engines, a 1,024-word nursery promoting after
 # three minors, semispace, a 2,000-cycle pause budget), so any change
 # to copy order, promotion, the remembered set or a charge fails it.
-# arena_gate times the shared LTY arena against per-compile tables; it
-# is a test binary of its own, so nothing shares the CPU while it
-# times. The seeded batch
-# sweep runs its 200-program release legs (docs/ROBUSTNESS.md): once in
-# the default mode and once with every IR verifier forced on.
+# The seeded batch sweep runs its 200-program release legs
+# (docs/ROBUSTNESS.md): once in the default mode and once with every IR
+# verifier forced on.
 echo "== release gates =="
-cargo test -q --release -p smlc-bench --test gates --test run_stats_golden --test arena_gate
+cargo test -q --release -p smlc-bench --test gates --test run_stats_golden
 cargo test -q --release -p smlc --test fuzz_programs -- seeded_batch
 
 echo "verify: all gates passed"
