@@ -1,13 +1,13 @@
 //! Hostile-bytecode engine differential. The threaded engine's fast path
 //! indexes the register file without per-access bounds checks (operands
 //! are range-checked once, when an instance is created) and charges
-//! costs folded at pre-decode, so unverified, corrupted bytecode is
-//! where the two engines could part ways or the host could panic. Every
-//! `bc-*` corruption in `sml_testkit::mutate`, plus seeded operand
-//! perturbations (allocation operand lists included), is applied to the
-//! compiled figure programs and run —
-//! never verified — under both engines inside `catch_unwind`: no run may
-//! panic, and `(result, output, stats)` must agree.
+//! each straight-line segment's costs, summed at pre-decode, at once, so
+//! unverified, corrupted bytecode is where the two engines could part
+//! ways or the host could panic. Every `bc-*` corruption in
+//! `sml_testkit::mutate`, plus seeded operand perturbations (allocation
+//! operand lists included), is applied to the compiled figure programs
+//! and run — never verified — under both engines inside `catch_unwind`:
+//! no run may panic, and `(result, output, stats)` must agree.
 
 use sml_testkit::mutate::bytecode_mutations;
 use sml_testkit::Rng;

@@ -52,25 +52,37 @@ use std::sync::Arc;
 /// internal compiler errors (including IR-verifier rejections) 101.
 const EXIT_VM_TRAP: u8 = 5;
 
-/// Set by the first stdout write that finds its reader gone.
+/// Set by the first stdout / stderr write that finds its reader gone.
 static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+static STDERR_CLOSED: AtomicBool = AtomicBool::new(false);
 
-/// The one stdout writer of `compile`, `run`, `bench` and `client`
-/// (through `out!`/`outln!`). A reader that went away (`smlc compile
-/// --emit asm f.sml | head`) is not a compiler fault: the first
-/// `BrokenPipe` quietly drops the rest of stdout, and the command exits
-/// with the code it would have returned anyway. Any other write error
-/// panics, as `print!` does.
-fn write_stdout(args: std::fmt::Arguments) {
-    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+/// Writes to one standard stream. A reader that went away (`smlc
+/// compile --emit asm f.sml | head`, or a closed stderr pipe) is not a
+/// compiler fault: the first `BrokenPipe` sets `closed` and quietly
+/// drops the rest of that stream, and the command exits with the code
+/// it would have returned anyway. Any other write error panics, as
+/// `print!` does.
+fn write_stream(mut w: impl Write, closed: &AtomicBool, name: &str, args: std::fmt::Arguments) {
+    if closed.load(Ordering::Relaxed) {
         return;
     }
-    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+    if let Err(e) = w.write_fmt(args) {
         if e.kind() != ErrorKind::BrokenPipe {
-            panic!("failed printing to stdout: {e}");
+            panic!("failed printing to {name}: {e}");
         }
-        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        closed.store(true, Ordering::Relaxed);
     }
+}
+
+/// The one stdout writer of `compile`, `run`, `bench` and `client`
+/// (through `out!`/`outln!`).
+fn write_stdout(args: std::fmt::Arguments) {
+    write_stream(std::io::stdout().lock(), &STDOUT_CLOSED, "stdout", args);
+}
+
+/// The one stderr writer of every subcommand (through `errln!`).
+fn write_stderr(args: std::fmt::Arguments) {
+    write_stream(std::io::stderr().lock(), &STDERR_CLOSED, "stderr", args);
 }
 
 /// `print!` through [`write_stdout`].
@@ -81,6 +93,11 @@ macro_rules! out {
 /// `println!` through [`write_stdout`].
 macro_rules! outln {
     ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// `eprintln!` through [`write_stderr`].
+macro_rules! errln {
+    ($($arg:tt)*) => { write_stderr(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
 /// How much statistics reporting the user asked for.
@@ -103,7 +120,7 @@ enum DriveMode {
 }
 
 fn usage() -> ! {
-    eprintln!(
+    errln!(
         "usage: smlc (compile|run|bench) [--variant nrp|fag|rep|mtd|ffb|fp3] \
          [--verify-ir off|debug|always] [--stats[=json]] [--all] [--batch] [--emit asm] \
          [--tenants=N] [--policy=round-robin|priority|deadline] [--deadline=CYCLES] \
@@ -119,7 +136,7 @@ fn parse_variant(s: &str) -> Variant {
     match s.parse() {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("{e}");
+            errln!("{e}");
             usage()
         }
     }
@@ -143,7 +160,7 @@ fn read_input(inputs: &mut Vec<Input>, path: &str) -> Result<(), ExitCode> {
             Ok(())
         }
         Err(e) => {
-            eprintln!("smlc: cannot read {path}: {e}");
+            errln!("smlc: cannot read {path}: {e}");
             Err(ExitCode::from(2))
         }
     }
@@ -194,7 +211,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
                 match m.parse() {
                     Ok(m) => verify = Some(m),
                     Err(e) => {
-                        eprintln!("{e}");
+                        errln!("{e}");
                         usage()
                     }
                 }
@@ -202,7 +219,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
             "--stats" | "-s" => stats = StatsMode::Human,
             "--stats=json" => stats = StatsMode::Json,
             s if s.starts_with("--stats=") => {
-                eprintln!(
+                errln!(
                     "unknown stats format `{}` (only `json`)",
                     &s["--stats=".len()..]
                 );
@@ -211,28 +228,28 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
             s if s.starts_with("--tenants=") => match s["--tenants=".len()..].parse::<usize>() {
                 Ok(n) if (1..=4096).contains(&n) => tenants = n,
                 _ => {
-                    eprintln!("--tenants takes a count between 1 and 4096");
+                    errln!("--tenants takes a count between 1 and 4096");
                     usage()
                 }
             },
             s if s.starts_with("--policy=") => match s["--policy=".len()..].parse() {
                 Ok(p) => policy = p,
                 Err(e) => {
-                    eprintln!("{e}");
+                    errln!("{e}");
                     usage()
                 }
             },
             s if s.starts_with("--deadline=") => match s["--deadline=".len()..].parse::<u64>() {
                 Ok(n) if n > 0 => deadline = Some(n),
                 _ => {
-                    eprintln!("--deadline takes a nonzero cycle count");
+                    errln!("--deadline takes a nonzero cycle count");
                     usage()
                 }
             },
             s if s.starts_with("--dispatch=") => match s["--dispatch=".len()..].parse() {
                 Ok(d) => dispatch = d,
                 Err(e) => {
-                    eprintln!("{e}");
+                    errln!("{e}");
                     usage()
                 }
             },
@@ -243,7 +260,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
                 match what.as_str() {
                     "asm" => emit_asm = true,
                     other => {
-                        eprintln!("unknown --emit target `{other}` (only `asm`)");
+                        errln!("unknown --emit target `{other}` (only `asm`)");
                         usage()
                     }
                 }
@@ -285,7 +302,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             let e: CompileError = e.into();
-            eprintln!("smlc: {e}");
+            errln!("smlc: {e}");
             if stats == StatsMode::Json {
                 outln!("{}", error_json(variant, &e).to_string_pretty());
             }
@@ -316,7 +333,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
             let compiled = match result {
                 Ok(c) => c,
                 Err(e) => {
-                    eprintln!("smlc: {e}");
+                    errln!("smlc: {e}");
                     // Structured output is emitted on failure paths too, so
                     // JSON consumers never have to parse stderr.
                     if stats == StatsMode::Json {
@@ -326,7 +343,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
                 }
             };
             for w in &compiled.stats.warnings {
-                eprintln!("smlc: {w}");
+                errln!("smlc: {w}");
             }
             if emit_asm {
                 out!("{}", compiled.machine);
@@ -335,7 +352,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
             if mode == DriveMode::CompileOnly {
                 match stats {
                     StatsMode::Off => {}
-                    StatsMode::Human => eprintln!(
+                    StatsMode::Human => errln!(
                         "[{}] code {} instrs | compile {:?} | cache {}",
                         v.name(),
                         compiled.stats.code_size,
@@ -385,7 +402,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
                     Err(e) => {
                         // Rejected configuration: same exit code as
                         // exceeded resource budgets (docs/ROBUSTNESS.md).
-                        eprintln!("smlc: {e}");
+                        errln!("smlc: {e}");
                         return ExitCode::from(4);
                     }
                 }
@@ -398,25 +415,25 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
             let failed = match &outcome.result {
                 VmResult::Value(_) => false,
                 VmResult::Uncaught(name) => {
-                    eprintln!("smlc: uncaught exception {name}");
+                    errln!("smlc: uncaught exception {name}");
                     true
                 }
                 VmResult::OutOfFuel => {
-                    eprintln!("smlc: cycle budget exhausted");
+                    errln!("smlc: cycle budget exhausted");
                     true
                 }
                 VmResult::HeapExhausted => {
-                    eprintln!("smlc: heap exhausted");
+                    errln!("smlc: heap exhausted");
                     true
                 }
                 VmResult::Fault(why) => {
-                    eprintln!("smlc: vm fault: {why}");
+                    errln!("smlc: vm fault: {why}");
                     true
                 }
             };
             match stats {
                 StatsMode::Off => {}
-                StatsMode::Human => eprintln!(
+                StatsMode::Human => errln!(
                     "[{}] code {} instrs | compile {:?} | cycles {} | instrs {} | \
                      alloc {} words | gcs {} ({} minor, {} major) | cache {}",
                     v.name(),
@@ -488,7 +505,7 @@ fn serve(args: &[String]) -> ExitCode {
                 match m.parse() {
                     Ok(m) => verify = Some(m),
                     Err(e) => {
-                        eprintln!("{e}");
+                        errln!("{e}");
                         usage()
                     }
                 }
@@ -500,7 +517,7 @@ fn serve(args: &[String]) -> ExitCode {
             s if s.starts_with("--workers=") => match s["--workers=".len()..].parse::<usize>() {
                 Ok(n) => workers = n,
                 Err(_) => {
-                    eprintln!("--workers takes a count");
+                    errln!("--workers takes a count");
                     usage()
                 }
             },
@@ -515,7 +532,7 @@ fn serve(args: &[String]) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             let e: CompileError = e.into();
-            eprintln!("smlc: {e}");
+            errln!("smlc: {e}");
             return ExitCode::from(e.exit_code());
         }
     };
@@ -527,7 +544,7 @@ fn serve(args: &[String]) -> ExitCode {
             match server.serve_unix(&path, &SHUTDOWN) {
                 Ok(stats) => stats,
                 Err(e) => {
-                    eprintln!("smlc: serve: {e}");
+                    errln!("smlc: serve: {e}");
                     return ExitCode::from(2);
                 }
             }
@@ -536,7 +553,7 @@ fn serve(args: &[String]) -> ExitCode {
     };
     // The final stats flush promised by the shutdown contract: one JSON
     // line on stderr (stdout belongs to the wire protocol).
-    eprintln!(
+    errln!(
         "{}",
         Json::obj()
             .field(
@@ -587,7 +604,7 @@ fn client(args: &[String]) -> ExitCode {
         }
     }
     let Some(socket) = socket else {
-        eprintln!("smlc: client requires --socket <path>");
+        errln!("smlc: client requires --socket <path>");
         usage()
     };
     if inputs.is_empty() {
@@ -596,7 +613,7 @@ fn client(args: &[String]) -> ExitCode {
     let stream = match std::os::unix::net::UnixStream::connect(&socket) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("smlc: cannot connect to {socket}: {e}");
+            errln!("smlc: cannot connect to {socket}: {e}");
             return ExitCode::from(2);
         }
     };
@@ -612,7 +629,7 @@ fn client(args: &[String]) -> ExitCode {
             req = req.field("variant", v.name());
         }
         if writeln!(writer, "{}", req.to_string_compact()).is_err() {
-            eprintln!("smlc: server went away");
+            errln!("smlc: server went away");
             return ExitCode::from(2);
         }
     }
@@ -630,7 +647,7 @@ fn client(args: &[String]) -> ExitCode {
         let resp = match Json::parse(&line) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("smlc: bad response: {e}");
+                errln!("smlc: bad response: {e}");
                 return ExitCode::from(2);
             }
         };
@@ -642,7 +659,7 @@ fn client(args: &[String]) -> ExitCode {
             }
             if let Some(result) = resp.get("result").and_then(Json::as_str) {
                 if result != "value" {
-                    eprintln!("smlc: {label}: abnormal termination: {result}");
+                    errln!("smlc: {label}: abnormal termination: {result}");
                     code = ExitCode::from(EXIT_VM_TRAP);
                 }
             }
@@ -657,7 +674,7 @@ fn client(args: &[String]) -> ExitCode {
                 .and_then(|e| e.get("message"))
                 .and_then(Json::as_str)
                 .unwrap_or("unknown error");
-            eprintln!("smlc: {label}: {msg}");
+            errln!("smlc: {label}: {msg}");
             let exit = resp.get("exit_code").and_then(Json::as_i64).unwrap_or(2);
             code = ExitCode::from(u8::try_from(exit).unwrap_or(2));
         }
@@ -667,7 +684,7 @@ fn client(args: &[String]) -> ExitCode {
         }
     }
     if seen < inputs.len() {
-        eprintln!(
+        errln!(
             "smlc: server closed after {seen} of {} responses",
             inputs.len()
         );

@@ -411,8 +411,9 @@ pub(crate) fn compile_engine(
             return Err(verify_error("codegen", "bytecode", None, v.rule, v.detail));
         }
         // Also verify the pre-decoded threaded stream (round-trip,
-        // coordinate maps, fused-operand bounds, folded charges) so the
-        // typed chain covers what `Dispatch::Threaded` actually executes.
+        // coordinate maps, fused-operand bounds, segment boundaries and
+        // charges) so the typed chain covers what `Dispatch::Threaded`
+        // actually executes.
         let res = contain("codegen", || sml_vm::verify_threaded(&machine))?;
         vstats.time += tv.elapsed();
         if let Err(v) = res {

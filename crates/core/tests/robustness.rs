@@ -284,3 +284,32 @@ fn closed_stdout_is_not_a_compiler_crash() {
         assert!(!stderr.contains("Broken pipe"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn closed_stderr_is_not_a_compiler_crash() {
+    // A compile error with nobody reading stderr keeps its own exit
+    // code: the read end of the child's stderr is closed before the
+    // child starts, so the diagnostic's write fails every time, and the
+    // command must not turn that into an internal-compiler-error exit.
+    // Stdout stays open: the `--stats=json` error document still
+    // arrives there.
+    for (args, code) in [
+        (&["run", "-e", "val x = y"][..], 3),
+        (&["compile", "-e", "val x = "], 2),
+        (&["run", "--stats=json", "-e", "val x = y"], 3),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_smlc"))
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(writer)
+            .output()
+            .expect("smlc starts");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stdout}");
+        if args.contains(&"--stats=json") {
+            assert!(stdout.contains("\"error\""), "{args:?}: {stdout}");
+        }
+    }
+}

@@ -15,7 +15,10 @@
 //! the VM down.
 
 use crate::heap::{decode, descriptor, Heap, ObjKind, MAX_RAW_WORDS, MAX_SCAN_FIELDS};
-use crate::isa::{AllocKind, CodeBlock, FReg, Instr, MachineProgram, Reg, MAX_REGS};
+use crate::isa::{
+    AllocKind, CodeBlock, FReg, Instr, MachineProgram, Reg, MAX_REGS, N_INSTR_CLASSES,
+};
+use crate::threaded::{expand, starts_segment, TInstr, ThreadedProgram};
 
 /// A structured well-formedness violation found by [`verify_bytecode`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -341,12 +344,15 @@ pub fn verify_bytecode(prog: &MachineProgram) -> Result<BytecodeVerifySummary, B
 /// Work counters reported by a successful [`verify_threaded`] run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ThreadedVerifySummary {
-    /// Threaded handler records checked.
+    /// Threaded handler records checked (segment headers not counted).
     pub tinstrs: u64,
     /// Superinstructions among them: records of more than one
     /// constituent (fused pairs and runs), counted as the pre-decoder
     /// counts them.
     pub superinstructions: u64,
+    /// Segments checked: straight-line runs of records, each opened by
+    /// a header that charges it.
+    pub segments: u64,
 }
 
 /// Verifies the pre-decoded threaded stream the [`Dispatch::Threaded`]
@@ -356,24 +362,132 @@ pub struct ThreadedVerifySummary {
 /// stream, every record must round-trip through the operand pools
 /// (expand back to exactly the instructions it spans, compared by
 /// disassembly), the expanded operands must respect register bounds,
-/// every folded charge must equal its instructions'
-/// [`Instr::fixed_cost`] (a run's total and all-but-last sums, a
-/// pair's two halves) and the static allocation charge, and a `Load`
-/// run must hold its largest offset and overwrite its base only last.
-/// Pre-decodes internally — the stream depends only on the program, so
-/// this is exactly the stream every threaded run of it executes — and
-/// a program that passes here executes identically under both engines'
-/// *static* views.
+/// and a `Load` run must hold its largest offset and overwrite its base
+/// only last. Every segment is re-derived from the original
+/// instructions: one must start at every branch target and after every
+/// branch, jump or halt, and its header's charges, its instruction
+/// count and its per-class counts must equal its instructions'
+/// [`Instr::fixed_cost`] plus static allocation charge. Pre-decodes
+/// internally — the stream depends only on the program, so this is
+/// exactly the stream every threaded run of it executes — and a program
+/// that passes here executes identically under both engines' *static*
+/// views.
 pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, BytecodeViolation> {
-    use crate::threaded::{expand, predecode, TInstr};
-    let tp = predecode(prog);
+    verify_stream(prog, &crate::threaded::predecode(prog))
+}
+
+/// The header of the segment [`verify_stream`] is walking: its record
+/// index and contents, and the original pc the segment starts at.
+struct Header {
+    rec: usize,
+    id: u32,
+    charge: u64,
+    pre: u64,
+    start: usize,
+}
+
+/// Re-derives segment `seg` of block `ix`, which spans original pcs
+/// `seg.start..end`, from its instructions, and compares its header
+/// and side entry with them.
+fn check_segment(
+    ix: usize,
+    b: &CodeBlock,
+    tp: &ThreadedProgram,
+    seg: &Header,
+    end: usize,
+) -> Result<(), BytecodeViolation> {
+    let (start, id) = (seg.start, seg.id);
+    let Some(instrs) = b.instrs.get(start..end) else {
+        return Err(violation(
+            "threaded-pc-map",
+            format!("block L{ix}: segment {id} spans pcs {start}..{end}"),
+        ));
+    };
+    let (mut total, mut pre) = (0, 0);
+    let mut want = [(0u64, 0u64); N_INSTR_CLASSES];
+    for ins in instrs {
+        let c = ins.fixed_cost() + ins.alloc_cost();
+        pre = total;
+        total += c;
+        let e = &mut want[ins.class() as usize];
+        e.0 += 1;
+        e.1 += c;
+    }
+    if (seg.charge, seg.pre) != (total, pre) {
+        return Err(violation(
+            "threaded-cost",
+            format!(
+                "L{ix} @{start}: segment {id} charges {}/{} cycles (all constituents / all \
+                 but the last), where its instructions cost {total}/{pre}",
+                seg.charge, seg.pre
+            ),
+        ));
+    }
+    let Some(side) = tp.segs.get(id as usize) else {
+        return Err(violation(
+            "threaded-segment",
+            format!(
+                "L{ix} @{start}: header names segment {id} of {}",
+                tp.segs.len()
+            ),
+        ));
+    };
+    if side.n as usize != instrs.len() {
+        return Err(violation(
+            "threaded-cost",
+            format!(
+                "L{ix} @{start}: segment {id} counts {} instructions but spans {}",
+                side.n,
+                instrs.len()
+            ),
+        ));
+    }
+    let mut got = [(0u64, 0u64); N_INSTR_CLASSES];
+    let entries = tp
+        .classes
+        .get(side.at as usize..side.at as usize + side.len as usize)
+        .unwrap_or_default();
+    for e in entries {
+        let g = &mut got[e.class as usize];
+        g.0 += e.n as u64;
+        g.1 += e.cycles;
+    }
+    if entries.len() != side.len as usize || got != want {
+        return Err(violation(
+            "threaded-cost",
+            format!(
+                "L{ix} @{start}: segment {id} counts (instructions, cycles) per class \
+                 {got:?}, where its instructions make {want:?}"
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// [`verify_threaded`] on a given pre-decode of `prog`.
+pub(crate) fn verify_stream(
+    prog: &MachineProgram,
+    tp: &ThreadedProgram,
+) -> Result<ThreadedVerifySummary, BytecodeViolation> {
     let mut sum = ThreadedVerifySummary::default();
+    if tp.blocks.len() != prog.blocks.len() {
+        return Err(violation(
+            "threaded-pc-map",
+            format!(
+                "stream of {} blocks for a program of {}",
+                tp.blocks.len(),
+                prog.blocks.len()
+            ),
+        ));
+    }
+    let mut next_id = 0u32;
     for (ix, (b, tb)) in prog.blocks.iter().zip(&tp.blocks).enumerate() {
         let n = b.instrs.len();
+        let code = &tb.code;
         if tb.pc_map.len() != n + 1
-            || tb.tpc_to_pc.len() != tb.code.len() + 1
-            || tb.pc_map[n] as usize != tb.code.len()
-            || tb.tpc_to_pc[tb.code.len()] as usize != n
+            || tb.tpc_to_pc.len() != code.len() + 1
+            || tb.pc_map[n] as usize != code.len()
+            || tb.tpc_to_pc[code.len()] as usize != n
         {
             return Err(violation(
                 "threaded-pc-map",
@@ -382,7 +496,7 @@ pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, B
                     tb.pc_map.len(),
                     tb.tpc_to_pc.len(),
                     n,
-                    tb.code.len()
+                    code.len()
                 ),
             ));
         }
@@ -390,19 +504,35 @@ pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, B
         for ins in &b.instrs {
             branch_targets(ins, &mut targets);
         }
-        if let Some(t) = targets
-            .iter()
-            .map(|&t| t as usize)
-            .find(|&t| t <= n && tb.tpc_to_pc[tb.pc_map[t] as usize] as usize != t)
-        {
-            return Err(violation(
-                "threaded-target",
-                format!("block L{ix}: branch target @{t} lies inside a record"),
-            ));
+        for t in targets.iter().map(|&t| t as usize).filter(|&t| t <= n) {
+            let rec = tb.pc_map[t] as usize;
+            if tb.tpc_to_pc.get(rec).map(|&p| p as usize) != Some(t) {
+                return Err(violation(
+                    "threaded-target",
+                    format!("block L{ix}: branch target @{t} lies inside a record"),
+                ));
+            }
+            if t < n && !code.get(rec).is_some_and(starts_segment) {
+                return Err(violation(
+                    "threaded-segment",
+                    format!("block L{ix}: branch target @{t} does not start a segment"),
+                ));
+            }
         }
-        for (rec, t) in tb.code.iter().enumerate() {
+        let mut open: Option<Header> = None;
+        for (rec, t) in code.iter().enumerate() {
             let start = tb.tpc_to_pc[rec] as usize;
-            if start >= n || tb.pc_map[start] as usize != rec {
+            let span = (tb.tpc_to_pc[rec + 1] as usize).saturating_sub(start);
+            // A segment's first pc maps to its header, every other pc to
+            // the record holding it.
+            let at = match &open {
+                Some(seg) if seg.rec + 1 == rec => seg.rec,
+                _ => rec,
+            };
+            if start >= n
+                || tb.pc_map[start] as usize != at
+                || (1..span).any(|k| tb.pc_map.get(start + k).map(|&r| r as usize) != Some(rec))
+            {
                 return Err(violation(
                     "threaded-pc-map",
                     format!(
@@ -410,56 +540,94 @@ pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, B
                     ),
                 ));
             }
+            if let TInstr::Seg { id, charge, pre } = *t {
+                if let Some(seg) = open.take() {
+                    check_segment(ix, b, tp, &seg, start)?;
+                }
+                if span != 0 || code.get(rec + 1).is_none_or(starts_segment) {
+                    return Err(violation(
+                        "threaded-segment",
+                        format!("block L{ix}: header {rec} at @{start} opens no segment"),
+                    ));
+                }
+                if id != next_id {
+                    return Err(violation(
+                        "threaded-segment",
+                        format!("block L{ix}: header {rec} names segment {id}, not {next_id}"),
+                    ));
+                }
+                next_id += 1;
+                sum.segments += 1;
+                open = Some(Header {
+                    rec,
+                    id,
+                    charge,
+                    pre,
+                    start,
+                });
+                continue;
+            }
+            if let TInstr::Slow { pc } = *t {
+                if let Some(seg) = open.take() {
+                    check_segment(ix, b, tp, &seg, start)?;
+                }
+                if pc as usize != start || span != 1 {
+                    return Err(violation(
+                        "threaded-round-trip",
+                        format!(
+                            "block L{ix}: slow record {rec} points at pc {pc} spanning {span}, \
+                             expected {start} spanning 1"
+                        ),
+                    ));
+                }
+                sum.tinstrs += 1;
+                continue;
+            }
+            let Some(seg) = open.take() else {
+                return Err(violation(
+                    "threaded-segment",
+                    format!(
+                        "block L{ix}: record {rec} at @{start} belongs to no segment (no header \
+                         since a branch target or the last branch, jump or halt)"
+                    ),
+                ));
+            };
             if let TInstr::Branch { t, .. }
             | TInstr::FBranch { t, .. }
             | TInstr::LoadIBranch { t, .. }
             | TInstr::LoadBranch { t, .. }
             | TInstr::ArithBranch { t, .. } = t
             {
-                if *t as usize > tb.code.len() {
+                if *t as usize > code.len() {
                     return Err(violation(
                         "threaded-target",
                         format!(
                             "block L{ix}: record {rec} branches to record {t} outside stream \
                              of {} records",
-                            tb.code.len()
+                            code.len()
                         ),
                     ));
                 }
             }
-            let Some(exp) = expand(t, tb, &tp) else {
-                let TInstr::Slow { pc } = t else {
-                    return Err(violation(
-                        "threaded-round-trip",
-                        format!("block L{ix}: record {rec} reads operands outside its pool"),
-                    ));
-                };
-                if *pc as usize != start {
-                    return Err(violation(
-                        "threaded-round-trip",
-                        format!(
-                            "block L{ix}: slow record {rec} points at pc {pc}, expected {start}"
-                        ),
-                    ));
-                }
-                sum.tinstrs += 1;
-                continue;
+            let Some(exp) = expand(t, tb, tp) else {
+                return Err(violation(
+                    "threaded-round-trip",
+                    format!("block L{ix}: record {rec} reads operands outside its pool"),
+                ));
             };
-            let span = (tb.tpc_to_pc[rec + 1] as usize).saturating_sub(start);
-            if exp.instrs.len() != span {
+            if exp.len() != span {
                 return Err(violation(
                     "threaded-round-trip",
                     format!(
                         "block L{ix}: record {rec} spans {span} instructions but expands to {}",
-                        exp.instrs.len()
+                        exp.len()
                     ),
                 ));
             }
-            if exp.instrs.len() > 1 {
+            if exp.len() > 1 {
                 sum.superinstructions += 1;
             }
-            let (mut pre, mut total, mut alloc) = (0, 0, 0);
-            for (k, e) in exp.instrs.iter().enumerate() {
+            for (k, e) in exp.iter().enumerate() {
                 let Some(orig) = b.instrs.get(start + k) else {
                     return Err(violation(
                         "threaded-round-trip",
@@ -487,25 +655,11 @@ pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, B
                         format!("{what} at L{ix} @{}: {e}", start + k),
                     ));
                 }
-                pre = total;
-                total += e.fixed_cost();
-                alloc += e.alloc_cost();
-            }
-            if (exp.pre, exp.total, exp.alloc) != (pre, total, alloc) {
-                return Err(violation(
-                    "threaded-cost",
-                    format!(
-                        "L{ix} @{start}: record {rec} charges {}/{} cycles (all constituents \
-                         but the last / all) plus {} for allocation, where its instructions \
-                         cost {pre}/{total} plus {alloc}",
-                        exp.pre, exp.total, exp.alloc
-                    ),
-                ));
             }
             if let TInstr::LoadRun { base, max_off, .. } = *t {
                 // The fast path checks `[0, max_off]` once and reads the
                 // base register once.
-                let offs = exp.instrs.iter().map(|e| match *e {
+                let offs = exp.iter().map(|e| match *e {
                     Instr::Load { off, .. } => off,
                     _ => 0,
                 });
@@ -518,7 +672,7 @@ pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, B
                         ),
                     ));
                 }
-                let early = &exp.instrs[..span.saturating_sub(1)];
+                let early = &exp[..span.saturating_sub(1)];
                 if early
                     .iter()
                     .any(|e| matches!(*e, Instr::Load { d, .. } if d == base))
@@ -531,8 +685,27 @@ pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, B
                     ));
                 }
             }
+            // Control leaves the straight line after a branch, jump or
+            // halt: the segment ends with this record.
+            let last = &exp[exp.len() - 1];
+            targets.clear();
+            branch_targets(last, &mut targets);
+            if targets.is_empty() && !is_terminator(last) {
+                open = Some(seg);
+            } else {
+                check_segment(ix, b, tp, &seg, start + span)?;
+            }
             sum.tinstrs += 1;
         }
+        if let Some(seg) = open {
+            check_segment(ix, b, tp, &seg, n)?;
+        }
+    }
+    if next_id as usize != tp.segs.len() {
+        return Err(violation(
+            "threaded-segment",
+            format!("{} segment entries for {next_id} headers", tp.segs.len()),
+        ));
     }
     Ok(sum)
 }
@@ -613,6 +786,103 @@ mod tests {
             Instr::Halt { s: 2 },
         ]);
         assert_eq!(verify_bytecode(&p).unwrap_err().rule, "alloc-descriptor");
+    }
+
+    /// Deletes the segment header at record `h` of block 0, shifting
+    /// every coordinate after it, as a pre-decoder that never opened
+    /// that segment would have laid the stream out.
+    fn drop_header(tp: &mut ThreadedProgram, h: usize) {
+        let tb = &mut tp.blocks[0];
+        assert!(matches!(tb.code.remove(h), TInstr::Seg { .. }));
+        tb.tpc_to_pc.remove(h);
+        for r in &mut tb.pc_map {
+            if *r as usize > h {
+                *r -= 1;
+            }
+        }
+        for rec in &mut tb.code {
+            if let TInstr::Branch { t, .. } = rec {
+                if *t as usize > h {
+                    *t -= 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_any_corrupted_segment_entry() {
+        use crate::isa::{AOp, BrOp};
+        use crate::threaded::predecode;
+        // Three segments: up to the branch, the fall-through after it,
+        // and from the branch target on.
+        let p = one_block(vec![
+            Instr::LoadI { d: 1, imm: 3 },
+            Instr::LoadI { d: 2, imm: 4 },
+            Instr::Branch {
+                op: BrOp::Lt,
+                a: 1,
+                b: 2,
+                target: 5,
+            },
+            Instr::Arith {
+                op: AOp::Mul,
+                d: 3,
+                a: 1,
+                b: 40,
+            },
+            Instr::Move { d: 4, s: 3 },
+            Instr::Move { d: 5, s: 1 },
+            Instr::Halt { s: 5 },
+        ]);
+        let sum = verify_stream(&p, &predecode(&p)).expect("well-formed");
+        assert_eq!(sum.segments, 3);
+        let headers: Vec<usize> = predecode(&p).blocks[0]
+            .code
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| matches!(r, TInstr::Seg { .. }))
+            .map(|(h, _)| h)
+            .collect();
+        let rule = |corrupt: &dyn Fn(&mut ThreadedProgram)| {
+            let mut tp = predecode(&p);
+            corrupt(&mut tp);
+            verify_stream(&p, &tp).expect_err("a corrupted entry").rule
+        };
+        let header =
+            |tp: &mut ThreadedProgram, k: usize, f: &dyn Fn(&mut u32, &mut u64, &mut u64)| {
+                let TInstr::Seg { id, charge, pre } = &mut tp.blocks[0].code[headers[k]] else {
+                    unreachable!()
+                };
+                f(id, charge, pre);
+            };
+        for k in 0..3 {
+            assert_eq!(
+                rule(&|tp| header(tp, k, &|_, c, _| *c += 1)),
+                "threaded-cost"
+            );
+            assert_eq!(
+                rule(&|tp| header(tp, k, &|_, _, pre| *pre ^= 1)),
+                "threaded-cost"
+            );
+            assert_eq!(rule(&|tp| tp.segs[k].n += 1), "threaded-cost");
+            let at = predecode(&p).segs[k].at as usize;
+            assert_eq!(rule(&|tp| tp.classes[at].n += 1), "threaded-cost");
+            assert_eq!(rule(&|tp| tp.classes[at].cycles -= 1), "threaded-cost");
+            assert_eq!(
+                rule(&|tp| header(tp, k, &|id, _, _| *id ^= 1)),
+                "threaded-segment"
+            );
+        }
+        // No segment after the branch, or none at its target: control
+        // would enter a segment elsewhere than at its first record.
+        assert_eq!(rule(&|tp| drop_header(tp, headers[1])), "threaded-segment");
+        assert_eq!(rule(&|tp| drop_header(tp, headers[2])), "threaded-segment");
+        assert_eq!(
+            rule(&|tp| {
+                tp.segs.pop();
+            }),
+            "threaded-segment"
+        );
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //! [`VmConfig::dispatch`]:
 //!
 //! * [`Dispatch::Threaded`] (the default) — the [`Instr`] stream is
-//!   pre-decoded into a flat threaded stream of compact handler records
-//!   with their fixed costs folded in, allocations included; hot pairs
+//!   pre-decoded into a flat threaded stream of compact handler records,
+//!   allocations included, grouped into straight-line segments whose
+//!   headers charge each segment's fixed costs at once; hot pairs
 //!   (`LoadI`+`Arith`, load/compare+branch, `Move`+`Jump`) and runs of
 //!   `Move`s or same-base `Load`s become superinstructions (see
 //!   `threaded.rs`).
@@ -63,7 +64,7 @@ use crate::heap::{
     MAX_RAW_WORDS, MAX_SCAN_FIELDS,
 };
 use crate::isa::*;
-use crate::threaded::{predecode, ThreadedProgram};
+use crate::threaded::{predecode, Meter, ThreadedProgram};
 use sml_cps::{floor_div, floor_mod};
 use std::sync::Arc;
 
@@ -118,7 +119,8 @@ pub struct DispatchStats {
     /// [`Dispatch::Decode`]).
     pub superinstructions: u64,
     /// Total length of the pre-decoded threaded stream, in handler
-    /// records (0 under [`Dispatch::Decode`] — nothing is pre-decoded).
+    /// records standing for instructions — segment headers not counted
+    /// (0 under [`Dispatch::Decode`] — nothing is pre-decoded).
     pub stream_len: u64,
 }
 
@@ -394,6 +396,9 @@ pub struct VmInstance<'p> {
     /// The pre-decoded threaded stream under [`Dispatch::Threaded`]:
     /// immutable, so every tenant of one program can share it.
     pub(crate) threaded: Option<Arc<ThreadedProgram>>,
+    /// The threaded engine's per-segment hit counts (empty under
+    /// [`Dispatch::Decode`]).
+    pub(crate) meter: Meter,
     pub(crate) finished: Option<VmResult>,
 }
 
@@ -466,6 +471,7 @@ impl<'p> VmInstance<'p> {
             Dispatch::Decode => None,
             Dispatch::Threaded => Some(stream.unwrap_or_else(|| Arc::new(predecode(&prog)))),
         };
+        let meter = threaded.as_deref().map_or_else(Meter::default, Meter::new);
         let entry = prog.entry as usize;
         VmInstance {
             prog,
@@ -481,6 +487,7 @@ impl<'p> VmInstance<'p> {
             pc: 0,
             yield_ctr: 0,
             threaded,
+            meter,
             finished,
         }
     }
@@ -545,7 +552,7 @@ impl<'p> VmInstance<'p> {
 
     /// Executes until roughly `quantum` more cycles have been charged
     /// (preemption is checked between instructions — inside a threaded
-    /// superinstruction too — so a slice overruns
+    /// segment too — so a slice overruns
     /// by at most one instruction's cost, including its GC pause, which
     /// a pause budget keeps bounded) or the run ends. Returns `true`
     /// when the run is finished, `false` when preempted.
@@ -807,8 +814,9 @@ impl<'p> Engine<'_, 'p> {
     // (`Instr::fixed_cost`) and, for a jump, the `sml.fp3` term, which
     // is why a trapping instruction pays in full. An allocation's
     // static charge (`Instr::alloc_cost`) is the caller's too: `step`
-    // pays it once the object is allocated, a threaded `Alloc`/`FBox`
-    // record once its nursery fast path has allocated.
+    // pays it once the object is allocated, and a threaded segment's
+    // header has paid it with the rest of the segment (refunded if the
+    // nursery fast path does not apply).
     // Array, jump-table and runtime-call instructions execute through
     // `step`'s match arms, which charge their heap-dependent costs as
     // they go (the threaded engine routes them via its `Slow` record).
@@ -928,16 +936,16 @@ impl<'p> Engine<'_, 'p> {
 
     /// A threaded same-base `Load` run's fast path: its `(d, off)`
     /// pairs as plain loads from the one value of `base`, in order.
-    /// Taken only when no incremental major is active — so each
-    /// `load_healed` would be a plain load with nothing to drain — and
-    /// one bounds check of `[0, max_off]` passes, which it does exactly
-    /// when every constituent's own check would. Otherwise returns
-    /// `false` having done nothing, and the caller runs the
+    /// The caller runs it only while no incremental major is active, so
+    /// each `load_healed` would be a plain load with nothing to drain.
+    /// Taken when one bounds check of `[0, max_off]` passes, which it
+    /// does exactly when every constituent's own check would. Otherwise
+    /// returns `false` having done nothing, and the caller runs the
     /// constituents one by one.
     #[inline(always)]
     pub(crate) fn m_loads(&mut self, base: Reg, max_off: u16, pairs: &[(Reg, u16)]) -> bool {
         let p = self.r(base);
-        if self.heap.major_active() || self.heap.check_access(p, 0, max_off as usize + 1).is_err() {
+        if self.heap.check_access(p, 0, max_off as usize + 1).is_err() {
             return false;
         }
         for &(d, off) in pairs {
@@ -1550,7 +1558,7 @@ fn record_pause(stats: &mut RunStats, minor: bool, cost: u64, budget: u64) {
 /// barrier: the copy happens during mutator time). Returns the cycles
 /// to add to the run's total, which the caller holds.
 #[cold]
-pub(crate) fn drain_barrier(heap: &mut Heap, stats: &mut RunStats) -> u64 {
+fn drain_barrier(heap: &mut Heap, stats: &mut RunStats) -> u64 {
     let words = heap.take_barrier_words();
     let cost = 3 * words;
     stats.gc_cycles += cost;

@@ -5,7 +5,7 @@
 //! (mid-superinstruction included). Plus the floor div/mod semantics
 //! both engines now share, and the threaded stream verifier.
 
-use sml_vm::isa::{AOp, AllocKind, BrOp};
+use sml_vm::isa::{AOp, AllocKind, BrOp, FOp};
 use sml_vm::{
     run, verify_threaded, CodeBlock, Dispatch, FaultInject, GcMode, Instr, MachineProgram, Outcome,
     SchedulerBuilder, TenantSpec, VmConfig, VmInstance, VmResult,
@@ -323,8 +323,8 @@ fn grow_and_walk() -> MachineProgram {
 
 /// Sliced majors that yield after every slice of one copied word, one
 /// started or resumed at every allocation: an incremental major is
-/// active nearly all the time, so `record_loop`'s allocations, loads
-/// and pairs meet one and take their fallbacks. Its loads then read
+/// active nearly all the time, so `record_loop`'s segments meet one and
+/// run on the synced path. Its loads then read
 /// evacuated nodes before they are scanned, whose links still point
 /// into from-space, and the read barrier copies.
 fn active_major() -> VmConfig {
@@ -527,49 +527,308 @@ fn scheduler_runs_threaded_tenants_identically() {
     );
 }
 
+/// The storm tenant of the `tenant-storm` benchmark workload: it
+/// allocates a 20-cell list sixty times over, so under the storm heap
+/// geometry ([`storm_heap`]) minor collections fall inside its slices.
+const STORM_TENANT: &str = "
+    fun build n = if n = 0 then [] else n :: build (n - 1)
+    fun sum [] = 0 | sum (x :: r) = x + sum r
+    fun churn 0 acc = acc
+      | churn n acc = churn (n - 1) (acc + sum (build 20))
+    val _ = print (itos (churn 60 0))
+";
+
+/// A float-arithmetic loop: long straight-line segments of float
+/// records, each ending in a tail call.
+const FLOAT_LOOP: &str = "
+    fun lp (x : real, y : real, 0) = x + y
+      | lp (x, y, n) = lp (x * 0.5 + y, sqrt (y * y + 1.0) - x / 3.0, n - 1)
+    val _ = print (rtos (lp (1.0, 2.0, 300)))
+";
+
+/// The storm workload's per-tenant heap: a 256-word nursery promoting
+/// after one minor.
+fn storm_heap() -> VmConfig {
+    VmConfig {
+        nursery_words: 256,
+        tenured_words: 2048,
+        promote_after: 1,
+        ..VmConfig::default()
+    }
+}
+
+fn compiled(src: &str) -> MachineProgram {
+    smlc::Session::default()
+        .compile(src)
+        .expect("the test program compiles")
+        .machine
+}
+
+/// Runs `p` under both engines in lockstep, `quantum` cycles a slice,
+/// and asserts that after every slice — not just at the end — the two
+/// agree on whether the run finished, on its output and on the whole
+/// `RunStats`, class and collector counters included. An empty slice
+/// in between must leave every counter alone, even inside a segment.
+/// Returns the finished decode instance.
+fn lockstep<'p>(p: &'p MachineProgram, base: &VmConfig, quantum: u64) -> VmInstance<'p> {
+    let engine = |dispatch| VmInstance::new(p, &VmConfig { dispatch, ..*base });
+    let (mut dec, mut thr) = (engine(Dispatch::Decode), engine(Dispatch::Threaded));
+    for slice in 0.. {
+        let before = dec.stats().cycles;
+        let done = dec.run_slice(quantum);
+        assert_eq!(
+            thr.run_slice(quantum),
+            done,
+            "slice {slice} at quantum {quantum}: one engine finished early"
+        );
+        assert_eq!(
+            dec.stats(),
+            thr.stats(),
+            "RunStats diverge after slice {slice} at quantum {quantum}"
+        );
+        assert_eq!(dec.output(), thr.output(), "slice {slice}");
+        if done {
+            break;
+        }
+        assert!(
+            dec.stats().cycles > before,
+            "no progress at quantum {quantum}"
+        );
+        let at = *thr.stats();
+        assert!(!dec.run_slice(0) && !thr.run_slice(0));
+        assert_eq!(*thr.stats(), at, "an empty slice moved a counter");
+        assert_eq!(dec.stats(), thr.stats());
+    }
+    assert_eq!(dec.result(), thr.result());
+    dec
+}
+
 /// Sweeping the quantum lands slice edges between every two
-/// constituents of every record of several in each loop (a quantum of
-/// 1 alone ends a slice after every instruction); the threaded engine
-/// must preempt there exactly as the decode loop does, and resume with
-/// the rest of the record, so every slice — not just every result —
-/// matches.
+/// constituents of every record of several, and inside every segment
+/// (a quantum of 1 alone ends a slice after every instruction); the
+/// threaded engine must preempt there exactly as the decode loop does
+/// and resume with the rest of the segment, and the counters it folds
+/// from its segment hits at every slice exit must be the decode loop's.
+/// The compiled inputs add collections inside slices (the storm tenant
+/// under the storm heap) and long float segments.
 #[test]
 fn slices_split_superinstructions_exactly_like_decode() {
-    let inputs = [
+    let hand = [
         (sum_loop(20), VmConfig::default()),
         (record_loop(6), VmConfig::default()),
         (record_loop(6), active_major()),
     ];
-    for ((p, base), quantum) in inputs
+    let programs = [
+        (compiled(STORM_TENANT), storm_heap()),
+        (compiled(FLOAT_LOOP), VmConfig::default()),
+    ];
+    let cases = hand
         .iter()
         .flat_map(|input| (1..=24).map(move |q| (input, q)))
-    {
-        let slices = |dispatch| {
-            let mut vm = VmInstance::new(p, &VmConfig { dispatch, ..*base });
-            let mut trace = Vec::new();
-            loop {
-                let done = vm.run_slice(quantum);
-                trace.push((vm.stats().cycles, vm.stats().instrs));
-                if done {
-                    break;
-                }
-                // An empty slice must leave the position alone, even
-                // inside a record.
-                assert!(!vm.run_slice(0));
-                assert_eq!(trace.last(), Some(&(vm.stats().cycles, vm.stats().instrs)));
-                assert!(trace.len() < 1_000, "no progress at quantum {quantum}");
-            }
-            (trace, vm.into_outcome())
-        };
-        let (dec_trace, dec) = slices(Dispatch::Decode);
-        let (thr_trace, thr) = slices(Dispatch::Threaded);
-        assert_eq!(
-            dec_trace, thr_trace,
-            "slice edges diverge at quantum {quantum}"
+        .chain(
+            programs
+                .iter()
+                .flat_map(|input| [1, 2, 3, 7, 97, 2000].map(move |q| (input, q))),
         );
-        assert!(matches!(dec.result, VmResult::Value(_)), "{dec:?}");
-        assert_eq!(dec.result, thr.result);
-        assert_eq!(dec.stats, thr.stats);
+    for ((p, base), quantum) in cases {
+        let dec = lockstep(p, base, quantum);
+        assert!(
+            matches!(dec.result(), Some(VmResult::Value(_))),
+            "{:?}",
+            dec.result()
+        );
+    }
+    let storm = lockstep(&programs[0].0, &programs[0].1, 2000);
+    assert_eq!(storm.output(), "12600");
+    assert!(storm.stats().n_minor_gcs > 0, "{:?}", storm.stats());
+}
+
+/// What a segment runs into in [`segment_event`].
+#[derive(Clone, Copy, Debug)]
+enum Event {
+    /// A `Load` through a tagged integer.
+    LoadNonPointer,
+    /// An integer division by zero.
+    DivByZero,
+    /// A `JumpReg` through a record pointer.
+    JumpRegNonLabel,
+    /// A `Load` run whose third load reads past a two-word record.
+    LoadRunPastObject,
+    /// An `Alloc` that finds the nursery full.
+    AllocCollects,
+    /// An `Alloc` that fault injection fails.
+    AllocFails,
+}
+
+/// Where [`segment_event`] puts the event in its segment.
+#[derive(Clone, Copy, Debug)]
+enum Place {
+    First,
+    Middle,
+    Last,
+}
+
+/// A program whose block 1 holds one straight-line segment of several
+/// records with `event` at `place` in it: a branch that is never taken
+/// opens the block, so the segment starts after it, and its target ends
+/// the segment (right after the event when it is last). The fillers
+/// span four instruction classes. The entry block sets r1 = 7, r2 = 0,
+/// r5 to a two-word record and f1 = 2.5, and makes three allocations in
+/// all, filling a 9-word nursery exactly.
+fn segment_event(event: Event, place: Place) -> MachineProgram {
+    let pair = |d| Instr::Alloc {
+        d,
+        kind: AllocKind::Record,
+        words: vec![1, 1],
+        flts: vec![],
+    };
+    let fillers = |n: usize| {
+        [
+            Instr::LoadI { d: 20, imm: 3 },
+            Instr::Arith {
+                op: AOp::Add,
+                d: 21,
+                a: 20,
+                b: 1,
+            },
+            Instr::FArith {
+                op: FOp::Mul,
+                d: 2,
+                a: 1,
+                b: 1,
+            },
+            Instr::Move { d: 22, s: 21 },
+        ]
+        .into_iter()
+        .cycle()
+        .take(n)
+        .collect::<Vec<_>>()
+    };
+    let load = |d, off| Instr::Load { d, base: 5, off };
+    let event = match event {
+        Event::LoadNonPointer => vec![Instr::Load {
+            d: 9,
+            base: 1,
+            off: 0,
+        }],
+        Event::DivByZero => vec![Instr::Arith {
+            op: AOp::Div,
+            d: 9,
+            a: 1,
+            b: 2,
+        }],
+        Event::JumpRegNonLabel => vec![Instr::JumpReg { r: 5 }],
+        Event::LoadRunPastObject => vec![load(6, 0), load(7, 1), load(8, 2)],
+        Event::AllocCollects | Event::AllocFails => vec![pair(10)],
+    };
+    let (pre, post) = match place {
+        Place::First => (fillers(0), fillers(3)),
+        Place::Middle => (fillers(2), fillers(3)),
+        Place::Last => (fillers(3), fillers(2)),
+    };
+    let event_end = 1 + pre.len() + event.len();
+    let halt = event_end + post.len();
+    let cut = match place {
+        Place::Last => event_end,
+        Place::First | Place::Middle => halt,
+    };
+    let mut body = vec![Instr::Branch {
+        op: BrOp::Eq,
+        a: 0,
+        b: 0,
+        target: cut as u32,
+    }];
+    body.extend(pre);
+    body.extend(event);
+    body.extend(post);
+    body.push(Instr::Halt { s: 1 });
+    MachineProgram {
+        blocks: vec![
+            CodeBlock {
+                name: "entry".into(),
+                instrs: vec![
+                    Instr::LoadI { d: 1, imm: 7 },
+                    Instr::LoadI { d: 2, imm: 0 },
+                    pair(5),
+                    pair(11),
+                    pair(12),
+                    Instr::LoadF { d: 1, imm: 2.5 },
+                    Instr::Jump { label: 1 },
+                ],
+            },
+            CodeBlock {
+                name: "segment".into(),
+                instrs: body,
+            },
+        ],
+        entry: 0,
+        pool: Vec::new(),
+    }
+}
+
+/// Every way a record can stop its segment's fast path — a trap, or a
+/// fast path that does not apply — first, in the middle and last of a
+/// segment of several records: the threaded engine refunds the rest of
+/// the segment and must end, or finish on the synced path, with exactly
+/// the decode loop's result, output and `RunStats`, run whole and
+/// sliced.
+#[test]
+fn traps_and_bails_inside_a_segment_match_decode() {
+    use Event::*;
+    let full_nursery = VmConfig {
+        nursery_words: 9,
+        ..VmConfig::default()
+    };
+    let fail_fourth = VmConfig {
+        fault: FaultInject {
+            fail_alloc_at: Some(4),
+            ..FaultInject::default()
+        },
+        ..VmConfig::default()
+    };
+    let table = [
+        (
+            LoadNonPointer,
+            VmConfig::default(),
+            "memory access through non-pointer",
+        ),
+        (DivByZero, VmConfig::default(), "integer division by zero"),
+        (
+            JumpRegNonLabel,
+            VmConfig::default(),
+            "jump through non-label",
+        ),
+        (
+            LoadRunPastObject,
+            VmConfig::default(),
+            "access to words [2, 3)",
+        ),
+        (AllocCollects, full_nursery, ""),
+        (AllocFails, fail_fourth, ""),
+    ];
+    for (event, cfg, fault) in table {
+        for place in [Place::First, Place::Middle, Place::Last] {
+            let p = segment_event(event, place);
+            verify_threaded(&p).expect("well-formed stream");
+            let o = both(&p, &cfg);
+            let what = format!("{event:?} {place:?}: {:?}", o.result);
+            match event {
+                AllocCollects => {
+                    assert_eq!(o.result, VmResult::Value(7), "{what}");
+                    assert_eq!(o.stats.n_minor_gcs, 1, "{what}");
+                }
+                AllocFails => assert_eq!(o.result, VmResult::HeapExhausted, "{what}"),
+                _ => {
+                    let VmResult::Fault(msg) = &o.result else {
+                        panic!("{what}");
+                    };
+                    assert!(msg.starts_with(fault), "{what}");
+                }
+            }
+            for quantum in [1, 2, 5] {
+                lockstep(&p, &cfg, quantum);
+            }
+        }
     }
 }
 

@@ -73,9 +73,14 @@ fi
 # to copy order, promotion, the remembered set or a charge fails it.
 # The seeded batch sweep runs its 200-program release legs
 # (docs/ROBUSTNESS.md): once in the default mode and once with every IR
-# verifier forced on.
+# verifier forced on. The VM's engine and scheduler differentials run
+# again in release, the profile the benchmark runs: there an arithmetic
+# slip in the threaded engine's accounting (a refund that underflows)
+# wraps silently where the dev profile panics, so only a counter
+# comparison catches it.
 echo "== release gates =="
 cargo test -q --release -p smlc-bench --test gates --test run_stats_golden
 cargo test -q --release -p smlc --test fuzz_programs -- seeded_batch
+cargo test -q --release -p sml-vm --test dispatch --test sched
 
 echo "verify: all gates passed"
