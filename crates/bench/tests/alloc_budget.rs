@@ -13,13 +13,14 @@ use smlc_bench::benchmarks;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// The budget: 17,065, the count once each compile interned its types
-/// in one table of its own instead of a shared sharded arena, plus 5%.
+/// The budget: 15,906, the count once CPS held each straight-line run
+/// as one deque of bindings instead of one box per operator, plus 5%.
 /// Deep-copying types and re-boxing every CPS node on every round had
 /// made it 30,136; sharing types and reusing CPS nodes brought it to
-/// 17,962, and snapshotting only the functions some call names to
-/// 17,118.
-const MAX_ALLOCS_PER_COMPILE: u64 = 17_918;
+/// 17,962, snapshotting only the functions some call names to 17,118,
+/// and one LTY table per compile instead of a shared sharded arena to
+/// 17,065.
+const MAX_ALLOCS_PER_COMPILE: u64 = 16_702;
 
 /// Counts the calling thread's allocations, so the test harness's own
 /// threads do not disturb the figure.

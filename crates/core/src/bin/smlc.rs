@@ -556,13 +556,7 @@ fn serve(args: &[String]) -> ExitCode {
     errln!(
         "{}",
         Json::obj()
-            .field(
-                "server",
-                Json::obj()
-                    .field("jobs", stats.jobs)
-                    .field("clients", stats.clients)
-                    .field("queue_depth_peak", stats.queue_depth_peak),
-            )
+            .field("server", stats.to_json())
             .to_string_compact()
     );
     ExitCode::SUCCESS

@@ -243,7 +243,7 @@ impl Metrics {
         // whole-program, and the object stays for v5 readers.
         doc = doc.field("components", components_json(&self.compile.components));
         doc = match &self.server {
-            Some(server) => doc.field("server", server_json(server)),
+            Some(server) => doc.field("server", server.to_json()),
             None => doc.field("server", Json::Null),
         };
         doc
@@ -259,13 +259,6 @@ pub(crate) fn components_json(c: &crate::component::ComponentStats) -> Json {
         .field("recompiled", c.recompiled)
         .field("cache_hits", c.cache_hits)
         .field("topo_depth", c.topo_depth)
-}
-
-fn server_json(s: &ServerStats) -> Json {
-    Json::obj()
-        .field("jobs", s.jobs)
-        .field("clients", s.clients)
-        .field("queue_depth_peak", s.queue_depth_peak)
 }
 
 fn cache_json(c: &CacheStats) -> Json {

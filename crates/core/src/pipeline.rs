@@ -246,7 +246,6 @@ pub struct Compiled {
 pub(crate) fn compile_engine(
     src: &str,
     variant: Variant,
-    opt_cfg: &OptConfig,
     limits: &Limits,
     verify: VerifyIr,
 ) -> Result<Compiled, CompileError> {
@@ -344,6 +343,7 @@ pub(crate) fn compile_engine(
     }
 
     let t = Instant::now();
+    let opt_cfg = &OptConfig::default();
     let opt = if verifying {
         // Re-check the CPS term after every optimizer pass, so a bad
         // rewrite is pinned to the pass that introduced it.

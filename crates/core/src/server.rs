@@ -21,9 +21,9 @@
 use crate::error::CompileError;
 use crate::json::Json;
 use crate::metrics::{components_json, result_tag, Metrics};
-use crate::pipeline::VerifyIr;
+use crate::pipeline::{Compiled, VerifyIr};
 use crate::session::{Job, Session};
-use sml_vm::spawn_compile_thread;
+use sml_vm::{spawn_compile_thread, Outcome, VmResult};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
@@ -46,6 +46,25 @@ pub struct ServerStats {
     /// backlog high-water mark, the number to watch when deciding
     /// whether a server needs more workers.
     pub queue_depth_peak: usize,
+    /// `"run": true` jobs that [`SERVER_RUN_MAX_CYCLES`] stopped: out
+    /// of fuel at the cap, below the session's own cycle budget.
+    pub capped_runs: u64,
+    /// Requests answered `overloaded` because the dispatch queue was
+    /// full (see [`QUEUE_PER_WORKER`]); they never reach a worker.
+    pub overloaded: u64,
+}
+
+impl ServerStats {
+    /// The `server` object of the metrics schema, of the `stats` op's
+    /// response and of the final stderr flush.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .field("jobs", self.jobs)
+            .field("clients", self.clients)
+            .field("queue_depth_peak", self.queue_depth_peak)
+            .field("capped_runs", self.capped_runs)
+            .field("overloaded", self.overloaded)
+    }
 }
 
 /// One queued request: the raw line, its position in its connection's
@@ -69,6 +88,15 @@ struct ClientState {
 /// with an `overloaded` error. Clients see backpressure instead of the
 /// server buffering without limit.
 const QUEUE_PER_WORKER: usize = 16;
+
+/// The most VM cycles a `"run": true` job may use: it runs under the
+/// smaller of its session's `max_cycles` and this cap, and a run the
+/// cap stops answers with the typed `out-of-fuel` result. Without it an
+/// endless loop holds a worker until `VmConfig`'s default budget of
+/// 2×10¹⁰ cycles, about a minute. The cap is 7.7× the longest figure
+/// cell (KB-C under `sml.nrp`, 65,048,072 cycles) and 40× below that
+/// default.
+const SERVER_RUN_MAX_CYCLES: u64 = 500_000_000;
 
 struct QueueState {
     items: VecDeque<WorkItem>,
@@ -209,7 +237,7 @@ impl Shared<'_> {
             .get("run")
             .and_then(Json::as_bool)
             .unwrap_or(false)
-            .then(|| self.session.run(&compiled));
+            .then(|| self.run(&compiled));
         if let Some(outcome) = &outcome {
             resp = resp
                 .field("output", outcome.output.as_str())
@@ -217,7 +245,7 @@ impl Shared<'_> {
                 .field(
                     "value",
                     match outcome.result {
-                        sml_vm::VmResult::Value(v) => Json::Int(v),
+                        VmResult::Value(v) => Json::Int(v),
                         _ => Json::Null,
                     },
                 )
@@ -236,19 +264,29 @@ impl Shared<'_> {
         resp.to_string_compact()
     }
 
+    /// Runs a compiled job under the session's VM configuration with
+    /// its cycle budget capped at [`SERVER_RUN_MAX_CYCLES`].
+    fn run(&self, compiled: &Compiled) -> Outcome {
+        let mut vm = self.session.vm_config(compiled.variant);
+        let capped = SERVER_RUN_MAX_CYCLES < vm.max_cycles;
+        vm.max_cycles = vm.max_cycles.min(SERVER_RUN_MAX_CYCLES);
+        let outcome = compiled.run_with(&vm);
+        if capped && outcome.result == VmResult::OutOfFuel {
+            self.stats
+                .lock()
+                .expect("server stats poisoned")
+                .capped_runs += 1;
+        }
+        outcome
+    }
+
     fn stats_response(&self, id: i64, client: &ClientState) -> String {
         let s = *self.stats.lock().expect("server stats poisoned");
         let cache = self.session.cache_stats();
         Json::obj()
             .field("id", id)
             .field("ok", true)
-            .field(
-                "server",
-                Json::obj()
-                    .field("jobs", s.jobs)
-                    .field("clients", s.clients)
-                    .field("queue_depth_peak", s.queue_depth_peak),
-            )
+            .field("server", s.to_json())
             .field(
                 "client",
                 Json::obj().field("jobs", client.jobs.load(Ordering::Relaxed)),
@@ -559,6 +597,11 @@ fn serve_connection(
                                  ({QUEUE_PER_WORKER} per worker); retry later",
                                 shared.capacity
                             );
+                            shared
+                                .stats
+                                .lock()
+                                .expect("server stats poisoned")
+                                .overloaded += 1;
                             let _ = tx.send((seq, error_response(id, "overloaded", &why, 4)));
                         }
                         Err(Rejected::Closed) => break,

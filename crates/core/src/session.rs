@@ -1,7 +1,7 @@
 //! Long-lived compilation sessions (the service-shaped entry point).
 //!
 //! A [`Session`] consolidates the compiler's scattered knobs —
-//! [`Variant`], [`OptConfig`], [`Limits`], [`VmConfig`], and
+//! [`Variant`], [`Limits`], [`VmConfig`], and
 //! [`FaultInject`] — into one validated configuration object built by
 //! [`SessionBuilder`], and owns the state worth amortizing across
 //! compiles:
@@ -43,7 +43,6 @@ use crate::config::Variant;
 use crate::error::{CompileError, ConfigError};
 use crate::fxhash::{hash_bytes, FxHasher};
 use crate::pipeline::{compile_engine, Compiled, Limits, VerifyIr};
-use sml_cps::OptConfig;
 use sml_vm::{
     par_map, AdmissionError, FaultInject, Outcome, SchedStats, SchedulerBuilder, TenantReport,
     TenantSpec, VmConfig, VmScheduler,
@@ -240,7 +239,6 @@ impl ArtifactCache {
 #[derive(Clone, Debug)]
 pub struct SessionBuilder {
     variant: Variant,
-    opt: OptConfig,
     limits: Limits,
     vm: Option<VmConfig>,
     fault: Option<FaultInject>,
@@ -254,7 +252,6 @@ impl Default for SessionBuilder {
     fn default() -> SessionBuilder {
         SessionBuilder {
             variant: Variant::Ffb,
-            opt: OptConfig::default(),
             limits: Limits::default(),
             vm: None,
             fault: None,
@@ -270,12 +267,6 @@ impl SessionBuilder {
     /// Default compiler variant ([`Variant::Ffb`] if never set).
     pub fn variant(mut self, v: Variant) -> SessionBuilder {
         self.variant = v;
-        self
-    }
-
-    /// Optimizer settings.
-    pub fn opt_config(mut self, opt: OptConfig) -> SessionBuilder {
-        self.opt = opt;
         self
     }
 
@@ -351,9 +342,6 @@ impl SessionBuilder {
         if self.limits.max_cps_ops == 0 {
             return nonzero("limits.max_cps_ops");
         }
-        if self.opt.max_rounds == 0 {
-            return nonzero("opt.max_rounds");
-        }
         if self.cache_enabled && self.cache_capacity == 0 {
             return nonzero("cache_capacity");
         }
@@ -404,7 +392,6 @@ impl SessionBuilder {
         let fingerprint = fingerprint(&self);
         Ok(Session {
             variant: self.variant,
-            opt: self.opt,
             limits: self.limits,
             vm: self.vm,
             fault: self.fault,
@@ -423,7 +410,7 @@ impl SessionBuilder {
 /// never leak between configurations, even if caches are ever shared
 /// or persisted.
 fn fingerprint(b: &SessionBuilder) -> u64 {
-    fingerprint_of(b.verify, &b.opt, &b.limits, &b.vm, &b.fault)
+    fingerprint_of(b.verify, &b.limits, &b.vm, &b.fault)
 }
 
 /// The digest behind [`fingerprint`], parameterized so a [`Job`] with
@@ -433,7 +420,6 @@ fn fingerprint(b: &SessionBuilder) -> u64 {
 /// cached artifacts.
 fn fingerprint_of(
     verify: VerifyIr,
-    opt: &OptConfig,
     limits: &Limits,
     vm: &Option<VmConfig>,
     fault: &Option<FaultInject>,
@@ -447,9 +433,6 @@ fn fingerprint_of(
         VerifyIr::Debug => 1,
         VerifyIr::Always => 2,
     });
-    h.write_usize(opt.max_rounds);
-    h.write_usize(opt.inline_size);
-    h.write_usize(opt.inline_passes);
     h.write_usize(limits.max_source_bytes);
     h.write_usize(limits.max_lexp_nodes);
     h.write_usize(limits.max_cps_ops);
@@ -493,7 +476,6 @@ fn fingerprint_of(
 /// workers need), expensive state lives behind internal locks.
 pub struct Session {
     variant: Variant,
-    opt: OptConfig,
     limits: Limits,
     vm: Option<VmConfig>,
     fault: Option<FaultInject>,
@@ -539,11 +521,6 @@ impl Session {
     /// The session's default variant.
     pub fn variant(&self) -> Variant {
         self.variant
-    }
-
-    /// The optimizer settings every compile uses.
-    pub fn opt_config(&self) -> &OptConfig {
-        &self.opt
     }
 
     /// The resource budgets every compile runs under.
@@ -629,7 +606,7 @@ impl Session {
             }
         }
         let verify = job.verify_ir.unwrap_or(self.verify);
-        let artifact = compile_engine(src, variant, &self.opt, &self.limits, verify)?;
+        let artifact = compile_engine(src, variant, &self.limits, verify)?;
         if let Some(cache) = &self.cache {
             cache
                 .lock()
@@ -782,7 +759,7 @@ impl Session {
     fn job_fingerprint(&self, job: &Job) -> u64 {
         match job.verify_ir {
             None => self.fingerprint,
-            Some(verify) => fingerprint_of(verify, &self.opt, &self.limits, &self.vm, &self.fault),
+            Some(verify) => fingerprint_of(verify, &self.limits, &self.vm, &self.fault),
         }
     }
 }

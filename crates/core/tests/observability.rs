@@ -102,7 +102,8 @@ fn golden_default_metrics_document() {
         "\"deadline_missed\":0},",
         "\"components\":{\"enabled\":false,\"scc_count\":0,\"recompiled\":0,",
         "\"cache_hits\":0,\"topo_depth\":0},",
-        "\"server\":{\"jobs\":0,\"clients\":0,\"queue_depth_peak\":0}}"
+        "\"server\":{\"jobs\":0,\"clients\":0,\"queue_depth_peak\":0,",
+        "\"capped_runs\":0,\"overloaded\":0}}"
     );
     assert_eq!(compact, expected);
 }

@@ -3,8 +3,8 @@
 //! overflow — and trap paths leave the VM counters consistent.
 
 use smlc::{
-    CompileError, Compiled, FaultInject, InstrClass, Limits, OptConfig, RunStats, Session, Variant,
-    VmConfig, VmResult,
+    CompileError, Compiled, FaultInject, InstrClass, Limits, RunStats, Session, Variant, VmConfig,
+    VmResult,
 };
 
 /// Compiles through a fresh single-variant session.
@@ -12,16 +12,10 @@ fn compile(src: &str, v: Variant) -> Result<Compiled, CompileError> {
     Session::with_variant(v).compile(src)
 }
 
-/// Compiles with an explicit optimizer configuration and limits.
-fn compile_full(
-    src: &str,
-    v: Variant,
-    opt: &OptConfig,
-    limits: &Limits,
-) -> Result<Compiled, CompileError> {
+/// Compiles with explicit limits.
+fn compile_limited(src: &str, v: Variant, limits: &Limits) -> Result<Compiled, CompileError> {
     Session::builder()
         .variant(v)
-        .opt_config(*opt)
         .limits(*limits)
         .build()
         .expect("test limits are valid")
@@ -98,7 +92,7 @@ fn source_size_budget_is_enforced() {
         ..Limits::default()
     };
     let src = format!("val x = {}", "1 + ".repeat(50));
-    match compile_full(&src, Variant::Ffb, &OptConfig::default(), &limits) {
+    match compile_limited(&src, Variant::Ffb, &limits) {
         Err(CompileError::Limit { phase, msg }) => {
             assert_eq!(phase, "parse");
             assert!(msg.contains("byte"), "unexpected message: {msg}");

@@ -510,6 +510,79 @@ fn serve_survives_a_chain_that_overflows_a_default_stack() {
     assert!(out.status.success(), "status {:?}", out.status);
 }
 
+/// An endless loop sent with `"run": true` is cut off at the server's
+/// run cap (500,000,000 cycles) with the typed `out-of-fuel` result,
+/// at the same cycle count on every run, while the one worker is busy
+/// with it the queue answers the overflow of a burst `overloaded`, and
+/// the final stats count both. A child process, so the test also sees
+/// the stderr flush.
+#[test]
+fn serve_caps_a_run_and_counts_what_it_turns_away() {
+    const COMPILES: i64 = 20;
+    let endless = "fun f (x : int) : int = f (x + 1)\nval y = f 0\n";
+    let mut child = smlc()
+        .args(["serve", "--workers=1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    {
+        let mut stdin = child.stdin.take().unwrap();
+        let src = quoted(endless);
+        writeln!(stdin, "{{\"id\": 0, \"src\": {src}, \"run\": true}}").unwrap();
+        for id in 1..=COMPILES {
+            writeln!(stdin, "{{\"id\": {id}, \"src\": \"val x = {id}\"}}").unwrap();
+        }
+    }
+    let mut stdout = String::new();
+    child
+        .stdout
+        .take()
+        .unwrap()
+        .read_to_string(&mut stdout)
+        .unwrap();
+    let responses: Vec<Json> = stdout.lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(responses.len(), COMPILES as usize + 1, "stdout: {stdout:?}");
+    let run = &responses[0];
+    assert_eq!(
+        run.get("result").and_then(Json::as_str),
+        Some("out-of-fuel"),
+        "{run:?}"
+    );
+    assert_eq!(run.get("cycles").and_then(Json::as_i64), Some(500_000_001));
+    assert_eq!(
+        responses[1].get("ok").and_then(Json::as_bool),
+        Some(true),
+        "the first compile is queued: {:?}",
+        responses[1]
+    );
+    let kind = |r: &Json| {
+        r.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+    };
+    let overloaded = responses
+        .iter()
+        .filter(|r| kind(r).as_deref() == Some("overloaded"))
+        .count() as i64;
+    assert!(overloaded >= 1, "the burst never hit the bound: {stdout}");
+
+    let (out, stats) = final_stats_line(child);
+    assert!(out.status.success());
+    let server = stats.get("server").expect("server stats");
+    assert_eq!(server.get("capped_runs").and_then(Json::as_i64), Some(1));
+    assert_eq!(
+        server.get("overloaded").and_then(Json::as_i64),
+        Some(overloaded)
+    );
+    assert_eq!(
+        server.get("jobs").and_then(Json::as_i64),
+        Some(COMPILES + 1 - overloaded)
+    );
+}
+
 /// The CLI compiles on a thread with the server workers' stack size,
 /// not on its main thread, so `ulimit -s` cannot shrink the widest
 /// program it compiles: the chain above, which a 2 MiB stack does not

@@ -18,7 +18,7 @@
 use crate::convert::CpsProgram;
 use crate::cps::*;
 use sml_ast::{FxHashMap, FxHashSet};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// A first-order CPS program: closed functions plus an entry expression.
 #[derive(Debug)]
@@ -151,130 +151,48 @@ pub fn close(prog: CpsProgram) -> ClosedProgram {
 }
 
 fn collect_ctys(e: &Cexp, out: &mut FxHashMap<CVar, Cty>) {
-    match e {
-        Cexp::Record {
-            dst,
-            rest,
-            nflt,
-            fields,
-        } => {
-            out.insert(*dst, Cty::Ptr(Some((fields.len() + *nflt) as u32)));
-            collect_ctys(rest, out);
+    for b in e.runs().flat_map(|r| &r.binds) {
+        out.extend(b.binder());
+        for f in b.funs() {
+            out.insert(f.name, Cty::Fun);
+            out.extend(f.params.iter().copied());
         }
-        Cexp::Select { dst, cty, rest, .. } => {
-            out.insert(*dst, *cty);
-            collect_ctys(rest, out);
+    }
+}
+
+/// Maps `v` through `sub` in place.
+fn rv(v: &mut Value, sub: &FxHashMap<CVar, Value>) {
+    if let Value::Var(x) = v {
+        if let Some(new) = sub.get(x) {
+            *v = new.clone();
         }
-        Cexp::Pure { dst, cty, rest, .. } => {
-            out.insert(*dst, *cty);
-            collect_ctys(rest, out);
-        }
-        Cexp::Alloc { dst, rest, .. } => {
-            out.insert(*dst, Cty::Ptr(None));
-            collect_ctys(rest, out);
-        }
-        Cexp::Look { dst, cty, rest, .. } => {
-            out.insert(*dst, *cty);
-            collect_ctys(rest, out);
-        }
-        Cexp::Set { rest, .. } => collect_ctys(rest, out),
-        Cexp::Switch { arms, default, .. } => {
-            arms.iter().for_each(|a| collect_ctys(a, out));
-            collect_ctys(default, out);
-        }
-        Cexp::Branch { tru, fls, .. } => {
-            collect_ctys(tru, out);
-            collect_ctys(fls, out);
-        }
-        Cexp::Fix { funs, rest } => {
-            for f in funs {
-                out.insert(f.name, Cty::Fun);
-                for (p, c) in &f.params {
-                    out.insert(*p, *c);
-                }
-                collect_ctys(&f.body, out);
-            }
-            collect_ctys(rest, out);
-        }
-        Cexp::App { .. } | Cexp::Halt { .. } => {}
     }
 }
 
 fn collect_fn_names(e: &Cexp, out: &mut FxHashSet<CVar>) {
-    match e {
-        Cexp::Fix { funs, rest } => {
-            for f in funs {
-                out.insert(f.name);
-                collect_fn_names(&f.body, out);
-            }
-            collect_fn_names(rest, out);
-        }
-        Cexp::Record { rest, .. }
-        | Cexp::Select { rest, .. }
-        | Cexp::Pure { rest, .. }
-        | Cexp::Alloc { rest, .. }
-        | Cexp::Look { rest, .. }
-        | Cexp::Set { rest, .. } => collect_fn_names(rest, out),
-        Cexp::Switch { arms, default, .. } => {
-            arms.iter().for_each(|a| collect_fn_names(a, out));
-            collect_fn_names(default, out);
-        }
-        Cexp::Branch { tru, fls, .. } => {
-            collect_fn_names(tru, out);
-            collect_fn_names(fls, out);
-        }
-        Cexp::App { .. } | Cexp::Halt { .. } => {}
+    for b in e.runs().flat_map(|r| &r.binds) {
+        out.extend(b.funs().iter().map(|f| f.name));
     }
 }
 
 /// A function escapes if its name appears anywhere but an App head.
 fn collect_escaping(e: &Cexp, fnnames: &FxHashSet<CVar>, out: &mut FxHashSet<CVar>) {
-    let mark = |v: &Value, out: &mut FxHashSet<CVar>| {
+    let mut mark = |v: &Value| {
         if let Value::Var(x) | Value::Label(x) = v {
             if fnnames.contains(x) {
                 out.insert(*x);
             }
         }
     };
-    match e {
-        Cexp::Record { fields, rest, .. } => {
-            fields.iter().for_each(|(v, _)| mark(v, out));
-            collect_escaping(rest, fnnames, out);
+    for run in e.runs() {
+        run.binds
+            .iter()
+            .for_each(|b| b.operands().for_each(&mut mark));
+        match &run.exit {
+            // The head of an App does not escape; its arguments do.
+            Exit::App { args, .. } => args.iter().for_each(&mut mark),
+            x => x.operands().for_each(&mut mark),
         }
-        Cexp::Select { rec, rest, .. } => {
-            mark(rec, out);
-            collect_escaping(rest, fnnames, out);
-        }
-        Cexp::Pure { args, rest, .. }
-        | Cexp::Alloc { args, rest, .. }
-        | Cexp::Look { args, rest, .. }
-        | Cexp::Set { args, rest, .. } => {
-            args.iter().for_each(|v| mark(v, out));
-            collect_escaping(rest, fnnames, out);
-        }
-        Cexp::Switch {
-            v, arms, default, ..
-        } => {
-            mark(v, out);
-            arms.iter().for_each(|a| collect_escaping(a, fnnames, out));
-            collect_escaping(default, fnnames, out);
-        }
-        Cexp::Branch { args, tru, fls, .. } => {
-            args.iter().for_each(|v| mark(v, out));
-            collect_escaping(tru, fnnames, out);
-            collect_escaping(fls, fnnames, out);
-        }
-        Cexp::Fix { funs, rest } => {
-            funs.iter()
-                .for_each(|f| collect_escaping(&f.body, fnnames, out));
-            collect_escaping(rest, fnnames, out);
-        }
-        Cexp::App { f, args } => {
-            // The head does not escape; arguments do.
-            let _ = f;
-            args.iter().for_each(|v| mark(v, out));
-        }
-        Cexp::Halt { v } => mark(v, out),
     }
 }
 
@@ -292,100 +210,32 @@ fn collect_fvs(
                 }
             }
         };
-        match e {
-            Cexp::Record {
-                fields, dst, rest, ..
-            } => {
-                fields.iter().for_each(|(v, _)| val(v, bound, free));
-                bound.insert(*dst);
-                vars(rest, bound, free);
-            }
-            Cexp::Select { rec, dst, rest, .. } => {
-                val(rec, bound, free);
-                bound.insert(*dst);
-                vars(rest, bound, free);
-            }
-            Cexp::Pure {
-                args, dst, rest, ..
-            }
-            | Cexp::Look {
-                args, dst, rest, ..
-            }
-            | Cexp::Alloc {
-                args, dst, rest, ..
-            } => {
-                args.iter().for_each(|v| val(v, bound, free));
-                bound.insert(*dst);
-                vars(rest, bound, free);
-            }
-            Cexp::Set { args, rest, .. } => {
-                args.iter().for_each(|v| val(v, bound, free));
-                vars(rest, bound, free);
-            }
-            Cexp::Switch {
-                v, arms, default, ..
-            } => {
-                val(v, bound, free);
-                arms.iter().for_each(|a| vars(a, bound, free));
-                vars(default, bound, free);
-            }
-            Cexp::Branch { args, tru, fls, .. } => {
-                args.iter().for_each(|v| val(v, bound, free));
-                vars(tru, bound, free);
-                vars(fls, bound, free);
-            }
-            Cexp::Fix { funs, rest } => {
-                for f in funs {
-                    bound.insert(f.name);
-                }
-                for f in funs {
-                    let mut b2 = bound.clone();
-                    for (p, _) in &f.params {
-                        b2.insert(*p);
-                    }
-                    vars(&f.body, &mut b2, free);
-                }
-                vars(rest, bound, free);
-            }
-            Cexp::App { f, args } => {
-                val(f, bound, free);
-                args.iter().for_each(|v| val(v, bound, free));
-            }
-            Cexp::Halt { v } => val(v, bound, free),
-        }
-    }
-    match e {
-        Cexp::Fix { funs, rest } => {
-            let names: Vec<CVar> = funs.iter().map(|f| f.name).collect();
+        for b in &e.binds {
+            b.operands().for_each(|v| val(v, bound, free));
+            bound.extend(b.binder().map(|(d, _)| d));
+            let funs = b.funs();
+            bound.extend(funs.iter().map(|f| f.name));
             for f in funs {
-                let mut bound: FxHashSet<CVar> = FxHashSet::default();
-                bound.insert(f.name);
-                for (p, _) in &f.params {
-                    bound.insert(*p);
-                }
-                let mut free = BTreeSet::new();
-                vars(&f.body, &mut bound.clone(), &mut free);
-                out.insert(f.name, free);
-                siblings.insert(f.name, names.clone());
-                collect_fvs(&f.body, out, siblings);
+                let mut b2 = bound.clone();
+                b2.extend(f.params.iter().map(|(p, _)| *p));
+                vars(&f.body, &mut b2, free);
             }
-            collect_fvs(rest, out, siblings);
         }
-        Cexp::Record { rest, .. }
-        | Cexp::Select { rest, .. }
-        | Cexp::Pure { rest, .. }
-        | Cexp::Alloc { rest, .. }
-        | Cexp::Look { rest, .. }
-        | Cexp::Set { rest, .. } => collect_fvs(rest, out, siblings),
-        Cexp::Switch { arms, default, .. } => {
-            arms.iter().for_each(|a| collect_fvs(a, out, siblings));
-            collect_fvs(default, out, siblings);
+        e.exit.operands().for_each(|v| val(v, bound, free));
+        e.exit.arms().for_each(|a| vars(a, bound, free));
+    }
+    for b in e.runs().flat_map(|r| &r.binds) {
+        let funs = b.funs();
+        let names: Vec<CVar> = funs.iter().map(|f| f.name).collect();
+        for f in funs {
+            let mut bound: FxHashSet<CVar> = FxHashSet::default();
+            bound.insert(f.name);
+            bound.extend(f.params.iter().map(|(p, _)| *p));
+            let mut free = BTreeSet::new();
+            vars(&f.body, &mut bound, &mut free);
+            out.insert(f.name, free);
+            siblings.insert(f.name, names.clone());
         }
-        Cexp::Branch { tru, fls, .. } => {
-            collect_fvs(tru, out, siblings);
-            collect_fvs(fls, out, siblings);
-        }
-        Cexp::App { .. } | Cexp::Halt { .. } => {}
     }
 }
 
@@ -409,196 +259,94 @@ impl Closer {
         self.var_cty.get(&v).copied().unwrap_or(Cty::Ptr(None))
     }
 
-    fn rv(&self, v: &Value, sub: &FxHashMap<CVar, Value>) -> Value {
-        match v {
-            Value::Var(x) => sub.get(x).cloned().unwrap_or(Value::Var(*x)),
-            other => other.clone(),
-        }
-    }
-
-    /// Rewrites an expression; `sub` maps original variables to local
-    /// values (closure selects, closure params, rebuilt siblings).
+    /// Rewrites a run; `sub` maps original variables to local values
+    /// (closure selects, closure params, rebuilt siblings). Each `Fix`
+    /// is lifted out and replaced by the closures of its escaping
+    /// members.
     fn go(&mut self, e: Cexp, sub: &FxHashMap<CVar, Value>) -> Cexp {
-        match e {
-            Cexp::Fix { funs, rest } => self.close_fix(funs, *rest, sub),
-            Cexp::Record {
-                fields,
-                nflt,
-                dst,
-                rest,
-            } => {
-                let fields = fields
-                    .into_iter()
-                    .map(|(v, c)| (self.rv(&v, sub), c))
-                    .collect();
-                let rest = self.go(*rest, sub);
-                Cexp::Record {
-                    fields,
-                    nflt,
-                    dst,
-                    rest: Box::new(rest),
-                }
+        // In place: each binding comes off the front of the run and its
+        // rewrite goes on the back.
+        let mut binds = e.binds;
+        for _ in 0..binds.len() {
+            let Some(mut b) = binds.pop_front() else {
+                break;
+            };
+            if let Bind::Fix { funs } = b {
+                self.close_fix(funs, sub, &mut binds);
+            } else {
+                b.operands_mut().for_each(|v| rv(v, sub));
+                binds.push_back(b);
             }
-            Cexp::Select {
-                rec,
-                word_off,
-                flt,
-                dst,
-                cty,
-                rest,
-            } => {
-                let rec = self.rv(&rec, sub);
-                let rest = self.go(*rest, sub);
-                Cexp::Select {
-                    rec,
-                    word_off,
-                    flt,
-                    dst,
-                    cty,
-                    rest: Box::new(rest),
-                }
-            }
-            Cexp::Pure {
-                op,
-                args,
-                dst,
-                cty,
-                rest,
-            } => {
-                let args = args.iter().map(|v| self.rv(v, sub)).collect();
-                let rest = self.go(*rest, sub);
-                Cexp::Pure {
-                    op,
-                    args,
-                    dst,
-                    cty,
-                    rest: Box::new(rest),
-                }
-            }
-            Cexp::Alloc {
-                op,
-                args,
-                dst,
-                rest,
-            } => {
-                let args = args.iter().map(|v| self.rv(v, sub)).collect();
-                let rest = self.go(*rest, sub);
-                Cexp::Alloc {
-                    op,
-                    args,
-                    dst,
-                    rest: Box::new(rest),
-                }
-            }
-            Cexp::Look {
-                op,
-                args,
-                dst,
-                cty,
-                rest,
-            } => {
-                let args = args.iter().map(|v| self.rv(v, sub)).collect();
-                let rest = self.go(*rest, sub);
-                Cexp::Look {
-                    op,
-                    args,
-                    dst,
-                    cty,
-                    rest: Box::new(rest),
-                }
-            }
-            Cexp::Set { op, args, rest } => {
-                let args = args.iter().map(|v| self.rv(v, sub)).collect();
-                let rest = self.go(*rest, sub);
-                Cexp::Set {
-                    op,
-                    args,
-                    rest: Box::new(rest),
-                }
-            }
-            Cexp::Switch {
-                v,
-                lo,
-                arms,
-                default,
-            } => {
-                let v = self.rv(&v, sub);
-                let arms = arms.into_iter().map(|a| self.go(a, sub)).collect();
-                let default = self.go(*default, sub);
-                Cexp::Switch {
-                    v,
-                    lo,
-                    arms,
-                    default: Box::new(default),
-                }
-            }
-            Cexp::Branch { op, args, tru, fls } => {
-                let args = args.iter().map(|v| self.rv(v, sub)).collect();
-                let tru = self.go(*tru, sub);
-                let fls = self.go(*fls, sub);
-                Cexp::Branch {
-                    op,
-                    args,
-                    tru: Box::new(tru),
-                    fls: Box::new(fls),
-                }
-            }
-            Cexp::App { f, args } => self.close_app(f, args, sub),
-            Cexp::Halt { v } => Cexp::Halt {
-                v: self.rv(&v, sub),
-            },
         }
+        let exit = match e.exit {
+            Exit::App { f, args } => self.close_app(f, args, sub, &mut binds),
+            mut x => {
+                x.operands_mut().for_each(|v| rv(v, sub));
+                for a in x.arms_mut() {
+                    *a = self.go(std::mem::take(a), sub);
+                }
+                x
+            }
+        };
+        Cexp { binds, exit }
     }
 
-    fn close_app(&mut self, f: Value, args: Vec<Value>, sub: &FxHashMap<CVar, Value>) -> Cexp {
-        let args: Vec<Value> = args.iter().map(|v| self.rv(v, sub)).collect();
+    fn close_app(
+        &mut self,
+        f: Value,
+        mut args: Vec<Value>,
+        sub: &FxHashMap<CVar, Value>,
+        binds: &mut VecDeque<Bind>,
+    ) -> Exit {
+        args.iter_mut().for_each(|v| rv(v, sub));
         match &f {
             Value::Var(x) | Value::Label(x) if self.fnnames.contains(x) => {
                 if self.escaping.contains(x) {
                     // Direct call to an escaping function: pass its
                     // closure (which `sub` maps its name to) plus args.
                     let clos = sub.get(x).cloned().unwrap_or(Value::Var(*x));
-                    let mut all = vec![clos];
-                    all.extend(args);
-                    Cexp::App {
-                        f: Value::Label(*x),
-                        args: all,
-                    }
+                    args.insert(0, clos);
                 } else {
                     // Known function: append its environment.
                     let env = self.env_of.get(x).cloned().unwrap_or_default();
-                    let mut all = args;
                     for v in env {
-                        all.push(sub.get(&v).cloned().unwrap_or(Value::Var(v)));
+                        args.push(sub.get(&v).cloned().unwrap_or(Value::Var(v)));
                     }
-                    Cexp::App {
-                        f: Value::Label(*x),
-                        args: all,
-                    }
+                }
+                Exit::App {
+                    f: Value::Label(*x),
+                    args,
                 }
             }
             _ => {
                 // Unknown call: load the code pointer from slot 0.
-                let fval = self.rv(&f, sub);
+                let mut fval = f;
+                rv(&mut fval, sub);
                 let code = self.fresh();
-                let mut all = vec![fval.clone()];
-                all.extend(args);
-                Cexp::Select {
+                args.insert(0, fval.clone());
+                binds.push_back(Bind::Select {
                     rec: fval,
                     word_off: 0,
                     flt: false,
                     dst: code,
                     cty: Cty::Fun,
-                    rest: Box::new(Cexp::App {
-                        f: Value::Var(code),
-                        args: all,
-                    }),
+                });
+                Exit::App {
+                    f: Value::Var(code),
+                    args,
                 }
             }
         }
     }
 
-    fn close_fix(&mut self, funs: Vec<FunDef>, rest: Cexp, sub: &FxHashMap<CVar, Value>) -> Cexp {
+    /// Lifts the functions of one `Fix`, then pushes onto `binds` the
+    /// closure record of each escaping member.
+    fn close_fix(
+        &mut self,
+        funs: Vec<FunDef>,
+        sub: &FxHashMap<CVar, Value>,
+        binds: &mut VecDeque<Bind>,
+    ) {
         let esc_members: Vec<CVar> = funs
             .iter()
             .filter(|f| self.escaping.contains(&f.name))
@@ -645,7 +393,7 @@ impl Closer {
                         sibling_builds.push((nv, *s));
                     }
                 }
-                let mut body = self.go(*f.body, &fsub);
+                let mut body = self.go(f.body, &fsub);
                 // Emit sibling closure rebuilds (reverse order so the
                 // first build is outermost).
                 for (nv, s) in sibling_builds.into_iter().rev() {
@@ -659,23 +407,23 @@ impl Closer {
                         fields.push((fsub[v].clone(), Cty::Flt));
                         nflt += 1;
                     }
-                    body = Cexp::Record {
+                    let record = Bind::Record {
                         fields,
                         nflt,
                         dst: nv,
-                        rest: Box::new(body),
                     };
+                    body = Cexp::bind(record, body);
                 }
                 // Emit the free-variable selects.
                 for (nv, off, flt, cty) in selects.into_iter().rev() {
-                    body = Cexp::Select {
+                    let select = Bind::Select {
                         rec: Value::Var(cparam),
                         word_off: off,
                         flt,
                         dst: nv,
                         cty,
-                        rest: Box::new(body),
                     };
+                    body = Cexp::bind(select, body);
                 }
                 let mut params = vec![(cparam, Cty::Ptr(None))];
                 params.extend(f.params.iter().copied());
@@ -683,7 +431,7 @@ impl Closer {
                     kind: f.kind,
                     name,
                     params,
-                    body: Box::new(body),
+                    body,
                 });
             } else {
                 // Known function: free variables become parameters under
@@ -699,7 +447,7 @@ impl Closer {
                             fsub.insert(*s, Value::Var(*s));
                         }
                     }
-                    self.go(*f.body, &fsub)
+                    self.go(f.body, &fsub)
                 };
                 let mut params = f.params.clone();
                 for v in &env {
@@ -709,15 +457,14 @@ impl Closer {
                     kind: f.kind,
                     name,
                     params,
-                    body: Box::new(body),
+                    body,
                 });
             }
         }
 
         // In the continuation of the Fix, build closures for the
         // escaping members.
-        let mut rest = self.go(rest, sub);
-        for name in esc_members.into_iter().rev() {
+        for name in esc_members {
             let env = self.env_of.get(&name).cloned().unwrap_or_default();
             let mut fields = vec![(Value::Label(name), Cty::Fun)];
             let mut nflt = 0;
@@ -728,13 +475,11 @@ impl Closer {
                 fields.push((sub.get(v).cloned().unwrap_or(Value::Var(*v)), Cty::Flt));
                 nflt += 1;
             }
-            rest = Cexp::Record {
+            binds.push_back(Bind::Record {
                 fields,
                 nflt,
                 dst: name,
-                rest: Box::new(rest),
-            };
+            });
         }
-        rest
     }
 }

@@ -13,6 +13,7 @@
 use crate::cps::*;
 use sml_ast::{FxHashMap, FxHashSet};
 use sml_lambda::{LVar, Lexp, Lty, LtyInterner, LtyKind, Primop};
+use std::collections::VecDeque;
 
 /// Argument/result flattening policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -477,44 +478,44 @@ impl Conv<'_> {
         match k {
             K::Fn(f) => f(self, v),
             K::Ret(kvar, want_lty) => self.ret_to(kvar, want_lty, v),
-            K::Done => Cexp::Halt { v },
+            K::Done => Exit::Halt { v }.into(),
         }
     }
 
     /// Returns `v` to continuation `kvar`, spreading per `res_lty`.
     fn ret_to(&mut self, kvar: CVar, res_lty: Lty, v: Value) -> Cexp {
-        match self.ret_spread_of(res_lty) {
-            None => Cexp::App {
+        let Some(fields) = self.ret_spread_of(res_lty) else {
+            return Exit::App {
                 f: Value::Var(kvar),
                 args: vec![v],
-            },
-            Some(fields) => {
-                // Select each component and pass them spread.
-                let mut args = Vec::with_capacity(fields.len());
-                let mut selects = Vec::new();
-                for idx in 0..fields.len() {
-                    let (off, flt, cty) = self.field_offset(&fields, idx);
-                    let dst = self.fresh();
-                    selects.push((off, flt, dst, cty));
-                    args.push(Value::Var(dst));
-                }
-                let mut body = Cexp::App {
-                    f: Value::Var(kvar),
-                    args,
-                };
-                for (off, flt, dst, cty) in selects.into_iter().rev() {
-                    body = Cexp::Select {
-                        rec: v.clone(),
-                        word_off: off,
-                        flt,
-                        dst,
-                        cty,
-                        rest: Box::new(body),
-                    };
-                }
-                body
             }
-        }
+            .into();
+        };
+        // Select each component and pass them spread.
+        let selects = self.spread_selects(&v, &fields);
+        let args = selects.iter().filter_map(Bind::binder);
+        let exit = Exit::App {
+            f: Value::Var(kvar),
+            args: args.map(|(x, _)| Value::Var(x)).collect(),
+        };
+        Cexp::new(selects, exit)
+    }
+
+    /// One `Select` per component of a record of the given field LTYs,
+    /// each into a fresh variable.
+    fn spread_selects(&mut self, rec: &Value, fields: &[Lty]) -> VecDeque<Bind> {
+        (0..fields.len())
+            .map(|idx| {
+                let (word_off, flt, cty) = self.field_offset(fields, idx);
+                Bind::Select {
+                    rec: rec.clone(),
+                    word_off,
+                    flt,
+                    dst: self.fresh(),
+                    cty,
+                }
+            })
+            .collect()
     }
 
     /// Builds the join continuation for a call with result type `rlty`;
@@ -531,7 +532,7 @@ impl Conv<'_> {
                     kind: FunKind::Cont,
                     name: kvar,
                     params: vec![(x, cty)],
-                    body: Box::new(body),
+                    body,
                 }
             }
             Some(fields) => {
@@ -549,16 +550,16 @@ impl Conv<'_> {
                 let rv = self.fresh();
                 self.env.insert(rv, rlty);
                 let body = self.apply_k(k, Value::Var(rv), rlty);
+                let record = Bind::Record {
+                    fields: phys,
+                    nflt,
+                    dst: rv,
+                };
                 FunDef {
                     kind: FunKind::Cont,
                     name: kvar,
                     params,
-                    body: Box::new(Cexp::Record {
-                        fields: phys,
-                        nflt,
-                        dst: rv,
-                        rest: Box::new(body),
-                    }),
+                    body: Cexp::bind(record, body),
                 }
             }
         };
@@ -591,10 +592,7 @@ impl Conv<'_> {
                 let def = self.convert_fn(name, FunKind::Escape, *v, *t, *r, body, None);
                 self.env.insert(name, arrow);
                 let rest = self.apply_k(k, Value::Var(name), arrow);
-                Cexp::Fix {
-                    funs: vec![def],
-                    rest: Box::new(rest),
-                }
+                Cexp::bind(Bind::Fix { funs: vec![def] }, rest)
             }
             Lexp::Fix(funs, body) => {
                 let mut defs = Vec::new();
@@ -617,10 +615,7 @@ impl Conv<'_> {
                     defs.push(def);
                 }
                 let rest = self.cexp(body, k);
-                Cexp::Fix {
-                    funs: defs,
-                    rest: Box::new(rest),
-                }
+                Cexp::bind(Bind::Fix { funs: defs }, rest)
             }
             Lexp::Let(v, a, b) => {
                 // No CPS code for the binding itself: convert `a`, alias
@@ -651,12 +646,8 @@ impl Conv<'_> {
                         let dst = me.fresh();
                         me.env.insert(dst, rec_lty);
                         let rest = me.apply_k(k, Value::Var(dst), rec_lty);
-                        Cexp::Record {
-                            fields: phys,
-                            nflt,
-                            dst,
-                            rest: Box::new(rest),
-                        }
+                        let fields = phys;
+                        Cexp::bind(Bind::Record { fields, nflt, dst }, rest)
                     }),
                 )
             }
@@ -688,14 +679,14 @@ impl Conv<'_> {
                         let dst = me.fresh();
                         me.env.insert(dst, out_lty);
                         let rest = me.apply_k(k, Value::Var(dst), out_lty);
-                        Cexp::Select {
+                        let select = Bind::Select {
                             rec: rv,
                             word_off: off,
                             flt,
                             dst,
                             cty,
-                            rest: Box::new(rest),
-                        }
+                        };
+                        Cexp::bind(select, rest)
                     })),
                 )
             }
@@ -716,13 +707,9 @@ impl Conv<'_> {
                         let dst = me.fresh();
                         me.env.insert(dst, boxed);
                         let rest = me.apply_k(k, Value::Var(dst), boxed);
-                        Cexp::Pure {
-                            op,
-                            args: vec![v],
-                            dst,
-                            cty: Cty::Ptr(None),
-                            rest: Box::new(rest),
-                        }
+                        let args = vec![v];
+                        let cty = Cty::Ptr(None);
+                        Cexp::bind(Bind::Pure { op, args, dst, cty }, rest)
                     })),
                 )
             }
@@ -739,13 +726,8 @@ impl Conv<'_> {
                         let dst = me.fresh();
                         me.env.insert(dst, t);
                         let rest = me.apply_k(k, Value::Var(dst), t);
-                        Cexp::Pure {
-                            op,
-                            args: vec![v],
-                            dst,
-                            cty,
-                            rest: Box::new(rest),
-                        }
+                        let args = vec![v];
+                        Cexp::bind(Bind::Pure { op, args, dst, cty }, rest)
                     })),
                 )
             }
@@ -753,16 +735,11 @@ impl Conv<'_> {
                 e,
                 K::Fn(Box::new(move |me: &mut Conv<'_>, packet: Value| {
                     let h = me.fresh();
-                    Cexp::Look {
-                        op: LookOp::GetHandler,
-                        args: Vec::new(),
-                        dst: h,
-                        cty: Cty::Fun,
-                        rest: Box::new(Cexp::App {
-                            f: Value::Var(h),
-                            args: vec![packet],
-                        }),
-                    }
+                    let raise = Exit::App {
+                        f: Value::Var(h),
+                        args: vec![packet],
+                    };
+                    Cexp::new(vec![get_handler(h)], raise)
                 })),
             ),
             Lexp::Handle(body, handler) => self.convert_handle(body, handler, k),
@@ -816,7 +793,7 @@ impl Conv<'_> {
                     kind,
                     name,
                     params: vec![(param, pcty), (kvar, Cty::Cnt)],
-                    body: Box::new(cbody),
+                    body: cbody,
                 }
             }
             Some(fields) => {
@@ -834,16 +811,16 @@ impl Conv<'_> {
                 let cbody = self.cexp(body, K::Ret(kvar, body_lty));
                 let mut all_params = params;
                 all_params.push((kvar, Cty::Cnt));
+                let record = Bind::Record {
+                    fields: phys,
+                    nflt,
+                    dst: param,
+                };
                 FunDef {
                     kind,
                     name,
                     params: all_params,
-                    body: Box::new(Cexp::Record {
-                        fields: phys,
-                        nflt,
-                        dst: param,
-                        rest: Box::new(cbody),
-                    }),
+                    body: Cexp::bind(record, cbody),
                 }
             }
         }
@@ -899,15 +876,8 @@ impl Conv<'_> {
 
                 let finish = move |_me: &mut Conv<'_>, mut args: Vec<Value>| -> Cexp {
                     args.push(Value::Var(kvar));
-                    let app = Cexp::App { f: fv, args };
-                    if kdefs.is_empty() {
-                        app
-                    } else {
-                        Cexp::Fix {
-                            funs: std::mem::take(&mut kdefs),
-                            rest: Box::new(app),
-                        }
-                    }
+                    let app = Exit::App { f: fv, args }.into();
+                    with_fix(std::mem::take(&mut kdefs), app)
                 };
 
                 match spread {
@@ -932,24 +902,12 @@ impl Conv<'_> {
                             me.cexp(
                                 &a,
                                 K::Fn(Box::new(move |me: &mut Conv<'_>, av: Value| {
-                                    let mut args = Vec::new();
-                                    let mut sels = Vec::new();
-                                    for idx in 0..fields.len() {
-                                        let (off, flt, cty) = me.field_offset(&fields, idx);
-                                        let dst = me.fresh();
-                                        sels.push((off, flt, dst, cty));
-                                        args.push(Value::Var(dst));
-                                    }
+                                    let sels = me.spread_selects(&av, &fields);
+                                    let args = sels.iter().filter_map(Bind::binder);
+                                    let args = args.map(|(x, _)| Value::Var(x)).collect();
                                     let mut body = finish(me, args);
-                                    for (off, flt, dst, cty) in sels.into_iter().rev() {
-                                        body = Cexp::Select {
-                                            rec: av.clone(),
-                                            word_off: off,
-                                            flt,
-                                            dst,
-                                            cty,
-                                            rest: Box::new(body),
-                                        };
+                                    for select in sels.into_iter().rev() {
+                                        body = Cexp::bind(select, body);
                                     }
                                     body
                                 })),
@@ -1007,40 +965,32 @@ impl Conv<'_> {
                     kind: FunKind::Cont,
                     name: dvar,
                     params: vec![(dparam, Cty::Int)],
-                    body: Box::new(dbody),
+                    body: dbody,
+                };
+                let to_default = || -> Cexp {
+                    Exit::App {
+                        f: Value::Var(dvar),
+                        args: vec![Value::Int(0)],
+                    }
+                    .into()
                 };
                 let mut table = Vec::new();
                 for slot in lo..=hi {
                     match arms_v.iter().find(|(n, _)| *n == slot) {
                         Some((_, e)) => table.push(me.cexp(e, mk_k(kv))),
-                        None => table.push(Cexp::App {
-                            f: Value::Var(dvar),
-                            args: vec![Value::Int(0)],
-                        }),
+                        None => table.push(to_default()),
                     }
                 }
-                Cexp::Fix {
-                    funs: vec![ddef],
-                    rest: Box::new(Cexp::Switch {
-                        v: sv,
-                        lo,
-                        arms: table,
-                        default: Box::new(Cexp::App {
-                            f: Value::Var(dvar),
-                            args: vec![Value::Int(0)],
-                        }),
-                    }),
-                }
+                let switch = Exit::Switch {
+                    v: sv,
+                    lo,
+                    arms: table,
+                    default: Box::new(to_default()),
+                };
+                Cexp::new(vec![Bind::Fix { funs: vec![ddef] }], switch)
             })),
         );
-        if defs.is_empty() {
-            body
-        } else {
-            Cexp::Fix {
-                funs: defs,
-                rest: Box::new(body),
-            }
-        }
+        with_fix(defs, body)
     }
 
     fn convert_if(&mut self, c: &Lexp, t: &Lexp, e: &Lexp, k: K<'_>) -> Cexp {
@@ -1064,14 +1014,7 @@ impl Conv<'_> {
             }
         };
         let body = self.convert_branch(c, t, e, ka, kb);
-        if defs.is_empty() {
-            body
-        } else {
-            Cexp::Fix {
-                funs: defs,
-                rest: Box::new(body),
-            }
-        }
+        with_fix(defs, body)
     }
 
     fn convert_branch(&mut self, c: &Lexp, t: &Lexp, e: &Lexp, ka: K<'_>, kb: K<'_>) -> Cexp {
@@ -1085,12 +1028,13 @@ impl Conv<'_> {
                     Box::new(move |me: &mut Conv<'_>, vals: Vec<Value>| {
                         let tru = me.cexp(&t, ka);
                         let fls = me.cexp(&e, kb);
-                        Cexp::Branch {
+                        Exit::Branch {
                             op: bop,
                             args: vals,
                             tru: Box::new(tru),
                             fls: Box::new(fls),
                         }
+                        .into()
                     }),
                 );
             }
@@ -1102,12 +1046,13 @@ impl Conv<'_> {
             K::Fn(Box::new(move |me: &mut Conv<'_>, cv: Value| {
                 let tru = me.cexp(&t, ka);
                 let fls = me.cexp(&e, kb);
-                Cexp::Branch {
+                Exit::Branch {
                     op: BranchOp::INe,
                     args: vec![cv, Value::Int(0)],
                     tru: Box::new(tru),
                     fls: Box::new(fls),
                 }
+                .into()
             })),
         )
     }
@@ -1117,25 +1062,23 @@ impl Conv<'_> {
         if let Some(bop) = branch_op(op) {
             let int = self.i.int();
             let (kvar, defs) = self.make_join(int, k);
+            let ret = move |b: i64| -> Box<Cexp> {
+                let (f, args) = (Value::Var(kvar), vec![Value::Int(b)]);
+                Box::new(Exit::App { f, args }.into())
+            };
             let body = self.cexps(
                 args,
-                Box::new(move |_me: &mut Conv<'_>, vals: Vec<Value>| Cexp::Branch {
-                    op: bop,
-                    args: vals,
-                    tru: Box::new(Cexp::App {
-                        f: Value::Var(kvar),
-                        args: vec![Value::Int(1)],
-                    }),
-                    fls: Box::new(Cexp::App {
-                        f: Value::Var(kvar),
-                        args: vec![Value::Int(0)],
-                    }),
+                Box::new(move |_me: &mut Conv<'_>, vals: Vec<Value>| {
+                    Exit::Branch {
+                        op: bop,
+                        args: vals,
+                        tru: ret(1),
+                        fls: ret(0),
+                    }
+                    .into()
                 }),
             );
-            return Cexp::Fix {
-                funs: defs,
-                rest: Box::new(body),
-            };
+            return Cexp::bind(Bind::Fix { funs: defs }, body);
         }
         if op == Primop::Callcc {
             return self.convert_callcc(&args[0], k);
@@ -1149,28 +1092,28 @@ impl Conv<'_> {
                     let kc = me.fresh();
                     let h = me.fresh();
                     // Continuation value is [cont closure, saved handler].
-                    Cexp::Select {
-                        rec: vals[0].clone(),
-                        word_off: 0,
-                        flt: false,
-                        dst: kc,
-                        cty: Cty::Cnt,
-                        rest: Box::new(Cexp::Select {
+                    let binds = vec![
+                        Bind::Select {
+                            rec: vals[0].clone(),
+                            word_off: 0,
+                            flt: false,
+                            dst: kc,
+                            cty: Cty::Cnt,
+                        },
+                        Bind::Select {
                             rec: vals[0].clone(),
                             word_off: 1,
                             flt: false,
                             dst: h,
                             cty: Cty::Fun,
-                            rest: Box::new(Cexp::Set {
-                                op: SetOp::SetHandler,
-                                args: vec![Value::Var(h)],
-                                rest: Box::new(Cexp::App {
-                                    f: Value::Var(kc),
-                                    args: vec![vals[1].clone()],
-                                }),
-                            }),
-                        }),
-                    }
+                        },
+                        set_handler(Value::Var(h)),
+                    ];
+                    let throw = Exit::App {
+                        f: Value::Var(kc),
+                        args: vec![vals[1].clone()],
+                    };
+                    Cexp::new(binds, throw)
                 }),
             );
         }
@@ -1191,47 +1134,29 @@ impl Conv<'_> {
                     };
                     me.env.insert(dst, res_lty);
                     let rest = me.apply_k(k, Value::Var(dst), res_lty);
-                    Cexp::Pure {
-                        op: p,
-                        args: vals,
-                        dst,
-                        cty,
-                        rest: Box::new(rest),
-                    }
+                    let (op, args) = (p, vals);
+                    Cexp::bind(Bind::Pure { op, args, dst, cty }, rest)
                 }
                 PrimKind::Alloc(a) => {
                     let dst = me.fresh();
                     let b = me.i.boxed();
                     me.env.insert(dst, b);
                     let rest = me.apply_k(k, Value::Var(dst), b);
-                    Cexp::Alloc {
-                        op: a,
-                        args: vals,
-                        dst,
-                        rest: Box::new(rest),
-                    }
+                    let (op, args) = (a, vals);
+                    Cexp::bind(Bind::Alloc { op, args, dst }, rest)
                 }
                 PrimKind::Look(l) => {
                     let dst = me.fresh();
                     let rb = me.i.rboxed();
                     me.env.insert(dst, rb);
                     let rest = me.apply_k(k, Value::Var(dst), rb);
-                    Cexp::Look {
-                        op: l,
-                        args: vals,
-                        dst,
-                        cty: Cty::Ptr(None),
-                        rest: Box::new(rest),
-                    }
+                    let (op, args, cty) = (l, vals, Cty::Ptr(None));
+                    Cexp::bind(Bind::Look { op, args, dst, cty }, rest)
                 }
                 PrimKind::Set(s) => {
                     let int = me.i.int();
                     let rest = me.apply_k(k, Value::Int(0), int);
-                    Cexp::Set {
-                        op: s,
-                        args: vals,
-                        rest: Box::new(rest),
-                    }
+                    Cexp::bind(Bind::Set { op: s, args: vals }, rest)
                 }
             }),
         )
@@ -1253,31 +1178,19 @@ impl Conv<'_> {
                 let cv = me.fresh();
                 let b = me.i.boxed();
                 me.env.insert(cv, b);
-                Cexp::Look {
-                    op: LookOp::GetHandler,
-                    args: Vec::new(),
-                    dst: h,
-                    cty: Cty::Fun,
-                    rest: Box::new(Cexp::Record {
-                        fields: vec![(Value::Var(kvar), Cty::Cnt), (Value::Var(h), Cty::Fun)],
-                        nflt: 0,
-                        dst: cv,
-                        rest: Box::new(Cexp::App {
-                            f: fv,
-                            args: vec![Value::Var(cv), Value::Var(kvar)],
-                        }),
-                    }),
-                }
+                let record = Bind::Record {
+                    fields: vec![(Value::Var(kvar), Cty::Cnt), (Value::Var(h), Cty::Fun)],
+                    nflt: 0,
+                    dst: cv,
+                };
+                let call = Exit::App {
+                    f: fv,
+                    args: vec![Value::Var(cv), Value::Var(kvar)],
+                };
+                Cexp::new(vec![get_handler(h), record], call)
             })),
         );
-        if defs.is_empty() {
-            body
-        } else {
-            Cexp::Fix {
-                funs: defs,
-                rest: Box::new(body),
-            }
-        }
+        with_fix(defs, body)
     }
 
     fn convert_handle(&mut self, body: &Lexp, handler: &Lexp, k: K<'_>) -> Cexp {
@@ -1285,14 +1198,14 @@ impl Conv<'_> {
         let old = self.fresh();
         // Join continuation: restore the handler, then continue.
         let kvar = self.fresh();
-        let (params, inner_k): (Vec<(CVar, Cty)>, Box<Cexp>) = {
+        let (params, inner_k): (Vec<(CVar, Cty)>, Cexp) = {
             match self.ret_spread_of(res_lty) {
                 None => {
                     let x = self.fresh();
                     let cty = self.cty(res_lty);
                     self.env.insert(x, res_lty);
                     let cont = self.apply_k(k, Value::Var(x), res_lty);
-                    (vec![(x, cty)], Box::new(cont))
+                    (vec![(x, cty)], cont)
                 }
                 Some(fields) => {
                     let params: Vec<(CVar, Cty)> = fields
@@ -1307,15 +1220,12 @@ impl Conv<'_> {
                     let rv = self.fresh();
                     self.env.insert(rv, res_lty);
                     let cont = self.apply_k(k, Value::Var(rv), res_lty);
-                    (
-                        params,
-                        Box::new(Cexp::Record {
-                            fields: phys,
-                            nflt,
-                            dst: rv,
-                            rest: Box::new(cont),
-                        }),
-                    )
+                    let record = Bind::Record {
+                        fields: phys,
+                        nflt,
+                        dst: rv,
+                    };
+                    (params, Cexp::bind(record, cont))
                 }
             }
         };
@@ -1323,11 +1233,7 @@ impl Conv<'_> {
             kind: FunKind::Cont,
             name: kvar,
             params,
-            body: Box::new(Cexp::Set {
-                op: SetOp::SetHandler,
-                args: vec![Value::Var(old)],
-                rest: inner_k,
-            }),
+            body: Cexp::bind(set_handler(Value::Var(old)), inner_k),
         };
 
         // The handler closure: restore the old handler, then run the
@@ -1339,40 +1245,51 @@ impl Conv<'_> {
             &handler,
             K::Fn(Box::new(move |me: &mut Conv<'_>, hv: Value| {
                 let pkt = me.fresh();
+                let handle = Exit::App {
+                    f: hv,
+                    args: vec![Value::Var(pkt), Value::Var(kvar)],
+                };
                 let hdef = FunDef {
                     kind: FunKind::Escape,
                     name: hname,
                     params: vec![(pkt, Cty::Ptr(None))],
-                    body: Box::new(Cexp::Set {
-                        op: SetOp::SetHandler,
-                        args: vec![Value::Var(old)],
-                        rest: Box::new(Cexp::App {
-                            f: hv,
-                            args: vec![Value::Var(pkt), Value::Var(kvar)],
-                        }),
-                    }),
+                    body: Cexp::new(vec![set_handler(Value::Var(old))], handle),
                 };
                 let inner = me.cexp(&body, K::Ret(kvar, res_lty));
-                Cexp::Fix {
-                    funs: vec![hdef],
-                    rest: Box::new(Cexp::Set {
-                        op: SetOp::SetHandler,
-                        args: vec![Value::Var(hname)],
-                        rest: Box::new(inner),
-                    }),
-                }
+                let inner = Cexp::bind(set_handler(Value::Var(hname)), inner);
+                Cexp::bind(Bind::Fix { funs: vec![hdef] }, inner)
             })),
         );
-        Cexp::Look {
-            op: LookOp::GetHandler,
-            args: Vec::new(),
-            dst: old,
-            cty: Cty::Fun,
-            rest: Box::new(Cexp::Fix {
-                funs: vec![kjoin],
-                rest: Box::new(hv_code),
-            }),
-        }
+        let hv_code = Cexp::bind(Bind::Fix { funs: vec![kjoin] }, hv_code);
+        Cexp::bind(get_handler(old), hv_code)
+    }
+}
+
+/// `body` after a `Fix` of `defs`, or `body` itself when `defs` is
+/// empty.
+fn with_fix(defs: Vec<FunDef>, body: Cexp) -> Cexp {
+    if defs.is_empty() {
+        body
+    } else {
+        Cexp::bind(Bind::Fix { funs: defs }, body)
+    }
+}
+
+/// Reads the current exception handler into `dst`.
+fn get_handler(dst: CVar) -> Bind {
+    Bind::Look {
+        op: LookOp::GetHandler,
+        args: Vec::new(),
+        dst,
+        cty: Cty::Fun,
+    }
+}
+
+/// Installs `h` as the exception handler.
+fn set_handler(h: Value) -> Bind {
+    Bind::Set {
+        op: SetOp::SetHandler,
+        args: vec![h],
     }
 }
 

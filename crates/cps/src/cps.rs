@@ -9,6 +9,7 @@
 //! file.
 
 use sml_lambda::Lty;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// A CPS variable.
@@ -168,22 +169,34 @@ pub enum BranchOp {
     IsBoxed,
 }
 
-/// A CPS expression (a tree of operations ending in applications).
+/// A CPS expression: one straight-line run of bindings, evaluated in
+/// order, ending in one exit. Every walker loops over a run and recurses
+/// only into its `Fix` bodies and its exit's arms, so a run's length
+/// costs no native stack.
+#[derive(Clone, Debug, PartialEq, Default)]
+pub struct Cexp {
+    /// The bindings, in evaluation order. A deque, so CPS conversion
+    /// can put each operator in front of its continuation in O(1).
+    pub binds: VecDeque<Bind>,
+    /// The transfer of control that ends the run.
+    pub exit: Exit,
+}
+
+/// A straight-line operator: it reads its operands, binds at most one
+/// variable (or, for `Fix`, a group of functions) and falls through to
+/// the next binding of its run.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Cexp {
-    /// Allocate a record. Fields are in **physical** order: raw float
-    /// fields first (`nflt` of them, two words each), then one-word
-    /// fields. The object descriptor records both lengths (paper
-    /// Figure 1c).
+pub enum Bind {
+    /// Allocate a record. Fields are in **physical** order: one-word
+    /// fields first, then `nflt` raw float fields (two words each). The
+    /// object descriptor records both lengths (paper Figure 1c).
     Record {
-        /// Field values with their CTYs, floats first.
+        /// Field values with their CTYs.
         fields: Vec<(Value, Cty)>,
-        /// Number of leading raw-float fields.
+        /// Number of trailing raw-float fields.
         nflt: usize,
         /// Destination variable (CTY `Ptr(len)`).
         dst: CVar,
-        /// Continuation.
-        rest: Box<Cexp>,
     },
     /// Load a field. `word_off` is the physical word offset (floats
     /// occupy two words).
@@ -198,8 +211,6 @@ pub enum Cexp {
         dst: CVar,
         /// Destination CTY.
         cty: Cty,
-        /// Continuation.
-        rest: Box<Cexp>,
     },
     /// Pure operator.
     Pure {
@@ -211,8 +222,6 @@ pub enum Cexp {
         dst: CVar,
         /// Destination CTY.
         cty: Cty,
-        /// Continuation.
-        rest: Box<Cexp>,
     },
     /// Mutable allocation.
     Alloc {
@@ -222,8 +231,6 @@ pub enum Cexp {
         args: Vec<Value>,
         /// Destination.
         dst: CVar,
-        /// Continuation.
-        rest: Box<Cexp>,
     },
     /// State read.
     Look {
@@ -235,8 +242,6 @@ pub enum Cexp {
         dst: CVar,
         /// Destination CTY.
         cty: Cty,
-        /// Continuation.
-        rest: Box<Cexp>,
     },
     /// State write.
     Set {
@@ -244,9 +249,18 @@ pub enum Cexp {
         op: SetOp,
         /// Arguments.
         args: Vec<Value>,
-        /// Continuation.
-        rest: Box<Cexp>,
     },
+    /// Function/continuation definitions, in scope for the rest of the
+    /// run (and for each other).
+    Fix {
+        /// The functions.
+        funs: Vec<FunDef>,
+    },
+}
+
+/// The end of a run: the only places control leaves straight-line code.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Exit {
     /// Dense integer dispatch (a jump table at the machine level).
     Switch {
         /// The scrutinee (a tagged integer or constant-constructor word).
@@ -270,13 +284,6 @@ pub enum Cexp {
         /// False continuation.
         fls: Box<Cexp>,
     },
-    /// Function/continuation definitions.
-    Fix {
-        /// The functions.
-        funs: Vec<FunDef>,
-        /// Scope of the definitions.
-        rest: Box<Cexp>,
-    },
     /// Tail application (the only transfer of control).
     App {
         /// Callee.
@@ -289,6 +296,13 @@ pub enum Cexp {
         /// Final value.
         v: Value,
     },
+}
+
+/// `halt 0`: the placeholder `std::mem::take` leaves behind.
+impl Default for Exit {
+    fn default() -> Exit {
+        Exit::Halt { v: Value::Int(0) }
+    }
 }
 
 /// Classification of a CPS function.
@@ -312,28 +326,169 @@ pub struct FunDef {
     /// Parameters with CTYs.
     pub params: Vec<(CVar, Cty)>,
     /// Body.
-    pub body: Box<Cexp>,
+    pub body: Cexp,
+}
+
+impl Bind {
+    /// The values this operator reads, in operand order.
+    pub fn operands(&self) -> impl Iterator<Item = &Value> {
+        let (fields, args): (&[(Value, Cty)], &[Value]) = match self {
+            Bind::Record { fields, .. } => (fields, &[]),
+            Bind::Select { rec, .. } => (&[], std::slice::from_ref(rec)),
+            Bind::Pure { args, .. }
+            | Bind::Alloc { args, .. }
+            | Bind::Look { args, .. }
+            | Bind::Set { args, .. } => (&[], args),
+            Bind::Fix { .. } => (&[], &[]),
+        };
+        fields.iter().map(|(v, _)| v).chain(args)
+    }
+
+    /// [`Bind::operands`], for rewriting in place.
+    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        let (fields, args): (&mut [(Value, Cty)], &mut [Value]) = match self {
+            Bind::Record { fields, .. } => (fields, &mut []),
+            Bind::Select { rec, .. } => (&mut [], std::slice::from_mut(rec)),
+            Bind::Pure { args, .. }
+            | Bind::Alloc { args, .. }
+            | Bind::Look { args, .. }
+            | Bind::Set { args, .. } => (&mut [], args),
+            Bind::Fix { .. } => (&mut [], &mut []),
+        };
+        fields.iter_mut().map(|(v, _)| v).chain(args)
+    }
+
+    /// The variable this operator binds and its CTY; `None` for `Set`
+    /// and for `Fix`, whose functions bind their names.
+    pub fn binder(&self) -> Option<(CVar, Cty)> {
+        match self {
+            Bind::Record { fields, nflt, dst } => {
+                Some((*dst, Cty::Ptr(Some((fields.len() + nflt) as u32))))
+            }
+            Bind::Alloc { dst, .. } => Some((*dst, Cty::Ptr(None))),
+            Bind::Select { dst, cty, .. }
+            | Bind::Pure { dst, cty, .. }
+            | Bind::Look { dst, cty, .. } => Some((*dst, *cty)),
+            Bind::Set { .. } | Bind::Fix { .. } => None,
+        }
+    }
+
+    /// The variable [`Bind::binder`] names, for renaming in place.
+    pub fn binder_mut(&mut self) -> Option<&mut CVar> {
+        match self {
+            Bind::Record { dst, .. }
+            | Bind::Select { dst, .. }
+            | Bind::Pure { dst, .. }
+            | Bind::Alloc { dst, .. }
+            | Bind::Look { dst, .. } => Some(dst),
+            Bind::Set { .. } | Bind::Fix { .. } => None,
+        }
+    }
+
+    /// The functions this binding defines: a `Fix`'s, none otherwise.
+    pub fn funs(&self) -> &[FunDef] {
+        match self {
+            Bind::Fix { funs } => funs,
+            _ => &[],
+        }
+    }
+}
+
+impl Exit {
+    /// The values this exit reads: a call's head, then its arguments.
+    pub fn operands(&self) -> impl Iterator<Item = &Value> {
+        let (head, args): (&[Value], &[Value]) = match self {
+            Exit::Switch { v, .. } | Exit::Halt { v } => (std::slice::from_ref(v), &[]),
+            Exit::Branch { args, .. } => (&[], args),
+            Exit::App { f, args } => (std::slice::from_ref(f), args),
+        };
+        head.iter().chain(args)
+    }
+
+    /// [`Exit::operands`], for rewriting in place.
+    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        let (head, args): (&mut [Value], &mut [Value]) = match self {
+            Exit::Switch { v, .. } | Exit::Halt { v } => (std::slice::from_mut(v), &mut []),
+            Exit::Branch { args, .. } => (&mut [], args),
+            Exit::App { f, args } => (std::slice::from_mut(f), args),
+        };
+        head.iter_mut().chain(args)
+    }
+
+    /// The runs control may continue in: a switch's arms and then its
+    /// default, a branch's true and then its false side.
+    pub fn arms(&self) -> impl Iterator<Item = &Cexp> {
+        let (arms, last): (&[Cexp], [Option<&Cexp>; 2]) = match self {
+            Exit::Switch { arms, default, .. } => (arms, [Some(default), None]),
+            Exit::Branch { tru, fls, .. } => (&[], [Some(tru), Some(fls)]),
+            Exit::App { .. } | Exit::Halt { .. } => (&[], [None, None]),
+        };
+        arms.iter().chain(last.into_iter().flatten())
+    }
+
+    /// [`Exit::arms`], for rewriting in place.
+    pub fn arms_mut(&mut self) -> impl Iterator<Item = &mut Cexp> {
+        let (arms, last): (&mut [Cexp], [Option<&mut Cexp>; 2]) = match self {
+            Exit::Switch { arms, default, .. } => (arms, [Some(default), None]),
+            Exit::Branch { tru, fls, .. } => (&mut [], [Some(tru), Some(fls)]),
+            Exit::App { .. } | Exit::Halt { .. } => (&mut [], [None, None]),
+        };
+        arms.iter_mut().chain(last.into_iter().flatten())
+    }
+}
+
+impl From<Exit> for Cexp {
+    fn from(exit: Exit) -> Cexp {
+        Cexp {
+            binds: VecDeque::new(),
+            exit,
+        }
+    }
 }
 
 impl Cexp {
-    /// Number of CPS operators (the middle-end code-size metric).
-    pub fn size(&self) -> usize {
-        match self {
-            Cexp::Record { rest, .. }
-            | Cexp::Select { rest, .. }
-            | Cexp::Pure { rest, .. }
-            | Cexp::Alloc { rest, .. }
-            | Cexp::Look { rest, .. }
-            | Cexp::Set { rest, .. } => 1 + rest.size(),
-            Cexp::Branch { tru, fls, .. } => 1 + tru.size() + fls.size(),
-            Cexp::Switch { arms, default, .. } => {
-                1 + default.size() + arms.iter().map(Cexp::size).sum::<usize>()
-            }
-            Cexp::Fix { funs, rest } => {
-                1 + rest.size() + funs.iter().map(|f| f.body.size()).sum::<usize>()
-            }
-            Cexp::App { .. } | Cexp::Halt { .. } => 1,
+    /// The run of `binds` ending in `exit`.
+    pub fn new(binds: impl Into<VecDeque<Bind>>, exit: Exit) -> Cexp {
+        Cexp {
+            binds: binds.into(),
+            exit,
         }
+    }
+
+    /// `rest` with `b` bound first, in amortized O(1).
+    pub fn bind(b: Bind, mut rest: Cexp) -> Cexp {
+        rest.binds.push_front(b);
+        rest
+    }
+
+    /// Every run of this expression, this one first: each run is
+    /// followed by the bodies of its `Fix`es and then its exit's arms,
+    /// each with its own runs (preorder). Uses a heap stack, not the
+    /// native one.
+    pub fn runs(&self) -> impl Iterator<Item = &Cexp> {
+        let mut stack = vec![self];
+        std::iter::from_fn(move || {
+            let run = stack.pop()?;
+            let at = stack.len();
+            let bodies = run.binds.iter().flat_map(Bind::funs);
+            stack.extend(bodies.map(|f| &f.body));
+            stack.extend(run.exit.arms());
+            stack[at..].reverse();
+            Some(run)
+        })
+    }
+
+    /// Number of CPS operators (the middle-end code-size metric): one
+    /// per binding (a `Fix` counts once) and one per exit, over every
+    /// run.
+    pub fn size(&self) -> usize {
+        let bodies = self
+            .binds
+            .iter()
+            .flat_map(Bind::funs)
+            .map(|f| f.body.size());
+        let arms = self.exit.arms().map(Cexp::size);
+        self.binds.len() + 1 + bodies.chain(arms).sum::<usize>()
     }
 }
 
@@ -383,13 +538,15 @@ mod tests {
 
     #[test]
     fn size_counts_operators() {
-        let e = Cexp::Pure {
-            op: PureOp::IAdd,
-            args: vec![Value::Int(1), Value::Int(2)],
-            dst: 0,
-            cty: Cty::Int,
-            rest: Box::new(Cexp::Halt { v: Value::Var(0) }),
-        };
+        let e = Cexp::new(
+            vec![Bind::Pure {
+                op: PureOp::IAdd,
+                args: vec![Value::Int(1), Value::Int(2)],
+                dst: 0,
+                cty: Cty::Int,
+            }],
+            Exit::Halt { v: Value::Var(0) },
+        );
         assert_eq!(e.size(), 2);
     }
 

@@ -30,7 +30,8 @@ pub mod verify;
 pub use closure::{close, ClosedProgram};
 pub use convert::{convert, CpsConfig, CpsProgram, SpreadMode};
 pub use cps::{
-    cty_of_lty, AllocOp, BranchOp, CVar, Cexp, Cty, FunDef, FunKind, LookOp, PureOp, SetOp, Value,
+    cty_of_lty, AllocOp, Bind, BranchOp, CVar, Cexp, Cty, Exit, FunDef, FunKind, LookOp, PureOp,
+    SetOp, Value,
 };
 pub use optimize::{floor_div, floor_mod, optimize, optimize_instrumented, OptConfig, OptStats};
 pub use verify::{verify_closed_program, verify_cps, CpsVerifySummary, CpsViolation};

@@ -90,13 +90,10 @@ pub fn optimize_instrumented<E>(
     for pass in 0..=cfg.inline_passes {
         // Contraction fixpoint.
         for _ in 0..cfg.max_rounds {
-            let mut ctx = Contract::new(&mut stats, prog.next_var);
-            let body = std::mem::replace(&mut prog.body, Cexp::Halt { v: Value::Int(0) });
-            ctx.census(&body);
-            let new = ctx.go(body);
-            prog.next_var = ctx.next;
+            let mut ctx = Contract::new(&mut stats);
+            ctx.census(&prog.body);
+            ctx.go(&mut prog.body);
             let changed = ctx.changed;
-            prog.body = new;
             stats.rounds += 1;
             if !changed {
                 break;
@@ -131,7 +128,6 @@ enum Def {
 
 struct Contract<'s> {
     stats: &'s mut OptStats,
-    next: u32,
     uses: FxHashMap<CVar, u32>,
     calls: FxHashMap<CVar, u32>,
     defs: FxHashMap<CVar, Def>,
@@ -142,10 +138,9 @@ struct Contract<'s> {
 }
 
 impl<'s> Contract<'s> {
-    fn new(stats: &'s mut OptStats, next: u32) -> Contract<'s> {
+    fn new(stats: &'s mut OptStats) -> Contract<'s> {
         Contract {
             stats,
-            next,
             uses: FxHashMap::default(),
             calls: FxHashMap::default(),
             defs: FxHashMap::default(),
@@ -155,55 +150,29 @@ impl<'s> Contract<'s> {
         }
     }
 
-    // ----- census ---------------------------------------------------------
-
-    fn use_val(&mut self, v: &Value) {
-        if let Value::Var(x) | Value::Label(x) = v {
-            *self.uses.entry(*x).or_insert(0) += 1;
+    /// Counts every occurrence of each variable, and the calls among
+    /// them.
+    fn census(&mut self, e: &Cexp) {
+        for b in &e.binds {
+            b.operands().for_each(|v| self.count_use(v));
+            for f in b.funs() {
+                self.census(&f.body);
+            }
         }
+        e.exit.operands().for_each(|v| self.count_use(v));
+        if let Exit::App {
+            f: Value::Var(x) | Value::Label(x),
+            ..
+        } = &e.exit
+        {
+            *self.calls.entry(*x).or_insert(0) += 1;
+        }
+        e.exit.arms().for_each(|a| self.census(a));
     }
 
-    fn census(&mut self, e: &Cexp) {
-        match e {
-            Cexp::Record { fields, rest, .. } => {
-                fields.iter().for_each(|(v, _)| self.use_val(v));
-                self.census(rest);
-            }
-            Cexp::Select { rec, rest, .. } => {
-                self.use_val(rec);
-                self.census(rest);
-            }
-            Cexp::Pure { args, rest, .. }
-            | Cexp::Alloc { args, rest, .. }
-            | Cexp::Look { args, rest, .. }
-            | Cexp::Set { args, rest, .. } => {
-                args.iter().for_each(|v| self.use_val(v));
-                self.census(rest);
-            }
-            Cexp::Switch {
-                v, arms, default, ..
-            } => {
-                self.use_val(v);
-                arms.iter().for_each(|a| self.census(a));
-                self.census(default);
-            }
-            Cexp::Branch { args, tru, fls, .. } => {
-                args.iter().for_each(|v| self.use_val(v));
-                self.census(tru);
-                self.census(fls);
-            }
-            Cexp::Fix { funs, rest } => {
-                funs.iter().for_each(|f| self.census(&f.body));
-                self.census(rest);
-            }
-            Cexp::App { f, args } => {
-                if let Value::Var(x) | Value::Label(x) = f {
-                    *self.calls.entry(*x).or_insert(0) += 1;
-                }
-                self.use_val(f);
-                args.iter().for_each(|v| self.use_val(v));
-            }
-            Cexp::Halt { v } => self.use_val(v),
+    fn count_use(&mut self, v: &Value) {
+        if let Value::Var(x) | Value::Label(x) = v {
+            *self.uses.entry(*x).or_insert(0) += 1;
         }
     }
 
@@ -223,282 +192,191 @@ impl<'s> Contract<'s> {
         }
     }
 
-    fn vals(&self, vs: Vec<Value>) -> Vec<Value> {
-        vs.into_iter().map(|v| self.val(v)).collect()
+    /// Applies the substitution to `v` in place.
+    fn subst_in(&self, v: &mut Value) {
+        *v = self.val(std::mem::replace(v, Value::Int(0)));
     }
 
-    fn go(&mut self, e: Cexp) -> Cexp {
-        match e {
-            Cexp::Record {
-                fields,
-                nflt,
-                dst,
-                mut rest,
-            } => {
-                let fields: Vec<(Value, Cty)> =
-                    fields.into_iter().map(|(v, c)| (self.val(v), c)).collect();
-                if self.n_uses(dst) == 0 {
-                    self.changed = true;
-                    self.stats.dead += 1;
-                    return self.go(*rest);
-                }
+    /// Contracts a run in place. A binding is deleted by not keeping
+    /// it; an exit that folds to one of its arms, or calls a function
+    /// pending beta-contraction, is replaced by that run's bindings and
+    /// exit, so the loop goes on in the spliced run.
+    fn go(&mut self, e: &mut Cexp) {
+        e.binds.retain_mut(|b| self.keep(b));
+        while let Some(mut next) = self.exit(&mut e.exit) {
+            next.binds.retain_mut(|b| self.keep(b));
+            e.binds.append(&mut next.binds);
+            e.exit = next.exit;
+        }
+    }
+
+    /// Contracts one binding; false when it is to be deleted.
+    fn keep(&mut self, b: &mut Bind) -> bool {
+        b.operands_mut().for_each(|v| self.subst_in(v));
+        if let Some((dst, _)) = b.binder() {
+            if self.n_uses(dst) == 0 {
+                self.changed = true;
+                self.stats.dead += 1;
+                return false;
+            }
+        }
+        match b {
+            Bind::Record { fields, nflt, dst } => {
                 // Record-copy elimination: all fields selected in order
                 // from one same-length record.
-                if let Some(orig) = self.record_copy_of(&fields, nflt) {
+                if let Some(orig) = self.record_copy_of(fields) {
                     self.changed = true;
                     self.stats.record_copies += 1;
-                    self.subst.insert(dst, orig);
-                    return self.go(*rest);
+                    self.subst.insert(*dst, orig);
+                    return false;
                 }
-                self.defs.insert(dst, Def::Record(fields.clone(), nflt));
-                *rest = self.go(*rest);
-                Cexp::Record {
-                    fields,
-                    nflt,
-                    dst,
-                    rest,
-                }
+                self.defs.insert(*dst, Def::Record(fields.clone(), *nflt));
             }
-            Cexp::Select {
+            Bind::Select {
                 rec,
                 word_off,
                 flt,
                 dst,
-                cty,
-                mut rest,
+                ..
             } => {
-                let rec = self.val(rec);
-                if self.n_uses(dst) == 0 {
-                    self.changed = true;
-                    self.stats.dead += 1;
-                    return self.go(*rest);
-                }
                 // Select from a known record.
-                if let Value::Var(r) = &rec {
-                    if let Some(Def::Record(fields, nflt)) = self.defs.get(r) {
-                        let idx = physical_index(fields, *nflt, word_off, flt);
-                        if let Some((v, _)) = idx.and_then(|i| fields.get(i)) {
-                            let v = v.clone();
-                            self.changed = true;
-                            self.subst.insert(dst, self.val(v));
-                            return self.go(*rest);
-                        }
+                if let Some(Def::Record(fields, nflt)) = self.var_def(rec) {
+                    let idx = physical_index(fields, *nflt, *word_off, *flt);
+                    if let Some((v, _)) = idx.and_then(|i| fields.get(i)) {
+                        let v = self.val(v.clone());
+                        self.changed = true;
+                        self.subst.insert(*dst, v);
+                        return false;
                     }
                 }
-                self.defs.insert(dst, Def::Select(rec.clone(), word_off));
-                *rest = self.go(*rest);
-                Cexp::Select {
-                    rec,
-                    word_off,
-                    flt,
-                    dst,
-                    cty,
-                    rest,
-                }
+                self.defs.insert(*dst, Def::Select(rec.clone(), *word_off));
             }
-            Cexp::Pure {
-                op,
-                args,
-                dst,
-                cty,
-                mut rest,
-            } => {
-                let args = self.vals(args);
-                if self.n_uses(dst) == 0 {
+            Bind::Pure { op, args, dst, .. } => {
+                if let Some((v, cancelled)) = self.pure_value(*op, args) {
                     self.changed = true;
-                    self.stats.dead += 1;
-                    return self.go(*rest);
+                    self.stats.wrap_cancelled += cancelled as u64;
+                    self.subst.insert(*dst, v);
+                    return false;
                 }
-                // Constant folding.
-                if let Some(v) = fold_pure(op, &args) {
-                    self.changed = true;
-                    self.subst.insert(dst, v);
-                    return self.go(*rest);
-                }
-                // Wrap/unwrap pair cancellation (paper §5.2).
-                if let Some(v) = self.cancel_wrap(op, &args) {
-                    self.changed = true;
-                    self.stats.wrap_cancelled += 1;
-                    self.subst.insert(dst, v);
-                    return self.go(*rest);
-                }
-                // Pointer casts of a known record are free.
-                if matches!(op, PureOp::PWrap | PureOp::PUnwrap) {
-                    if let Some(Value::Var(a)) = args.first().map(|v| self.val(v.clone())) {
-                        if matches!(self.defs.get(&a), Some(Def::Record(..))) {
-                            self.changed = true;
-                            self.stats.wrap_cancelled += 1;
-                            self.subst.insert(dst, Value::Var(a));
-                            return self.go(*rest);
-                        }
-                    }
-                }
-                self.defs.insert(dst, Def::Pure(op, args.first().cloned()));
-                *rest = self.go(*rest);
-                Cexp::Pure {
-                    op,
-                    args,
-                    dst,
-                    cty,
-                    rest,
-                }
+                self.defs
+                    .insert(*dst, Def::Pure(*op, args.first().cloned()));
             }
-            Cexp::Alloc {
-                op,
-                args,
-                dst,
-                mut rest,
-            } => {
-                let args = self.vals(args);
-                if self.n_uses(dst) == 0 {
-                    self.changed = true;
-                    self.stats.dead += 1;
-                    return self.go(*rest);
+            Bind::Fix { funs } => {
+                *funs = std::mem::take(funs)
+                    .into_iter()
+                    .filter_map(|f| self.keep_fun(f))
+                    .collect();
+                for f in funs.iter_mut() {
+                    self.go(&mut f.body);
                 }
-                *rest = self.go(*rest);
-                Cexp::Alloc {
-                    op,
-                    args,
-                    dst,
-                    rest,
-                }
+                return !funs.is_empty();
             }
-            Cexp::Look {
-                op,
-                args,
-                dst,
-                cty,
-                mut rest,
-            } => {
-                let args = self.vals(args);
-                if self.n_uses(dst) == 0 {
-                    self.changed = true;
-                    self.stats.dead += 1;
-                    return self.go(*rest);
-                }
-                *rest = self.go(*rest);
-                Cexp::Look {
-                    op,
-                    args,
-                    dst,
-                    cty,
-                    rest,
-                }
+            Bind::Alloc { .. } | Bind::Look { .. } | Bind::Set { .. } => {}
+        }
+        true
+    }
+
+    /// A `Fix`-bound function, or `None` when it is dead, pending
+    /// beta-contraction at its one call, or an eta-redex.
+    fn keep_fun(&mut self, f: FunDef) -> Option<FunDef> {
+        let uses = self.n_uses(f.name);
+        if uses == 0 {
+            self.changed = true;
+            self.stats.dead += 1;
+            return None;
+        }
+        let calls = self.calls.get(&f.name).copied().unwrap_or(0);
+        // Beta-contraction: exactly one occurrence, and it is a call.
+        if uses == 1 && calls == 1 {
+            self.changed = true;
+            self.stats.beta += 1;
+            self.pending_inline.insert(f.name, f);
+            return None;
+        }
+        // Eta: fn f(x...) = g(x...)  =>  f := g.
+        if let (true, Exit::App { f: g, args }) = (f.body.binds.is_empty(), &f.body.exit) {
+            let params_match = args.len() == f.params.len()
+                && args
+                    .iter()
+                    .zip(&f.params)
+                    .all(|(a, (p, _))| matches!(a, Value::Var(x) if x == p));
+            let self_free = !matches!(g, Value::Var(x) if *x == f.name);
+            if params_match && self_free {
+                self.changed = true;
+                self.subst.insert(f.name, g.clone());
+                return None;
             }
-            Cexp::Set { op, args, mut rest } => {
-                let args = self.vals(args);
-                *rest = self.go(*rest);
-                Cexp::Set { op, args, rest }
-            }
-            Cexp::Switch {
-                v,
+        }
+        Some(f)
+    }
+
+    /// Contracts an exit in place, recursing into its arms; returns the
+    /// run that replaces it when it folds or beta-contracts.
+    fn exit(&mut self, x: &mut Exit) -> Option<Cexp> {
+        x.operands_mut().for_each(|v| self.subst_in(v));
+        match x {
+            Exit::Switch {
+                v: Value::Int(n),
                 lo,
                 arms,
-                mut default,
+                default,
             } => {
-                let v = self.val(v);
-                if let Value::Int(n) = v {
-                    self.changed = true;
-                    let idx = n - lo;
-                    if idx >= 0 && (idx as usize) < arms.len() {
-                        let arm = arms.into_iter().nth(idx as usize).expect("in range");
-                        return self.go(arm);
-                    }
-                    return self.go(*default);
+                self.changed = true;
+                let idx = *n - *lo;
+                if idx >= 0 && (idx as usize) < arms.len() {
+                    return Some(arms.swap_remove(idx as usize));
                 }
-                let arms = arms.into_iter().map(|a| self.go(a)).collect();
-                *default = self.go(*default);
-                Cexp::Switch {
-                    v,
-                    lo,
-                    arms,
-                    default,
+                return Some(std::mem::take(&mut **default));
+            }
+            Exit::Branch { op, args, tru, fls } => {
+                if let Some(cond) = fold_branch(*op, args) {
+                    self.changed = true;
+                    return Some(std::mem::take(if cond { &mut **tru } else { &mut **fls }));
                 }
             }
-            Cexp::Branch {
-                op,
+            Exit::App {
+                f: Value::Var(f) | Value::Label(f),
                 args,
-                mut tru,
-                mut fls,
             } => {
-                let args = self.vals(args);
-                if let Some(cond) = fold_branch(op, &args) {
-                    self.changed = true;
-                    return self.go(if cond { *tru } else { *fls });
+                // Inline the once-called function: bind params to args.
+                let def = self.pending_inline.remove(f)?;
+                for ((p, _), a) in def.params.iter().zip(args.iter()) {
+                    self.subst.insert(*p, a.clone());
                 }
-                *tru = self.go(*tru);
-                *fls = self.go(*fls);
-                Cexp::Branch { op, args, tru, fls }
+                return Some(def.body);
             }
-            Cexp::Fix { funs, mut rest } => {
-                let mut kept: Vec<FunDef> = funs
-                    .into_iter()
-                    .filter_map(|f| {
-                        let uses = self.n_uses(f.name);
-                        if uses == 0 {
-                            self.changed = true;
-                            self.stats.dead += 1;
-                            return None;
-                        }
-                        let calls = self.calls.get(&f.name).copied().unwrap_or(0);
-                        // Beta-contraction: exactly one occurrence, and it
-                        // is a call.
-                        if uses == 1 && calls == 1 {
-                            self.changed = true;
-                            self.stats.beta += 1;
-                            self.pending_inline.insert(f.name, f);
-                            return None;
-                        }
-                        // Eta: fn f(x...) = g(x...)  =>  f := g.
-                        if let Cexp::App { f: g, args } = &*f.body {
-                            let params_match = args.len() == f.params.len()
-                                && args
-                                    .iter()
-                                    .zip(&f.params)
-                                    .all(|(a, (p, _))| matches!(a, Value::Var(x) if x == p));
-                            let self_free = !matches!(g, Value::Var(x) if *x == f.name);
-                            if params_match && self_free {
-                                self.changed = true;
-                                self.subst.insert(f.name, g.clone());
-                                return None;
-                            }
-                        }
-                        Some(f)
-                    })
-                    .collect();
-                for f in &mut kept {
-                    let body = std::mem::replace(&mut *f.body, Cexp::Halt { v: Value::Int(0) });
-                    *f.body = self.go(body);
-                }
-                *rest = self.go(*rest);
-                if kept.is_empty() {
-                    *rest
-                } else {
-                    Cexp::Fix { funs: kept, rest }
-                }
-            }
-            Cexp::App { f, args } => {
-                let f = self.val(f);
-                let args = self.vals(args);
-                if let Value::Var(x) | Value::Label(x) = &f {
-                    if let Some(def) = self.pending_inline.remove(x) {
-                        // Inline the once-called function: bind params to
-                        // args.
-                        let mut body = *def.body;
-                        for ((p, _), a) in def.params.iter().zip(&args) {
-                            self.subst.insert(*p, a.clone());
-                        }
-                        body = self.go(body);
-                        return body;
-                    }
-                }
-                Cexp::App { f, args }
-            }
-            Cexp::Halt { v } => Cexp::Halt { v: self.val(v) },
+            _ => {}
+        }
+        x.arms_mut().for_each(|a| self.go(a));
+        None
+    }
+
+    /// The value a `Pure` binding contracts to, if any, and whether that
+    /// cancels a wrap: constant folding first, then wrap/unwrap pair
+    /// cancellation (paper §5.2), of which a pointer cast of a known
+    /// record is one.
+    fn pure_value(&self, op: PureOp, args: &[Value]) -> Option<(Value, bool)> {
+        if let Some(v) = fold_pure(op, args) {
+            return Some((v, false));
+        }
+        if let Some(v) = self.cancel_wrap(op, args) {
+            return Some((v, true));
+        }
+        let a = args.first()?;
+        let cast = matches!(op, PureOp::PWrap | PureOp::PUnwrap)
+            && matches!(self.var_def(a), Some(Def::Record(..)));
+        cast.then(|| (a.clone(), true))
+    }
+
+    /// What the variable `v` names is bound to, if known.
+    fn var_def(&self, v: &Value) -> Option<&Def> {
+        match v {
+            Value::Var(x) => self.defs.get(x),
+            _ => None,
         }
     }
 
-    fn record_copy_of(&self, fields: &[(Value, Cty)], _nflt: usize) -> Option<Value> {
+    fn record_copy_of(&self, fields: &[(Value, Cty)]) -> Option<Value> {
         let first = fields.first()?;
         let Value::Var(v0) = &first.0 else {
             return None;
@@ -665,133 +543,77 @@ struct Inline<'s> {
 }
 
 impl Inline<'_> {
-    /// Expands, in place, every call to a registered small function.
+    /// Expands, in place, every call to a registered small function: the
+    /// renamed callee's run is spliced onto the caller's, whose exit it
+    /// takes.
     fn go(&mut self, e: &mut Cexp) {
-        match e {
-            Cexp::Fix { funs, rest } => {
-                for f in funs.iter() {
-                    if self.called.contains(&f.name)
-                        && size_at_most(&f.body, self.size_limit)
-                        && !calls_self(f)
-                    {
-                        self.bodies.insert(f.name, f.clone());
-                    }
+        for b in e.binds.iter_mut() {
+            let Bind::Fix { funs } = b else { continue };
+            for f in funs.iter() {
+                if self.called.contains(&f.name)
+                    && size_at_most(&f.body, self.size_limit)
+                    && !calls_self(f)
+                {
+                    self.bodies.insert(f.name, f.clone());
                 }
-                for f in funs.iter_mut() {
-                    self.go(&mut f.body);
-                }
-                self.go(rest);
             }
-            Cexp::App { f, args } => {
-                if self.budget <= 0 {
-                    return;
-                }
-                let (Value::Var(x) | Value::Label(x)) = f else {
-                    return;
-                };
-                let Some(def) = self.bodies.get(x) else {
-                    return;
-                };
-                if def.params.len() != args.len() {
-                    return;
-                }
-                self.stats.inlined += 1;
-                self.budget -= def.body.size() as i64;
-                let mut map: FxHashMap<CVar, Value> = FxHashMap::default();
-                for ((p, _), a) in def.params.iter().zip(args.iter()) {
-                    map.insert(*p, a.clone());
-                }
-                // Do not recursively inline into the freshly inlined body
-                // this pass.
-                *e = rename(&def.body, &mut map, &mut self.next);
+            for f in funs.iter_mut() {
+                self.go(&mut f.body);
             }
-            Cexp::Record { rest, .. }
-            | Cexp::Select { rest, .. }
-            | Cexp::Pure { rest, .. }
-            | Cexp::Alloc { rest, .. }
-            | Cexp::Look { rest, .. }
-            | Cexp::Set { rest, .. } => self.go(rest),
-            Cexp::Switch { arms, default, .. } => {
-                for a in arms {
-                    self.go(a);
-                }
-                self.go(default);
-            }
-            Cexp::Branch { tru, fls, .. } => {
-                self.go(tru);
-                self.go(fls);
-            }
-            Cexp::Halt { .. } => {}
         }
+        if let Exit::App {
+            f: Value::Var(x) | Value::Label(x),
+            args,
+        } = &e.exit
+        {
+            match self.bodies.get(x) {
+                Some(def) if self.budget > 0 && def.params.len() == args.len() => {
+                    self.stats.inlined += 1;
+                    self.budget -= def.body.size() as i64;
+                    let mut map: FxHashMap<CVar, Value> = FxHashMap::default();
+                    for ((p, _), a) in def.params.iter().zip(args.iter()) {
+                        map.insert(*p, a.clone());
+                    }
+                    // Do not recursively inline into the freshly inlined
+                    // body this pass.
+                    let mut body = def.body.clone();
+                    rename(&mut body, &mut map, &mut self.next);
+                    e.binds.append(&mut body.binds);
+                    e.exit = body.exit;
+                }
+                _ => {}
+            }
+            return;
+        }
+        e.exit.arms_mut().for_each(|a| self.go(a));
     }
 }
 
 /// The functions some `App` of `e` names.
 fn callees(e: &Cexp) -> FxHashSet<CVar> {
-    fn walk(e: &Cexp, out: &mut FxHashSet<CVar>) {
-        match e {
-            Cexp::Record { rest, .. }
-            | Cexp::Select { rest, .. }
-            | Cexp::Pure { rest, .. }
-            | Cexp::Alloc { rest, .. }
-            | Cexp::Look { rest, .. }
-            | Cexp::Set { rest, .. } => walk(rest, out),
-            Cexp::Switch { arms, default, .. } => {
-                for a in arms {
-                    walk(a, out);
-                }
-                walk(default, out);
-            }
-            Cexp::Branch { tru, fls, .. } => {
-                walk(tru, out);
-                walk(fls, out);
-            }
-            Cexp::Fix { funs, rest } => {
-                for f in funs {
-                    walk(&f.body, out);
-                }
-                walk(rest, out);
-            }
-            Cexp::App {
+    e.runs()
+        .filter_map(|r| match &r.exit {
+            Exit::App {
                 f: Value::Var(x) | Value::Label(x),
                 ..
-            } => {
-                out.insert(*x);
-            }
-            Cexp::App { .. } | Cexp::Halt { .. } => {}
-        }
-    }
-    let mut out = FxHashSet::default();
-    walk(e, &mut out);
-    out
+            } => Some(*x),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Whether `e` has at most `limit` nodes ([`Cexp::size`]). Stops
 /// counting once the limit is passed, so a large body costs no more
 /// than a small one.
 fn size_at_most(e: &Cexp, limit: usize) -> bool {
-    /// Charges each node to `left`; false once a node finds it empty.
+    /// Charges each run to `left`; false once a run finds too little.
     fn fits(e: &Cexp, left: &mut usize) -> bool {
-        if *left == 0 {
+        let Some(l) = left.checked_sub(e.binds.len() + 1) else {
             return false;
-        }
-        *left -= 1;
-        match e {
-            Cexp::Record { rest, .. }
-            | Cexp::Select { rest, .. }
-            | Cexp::Pure { rest, .. }
-            | Cexp::Alloc { rest, .. }
-            | Cexp::Look { rest, .. }
-            | Cexp::Set { rest, .. } => fits(rest, left),
-            Cexp::Branch { tru, fls, .. } => fits(tru, left) && fits(fls, left),
-            Cexp::Switch { arms, default, .. } => {
-                fits(default, left) && arms.iter().all(|a| fits(a, left))
-            }
-            Cexp::Fix { funs, rest } => {
-                fits(rest, left) && funs.iter().all(|f| fits(&f.body, left))
-            }
-            Cexp::App { .. } | Cexp::Halt { .. } => true,
-        }
+        };
+        *left = l;
+        let mut bodies = e.binds.iter().flat_map(Bind::funs);
+        bodies.all(|f| fits(&f.body, left)) && e.exit.arms().all(|a| fits(a, left))
     }
     let mut left = limit;
     fits(e, &mut left)
@@ -799,198 +621,60 @@ fn size_at_most(e: &Cexp, limit: usize) -> bool {
 
 fn calls_self(f: &FunDef) -> bool {
     fn uses(e: &Cexp, name: CVar) -> bool {
-        let val = |v: &Value| matches!(v, Value::Var(x) | Value::Label(x) if *x == name);
-        match e {
-            Cexp::Record { fields, rest, .. } => {
-                fields.iter().any(|(v, _)| val(v)) || uses(rest, name)
-            }
-            Cexp::Select { rec, rest, .. } => val(rec) || uses(rest, name),
-            Cexp::Pure { args, rest, .. }
-            | Cexp::Alloc { args, rest, .. }
-            | Cexp::Look { args, rest, .. }
-            | Cexp::Set { args, rest, .. } => args.iter().any(val) || uses(rest, name),
-            Cexp::Switch {
-                v, arms, default, ..
-            } => val(v) || arms.iter().any(|a| uses(a, name)) || uses(default, name),
-            Cexp::Branch { args, tru, fls, .. } => {
-                args.iter().any(val) || uses(tru, name) || uses(fls, name)
-            }
-            Cexp::Fix { funs, rest } => {
-                funs.iter().any(|g| uses(&g.body, name)) || uses(rest, name)
-            }
-            Cexp::App { f, args } => val(f) || args.iter().any(val),
-            Cexp::Halt { v } => val(v),
-        }
+        let is_name = |v: &Value| matches!(v, Value::Var(x) | Value::Label(x) if *x == name);
+        e.binds.iter().any(|b| b.operands().any(is_name))
+            || e.exit.operands().any(is_name)
+            || e.binds
+                .iter()
+                .flat_map(Bind::funs)
+                .any(|g| uses(&g.body, name))
+            || e.exit.arms().any(|a| uses(a, name))
     }
     uses(&f.body, f.name)
 }
 
-/// Alpha-renames an expression, substituting via `map` and freshening
-/// every binder.
-pub fn rename(e: &Cexp, map: &mut FxHashMap<CVar, Value>, next: &mut u32) -> Cexp {
-    let fresh = |next: &mut u32| {
+/// Alpha-renames an expression in place, substituting via `map` and
+/// freshening every binder.
+fn rename(e: &mut Cexp, map: &mut FxHashMap<CVar, Value>, next: &mut u32) {
+    let fresh = |old: CVar, map: &mut FxHashMap<CVar, Value>, next: &mut u32| {
         let v = *next;
         *next += 1;
+        map.insert(old, Value::Var(v));
         v
     };
-    let rv = |v: &Value, map: &FxHashMap<CVar, Value>| match v {
-        Value::Var(x) => map.get(x).cloned().unwrap_or(Value::Var(*x)),
-        Value::Label(x) => match map.get(x) {
-            Some(Value::Var(y)) => Value::Label(*y),
-            _ => Value::Label(*x),
-        },
-        other => other.clone(),
+    let rv = |v: &mut Value, map: &FxHashMap<CVar, Value>| match v {
+        Value::Var(x) => {
+            if let Some(new) = map.get(x) {
+                *v = new.clone();
+            }
+        }
+        Value::Label(x) => {
+            if let Some(Value::Var(y)) = map.get(x) {
+                *x = *y;
+            }
+        }
+        _ => {}
     };
-    match e {
-        Cexp::Record {
-            fields,
-            nflt,
-            dst,
-            rest,
-        } => {
-            let fields = fields.iter().map(|(v, c)| (rv(v, map), *c)).collect();
-            let nd = fresh(next);
-            map.insert(*dst, Value::Var(nd));
-            Cexp::Record {
-                fields,
-                nflt: *nflt,
-                dst: nd,
-                rest: Box::new(rename(rest, map, next)),
+    for b in e.binds.iter_mut() {
+        b.operands_mut().for_each(|v| rv(v, map));
+        if let Some(dst) = b.binder_mut() {
+            *dst = fresh(*dst, map, next);
+        }
+        if let Bind::Fix { funs } = b {
+            for f in funs.iter_mut() {
+                f.name = fresh(f.name, map, next);
+            }
+            for f in funs.iter_mut() {
+                for (p, _) in f.params.iter_mut() {
+                    *p = fresh(*p, map, next);
+                }
+                rename(&mut f.body, map, next);
             }
         }
-        Cexp::Select {
-            rec,
-            word_off,
-            flt,
-            dst,
-            cty,
-            rest,
-        } => {
-            let rec = rv(rec, map);
-            let nd = fresh(next);
-            map.insert(*dst, Value::Var(nd));
-            Cexp::Select {
-                rec,
-                word_off: *word_off,
-                flt: *flt,
-                dst: nd,
-                cty: *cty,
-                rest: Box::new(rename(rest, map, next)),
-            }
-        }
-        Cexp::Pure {
-            op,
-            args,
-            dst,
-            cty,
-            rest,
-        } => {
-            let args = args.iter().map(|v| rv(v, map)).collect();
-            let nd = fresh(next);
-            map.insert(*dst, Value::Var(nd));
-            Cexp::Pure {
-                op: *op,
-                args,
-                dst: nd,
-                cty: *cty,
-                rest: Box::new(rename(rest, map, next)),
-            }
-        }
-        Cexp::Alloc {
-            op,
-            args,
-            dst,
-            rest,
-        } => {
-            let args = args.iter().map(|v| rv(v, map)).collect();
-            let nd = fresh(next);
-            map.insert(*dst, Value::Var(nd));
-            Cexp::Alloc {
-                op: *op,
-                args,
-                dst: nd,
-                rest: Box::new(rename(rest, map, next)),
-            }
-        }
-        Cexp::Look {
-            op,
-            args,
-            dst,
-            cty,
-            rest,
-        } => {
-            let args = args.iter().map(|v| rv(v, map)).collect();
-            let nd = fresh(next);
-            map.insert(*dst, Value::Var(nd));
-            Cexp::Look {
-                op: *op,
-                args,
-                dst: nd,
-                cty: *cty,
-                rest: Box::new(rename(rest, map, next)),
-            }
-        }
-        Cexp::Set { op, args, rest } => Cexp::Set {
-            op: *op,
-            args: args.iter().map(|v| rv(v, map)).collect(),
-            rest: Box::new(rename(rest, map, next)),
-        },
-        Cexp::Switch {
-            v,
-            lo,
-            arms,
-            default,
-        } => Cexp::Switch {
-            v: rv(v, map),
-            lo: *lo,
-            arms: arms.iter().map(|a| rename(a, map, next)).collect(),
-            default: Box::new(rename(default, map, next)),
-        },
-        Cexp::Branch { op, args, tru, fls } => Cexp::Branch {
-            op: *op,
-            args: args.iter().map(|v| rv(v, map)).collect(),
-            tru: Box::new(rename(tru, map, next)),
-            fls: Box::new(rename(fls, map, next)),
-        },
-        Cexp::Fix { funs, rest } => {
-            for f in funs {
-                let nf = fresh(next);
-                map.insert(f.name, Value::Var(nf));
-            }
-            let funs = funs
-                .iter()
-                .map(|f| {
-                    let name = match map.get(&f.name) {
-                        Some(Value::Var(x)) => *x,
-                        _ => f.name,
-                    };
-                    let params: Vec<(CVar, Cty)> = f
-                        .params
-                        .iter()
-                        .map(|(p, c)| {
-                            let np = fresh(next);
-                            map.insert(*p, Value::Var(np));
-                            (np, *c)
-                        })
-                        .collect();
-                    FunDef {
-                        kind: f.kind,
-                        name,
-                        params,
-                        body: Box::new(rename(&f.body, map, next)),
-                    }
-                })
-                .collect();
-            Cexp::Fix {
-                funs,
-                rest: Box::new(rename(rest, map, next)),
-            }
-        }
-        Cexp::App { f, args } => Cexp::App {
-            f: rv(f, map),
-            args: args.iter().map(|v| rv(v, map)).collect(),
-        },
-        Cexp::Halt { v } => Cexp::Halt { v: rv(v, map) },
+    }
+    e.exit.operands_mut().for_each(|v| rv(v, map));
+    for a in e.exit.arms_mut() {
+        rename(a, map, next);
     }
 }
 
@@ -1002,30 +686,32 @@ mod tests {
     /// tree with each kind of branching node.
     #[test]
     fn size_at_most_agrees_with_size() {
-        let halt = |v| Box::new(Cexp::Halt { v: Value::Var(v) });
-        let branch = Cexp::Branch {
+        let halt = |v| Cexp::from(Exit::Halt { v: Value::Var(v) });
+        let call = Exit::App {
+            f: Value::Var(0),
+            args: vec![Value::Var(1)],
+        };
+        let branch = Exit::Branch {
             op: BranchOp::ILt,
             args: vec![Value::Var(1), Value::Int(0)],
-            tru: halt(1),
-            fls: Box::new(Cexp::App {
-                f: Value::Var(0),
-                args: vec![Value::Var(1)],
-            }),
+            tru: Box::new(halt(1)),
+            fls: Box::new(call.into()),
         };
-        let e = Cexp::Fix {
+        let fix = Bind::Fix {
             funs: vec![FunDef {
                 kind: FunKind::Known,
                 name: 0,
                 params: vec![(1, Cty::Int)],
-                body: Box::new(branch),
+                body: branch.into(),
             }],
-            rest: Box::new(Cexp::Switch {
-                v: Value::Var(2),
-                lo: 0,
-                arms: vec![Cexp::Halt { v: Value::Int(0) }, *halt(2)],
-                default: halt(3),
-            }),
         };
+        let switch = Exit::Switch {
+            v: Value::Var(2),
+            lo: 0,
+            arms: vec![Exit::Halt { v: Value::Int(0) }.into(), halt(2)],
+            default: Box::new(halt(3)),
+        };
+        let e = Cexp::new(vec![fix], switch);
         assert_eq!(e.size(), 8);
         for limit in 0..=9 {
             assert_eq!(size_at_most(&e, limit), limit >= 8, "limit {limit}");

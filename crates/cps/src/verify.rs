@@ -100,6 +100,17 @@ fn branch_arity(op: BranchOp) -> usize {
     }
 }
 
+/// A `prim-arity` violation unless `op` has the `want`ed operand count.
+fn arity(op: &dyn std::fmt::Debug, want: usize, got: usize) -> Result<(), CpsViolation> {
+    if want == got {
+        return Ok(());
+    }
+    Err(violation(
+        "prim-arity",
+        format!("{op:?} applied to {got} operands"),
+    ))
+}
+
 struct Vfy {
     next_var: u32,
     /// After closure conversion: lifted function name → arity.
@@ -156,175 +167,83 @@ impl Vfy {
         Ok(())
     }
 
+    /// Checks one run, its `Fix` bodies and its exit's arms; the run's
+    /// binders are in scope from their binding to the end of the run.
     fn walk(&mut self, e: &Cexp, scope: &mut FxHashSet<CVar>) -> Result<(), CpsViolation> {
-        self.sum.ops += 1;
-        match e {
-            Cexp::Record {
-                fields, dst, rest, ..
-            } => {
-                for (v, _) in fields {
-                    self.chk_val(v, scope)?;
+        self.sum.ops += e.binds.len() as u64 + 1;
+        for b in &e.binds {
+            match b {
+                Bind::Pure { op, args, dst, cty } => {
+                    arity(op, pure_arity(*op), args.len())?;
+                    if cty.is_word() != op.result_cty().is_word() {
+                        return Err(violation(
+                            "pure-cty",
+                            format!("{op:?} destination v{dst} annotated {cty:?}"),
+                        ));
+                    }
                 }
-                self.bind(*dst, scope)?;
-                self.walk(rest, scope)?;
-                scope.remove(dst);
-                Ok(())
-            }
-            Cexp::Select { rec, dst, rest, .. } => {
-                self.chk_val(rec, scope)?;
-                self.bind(*dst, scope)?;
-                self.walk(rest, scope)?;
-                scope.remove(dst);
-                Ok(())
-            }
-            Cexp::Pure {
-                op,
-                args,
-                dst,
-                cty,
-                rest,
-            } => {
-                if args.len() != pure_arity(*op) {
-                    return Err(violation(
-                        "prim-arity",
-                        format!("{op:?} applied to {} operands", args.len()),
-                    ));
-                }
-                if cty.is_word() != op.result_cty().is_word() {
-                    return Err(violation(
-                        "pure-cty",
-                        format!("{op:?} destination v{dst} annotated {cty:?}"),
-                    ));
-                }
-                for v in args {
-                    self.chk_val(v, scope)?;
-                }
-                self.bind(*dst, scope)?;
-                self.walk(rest, scope)?;
-                scope.remove(dst);
-                Ok(())
-            }
-            Cexp::Alloc {
-                op,
-                args,
-                dst,
-                rest,
-            } => {
-                if args.len() != alloc_arity(*op) {
-                    return Err(violation(
-                        "prim-arity",
-                        format!("{op:?} applied to {} operands", args.len()),
-                    ));
-                }
-                for v in args {
-                    self.chk_val(v, scope)?;
-                }
-                self.bind(*dst, scope)?;
-                self.walk(rest, scope)?;
-                scope.remove(dst);
-                Ok(())
-            }
-            Cexp::Look {
-                op,
-                args,
-                dst,
-                rest,
-                ..
-            } => {
-                if args.len() != look_arity(*op) {
-                    return Err(violation(
-                        "prim-arity",
-                        format!("{op:?} applied to {} operands", args.len()),
-                    ));
-                }
-                for v in args {
-                    self.chk_val(v, scope)?;
-                }
-                self.bind(*dst, scope)?;
-                self.walk(rest, scope)?;
-                scope.remove(dst);
-                Ok(())
-            }
-            Cexp::Set { op, args, rest } => {
-                if args.len() != set_arity(*op) {
-                    return Err(violation(
-                        "prim-arity",
-                        format!("{op:?} applied to {} operands", args.len()),
-                    ));
-                }
-                for v in args {
-                    self.chk_val(v, scope)?;
-                }
-                self.walk(rest, scope)
-            }
-            Cexp::Switch {
-                v, arms, default, ..
-            } => {
-                self.chk_val(v, scope)?;
-                for arm in arms {
-                    self.walk(arm, scope)?;
-                }
-                self.walk(default, scope)
-            }
-            Cexp::Branch { op, args, tru, fls } => {
-                if args.len() != branch_arity(*op) {
-                    return Err(violation(
-                        "prim-arity",
-                        format!("{op:?} applied to {} operands", args.len()),
-                    ));
-                }
-                for v in args {
-                    self.chk_val(v, scope)?;
-                }
-                self.walk(tru, scope)?;
-                self.walk(fls, scope)
-            }
-            Cexp::Fix { funs, rest } => {
-                if self.closed {
+                Bind::Alloc { op, args, .. } => arity(op, alloc_arity(*op), args.len())?,
+                Bind::Look { op, args, .. } => arity(op, look_arity(*op), args.len())?,
+                Bind::Set { op, args } => arity(op, set_arity(*op), args.len())?,
+                Bind::Fix { .. } if self.closed => {
                     return Err(violation(
                         "nested-fix",
                         "nested Fix survived closure conversion".into(),
                     ));
                 }
-                for f in funs {
-                    self.bind(f.name, scope)?;
-                    self.fn_arity.insert(f.name, f.params.len());
-                }
-                for f in funs {
-                    self.walk_fun(f, scope)?;
-                }
-                self.walk(rest, scope)?;
-                for f in funs {
-                    scope.remove(&f.name);
-                    self.fn_arity.remove(&f.name);
-                }
-                Ok(())
+                Bind::Record { .. } | Bind::Select { .. } | Bind::Fix { .. } => {}
             }
-            Cexp::App { f, args } => {
-                self.chk_val(f, scope)?;
-                for v in args {
-                    self.chk_val(v, scope)?;
-                }
-                // A closed-form `Var` call is an indirect jump through a
-                // closure pointer; its target is not statically known, so
-                // only direct (`Label` / `Fix`-bound) calls are checked.
-                let declared = match f {
-                    Value::Label(x) => self.labels.get(x),
-                    Value::Var(x) if !self.closed => self.fn_arity.get(x),
-                    _ => None,
-                };
-                if let Some(&n) = declared {
-                    if n != args.len() {
-                        return Err(violation(
-                            "app-arity",
-                            format!("call of {f} passes {} arguments, expects {n}", args.len()),
-                        ));
-                    }
-                }
-                Ok(())
+            for v in b.operands() {
+                self.chk_val(v, scope)?;
             }
-            Cexp::Halt { v } => self.chk_val(v, scope),
+            if let Some((dst, _)) = b.binder() {
+                self.bind(dst, scope)?;
+            }
+            for f in b.funs() {
+                self.bind(f.name, scope)?;
+                self.fn_arity.insert(f.name, f.params.len());
+            }
+            for f in b.funs() {
+                self.walk_fun(f, scope)?;
+            }
         }
+        if let Exit::Branch { op, args, .. } = &e.exit {
+            arity(op, branch_arity(*op), args.len())?;
+        }
+        for v in e.exit.operands() {
+            self.chk_val(v, scope)?;
+        }
+        if let Exit::App { f, args } = &e.exit {
+            // A closed-form `Var` call is an indirect jump through a
+            // closure pointer; its target is not statically known, so
+            // only direct (`Label` / `Fix`-bound) calls are checked.
+            let declared = match f {
+                Value::Label(x) => self.labels.get(x),
+                Value::Var(x) if !self.closed => self.fn_arity.get(x),
+                _ => None,
+            };
+            if let Some(&n) = declared {
+                if n != args.len() {
+                    return Err(violation(
+                        "app-arity",
+                        format!("call of {f} passes {} arguments, expects {n}", args.len()),
+                    ));
+                }
+            }
+        }
+        for arm in e.exit.arms() {
+            self.walk(arm, scope)?;
+        }
+        for b in &e.binds {
+            if let Some((dst, _)) = b.binder() {
+                scope.remove(&dst);
+            }
+            for f in b.funs() {
+                scope.remove(&f.name);
+                self.fn_arity.remove(&f.name);
+            }
+        }
+        Ok(())
     }
 
     fn walk_fun(&mut self, f: &FunDef, scope: &mut FxHashSet<CVar>) -> Result<(), CpsViolation> {
@@ -403,20 +322,22 @@ pub fn verify_closed_program(prog: &ClosedProgram) -> Result<CpsVerifySummary, C
 mod tests {
     use super::*;
 
-    fn halt(v: CVar) -> Box<Cexp> {
-        Box::new(Cexp::Halt { v: Value::Var(v) })
+    fn halt(v: CVar) -> Exit {
+        Exit::Halt { v: Value::Var(v) }
+    }
+
+    fn pure(op: PureOp, args: Vec<Value>, dst: CVar) -> Bind {
+        let cty = Cty::Int;
+        Bind::Pure { op, args, dst, cty }
     }
 
     #[test]
     fn accepts_straightline_program() {
         let prog = CpsProgram {
-            body: Cexp::Pure {
-                op: PureOp::IAdd,
-                args: vec![Value::Int(1), Value::Int(2)],
-                dst: 0,
-                cty: Cty::Int,
-                rest: halt(0),
-            },
+            body: Cexp::new(
+                vec![pure(PureOp::IAdd, vec![Value::Int(1), Value::Int(2)], 0)],
+                halt(0),
+            ),
             next_var: 1,
         };
         let sum = verify_cps(&prog).expect("well-formed");
@@ -426,7 +347,7 @@ mod tests {
     #[test]
     fn rejects_unbound_variable() {
         let prog = CpsProgram {
-            body: Cexp::Halt { v: Value::Var(7) },
+            body: halt(7).into(),
             next_var: 8,
         };
         assert_eq!(verify_cps(&prog).unwrap_err().rule, "unbound-var");
@@ -435,13 +356,7 @@ mod tests {
     #[test]
     fn rejects_var_above_watermark() {
         let prog = CpsProgram {
-            body: Cexp::Pure {
-                op: PureOp::INeg,
-                args: vec![Value::Int(1)],
-                dst: 9,
-                cty: Cty::Int,
-                rest: halt(9),
-            },
+            body: Cexp::new(vec![pure(PureOp::INeg, vec![Value::Int(1)], 9)], halt(9)),
             next_var: 3,
         };
         assert_eq!(verify_cps(&prog).unwrap_err().rule, "var-range");
@@ -450,13 +365,7 @@ mod tests {
     #[test]
     fn rejects_operator_arity_mismatch() {
         let prog = CpsProgram {
-            body: Cexp::Pure {
-                op: PureOp::IAdd,
-                args: vec![Value::Int(1)],
-                dst: 0,
-                cty: Cty::Int,
-                rest: halt(0),
-            },
+            body: Cexp::new(vec![pure(PureOp::IAdd, vec![Value::Int(1)], 0)], halt(0)),
             next_var: 1,
         };
         assert_eq!(verify_cps(&prog).unwrap_err().rule, "prim-arity");
@@ -468,16 +377,14 @@ mod tests {
             kind: FunKind::Known,
             name: 0,
             params: vec![(1, Cty::Int)],
-            body: halt(1),
+            body: halt(1).into(),
+        };
+        let call = Exit::App {
+            f: Value::Var(0),
+            args: vec![Value::Int(1), Value::Int(2)],
         };
         let prog = CpsProgram {
-            body: Cexp::Fix {
-                funs: vec![f],
-                rest: Box::new(Cexp::App {
-                    f: Value::Var(0),
-                    args: vec![Value::Int(1), Value::Int(2)],
-                }),
-            },
+            body: Cexp::new(vec![Bind::Fix { funs: vec![f] }], call),
             next_var: 2,
         };
         assert_eq!(verify_cps(&prog).unwrap_err().rule, "app-arity");
@@ -489,11 +396,11 @@ mod tests {
             kind: FunKind::Escape,
             name: 0,
             params: vec![(1, Cty::Int)],
-            body: Box::new(Cexp::Halt { v: Value::Var(2) }),
+            body: halt(2).into(),
         };
         let prog = ClosedProgram {
             funs: vec![f],
-            entry: Cexp::Halt { v: Value::Int(0) },
+            entry: Exit::Halt { v: Value::Int(0) }.into(),
             next_var: 3,
         };
         assert_eq!(

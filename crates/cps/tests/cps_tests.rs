@@ -4,6 +4,14 @@
 use sml_cps::{close, convert, optimize, verify_closed_program, CpsConfig, OptConfig, SpreadMode};
 use sml_lambda::{translate, InternMode, LambdaConfig};
 
+/// The `Record` bindings of every run of `e`.
+fn count_records(e: &sml_cps::Cexp) -> usize {
+    e.runs()
+        .flat_map(|r| &r.binds)
+        .filter(|b| matches!(b, sml_cps::Bind::Record { .. }))
+        .count()
+}
+
 struct Variant {
     name: &'static str,
     lam: LambdaConfig,
@@ -175,22 +183,8 @@ fn spread_reduces_allocation_sites() {
     let nrp = pipeline(src, &vs[0]);
     let ffb = pipeline(src, &vs[3]);
     let count_records = |p: &sml_cps::ClosedProgram| {
-        fn c(e: &sml_cps::Cexp) -> usize {
-            match e {
-                sml_cps::Cexp::Record { rest, .. } => 1 + c(rest),
-                sml_cps::Cexp::Select { rest, .. }
-                | sml_cps::Cexp::Pure { rest, .. }
-                | sml_cps::Cexp::Alloc { rest, .. }
-                | sml_cps::Cexp::Look { rest, .. }
-                | sml_cps::Cexp::Set { rest, .. } => c(rest),
-                sml_cps::Cexp::Branch { tru, fls, .. } => c(tru) + c(fls),
-                sml_cps::Cexp::Fix { funs, rest } => {
-                    c(rest) + funs.iter().map(|f| c(&f.body)).sum::<usize>()
-                }
-                _ => 0,
-            }
-        }
-        c(&p.entry) + p.funs.iter().map(|f| c(&f.body)).sum::<usize>()
+        let bodies = std::iter::once(&p.entry).chain(p.funs.iter().map(|f| &f.body));
+        bodies.map(count_records).sum::<usize>()
     };
     assert!(
         count_records(&ffb) <= count_records(&nrp),
@@ -404,22 +398,10 @@ fn switch_constant_folds() {
     let mut tr = translate(&elab, &v.lam);
     let mut cps = convert(&tr.lexp, &mut tr.interner, tr.n_vars, &v.cps);
     optimize(&mut cps, &OptConfig::default());
-    fn has_switch(e: &sml_cps::Cexp) -> bool {
-        match e {
-            sml_cps::Cexp::Switch { .. } => true,
-            sml_cps::Cexp::Record { rest, .. }
-            | sml_cps::Cexp::Select { rest, .. }
-            | sml_cps::Cexp::Pure { rest, .. }
-            | sml_cps::Cexp::Alloc { rest, .. }
-            | sml_cps::Cexp::Look { rest, .. }
-            | sml_cps::Cexp::Set { rest, .. } => has_switch(rest),
-            sml_cps::Cexp::Branch { tru, fls, .. } => has_switch(tru) || has_switch(fls),
-            sml_cps::Cexp::Fix { funs, rest } => {
-                funs.iter().any(|f| has_switch(&f.body)) || has_switch(rest)
-            }
-            _ => false,
-        }
-    }
+    let has_switch = |e: &sml_cps::Cexp| {
+        e.runs()
+            .any(|r| matches!(r.exit, sml_cps::Exit::Switch { .. }))
+    };
     assert!(!has_switch(&cps.body), "constant switch must fold away");
 }
 
@@ -438,23 +420,5 @@ fn dead_allocation_removed() {
     );
     // Even the built-in exception-tag records are dead here (no exceptions
     // used), so no Record nodes survive at all.
-    fn count_records(e: &sml_cps::Cexp) -> usize {
-        match e {
-            sml_cps::Cexp::Record { rest, .. } => 1 + count_records(rest),
-            sml_cps::Cexp::Select { rest, .. }
-            | sml_cps::Cexp::Pure { rest, .. }
-            | sml_cps::Cexp::Alloc { rest, .. }
-            | sml_cps::Cexp::Look { rest, .. }
-            | sml_cps::Cexp::Set { rest, .. } => count_records(rest),
-            sml_cps::Cexp::Branch { tru, fls, .. } => count_records(tru) + count_records(fls),
-            sml_cps::Cexp::Switch { arms, default, .. } => {
-                arms.iter().map(count_records).sum::<usize>() + count_records(default)
-            }
-            sml_cps::Cexp::Fix { funs, rest } => {
-                funs.iter().map(|f| count_records(&f.body)).sum::<usize>() + count_records(rest)
-            }
-            _ => 0,
-        }
-    }
     assert_eq!(count_records(&cps.body), 0, "no record allocations survive");
 }

@@ -18,7 +18,7 @@
 //! rules depending on surrounding context, and only rejection itself is
 //! asserted.
 
-use sml_cps::{CVar, Cexp, ClosedProgram, CpsProgram, Cty, Value};
+use sml_cps::{Bind, CVar, Cexp, ClosedProgram, CpsProgram, Cty, Exit, Value};
 use sml_lambda::{Lexp, Lty, LtyInterner};
 use sml_vm::isa::AllocKind;
 use sml_vm::{Instr, MachineProgram};
@@ -280,63 +280,53 @@ pub struct CpsMutation {
     pub apply: fn(&mut CpsProgram) -> bool,
 }
 
-/// Pre-order walk over CPS expressions; stops at the first node `f`
+/// One CPS operator: a binding of a run, or the exit that ends it.
+enum Node<'a> {
+    Bind(&'a mut Bind),
+    Exit(&'a mut Exit),
+}
+
+/// Pre-order walk over CPS operators (each binding, then the bodies of
+/// a `Fix`; each exit, then its arms); stops at the first operator `f`
 /// rewrites.
-fn walk_cexp(e: &mut Cexp, f: &mut dyn FnMut(&mut Cexp) -> bool) -> bool {
-    if f(e) {
-        return true;
-    }
-    match e {
-        Cexp::Record { rest, .. }
-        | Cexp::Select { rest, .. }
-        | Cexp::Pure { rest, .. }
-        | Cexp::Alloc { rest, .. }
-        | Cexp::Look { rest, .. }
-        | Cexp::Set { rest, .. } => walk_cexp(rest, f),
-        Cexp::Branch { tru, fls, .. } => walk_cexp(tru, f) || walk_cexp(fls, f),
-        Cexp::Switch { arms, default, .. } => {
-            arms.iter_mut().any(|a| walk_cexp(a, f)) || walk_cexp(default, f)
+fn walk_cexp(e: &mut Cexp, f: &mut dyn FnMut(Node<'_>) -> bool) -> bool {
+    for b in e.binds.iter_mut() {
+        if f(Node::Bind(b)) {
+            return true;
         }
-        Cexp::Fix { funs, rest } => {
-            for fun in funs.iter_mut() {
-                if walk_cexp(&mut fun.body, f) {
-                    return true;
-                }
+        if let Bind::Fix { funs } = b {
+            if funs.iter_mut().any(|fun| walk_cexp(&mut fun.body, f)) {
+                return true;
             }
-            walk_cexp(rest, f)
         }
-        Cexp::App { .. } | Cexp::Halt { .. } => false,
     }
+    f(Node::Exit(&mut e.exit)) || e.exit.arms_mut().any(|a| walk_cexp(a, f))
 }
 
 /// Pre-order walk over every [`Value`] position; stops at the first
 /// value `f` rewrites.
 fn walk_values(e: &mut Cexp, f: &mut dyn FnMut(&mut Value) -> bool) -> bool {
     walk_cexp(e, &mut |x| match x {
-        Cexp::Record { fields, .. } => fields.iter_mut().any(|(v, _)| f(v)),
-        Cexp::Select { rec, .. } => f(rec),
-        Cexp::Pure { args, .. }
-        | Cexp::Alloc { args, .. }
-        | Cexp::Look { args, .. }
-        | Cexp::Set { args, .. }
-        | Cexp::Branch { args, .. } => args.iter_mut().any(&mut *f),
-        Cexp::Switch { v, .. } => f(v),
-        Cexp::App { f: callee, args } => f(callee) || args.iter_mut().any(&mut *f),
-        Cexp::Halt { v } => f(v),
-        Cexp::Fix { .. } => false,
+        Node::Bind(b) => b.operands_mut().any(&mut *f),
+        Node::Exit(x) => x.operands_mut().any(&mut *f),
     })
 }
 
-/// The destination variable of a binding operator, if `e` is one.
-fn binder_of(e: &mut Cexp) -> Option<&mut CVar> {
-    match e {
-        Cexp::Record { dst, .. }
-        | Cexp::Select { dst, .. }
-        | Cexp::Pure { dst, .. }
-        | Cexp::Alloc { dst, .. }
-        | Cexp::Look { dst, .. } => Some(dst),
-        _ => None,
-    }
+/// Pre-order walk over every binding; stops at the first one `f`
+/// rewrites.
+fn walk_binds(e: &mut Cexp, f: &mut dyn FnMut(&mut Bind) -> bool) -> bool {
+    walk_cexp(e, &mut |x| match x {
+        Node::Bind(b) => f(b),
+        Node::Exit(_) => false,
+    })
+}
+
+/// Pre-order walk over every exit; stops at the first one `f` rewrites.
+fn walk_exits(e: &mut Cexp, f: &mut dyn FnMut(&mut Exit) -> bool) -> bool {
+    walk_cexp(e, &mut |x| match x {
+        Node::Exit(x) => f(x),
+        Node::Bind(_) => false,
+    })
 }
 
 /// The full CPS corruption catalog (8 mutations).
@@ -360,8 +350,8 @@ pub fn cps_mutations() -> Vec<CpsMutation> {
             expect_rule: Some("var-range"),
             apply: |p| {
                 let limit = p.next_var;
-                walk_cexp(&mut p.body, &mut |x| {
-                    if let Some(dst) = binder_of(x) {
+                walk_binds(&mut p.body, &mut |b| {
+                    if let Some(dst) = b.binder_mut() {
                         *dst = limit + 7;
                         return true;
                     }
@@ -376,8 +366,8 @@ pub fn cps_mutations() -> Vec<CpsMutation> {
                 // Make the second binder in pre-order shadow the first;
                 // pre-order guarantees it sits inside the first's scope.
                 let mut first: Option<CVar> = None;
-                walk_cexp(&mut p.body, &mut |x| {
-                    if let Some(dst) = binder_of(x) {
+                walk_binds(&mut p.body, &mut |b| {
+                    if let Some(dst) = b.binder_mut() {
                         match first {
                             None => {
                                 first = Some(*dst);
@@ -398,8 +388,8 @@ pub fn cps_mutations() -> Vec<CpsMutation> {
             name: "cps-prim-extra-arg",
             expect_rule: Some("prim-arity"),
             apply: |p| {
-                walk_cexp(&mut p.body, &mut |x| {
-                    if let Cexp::Pure { args, .. } = x {
+                walk_binds(&mut p.body, &mut |b| {
+                    if let Bind::Pure { args, .. } = b {
                         args.push(Value::Int(0));
                         return true;
                     }
@@ -411,8 +401,8 @@ pub fn cps_mutations() -> Vec<CpsMutation> {
             name: "cps-pure-cty-flip",
             expect_rule: Some("pure-cty"),
             apply: |p| {
-                walk_cexp(&mut p.body, &mut |x| {
-                    if let Cexp::Pure { cty, .. } = x {
+                walk_binds(&mut p.body, &mut |b| {
+                    if let Bind::Pure { cty, .. } = b {
                         *cty = if cty.is_word() { Cty::Flt } else { Cty::Int };
                         return true;
                     }
@@ -424,8 +414,8 @@ pub fn cps_mutations() -> Vec<CpsMutation> {
             name: "cps-param-dup",
             expect_rule: Some("param-dup"),
             apply: |p| {
-                walk_cexp(&mut p.body, &mut |x| {
-                    if let Cexp::Fix { funs, .. } = x {
+                walk_binds(&mut p.body, &mut |b| {
+                    if let Bind::Fix { funs } = b {
                         for fun in funs.iter_mut() {
                             if fun.params.len() >= 2 {
                                 fun.params[1].0 = fun.params[0].0;
@@ -441,8 +431,8 @@ pub fn cps_mutations() -> Vec<CpsMutation> {
             name: "cps-label-early",
             expect_rule: Some("label-before-closure"),
             apply: |p| {
-                walk_cexp(&mut p.body, &mut |x| {
-                    if let Cexp::Halt { v } = x {
+                walk_exits(&mut p.body, &mut |x| {
+                    if let Exit::Halt { v } = x {
                         *v = Value::Label(0);
                         return true;
                     }
@@ -457,14 +447,14 @@ pub fn cps_mutations() -> Vec<CpsMutation> {
                 // Find a fix-bound function and a direct call to it,
                 // then grow the call by one argument.
                 let mut names: Vec<CVar> = Vec::new();
-                walk_cexp(&mut p.body, &mut |x| {
-                    if let Cexp::Fix { funs, .. } = x {
+                walk_binds(&mut p.body, &mut |b| {
+                    if let Bind::Fix { funs } = b {
                         names.extend(funs.iter().map(|fun| fun.name));
                     }
                     false
                 });
-                walk_cexp(&mut p.body, &mut |x| {
-                    if let Cexp::App {
+                walk_exits(&mut p.body, &mut |x| {
+                    if let Exit::App {
                         f: Value::Var(v),
                         args,
                     } = x
@@ -526,9 +516,10 @@ pub fn closed_mutations() -> Vec<ClosedMutation> {
             name: "closed-entry-unbound",
             expect_rule: Some("unbound-var"),
             apply: |p| {
-                p.entry = Cexp::Halt {
+                p.entry = Exit::Halt {
                     v: Value::Var(p.next_var.saturating_sub(1)),
-                };
+                }
+                .into();
                 true
             },
         },
@@ -539,11 +530,8 @@ pub fn closed_mutations() -> Vec<ClosedMutation> {
                 let Some(fun) = p.funs.first_mut() else {
                     return false;
                 };
-                let body = std::mem::replace(&mut *fun.body, Cexp::Halt { v: Value::Int(0) });
-                *fun.body = Cexp::Fix {
-                    funs: Vec::new(),
-                    rest: Box::new(body),
-                };
+                let fix = Bind::Fix { funs: Vec::new() };
+                fun.body.binds.push_front(fix);
                 true
             },
         },
@@ -566,8 +554,8 @@ pub fn closed_mutations() -> Vec<ClosedMutation> {
             expect_rule: Some("app-arity"),
             apply: |p| {
                 let grow = |e: &mut Cexp| {
-                    walk_cexp(e, &mut |x| {
-                        if let Cexp::App {
+                    walk_exits(e, &mut |x| {
+                        if let Exit::App {
                             f: Value::Label(_),
                             args,
                         } = x

@@ -13,9 +13,9 @@
 use crate::isa::*;
 use sml_ast::{FxHashMap, FxHashSet};
 use sml_cps::{
-    AllocOp, BranchOp, CVar, Cexp, ClosedProgram, Cty, FunDef, LookOp, PureOp, SetOp, Value,
+    AllocOp, Bind, BranchOp, CVar, Cexp, ClosedProgram, Cty, Exit, LookOp, PureOp, SetOp, Value,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Maximum word parameters before trailing parameters are packed into a
 /// record (the spill-record transformation).
@@ -161,50 +161,37 @@ fn limit_params(prog: &ClosedProgram) -> Option<ClosedProgram> {
         .funs
         .iter()
         .map(|f| {
+            let mut f = f.clone();
             let Some(&keep) = packed.get(&f.name) else {
-                let mut f2 = f.clone();
-                *f2.body = rewrite_calls(&f.body, &packed, &mut next);
-                return f2;
+                rewrite_calls(&mut f.body, &packed, &mut next);
+                return f;
             };
-            let kept: Vec<(CVar, Cty)> = f.params[..keep].to_vec();
-            let rest: Vec<(CVar, Cty)> = f.params[keep..].to_vec();
+            let rest = f.params.split_off(keep);
             let pk = next;
             next += 1;
-            let mut body = rewrite_calls(&f.body, &packed, &mut next);
+            rewrite_calls(&mut f.body, &packed, &mut next);
             // Unpack: words first, then floats (record physical layout).
             let words: Vec<&(CVar, Cty)> = rest.iter().filter(|(_, c)| c.is_word()).collect();
             let floats: Vec<&(CVar, Cty)> = rest.iter().filter(|(_, c)| !c.is_word()).collect();
-            for (j, (v, _)) in floats.iter().enumerate().rev() {
-                body = Cexp::Select {
-                    rec: Value::Var(pk),
-                    word_off: words.len() + 2 * j,
-                    flt: true,
-                    dst: *v,
-                    cty: Cty::Flt,
-                    rest: Box::new(body),
-                };
-            }
-            for (i, (v, c)) in words.iter().enumerate().rev() {
-                body = Cexp::Select {
-                    rec: Value::Var(pk),
-                    word_off: i,
-                    flt: false,
-                    dst: *v,
-                    cty: *c,
-                    rest: Box::new(body),
-                };
-            }
-            let mut params = kept;
-            params.push((pk, Cty::Ptr(None)));
-            FunDef {
-                kind: f.kind,
-                name: f.name,
-                params,
-                body: Box::new(body),
-            }
+            let select = |word_off, flt, &(dst, cty): &(CVar, Cty)| Bind::Select {
+                rec: Value::Var(pk),
+                word_off,
+                flt,
+                dst,
+                cty,
+            };
+            let word_sels = words.iter().enumerate().map(|(i, p)| select(i, false, p));
+            let flt_sels = floats.iter().enumerate();
+            let flt_sels = flt_sels.map(|(j, p)| select(words.len() + 2 * j, true, p));
+            let mut binds: VecDeque<Bind> = word_sels.chain(flt_sels).collect();
+            binds.append(&mut f.body.binds);
+            f.body.binds = binds;
+            f.params.push((pk, Cty::Ptr(None)));
+            f
         })
         .collect();
-    let entry = rewrite_calls(&prog.entry, &packed, &mut next);
+    let mut entry = prog.entry.clone();
+    rewrite_calls(&mut entry, &packed, &mut next);
     Some(ClosedProgram {
         funs,
         entry,
@@ -212,138 +199,38 @@ fn limit_params(prog: &ClosedProgram) -> Option<ClosedProgram> {
     })
 }
 
-fn rewrite_calls(e: &Cexp, packed: &FxHashMap<CVar, usize>, next: &mut u32) -> Cexp {
-    match e {
-        Cexp::App { f, args } => {
-            if let Value::Label(l) | Value::Var(l) = f {
-                if let Some(&keep) = packed.get(l) {
-                    let kept = args[..keep].to_vec();
-                    let rest = &args[keep..];
-                    // We do not know CTYs of values here; treat Real
-                    // constants as floats, everything else as words
-                    // (variables were split by the callee the same way
-                    // because CTYs agree by convention).
-                    let words: Vec<Value> = rest
-                        .iter()
-                        .filter(|v| !matches!(v, Value::Real(_)))
-                        .cloned()
-                        .collect();
-                    let floats: Vec<Value> = rest
-                        .iter()
-                        .filter(|v| matches!(v, Value::Real(_)))
-                        .cloned()
-                        .collect();
-                    let mut fields: Vec<(Value, Cty)> =
-                        words.into_iter().map(|v| (v, Cty::Ptr(None))).collect();
-                    let nflt = floats.len();
-                    fields.extend(floats.into_iter().map(|v| (v, Cty::Flt)));
-                    let pk = *next;
-                    *next += 1;
-                    let mut new_args = kept;
-                    new_args.push(Value::Var(pk));
-                    return Cexp::Record {
-                        fields,
-                        nflt,
-                        dst: pk,
-                        rest: Box::new(Cexp::App {
-                            f: f.clone(),
-                            args: new_args,
-                        }),
-                    };
-                }
-            }
-            e.clone()
+/// Packs the trailing arguments of every call to an over-wide function
+/// into a record built just before the call.
+fn rewrite_calls(e: &mut Cexp, packed: &FxHashMap<CVar, usize>, next: &mut u32) {
+    if let Exit::App {
+        f: Value::Label(l) | Value::Var(l),
+        args,
+    } = &mut e.exit
+    {
+        if let Some(&keep) = packed.get(l) {
+            let rest = args.split_off(keep);
+            // We do not know CTYs of values here; treat Real constants
+            // as floats, everything else as words (variables were split
+            // by the callee the same way because CTYs agree by
+            // convention).
+            let (floats, words): (Vec<Value>, Vec<Value>) =
+                rest.into_iter().partition(|v| matches!(v, Value::Real(_)));
+            let mut fields: Vec<(Value, Cty)> =
+                words.into_iter().map(|v| (v, Cty::Ptr(None))).collect();
+            let nflt = floats.len();
+            fields.extend(floats.into_iter().map(|v| (v, Cty::Flt)));
+            let pk = *next;
+            *next += 1;
+            args.push(Value::Var(pk));
+            e.binds.push_back(Bind::Record {
+                fields,
+                nflt,
+                dst: pk,
+            });
         }
-        Cexp::Record {
-            fields,
-            nflt,
-            dst,
-            rest,
-        } => Cexp::Record {
-            fields: fields.clone(),
-            nflt: *nflt,
-            dst: *dst,
-            rest: Box::new(rewrite_calls(rest, packed, next)),
-        },
-        Cexp::Select {
-            rec,
-            word_off,
-            flt,
-            dst,
-            cty,
-            rest,
-        } => Cexp::Select {
-            rec: rec.clone(),
-            word_off: *word_off,
-            flt: *flt,
-            dst: *dst,
-            cty: *cty,
-            rest: Box::new(rewrite_calls(rest, packed, next)),
-        },
-        Cexp::Pure {
-            op,
-            args,
-            dst,
-            cty,
-            rest,
-        } => Cexp::Pure {
-            op: *op,
-            args: args.clone(),
-            dst: *dst,
-            cty: *cty,
-            rest: Box::new(rewrite_calls(rest, packed, next)),
-        },
-        Cexp::Alloc {
-            op,
-            args,
-            dst,
-            rest,
-        } => Cexp::Alloc {
-            op: *op,
-            args: args.clone(),
-            dst: *dst,
-            rest: Box::new(rewrite_calls(rest, packed, next)),
-        },
-        Cexp::Look {
-            op,
-            args,
-            dst,
-            cty,
-            rest,
-        } => Cexp::Look {
-            op: *op,
-            args: args.clone(),
-            dst: *dst,
-            cty: *cty,
-            rest: Box::new(rewrite_calls(rest, packed, next)),
-        },
-        Cexp::Set { op, args, rest } => Cexp::Set {
-            op: *op,
-            args: args.clone(),
-            rest: Box::new(rewrite_calls(rest, packed, next)),
-        },
-        Cexp::Switch {
-            v,
-            lo,
-            arms,
-            default,
-        } => Cexp::Switch {
-            v: v.clone(),
-            lo: *lo,
-            arms: arms
-                .iter()
-                .map(|a| rewrite_calls(a, packed, next))
-                .collect(),
-            default: Box::new(rewrite_calls(default, packed, next)),
-        },
-        Cexp::Branch { op, args, tru, fls } => Cexp::Branch {
-            op: *op,
-            args: args.clone(),
-            tru: Box::new(rewrite_calls(tru, packed, next)),
-            fls: Box::new(rewrite_calls(fls, packed, next)),
-        },
-        Cexp::Fix { .. } => unreachable!("closure conversion removed Fix"),
-        Cexp::Halt { v } => Cexp::Halt { v: v.clone() },
+    }
+    for a in e.exit.arms_mut() {
+        rewrite_calls(a, packed, next);
     }
 }
 
@@ -356,8 +243,9 @@ enum Loc {
 
 /// What is live on entry to every node of one function body, computed
 /// in one bottom-up pass: node `i` of the preorder [`Gen::gen`] visits
-/// (a switch's arms and then its default, a branch's true and then its
-/// false side) gets the sorted free variables of its subtree.
+/// (a run's bindings, then its exit, then the exit's arms: a switch's
+/// arms and then its default, a branch's true and then its false side)
+/// gets the sorted free variables of the rest of its run.
 struct Liveness {
     /// Node `i`'s set is `vars[spans[i].0..spans[i].1]`.
     spans: Vec<(u32, u32)>,
@@ -373,7 +261,7 @@ impl Liveness {
             vars: Vec::new(),
             set: Vec::new(),
         };
-        l.node(body);
+        l.run(body);
         l
     }
 
@@ -383,55 +271,20 @@ impl Liveness {
         &self.vars[a as usize..b as usize]
     }
 
-    /// Numbers `e` and its subtree in preorder, fills in their sets
-    /// (children first), and returns `e`'s number.
-    fn node(&mut self, e: &Cexp) -> usize {
-        let i = self.spans.len();
-        self.spans.push((0, 0));
-        match e {
-            Cexp::Record {
-                fields, dst, rest, ..
-            } => {
-                let k = self.node(rest);
-                self.fill(i, &[k], Some(*dst), fields.iter().map(|(v, _)| v));
-            }
-            Cexp::Select { rec, dst, rest, .. } => {
-                let k = self.node(rest);
-                self.fill(i, &[k], Some(*dst), std::iter::once(rec));
-            }
-            Cexp::Pure {
-                args, dst, rest, ..
-            }
-            | Cexp::Alloc {
-                args, dst, rest, ..
-            }
-            | Cexp::Look {
-                args, dst, rest, ..
-            } => {
-                let k = self.node(rest);
-                self.fill(i, &[k], Some(*dst), args.iter());
-            }
-            Cexp::Set { args, rest, .. } => {
-                let k = self.node(rest);
-                self.fill(i, &[k], None, args.iter());
-            }
-            Cexp::Switch {
-                v, arms, default, ..
-            } => {
-                let mut kids: Vec<usize> = arms.iter().map(|a| self.node(a)).collect();
-                kids.push(self.node(default));
-                self.fill(i, &kids, None, std::iter::once(v));
-            }
-            Cexp::Branch { args, tru, fls, .. } => {
-                let t = self.node(tru);
-                let f = self.node(fls);
-                self.fill(i, &[t, f], None, args.iter());
-            }
-            Cexp::App { f, args } => self.fill(i, &[], None, std::iter::once(f).chain(args)),
-            Cexp::Halt { v } => self.fill(i, &[], None, std::iter::once(v)),
-            Cexp::Fix { .. } => unreachable!("closure conversion removed Fix"),
+    /// Numbers the nodes of run `e` and of its arms in preorder, fills
+    /// in their sets (arms first, then the run from its exit back), and
+    /// returns the number of `e`'s first node.
+    fn run(&mut self, e: &Cexp) -> usize {
+        let first = self.spans.len();
+        let exit = first + e.binds.len();
+        self.spans.resize(exit + 1, (0, 0));
+        let kids: Vec<usize> = e.exit.arms().map(|a| self.run(a)).collect();
+        self.fill(exit, &kids, None, e.exit.operands());
+        for (i, b) in e.binds.iter().enumerate().rev() {
+            let dst = b.binder().map(|(d, _)| d);
+            self.fill(first + i, &[first + i + 1], dst, b.operands());
         }
-        i
+        first
     }
 
     /// Node `i`'s set: its children's, less the variable it binds, plus
@@ -599,177 +452,16 @@ impl Gen<'_> {
         f
     }
 
+    /// Emits a run: each binding, then the exit, recursing only into
+    /// the exit's arms.
     fn gen(&mut self, e: &Cexp) {
+        for b in &e.binds {
+            self.prune();
+            self.gen_bind(b);
+        }
         self.prune();
-        match e {
-            Cexp::Record {
-                fields, dst, rest, ..
-            } => {
-                let mut words = Vec::new();
-                let mut flts = Vec::new();
-                let mut temps = Vec::new();
-                let mut ftemps = Vec::new();
-                for (v, c) in fields {
-                    if c.is_word() {
-                        let (r, t) = self.word_reg(v);
-                        words.push(r);
-                        temps.push(t);
-                    } else {
-                        let (f, t) = self.float_reg(v);
-                        flts.push(f);
-                        ftemps.push(t);
-                    }
-                }
-                for t in temps {
-                    self.free_temp(t);
-                }
-                for t in ftemps {
-                    self.free_ftemp(t);
-                }
-                let d = self.bind_r(*dst);
-                self.instrs.push(Instr::Alloc {
-                    d,
-                    kind: AllocKind::Record,
-                    words,
-                    flts,
-                });
-                self.gen(rest);
-            }
-            Cexp::Select {
-                rec,
-                word_off,
-                flt,
-                dst,
-                rest,
-                ..
-            } => {
-                let (base, t) = self.word_reg(rec);
-                self.free_temp(t);
-                if *flt {
-                    let d = self.bind_f(*dst);
-                    self.instrs.push(Instr::FLoad {
-                        d,
-                        base,
-                        off: *word_off as u16,
-                    });
-                } else {
-                    let d = self.bind_r(*dst);
-                    self.instrs.push(Instr::Load {
-                        d,
-                        base,
-                        off: *word_off as u16,
-                    });
-                }
-                self.gen(rest);
-            }
-            Cexp::Pure {
-                op,
-                args,
-                dst,
-                cty,
-                rest,
-            } => {
-                self.gen_pure(*op, args, *dst, *cty);
-                self.gen(rest);
-            }
-            Cexp::Alloc {
-                op,
-                args,
-                dst,
-                rest,
-            } => {
-                match op {
-                    AllocOp::MakeRef => {
-                        let (s, t) = self.word_reg(&args[0]);
-                        self.free_temp(t);
-                        let d = self.bind_r(*dst);
-                        self.instrs.push(Instr::Alloc {
-                            d,
-                            kind: AllocKind::Ref,
-                            words: vec![s],
-                            flts: vec![],
-                        });
-                    }
-                    AllocOp::ArrayMake => {
-                        let (len, t1) = self.word_reg(&args[0]);
-                        let (init, t2) = self.word_reg(&args[1]);
-                        self.free_temp(t1);
-                        self.free_temp(t2);
-                        let d = self.bind_r(*dst);
-                        self.instrs.push(Instr::AllocArr { d, len, init });
-                    }
-                }
-                self.gen(rest);
-            }
-            Cexp::Look {
-                op,
-                args,
-                dst,
-                rest,
-                ..
-            } => {
-                match op {
-                    LookOp::Deref => {
-                        let (base, t) = self.word_reg(&args[0]);
-                        self.free_temp(t);
-                        let d = self.bind_r(*dst);
-                        self.instrs.push(Instr::Load { d, base, off: 0 });
-                    }
-                    LookOp::ArraySub => {
-                        let (base, t1) = self.word_reg(&args[0]);
-                        let (idx, t2) = self.word_reg(&args[1]);
-                        self.free_temp(t1);
-                        self.free_temp(t2);
-                        let d = self.bind_r(*dst);
-                        self.instrs.push(Instr::LoadIdx { d, base, idx });
-                    }
-                    LookOp::GetHandler => {
-                        let d = self.bind_r(*dst);
-                        self.instrs.push(Instr::GetHdlr { d });
-                    }
-                }
-                self.gen(rest);
-            }
-            Cexp::Set { op, args, rest } => {
-                match op {
-                    SetOp::Assign | SetOp::UnboxedAssign => {
-                        let (base, t1) = self.word_reg(&args[0]);
-                        let (s, t2) = self.word_reg(&args[1]);
-                        self.free_temp(t1);
-                        self.free_temp(t2);
-                        if *op == SetOp::Assign {
-                            self.instrs.push(Instr::StoreWB { s, base, off: 0 });
-                        } else {
-                            self.instrs.push(Instr::Store { s, base, off: 0 });
-                        }
-                    }
-                    SetOp::ArrayUpdate | SetOp::UnboxedArrayUpdate => {
-                        let (base, t1) = self.word_reg(&args[0]);
-                        let (idx, t2) = self.word_reg(&args[1]);
-                        let (s, t3) = self.word_reg(&args[2]);
-                        self.free_temp(t1);
-                        self.free_temp(t2);
-                        self.free_temp(t3);
-                        if *op == SetOp::ArrayUpdate {
-                            self.instrs.push(Instr::StoreIdxWB { s, base, idx });
-                        } else {
-                            self.instrs.push(Instr::StoreIdx { s, base, idx });
-                        }
-                    }
-                    SetOp::Print => {
-                        let (s, t) = self.word_reg(&args[0]);
-                        self.free_temp(t);
-                        self.instrs.push(Instr::Print { s });
-                    }
-                    SetOp::SetHandler => {
-                        let (s, t) = self.word_reg(&args[0]);
-                        self.free_temp(t);
-                        self.instrs.push(Instr::SetHdlr { s });
-                    }
-                }
-                self.gen(rest);
-            }
-            Cexp::Switch {
+        match &e.exit {
+            Exit::Switch {
                 v,
                 lo,
                 arms,
@@ -805,7 +497,7 @@ impl Gen<'_> {
                     *default = dstart;
                 }
             }
-            Cexp::Branch { op, args, tru, fls } => {
+            Exit::Branch { op, args, tru, fls } => {
                 let patch_at = self.gen_branch_test(*op, args);
                 // True branch with a cloned allocator state.
                 let saved_loc = self.loc.clone();
@@ -819,16 +511,147 @@ impl Gen<'_> {
                 self.patch(patch_at, here);
                 self.gen(fls);
             }
-            Cexp::App { f, args } => self.gen_app(f, args),
-            Cexp::Halt { v } => {
+            Exit::App { f, args } => self.gen_app(f, args),
+            Exit::Halt { v } => {
                 let (r, _) = self.word_reg(v);
                 self.instrs.push(Instr::Halt { s: r });
             }
-            Cexp::Fix { .. } => unreachable!("closure conversion removed Fix"),
         }
     }
 
-    fn gen_pure(&mut self, op: PureOp, args: &[Value], dst: CVar, _cty: Cty) {
+    fn gen_bind(&mut self, b: &Bind) {
+        match b {
+            Bind::Record { fields, dst, .. } => {
+                let mut words = Vec::new();
+                let mut flts = Vec::new();
+                let mut temps = Vec::new();
+                let mut ftemps = Vec::new();
+                for (v, c) in fields {
+                    if c.is_word() {
+                        let (r, t) = self.word_reg(v);
+                        words.push(r);
+                        temps.push(t);
+                    } else {
+                        let (f, t) = self.float_reg(v);
+                        flts.push(f);
+                        ftemps.push(t);
+                    }
+                }
+                for t in temps {
+                    self.free_temp(t);
+                }
+                for t in ftemps {
+                    self.free_ftemp(t);
+                }
+                let d = self.bind_r(*dst);
+                self.instrs.push(Instr::Alloc {
+                    d,
+                    kind: AllocKind::Record,
+                    words,
+                    flts,
+                });
+            }
+            Bind::Select {
+                rec,
+                word_off,
+                flt,
+                dst,
+                ..
+            } => {
+                let (base, t) = self.word_reg(rec);
+                self.free_temp(t);
+                let off = *word_off as u16;
+                if *flt {
+                    let d = self.bind_f(*dst);
+                    self.instrs.push(Instr::FLoad { d, base, off });
+                } else {
+                    let d = self.bind_r(*dst);
+                    self.instrs.push(Instr::Load { d, base, off });
+                }
+            }
+            Bind::Pure { op, args, dst, .. } => self.gen_pure(*op, args, *dst),
+            Bind::Alloc { op, args, dst } => match op {
+                AllocOp::MakeRef => {
+                    let (s, t) = self.word_reg(&args[0]);
+                    self.free_temp(t);
+                    let d = self.bind_r(*dst);
+                    self.instrs.push(Instr::Alloc {
+                        d,
+                        kind: AllocKind::Ref,
+                        words: vec![s],
+                        flts: vec![],
+                    });
+                }
+                AllocOp::ArrayMake => {
+                    let (len, t1) = self.word_reg(&args[0]);
+                    let (init, t2) = self.word_reg(&args[1]);
+                    self.free_temp(t1);
+                    self.free_temp(t2);
+                    let d = self.bind_r(*dst);
+                    self.instrs.push(Instr::AllocArr { d, len, init });
+                }
+            },
+            Bind::Look { op, args, dst, .. } => match op {
+                LookOp::Deref => {
+                    let (base, t) = self.word_reg(&args[0]);
+                    self.free_temp(t);
+                    let d = self.bind_r(*dst);
+                    self.instrs.push(Instr::Load { d, base, off: 0 });
+                }
+                LookOp::ArraySub => {
+                    let (base, t1) = self.word_reg(&args[0]);
+                    let (idx, t2) = self.word_reg(&args[1]);
+                    self.free_temp(t1);
+                    self.free_temp(t2);
+                    let d = self.bind_r(*dst);
+                    self.instrs.push(Instr::LoadIdx { d, base, idx });
+                }
+                LookOp::GetHandler => {
+                    let d = self.bind_r(*dst);
+                    self.instrs.push(Instr::GetHdlr { d });
+                }
+            },
+            Bind::Set { op, args } => match op {
+                SetOp::Assign | SetOp::UnboxedAssign => {
+                    let (base, t1) = self.word_reg(&args[0]);
+                    let (s, t2) = self.word_reg(&args[1]);
+                    self.free_temp(t1);
+                    self.free_temp(t2);
+                    if *op == SetOp::Assign {
+                        self.instrs.push(Instr::StoreWB { s, base, off: 0 });
+                    } else {
+                        self.instrs.push(Instr::Store { s, base, off: 0 });
+                    }
+                }
+                SetOp::ArrayUpdate | SetOp::UnboxedArrayUpdate => {
+                    let (base, t1) = self.word_reg(&args[0]);
+                    let (idx, t2) = self.word_reg(&args[1]);
+                    let (s, t3) = self.word_reg(&args[2]);
+                    self.free_temp(t1);
+                    self.free_temp(t2);
+                    self.free_temp(t3);
+                    if *op == SetOp::ArrayUpdate {
+                        self.instrs.push(Instr::StoreIdxWB { s, base, idx });
+                    } else {
+                        self.instrs.push(Instr::StoreIdx { s, base, idx });
+                    }
+                }
+                SetOp::Print => {
+                    let (s, t) = self.word_reg(&args[0]);
+                    self.free_temp(t);
+                    self.instrs.push(Instr::Print { s });
+                }
+                SetOp::SetHandler => {
+                    let (s, t) = self.word_reg(&args[0]);
+                    self.free_temp(t);
+                    self.instrs.push(Instr::SetHdlr { s });
+                }
+            },
+            Bind::Fix { .. } => unreachable!("closure conversion removed Fix"),
+        }
+    }
+
+    fn gen_pure(&mut self, op: PureOp, args: &[Value], dst: CVar) {
         use PureOp::*;
         match op {
             IAdd | ISub | IMul | IDiv | IMod => {
@@ -1278,101 +1101,35 @@ mod tests {
     use std::collections::HashSet;
 
     /// The reference the live sets are checked against: a walk of the
-    /// whole subtree.
-    fn free_vars(e: &Cexp) -> HashSet<CVar> {
-        fn go(e: &Cexp, bound: &mut HashSet<CVar>, free: &mut HashSet<CVar>) {
-            let val = |v: &Value, bound: &HashSet<CVar>, free: &mut HashSet<CVar>| {
+    /// rest of a run from its binding `from` on, arms included.
+    fn free_vars(e: &Cexp, from: usize) -> HashSet<CVar> {
+        fn go(e: &Cexp, from: usize, mut bound: HashSet<CVar>, free: &mut HashSet<CVar>) {
+            let mut val = |v: &Value, bound: &HashSet<CVar>| {
                 if let Value::Var(x) = v {
                     if !bound.contains(x) {
                         free.insert(*x);
                     }
                 }
             };
-            match e {
-                Cexp::Record {
-                    fields, dst, rest, ..
-                } => {
-                    fields.iter().for_each(|(v, _)| val(v, bound, free));
-                    bound.insert(*dst);
-                    go(rest, bound, free);
-                }
-                Cexp::Select { rec, dst, rest, .. } => {
-                    val(rec, bound, free);
-                    bound.insert(*dst);
-                    go(rest, bound, free);
-                }
-                Cexp::Pure {
-                    args, dst, rest, ..
-                }
-                | Cexp::Alloc {
-                    args, dst, rest, ..
-                }
-                | Cexp::Look {
-                    args, dst, rest, ..
-                } => {
-                    args.iter().for_each(|v| val(v, bound, free));
-                    bound.insert(*dst);
-                    go(rest, bound, free);
-                }
-                Cexp::Set { args, rest, .. } => {
-                    args.iter().for_each(|v| val(v, bound, free));
-                    go(rest, bound, free);
-                }
-                Cexp::Switch {
-                    v, arms, default, ..
-                } => {
-                    val(v, bound, free);
-                    arms.iter().for_each(|a| go(a, &mut bound.clone(), free));
-                    go(default, &mut bound.clone(), free);
-                }
-                Cexp::Branch { args, tru, fls, .. } => {
-                    args.iter().for_each(|v| val(v, bound, free));
-                    go(tru, &mut bound.clone(), free);
-                    go(fls, &mut bound.clone(), free);
-                }
-                Cexp::Fix { funs, rest } => {
-                    for f in funs {
-                        bound.insert(f.name);
-                    }
-                    for f in funs {
-                        let mut b2 = bound.clone();
-                        b2.extend(f.params.iter().map(|(p, _)| *p));
-                        go(&f.body, &mut b2, free);
-                    }
-                    go(rest, bound, free);
-                }
-                Cexp::App { f, args } => {
-                    val(f, bound, free);
-                    args.iter().for_each(|v| val(v, bound, free));
-                }
-                Cexp::Halt { v } => val(v, bound, free),
+            for b in e.binds.range(from..) {
+                b.operands().for_each(|v| val(v, &bound));
+                bound.extend(b.binder().map(|(d, _)| d));
+            }
+            e.exit.operands().for_each(|v| val(v, &bound));
+            for a in e.exit.arms() {
+                go(a, 0, bound.clone(), free);
             }
         }
         let mut free = HashSet::new();
-        go(e, &mut HashSet::new(), &mut free);
+        go(e, from, HashSet::new(), &mut free);
         free
     }
 
-    /// Every node of `e`, in the preorder `Gen::gen` visits.
-    fn preorder<'e>(e: &'e Cexp, out: &mut Vec<&'e Cexp>) {
-        out.push(e);
-        match e {
-            Cexp::Record { rest, .. }
-            | Cexp::Select { rest, .. }
-            | Cexp::Pure { rest, .. }
-            | Cexp::Alloc { rest, .. }
-            | Cexp::Look { rest, .. }
-            | Cexp::Set { rest, .. } => preorder(rest, out),
-            Cexp::Switch { arms, default, .. } => {
-                arms.iter().for_each(|a| preorder(a, out));
-                preorder(default, out);
-            }
-            Cexp::Branch { tru, fls, .. } => {
-                preorder(tru, out);
-                preorder(fls, out);
-            }
-            Cexp::App { .. } | Cexp::Halt { .. } | Cexp::Fix { .. } => {}
-        }
+    /// Every node of `e`, in the preorder `Gen::gen` visits: a run and
+    /// the position of one of its bindings, or of its exit.
+    fn preorder<'e>(e: &'e Cexp, out: &mut Vec<(&'e Cexp, usize)>) {
+        out.extend((0..=e.binds.len()).map(|i| (e, i)));
+        e.exit.arms().for_each(|a| preorder(a, out));
     }
 
     /// The closed program of a figure benchmark under one variant, as
@@ -1396,14 +1153,14 @@ mod tests {
             let src = b.source();
             for v in Variant::ALL {
                 let prog = closed(&src, v);
-                let bodies = std::iter::once(&prog.entry).chain(prog.funs.iter().map(|f| &*f.body));
+                let bodies = std::iter::once(&prog.entry).chain(prog.funs.iter().map(|f| &f.body));
                 for body in bodies {
                     let live = Liveness::of(body);
                     let mut nodes = Vec::new();
                     preorder(body, &mut nodes);
                     assert_eq!(live.spans.len(), nodes.len(), "{} [{v}]", b.name);
-                    for (i, node) in nodes.into_iter().enumerate() {
-                        let mut want: Vec<CVar> = free_vars(node).into_iter().collect();
+                    for (i, (run, from)) in nodes.into_iter().enumerate() {
+                        let mut want: Vec<CVar> = free_vars(run, from).into_iter().collect();
                         want.sort_unstable();
                         assert_eq!(live.at(i), want, "{} [{v}]: node {i}", b.name);
                         nodes_checked += 1;

@@ -8,9 +8,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The stack size of every thread the workspace starts to work on: the
 /// compile server's workers, the `smlc` CLI's thread and [`par_map`]'s
-/// workers. Each compile phase after the parser recurses once per
-/// element of a flat source shape (an infix chain, a list literal, a
-/// declaration sequence), so the stack bounds the widest program a
+/// workers. The elaborator, `translate` and CPS conversion recurse once
+/// per element of a flat source shape (an infix chain, a list literal,
+/// a declaration sequence), so the stack bounds the widest program a
 /// thread compiles. On std's 2 MiB default a release-built server
 /// aborted on a 300-term `+` chain.
 const COMPILE_STACK_BYTES: usize = 8 << 20;

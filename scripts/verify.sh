@@ -20,11 +20,13 @@ if [[ "${1:-}" == "--update-api-surface" ]]; then
 fi
 
 # The emitted code of the 12x6 figure matrix is pinned in
-# crates/bench/tests/codegen_golden.txt; a change meant to alter it
-# regenerates the file here.
+# crates/bench/tests/codegen_golden.txt, and its CPS sizes and optimizer
+# counters in crates/bench/tests/middle_end_golden.txt; a change meant
+# to alter them regenerates both files here.
 if [[ "${1:-}" == "--update-codegen-golden" ]]; then
   cargo test -q --release -p smlc-bench --test codegen_golden -- --ignored --exact regenerate_codegen_golden
   echo "updated crates/bench/tests/codegen_golden.txt ($(grep -vc '^#' crates/bench/tests/codegen_golden.txt) cells)"
+  echo "updated crates/bench/tests/middle_end_golden.txt ($(grep -vc '^#' crates/bench/tests/middle_end_golden.txt) cells)"
   exit 0
 fi
 
