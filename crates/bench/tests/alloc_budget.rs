@@ -7,11 +7,14 @@
 //! exactly from run to run and is the same in the debug and release
 //! profiles, so a change that adds copies to the front or middle end
 //! fails here before any timer would notice it.
+//!
+//! `smlc`'s global allocator counts the calls
+//! ([`smlc::thread_allocations`]): every `alloc`, `alloc_zeroed` and
+//! `realloc` on the calling thread, so the test harness's own threads
+//! do not disturb the figure.
 
-use smlc::{Job, Session, Variant, VerifyIr};
+use smlc::{thread_allocations, Job, Session, Variant, VerifyIr};
 use smlc_bench::benchmarks;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 /// The budget: 15,906, the count once CPS held each straight-line run
 /// as one deque of bindings instead of one box per operator, plus 5%.
@@ -22,54 +25,10 @@ use std::cell::Cell;
 /// 17,065.
 const MAX_ALLOCS_PER_COMPILE: u64 = 16_702;
 
-/// Counts the calling thread's allocations, so the test harness's own
-/// threads do not disturb the figure.
-struct Counting;
-
-thread_local! {
-    // Const-initialised with no destructor: touching it never
-    // allocates, so the allocator below may use it.
-    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
-
-fn note(bytes: usize) {
-    let _ = ALLOCS.try_with(|c| {
-        let (n, b) = c.get();
-        c.set((n + 1, b + bytes as u64));
-    });
-}
-
-// SAFETY: every method forwards to `System` with the caller's own
-// arguments, so `System`'s guarantees are this allocator's; the counter
-// is a thread-local `Cell` that never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
 /// Compiles every job on its own fresh session and returns this
 /// thread's (allocations, bytes) over the whole pass.
 fn compile_all(jobs: &[Job]) -> (u64, u64) {
-    let before = ALLOCS.with(Cell::get);
+    let before = thread_allocations();
     for job in jobs {
         let session = Session::builder()
             .verify_ir(VerifyIr::Off)
@@ -79,7 +38,7 @@ fn compile_all(jobs: &[Job]) -> (u64, u64) {
             panic!("a figure program failed to compile: {e}");
         }
     }
-    let after = ALLOCS.with(Cell::get);
+    let after = thread_allocations();
     (after.0 - before.0, after.1 - before.1)
 }
 

@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 
+mod alloc;
 pub mod component;
 pub mod config;
 pub mod error;
@@ -44,6 +45,7 @@ pub mod pipeline;
 pub mod server;
 pub mod session;
 
+pub use alloc::thread_allocations;
 pub use component::{partition, Component, ComponentGraph, ComponentStats};
 pub use config::{ParseVariantError, Variant};
 pub use error::{CompileError, ConfigError, Violation};

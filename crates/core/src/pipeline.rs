@@ -197,7 +197,8 @@ pub struct CompileStats {
     /// Wall-clock time of the whole compilation.
     pub compile_time: Duration,
     /// Wall-clock per phase: parse, elaborate (+MTD), translate, CPS
-    /// convert, optimize, closure convert, codegen.
+    /// convert, optimize, closure convert, codegen, and teardown (freeing
+    /// the IR trees).
     pub phase_times: Vec<(&'static str, Duration)>,
     /// LEXP size after translation (nodes).
     pub lexp_size: usize,
@@ -422,6 +423,10 @@ pub(crate) fn compile_engine(
     }
 
     let lty = tr.interner.stats();
+    let (coerce, warnings) = (tr.stats, tr.warnings);
+    let t = Instant::now();
+    drop((prog, elab, tr.lexp, tr.interner, closed));
+    phases.push(("teardown", t.elapsed()));
     let stats = CompileStats {
         compile_time: t0.elapsed(),
         phase_times: phases,
@@ -429,12 +434,12 @@ pub(crate) fn compile_engine(
         cps_size_before,
         cps_size_after,
         code_size: machine.code_size(),
-        coerce: tr.stats,
+        coerce,
         opt,
         lty,
         verify: vstats,
         components: ComponentStats::default(),
-        warnings: tr.warnings,
+        warnings,
     };
     Ok(Compiled {
         machine,

@@ -79,10 +79,14 @@ fi
 # again in release, the profile the benchmark runs: there an arithmetic
 # slip in the threaded engine's accounting (a refund that underflows)
 # wraps silently where the dev profile panics, so only a counter
-# comparison catches it.
+# comparison catches it. The global allocator's unit tests run again in
+# release too, the profile the benchmark allocates through: their
+# multi-threaded stress test makes 200,000 operations per thread there
+# (20,000 in the dev profile).
 echo "== release gates =="
 cargo test -q --release -p smlc-bench --test gates --test run_stats_golden
 cargo test -q --release -p smlc --test fuzz_programs -- seeded_batch
 cargo test -q --release -p sml-vm --test dispatch --test sched
+cargo test -q --release -p smlc --lib -- alloc::tests
 
 echo "verify: all gates passed"
