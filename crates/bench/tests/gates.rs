@@ -213,7 +213,6 @@ mod pause {
         Variant, VmConfig, VmResult,
     };
     use smlc_bench::benchmarks;
-    use std::sync::Arc;
 
     use super::report;
 
@@ -406,8 +405,8 @@ mod pause {
             .quantum(10_000)
             .build()
             .expect("default storm scheduler validates");
-        let good_prog = Arc::new(good.machine.clone());
-        let hostile_prog = Arc::new(hostile.machine.clone());
+        let good_prog = good.machine.clone();
+        let hostile_prog = hostile.machine.clone();
         for slot in 0..STORM_TENANTS {
             let spec = if slot == HOSTILE_SLOT {
                 TenantSpec::new(hostile_prog.clone(), &hostile_cfg)
@@ -546,10 +545,9 @@ mod dispatch {
 mod sched {
     use smlc::fxhash::hash_bytes;
     use smlc::{
-        AdmissionError, MachineProgram, Outcome, SchedPolicy, SchedStats, SchedulerBuilder,
-        Session, TenantOutcome, TenantReport, TenantSpec, Variant, VmConfig, VmScheduler,
+        AdmissionError, Executable, Outcome, SchedPolicy, SchedStats, SchedulerBuilder, Session,
+        TenantOutcome, TenantReport, TenantSpec, Variant, VmConfig, VmScheduler,
     };
-    use std::sync::Arc;
 
     use super::report;
 
@@ -619,8 +617,8 @@ mod sched {
     /// The two tenant programs under `sml.ffb`, their configurations,
     /// and the good tenant's solo run.
     struct Tenants {
-        good: Arc<MachineProgram>,
-        hostile: Arc<MachineProgram>,
+        good: Executable,
+        hostile: Executable,
         good_cfg: VmConfig,
         hostile_cfg: VmConfig,
         solo: Outcome,
@@ -640,8 +638,8 @@ mod sched {
         let good_cfg = small(&base, TENURED);
         Tenants {
             solo: good.run_with(&good_cfg),
-            good: Arc::new(good.machine),
-            hostile: Arc::new(hostile.machine),
+            good: good.machine,
+            hostile: hostile.machine,
             good_cfg,
             hostile_cfg: small(&base, HOSTILE_TENURED),
         }

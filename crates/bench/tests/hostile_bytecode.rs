@@ -1,6 +1,7 @@
 //! Hostile-bytecode engine differential. The threaded engine's fast path
 //! indexes the register file without per-access bounds checks (operands
-//! are range-checked once, when an instance is created) and charges
+//! are range-checked once per program, when its executable is built)
+//! and charges
 //! each straight-line segment's costs, summed at pre-decode, at once, so
 //! unverified, corrupted bytecode is where the two engines could part
 //! ways or the host could panic. Every `bc-*` corruption in
@@ -29,7 +30,7 @@ fn figure_programs() -> Vec<(&'static str, MachineProgram)> {
             let c = session
                 .compile(&b.source())
                 .unwrap_or_else(|e| panic!("{} failed to compile: {e}", b.name));
-            (b.name, c.machine)
+            (b.name, MachineProgram::clone(&c.machine))
         })
         .collect()
 }

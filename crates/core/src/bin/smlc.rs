@@ -44,7 +44,6 @@ use smlc::{
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Exit codes, documented in `docs/ROBUSTNESS.md`: syntax errors (and
 /// usage mistakes) exit 2, type errors 3, exceeded resource budgets and
@@ -375,8 +374,7 @@ fn drive(args: &[String], mode: DriveMode) -> ExitCode {
             let mut cfg = session.vm_config(compiled.variant);
             cfg.dispatch = dispatch;
             let (outcome, sched) = if tenants > 1 {
-                let program = Arc::new(compiled.machine.clone());
-                let mut spec = TenantSpec::new(program, &cfg);
+                let mut spec = TenantSpec::new(&compiled.machine, &cfg);
                 if let Some(d) = deadline {
                     spec = spec.deadline_cycles(d);
                 }

@@ -1,7 +1,7 @@
 //! The Fx-style hasher for content addressing.
 //!
 //! The artifact cache keys compilations by `(source_hash, variant,
-//! config_fingerprint)`; both hashes come from [`FxHasher`], the
+//! verify mode)`; the source digest comes from [`FxHasher`], the
 //! compiler's one first-party hasher (defined in `sml_ast::fx`, where the
 //! compiler crates' integer-keyed maps use it too). It is not
 //! cryptographic, but fast, portable and (unlike

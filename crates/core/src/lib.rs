@@ -56,7 +56,7 @@ pub use server::{CompileServer, ServerStats};
 pub use session::{CacheStats, Job, Session, SessionBuilder};
 pub use sml_cps::OptConfig;
 pub use sml_vm::{
-    par_map, AdmissionError, Dispatch, DispatchStats, FaultInject, GcMode, InstrClass,
+    par_map, AdmissionError, Dispatch, DispatchStats, Executable, FaultInject, GcMode, InstrClass,
     MachineProgram, Outcome, RunStats, SchedConfigError, SchedPolicy, SchedStats, SchedulerBuilder,
     TenantOutcome, TenantReport, TenantSpec, VmConfig, VmResult, VmScheduler,
 };

@@ -13,7 +13,7 @@ use crate::config::Variant;
 use crate::error::{CompileError, Violation};
 use sml_cps::{close, convert, optimize, optimize_instrumented, OptConfig, OptStats};
 use sml_lambda::{translate, CoerceStats, LtyStats};
-use sml_vm::{codegen, run as vm_run, MachineProgram, Outcome, VmConfig};
+use sml_vm::{codegen, Executable, Outcome, VmConfig};
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -229,8 +229,9 @@ pub struct CompileStats {
 /// A compiled program ready to run.
 #[derive(Clone, Debug)]
 pub struct Compiled {
-    /// The machine code.
-    pub machine: MachineProgram,
+    /// The machine code. A clone shares it: every run, tenant and cache
+    /// hit of this compile uses one program and one pre-decoded stream.
+    pub machine: Executable,
     /// Which variant produced it.
     pub variant: Variant,
     /// Compilation statistics.
@@ -401,8 +402,19 @@ pub(crate) fn compile_engine(
     }
 
     let t = Instant::now();
-    let machine = contain("codegen", || codegen(&closed))?;
+    let code = contain("codegen", || codegen(&closed))?;
     phases.push(("codegen", t.elapsed()));
+
+    let lty = tr.interner.stats();
+    let (coerce, warnings) = (tr.stats, tr.warnings);
+    let t = Instant::now();
+    drop((prog, elab, tr.lexp, tr.interner, closed));
+    phases.push(("teardown", t.elapsed()));
+    // The artifact's own copy is made once the IR is freed, so the
+    // long-lived program lands in that memory rather than among the IR's
+    // allocations, which codegen's output is scattered through.
+    let machine = Executable::new(&code);
+    drop(code);
     if verifying {
         let tv = Instant::now();
         let res = contain("codegen", || sml_vm::verify_bytecode(&machine))?;
@@ -411,22 +423,16 @@ pub(crate) fn compile_engine(
             vstats.time += tv.elapsed();
             return Err(verify_error("codegen", "bytecode", None, v.rule, v.detail));
         }
-        // Also verify the pre-decoded threaded stream (round-trip,
-        // coordinate maps, fused-operand bounds, segment boundaries and
-        // charges) so the typed chain covers what `Dispatch::Threaded`
-        // actually executes.
-        let res = contain("codegen", || sml_vm::verify_threaded(&machine))?;
+        // Also verify the executable's pre-decoded threaded stream
+        // (round-trip, coordinate maps, fused-operand bounds, segment
+        // boundaries and charges): the stream every threaded run of
+        // this artifact executes.
+        let res = contain("codegen", || machine.verify_threaded())?;
         vstats.time += tv.elapsed();
         if let Err(v) = res {
             return Err(verify_error("codegen", "bytecode", None, v.rule, v.detail));
         }
     }
-
-    let lty = tr.interner.stats();
-    let (coerce, warnings) = (tr.stats, tr.warnings);
-    let t = Instant::now();
-    drop((prog, elab, tr.lexp, tr.interner, closed));
-    phases.push(("teardown", t.elapsed()));
     let stats = CompileStats {
         compile_time: t0.elapsed(),
         phase_times: phases,
@@ -455,11 +461,11 @@ impl Compiled {
     /// [`crate::session::Session::run`], which honors the session's
     /// tuned VM configuration and fault overlay.
     pub fn run(&self) -> Outcome {
-        vm_run(&self.machine, &self.variant.vm_config())
+        self.machine.run(&self.variant.vm_config())
     }
 
     /// Runs with an explicit VM configuration.
     pub fn run_with(&self, cfg: &VmConfig) -> Outcome {
-        vm_run(&self.machine, cfg)
+        self.machine.run(cfg)
     }
 }

@@ -7,9 +7,10 @@
 //! compiles:
 //!
 //! * a **content-addressed artifact cache** keyed by `(source_hash,
-//!   variant, config_fingerprint)` — repeat compiles of the same source
-//!   under the same configuration return the cached [`Compiled`]
-//!   artifact and record a hit (see [`CacheStats`]);
+//!   variant, verification mode)`, the three things that change an
+//!   artifact — repeat compiles of the same source under the same
+//!   variant and mode return the cached [`Compiled`] artifact, sharing
+//!   its program, and record a hit (see [`CacheStats`]);
 //! * a **deterministic parallel batch driver**,
 //!   [`Session::compile_batch`], which fans jobs out over a shared
 //!   atomic work queue and reassembles results in input order.
@@ -41,14 +42,13 @@
 
 use crate::config::Variant;
 use crate::error::{CompileError, ConfigError};
-use crate::fxhash::{hash_bytes, FxHasher};
+use crate::fxhash::hash_bytes;
 use crate::pipeline::{compile_engine, Compiled, Limits, VerifyIr};
 use sml_vm::{
     par_map, AdmissionError, FaultInject, Outcome, SchedStats, SchedulerBuilder, TenantReport,
     TenantSpec, VmConfig, VmScheduler,
 };
 use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::Mutex;
 
 /// The description of one compilation — the single unit of work every
@@ -58,8 +58,8 @@ use std::sync::Mutex;
 /// wrappers that build a `Job` and call [`Session::compile_job`];
 /// [`Session::compile_batch`] fans a slice of jobs out in parallel. A
 /// job can override the session's variant and IR-verification mode;
-/// a `None` field inherits the session's value. A verification
-/// override folds into the job's configuration fingerprint, so cached
+/// a `None` field inherits the session's value. The effective
+/// verification mode is part of the job's cache key, so cached
 /// artifacts never leak between differently-verified jobs.
 ///
 /// # Examples
@@ -136,14 +136,17 @@ pub struct CacheStats {
 
 /// Content address of one compilation: source digest + length (the
 /// length guards 64-bit digest collisions cheaply; the full source is
-/// verified on lookup), the variant, and the session configuration
-/// fingerprint.
+/// verified on lookup), the variant, and the IR-verification mode
+/// (recorded in the artifact's `stats.verify`). Nothing else changes an
+/// artifact: the VM configuration and fault overlay apply at run time,
+/// limits only decide whether a compile fails, errors are never cached,
+/// and each session owns its cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct CacheKey {
     src_hash: u64,
     src_len: usize,
     variant: Variant,
-    fingerprint: u64,
+    verify: VerifyIr,
 }
 
 struct CacheEntry {
@@ -183,6 +186,8 @@ impl ArtifactCache {
             Some(e) if e.src == src => {
                 e.last_used = self.tick;
                 self.hits += 1;
+                // Shares the entry's program: `Compiled::machine` clones
+                // as an `Arc`.
                 let mut artifact = e.artifact.clone();
                 artifact.from_cache = true;
                 Some(artifact)
@@ -315,8 +320,8 @@ impl SessionBuilder {
 
     /// When the typed-IR verification pipeline runs (default
     /// [`VerifyIr::Debug`]: active in debug builds, skipped in release
-    /// builds). See `docs/VERIFY_IR.md`. The mode is part of the
-    /// session fingerprint, so cached artifacts never cross modes.
+    /// builds). See `docs/VERIFY_IR.md`. The mode is part of every
+    /// cache key, so cached artifacts never cross modes.
     pub fn verify_ir(mut self, mode: VerifyIr) -> SessionBuilder {
         self.verify = mode;
         self
@@ -389,7 +394,6 @@ impl SessionBuilder {
                 return nonzero("fault.yield_every_n_slices");
             }
         }
-        let fingerprint = fingerprint(&self);
         Ok(Session {
             variant: self.variant,
             limits: self.limits,
@@ -397,78 +401,11 @@ impl SessionBuilder {
             fault: self.fault,
             batch_workers: self.batch_workers,
             verify: self.verify,
-            fingerprint,
             cache: self
                 .cache_enabled
                 .then(|| Mutex::new(ArtifactCache::new(self.cache_capacity))),
         })
     }
-}
-
-/// Stable digest of every compilation-relevant knob, computed over the
-/// builder's settings. Folded into each cache key so artifacts can
-/// never leak between configurations, even if caches are ever shared
-/// or persisted.
-fn fingerprint(b: &SessionBuilder) -> u64 {
-    fingerprint_of(b.verify, &b.limits, &b.vm, &b.fault)
-}
-
-/// The digest behind [`fingerprint`], parameterized so a [`Job`] with
-/// a verification override can compute its *effective* fingerprint
-/// from the same encoding the session used — an override equal to the
-/// session's mode hashes identically, so it still hits the session's
-/// cached artifacts.
-fn fingerprint_of(
-    verify: VerifyIr,
-    limits: &Limits,
-    vm: &Option<VmConfig>,
-    fault: &Option<FaultInject>,
-) -> u64 {
-    let mut h = FxHasher::default();
-    // The verification mode never changes generated code, but a mode
-    // byte keeps cache diagnostics honest if artifacts are ever shared
-    // or persisted across differently-verified sessions.
-    h.write_u8(match verify {
-        VerifyIr::Off => 0,
-        VerifyIr::Debug => 1,
-        VerifyIr::Always => 2,
-    });
-    h.write_usize(limits.max_source_bytes);
-    h.write_usize(limits.max_lexp_nodes);
-    h.write_usize(limits.max_cps_ops);
-    match vm {
-        None => h.write_u8(0),
-        Some(vm) => {
-            h.write_u8(1);
-            h.write_u8(vm.fp3_overhead as u8);
-            h.write_u8(match vm.gc_mode {
-                sml_vm::GcMode::Generational => 0,
-                sml_vm::GcMode::Semispace => 1,
-            });
-            h.write_usize(vm.nursery_words);
-            h.write_u64(vm.max_cycles);
-            h.write_usize(vm.tenured_words);
-            h.write_u32(vm.promote_after);
-            h.write_u64(vm.max_pause_cycles);
-            h.write_u8(match vm.dispatch {
-                sml_vm::Dispatch::Decode => 0,
-                sml_vm::Dispatch::Threaded => 1,
-            });
-            h.write_u64(vm.fault.fail_alloc_at.map_or(0, |n| n ^ u64::MAX));
-            h.write_u64(vm.fault.gc_every_n_allocs.map_or(0, |n| n ^ u64::MAX));
-            h.write_u64(vm.fault.yield_every_n_slices.map_or(0, |n| n ^ u64::MAX));
-        }
-    }
-    match fault {
-        None => h.write_u8(0),
-        Some(f) => {
-            h.write_u8(1);
-            h.write_u64(f.fail_alloc_at.map_or(0, |n| n ^ u64::MAX));
-            h.write_u64(f.gc_every_n_allocs.map_or(0, |n| n ^ u64::MAX));
-            h.write_u64(f.yield_every_n_slices.map_or(0, |n| n ^ u64::MAX));
-        }
-    }
-    h.finish()
 }
 
 /// A reusable compilation session; see the module docs. Cheap to share
@@ -481,7 +418,6 @@ pub struct Session {
     fault: Option<FaultInject>,
     batch_workers: usize,
     verify: VerifyIr,
-    fingerprint: u64,
     cache: Option<Mutex<ArtifactCache>>,
 }
 
@@ -497,7 +433,7 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("variant", &self.variant)
-            .field("fingerprint", &self.fingerprint)
+            .field("verify", &self.verify)
             .field("cache", &self.cache_stats())
             .finish_non_exhaustive()
     }
@@ -526,11 +462,6 @@ impl Session {
     /// The resource budgets every compile runs under.
     pub fn limits(&self) -> &Limits {
         &self.limits
-    }
-
-    /// The configuration fingerprint folded into every cache key.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// The configured batch worker count (`0` = available parallelism);
@@ -583,10 +514,9 @@ impl Session {
 
     /// Compiles one [`Job`] — the single entry point every other
     /// compile surface reduces to. Applies the job's variant and
-    /// verification overrides, computes the job's effective
-    /// configuration fingerprint, and consults the artifact cache under
-    /// that fingerprint, so differently-verified jobs never collide and
-    /// two jobs with equal effective configurations share entries. A
+    /// verification overrides and consults the artifact cache under
+    /// the effective ones, so differently-verified jobs never collide
+    /// and two jobs with equal effective settings share entries. A
     /// miss runs the pipeline and caches its artifact.
     ///
     /// # Errors
@@ -594,8 +524,7 @@ impl Session {
     /// Returns [`CompileError`]; see [`Session::compile`].
     pub fn compile_job(&self, job: &Job) -> Result<Compiled, CompileError> {
         let src = job.src.as_str();
-        let variant = job.variant.unwrap_or(self.variant);
-        let key = self.key_of(src, variant, self.job_fingerprint(job));
+        let key = self.key_of(job);
         if let Some(cache) = &self.cache {
             let hit = cache
                 .lock()
@@ -605,8 +534,7 @@ impl Session {
                 return Ok(artifact);
             }
         }
-        let verify = job.verify_ir.unwrap_or(self.verify);
-        let artifact = compile_engine(src, variant, &self.limits, verify)?;
+        let artifact = compile_engine(src, key.variant, &self.limits, key.verify)?;
         if let Some(cache) = &self.cache {
             cache
                 .lock()
@@ -699,14 +627,7 @@ impl Session {
             let mut first: HashMap<CacheKey, usize> = HashMap::new();
             jobs.iter()
                 .enumerate()
-                .map(|(i, job)| {
-                    let key = self.key_of(
-                        &job.src,
-                        job.variant.unwrap_or(self.variant),
-                        self.job_fingerprint(job),
-                    );
-                    *first.entry(key).or_insert(i)
-                })
+                .map(|(i, job)| *first.entry(self.key_of(job)).or_insert(i))
                 .collect()
         } else {
             (0..jobs.len()).collect()
@@ -742,24 +663,14 @@ impl Session {
             .collect()
     }
 
-    fn key_of(&self, src: &str, variant: Variant, fingerprint: u64) -> CacheKey {
+    /// A job's cache key, under its effective variant and
+    /// verification mode.
+    fn key_of(&self, job: &Job) -> CacheKey {
         CacheKey {
-            src_hash: hash_bytes(src.as_bytes()),
-            src_len: src.len(),
-            variant,
-            fingerprint,
-        }
-    }
-
-    /// A job's effective configuration fingerprint: the session's when
-    /// the job does not override the verification mode (the
-    /// overwhelmingly common case, free), otherwise recomputed with the
-    /// job's mode — which makes an override equal to the session's mode
-    /// hash identically. The variant is part of every cache key already.
-    fn job_fingerprint(&self, job: &Job) -> u64 {
-        match job.verify_ir {
-            None => self.fingerprint,
-            Some(verify) => fingerprint_of(verify, &self.limits, &self.vm, &self.fault),
+            src_hash: hash_bytes(job.src.as_bytes()),
+            src_len: job.src.len(),
+            variant: job.variant.unwrap_or(self.variant),
+            verify: job.verify_ir.unwrap_or(self.verify),
         }
     }
 }
@@ -767,39 +678,6 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fingerprint_distinguishes_configs() {
-        let base = fingerprint(&SessionBuilder::default());
-        let tighter = fingerprint(&SessionBuilder::default().limits(Limits {
-            max_source_bytes: 1,
-            ..Limits::default()
-        }));
-        assert_ne!(base, tighter);
-        let faulty = fingerprint(&SessionBuilder::default().fault_inject(FaultInject {
-            fail_alloc_at: Some(1),
-            gc_every_n_allocs: None,
-            yield_every_n_slices: None,
-        }));
-        assert_ne!(base, faulty);
-        // `Some(0)` is rejected by validation, but the fingerprint must
-        // still not confuse `None` with any `Some` encoding.
-        let zeroish = fingerprint(&SessionBuilder::default().fault_inject(FaultInject {
-            fail_alloc_at: None,
-            gc_every_n_allocs: None,
-            yield_every_n_slices: None,
-        }));
-        assert_ne!(base, zeroish);
-        let verified = fingerprint(&SessionBuilder::default().verify_ir(VerifyIr::Always));
-        let unverified = fingerprint(&SessionBuilder::default().verify_ir(VerifyIr::Off));
-        assert_ne!(verified, unverified);
-        let decode = fingerprint(&SessionBuilder::default().vm_config(VmConfig {
-            dispatch: sml_vm::Dispatch::Decode,
-            ..VmConfig::default()
-        }));
-        let default = fingerprint(&SessionBuilder::default().vm_config(VmConfig::default()));
-        assert_ne!(default, decode, "dispatch engine must be fingerprinted");
-    }
 
     #[test]
     fn builder_rejects_degenerate_knobs() {
@@ -903,27 +781,6 @@ mod tests {
             })
             .build()
             .is_ok());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_pause_budget_and_yield() {
-        let base = fingerprint(&SessionBuilder::default());
-        let budgeted = fingerprint(&SessionBuilder::default().vm_config(VmConfig {
-            max_pause_cycles: 4096,
-            ..VmConfig::default()
-        }));
-        assert_ne!(base, budgeted);
-        let yielding = fingerprint(&SessionBuilder::default().fault_inject(FaultInject {
-            fail_alloc_at: None,
-            gc_every_n_allocs: None,
-            yield_every_n_slices: Some(1),
-        }));
-        let quiet = fingerprint(&SessionBuilder::default().fault_inject(FaultInject {
-            fail_alloc_at: None,
-            gc_every_n_allocs: None,
-            yield_every_n_slices: None,
-        }));
-        assert_ne!(yielding, quiet);
     }
 
     #[test]

@@ -411,7 +411,6 @@ fn generated_programs_run_identically_under_every_scheduler_policy() {
     // priorities and one gets a (generous) deadline so the policy
     // machinery genuinely reorders the schedule.
     use smlc::{Dispatch, SchedPolicy, SchedulerBuilder, TenantOutcome, TenantSpec, VmConfig};
-    use std::sync::Arc;
     let cfg = GenConfig {
         items: 3,
         ..GenConfig::default()
@@ -425,7 +424,7 @@ fn generated_programs_run_identically_under_every_scheduler_policy() {
             let v = Variant::Ffb;
             let c = compile(&src, v)
                 .unwrap_or_else(|e| panic!("[{}] compile failed: {e}\n{src}", v.name()));
-            let program = Arc::new(c.machine.clone());
+            let program = c.machine.clone();
             for engine in [Dispatch::Decode, Dispatch::Threaded] {
                 let vm = VmConfig {
                     dispatch: engine,

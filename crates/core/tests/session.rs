@@ -5,7 +5,10 @@
 //! accounting, batch dedup, VM-configuration routing, and builder
 //! validation.
 
-use smlc::{CompileError, Compiled, FaultInject, Job, Session, Variant, VmConfig, VmResult};
+use smlc::{
+    CompileError, Compiled, FaultInject, Job, MachineProgram, Session, Variant, VerifyIr, VmConfig,
+    VmResult,
+};
 
 const PROGRAM: &str = r#"
     fun sq (x : real) = x * x
@@ -63,9 +66,64 @@ fn cache_hit_is_byte_identical_to_forced_recompile() {
 }
 
 #[test]
+fn cache_hit_shares_the_first_compiles_program() {
+    let session = Session::with_variant(Variant::Ffb);
+    let first = session.compile(PROGRAM).expect("compiles");
+    let hit = session.compile(PROGRAM).expect("compiles");
+    assert!(hit.from_cache);
+    assert!(std::ptr::eq::<MachineProgram>(
+        &*hit.machine,
+        &*first.machine
+    ));
+    // A recompile without the cache builds a program of its own.
+    let recompiled = Session::builder()
+        .cache(false)
+        .build()
+        .expect("valid")
+        .compile(PROGRAM)
+        .expect("compiles");
+    assert!(!std::ptr::eq::<MachineProgram>(
+        &*recompiled.machine,
+        &*first.machine
+    ));
+    assert_eq!(code_bytes(&recompiled), code_bytes(&first));
+}
+
+#[test]
+fn verification_override_is_part_of_the_cache_key() {
+    let session = Session::builder()
+        .verify_ir(VerifyIr::Off)
+        .build()
+        .expect("valid");
+    let plain = session.compile(PROGRAM).expect("compiles");
+    assert_eq!(plain.stats.verify.total_checks(), 0);
+    // An override that differs from the session's mode misses and
+    // verifies.
+    let verified = session
+        .compile_job(&Job::new(PROGRAM).verify_ir(VerifyIr::Always))
+        .expect("compiles");
+    assert!(!verified.from_cache);
+    assert_eq!(verified.stats.verify.mode, VerifyIr::Always);
+    assert_eq!(verified.stats.verify.bytecode_checks, 1);
+    assert_eq!(code_bytes(&verified), code_bytes(&plain));
+    // One equal to the session's mode hits the session's artifact.
+    let hit = session
+        .compile_job(&Job::new(PROGRAM).verify_ir(VerifyIr::Off))
+        .expect("compiles");
+    assert!(hit.from_cache);
+    assert_eq!(hit.stats.verify.mode, VerifyIr::Off);
+    assert!(std::ptr::eq::<MachineProgram>(
+        &*hit.machine,
+        &*plain.machine
+    ));
+    let stats = session.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 2));
+}
+
+#[test]
 fn cache_correct_under_fault_injection_config() {
     // A session whose VM config carries fault injection: the fault knobs
-    // are part of the config fingerprint and of every run.
+    // reach every run, while the artifact does not depend on them.
     let fault = FaultInject {
         fail_alloc_at: None,
         gc_every_n_allocs: Some(7),
@@ -97,8 +155,8 @@ fn cache_correct_under_fault_injection_config() {
         "gc_every_n_allocs must force collections"
     );
 
-    // A differently-fingerprinted session must not share cache keys
-    // semantics: same source, fault-free config, still compiles cleanly.
+    // Another session has a cache of its own: same source, fault-free
+    // config, still compiles cleanly.
     let plain = Session::with_variant(Variant::Ffb);
     let c = plain.compile(ALLOCATOR).expect("compiles");
     assert!(!c.from_cache);

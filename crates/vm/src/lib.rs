@@ -29,6 +29,6 @@ pub use verify::{
     ThreadedVerifySummary,
 };
 pub use vm::{
-    pause_bucket, run, Dispatch, DispatchStats, FaultInject, Outcome, RunStats, VmConfig,
-    VmInstance, VmResult, N_PAUSE_BUCKETS, PAUSE_BUCKET_LIMITS,
+    pause_bucket, run, Dispatch, DispatchStats, Executable, FaultInject, Outcome, RunStats,
+    VmConfig, VmInstance, VmResult, N_PAUSE_BUCKETS, PAUSE_BUCKET_LIMITS,
 };

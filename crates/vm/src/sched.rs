@@ -1,11 +1,11 @@
 //! Policy-driven multi-tenant VM scheduling: time-slicing N concurrent
 //! [`VmInstance`]s on a cycle quantum under a pluggable [`SchedPolicy`].
 //!
-//! Each tenant is a [`TenantSpec`]: a shared program handle
-//! (`Arc<MachineProgram>`, so N instances of one program pay one
-//! compilation), its own [`VmConfig`] (the per-tenant `tenured_words`
-//! ceiling *is* the heap quota, and `max_cycles` is the fuel quota),
-//! and scheduling attributes (priority, deadline, an optional
+//! Each tenant is a [`TenantSpec`]: a shared [`Executable`] (so N
+//! instances of one program pay one compilation and, under threaded
+//! dispatch, one pre-decode), its own [`VmConfig`] (the per-tenant
+//! `tenured_words` ceiling *is* the heap quota, and `max_cycles` is the
+//! fuel quota), and scheduling attributes (priority, deadline, an optional
 //! per-tenant quantum). The scheduler's isolation guarantee is the
 //! whole point: a tenant that exhausts its quota, faults, or runs out
 //! of fuel degrades **alone** ([`TenantOutcome::HeapExhausted`] /
@@ -61,16 +61,13 @@
 //! ([`VmConfig::max_pause_cycles`]) the overshoot is itself bounded by
 //! the pause budget plus the costliest single instruction.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
-use crate::isa::MachineProgram;
 use crate::par::par_map;
-use crate::threaded::{predecode, ThreadedProgram};
-use crate::vm::{
-    Dispatch, DispatchStats, Outcome, ProgRef, RunStats, VmConfig, VmInstance, VmResult,
-};
+use crate::vm::{DispatchStats, Executable, Outcome, RunStats, VmConfig, VmInstance, VmResult};
 
 /// The scheduling discipline of a [`VmScheduler`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -122,9 +119,9 @@ impl std::str::FromStr for SchedPolicy {
 #[derive(Clone)]
 pub struct TenantSpec {
     /// The compiled program (shared code; each tenant gets a private
-    /// heap, while tenants of one program under threaded dispatch share
-    /// one pre-decoded stream).
-    pub program: Arc<MachineProgram>,
+    /// heap, while tenants of one executable under threaded dispatch
+    /// share its one pre-decoded stream).
+    pub program: Executable,
     /// The tenant's own VM config: heap quota (`tenured_words`), fuel
     /// quota (`max_cycles`), GC mode, pause budget, dispatch engine,
     /// fault injection.
@@ -145,9 +142,11 @@ pub struct TenantSpec {
 impl TenantSpec {
     /// A spec with default scheduling attributes (priority 0, no
     /// deadline, the scheduler's quantum).
-    pub fn new(program: Arc<MachineProgram>, vm_config: &VmConfig) -> TenantSpec {
+    /// `program` is an [`Executable`], a reference to one or an `Arc`
+    /// of one; the spec holds a clone of it.
+    pub fn new(program: impl Borrow<Executable>, vm_config: &VmConfig) -> TenantSpec {
         TenantSpec {
-            program,
+            program: program.borrow().clone(),
             vm_config: *vm_config,
             priority: 0,
             deadline_cycles: None,
@@ -357,7 +356,6 @@ impl SchedulerBuilder {
             committed_fuel_cycles: 0,
             rejected: 0,
             tenants: Vec::new(),
-            streams: HashMap::new(),
         })
     }
 }
@@ -474,11 +472,8 @@ pub struct SchedStats {
 #[allow(clippy::large_enum_variant)]
 enum Run {
     Admitted {
-        program: Arc<MachineProgram>,
+        program: Executable,
         config: VmConfig,
-        /// The program's shared pre-decoded stream under
-        /// [`Dispatch::Threaded`].
-        stream: Option<Arc<ThreadedProgram>>,
     },
     Finished(Outcome),
 }
@@ -514,16 +509,10 @@ impl Tenant {
     /// in: the heap, registers and counters are the tenant's own. An
     /// instance that faults at construction finishes with no slice.
     fn run_ahead(&mut self, timed: bool) {
-        let Run::Admitted {
-            program,
-            config,
-            stream,
-        } = &self.run
-        else {
+        let Run::Admitted { program, config } = &self.run else {
             return;
         };
-        let mut vm =
-            VmInstance::with_prog(ProgRef::Shared(Arc::clone(program)), config, stream.clone());
+        let mut vm = VmInstance::new(program, config);
         let mut finished = vm.finished();
         while !finished {
             let before = vm.stats().cycles;
@@ -566,11 +555,10 @@ impl PartialOrd for Ready {
 /// A policy-driven scheduler over N tenant VM instances.
 ///
 /// ```
-/// # use std::sync::Arc;
-/// # use sml_vm::{SchedulerBuilder, TenantSpec, TenantOutcome, VmConfig};
-/// # fn demo(prog: Arc<sml_vm::MachineProgram>) {
+/// # use sml_vm::{Executable, SchedulerBuilder, TenantSpec, TenantOutcome, VmConfig};
+/// # fn demo(prog: Executable) {
 /// let mut sched = SchedulerBuilder::new().quantum(10_000).build().unwrap();
-/// sched.admit(TenantSpec::new(prog.clone(), &VmConfig::default())).unwrap();
+/// sched.admit(TenantSpec::new(&prog, &VmConfig::default())).unwrap();
 /// sched.admit(TenantSpec::new(prog, &VmConfig { tenured_words: 4096, ..VmConfig::default() })).unwrap();
 /// let (reports, stats) = sched.run_all();
 /// assert_eq!(reports.len(), 2);
@@ -587,12 +575,6 @@ pub struct VmScheduler {
     committed_fuel_cycles: u64,
     rejected: u64,
     tenants: Vec<Tenant>,
-    /// One pre-decoded threaded stream per admitted program, shared by
-    /// all of its tenants whatever their configs. Keyed by the
-    /// program's `Arc` address: the tenants own those `Arc`s for the
-    /// scheduler's whole life, so an address cannot be reused while its
-    /// entry exists.
-    streams: HashMap<usize, Arc<ThreadedProgram>>,
 }
 
 impl VmScheduler {
@@ -601,10 +583,9 @@ impl VmScheduler {
     /// Returns the tenant's index, which is also its position in the
     /// [`VmScheduler::run_all`] report vector.
     ///
-    /// Admission does no heap work: it records the program, its
-    /// config and the program's shared pre-decoded stream, and
-    /// [`VmScheduler::run_all`] builds the tenant's instance when the
-    /// tenant runs.
+    /// Admission does no heap work: it records the program and its
+    /// config, and [`VmScheduler::run_all`] builds the tenant's instance
+    /// when the tenant runs.
     pub fn admit(&mut self, spec: TenantSpec) -> Result<usize, AdmissionError> {
         let heap_req = spec.vm_config.tenured_words as u64;
         let fuel_req = spec.vm_config.max_cycles;
@@ -630,18 +611,10 @@ impl VmScheduler {
         }
         self.committed_heap_words = self.committed_heap_words.saturating_add(heap_req);
         self.committed_fuel_cycles = self.committed_fuel_cycles.saturating_add(fuel_req);
-        let stream = (spec.vm_config.dispatch == Dispatch::Threaded).then(|| {
-            Arc::clone(
-                self.streams
-                    .entry(Arc::as_ptr(&spec.program) as usize)
-                    .or_insert_with(|| Arc::new(predecode(&spec.program))),
-            )
-        });
         self.tenants.push(Tenant {
             run: Run::Admitted {
                 program: spec.program,
                 config: spec.vm_config,
-                stream,
             },
             quantum: spec.quantum_cycles.unwrap_or(self.quantum).max(1),
             priority: spec.priority,
@@ -832,8 +805,9 @@ impl VmScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{AOp, AllocKind, BrOp, CodeBlock, Instr};
-    use crate::vm::run;
+    use crate::isa::{AOp, AllocKind, BrOp, CodeBlock, Instr, MachineProgram};
+    use crate::vm::{run, Dispatch};
+    use std::sync::Arc;
 
     /// Sums `0..n` in a loop the pre-decoder fuses (`Arith`+`Branch`,
     /// `LoadI`+`Arith`, `Move`+`Jump`).
@@ -933,11 +907,11 @@ mod tests {
     /// `HeapExhausted`, `OutOfFuel`, `Fault` mid-run and `Fault` at
     /// admission (an out-of-range register).
     fn mixed(policy: SchedPolicy) -> VmScheduler {
-        let long = Arc::new(sum_loop(400));
-        let short = Arc::new(sum_loop(60));
-        let retain = Arc::new(retainer());
-        let faulty = Arc::new(faults_after(90));
-        let bad_reg = Arc::new(MachineProgram {
+        let long = Executable::new(&sum_loop(400));
+        let short = Executable::new(&sum_loop(60));
+        let retain = Executable::new(&retainer());
+        let faulty = Executable::new(&faults_after(90));
+        let bad_reg = Executable::new(&MachineProgram {
             blocks: vec![CodeBlock {
                 name: "entry".into(),
                 instrs: vec![Instr::LoadI { d: 200, imm: 1 }, Instr::Halt { s: 0 }],
@@ -1028,33 +1002,36 @@ mod tests {
         }
     }
 
-    fn stream(t: &Tenant) -> Option<&Arc<ThreadedProgram>> {
+    /// The executable tenant `t` was admitted with.
+    fn program(t: &Tenant) -> &Executable {
         match &t.run {
-            Run::Admitted { stream, .. } => stream.as_ref(),
+            Run::Admitted { program, .. } => program,
             Run::Finished(_) => panic!("tenant already ran"),
         }
     }
 
     #[test]
     fn thousand_tenants_of_one_program_share_one_stream() {
-        let prog = Arc::new(sum_loop(300));
+        let prog = Executable::new(&sum_loop(300));
         let cfg = VmConfig::default();
         let mut sched = SchedulerBuilder::new().quantum(97).build().unwrap();
         for _ in 0..1000 {
-            sched.admit(TenantSpec::new(prog.clone(), &cfg)).unwrap();
+            sched.admit(TenantSpec::new(&prog, &cfg)).unwrap();
         }
-        assert_eq!(sched.streams.len(), 1);
-        let first = stream(&sched.tenants[0]).expect("threaded tenant");
         assert!(sched
             .tenants
             .iter()
-            .all(|t| stream(t).is_some_and(|s| Arc::ptr_eq(s, first))));
-        // The scheduler's map plus one handle per tenant.
-        assert_eq!(Arc::strong_count(first), 1001);
+            .all(|t| Arc::ptr_eq(&program(t).0, &prog.0)));
+        // One handle per tenant plus `prog`; admission pre-decodes
+        // nothing.
+        assert_eq!(Arc::strong_count(&prog.0), 1001);
+        assert!(prog.0.threaded.get().is_none());
 
-        let solo = run(&prog, &cfg);
         let (reports, stats) = sched.run_all();
         assert_eq!(stats.done, 1000);
+        let stream: *const _ = prog.0.threaded.get().expect("built by the first tenant");
+        let solo = prog.run(&cfg);
+        assert!(std::ptr::eq(stream, prog.threaded()));
         for r in &reports {
             assert_eq!(r.result, solo.result);
             assert_eq!(r.output, solo.output);
@@ -1065,9 +1042,10 @@ mod tests {
 
     #[test]
     fn distinct_programs_get_their_own_streams() {
-        let a = Arc::new(sum_loop(40));
-        // Equal contents, distinct program: not shared.
-        let b = Arc::new((*a).clone());
+        let a = Executable::new(&sum_loop(40));
+        // Equal contents, distinct executables: not shared.
+        let b = Executable::new(&a);
+        let c = Executable::new(&a);
         let cfg = VmConfig::default();
         let fp3 = VmConfig {
             fp3_overhead: true,
@@ -1078,28 +1056,34 @@ mod tests {
             ..cfg
         };
         let mut sched = SchedulerBuilder::new().quantum(97).build().unwrap();
-        for (p, c) in [(&a, &cfg), (&b, &cfg), (&a, &cfg), (&b, &cfg), (&a, &fp3)] {
-            sched.admit(TenantSpec::new(p.clone(), c)).unwrap();
+        for (p, k) in [(&a, &cfg), (&b, &cfg), (&a, &cfg), (&b, &cfg), (&a, &fp3)] {
+            sched.admit(TenantSpec::new(p, k)).unwrap();
         }
-        sched.admit(TenantSpec::new(a.clone(), &decode)).unwrap();
-        assert_eq!(sched.streams.len(), 2);
-        let t: Vec<_> = sched.tenants.iter().map(stream).collect();
-        let same = |i: usize, j: usize| Arc::ptr_eq(t[i].unwrap(), t[j].unwrap());
-        assert!(same(0, 2));
-        assert!(same(1, 3));
-        assert!(!same(0, 1));
-        // The `fp3` jump term is charged at run time, so configs share.
-        assert!(same(0, 4));
-        assert!(t[5].is_none());
+        sched.admit(TenantSpec::new(&c, &decode)).unwrap();
 
         let (reports, _) = sched.run_all();
-        for (r, c) in reports.iter().zip([&cfg, &cfg, &cfg, &cfg, &fp3, &decode]) {
-            let solo = run(&a, c);
+        let (sa, sb) = (a.0.threaded.get(), b.0.threaded.get());
+        assert!(sa.is_some() && sb.is_some());
+        assert!(!std::ptr::eq(sa.unwrap(), sb.unwrap()));
+        // A tenant under decode dispatch builds no stream.
+        assert!(c.0.threaded.get().is_none());
+        assert_eq!(
+            reports[5].dispatch,
+            DispatchStats {
+                engine: Dispatch::Decode,
+                ..DispatchStats::default()
+            }
+        );
+        for (r, k) in reports.iter().zip([&cfg, &cfg, &cfg, &cfg, &fp3, &decode]) {
+            let solo = run(&a, k);
             assert_eq!(
                 (&r.result, &r.output, r.stats),
                 (&solo.result, &solo.output, solo.stats)
             );
         }
+        // The `fp3` jump term is charged at run time, so one stream
+        // serves both configs.
+        assert_eq!(reports[4].dispatch, reports[0].dispatch);
         assert!(
             reports[4].stats.cycles > reports[0].stats.cycles,
             "fp3 jumps cost more"

@@ -83,8 +83,11 @@
 //! cannot be mapped into the stream pre-decode to a [`TInstr::Slow`]
 //! record, which only has the synced path.
 //!
-//! The pre-decoded stream is itself verified: `verify::verify_threaded`
-//! round-trips every record back to the original instructions through
+//! An [`Executable`](crate::vm::Executable) builds its stream once, the
+//! first time a threaded run needs it, and every later run and tenant
+//! shares it. The stream is itself verified:
+//! `Executable::verify_threaded` round-trips every record of the
+//! executable's own stream back to the original instructions through
 //! the operand pool, re-checks operand bounds and each run's shape, and
 //! re-derives every segment — its boundaries, charges, instruction count
 //! and per-class counts — from the original instructions, so the typed
@@ -1055,12 +1058,7 @@ enum Stop {
 /// accounted step ([`Engine::exec`], on `eng.stats.cycles`) with the
 /// decode loop's fuel and preemption checks before each.
 #[inline(never)]
-fn one_by_one(
-    eng: &mut Engine<'_, '_>,
-    from: usize,
-    end: usize,
-    check_at: u64,
-) -> Result<(), Stop> {
+fn one_by_one(eng: &mut Engine<'_>, from: usize, end: usize, check_at: u64) -> Result<(), Stop> {
     let instrs = &eng.prog.blocks[eng.block].instrs[from..end];
     for (pc, instr) in (from..).zip(instrs) {
         if eng.stats.cycles >= check_at {
@@ -1097,14 +1095,11 @@ fn locate(tp: &ThreadedProgram, block: usize, pc: usize) -> (&[TInstr], usize, u
 /// (`VmInstance::run_slice_decode`), same [`Engine`] handlers, same
 /// accounting and slice boundaries — only the fetch/decode mechanics and
 /// the bookkeeping per segment differ (see the module docs).
-pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool {
+pub(crate) fn run_slice_threaded(vm: &mut VmInstance, quantum: u64) -> bool {
     if vm.finished.is_some() {
         return true;
     }
-    let tp = vm
-        .threaded
-        .as_deref()
-        .expect("threaded dispatch without a pre-decoded stream");
+    let tp = vm.exe.threaded();
     let max_cycles = vm.cfg.max_cycles;
     // The `sml.fp3` callee-save cycle every jump pays on top of its
     // fixed charge.
@@ -1120,7 +1115,7 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
     let hits = &mut vm.meter.hits[..];
     let touched = &mut vm.meter.touched;
     let mut eng = Engine {
-        prog: &vm.prog,
+        prog: &vm.exe,
         cfg: &vm.cfg,
         heap: &mut vm.heap,
         pool_ptrs: &vm.pool_ptrs,

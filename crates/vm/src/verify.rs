@@ -145,11 +145,11 @@ fn reg_range(regs: &[Reg], fregs: &[FReg]) -> Option<String> {
     ))
 }
 
-/// The VM's one register check, made when an instance is created: the
-/// fault for the first register operand outside the register file,
-/// cited like the verifier's `reg-range` rule. After it passes, the
-/// interpreter indexes the register file without per-access bounds
-/// checks.
+/// The VM's one register check, made once per program when its
+/// [`Executable`](crate::vm::Executable) is built: the fault for the
+/// first register operand outside the register file, cited like the
+/// verifier's `reg-range` rule. After it passes, the interpreter
+/// indexes the register file without per-access bounds checks.
 pub(crate) fn register_fault(prog: &MachineProgram) -> Option<String> {
     let (mut regs, mut fregs) = (Vec::new(), Vec::new());
     for (ix, b) in prog.blocks.iter().enumerate() {
@@ -368,10 +368,10 @@ pub struct ThreadedVerifySummary {
 /// branch, jump or halt, and its header's charges, its instruction
 /// count and its per-class counts must equal its instructions'
 /// [`Instr::fixed_cost`] plus static allocation charge. Pre-decodes
-/// internally — the stream depends only on the program, so this is
-/// exactly the stream every threaded run of it executes — and a program
-/// that passes here executes identically under both engines' *static*
-/// views.
+/// a stream of its own and drops it;
+/// [`Executable::verify_threaded`](crate::vm::Executable::verify_threaded)
+/// checks the stream an executable's runs share instead. A program that
+/// passes here executes identically under both engines' *static* views.
 pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, BytecodeViolation> {
     verify_stream(prog, &crate::threaded::predecode(prog))
 }

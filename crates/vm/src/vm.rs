@@ -65,8 +65,9 @@ use crate::heap::{
 };
 use crate::isa::*;
 use crate::threaded::{predecode, Meter, ThreadedProgram};
+use crate::verify::{BytecodeViolation, ThreadedVerifySummary};
 use sml_cps::{floor_div, floor_mod};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which execution engine runs the program (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -347,39 +348,112 @@ fn uncaught_name(heap: &Heap, pkt: u32) -> String {
 }
 
 /// Runs a machine program to completion. Never panics on program
-/// behavior: abnormal executions end in a trapping [`VmResult`].
+/// behavior: abnormal executions end in a trapping [`VmResult`]. Builds
+/// a throwaway [`Executable`]; a program that runs more than once is
+/// better built into one and run through [`Executable::run`].
 pub fn run(prog: &MachineProgram, cfg: &VmConfig) -> Outcome {
-    let mut vm = VmInstance::new(prog, cfg);
-    while !vm.run_slice(u64::MAX) {}
-    vm.into_outcome()
+    Executable::new(prog).run(cfg)
 }
 
-/// How a [`VmInstance`] holds its program: borrowed for solo runs
-/// (zero-copy, the [`run`] path), or shared for scheduler tenants so N
-/// instances of one program keep a single [`MachineProgram`] alive
-/// without a lifetime tying them to the caller's stack.
-pub(crate) enum ProgRef<'p> {
-    Borrowed(&'p MachineProgram),
-    Shared(std::sync::Arc<MachineProgram>),
+/// A program ready to run: its own read-only copy of a
+/// [`MachineProgram`], the result of the load checks every run of it
+/// needs, and the pre-decoded threaded stream, built the first time a
+/// [`Dispatch::Threaded`] run needs it. A clone is an `Arc` clone, so
+/// every run, tenant and cache entry of one compile shares one program
+/// and one stream, and the stream [`Executable::verify_threaded`]
+/// checks is the stream that runs.
+///
+/// The program cannot change under its stream: an `Executable`
+/// dereferences to its [`MachineProgram`] but never mutably. Code that
+/// edits bytecode edits a `MachineProgram` and builds a new executable.
+///
+/// ```compile_fail
+/// let mut exe = sml_vm::Executable::new(&sml_vm::MachineProgram::default());
+/// exe.blocks.clear(); // no `DerefMut`: the program is read-only
+/// ```
+#[derive(Clone)]
+pub struct Executable(pub(crate) Arc<Image>);
+
+/// What an [`Executable`] shares between its clones.
+pub(crate) struct Image {
+    prog: MachineProgram,
+    /// Why no run of the program can start, found once when the
+    /// executable is built: a string literal the descriptor cannot
+    /// encode, or a register operand outside the register file.
+    fault: Option<String>,
+    pub(crate) threaded: OnceLock<ThreadedProgram>,
 }
 
-impl std::ops::Deref for ProgRef<'_> {
+impl Executable {
+    /// Copies `prog` and makes its load checks. Nothing is pre-decoded
+    /// yet.
+    pub fn new(prog: &MachineProgram) -> Executable {
+        let fault = prog
+            .pool
+            .iter()
+            .find(|s| s.len() > Heap::MAX_STRING_BYTES)
+            .map(|s| {
+                format!(
+                    "string literal of {} bytes exceeds the descriptor limit of {}",
+                    s.len(),
+                    Heap::MAX_STRING_BYTES
+                )
+            })
+            .or_else(|| crate::verify::register_fault(prog));
+        Executable(Arc::new(Image {
+            prog: prog.clone(),
+            fault,
+            threaded: OnceLock::new(),
+        }))
+    }
+
+    /// Runs the program to completion. Never panics on program
+    /// behavior: abnormal executions end in a trapping [`VmResult`].
+    pub fn run(&self, cfg: &VmConfig) -> Outcome {
+        let mut vm = VmInstance::new(self, cfg);
+        while !vm.run_slice(u64::MAX) {}
+        vm.into_outcome()
+    }
+
+    /// [`verify_threaded`](crate::verify_threaded) on this executable's
+    /// own stream, the one its threaded runs execute (built here if no
+    /// run has built it yet).
+    pub fn verify_threaded(&self) -> Result<ThreadedVerifySummary, BytecodeViolation> {
+        crate::verify::verify_stream(self, self.threaded())
+    }
+
+    /// The pre-decoded threaded stream, built on first use.
+    pub(crate) fn threaded(&self) -> &ThreadedProgram {
+        self.0.threaded.get_or_init(|| predecode(&self.0.prog))
+    }
+}
+
+impl std::ops::Deref for Executable {
     type Target = MachineProgram;
     #[inline]
     fn deref(&self) -> &MachineProgram {
-        match self {
-            ProgRef::Borrowed(p) => p,
-            ProgRef::Shared(p) => p,
-        }
+        &self.0.prog
+    }
+}
+
+impl std::fmt::Display for Executable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.prog.fmt(f)
+    }
+}
+
+impl std::fmt::Debug for Executable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.prog.fmt(f)
     }
 }
 
 /// A resumable VM instance: one tenant's program, heap, registers, and
-/// counters. [`run`] drives one to completion in a single call; the
-/// [`VmScheduler`](crate::sched::VmScheduler) time-slices many of them
-/// on a cycle quantum, each against its own heap quota.
-pub struct VmInstance<'p> {
-    pub(crate) prog: ProgRef<'p>,
+/// counters. [`Executable::run`] drives one to completion in a single
+/// call; the [`VmScheduler`](crate::sched::VmScheduler) time-slices
+/// many of them on a cycle quantum, each against its own heap quota.
+pub struct VmInstance {
+    pub(crate) exe: Executable,
     pub(crate) cfg: VmConfig,
     pub(crate) heap: Heap,
     pub(crate) pool_ptrs: Vec<u32>,
@@ -393,64 +467,27 @@ pub struct VmInstance<'p> {
     /// Incremental-major slices run since the last fault-injected
     /// yield (drives [`FaultInject::yield_every_n_slices`]).
     pub(crate) yield_ctr: u64,
-    /// The pre-decoded threaded stream under [`Dispatch::Threaded`]:
-    /// immutable, so every tenant of one program can share it.
-    pub(crate) threaded: Option<Arc<ThreadedProgram>>,
     /// The threaded engine's per-segment hit counts (empty under
     /// [`Dispatch::Decode`]).
     pub(crate) meter: Meter,
     pub(crate) finished: Option<VmResult>,
 }
 
-impl<'p> VmInstance<'p> {
-    /// Prepares a run: builds the heap (sizing the immortal region to
-    /// the literal pool so pool loading can never exhaust it), loads
-    /// the literals, and — under [`Dispatch::Threaded`] — pre-decodes
-    /// the instruction stream. A literal the descriptor cannot encode,
-    /// or a register operand outside the register file, marks the
-    /// instance finished with a `Fault` before the first step.
-    pub fn new(prog: &'p MachineProgram, cfg: &VmConfig) -> VmInstance<'p> {
-        VmInstance::with_prog(ProgRef::Borrowed(prog), cfg, None)
-    }
-
-    /// Like [`VmInstance::new`] but holding a shared, owned program
-    /// handle, so N tenants of one program pay one compilation. The
-    /// `'static` lifetime frees the instance from the caller's stack,
-    /// which is what lets the scheduler own its tenants. (The
-    /// scheduler also shares one pre-decoded stream per program; an
-    /// instance built here pre-decodes its own.)
-    pub fn shared(prog: Arc<MachineProgram>, cfg: &VmConfig) -> VmInstance<'static> {
-        VmInstance::with_prog(ProgRef::Shared(prog), cfg, None)
-    }
-
-    /// The one constructor. `stream`, when given, must be the
-    /// pre-decode of this program (the scheduler passes the one it
-    /// shares between tenants); it is ignored under
-    /// [`Dispatch::Decode`].
-    pub(crate) fn with_prog(
-        prog: ProgRef<'p>,
-        cfg: &VmConfig,
-        stream: Option<Arc<ThreadedProgram>>,
-    ) -> VmInstance<'p> {
-        let static_need: usize = prog
+impl VmInstance {
+    /// Prepares a run of `exe`: builds the heap (sizing the immortal
+    /// region to the literal pool so pool loading can never exhaust
+    /// it), loads the literals, and — under [`Dispatch::Threaded`] —
+    /// builds the executable's stream if no run has yet. An executable
+    /// whose load checks failed marks the instance finished with that
+    /// `Fault` before the first step.
+    pub fn new(exe: &Executable, cfg: &VmConfig) -> VmInstance {
+        let static_need: usize = exe
             .pool
             .iter()
             .map(|s| s.len().div_ceil(4).max(1) + 1)
             .sum::<usize>()
             + 1;
-        let finished = prog
-            .pool
-            .iter()
-            .find(|s| s.len() > Heap::MAX_STRING_BYTES)
-            .map(|s| {
-                format!(
-                    "string literal of {} bytes exceeds the descriptor limit of {}",
-                    s.len(),
-                    Heap::MAX_STRING_BYTES
-                )
-            })
-            .or_else(|| crate::verify::register_fault(&prog))
-            .map(VmResult::Fault);
+        let finished = exe.0.fault.clone().map(VmResult::Fault);
         let mut heap = Heap::new(&HeapConfig {
             mode: cfg.gc_mode,
             nursery_words: cfg.nursery_words,
@@ -461,20 +498,18 @@ impl<'p> VmInstance<'p> {
             static_words: static_need,
             max_pause_cycles: cfg.max_pause_cycles,
         });
-        let mut pool_ptrs = Vec::with_capacity(prog.pool.len());
+        let mut pool_ptrs = Vec::with_capacity(exe.pool.len());
         if finished.is_none() {
-            for s in &prog.pool {
+            for s in &exe.pool {
                 pool_ptrs.push(heap.alloc_static_string(s));
             }
         }
-        let threaded = match cfg.dispatch {
-            Dispatch::Decode => None,
-            Dispatch::Threaded => Some(stream.unwrap_or_else(|| Arc::new(predecode(&prog)))),
+        let meter = match cfg.dispatch {
+            Dispatch::Decode => Meter::default(),
+            Dispatch::Threaded => Meter::new(exe.threaded()),
         };
-        let meter = threaded.as_deref().map_or_else(Meter::default, Meter::new);
-        let entry = prog.entry as usize;
         VmInstance {
-            prog,
+            exe: exe.clone(),
             cfg: *cfg,
             heap,
             pool_ptrs,
@@ -483,10 +518,9 @@ impl<'p> VmInstance<'p> {
             handler: tag_int(0),
             stats: RunStats::default(),
             output: String::new(),
-            block: entry,
+            block: exe.entry as usize,
             pc: 0,
             yield_ctr: 0,
-            threaded,
             meter,
             finished,
         }
@@ -521,13 +555,16 @@ impl<'p> VmInstance<'p> {
     /// Which engine this instance runs on, and what its pre-decoder
     /// did (all zeros under [`Dispatch::Decode`]).
     pub fn dispatch_stats(&self) -> DispatchStats {
-        match &self.threaded {
-            Some(tp) => DispatchStats {
-                engine: Dispatch::Threaded,
-                superinstructions: tp.fused,
-                stream_len: tp.stream_len,
-            },
-            None => DispatchStats {
+        match self.cfg.dispatch {
+            Dispatch::Threaded => {
+                let tp = self.exe.threaded();
+                DispatchStats {
+                    engine: Dispatch::Threaded,
+                    superinstructions: tp.fused,
+                    stream_len: tp.stream_len,
+                }
+            }
+            Dispatch::Decode => DispatchStats {
                 engine: Dispatch::Decode,
                 superinstructions: 0,
                 stream_len: 0,
@@ -587,7 +624,7 @@ impl<'p> VmInstance<'p> {
         let mut out: Option<VmResult> = None;
         let (block, pc) = {
             let mut eng = Engine {
-                prog: &self.prog,
+                prog: &self.exe,
                 cfg: &self.cfg,
                 heap: &mut self.heap,
                 pool_ptrs: &self.pool_ptrs,
@@ -641,8 +678,8 @@ impl<'p> VmInstance<'p> {
 /// loop compiles to direct code; a handler returning `Err` ends the
 /// run (normal halts travel that path too, exactly like traps, so the
 /// loops have a single exit protocol).
-pub(crate) struct Engine<'a, 'p> {
-    pub(crate) prog: &'p MachineProgram,
+pub(crate) struct Engine<'a> {
+    pub(crate) prog: &'a MachineProgram,
     pub(crate) cfg: &'a VmConfig,
     pub(crate) heap: &'a mut Heap,
     pub(crate) pool_ptrs: &'a [u32],
@@ -665,16 +702,17 @@ fn obj_kind(kind: AllocKind) -> ObjKind {
     }
 }
 
-/// Register-file index. Every register operand is range-checked once,
-/// when the instance is created ([`VmInstance::new`] faults a program
-/// that names a register past the file), so the mask never changes an
-/// index; it only lets the compiler drop the bounds check.
+/// Register-file index. Every register operand is range-checked once
+/// per program, when its [`Executable`] is built (an instance of a
+/// program that names a register past the file faults before its first
+/// step), so the mask never changes an index; it only lets the compiler
+/// drop the bounds check.
 #[inline(always)]
 fn ri(r: u8) -> usize {
     r as usize & (MAX_REGS as usize - 1)
 }
 
-impl<'p> Engine<'_, 'p> {
+impl Engine<'_> {
     #[inline(always)]
     fn r(&self, r: Reg) -> u32 {
         self.regs[ri(r)]
@@ -1596,4 +1634,84 @@ fn gc(
     }
     record_pause(stats, minor_ran, cost, budget);
     complete
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts to `n` in a loop.
+    fn sum_loop(n: i64) -> MachineProgram {
+        let block = |name: &str, instrs| CodeBlock {
+            name: name.into(),
+            instrs,
+        };
+        MachineProgram {
+            blocks: vec![
+                block(
+                    "entry",
+                    vec![
+                        Instr::LoadI { d: 1, imm: 0 },
+                        Instr::LoadI { d: 2, imm: n },
+                        Instr::LoadI { d: 3, imm: 1 },
+                        Instr::Jump { label: 1 },
+                    ],
+                ),
+                block(
+                    "loop",
+                    vec![
+                        Instr::Branch {
+                            op: BrOp::Gt,
+                            a: 2,
+                            b: 1,
+                            target: 3,
+                        },
+                        Instr::Arith {
+                            op: AOp::Add,
+                            d: 1,
+                            a: 1,
+                            b: 3,
+                        },
+                        Instr::Jump { label: 1 },
+                        Instr::Halt { s: 1 },
+                    ],
+                ),
+            ],
+            entry: 0,
+            pool: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn runs_of_one_executable_share_one_stream() {
+        let exe = Executable::new(&sum_loop(50));
+        let decode = VmConfig {
+            dispatch: Dispatch::Decode,
+            ..VmConfig::default()
+        };
+        let d = exe.run(&decode);
+        assert!(
+            exe.0.threaded.get().is_none(),
+            "decode runs build no stream"
+        );
+        assert_eq!(
+            d.dispatch,
+            DispatchStats {
+                engine: Dispatch::Decode,
+                ..DispatchStats::default()
+            }
+        );
+
+        let first = exe.run(&VmConfig::default());
+        let stream: *const ThreadedProgram = exe.0.threaded.get().expect("built by the first run");
+        let again = exe.clone().run(&VmConfig::default());
+        assert!(std::ptr::eq(stream, exe.threaded()), "built once");
+        assert_eq!(first.dispatch, again.dispatch);
+        assert!(first.dispatch.stream_len > 0);
+        assert_eq!(
+            (&first.result, &first.output, first.stats),
+            (&d.result, &d.output, d.stats)
+        );
+        assert_eq!(first.result, VmResult::Value(50));
+    }
 }

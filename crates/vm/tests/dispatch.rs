@@ -7,10 +7,9 @@
 
 use sml_vm::isa::{AOp, AllocKind, BrOp, FOp};
 use sml_vm::{
-    run, verify_threaded, CodeBlock, Dispatch, FaultInject, GcMode, Instr, MachineProgram, Outcome,
-    SchedulerBuilder, TenantSpec, VmConfig, VmInstance, VmResult,
+    run, verify_threaded, CodeBlock, Dispatch, Executable, FaultInject, GcMode, Instr,
+    MachineProgram, Outcome, SchedulerBuilder, TenantSpec, VmConfig, VmInstance, VmResult,
 };
-use std::sync::Arc;
 
 fn prog(instrs: Vec<Instr>) -> MachineProgram {
     MachineProgram {
@@ -355,7 +354,7 @@ fn engines_agree_on_loop_with_superinstructions() {
     let p = sum_loop(1000);
     let o = both(&p, &VmConfig::default());
     assert_eq!(o.result, VmResult::Value(1000 * 999 / 2));
-    let mut vm = VmInstance::new(&p, &cfg(Dispatch::Threaded));
+    let mut vm = VmInstance::new(&Executable::new(&p), &cfg(Dispatch::Threaded));
     while !vm.run_slice(u64::MAX) {}
     let ds = vm.dispatch_stats();
     assert!(
@@ -491,7 +490,7 @@ fn out_of_fuel_is_identical_even_mid_superinstruction() {
 
 #[test]
 fn scheduler_runs_threaded_tenants_identically() {
-    let p = Arc::new(sum_loop(500));
+    let p = Executable::new(&sum_loop(500));
     let run_tenants = |dispatch| {
         // Odd quantum: exercise preemption.
         let mut sched = SchedulerBuilder::new().quantum(97).build().unwrap();
@@ -558,10 +557,12 @@ fn storm_heap() -> VmConfig {
 }
 
 fn compiled(src: &str) -> MachineProgram {
-    smlc::Session::default()
-        .compile(src)
-        .expect("the test program compiles")
-        .machine
+    MachineProgram::clone(
+        &smlc::Session::default()
+            .compile(src)
+            .expect("the test program compiles")
+            .machine,
+    )
 }
 
 /// Runs `p` under both engines in lockstep, `quantum` cycles a slice,
@@ -570,8 +571,9 @@ fn compiled(src: &str) -> MachineProgram {
 /// `RunStats`, class and collector counters included. An empty slice
 /// in between must leave every counter alone, even inside a segment.
 /// Returns the finished decode instance.
-fn lockstep<'p>(p: &'p MachineProgram, base: &VmConfig, quantum: u64) -> VmInstance<'p> {
-    let engine = |dispatch| VmInstance::new(p, &VmConfig { dispatch, ..*base });
+fn lockstep(p: &MachineProgram, base: &VmConfig, quantum: u64) -> VmInstance {
+    let p = Executable::new(p);
+    let engine = |dispatch| VmInstance::new(&p, &VmConfig { dispatch, ..*base });
     let (mut dec, mut thr) = (engine(Dispatch::Decode), engine(Dispatch::Threaded));
     for slice in 0.. {
         let before = dec.stats().cycles;
@@ -841,7 +843,7 @@ fn verify_threaded_accepts_and_counts_fusion() {
         assert_eq!(sum.superinstructions, fused, "{sum:?}");
         assert!(sum.tinstrs > 0);
         // And matches what the engine actually pre-decodes.
-        let vm = VmInstance::new(&p, &cfg(Dispatch::Threaded));
+        let vm = VmInstance::new(&Executable::new(&p), &cfg(Dispatch::Threaded));
         assert_eq!(vm.dispatch_stats().superinstructions, sum.superinstructions);
         assert_eq!(vm.dispatch_stats().stream_len, sum.tinstrs);
     }
@@ -1024,7 +1026,7 @@ fn allocation_records_match_decode_under_fault_injection_and_active_majors() {
         assert_eq!(o.result, VmResult::Value(40), "{cfg:?}");
     }
     let vm = VmInstance::new(
-        &p,
+        &Executable::new(&p),
         &VmConfig {
             max_pause_cycles: 270,
             ..VmConfig::default()
@@ -1058,7 +1060,7 @@ fn allocation_records_match_decode_under_fault_injection_and_active_majors() {
     // is exhausted while the mutator still runs, and its next
     // allocation is the one that traps.
     let p = grow_and_walk();
-    let mut vm = VmInstance::new(&p, &sliced);
+    let mut vm = VmInstance::new(&Executable::new(&p), &sliced);
     let mut exhausted_while_running = false;
     while !vm.run_slice(1) {
         exhausted_while_running |= vm.heap().is_exhausted();

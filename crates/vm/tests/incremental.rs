@@ -6,10 +6,9 @@
 
 use sml_vm::isa::{AOp, AllocKind, BrOp};
 use sml_vm::{
-    run, CodeBlock, GcMode, Instr, InstrClass, MachineProgram, RunStats, SchedulerBuilder,
-    TenantOutcome, TenantSpec, VmConfig, VmResult, VmScheduler,
+    run, CodeBlock, Executable, GcMode, Instr, InstrClass, MachineProgram, RunStats,
+    SchedulerBuilder, TenantOutcome, TenantSpec, VmConfig, VmResult, VmScheduler,
 };
-use std::sync::Arc;
 
 /// A default round-robin scheduler on the given quantum.
 fn sched_of(quantum: u64) -> VmScheduler {
@@ -19,7 +18,7 @@ fn sched_of(quantum: u64) -> VmScheduler {
 /// Admits one tenant of `p` under `cfg` (uncapped, cannot reject).
 fn spawn(sched: &mut VmScheduler, p: &MachineProgram, cfg: &VmConfig) {
     sched
-        .admit(TenantSpec::new(Arc::new(p.clone()), cfg))
+        .admit(TenantSpec::new(Executable::new(p), cfg))
         .unwrap();
 }
 
@@ -347,7 +346,7 @@ fn scheduler_runs_tenants_to_solo_identical_results() {
     let p = churn(100, 1_500);
     let solo = run(&p, &small_heap(0));
     let mut sched = sched_of(5_000);
-    let shared = Arc::new(p.clone());
+    let shared = Executable::new(&p);
     for _ in 0..3 {
         sched
             .admit(TenantSpec::new(shared.clone(), &small_heap(0)))

@@ -6,11 +6,10 @@
 
 use sml_vm::isa::{AOp, AllocKind, BrOp};
 use sml_vm::{
-    run, AdmissionError, CodeBlock, Dispatch, FaultInject, GcMode, Instr, MachineProgram,
-    SchedConfigError, SchedPolicy, SchedStats, SchedulerBuilder, TenantOutcome, TenantSpec,
-    VmConfig, VmResult, VmScheduler,
+    run, AdmissionError, CodeBlock, Dispatch, Executable, FaultInject, GcMode, Instr,
+    MachineProgram, SchedConfigError, SchedPolicy, SchedStats, SchedulerBuilder, TenantOutcome,
+    TenantSpec, VmConfig, VmResult, VmScheduler,
 };
-use std::sync::Arc;
 
 fn prog(instrs: Vec<Instr>) -> MachineProgram {
     MachineProgram {
@@ -201,7 +200,7 @@ fn policy_parses_and_prints_stable_names() {
 
 #[test]
 fn admission_rejects_heap_oversubscription_with_a_typed_error() {
-    let p = Arc::new(sum_loop(10));
+    let p = Executable::new(&sum_loop(10));
     let mut sched = SchedulerBuilder::new()
         .heap_capacity_words(5_000)
         .build()
@@ -231,7 +230,7 @@ fn admission_rejects_heap_oversubscription_with_a_typed_error() {
 
 #[test]
 fn admission_rejects_fuel_oversubscription_with_a_typed_error() {
-    let p = Arc::new(sum_loop(10));
+    let p = Executable::new(&sum_loop(10));
     let mut sched = SchedulerBuilder::new()
         .fuel_capacity_cycles(100_000)
         .build()
@@ -274,8 +273,8 @@ fn edf_never_misses_on_a_feasible_workload() {
         for n_tenants in [3usize, 8, 17] {
             // Distinct per-tenant costs, measured solo (exact: the
             // machine is deterministic).
-            let progs: Vec<Arc<MachineProgram>> = (0..n_tenants)
-                .map(|i| Arc::new(sum_loop(200 + 157 * i as i64)))
+            let progs: Vec<Executable> = (0..n_tenants)
+                .map(|i| Executable::new(&sum_loop(200 + 157 * i as i64)))
                 .collect();
             let costs: Vec<u64> = progs.iter().map(|p| run(p, &cfg).stats.cycles).collect();
             // Feasibility: EDF (deadline order == cost order here) runs
@@ -316,7 +315,7 @@ fn edf_never_misses_on_a_feasible_workload() {
 
 #[test]
 fn infeasible_deadline_reports_missed_with_solo_identical_result() {
-    let p = Arc::new(sum_loop(2_000));
+    let p = Executable::new(&sum_loop(2_000));
     let cfg = VmConfig::default();
     let solo = run(&p, &cfg);
     let mut sched = build(SchedPolicy::Deadline, 1_000);
@@ -335,7 +334,7 @@ fn infeasible_deadline_reports_missed_with_solo_identical_result() {
 
 #[test]
 fn resource_outcomes_take_precedence_over_deadline_misses() {
-    let p = Arc::new(retainer(100_000));
+    let p = Executable::new(&retainer(100_000));
     let cfg = VmConfig {
         tenured_words: 4096,
         ..small_heap(0)
@@ -355,7 +354,7 @@ fn deadlines_are_judged_under_every_policy() {
     // Two equal tenants, a deadline only one round-robin interleaving
     // can meet: under RR both finish near the end, so the second
     // tenant's tight deadline (set to its *solo* cost) must be missed.
-    let p = Arc::new(sum_loop(2_000));
+    let p = Executable::new(&sum_loop(2_000));
     let cfg = VmConfig::default();
     let solo_cycles = run(&p, &cfg).stats.cycles;
     let mut sched = build(SchedPolicy::RoundRobin, 1_000);
@@ -372,7 +371,7 @@ fn deadlines_are_judged_under_every_policy() {
 fn priority_is_strict_under_large_aging() {
     // Admission order is the *reverse* of priority; the schedule must
     // invert it.
-    let p = Arc::new(sum_loop(1_500));
+    let p = Executable::new(&sum_loop(1_500));
     let cfg = VmConfig::default();
     let mut sched = build(SchedPolicy::Priority, 500);
     for prio in [0u32, 5, 9] {
@@ -396,7 +395,7 @@ fn priority_is_strict_under_large_aging() {
 
 #[test]
 fn priority_aging_bounds_starvation() {
-    let p = Arc::new(sum_loop(4_000));
+    let p = Executable::new(&sum_loop(4_000));
     let cfg = VmConfig::default();
     let aging = 4u64;
     let gap = 8u32;
@@ -428,8 +427,8 @@ fn priority_aging_bounds_starvation() {
 #[test]
 fn thousand_tenant_storm_isolates_fault_injected_neighbors() {
     const N: usize = 1_000;
-    let good_prog = Arc::new(alloc_loop(150));
-    let hostile_prog = Arc::new(retainer(100_000));
+    let good_prog = Executable::new(&alloc_loop(150));
+    let hostile_prog = Executable::new(&retainer(100_000));
     // Every tenant runs with forced collections before every 3rd
     // allocation — far off the natural nursery schedule — and every
     // 97th tenant retains everything until its quota traps.
@@ -499,7 +498,7 @@ fn overshoot_is_accounted_against_each_tenants_own_quantum() {
     // Mixed quanta: one tenant on a 500-cycle quantum, one on 5000.
     // PR 7 measured overshoot against the single global quantum, which
     // under-reports for small-quantum tenants; the bound is per-tenant.
-    let p = Arc::new(alloc_loop(2_000));
+    let p = Executable::new(&alloc_loop(2_000));
     let cfg = small_heap(1_200);
     let mut sched = build(SchedPolicy::RoundRobin, 5_000);
     sched
@@ -535,7 +534,7 @@ fn round_robin_matches_the_pre_policy_schedule() {
     // schedule exactly: every unfinished tenant gets one slice per
     // pass, in admission order — observable through rounds == max
     // slices and solo-identical per-tenant behavior.
-    let p = Arc::new(sum_loop(700));
+    let p = Executable::new(&sum_loop(700));
     let cfg = VmConfig::default();
     let solo = run(&p, &cfg);
     let mut sched = build(SchedPolicy::RoundRobin, 97);

@@ -6,10 +6,9 @@
 use sml_vm::isa::{AOp, AllocKind, RtOp};
 use sml_vm::vm::FaultInject;
 use sml_vm::{
-    run, CodeBlock, Dispatch, Instr, InstrClass, MachineProgram, Outcome, RunStats,
+    run, CodeBlock, Dispatch, Executable, Instr, InstrClass, MachineProgram, Outcome, RunStats,
     SchedulerBuilder, TenantOutcome, TenantSpec, VmConfig, VmResult,
 };
-use std::sync::Arc;
 
 fn prog(instrs: Vec<Instr>) -> MachineProgram {
     MachineProgram {
@@ -458,7 +457,7 @@ fn out_of_range_register_faults_before_the_first_step() {
 
             let mut sched = SchedulerBuilder::new().build().unwrap();
             sched
-                .admit(TenantSpec::new(Arc::new(p.clone()), &cfg))
+                .admit(TenantSpec::new(Executable::new(p), &cfg))
                 .unwrap();
             let (reports, stats) = sched.run_all();
             assert_eq!(reports[0].outcome, TenantOutcome::Fault);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: the tier-1 test suite plus formatting, lint,
-# the public-API snapshot and the release-only gates. Run from anywhere
+# the public-API snapshot, the release-only gates and a short run of
+# the benchmark harness. Run from anywhere
 # inside the repository; CI and pre-merge checks should pass this
 # script exactly as-is.
 set -euo pipefail
@@ -88,5 +89,33 @@ cargo test -q --release -p smlc-bench --test gates --test run_stats_golden
 cargo test -q --release -p smlc --test fuzz_programs -- seeded_batch
 cargo test -q --release -p sml-vm --test dispatch --test sched
 cargo test -q --release -p smlc --lib -- alloc::tests
+
+# The benchmark harness, smlc-bench/, is a package outside the
+# workspace that builds the compiler crates from source and names their
+# types, so an API change can break it without breaking any workspace
+# build. Build it unchanged and run each workload for about a second,
+# untraced and traced (the traced run also replays every compile phase
+# and prices solo runs); the harness exits 1 on a wrong output. An
+# offline build rewrites smlc-bench/Cargo.lock, so the lock is restored
+# on exit, and the run records go to a temporary directory.
+echo "== smlc-bench harness =="
+repo=$(pwd)
+bench_tmp=$(mktemp -d)
+cp smlc-bench/Cargo.lock "$bench_tmp/Cargo.lock"
+trap 'cp "$bench_tmp/Cargo.lock" "$repo/smlc-bench/Cargo.lock"; rm -rf "$bench_tmp"' EXIT
+cargo build --release --offline --manifest-path smlc-bench/Cargo.toml
+for workload in figure-run compile-cold serve-edit tenant-storm; do
+  for trace in 0 1; do
+    log="$bench_tmp/$workload-$trace.log"
+    if ! (cd "$bench_tmp" && cargo run --release --offline --quiet \
+        --manifest-path "$repo/smlc-bench/Cargo.toml" --bin smlc-bench -- \
+        --workload "$workload" --seconds 1 --trace "$trace" > "$log" 2>&1); then
+      cat "$log" >&2
+      echo "error: smlc-bench --workload $workload --trace $trace failed" >&2
+      exit 1
+    fi
+    echo "$workload (trace $trace): ok"
+  done
+done
 
 echo "verify: all gates passed"
