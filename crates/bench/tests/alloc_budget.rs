@@ -16,14 +16,16 @@
 use smlc::{thread_allocations, Job, Session, Variant, VerifyIr};
 use smlc_bench::benchmarks;
 
-/// The budget: 15,906, the count once CPS held each straight-line run
-/// as one deque of bindings instead of one box per operator, plus 5%.
-/// Deep-copying types and re-boxing every CPS node on every round had
-/// made it 30,136; sharing types and reusing CPS nodes brought it to
-/// 17,962, snapshotting only the functions some call names to 17,118,
-/// and one LTY table per compile instead of a shared sharded arena to
-/// 17,065.
-const MAX_ALLOCS_PER_COMPILE: u64 = 16_702;
+/// The budget: 13,466, the count once per-variable tables became
+/// arrays allocated once per compile and elaboration scopes an undo log
+/// instead of copies, plus 5%. Deep-copying types and re-boxing every
+/// CPS node on every round had made it 30,136; sharing types and
+/// reusing CPS nodes brought it to 17,962, snapshotting only the
+/// functions some call names to 17,118, one LTY table per compile
+/// instead of a shared sharded arena to 17,065, one deque of bindings
+/// per straight-line CPS run to 15,906, and one `Executable` per
+/// program to 15,909.
+const MAX_ALLOCS_PER_COMPILE: u64 = 14_139;
 
 /// Compiles every job on its own fresh session and returns this
 /// thread's (allocations, bytes) over the whole pass.

@@ -309,9 +309,7 @@ pub(crate) fn compile_engine(
     }
     if verifying {
         let tv = Instant::now();
-        let res = contain("translate", || {
-            sml_lambda::verify_lexp(&tr.lexp, &mut tr.interner)
-        })?;
+        let res = contain("translate", || sml_lambda::verify_translation(&mut tr))?;
         vstats.lexp_checks += 1;
         vstats.time += tv.elapsed();
         if let Err(v) = res {

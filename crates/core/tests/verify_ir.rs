@@ -13,7 +13,7 @@ use sml_cps::{
     close, convert, optimize, verify_closed_program, verify_cps, ClosedProgram, CpsProgram,
     OptConfig,
 };
-use sml_lambda::{translate, Lexp, LtyInterner};
+use sml_lambda::{translate, Translation};
 use sml_testkit::mutate::{bytecode_mutations, closed_mutations, cps_mutations, lexp_mutations};
 use sml_vm::{codegen, verify_bytecode, MachineProgram};
 use smlc::{SessionBuilder, Variant, VerifyIr};
@@ -55,20 +55,19 @@ const VARIANTS: &[Variant] = &[Variant::Nrp, Variant::Mtd, Variant::Fp3];
 
 /// Runs the real front end (parse, elaborate, optional minimum typing,
 /// translate) on a fixture.
-fn front_end(src: &str, v: Variant) -> (Lexp, LtyInterner, u32) {
+fn front_end(src: &str, v: Variant) -> Translation {
     let prog = sml_ast::parse(src).expect("fixture parses");
     let mut elab = sml_elab::elaborate(&prog).expect("fixture elaborates");
     if v.uses_mtd() {
         sml_elab::minimum_typing(&mut elab);
     }
-    let tr = translate(&elab, &v.lambda_config());
-    (tr.lexp, tr.interner, tr.n_vars)
+    translate(&elab, &v.lambda_config())
 }
 
 /// Front end plus CPS conversion.
 fn to_cps(src: &str, v: Variant) -> CpsProgram {
-    let (lexp, mut interner, n_vars) = front_end(src, v);
-    convert(&lexp, &mut interner, n_vars, &v.cps_config())
+    let mut tr = front_end(src, v);
+    convert(&tr.lexp, &mut tr.interner, tr.n_vars, &v.cps_config())
 }
 
 /// Full middle end: conversion, optimization, closure conversion.
@@ -101,14 +100,14 @@ fn lexp_mutants_rejected() {
         let mut applied = false;
         'search: for &v in VARIANTS {
             for src in FIXTURES {
-                let (mut lexp, mut interner, _) = front_end(src, v);
-                sml_lambda::verify_lexp(&lexp, &mut interner)
+                let mut tr = front_end(src, v);
+                sml_lambda::verify_translation(&mut tr)
                     .unwrap_or_else(|e| panic!("clean fixture rejected: {} {e:?}", v.name()));
-                if !(m.apply)(&mut lexp, &mut interner) {
+                if !(m.apply)(&mut tr.lexp, &mut tr.interner) {
                     continue;
                 }
                 applied = true;
-                let err = sml_lambda::verify_lexp(&lexp, &mut interner).expect_err(&format!(
+                let err = sml_lambda::verify_translation(&mut tr).expect_err(&format!(
                     "mutant {} accepted under {} on fixture:\n{src}",
                     m.name,
                     v.name()
@@ -267,10 +266,10 @@ fn fixtures_verify_clean_end_to_end() {
 /// `CompileError::Internal { violation }` and `--stats=json`.
 #[test]
 fn violation_payload_is_structured() {
-    let (mut lexp, mut interner, _) = front_end(FIXTURES[0], Variant::Nrp);
+    let mut tr = front_end(FIXTURES[0], Variant::Nrp);
     let m = &lexp_mutations()[0];
-    assert!((m.apply)(&mut lexp, &mut interner));
-    let v = sml_lambda::verify_lexp(&lexp, &mut interner).unwrap_err();
+    assert!((m.apply)(&mut tr.lexp, &mut tr.interner));
+    let v = sml_lambda::verify_translation(&mut tr).unwrap_err();
     assert_eq!(v.rule, "unbound-var");
     assert!(!v.detail.is_empty());
 }

@@ -17,8 +17,10 @@
 
 use crate::convert::CpsProgram;
 use crate::cps::*;
-use sml_ast::{FxHashMap, FxHashSet};
-use std::collections::{BTreeSet, VecDeque};
+use crate::varmap::set;
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::rc::Rc;
 
 /// A first-order CPS program: closed functions plus an entry expression.
 #[derive(Debug)]
@@ -33,48 +35,68 @@ pub struct ClosedProgram {
 
 /// Converts a CPS program to first-order form.
 pub fn close(prog: CpsProgram) -> ClosedProgram {
-    let mut var_cty = FxHashMap::default();
-    collect_ctys(&prog.body, &mut var_cty);
-    let mut fnnames = FxHashSet::default();
-    collect_fn_names(&prog.body, &mut fnnames);
-    let mut escaping = FxHashSet::default();
-    collect_escaping(&prog.body, &fnnames, &mut escaping);
+    let n = prog.next_var as usize;
+    let mut var_cty = vec![Cty::Ptr(None); n];
+    // Every function, numbered in the order its `Fix` is met: `fun_of[v]`
+    // is the number of the function `v` names (`NOT_FUN` for other
+    // variables), and `group[i]` the numbers of function `i`'s `Fix`.
+    let mut funs: Vec<&FunDef> = Vec::new();
+    let mut fun_of = vec![NOT_FUN; n];
+    let mut group: Vec<Range<usize>> = Vec::new();
+    for b in prog.body.runs().flat_map(|r| &r.binds) {
+        if let Some((v, c)) = b.binder() {
+            set(&mut var_cty, v, c, Cty::Ptr(None));
+        }
+        let fix = b.funs();
+        let members = funs.len()..funs.len() + fix.len();
+        for f in fix {
+            set(&mut fun_of, f.name, funs.len() as u32, NOT_FUN);
+            set(&mut var_cty, f.name, Cty::Fun, Cty::Ptr(None));
+            for &(p, c) in &f.params {
+                set(&mut var_cty, p, c, Cty::Ptr(None));
+            }
+            funs.push(f);
+            group.push(members.clone());
+        }
+    }
+    let fun_ix = |v: CVar| match fun_of.get(v as usize) {
+        Some(&i) if i != NOT_FUN => Some(i as usize),
+        _ => None,
+    };
+    let escaping = collect_escaping(&prog.body, |v| fun_ix(v).is_some(), n);
+    let escapes = |v: CVar| escaping.get(v as usize) == Some(&true);
 
     // Free variables per function (raw: vars minus params, including
-    // function names).
-    let mut raw_fvs: FxHashMap<CVar, BTreeSet<CVar>> = FxHashMap::default();
-    let mut siblings: FxHashMap<CVar, Vec<CVar>> = FxHashMap::default();
-    collect_fvs(&prog.body, &mut raw_fvs, &mut siblings);
+    // function names), each sorted.
+    let mut raw_fvs = free_vars(&funs, n);
 
     // Fixpoint: a reference to a known function adds that function's
     // free variables; a reference to an escaping non-sibling function
     // adds its closure variable (the function name itself stands for the
     // closure value after rewriting, so keep the name). Sibling
     // references stay (handled via the shared layout).
+    let mut add = Vec::new();
     loop {
         let mut changed = false;
-        let names: Vec<CVar> = raw_fvs.keys().copied().collect();
-        for f in names {
-            let fv: Vec<CVar> = raw_fvs[&f].iter().copied().collect();
-            let mut add = BTreeSet::new();
-            for v in fv {
-                if fnnames.contains(&v) && !escaping.contains(&v) {
-                    // Known callee: its (current) free vars are needed at
-                    // the call site. Escaping function names count too —
-                    // they stand for closure values the caller must have
-                    // in hand.
-                    if let Some(gfv) = raw_fvs.get(&v) {
-                        for w in gfv {
-                            let needed = !fnnames.contains(w) || escaping.contains(w);
-                            if needed && !raw_fvs[&f].contains(w) {
-                                add.insert(*w);
-                            }
-                        }
+        for f in 0..funs.len() {
+            for &v in &raw_fvs[f] {
+                // Known callee: its (current) free vars are needed at the
+                // call site. Escaping function names count too — they
+                // stand for closure values the caller must have in hand.
+                let Some(g) = fun_ix(v).filter(|_| !escapes(v)) else {
+                    continue;
+                };
+                for &w in &raw_fvs[g] {
+                    let needed = fun_ix(w).is_none() || escapes(w);
+                    if needed && raw_fvs[f].binary_search(&w).is_err() {
+                        add.push(w);
                     }
                 }
             }
             if !add.is_empty() {
-                raw_fvs.get_mut(&f).expect("function present").extend(add);
+                raw_fvs[f].append(&mut add);
+                raw_fvs[f].sort_unstable();
+                raw_fvs[f].dedup();
                 changed = true;
             }
         }
@@ -86,50 +108,43 @@ pub fn close(prog: CpsProgram) -> ClosedProgram {
     // Per-function closure environment: ordered fv list excluding all
     // function names (those are rebuilt or passed as extra args).
     // Escaping groups share the union of their members' lists.
-    let mut env_of: FxHashMap<CVar, Vec<CVar>> = FxHashMap::default();
-    for (f, fv) in &raw_fvs {
-        let mut list: Vec<CVar> = fv
-            .iter()
-            .copied()
-            .filter(|v| !fnnames.contains(v))
-            .collect();
-        // Escaping callees contribute their closure values, which after
-        // rewriting are ordinary variables bound where their Fix was:
-        // keep them in the env under the function's name. Exception:
-        // an *escaping* function never carries a same-group escaping
-        // sibling (it rebuilds the sibling's closure from the shared
-        // layout instead, avoiding cyclic records).
-        for v in fv {
-            if escaping.contains(v) {
-                let same_group =
-                    escaping.contains(f) && siblings.get(f).is_some_and(|s| s.contains(v));
-                if !same_group {
-                    list.push(*v);
-                }
-            }
-        }
-        list.sort();
-        list.dedup();
-        env_of.insert(*f, list);
-    }
+    let mut env_of: Vec<Rc<[CVar]>> = raw_fvs
+        .iter()
+        .enumerate()
+        .map(|(f, fv)| {
+            // Escaping callees contribute their closure values, which
+            // after rewriting are ordinary variables bound where their
+            // Fix was: keep them in the env under the function's name.
+            // Exception: an *escaping* function never carries a
+            // same-group escaping sibling (it rebuilds the sibling's
+            // closure from the shared layout instead, avoiding cyclic
+            // records).
+            let same_group =
+                |v: CVar| escapes(funs[f].name) && fun_ix(v).is_some_and(|g| group[f].contains(&g));
+            let keep = |&&v: &&CVar| match fun_ix(v) {
+                None => true,
+                Some(_) => escapes(v) && !same_group(v),
+            };
+            // `fv` is sorted and has no duplicates, so neither has this.
+            fv.iter().filter(keep).copied().collect()
+        })
+        .collect();
     // Union environments for escaping sibling groups.
-    let group_keys: Vec<CVar> = escaping.iter().copied().collect();
-    for f in &group_keys {
-        if let Some(sibs) = siblings.get(f) {
-            let esc_sibs: Vec<CVar> = sibs
+    for (f, members) in group.iter().enumerate() {
+        if members.start != f {
+            continue;
+        }
+        let esc: Vec<usize> = members.clone().filter(|&s| escapes(funs[s].name)).collect();
+        if esc.len() > 1 {
+            let mut union: Vec<CVar> = esc
                 .iter()
-                .copied()
-                .filter(|s| escaping.contains(s))
+                .flat_map(|&s| env_of[s].iter().copied())
                 .collect();
-            if esc_sibs.len() > 1 {
-                let mut union = BTreeSet::new();
-                for s in &esc_sibs {
-                    union.extend(env_of.get(s).into_iter().flatten().copied());
-                }
-                let u: Vec<CVar> = union.into_iter().collect();
-                for s in &esc_sibs {
-                    env_of.insert(*s, u.clone());
-                }
+            union.sort_unstable();
+            union.dedup();
+            let union: Rc<[CVar]> = union.into();
+            for &s in &esc {
+                env_of[s] = Rc::clone(&union);
             }
         }
     }
@@ -137,12 +152,13 @@ pub fn close(prog: CpsProgram) -> ClosedProgram {
     let mut cl = Closer {
         next: prog.next_var,
         var_cty,
-        fnnames,
+        fun_of,
         escaping,
         env_of,
+        sub: Subst::default(),
         out: Vec::new(),
     };
-    let entry = cl.go(prog.body, &FxHashMap::default());
+    let entry = cl.go(prog.body);
     ClosedProgram {
         funs: cl.out,
         entry,
@@ -150,37 +166,17 @@ pub fn close(prog: CpsProgram) -> ClosedProgram {
     }
 }
 
-fn collect_ctys(e: &Cexp, out: &mut FxHashMap<CVar, Cty>) {
-    for b in e.runs().flat_map(|r| &r.binds) {
-        out.extend(b.binder());
-        for f in b.funs() {
-            out.insert(f.name, Cty::Fun);
-            out.extend(f.params.iter().copied());
-        }
-    }
-}
+/// `fun_of`'s entry for a variable that names no function.
+const NOT_FUN: u32 = u32::MAX;
 
-/// Maps `v` through `sub` in place.
-fn rv(v: &mut Value, sub: &FxHashMap<CVar, Value>) {
-    if let Value::Var(x) = v {
-        if let Some(new) = sub.get(x) {
-            *v = new.clone();
-        }
-    }
-}
-
-fn collect_fn_names(e: &Cexp, out: &mut FxHashSet<CVar>) {
-    for b in e.runs().flat_map(|r| &r.binds) {
-        out.extend(b.funs().iter().map(|f| f.name));
-    }
-}
-
-/// A function escapes if its name appears anywhere but an App head.
-fn collect_escaping(e: &Cexp, fnnames: &FxHashSet<CVar>, out: &mut FxHashSet<CVar>) {
+/// A function escapes if its name appears anywhere but an App head:
+/// whether each variable names an escaping function.
+fn collect_escaping(e: &Cexp, is_fun: impl Fn(CVar) -> bool, n: usize) -> Vec<bool> {
+    let mut out = vec![false; n];
     let mut mark = |v: &Value| {
         if let Value::Var(x) | Value::Label(x) = v {
-            if fnnames.contains(x) {
-                out.insert(*x);
+            if is_fun(*x) {
+                set(&mut out, *x, true, false);
             }
         }
     };
@@ -194,57 +190,114 @@ fn collect_escaping(e: &Cexp, fnnames: &FxHashSet<CVar>, out: &mut FxHashSet<CVa
             x => x.operands().for_each(&mut mark),
         }
     }
+    out
 }
 
-/// Raw free variables of each function, and sibling groups.
-fn collect_fvs(
-    e: &Cexp,
-    out: &mut FxHashMap<CVar, BTreeSet<CVar>>,
-    siblings: &mut FxHashMap<CVar, Vec<CVar>>,
-) {
-    fn vars(e: &Cexp, bound: &mut FxHashSet<CVar>, free: &mut BTreeSet<CVar>) {
-        let val = |v: &Value, bound: &FxHashSet<CVar>, free: &mut BTreeSet<CVar>| {
-            if let Value::Var(x) | Value::Label(x) = v {
-                if !bound.contains(x) {
-                    free.insert(*x);
+/// The raw free variables of each function of `funs`, sorted: the
+/// variables its body uses that neither the body binds nor are its
+/// name or parameters. Binders are unique, so this is what a walk that
+/// tracks scopes finds. `bound[v]` holds the number of the last
+/// function whose walk met `v`'s binder, so no set is built or copied.
+fn free_vars(funs: &[&FunDef], n: usize) -> Vec<Vec<CVar>> {
+    let mut bound = vec![NOT_FUN; n];
+    let mut uses = Vec::new();
+    funs.iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let stamp = i as u32;
+            let mut bind = |v: CVar| set(&mut bound, v, stamp, NOT_FUN);
+            bind(f.name);
+            f.params.iter().for_each(|&(p, _)| bind(p));
+            let mut used = |v: &Value| {
+                if let Value::Var(x) | Value::Label(x) = v {
+                    uses.push(*x);
                 }
+            };
+            for run in f.body.runs() {
+                for b in &run.binds {
+                    b.operands().for_each(&mut used);
+                    if let Some((d, _)) = b.binder() {
+                        bind(d);
+                    }
+                    for g in b.funs() {
+                        bind(g.name);
+                        g.params.iter().for_each(|&(p, _)| bind(p));
+                    }
+                }
+                run.exit.operands().for_each(&mut used);
             }
-        };
-        for b in &e.binds {
-            b.operands().for_each(|v| val(v, bound, free));
-            bound.extend(b.binder().map(|(d, _)| d));
-            let funs = b.funs();
-            bound.extend(funs.iter().map(|f| f.name));
-            for f in funs {
-                let mut b2 = bound.clone();
-                b2.extend(f.params.iter().map(|(p, _)| *p));
-                vars(&f.body, &mut b2, free);
-            }
+            let mut free: Vec<CVar> = uses
+                .drain(..)
+                .filter(|&v| bound.get(v as usize) != Some(&stamp))
+                .collect();
+            free.sort_unstable();
+            free.dedup();
+            free
+        })
+        .collect()
+}
+
+/// The substitution of the function being rewritten, by variable: an
+/// entry counts only while the function that made it is the one being
+/// rewritten, and the entries a nested function overwrote are put back
+/// when its rewrite ends. Every entry maps a variable to a variable.
+#[derive(Default)]
+struct Subst {
+    /// The function being rewritten, and the next number to hand out.
+    owner: u32,
+    next_owner: u32,
+    /// `(owner, variable)` per variable; `NOT_FUN` owns no entry.
+    slot: Vec<(u32, CVar)>,
+    /// Entries overwritten by the functions being rewritten.
+    saved: Vec<(CVar, (u32, CVar))>,
+}
+
+impl Subst {
+    fn get(&self, v: CVar) -> Option<CVar> {
+        match self.slot.get(v as usize) {
+            Some(&(owner, x)) if owner == self.owner => Some(x),
+            _ => None,
         }
-        e.exit.operands().for_each(|v| val(v, bound, free));
-        e.exit.arms().for_each(|a| vars(a, bound, free));
     }
-    for b in e.runs().flat_map(|r| &r.binds) {
-        let funs = b.funs();
-        let names: Vec<CVar> = funs.iter().map(|f| f.name).collect();
-        for f in funs {
-            let mut bound: FxHashSet<CVar> = FxHashSet::default();
-            bound.insert(f.name);
-            bound.extend(f.params.iter().map(|(p, _)| *p));
-            let mut free = BTreeSet::new();
-            vars(&f.body, &mut bound, &mut free);
-            out.insert(f.name, free);
-            siblings.insert(f.name, names.clone());
+
+    /// `v` mapped through the substitution.
+    fn value(&self, v: CVar) -> Value {
+        Value::Var(self.get(v).unwrap_or(v))
+    }
+
+    fn insert(&mut self, v: CVar, x: CVar) {
+        let at = v as usize;
+        if at >= self.slot.len() {
+            self.slot.resize(at + 1, (NOT_FUN, 0));
         }
+        let old = std::mem::replace(&mut self.slot[at], (self.owner, x));
+        self.saved.push((v, old));
+    }
+
+    /// Starts an empty substitution for a nested function; returns what
+    /// [`Subst::leave`] needs to come back.
+    fn enter(&mut self) -> (u32, usize) {
+        let back = (self.owner, self.saved.len());
+        self.next_owner += 1;
+        self.owner = self.next_owner;
+        back
+    }
+
+    fn leave(&mut self, (owner, mark): (u32, usize)) {
+        for (v, old) in self.saved.drain(mark..).rev() {
+            self.slot[v as usize] = old;
+        }
+        self.owner = owner;
     }
 }
 
 struct Closer {
     next: u32,
-    var_cty: FxHashMap<CVar, Cty>,
-    fnnames: FxHashSet<CVar>,
-    escaping: FxHashSet<CVar>,
-    env_of: FxHashMap<CVar, Vec<CVar>>,
+    var_cty: Vec<Cty>,
+    fun_of: Vec<u32>,
+    escaping: Vec<bool>,
+    env_of: Vec<Rc<[CVar]>>,
+    sub: Subst,
     out: Vec<FunDef>,
 }
 
@@ -256,14 +309,39 @@ impl Closer {
     }
 
     fn cty(&self, v: CVar) -> Cty {
-        self.var_cty.get(&v).copied().unwrap_or(Cty::Ptr(None))
+        self.var_cty
+            .get(v as usize)
+            .copied()
+            .unwrap_or(Cty::Ptr(None))
     }
 
-    /// Rewrites a run; `sub` maps original variables to local values
-    /// (closure selects, closure params, rebuilt siblings). Each `Fix`
-    /// is lifted out and replaced by the closures of its escaping
+    fn is_fun(&self, v: CVar) -> bool {
+        self.fun_of.get(v as usize).is_some_and(|&i| i != NOT_FUN)
+    }
+
+    fn escapes(&self, v: CVar) -> bool {
+        self.escaping.get(v as usize) == Some(&true)
+    }
+
+    /// The closure environment of function `f`.
+    fn env_of(&self, f: CVar) -> Rc<[CVar]> {
+        Rc::clone(&self.env_of[self.fun_of[f as usize] as usize])
+    }
+
+    /// Maps `v` through the substitution in place.
+    fn rv(&self, v: &mut Value) {
+        if let Value::Var(x) = v {
+            if let Some(new) = self.sub.get(*x) {
+                *x = new;
+            }
+        }
+    }
+
+    /// Rewrites a run; `self.sub` maps original variables to local
+    /// values (closure selects, closure params, rebuilt siblings). Each
+    /// `Fix` is lifted out and replaced by the closures of its escaping
     /// members.
-    fn go(&mut self, e: Cexp, sub: &FxHashMap<CVar, Value>) -> Cexp {
+    fn go(&mut self, e: Cexp) -> Cexp {
         // In place: each binding comes off the front of the run and its
         // rewrite goes on the back.
         let mut binds = e.binds;
@@ -272,18 +350,18 @@ impl Closer {
                 break;
             };
             if let Bind::Fix { funs } = b {
-                self.close_fix(funs, sub, &mut binds);
+                self.close_fix(funs, &mut binds);
             } else {
-                b.operands_mut().for_each(|v| rv(v, sub));
+                b.operands_mut().for_each(|v| self.rv(v));
                 binds.push_back(b);
             }
         }
         let exit = match e.exit {
-            Exit::App { f, args } => self.close_app(f, args, sub, &mut binds),
+            Exit::App { f, args } => self.close_app(f, args, &mut binds),
             mut x => {
-                x.operands_mut().for_each(|v| rv(v, sub));
+                x.operands_mut().for_each(|v| self.rv(v));
                 for a in x.arms_mut() {
-                    *a = self.go(std::mem::take(a), sub);
+                    *a = self.go(std::mem::take(a));
                 }
                 x
             }
@@ -291,27 +369,18 @@ impl Closer {
         Cexp { binds, exit }
     }
 
-    fn close_app(
-        &mut self,
-        f: Value,
-        mut args: Vec<Value>,
-        sub: &FxHashMap<CVar, Value>,
-        binds: &mut VecDeque<Bind>,
-    ) -> Exit {
-        args.iter_mut().for_each(|v| rv(v, sub));
+    fn close_app(&mut self, f: Value, mut args: Vec<Value>, binds: &mut VecDeque<Bind>) -> Exit {
+        args.iter_mut().for_each(|v| self.rv(v));
         match &f {
-            Value::Var(x) | Value::Label(x) if self.fnnames.contains(x) => {
-                if self.escaping.contains(x) {
+            Value::Var(x) | Value::Label(x) if self.is_fun(*x) => {
+                if self.escapes(*x) {
                     // Direct call to an escaping function: pass its
                     // closure (which `sub` maps its name to) plus args.
-                    let clos = sub.get(x).cloned().unwrap_or(Value::Var(*x));
-                    args.insert(0, clos);
+                    args.insert(0, self.sub.value(*x));
                 } else {
                     // Known function: append its environment.
-                    let env = self.env_of.get(x).cloned().unwrap_or_default();
-                    for v in env {
-                        args.push(sub.get(&v).cloned().unwrap_or(Value::Var(v)));
-                    }
+                    let env = self.env_of(*x);
+                    args.extend(env.iter().map(|&v| self.sub.value(v)));
                 }
                 Exit::App {
                     f: Value::Label(*x),
@@ -321,7 +390,7 @@ impl Closer {
             _ => {
                 // Unknown call: load the code pointer from slot 0.
                 let mut fval = f;
-                rv(&mut fval, sub);
+                self.rv(&mut fval);
                 let code = self.fresh();
                 args.insert(0, fval.clone());
                 binds.push_back(Bind::Select {
@@ -339,28 +408,37 @@ impl Closer {
         }
     }
 
+    /// The fields of function `f`'s closure record, each free variable
+    /// mapped through the substitution, and how many are raw floats.
+    fn closure_fields(&self, f: CVar) -> (Vec<(Value, Cty)>, usize) {
+        let env = self.env_of(f);
+        let is_word = |v: &&CVar| self.cty(**v).is_word();
+        let field = |&v: &CVar| (self.sub.value(v), self.cty(v));
+        let mut fields = vec![(Value::Label(f), Cty::Fun)];
+        fields.extend(env.iter().filter(is_word).map(field));
+        let words = fields.len();
+        fields.extend(env.iter().filter(|v| !is_word(v)).map(field));
+        let nflt = fields.len() - words;
+        (fields, nflt)
+    }
+
     /// Lifts the functions of one `Fix`, then pushes onto `binds` the
     /// closure record of each escaping member.
-    fn close_fix(
-        &mut self,
-        funs: Vec<FunDef>,
-        sub: &FxHashMap<CVar, Value>,
-        binds: &mut VecDeque<Bind>,
-    ) {
+    fn close_fix(&mut self, funs: Vec<FunDef>, binds: &mut VecDeque<Bind>) {
         let esc_members: Vec<CVar> = funs
             .iter()
-            .filter(|f| self.escaping.contains(&f.name))
+            .filter(|f| self.escapes(f.name))
             .map(|f| f.name)
             .collect();
 
         for f in funs {
             let name = f.name;
-            let env = self.env_of.get(&name).cloned().unwrap_or_default();
-            if self.escaping.contains(&name) {
+            let env = self.env_of(name);
+            let back = self.sub.enter();
+            if self.escapes(name) {
                 // Closure layout: [code, word fvs..., float fvs...].
                 let cparam = self.fresh();
-                let mut fsub: FxHashMap<CVar, Value> = FxHashMap::default();
-                fsub.insert(name, Value::Var(cparam));
+                self.sub.insert(name, cparam);
                 // Compute physical offsets within the closure.
                 let words: Vec<CVar> = env
                     .iter()
@@ -375,12 +453,12 @@ impl Closer {
                 let mut selects: Vec<(CVar, usize, bool, Cty)> = Vec::new();
                 for (i, v) in words.iter().enumerate() {
                     let nv = self.fresh();
-                    fsub.insert(*v, Value::Var(nv));
+                    self.sub.insert(*v, nv);
                     selects.push((nv, 1 + i, false, self.cty(*v)));
                 }
                 for (j, v) in floats.iter().enumerate() {
                     let nv = self.fresh();
-                    fsub.insert(*v, Value::Var(nv));
+                    self.sub.insert(*v, nv);
                     selects.push((nv, 1 + words.len() + 2 * j, true, Cty::Flt));
                 }
                 // Sibling escaping functions: rebuild their closures from
@@ -389,24 +467,15 @@ impl Closer {
                 for s in &esc_members {
                     if *s != name {
                         let nv = self.fresh();
-                        fsub.insert(*s, Value::Var(nv));
+                        self.sub.insert(*s, nv);
                         sibling_builds.push((nv, *s));
                     }
                 }
-                let mut body = self.go(f.body, &fsub);
+                let mut body = self.go(f.body);
                 // Emit sibling closure rebuilds (reverse order so the
                 // first build is outermost).
                 for (nv, s) in sibling_builds.into_iter().rev() {
-                    let senv = self.env_of.get(&s).cloned().unwrap_or_default();
-                    let mut fields = vec![(Value::Label(s), Cty::Fun)];
-                    let mut nflt = 0;
-                    for v in senv.iter().filter(|v| self.cty(**v).is_word()) {
-                        fields.push((fsub[v].clone(), self.cty(*v)));
-                    }
-                    for v in senv.iter().filter(|v| !self.cty(**v).is_word()) {
-                        fields.push((fsub[v].clone(), Cty::Flt));
-                        nflt += 1;
-                    }
+                    let (fields, nflt) = self.closure_fields(s);
                     let record = Bind::Record {
                         fields,
                         nflt,
@@ -435,24 +504,12 @@ impl Closer {
                 });
             } else {
                 // Known function: free variables become parameters under
-                // their original names.
-                let mut fsub: FxHashMap<CVar, Value> = FxHashMap::default();
-                // References to escaping siblings inside a known function
-                // are resolved through the caller-passed closure values
-                // (they are part of `env` when used).
-                let body = {
-                    for s in &esc_members {
-                        if env.contains(s) {
-                            // Closure value passed as a parameter.
-                            fsub.insert(*s, Value::Var(*s));
-                        }
-                    }
-                    self.go(f.body, &fsub)
-                };
-                let mut params = f.params.clone();
-                for v in &env {
-                    params.push((*v, self.cty(*v)));
-                }
+                // their original names, so its substitution is empty
+                // (escaping siblings it uses are in `env`, passed by the
+                // caller).
+                let body = self.go(f.body);
+                let mut params = f.params;
+                params.extend(env.iter().map(|&v| (v, self.cty(v))));
                 self.out.push(FunDef {
                     kind: f.kind,
                     name,
@@ -460,26 +517,102 @@ impl Closer {
                     body,
                 });
             }
+            self.sub.leave(back);
         }
 
         // In the continuation of the Fix, build closures for the
         // escaping members.
         for name in esc_members {
-            let env = self.env_of.get(&name).cloned().unwrap_or_default();
-            let mut fields = vec![(Value::Label(name), Cty::Fun)];
-            let mut nflt = 0;
-            for v in env.iter().filter(|v| self.cty(**v).is_word()) {
-                fields.push((sub.get(v).cloned().unwrap_or(Value::Var(*v)), self.cty(*v)));
-            }
-            for v in env.iter().filter(|v| !self.cty(**v).is_word()) {
-                fields.push((sub.get(v).cloned().unwrap_or(Value::Var(*v)), Cty::Flt));
-                nflt += 1;
-            }
+            let (fields, nflt) = self.closure_fields(name);
             binds.push_back(Bind::Record {
                 fields,
                 nflt,
                 dst: name,
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::convert::{CpsConfig, SpreadMode};
+    use smlc::Variant;
+    use std::collections::{BTreeSet, HashSet};
+
+    /// The reference [`free_vars`] is checked against: a walk that
+    /// tracks scopes, copying the bound set for each nested function.
+    fn free_vars_by_scope(f: &FunDef) -> BTreeSet<CVar> {
+        fn vars(e: &Cexp, bound: &mut HashSet<CVar>, free: &mut BTreeSet<CVar>) {
+            let val = |v: &Value, bound: &HashSet<CVar>, free: &mut BTreeSet<CVar>| {
+                if let Value::Var(x) | Value::Label(x) = v {
+                    if !bound.contains(x) {
+                        free.insert(*x);
+                    }
+                }
+            };
+            for b in &e.binds {
+                b.operands().for_each(|v| val(v, bound, free));
+                bound.extend(b.binder().map(|(d, _)| d));
+                let funs = b.funs();
+                bound.extend(funs.iter().map(|f| f.name));
+                for f in funs {
+                    let mut b2 = bound.clone();
+                    b2.extend(f.params.iter().map(|(p, _)| *p));
+                    vars(&f.body, &mut b2, free);
+                }
+            }
+            e.exit.operands().for_each(|v| val(v, bound, free));
+            e.exit.arms().for_each(|a| vars(a, bound, free));
+        }
+        let mut bound: HashSet<CVar> = HashSet::from([f.name]);
+        bound.extend(f.params.iter().map(|(p, _)| *p));
+        let mut free = BTreeSet::new();
+        vars(&f.body, &mut bound, &mut free);
+        free
+    }
+
+    /// A figure benchmark under one variant, as the compiler's phases
+    /// hand it to [`close`].
+    fn optimized(src: &str, v: Variant) -> CpsProgram {
+        let prog = sml_ast::parse(src).expect("figure programs parse");
+        let mut elab = sml_elab::elaborate(&prog).expect("figure programs elaborate");
+        if v.uses_mtd() {
+            sml_elab::minimum_typing(&mut elab);
+        }
+        let mut tr = sml_lambda::translate(&elab, &v.lambda_config());
+        // `Variant::cps_config`, restated: this crate's own types.
+        let spread = match v {
+            Variant::Nrp => SpreadMode::None,
+            Variant::Fag => SpreadMode::KnownOnly,
+            _ => SpreadMode::ByType,
+        };
+        let cfg = CpsConfig {
+            spread,
+            ..CpsConfig::default()
+        };
+        let mut cps = crate::convert(&tr.lexp, &mut tr.interner, tr.n_vars, &cfg);
+        crate::optimize(&mut cps, &crate::OptConfig::default());
+        cps
+    }
+
+    #[test]
+    fn free_variables_equal_a_scope_walk_on_figure_programs() {
+        let mut checked = 0;
+        for b in smlc_bench::benchmarks() {
+            let src = b.source();
+            for v in Variant::ALL {
+                let prog = optimized(&src, v);
+                let runs = prog.body.runs().flat_map(|r| &r.binds);
+                let funs: Vec<&FunDef> = runs.flat_map(Bind::funs).collect();
+                let fvs = free_vars(&funs, prog.next_var as usize);
+                for (f, fv) in funs.iter().zip(&fvs) {
+                    let want: Vec<CVar> = free_vars_by_scope(f).into_iter().collect();
+                    assert_eq!(*fv, want, "{} [{v}]: function v{}", b.name, f.name);
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 2_500, "only {checked} functions checked");
     }
 }

@@ -11,7 +11,7 @@
 //! argument.
 
 use crate::cps::*;
-use sml_ast::{FxHashMap, FxHashSet};
+use crate::varmap::{set, VarMap};
 use sml_lambda::{LVar, Lexp, Lty, LtyInterner, LtyKind, Primop};
 use std::collections::VecDeque;
 
@@ -67,18 +67,20 @@ pub fn convert(
     first_var: u32,
     cfg: &CpsConfig,
 ) -> CpsProgram {
-    let mut known = FxHashSet::default();
+    // LEXP variables are below `first_var`; CPS ones count up from it.
+    let mut known = vec![false; first_var as usize];
     collect_known(lexp, &mut known);
-    let mut known_arity = FxHashMap::default();
+    let mut known_arity = Vec::new();
     if cfg.spread == SpreadMode::KnownOnly {
+        known_arity = vec![ARITY_UNSEEN; first_var as usize];
         collect_known_arity(lexp, &known, cfg.max_spread, &mut known_arity);
     }
     let mut conv = Conv {
         i: interner,
         cfg: *cfg,
         next: first_var,
-        env: FxHashMap::default(),
-        subst: FxHashMap::default(),
+        env: vec![None; first_var as usize],
+        subst: VarMap::default(),
         known,
         known_arity,
     };
@@ -89,14 +91,15 @@ pub fn convert(
     }
 }
 
-/// Finds LEXP `Fix`-bound functions whose every occurrence is a direct
-/// call head (known functions, eligible for `sml.fag` flattening).
-fn collect_known(e: &Lexp, known: &mut FxHashSet<LVar>) {
-    fn bound(e: &Lexp, out: &mut FxHashSet<LVar>) {
+/// Marks, by variable, the LEXP `Fix`-bound functions whose every
+/// occurrence is a direct call head (known functions, eligible for
+/// `sml.fag` flattening).
+fn collect_known(e: &Lexp, known: &mut Vec<bool>) {
+    fn bound(e: &Lexp, out: &mut Vec<bool>) {
         match e {
             Lexp::Fix(fs, b) => {
                 for (v, _, f) in fs {
-                    out.insert(*v);
+                    set(out, *v, true, false);
                     bound(f, out);
                 }
                 bound(b, out);
@@ -135,10 +138,12 @@ fn collect_known(e: &Lexp, known: &mut FxHashSet<LVar>) {
             _ => {}
         }
     }
-    fn escapes(e: &Lexp, known: &mut FxHashSet<LVar>) {
+    fn escapes(e: &Lexp, known: &mut Vec<bool>) {
         match e {
             Lexp::Var(v) => {
-                known.remove(v);
+                if let Some(k) = known.get_mut(*v as usize) {
+                    *k = false;
+                }
             }
             Lexp::App(f, a) => {
                 // The head survives as known; everything inside the
@@ -186,36 +191,29 @@ fn collect_known(e: &Lexp, known: &mut FxHashSet<LVar>) {
     escapes(e, known);
 }
 
+/// `known_arity`'s entry for a function no call of which was seen.
+const ARITY_UNSEEN: u32 = 0;
+/// `known_arity`'s entry for a function not to flatten.
+const NOT_FLAT: u32 = u32::MAX;
+
 /// For `sml.fag` (Kranz): a known function is flattenable when every
 /// call site passes a literal record of one consistent arity — a purely
-/// syntactic analysis requiring no type information.
-fn collect_known_arity(
-    e: &Lexp,
-    known: &FxHashSet<LVar>,
-    max: usize,
-    out: &mut FxHashMap<LVar, Option<usize>>,
-) {
-    fn walk(
-        e: &Lexp,
-        known: &FxHashSet<LVar>,
-        max: usize,
-        out: &mut FxHashMap<LVar, Option<usize>>,
-    ) {
+/// syntactic analysis requiring no type information. Fills in, by
+/// variable, that arity, or `NOT_FLAT`.
+fn collect_known_arity(e: &Lexp, known: &[bool], max: usize, out: &mut Vec<u32>) {
+    fn walk(e: &Lexp, known: &[bool], max: usize, out: &mut Vec<u32>) {
         if let Lexp::App(f, a) = e {
             if let Lexp::Var(v) = &**f {
-                if known.contains(v) {
+                if known.get(*v as usize) == Some(&true) {
                     let arity = match &**a {
-                        Lexp::Record(es) if !es.is_empty() && es.len() <= max => Some(es.len()),
-                        _ => None,
+                        Lexp::Record(es) if !es.is_empty() && es.len() <= max => es.len() as u32,
+                        _ => NOT_FLAT,
                     };
-                    match out.get(v) {
-                        None => {
-                            out.insert(*v, arity);
-                        }
-                        Some(prev) if *prev != arity => {
-                            out.insert(*v, None);
-                        }
-                        _ => {}
+                    let prev = out.get(*v as usize).copied().unwrap_or(ARITY_UNSEEN);
+                    if prev == ARITY_UNSEEN {
+                        set(out, *v, arity, ARITY_UNSEEN);
+                    } else if prev != arity {
+                        set(out, *v, NOT_FLAT, ARITY_UNSEEN);
                     }
                 }
             }
@@ -259,10 +257,7 @@ fn collect_known_arity(
             _ => {}
         }
     }
-    let mut tmp: FxHashMap<LVar, Option<usize>> = FxHashMap::default();
-    walk(e, known, max, &mut tmp);
-    let _ = out;
-    *out = tmp;
+    walk(e, known, max, out);
 }
 
 /// A boxed consumer of one converted value.
@@ -285,15 +280,18 @@ struct Conv<'i> {
     i: &'i mut LtyInterner,
     cfg: CpsConfig,
     next: u32,
-    /// LTY environment for LEXP/CPS variables.
-    env: FxHashMap<LVar, Lty>,
+    /// LTY environment for LEXP/CPS variables, by variable.
+    env: Vec<Option<Lty>>,
     /// Values substituted for let-bound variables.
-    subst: FxHashMap<LVar, Value>,
-    known: FxHashSet<LVar>,
-    /// Kranz-style syntactic flattening (`sml.fag`): known functions
-    /// whose every call site passes a literal record of one consistent
-    /// arity (`None` when inconsistent).
-    known_arity: FxHashMap<LVar, Option<usize>>,
+    subst: VarMap<Value>,
+    /// Whether each LEXP variable is a known function.
+    known: Vec<bool>,
+    /// Kranz-style syntactic flattening (`sml.fag`), by variable: the
+    /// arity of the literal record every call site of a known function
+    /// passes, `NOT_FLAT` when the sites disagree or pass something
+    /// else, `ARITY_UNSEEN` when no call was seen. Empty under other
+    /// variants.
+    known_arity: Vec<u32>,
 }
 
 impl Conv<'_> {
@@ -304,7 +302,20 @@ impl Conv<'_> {
     }
 
     fn value_of(&self, v: LVar) -> Value {
-        self.subst.get(&v).cloned().unwrap_or(Value::Var(v))
+        self.subst.get(v).cloned().unwrap_or(Value::Var(v))
+    }
+
+    /// The LTY `v` was bound at, if known.
+    fn var_lty(&self, v: LVar) -> Option<Lty> {
+        self.env.get(v as usize).copied().flatten()
+    }
+
+    fn bind_lty(&mut self, v: LVar, t: Lty) {
+        set(&mut self.env, v, Some(t), None);
+    }
+
+    fn is_known(&self, v: LVar) -> bool {
+        self.known.get(v as usize) == Some(&true)
     }
 
     fn cty(&self, t: Lty) -> Cty {
@@ -315,14 +326,11 @@ impl Conv<'_> {
 
     fn lty_of(&mut self, e: &Lexp) -> Lty {
         match e {
-            Lexp::Var(v) => self.env.get(v).copied().unwrap_or_else(|| self.i.boxed()),
+            Lexp::Var(v) => self.var_lty(*v).unwrap_or_else(|| self.i.boxed()),
             Lexp::Int(_) => self.i.int(),
             Lexp::Real(_) => self.i.real(),
             Lexp::Str(_) => self.i.boxed(),
-            Lexp::Fn(v, t, r, _) => {
-                let _ = v;
-                self.i.arrow(*t, *r)
-            }
+            Lexp::Fn(_, t, r, _) => self.i.arrow(*t, *r),
             Lexp::App(f, _) => {
                 let ft = self.lty_of(f);
                 match *self.i.kind(ft) {
@@ -332,13 +340,13 @@ impl Conv<'_> {
             }
             Lexp::Fix(fs, b) => {
                 for (v, t, _) in fs {
-                    self.env.insert(*v, *t);
+                    self.bind_lty(*v, *t);
                 }
                 self.lty_of(b)
             }
             Lexp::Let(v, a, b) => {
                 let at = self.lty_of(a);
-                self.env.insert(*v, at);
+                self.bind_lty(*v, at);
                 self.lty_of(b)
             }
             Lexp::Record(es) => {
@@ -363,14 +371,10 @@ impl Conv<'_> {
                     _ => self.i.rboxed(),
                 }
             }
-            Lexp::PrimApp(op, args) => match op {
+            Lexp::PrimApp(op, _) => match op {
                 Primop::Callcc => self.i.boxed(),
                 Primop::Throw => self.i.rboxed(),
-                _ => {
-                    let _ = args;
-                    let (_, r) = op.sig(self.i);
-                    r
-                }
+                _ => op.sig(self.i).1,
             },
             Lexp::If(_, t, f) => {
                 let tt = self.lty_of(t);
@@ -411,8 +415,10 @@ impl Conv<'_> {
                 // Kranz: purely syntactic; every component is a standard
                 // one-word value.
                 let v = fnvar?;
-                match self.known_arity.get(&v) {
-                    Some(Some(n)) => Some(vec![self.i.rboxed(); *n]),
+                match self.known_arity.get(v as usize) {
+                    Some(&n) if n != ARITY_UNSEEN && n != NOT_FLAT => {
+                        Some(vec![self.i.rboxed(); n as usize])
+                    }
                     _ => None,
                 }
             }
@@ -526,7 +532,7 @@ impl Conv<'_> {
             None => {
                 let x = self.fresh();
                 let cty = self.cty(rlty);
-                self.env.insert(x, rlty);
+                self.bind_lty(x, rlty);
                 let body = self.apply_k(k, Value::Var(x), rlty);
                 FunDef {
                     kind: FunKind::Cont,
@@ -548,7 +554,7 @@ impl Conv<'_> {
                 let vals: Vec<Value> = params.iter().map(|(x, _)| Value::Var(*x)).collect();
                 let (phys, nflt) = self.layout_fields(&vals, &fields);
                 let rv = self.fresh();
-                self.env.insert(rv, rlty);
+                self.bind_lty(rv, rlty);
                 let body = self.apply_k(k, Value::Var(rv), rlty);
                 let record = Bind::Record {
                     fields: phys,
@@ -570,7 +576,7 @@ impl Conv<'_> {
     fn cexp(&mut self, e: &Lexp, k: K<'_>) -> Cexp {
         match e {
             Lexp::Var(v) => {
-                let t = self.env.get(v).copied().unwrap_or_else(|| self.i.boxed());
+                let t = self.var_lty(*v).unwrap_or_else(|| self.i.boxed());
                 let val = self.value_of(*v);
                 self.apply_k(k, val, t)
             }
@@ -590,20 +596,20 @@ impl Conv<'_> {
                 let name = self.fresh();
                 let arrow = self.i.arrow(*t, *r);
                 let def = self.convert_fn(name, FunKind::Escape, *v, *t, *r, body, None);
-                self.env.insert(name, arrow);
+                self.bind_lty(name, arrow);
                 let rest = self.apply_k(k, Value::Var(name), arrow);
                 Cexp::bind(Bind::Fix { funs: vec![def] }, rest)
             }
             Lexp::Fix(funs, body) => {
                 let mut defs = Vec::new();
                 for (v, t, _) in funs {
-                    self.env.insert(*v, *t);
+                    self.bind_lty(*v, *t);
                 }
-                for (v, t, f) in funs {
+                for (v, _, f) in funs {
                     let Lexp::Fn(p, pt, pr, fb) = f else {
                         panic!("fix binding is not a function")
                     };
-                    let known = self.known.contains(v);
+                    let known = self.is_known(*v);
                     let kind = if known {
                         FunKind::Known
                     } else {
@@ -611,7 +617,6 @@ impl Conv<'_> {
                     };
                     let fnvar = if known { Some(*v) } else { None };
                     let def = self.convert_fn(*v, kind, *p, *pt, *pr, fb, fnvar);
-                    let _ = t;
                     defs.push(def);
                 }
                 let rest = self.cexp(body, k);
@@ -625,7 +630,7 @@ impl Conv<'_> {
                 self.cexp(
                     a,
                     K::Fn(Box::new(move |me: &mut Conv<'_>, va: Value| {
-                        me.env.insert(vcopy, at);
+                        me.bind_lty(vcopy, at);
                         me.subst.insert(vcopy, va);
                         me.cexp(b, k)
                     })),
@@ -644,7 +649,7 @@ impl Conv<'_> {
                     Box::new(move |me: &mut Conv<'_>, vals: Vec<Value>| {
                         let (phys, nflt) = me.layout_fields(&vals, &ltys);
                         let dst = me.fresh();
-                        me.env.insert(dst, rec_lty);
+                        me.bind_lty(dst, rec_lty);
                         let rest = me.apply_k(k, Value::Var(dst), rec_lty);
                         let fields = phys;
                         Cexp::bind(Bind::Record { fields, nflt, dst }, rest)
@@ -677,7 +682,7 @@ impl Conv<'_> {
                             }
                         };
                         let dst = me.fresh();
-                        me.env.insert(dst, out_lty);
+                        me.bind_lty(dst, out_lty);
                         let rest = me.apply_k(k, Value::Var(dst), out_lty);
                         let select = Bind::Select {
                             rec: rv,
@@ -705,7 +710,7 @@ impl Conv<'_> {
                     inner,
                     K::Fn(Box::new(move |me: &mut Conv<'_>, v: Value| {
                         let dst = me.fresh();
-                        me.env.insert(dst, boxed);
+                        me.bind_lty(dst, boxed);
                         let rest = me.apply_k(k, Value::Var(dst), boxed);
                         let args = vec![v];
                         let cty = Cty::Ptr(None);
@@ -724,7 +729,7 @@ impl Conv<'_> {
                     inner,
                     K::Fn(Box::new(move |me: &mut Conv<'_>, v: Value| {
                         let dst = me.fresh();
-                        me.env.insert(dst, t);
+                        me.bind_lty(dst, t);
                         let rest = me.apply_k(k, Value::Var(dst), t);
                         let args = vec![v];
                         Cexp::bind(Bind::Pure { op, args, dst, cty }, rest)
@@ -782,7 +787,7 @@ impl Conv<'_> {
         body: &Lexp,
         fnvar: Option<LVar>,
     ) -> FunDef {
-        self.env.insert(param, param_lty);
+        self.bind_lty(param, param_lty);
         let body_lty = res_lty;
         let kvar = self.fresh();
         match self.spread_of(param_lty, fnvar) {
@@ -838,7 +843,7 @@ impl Conv<'_> {
             }
         };
         let fnvar = match f {
-            Lexp::Var(v) if self.known.contains(v) => Some(*v),
+            Lexp::Var(v) if self.is_known(*v) => Some(*v),
             _ => None,
         };
         let spread = self.spread_of(arg_lty, fnvar);
@@ -1132,7 +1137,7 @@ impl Conv<'_> {
                         Cty::Flt => me.i.real(),
                         _ => me.i.boxed(),
                     };
-                    me.env.insert(dst, res_lty);
+                    me.bind_lty(dst, res_lty);
                     let rest = me.apply_k(k, Value::Var(dst), res_lty);
                     let (op, args) = (p, vals);
                     Cexp::bind(Bind::Pure { op, args, dst, cty }, rest)
@@ -1140,7 +1145,7 @@ impl Conv<'_> {
                 PrimKind::Alloc(a) => {
                     let dst = me.fresh();
                     let b = me.i.boxed();
-                    me.env.insert(dst, b);
+                    me.bind_lty(dst, b);
                     let rest = me.apply_k(k, Value::Var(dst), b);
                     let (op, args) = (a, vals);
                     Cexp::bind(Bind::Alloc { op, args, dst }, rest)
@@ -1148,7 +1153,7 @@ impl Conv<'_> {
                 PrimKind::Look(l) => {
                     let dst = me.fresh();
                     let rb = me.i.rboxed();
-                    me.env.insert(dst, rb);
+                    me.bind_lty(dst, rb);
                     let rest = me.apply_k(k, Value::Var(dst), rb);
                     let (op, args, cty) = (l, vals, Cty::Ptr(None));
                     Cexp::bind(Bind::Look { op, args, dst, cty }, rest)
@@ -1177,7 +1182,7 @@ impl Conv<'_> {
                 let h = me.fresh();
                 let cv = me.fresh();
                 let b = me.i.boxed();
-                me.env.insert(cv, b);
+                me.bind_lty(cv, b);
                 let record = Bind::Record {
                     fields: vec![(Value::Var(kvar), Cty::Cnt), (Value::Var(h), Cty::Fun)],
                     nflt: 0,
@@ -1203,7 +1208,7 @@ impl Conv<'_> {
                 None => {
                     let x = self.fresh();
                     let cty = self.cty(res_lty);
-                    self.env.insert(x, res_lty);
+                    self.bind_lty(x, res_lty);
                     let cont = self.apply_k(k, Value::Var(x), res_lty);
                     (vec![(x, cty)], cont)
                 }
@@ -1218,7 +1223,7 @@ impl Conv<'_> {
                     let vals: Vec<Value> = params.iter().map(|(x, _)| Value::Var(*x)).collect();
                     let (phys, nflt) = self.layout_fields(&vals, &fields);
                     let rv = self.fresh();
-                    self.env.insert(rv, res_lty);
+                    self.bind_lty(rv, res_lty);
                     let cont = self.apply_k(k, Value::Var(rv), res_lty);
                     let record = Bind::Record {
                         fields: phys,

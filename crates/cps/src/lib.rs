@@ -25,6 +25,7 @@ pub mod closure;
 pub mod convert;
 pub mod cps;
 pub mod optimize;
+mod varmap;
 pub mod verify;
 
 pub use closure::{close, ClosedProgram};

@@ -9,7 +9,7 @@
 //! small functions runs between contraction fixpoints.
 
 use crate::cps::*;
-use sml_ast::{FxHashMap, FxHashSet};
+use crate::varmap::{set, VarMap};
 
 /// Optimizer knobs.
 #[derive(Clone, Copy, Debug)]
@@ -87,15 +87,16 @@ pub fn optimize_instrumented<E>(
     mut check: impl FnMut(usize, &crate::convert::CpsProgram) -> Result<(), E>,
 ) -> Result<OptStats, E> {
     let mut stats = OptStats::default();
+    // One set of per-variable tables for every round and pass.
+    let mut ctx = Contract::new(&mut stats);
     for pass in 0..=cfg.inline_passes {
         // Contraction fixpoint.
         for _ in 0..cfg.max_rounds {
-            let mut ctx = Contract::new(&mut stats);
+            ctx.start_round(prog.next_var);
             ctx.census(&prog.body);
             ctx.go(&mut prog.body);
-            let changed = ctx.changed;
-            stats.rounds += 1;
-            if !changed {
+            ctx.stats.rounds += 1;
+            if !ctx.changed {
                 break;
             }
         }
@@ -103,9 +104,10 @@ pub fn optimize_instrumented<E>(
             let mut inliner = Inline {
                 next: prog.next_var,
                 size_limit: cfg.inline_size,
-                called: callees(&prog.body),
-                bodies: FxHashMap::default(),
-                stats: &mut stats,
+                called: callees(&prog.body, prog.next_var),
+                bodies: VarMap::default(),
+                map: VarMap::default(),
+                stats: ctx.stats,
                 budget: 4000,
             };
             inliner.go(&mut prog.body);
@@ -119,21 +121,34 @@ pub fn optimize_instrumented<E>(
 /// What a variable is known to be bound to.
 #[derive(Clone, Debug)]
 enum Def {
-    Record(Vec<(Value, Cty)>, usize),
+    /// A record: its `len` fields are `Contract::fields[start..]`, the
+    /// last `nflt` of them raw floats.
+    Record {
+        start: u32,
+        len: u32,
+        nflt: u32,
+    },
     Select(Value, usize),
     /// The operator and its first argument, all wrap/unwrap
     /// cancellation looks at.
     Pure(PureOp, Option<Value>),
 }
 
+/// One contraction round's knowledge of each variable, in tables
+/// indexed by its number. They are cleared, not rebuilt, at the start
+/// of every round, so a whole optimization allocates them once.
 struct Contract<'s> {
     stats: &'s mut OptStats,
-    uses: FxHashMap<CVar, u32>,
-    calls: FxHashMap<CVar, u32>,
-    defs: FxHashMap<CVar, Def>,
-    subst: FxHashMap<CVar, Value>,
-    /// Bodies of functions to inline at their unique call site.
-    pending_inline: FxHashMap<CVar, FunDef>,
+    uses: Vec<u32>,
+    calls: Vec<u32>,
+    defs: VarMap<Def>,
+    /// The field values of the round's known records, one run per
+    /// [`Def::Record`].
+    fields: Vec<Value>,
+    subst: VarMap<Value>,
+    /// Bodies of functions to inline at their unique call site; `None`
+    /// once inlined.
+    pending_inline: VarMap<Option<FunDef>>,
     changed: bool,
 }
 
@@ -141,13 +156,28 @@ impl<'s> Contract<'s> {
     fn new(stats: &'s mut OptStats) -> Contract<'s> {
         Contract {
             stats,
-            uses: FxHashMap::default(),
-            calls: FxHashMap::default(),
-            defs: FxHashMap::default(),
-            subst: FxHashMap::default(),
-            pending_inline: FxHashMap::default(),
+            uses: Vec::new(),
+            calls: Vec::new(),
+            defs: VarMap::default(),
+            fields: Vec::new(),
+            subst: VarMap::default(),
+            pending_inline: VarMap::default(),
             changed: false,
         }
+    }
+
+    /// Forgets the last round: zero counts for `n_vars` variables and no
+    /// definitions, substitutions or pending bodies.
+    fn start_round(&mut self, n_vars: u32) {
+        for counts in [&mut self.uses, &mut self.calls] {
+            counts.clear();
+            counts.resize(n_vars as usize, 0);
+        }
+        self.defs.clear();
+        self.fields.clear();
+        self.subst.clear();
+        self.pending_inline.clear();
+        self.changed = false;
     }
 
     /// Counts every occurrence of each variable, and the calls among
@@ -165,26 +195,26 @@ impl<'s> Contract<'s> {
             ..
         } = &e.exit
         {
-            *self.calls.entry(*x).or_insert(0) += 1;
+            bump(&mut self.calls, *x);
         }
         e.exit.arms().for_each(|a| self.census(a));
     }
 
     fn count_use(&mut self, v: &Value) {
         if let Value::Var(x) | Value::Label(x) = v {
-            *self.uses.entry(*x).or_insert(0) += 1;
+            bump(&mut self.uses, *x);
         }
     }
 
     fn n_uses(&self, v: CVar) -> u32 {
-        self.uses.get(&v).copied().unwrap_or(0)
+        self.uses.get(v as usize).copied().unwrap_or(0)
     }
 
     // ----- rewriting ---------------------------------------------------------
 
     fn val(&self, v: Value) -> Value {
         match v {
-            Value::Var(x) => match self.subst.get(&x) {
+            Value::Var(x) => match self.subst.get(x) {
                 Some(v2) => self.val(v2.clone()),
                 None => Value::Var(x),
             },
@@ -230,7 +260,10 @@ impl<'s> Contract<'s> {
                     self.subst.insert(*dst, orig);
                     return false;
                 }
-                self.defs.insert(*dst, Def::Record(fields.clone(), *nflt));
+                let start = self.fields.len() as u32;
+                self.fields.extend(fields.iter().map(|(v, _)| v.clone()));
+                let (len, nflt) = (fields.len() as u32, *nflt as u32);
+                self.defs.insert(*dst, Def::Record { start, len, nflt });
             }
             Bind::Select {
                 rec,
@@ -240,9 +273,10 @@ impl<'s> Contract<'s> {
                 ..
             } => {
                 // Select from a known record.
-                if let Some(Def::Record(fields, nflt)) = self.var_def(rec) {
-                    let idx = physical_index(fields, *nflt, *word_off, *flt);
-                    if let Some((v, _)) = idx.and_then(|i| fields.get(i)) {
+                if let Some(&Def::Record { start, len, nflt }) = self.var_def(rec) {
+                    let fields = &self.fields[start as usize..(start + len) as usize];
+                    let idx = physical_index(fields.len(), nflt as usize, *word_off, *flt);
+                    if let Some(v) = idx.and_then(|i| fields.get(i)) {
                         let v = self.val(v.clone());
                         self.changed = true;
                         self.subst.insert(*dst, v);
@@ -262,10 +296,7 @@ impl<'s> Contract<'s> {
                     .insert(*dst, Def::Pure(*op, args.first().cloned()));
             }
             Bind::Fix { funs } => {
-                *funs = std::mem::take(funs)
-                    .into_iter()
-                    .filter_map(|f| self.keep_fun(f))
-                    .collect();
+                funs.retain_mut(|f| self.keep_fun(f));
                 for f in funs.iter_mut() {
                     self.go(&mut f.body);
                 }
@@ -276,22 +307,29 @@ impl<'s> Contract<'s> {
         true
     }
 
-    /// A `Fix`-bound function, or `None` when it is dead, pending
-    /// beta-contraction at its one call, or an eta-redex.
-    fn keep_fun(&mut self, f: FunDef) -> Option<FunDef> {
+    /// Whether a `Fix`-bound function stays: false when it is dead,
+    /// pending beta-contraction at its one call (its parameters and body
+    /// move to `pending_inline`), or an eta-redex.
+    fn keep_fun(&mut self, f: &mut FunDef) -> bool {
         let uses = self.n_uses(f.name);
         if uses == 0 {
             self.changed = true;
             self.stats.dead += 1;
-            return None;
+            return false;
         }
-        let calls = self.calls.get(&f.name).copied().unwrap_or(0);
+        let calls = self.calls.get(f.name as usize).copied().unwrap_or(0);
         // Beta-contraction: exactly one occurrence, and it is a call.
         if uses == 1 && calls == 1 {
             self.changed = true;
             self.stats.beta += 1;
-            self.pending_inline.insert(f.name, f);
-            return None;
+            let pending = FunDef {
+                kind: f.kind,
+                name: f.name,
+                params: std::mem::take(&mut f.params),
+                body: std::mem::take(&mut f.body),
+            };
+            self.pending_inline.insert(f.name, Some(pending));
+            return false;
         }
         // Eta: fn f(x...) = g(x...)  =>  f := g.
         if let (true, Exit::App { f: g, args }) = (f.body.binds.is_empty(), &f.body.exit) {
@@ -304,10 +342,10 @@ impl<'s> Contract<'s> {
             if params_match && self_free {
                 self.changed = true;
                 self.subst.insert(f.name, g.clone());
-                return None;
+                return false;
             }
         }
-        Some(f)
+        true
     }
 
     /// Contracts an exit in place, recursing into its arms; returns the
@@ -339,7 +377,7 @@ impl<'s> Contract<'s> {
                 args,
             } => {
                 // Inline the once-called function: bind params to args.
-                let def = self.pending_inline.remove(f)?;
+                let def = self.pending_inline.get_mut(*f)?.take()?;
                 for ((p, _), a) in def.params.iter().zip(args.iter()) {
                     self.subst.insert(*p, a.clone());
                 }
@@ -364,14 +402,14 @@ impl<'s> Contract<'s> {
         }
         let a = args.first()?;
         let cast = matches!(op, PureOp::PWrap | PureOp::PUnwrap)
-            && matches!(self.var_def(a), Some(Def::Record(..)));
+            && matches!(self.var_def(a), Some(Def::Record { .. }));
         cast.then(|| (a.clone(), true))
     }
 
     /// What the variable `v` names is bound to, if known.
     fn var_def(&self, v: &Value) -> Option<&Def> {
         match v {
-            Value::Var(x) => self.defs.get(x),
+            Value::Var(x) => self.defs.get(*x),
             _ => None,
         }
     }
@@ -381,14 +419,14 @@ impl<'s> Contract<'s> {
         let Value::Var(v0) = &first.0 else {
             return None;
         };
-        let Def::Select(orig, 0) = self.defs.get(v0)? else {
+        let Def::Select(orig, 0) = self.defs.get(*v0)? else {
             return None;
         };
         let orig = orig.clone();
         // The original record must have exactly this many fields.
         if let Value::Var(r) = &orig {
-            match self.defs.get(r) {
-                Some(Def::Record(ofields, _)) if ofields.len() == fields.len() => {}
+            match self.defs.get(*r) {
+                Some(Def::Record { len, .. }) if *len as usize == fields.len() => {}
                 _ => return None,
             }
         } else {
@@ -401,7 +439,7 @@ impl<'s> Contract<'s> {
                 return None;
             }
             let Value::Var(x) = v else { return None };
-            match self.defs.get(x) {
+            match self.defs.get(*x) {
                 Some(Def::Select(r, off)) if *r == orig && *off == i => {}
                 _ => return None,
             }
@@ -424,21 +462,25 @@ impl<'s> Contract<'s> {
         let Value::Var(a) = args.first()? else {
             return None;
         };
-        match self.defs.get(a)? {
+        match self.defs.get(*a)? {
             Def::Pure(op2, arg) if *op2 == inverse => arg.clone(),
             _ => None,
         }
     }
 }
 
+/// Adds one to variable `x`'s count.
+fn bump(counts: &mut Vec<u32>, x: CVar) {
+    let x = x as usize;
+    if x >= counts.len() {
+        counts.resize(x + 1, 0);
+    }
+    counts[x] += 1;
+}
+
 /// Physical field list is words-first, floats (2 words each) after.
-fn physical_index(
-    fields: &[(Value, Cty)],
-    nflt: usize,
-    word_off: usize,
-    flt: bool,
-) -> Option<usize> {
-    let nwords = fields.len() - nflt;
+fn physical_index(nfields: usize, nflt: usize, word_off: usize, flt: bool) -> Option<usize> {
+    let nwords = nfields - nflt;
     if flt {
         let idx = word_off.checked_sub(nwords)? / 2;
         if idx < nflt {
@@ -533,11 +575,13 @@ fn fold_branch(op: BranchOp, args: &[Value]) -> Option<bool> {
 struct Inline<'s> {
     next: u32,
     size_limit: usize,
-    /// The functions some `App` of the tree names as the pass starts.
-    /// Only these can be inlined: freshly inlined bodies are not
-    /// revisited, so no other call site is ever looked up.
-    called: FxHashSet<CVar>,
-    bodies: FxHashMap<CVar, FunDef>,
+    /// Whether some `App` of the tree names each variable as the pass
+    /// starts. Only these can be inlined: freshly inlined bodies are
+    /// not revisited, so no other call site is ever looked up.
+    called: Vec<bool>,
+    bodies: VarMap<FunDef>,
+    /// The renaming of the body being inlined, cleared after each.
+    map: VarMap<Value>,
     stats: &'s mut OptStats,
     budget: i64,
 }
@@ -550,7 +594,7 @@ impl Inline<'_> {
         for b in e.binds.iter_mut() {
             let Bind::Fix { funs } = b else { continue };
             for f in funs.iter() {
-                if self.called.contains(&f.name)
+                if self.called.get(f.name as usize) == Some(&true)
                     && size_at_most(&f.body, self.size_limit)
                     && !calls_self(f)
                 {
@@ -566,18 +610,18 @@ impl Inline<'_> {
             args,
         } = &e.exit
         {
-            match self.bodies.get(x) {
+            match self.bodies.get(*x) {
                 Some(def) if self.budget > 0 && def.params.len() == args.len() => {
                     self.stats.inlined += 1;
                     self.budget -= def.body.size() as i64;
-                    let mut map: FxHashMap<CVar, Value> = FxHashMap::default();
                     for ((p, _), a) in def.params.iter().zip(args.iter()) {
-                        map.insert(*p, a.clone());
+                        self.map.insert(*p, a.clone());
                     }
                     // Do not recursively inline into the freshly inlined
                     // body this pass.
                     let mut body = def.body.clone();
-                    rename(&mut body, &mut map, &mut self.next);
+                    rename(&mut body, &mut self.map, &mut self.next);
+                    self.map.clear();
                     e.binds.append(&mut body.binds);
                     e.exit = body.exit;
                 }
@@ -589,17 +633,19 @@ impl Inline<'_> {
     }
 }
 
-/// The functions some `App` of `e` names.
-fn callees(e: &Cexp) -> FxHashSet<CVar> {
-    e.runs()
-        .filter_map(|r| match &r.exit {
-            Exit::App {
-                f: Value::Var(x) | Value::Label(x),
-                ..
-            } => Some(*x),
-            _ => None,
-        })
-        .collect()
+/// Whether some `App` of `e` names each of its `n_vars` variables.
+fn callees(e: &Cexp, n_vars: u32) -> Vec<bool> {
+    let mut called = vec![false; n_vars as usize];
+    for r in e.runs() {
+        if let Exit::App {
+            f: Value::Var(x) | Value::Label(x),
+            ..
+        } = &r.exit
+        {
+            set(&mut called, *x, true, false);
+        }
+    }
+    called
 }
 
 /// Whether `e` has at most `limit` nodes ([`Cexp::size`]). Stops
@@ -635,21 +681,21 @@ fn calls_self(f: &FunDef) -> bool {
 
 /// Alpha-renames an expression in place, substituting via `map` and
 /// freshening every binder.
-fn rename(e: &mut Cexp, map: &mut FxHashMap<CVar, Value>, next: &mut u32) {
-    let fresh = |old: CVar, map: &mut FxHashMap<CVar, Value>, next: &mut u32| {
+fn rename(e: &mut Cexp, map: &mut VarMap<Value>, next: &mut u32) {
+    let fresh = |old: CVar, map: &mut VarMap<Value>, next: &mut u32| {
         let v = *next;
         *next += 1;
         map.insert(old, Value::Var(v));
         v
     };
-    let rv = |v: &mut Value, map: &FxHashMap<CVar, Value>| match v {
+    let rv = |v: &mut Value, map: &VarMap<Value>| match v {
         Value::Var(x) => {
-            if let Some(new) = map.get(x) {
+            if let Some(new) = map.get(*x) {
                 *v = new.clone();
             }
         }
         Value::Label(x) => {
-            if let Some(Value::Var(y)) = map.get(x) {
+            if let Some(Value::Var(y)) = map.get(*x) {
                 *x = *y;
             }
         }
@@ -716,7 +762,7 @@ mod tests {
         for limit in 0..=9 {
             assert_eq!(size_at_most(&e, limit), limit >= 8, "limit {limit}");
         }
-        assert_eq!(callees(&e), FxHashSet::from_iter([0]));
+        assert_eq!(callees(&e, 3), [true, false, false]);
     }
 
     /// The SML definition: `a div b` floors, `a mod b` takes the

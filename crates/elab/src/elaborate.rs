@@ -95,6 +95,19 @@ pub(crate) struct Elaborator {
 }
 
 impl Elaborator {
+    /// Runs `f` in a scope of `env`: whatever `f` binds in it is gone
+    /// when `f` returns, whether it succeeds or fails.
+    pub(crate) fn scoped<T>(
+        &mut self,
+        env: &mut Env,
+        f: impl FnOnce(&mut Self, &mut Env) -> ElabResult<T>,
+    ) -> ElabResult<T> {
+        let mark = env.mark();
+        let result = f(self, env);
+        env.undo(mark);
+        result
+    }
+
     pub(crate) fn fresh_ty(&self) -> Ty {
         Ty::Var(TvRef::fresh(self.level))
     }
@@ -123,7 +136,7 @@ impl Elaborator {
         let final_boundary = self.level == 0;
         // Flexible records first: they may pin overloaded types.
         for (recty, fields, fspan) in self.flex.split_off(flex_mark) {
-            match recty.head() {
+            match &*recty.head() {
                 Ty::Record(have) => {
                     for (lab, want) in fields {
                         match have.iter().find(|(l, _)| *l == lab) {
@@ -150,7 +163,7 @@ impl Elaborator {
         }
         let mut keep = Vec::new();
         for (ty, class, ospan) in self.overloads.split_off(ov_mark) {
-            match ty.head() {
+            match &*ty.head() {
                 Ty::Var(v) => {
                     if final_boundary {
                         // Default to int.
@@ -166,7 +179,7 @@ impl Elaborator {
                         keep.push((ty, class, ospan));
                     }
                 }
-                Ty::Con(c, _) if class.admits(&c) => {}
+                Ty::Con(c, _) if class.admits(c) => {}
                 Ty::Record(fs) if fs.is_empty() && !final_boundary => {
                     // `unit` can appear transiently; treat as undetermined.
                     keep.push((ty, class, ospan));
@@ -274,17 +287,22 @@ impl Elaborator {
 
     // ----- value lookups ----------------------------------------------------
 
-    fn lookup_val(&self, env: &Env, path: &ast::Path, span: Span) -> ElabResult<ValBind> {
+    fn lookup_val<'e>(
+        &self,
+        env: &'e Env,
+        path: &ast::Path,
+        span: Span,
+    ) -> ElabResult<&'e ValBind> {
         let scope = self.resolve_qualifiers(env, path, span)?;
         match scope.vals.get(&path.name) {
-            Some(b) => Ok(b.clone()),
+            Some(b) => Ok(b),
             None => self.err(span, format!("unbound variable or constructor `{path}`")),
         }
     }
 
     // ----- expressions --------------------------------------------------------
 
-    pub(crate) fn elab_exp(&mut self, env: &Env, exp: &ast::Exp) -> ElabResult<TExp> {
+    pub(crate) fn elab_exp(&mut self, env: &mut Env, exp: &ast::Exp) -> ElabResult<TExp> {
         let span = exp.span;
         match &exp.kind {
             ExpKind::Int(n) => Ok(TExp {
@@ -484,12 +502,13 @@ impl Elaborator {
                 })
             }
             ExpKind::Let(decs, body) => {
-                let mut inner = env.clone();
-                let mut tdecs = Vec::new();
-                for d in decs {
-                    self.elab_dec(&mut inner, d, &mut tdecs)?;
-                }
-                let tb = self.elab_exp(&inner, body)?;
+                let (tdecs, tb) = self.scoped(env, |me, inner| {
+                    let mut tdecs = Vec::new();
+                    for d in decs {
+                        me.elab_dec(inner, d, &mut tdecs)?;
+                    }
+                    Ok((tdecs, me.elab_exp(inner, body)?))
+                })?;
                 let ty = tb.ty.clone();
                 Ok(TExp {
                     kind: TExpKind::Let(tdecs, Box::new(tb)),
@@ -528,8 +547,8 @@ impl Elaborator {
                 let (ty, inst) = scheme.instantiate(self.level);
                 Ok(TExp {
                     kind: TExpKind::Var {
-                        access,
-                        scheme,
+                        access: access.clone(),
+                        scheme: scheme.clone(),
                         inst,
                     },
                     ty,
@@ -538,7 +557,10 @@ impl Elaborator {
             ValBind::Con(con) => {
                 let (ty, inst) = con.scheme.instantiate(self.level);
                 Ok(TExp {
-                    kind: TExpKind::Con { con, inst },
+                    kind: TExpKind::Con {
+                        con: con.clone(),
+                        inst,
+                    },
                     ty,
                 })
             }
@@ -549,10 +571,10 @@ impl Elaborator {
             } => {
                 let (ty, inst) = scheme.instantiate(self.level);
                 if let (Some(class), Some(first)) = (overload, inst.first()) {
-                    self.overloads.push((first.clone(), class, span));
+                    self.overloads.push((first.clone(), *class, span));
                 }
                 Ok(TExp {
-                    kind: TExpKind::Prim { prim, inst },
+                    kind: TExpKind::Prim { prim: *prim, inst },
                     ty,
                 })
             }
@@ -619,7 +641,7 @@ impl Elaborator {
 
     fn elab_rules(
         &mut self,
-        env: &Env,
+        env: &mut Env,
         rules: &[ast::Rule],
         arg_ty: &Ty,
         res_ty: &Ty,
@@ -630,17 +652,10 @@ impl Elaborator {
             let mut binds = Vec::new();
             let tpat = self.elab_pat(env, &rule.pat, &mut binds)?;
             self.unify(rule.pat.span, &tpat.ty, arg_ty)?;
-            let mut inner = env.clone();
-            for (name, var, ty) in &binds {
-                inner.vals.insert(
-                    *name,
-                    ValBind::Var {
-                        access: Access::Var(*var),
-                        scheme: Scheme::mono(ty.clone()),
-                    },
-                );
-            }
-            let texp = self.elab_exp(&inner, &rule.exp)?;
+            let texp = self.scoped(env, |me, inner| {
+                bind_mono(inner, &binds);
+                me.elab_exp(inner, &rule.exp)
+            })?;
             self.unify(span, &texp.ty, res_ty)?;
             out.push(TRule {
                 pat: tpat,
@@ -689,7 +704,7 @@ impl Elaborator {
                     }
                 } else {
                     match self.lookup_val(env, path, span)? {
-                        ValBind::Con(c) => Some(c),
+                        ValBind::Con(c) => Some(c.clone()),
                         _ => {
                             return self
                                 .err(span, format!("`{path}` in pattern is not a constructor"))
@@ -731,7 +746,7 @@ impl Elaborator {
             }
             PatKind::Con(path, arg) => {
                 let con = match self.lookup_val(env, path, span)? {
-                    ValBind::Con(c) => c,
+                    ValBind::Con(c) => c.clone(),
                     _ => {
                         return self.err(span, format!("`{path}` in pattern is not a constructor"))
                     }
@@ -874,25 +889,12 @@ impl Elaborator {
 
     // ----- declarations -----------------------------------------------------------
 
+    /// Elaborates one declaration, extending `env` with its bindings.
     pub(crate) fn elab_dec(
         &mut self,
         env: &mut Env,
         dec: &ast::Dec,
         out: &mut Vec<TDec>,
-    ) -> ElabResult<()> {
-        let mut delta = Env::new();
-        self.elab_dec_delta(env, dec, out, &mut delta)
-    }
-
-    /// Elaborates one declaration, extending both `env` and `delta` with
-    /// its bindings (`delta` is used by structure elaboration to compute
-    /// exports).
-    pub(crate) fn elab_dec_delta(
-        &mut self,
-        env: &mut Env,
-        dec: &ast::Dec,
-        out: &mut Vec<TDec>,
-        delta: &mut Env,
     ) -> ElabResult<()> {
         let span = dec.span;
         match &dec.kind {
@@ -925,8 +927,7 @@ impl Elaborator {
                         access: Access::Var(var),
                         scheme,
                     };
-                    env.vals.insert(name, bind.clone());
-                    delta.vals.insert(name, bind);
+                    env.vals.insert(name, bind);
                     out.push(TDec::PolyVal { var, exp: texp });
                 } else {
                     // Expansive or pattern binding: keep it monomorphic by
@@ -938,8 +939,7 @@ impl Elaborator {
                             access: Access::Var(*var),
                             scheme: Scheme::mono(ty.clone()),
                         };
-                        env.vals.insert(*name, bind.clone());
-                        delta.vals.insert(*name, bind);
+                        env.vals.insert(*name, bind);
                     }
                     out.push(TDec::Val {
                         pat: tpat,
@@ -956,25 +956,25 @@ impl Elaborator {
                 // Bind all the functions monomorphically for recursion.
                 let mut fvars = Vec::new();
                 let mut ftys = Vec::new();
-                let mut inner = env.clone();
-                for f in funs {
-                    let ty = self.fresh_ty();
-                    let var = self.vars.fresh(f.name, ty.clone());
-                    inner.vals.insert(
-                        f.name,
-                        ValBind::Var {
-                            access: Access::Var(var),
-                            scheme: Scheme::mono(ty.clone()),
-                        },
-                    );
-                    fvars.push(var);
-                    ftys.push(ty);
-                }
-                let bodies: ElabResult<Vec<TExp>> = funs
-                    .iter()
-                    .zip(&ftys)
-                    .map(|(f, fty)| self.elab_funbind(&inner, f, fty, span))
-                    .collect();
+                let bodies = self.scoped(env, |me, inner| {
+                    for f in funs {
+                        let ty = me.fresh_ty();
+                        let var = me.vars.fresh(f.name, ty.clone());
+                        inner.vals.insert(
+                            f.name,
+                            ValBind::Var {
+                                access: Access::Var(var),
+                                scheme: Scheme::mono(ty.clone()),
+                            },
+                        );
+                        fvars.push(var);
+                        ftys.push(ty);
+                    }
+                    funs.iter()
+                        .zip(&ftys)
+                        .map(|(f, fty)| me.elab_funbind(inner, f, fty, span))
+                        .collect::<ElabResult<Vec<TExp>>>()
+                });
                 self.level -= 1;
                 self.tyvar_scopes.pop();
                 let bodies = bodies?;
@@ -988,8 +988,7 @@ impl Elaborator {
                         access: Access::Var(*var),
                         scheme: scheme.clone(),
                     };
-                    env.vals.insert(f.name, bind.clone());
-                    delta.vals.insert(f.name, bind);
+                    env.vals.insert(f.name, bind);
                 }
                 // Recursive occurrences were annotated before
                 // generalization; give them the identity instantiation.
@@ -1006,20 +1005,17 @@ impl Elaborator {
                 for b in binds {
                     let tyfun = self.elab_tyfun(env, &b.tyvars, &b.ty)?;
                     let bind = TyconBind::Abbrev(tyfun);
-                    env.tycons.insert(b.name, bind.clone());
-                    delta.tycons.insert(b.name, bind);
+                    env.tycons.insert(b.name, bind);
                 }
                 Ok(())
             }
             ast::DecKind::Datatype(binds) => {
                 let cons = self.elab_datatypes(env, binds)?;
                 for (name, bind) in cons.tycons {
-                    env.tycons.insert(name, bind.clone());
-                    delta.tycons.insert(name, bind);
+                    env.tycons.insert(name, bind);
                 }
                 for (name, ci) in cons.cons {
-                    env.vals.insert(name, ValBind::Con(ci.clone()));
-                    delta.vals.insert(name, ValBind::Con(ci));
+                    env.vals.insert(name, ValBind::Con(ci));
                 }
                 Ok(())
             }
@@ -1048,14 +1044,13 @@ impl Elaborator {
                         tag: Some(Access::Var(var)),
                     };
                     out.push(TDec::Exception { var, name: b.name });
-                    env.vals.insert(b.name, ValBind::Con(ci.clone()));
-                    delta.vals.insert(b.name, ValBind::Con(ci));
+                    env.vals.insert(b.name, ValBind::Con(ci));
                 }
                 Ok(())
             }
             ast::DecKind::Structure(binds) => {
                 for b in binds {
-                    self.elab_strbind(env, b, out, delta)?;
+                    self.elab_strbind(env, b, out)?;
                 }
                 Ok(())
             }
@@ -1065,14 +1060,13 @@ impl Elaborator {
                         ast: std::rc::Rc::new(b.def.clone()),
                         env: env.clone(),
                     };
-                    env.sigs.insert(b.name, def.clone());
-                    delta.sigs.insert(b.name, def);
+                    env.sigs.insert(b.name, def);
                 }
                 Ok(())
             }
             ast::DecKind::Functor(binds) => {
                 for b in binds {
-                    self.elab_fctbind(env, b, out, delta)?;
+                    self.elab_fctbind(env, b, out)?;
                 }
                 Ok(())
             }
@@ -1115,46 +1109,47 @@ impl Elaborator {
     /// Result of elaborating a datatype batch.
     fn elab_datatypes(
         &mut self,
-        env: &Env,
+        env: &mut Env,
         binds: &[ast::DataBind],
     ) -> ElabResult<DatatypeAdditions> {
         // Phase 1: create the tycons so payloads can be recursive.
-        let mut scratch = env.clone();
         let mut tycons = Vec::new();
         for b in binds {
-            let tycon = Tycon::fresh_data(b.name, b.tyvars.len(), EqProp::IfArgs);
-            scratch
-                .tycons
-                .insert(b.name, TyconBind::Tycon(tycon.clone()));
-            tycons.push(tycon);
+            tycons.push(Tycon::fresh_data(b.name, b.tyvars.len(), EqProp::IfArgs));
         }
-        // Phase 2: elaborate payloads.
-        let mut batch = Vec::new();
-        let mut all_params = Vec::new();
-        for (b, tycon) in binds.iter().zip(&tycons) {
-            let mut scope = FxHashMap::default();
-            let mut params = Vec::new();
-            for tv in &b.tyvars {
-                let cell = TvRef::fresh(self.level);
-                scope.insert(*tv, Ty::Var(cell.clone()));
-                params.push(cell);
+        // Phase 2: elaborate payloads, in a scope that binds the tycons.
+        let batch = self.scoped(env, |me, scratch| {
+            for (b, tycon) in binds.iter().zip(&tycons) {
+                scratch
+                    .tycons
+                    .insert(b.name, TyconBind::Tycon(tycon.clone()));
             }
-            self.tyvar_scopes.push(scope);
-            let mut cons = Vec::new();
-            for (cname, cty) in &b.cons {
-                let payload = match cty {
-                    Some(t) => Some(self.elab_ty(&scratch, t)?),
-                    None => None,
-                };
-                cons.push((*cname, payload));
+            let mut batch = Vec::new();
+            for (b, tycon) in binds.iter().zip(&tycons) {
+                let mut scope = FxHashMap::default();
+                let mut params = Vec::new();
+                for tv in &b.tyvars {
+                    let cell = TvRef::fresh(me.level);
+                    scope.insert(*tv, Ty::Var(cell.clone()));
+                    params.push(cell);
+                }
+                me.tyvar_scopes.push(scope);
+                let mut cons = Vec::new();
+                for (cname, cty) in &b.cons {
+                    let payload = match cty {
+                        Some(t) => Some(me.elab_ty(scratch, t)?),
+                        None => None,
+                    };
+                    cons.push((*cname, payload));
+                }
+                me.tyvar_scopes.pop();
+                for (i, cell) in params.iter().enumerate() {
+                    *cell.0.borrow_mut() = Tv::Gen(i as u32);
+                }
+                batch.push((tycon.clone(), params, cons));
             }
-            self.tyvar_scopes.pop();
-            for (i, cell) in params.iter().enumerate() {
-                *cell.0.borrow_mut() = Tv::Gen(i as u32);
-            }
-            all_params.push(params.clone());
-            batch.push((tycon.clone(), params, cons));
-        }
+            Ok(batch)
+        })?;
         self.reg.register_batch(batch);
         // Phase 3: build constructor infos.
         let mut additions = DatatypeAdditions::default();
@@ -1202,7 +1197,7 @@ impl Elaborator {
     /// `Fn` expression and unifies its type with `fty`.
     fn elab_funbind(
         &mut self,
-        env: &Env,
+        env: &mut Env,
         f: &ast::FunBind,
         fty: &Ty,
         span: Span,
@@ -1225,17 +1220,10 @@ impl Elaborator {
                 self.unify(p.span, &tp.ty, at)?;
                 tpats.push(tp);
             }
-            let mut inner = env.clone();
-            for (name, var, ty) in &binds {
-                inner.vals.insert(
-                    *name,
-                    ValBind::Var {
-                        access: Access::Var(*var),
-                        scheme: Scheme::mono(ty.clone()),
-                    },
-                );
-            }
-            let body = self.elab_exp(&inner, &clause.body)?;
+            let body = self.scoped(env, |me, inner| {
+                bind_mono(inner, &binds);
+                me.elab_exp(inner, &clause.body)
+            })?;
             if let Some(rt) = &clause.ret_ty {
                 let want = self.elab_ty(env, rt)?;
                 self.unify(span, &body.ty, &want)?;
@@ -1348,7 +1336,7 @@ fn to_elab(r: UnifyResult, span: Span) -> ElabResult<()> {
 /// Lowers every unbound variable in `ty` deeper than `level` to `level`,
 /// preventing generalization (value restriction).
 fn demote(ty: &Ty, level: u32) {
-    match ty.head() {
+    match &*ty.head() {
         Ty::Var(v) => {
             let mut cell = v.0.borrow_mut();
             if let Tv::Unbound { level: l, .. } = &mut *cell {
@@ -1360,9 +1348,22 @@ fn demote(ty: &Ty, level: u32) {
         Ty::Con(_, args) => args.iter().for_each(|a| demote(a, level)),
         Ty::Record(fs) => fs.iter().for_each(|(_, a)| demote(a, level)),
         Ty::Arrow(a, b) => {
-            demote(&a, level);
-            demote(&b, level);
+            demote(a, level);
+            demote(b, level);
         }
+    }
+}
+
+/// Binds each pattern variable of `binds` in `env` monomorphically.
+fn bind_mono(env: &mut Env, binds: &[(Symbol, VarId, Ty)]) {
+    for (name, var, ty) in binds {
+        env.vals.insert(
+            *name,
+            ValBind::Var {
+                access: Access::Var(*var),
+                scheme: Scheme::mono(ty.clone()),
+            },
+        );
     }
 }
 

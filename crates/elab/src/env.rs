@@ -235,53 +235,110 @@ pub struct FctDef {
     pub result_ty: StrTy,
 }
 
-/// One namespace of an [`Env`]: bindings by name, each behind an `Rc`.
+/// One namespace of an [`Env`]: bindings by name, each behind an `Rc`,
+/// plus an undo log.
 ///
-/// Elaboration copies its environment at every `let`, match rule, `fun`
-/// declaration and clause, and signature definition. Cloning a scope
-/// copies pointers, never bindings. A write through [`Scope::get_mut`]
-/// or [`Scope::values_mut`] first copies the one binding it touches
+/// Elaboration extends one environment in place at every `let`, match
+/// rule, `fun` declaration, clause, datatype batch and structure or
+/// functor body, and takes it back when the scope ends: while a mark is
+/// open ([`Env::mark`]), each write
+/// logs the binding it replaces, and [`Env::undo`] restores them, newest
+/// first. An environment that outlives its scope (a signature's, a
+/// structure's or functor's) is a clone: cloning copies pointers, never
+/// bindings, and no log. A write through [`Scope::get_mut`] or
+/// [`Scope::values_mut`] first copies the one binding it touches
 /// (`Rc::make_mut`), so a mutated scope never shows through its clones.
 #[derive(Debug)]
-pub struct Scope<V>(FxHashMap<Symbol, Rc<V>>);
+pub struct Scope<V> {
+    map: FxHashMap<Symbol, Rc<V>>,
+    /// Each name written while a mark was open, with what it was bound
+    /// to before.
+    undo: Vec<(Symbol, Option<Rc<V>>)>,
+    /// Marks taken and not yet undone.
+    marks: u32,
+}
 
 impl<V> Default for Scope<V> {
     fn default() -> Self {
-        Scope(FxHashMap::default())
+        Scope {
+            map: FxHashMap::default(),
+            undo: Vec::new(),
+            marks: 0,
+        }
     }
 }
 
 impl<V> Clone for Scope<V> {
     fn clone(&self) -> Self {
-        Scope(self.0.clone())
+        Scope {
+            map: self.map.clone(),
+            ..Scope::default()
+        }
     }
 }
 
 impl<V: Clone> Scope<V> {
     /// The binding of `name`, if any.
     pub fn get(&self, name: &Symbol) -> Option<&V> {
-        self.0.get(name).map(|v| &**v)
+        self.map.get(name).map(|v| &**v)
     }
 
     /// Whether `name` is bound.
     pub fn contains_key(&self, name: &Symbol) -> bool {
-        self.0.contains_key(name)
+        self.map.contains_key(name)
     }
 
     /// Binds `name`, shadowing any earlier binding.
     pub fn insert(&mut self, name: Symbol, bind: V) {
-        self.0.insert(name, Rc::new(bind));
+        let old = self.map.insert(name, Rc::new(bind));
+        if self.marks > 0 {
+            self.undo.push((name, old));
+        }
     }
 
     /// The binding of `name`, unshared first so the write stays private
     /// to this scope.
     pub fn get_mut(&mut self, name: &Symbol) -> Option<&mut V> {
-        self.0.get_mut(name).map(Rc::make_mut)
+        let bind = self.map.get_mut(name)?;
+        if self.marks > 0 {
+            self.undo.push((*name, Some(Rc::clone(bind))));
+        }
+        Some(Rc::make_mut(bind))
     }
 
     /// Every binding, each unshared first (see [`Scope::get_mut`]).
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.0.values_mut().map(Rc::make_mut)
+        if self.marks > 0 {
+            let old = self.map.iter().map(|(n, b)| (*n, Some(Rc::clone(b))));
+            self.undo.extend(old);
+        }
+        self.map.values_mut().map(Rc::make_mut)
+    }
+
+    fn mark(&mut self) -> usize {
+        self.marks += 1;
+        self.undo.len()
+    }
+
+    /// Every name written since `mark`, bound as it is now.
+    fn written_since(&self, mark: usize) -> Scope<V> {
+        let mut out = Scope::default();
+        for (name, _) in &self.undo[mark..] {
+            if let Some(bind) = self.map.get(name) {
+                out.map.insert(*name, Rc::clone(bind));
+            }
+        }
+        out
+    }
+
+    fn undo(&mut self, mark: usize) {
+        for (name, old) in self.undo.drain(mark..).rev() {
+            match old {
+                Some(bind) => self.map.insert(name, bind),
+                None => self.map.remove(&name),
+            };
+        }
+        self.marks -= 1;
     }
 }
 
@@ -301,11 +358,14 @@ impl<V: Clone> IntoIterator for Scope<V> {
     >;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter().map(|(k, v)| (k, Rc::unwrap_or_clone(v)))
+        self.map
+            .into_iter()
+            .map(|(k, v)| (k, Rc::unwrap_or_clone(v)))
     }
 }
 
-/// An elaboration environment: five namespaces, functionally extended.
+/// An elaboration environment: five namespaces, extended in place and
+/// taken back to a [`Mark`].
 #[derive(Clone, Debug, Default)]
 pub struct Env {
     /// Value bindings (variables, constructors, primitives).
@@ -320,10 +380,49 @@ pub struct Env {
     pub fcts: Scope<FctDef>,
 }
 
+/// A state of an [`Env`] to come back to: how long each namespace's
+/// undo log was when the mark was taken.
+#[must_use = "an open mark makes every later write log what it replaces"]
+pub(crate) struct Mark([usize; 5]);
+
 impl Env {
     /// An empty environment.
     pub fn new() -> Env {
         Env::default()
+    }
+
+    /// Opens a scope: until [`Env::undo`] takes this mark back, every
+    /// write logs the binding it replaces.
+    pub(crate) fn mark(&mut self) -> Mark {
+        Mark([
+            self.vals.mark(),
+            self.tycons.mark(),
+            self.strs.mark(),
+            self.sigs.mark(),
+            self.fcts.mark(),
+        ])
+    }
+
+    /// What was bound since `mark` was taken: every name written since,
+    /// bound as it is now.
+    pub(crate) fn written_since(&self, Mark([v, t, s, g, f]): &Mark) -> Env {
+        Env {
+            vals: self.vals.written_since(*v),
+            tycons: self.tycons.written_since(*t),
+            strs: self.strs.written_since(*s),
+            sigs: self.sigs.written_since(*g),
+            fcts: self.fcts.written_since(*f),
+        }
+    }
+
+    /// Closes the scope `mark` opened: every binding written since is
+    /// back to what it was. Marks close innermost first.
+    pub(crate) fn undo(&mut self, Mark([v, t, s, g, f]): Mark) {
+        self.vals.undo(v);
+        self.tycons.undo(t);
+        self.strs.undo(s);
+        self.sigs.undo(g);
+        self.fcts.undo(f);
     }
 }
 
@@ -480,11 +579,6 @@ pub fn builtin_env(reg: &TyconRegistry, vars: &mut VarTable) -> (Env, BuiltinExn
 
     // ----- overloaded operators -------------------------------------------
     use Prim::*;
-    let bin = |t: Ty| {
-        // Shared-variable scheme 'a * 'a -> 'a is built by the callers.
-        t
-    };
-    let _ = bin;
     oprim(
         &mut env,
         "+",
@@ -771,6 +865,39 @@ mod tests {
             (s[&a].as_slice(), c[&a].as_slice()),
             (&[1, 9][..], &[1, 2, 3][..])
         );
+    }
+
+    #[test]
+    fn undo_restores_what_a_scope_shadowed_wrote_and_added() {
+        let mut env = Env::new();
+        let (a, b, c) = (
+            Symbol::intern("undo_a"),
+            Symbol::intern("undo_b"),
+            Symbol::intern("undo_c"),
+        );
+        let int = |n| TyconBind::Abbrev(TyFun::constant(Ty::tuple(vec![Ty::int(); n])));
+        let show = |env: &Env, n: &Symbol| env.tycons.get(n).map(|t| t.to_tyfun().body.to_string());
+        env.tycons.insert(a, int(2));
+        env.tycons.insert(b, int(3));
+        let outer = env.mark();
+        env.tycons.insert(a, int(4));
+        env.tycons.insert(c, int(5));
+        let inner = env.mark();
+        env.tycons.insert(a, int(6));
+        if let Some(TyconBind::Abbrev(f)) = env.tycons.get_mut(&b) {
+            f.body = Ty::int();
+        }
+        let seen = env.clone();
+        env.undo(inner);
+        assert_eq!(show(&env, &a).as_deref(), Some("int * int * int * int"));
+        assert_eq!(show(&env, &b).as_deref(), Some("int * int * int"));
+        assert_eq!(show(&seen, &b).as_deref(), Some("int"));
+        env.undo(outer);
+        assert_eq!(show(&env, &a).as_deref(), Some("int * int"));
+        assert_eq!(show(&env, &c), None);
+        // With no mark open, writes are not logged.
+        env.tycons.insert(c, int(2));
+        assert!(env.tycons.undo.is_empty() && seen.tycons.undo.is_empty());
     }
 
     #[test]

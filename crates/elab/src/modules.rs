@@ -65,26 +65,26 @@ pub(crate) fn reroot_env(env: &Env, root: VarId, new: &Access) -> Env {
 
 /// Substitutes flexible tycons by type functions throughout a type.
 pub(crate) fn subst_ty(ty: &Ty, map: &FxHashMap<Stamp, TyFun>) -> Ty {
-    match ty.head() {
-        Ty::Var(v) => Ty::Var(v),
+    match &*ty.head() {
+        Ty::Var(v) => Ty::Var(v.clone()),
         Ty::Con(c, args) => {
             let args: Rc<[Ty]> = args.iter().map(|a| subst_ty(a, map)).collect();
             match map.get(&c.stamp) {
                 Some(f) => f.apply(&args),
-                None => Ty::Con(c, args),
+                None => Ty::Con(c.clone(), args),
             }
         }
         Ty::Record(fs) => Ty::Record(fs.iter().map(|(l, t)| (*l, subst_ty(t, map))).collect()),
-        Ty::Arrow(a, b) => Ty::arrow(subst_ty(&a, map), subst_ty(&b, map)),
+        Ty::Arrow(a, b) => Ty::arrow(subst_ty(a, map), subst_ty(b, map)),
     }
 }
 
 fn ty_mentions(ty: &Ty, map: &FxHashMap<Stamp, TyFun>) -> bool {
-    match ty.head() {
+    match &*ty.head() {
         Ty::Var(_) => false,
         Ty::Con(c, args) => map.contains_key(&c.stamp) || args.iter().any(|a| ty_mentions(a, map)),
         Ty::Record(fs) => fs.iter().any(|(_, t)| ty_mentions(t, map)),
-        Ty::Arrow(a, b) => ty_mentions(&a, map) || ty_mentions(&b, map),
+        Ty::Arrow(a, b) => ty_mentions(a, map) || ty_mentions(b, map),
     }
 }
 
@@ -160,7 +160,6 @@ impl Elaborator {
         env: &mut Env,
         b: &ast::StrBind,
         out: &mut Vec<TDec>,
-        delta: &mut Env,
     ) -> ElabResult<()> {
         let mut res = self.elab_strexp(env, &b.def)?;
         if let Some((sigexp, opaque)) = &b.ascription {
@@ -176,8 +175,7 @@ impl Elaborator {
             env: Rc::new(new_env),
             ty: res.ty,
         };
-        env.strs.insert(b.name, entry.clone());
-        delta.strs.insert(b.name, entry);
+        env.strs.insert(b.name, entry);
         out.push(TDec::Structure { var, def: res.texp });
         Ok(())
     }
@@ -187,24 +185,25 @@ impl Elaborator {
         env: &mut Env,
         b: &ast::FctBind,
         out: &mut Vec<TDec>,
-        delta: &mut Env,
     ) -> ElabResult<()> {
         let si = Rc::new(self.elab_sigexp(env, &b.param_sig)?);
         let param_var = self.vars.fresh(b.param, Ty::unit());
         let param_env = self.sig_instance_env(&si, &Access::Var(param_var));
-        let mut inner = env.clone();
-        inner.strs.insert(
-            b.param,
-            StrEntry {
-                access: Access::Var(param_var),
-                env: Rc::new(param_env),
-                ty: si.str_ty(),
-            },
-        );
-        let mut res = self.elab_strexp(&inner, &b.body)?;
-        if let Some((sigexp, opaque)) = &b.result_sig {
-            res = self.ascribe(&inner, res, sigexp, *opaque)?;
-        }
+        let mut res = self.scoped(env, |me, inner| {
+            inner.strs.insert(
+                b.param,
+                StrEntry {
+                    access: Access::Var(param_var),
+                    env: Rc::new(param_env),
+                    ty: si.str_ty(),
+                },
+            );
+            let res = me.elab_strexp(inner, &b.body)?;
+            match &b.result_sig {
+                Some((sigexp, opaque)) => me.ascribe(inner, res, sigexp, *opaque),
+                None => Ok(res),
+            }
+        })?;
         // Ensure the result environment is rooted at a placeholder that
         // can be re-rooted at each application (a whole-body alias of the
         // parameter would otherwise leak the parameter variable).
@@ -226,8 +225,7 @@ impl Elaborator {
         };
         // Remember the placeholder root alongside the definition.
         self.fct_roots.insert(fvar, result_root);
-        env.fcts.insert(b.name, def.clone());
-        delta.fcts.insert(b.name, def);
+        env.fcts.insert(b.name, def);
         out.push(TDec::Functor {
             var: fvar,
             param: param_var,
@@ -240,11 +238,11 @@ impl Elaborator {
 
     // ----- structure expressions --------------------------------------------
 
-    pub(crate) fn elab_strexp(&mut self, env: &Env, se: &ast::StrExp) -> ElabResult<StrResult> {
+    pub(crate) fn elab_strexp(&mut self, env: &mut Env, se: &ast::StrExp) -> ElabResult<StrResult> {
         match se {
             ast::StrExp::Var(path) => {
                 let scope = {
-                    let mut cur = env;
+                    let mut cur = &*env;
                     for q in &path.qualifiers {
                         match cur.strs.get(q) {
                             Some(e) => cur = &e.env,
@@ -271,7 +269,7 @@ impl Elaborator {
                     )),
                 }
             }
-            ast::StrExp::Struct(decs, span) => self.elab_struct(env, decs, *span),
+            ast::StrExp::Struct(decs, _) => self.elab_struct(env, decs),
             ast::StrExp::App(fname, arg, span) => {
                 let fct = match env.fcts.get(fname) {
                     Some(f) => f.clone(),
@@ -333,14 +331,17 @@ impl Elaborator {
         })
     }
 
-    fn elab_struct(&mut self, env: &Env, decs: &[ast::Dec], span: Span) -> ElabResult<StrResult> {
-        let mut inner = env.clone();
+    fn elab_struct(&mut self, env: &mut Env, decs: &[ast::Dec]) -> ElabResult<StrResult> {
+        // The body's bindings: every name its declarations bind, as the
+        // last binding leaves it.
+        let mark = env.mark();
         let mut tdecs = Vec::new();
-        let mut delta = Env::new();
-        for d in decs {
-            self.elab_dec_delta(&mut inner, d, &mut tdecs, &mut delta)?;
-        }
-        let _ = span;
+        let body = decs
+            .iter()
+            .try_for_each(|d| self.elab_dec(env, d, &mut tdecs));
+        let delta = env.written_since(&mark);
+        env.undo(mark);
+        body?;
 
         // Export order: bound names in declaration order, last binding of
         // each (namespace, name) wins.

@@ -21,13 +21,80 @@ use sml_types::{AntiUnifier, Scheme, Tv, Ty};
 /// Declarations are processed uses-before-defs (reverse declaration
 /// order, nested `let`s after their enclosing declaration), so each
 /// gathered instantiation is already in its final, minimized form.
+///
+/// Two walks of the program do the work of all sites: one gathers the
+/// uses of every site's variables, and one puts every site's new
+/// instantiation vectors in place. A site only ever rewrites the
+/// vectors of its own uses, which no other site reads, and the types
+/// it relinks are shared cells every gathered vector sees, so gathering
+/// first and rewriting last gives what a walk per site would.
 pub fn minimum_typing(elab: &mut Elaboration) {
-    let mut order: Vec<Site> = Vec::new();
-    collect_sites(&elab.decs, &mut Vec::new(), &mut order);
+    let mut sites: Vec<Site> = Vec::new();
     // `collect_sites` already records sites in uses-before-defs order.
-    for site in order {
-        minimize_site(elab, &site);
+    collect_sites(&elab.decs, &mut Vec::new(), &mut sites);
+    let mut site_of = vec![NO_SITE; elab.vars.len()];
+    for (s, site) in sites.iter().enumerate() {
+        for v in &site.vars {
+            site_of[v.0 as usize] = s as u32;
+        }
     }
+    let arity: Vec<usize> = sites
+        .iter()
+        .map(|site| elab.vars.scheme(site.vars[0]).arity)
+        .collect();
+    let mut g = Gather {
+        site_of: &site_of,
+        arity: &arity,
+        inside: vec![0; sites.len()],
+        uses: (0..sites.len()).map(|_| Vec::new()).collect(),
+    };
+    for dec in &elab.decs {
+        g.dec(dec);
+    }
+    let uses = g.uses;
+    let new_insts: Vec<Vec<Vec<Ty>>> = sites
+        .iter()
+        .zip(uses)
+        .map(|(site, uses)| minimize_site(elab, site, uses))
+        .collect();
+    if new_insts.iter().all(Vec::is_empty) {
+        return;
+    }
+    let mut r = Rewrite {
+        site_of: &site_of,
+        arity: &arity,
+        new_insts: new_insts.into_iter().map(Vec::into_iter).collect(),
+    };
+    for dec in &mut elab.decs {
+        r.dec(dec);
+    }
+}
+
+/// `site_of`'s entry for a variable no candidate declaration binds.
+const NO_SITE: u32 = u32::MAX;
+
+/// The site a declaration binds the variables of, if it is one.
+fn site_of_dec(dec: &TDec, site_of: &[u32]) -> Option<usize> {
+    let var = match dec {
+        TDec::PolyVal { var, .. } => var,
+        TDec::Fun { vars, .. } => vars.first()?,
+        _ => return None,
+    };
+    match site_of.get(var.0 as usize) {
+        Some(&s) if s != NO_SITE => Some(s as usize),
+        _ => None,
+    }
+}
+
+/// The site whose variable a local `Var` occurrence with `n_inst` type
+/// arguments uses, if that is the site's arity and not zero (a
+/// monomorphic site has nothing to minimize).
+fn site_of_use(access: &Access, n_inst: usize, site_of: &[u32], arity: &[usize]) -> Option<usize> {
+    if !access.is_local() {
+        return None;
+    }
+    let s = *site_of.get(access.root().0 as usize)?;
+    (s != NO_SITE && n_inst > 0 && arity[s as usize] == n_inst).then_some(s as usize)
 }
 
 /// Identifies one candidate declaration by the variables it binds.
@@ -114,32 +181,23 @@ struct Use {
     inst: Vec<Ty>,
 }
 
-fn minimize_site(elab: &mut Elaboration, site: &Site) {
+/// Minimizes one site given all its uses, in the order the program
+/// walk meets them; returns each use's new instantiation vector, or
+/// nothing when the site keeps its scheme.
+fn minimize_site(elab: &mut Elaboration, site: &Site, uses: Vec<Use>) -> Vec<Vec<Ty>> {
     let first = site.vars[0];
     let scheme = elab.vars.scheme(first).clone();
     if scheme.arity == 0 {
-        return;
+        return Vec::new();
     }
     if site.vars.iter().any(|v| elab.vars.info(*v).exported) {
-        return;
+        return Vec::new();
     }
 
-    // Pass 1: gather all uses.
-    let mut uses: Vec<Use> = Vec::new();
-    {
-        let mut g = Gather {
-            targets: &site.vars,
-            inside: false,
-            uses: &mut uses,
-            arity: scheme.arity,
-        };
-        for dec in &elab.decs {
-            g.dec(dec);
-        }
-    }
+    // Pass 1 (done for every site at once): all uses.
     let externals: Vec<&Use> = uses.iter().filter(|u| !u.internal).collect();
     if externals.is_empty() {
-        return;
+        return Vec::new();
     }
 
     // Pass 2: per-position least common generalization over external
@@ -177,9 +235,9 @@ fn minimize_site(elab: &mut Elaboration, site: &Site) {
         };
     }
 
-    // Pass 3: rewrite instantiation vectors. External use j gets the
+    // Pass 3: new instantiation vectors. External use j gets the
     // disagreement values at j; internal (recursive) uses get the new
-    // identity.
+    // identity. The rewriting walk puts them in place.
     let identity: Vec<Ty> = new_cells.iter().map(|c| Ty::Var(c.clone())).collect();
     let mut new_insts: Vec<Vec<Ty>> = Vec::with_capacity(uses.len());
     let mut ext_idx = 0usize;
@@ -197,37 +255,24 @@ fn minimize_site(elab: &mut Elaboration, site: &Site) {
         }
     }
     debug_assert_eq!(ext_idx, n_ext);
-    {
-        let mut r = Rewrite {
-            targets: &site.vars,
-            inside: false,
-            new_insts: &mut new_insts.into_iter(),
-            arity: scheme.arity,
-        };
-        for dec in &mut elab.decs {
-            r.dec(dec);
-        }
-    }
+    new_insts
 }
 
-/// Immutable gathering walk. Visit order must match [`Rewrite`] exactly.
+/// Immutable gathering walk: the uses of every site's variables, each
+/// under its site. Visit order must match [`Rewrite`] exactly.
 struct Gather<'a> {
-    targets: &'a [VarId],
-    inside: bool,
-    uses: &'a mut Vec<Use>,
-    arity: usize,
+    site_of: &'a [u32],
+    arity: &'a [usize],
+    /// How many declarations of each site the walk is inside.
+    inside: Vec<u32>,
+    uses: Vec<Vec<Use>>,
 }
 
 impl Gather<'_> {
     fn dec(&mut self, dec: &TDec) {
-        let owns = match dec {
-            TDec::PolyVal { var, .. } => self.targets.contains(var),
-            TDec::Fun { vars, .. } => vars.iter().any(|v| self.targets.contains(v)),
-            _ => false,
-        };
-        let saved = self.inside;
-        if owns {
-            self.inside = true;
+        let owner = site_of_dec(dec, self.site_of);
+        if let Some(s) = owner {
+            self.inside[s] += 1;
         }
         match dec {
             TDec::Val { exp, .. } | TDec::PolyVal { exp, .. } => self.exp(exp),
@@ -235,7 +280,9 @@ impl Gather<'_> {
             TDec::Exception { .. } => {}
             TDec::Structure { def, .. } | TDec::Functor { body: def, .. } => self.strexp(def),
         }
-        self.inside = saved;
+        if let Some(s) = owner {
+            self.inside[s] -= 1;
+        }
     }
 
     fn strexp(&mut self, se: &TStrExp) {
@@ -250,12 +297,9 @@ impl Gather<'_> {
     fn exp(&mut self, exp: &TExp) {
         match &exp.kind {
             TExpKind::Var { access, inst, .. } => {
-                if access.is_local()
-                    && self.targets.contains(&access.root())
-                    && inst.len() == self.arity
-                {
-                    self.uses.push(Use {
-                        internal: self.inside,
+                if let Some(s) = site_of_use(access, inst.len(), self.site_of, self.arity) {
+                    self.uses[s].push(Use {
+                        internal: self.inside[s] > 0,
                         inst: inst.clone(),
                     });
                 }
@@ -301,32 +345,22 @@ impl Gather<'_> {
 }
 
 /// Mutable rewriting walk; must visit uses in the same order as
-/// [`Gather`].
+/// [`Gather`]. Each use of a minimized site takes that site's next new
+/// instantiation vector.
 struct Rewrite<'a> {
-    targets: &'a [VarId],
-    inside: bool,
-    new_insts: &'a mut std::vec::IntoIter<Vec<Ty>>,
-    arity: usize,
+    site_of: &'a [u32],
+    arity: &'a [usize],
+    new_insts: Vec<std::vec::IntoIter<Vec<Ty>>>,
 }
 
 impl Rewrite<'_> {
     fn dec(&mut self, dec: &mut TDec) {
-        let owns = match dec {
-            TDec::PolyVal { var, .. } => self.targets.contains(var),
-            TDec::Fun { vars, .. } => vars.iter().any(|v| self.targets.contains(v)),
-            _ => false,
-        };
-        let saved = self.inside;
-        if owns {
-            self.inside = true;
-        }
         match dec {
             TDec::Val { exp, .. } | TDec::PolyVal { exp, .. } => self.exp(exp),
             TDec::Fun { exps, .. } => exps.iter_mut().for_each(|e| self.exp(e)),
             TDec::Exception { .. } => {}
             TDec::Structure { def, .. } | TDec::Functor { body: def, .. } => self.strexp(def),
         }
-        self.inside = saved;
     }
 
     fn strexp(&mut self, se: &mut TStrExp) {
@@ -341,11 +375,10 @@ impl Rewrite<'_> {
     fn exp(&mut self, exp: &mut TExp) {
         match &mut exp.kind {
             TExpKind::Var { access, inst, .. } => {
-                if access.is_local()
-                    && self.targets.contains(&access.root())
-                    && inst.len() == self.arity
-                {
-                    *inst = self.new_insts.next().expect("gather/rewrite orders match");
+                if let Some(s) = site_of_use(access, inst.len(), self.site_of, self.arity) {
+                    if let Some(new) = self.new_insts[s].next() {
+                        *inst = new;
+                    }
                 }
             }
             TExpKind::Int(_)

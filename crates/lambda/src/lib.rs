@@ -32,4 +32,4 @@ pub use exhaustive::{check_rules, irrefutable};
 pub use lexp::{LVar, Lexp, Primop};
 pub use lty::{InternMode, Lty, LtyInterner, LtyKind, LtyStats};
 pub use translate::{translate, LambdaConfig, Translation};
-pub use verify::{compat, verify_lexp, LexpVerifySummary, LexpViolation};
+pub use verify::{compat, verify_lexp, verify_translation, LexpVerifySummary, LexpViolation};

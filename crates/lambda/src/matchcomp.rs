@@ -145,7 +145,7 @@ impl<'tr> Translator<'tr> {
                     default = Some(&r.exp);
                 }
                 TPatKind::Var(v) if i + 1 == rules.len() => {
-                    self.vmap.insert(*v, scrut);
+                    self.map_var(*v, scrut);
                     default = Some(&r.exp);
                 }
                 _ => return None,
@@ -198,11 +198,11 @@ impl<'tr> Translator<'tr> {
         match &pat.kind {
             TPatKind::Wild => self.match_tests(work, rhs, fail),
             TPatKind::Var(v) => {
-                self.vmap.insert(*v, occ);
+                self.map_var(*v, occ);
                 self.match_tests(work, rhs, fail)
             }
             TPatKind::As(v, inner) => {
-                self.vmap.insert(*v, occ);
+                self.map_var(*v, occ);
                 work.push((occ, occ_lty, inner));
                 self.match_tests(work, rhs, fail)
             }

@@ -10,7 +10,7 @@
 use crate::coerce::{coerce_exp, CoerceStats, CoercionCache, VarGen};
 use crate::lexp::{LVar, Lexp, Primop};
 use crate::lty::{InternMode, Lty, LtyInterner, LtyKind};
-use sml_ast::{FxHashMap, FxHashSet};
+use sml_ast::FxHashSet;
 use sml_elab::{
     Access, CompTy, ConInfo, Elaboration, Prim, StrTy, TDec, TExp, TExpKind, TStrExp, ThinItem,
     VarId,
@@ -71,7 +71,7 @@ pub fn translate(elab: &Elaboration, cfg: &LambdaConfig) -> Translation {
         cfg: *cfg,
         interner: LtyInterner::new(cfg.intern_mode),
         vg: VarGen::new(),
-        vmap: FxHashMap::default(),
+        vmap: vec![NO_LVAR; elab.vars.len() + 1],
         cache: CoercionCache::new(cfg.memo_coercions),
         stats: CoerceStats::default(),
         warnings: Vec::new(),
@@ -96,7 +96,9 @@ pub(crate) struct Translator<'a> {
     pub(crate) cfg: LambdaConfig,
     pub(crate) interner: LtyInterner,
     pub(crate) vg: VarGen,
-    pub(crate) vmap: FxHashMap<VarId, LVar>,
+    /// Each Absyn variable's lambda variable, by `VarId`, or `NO_LVAR`
+    /// before its first use; the last slot is [`Translator::pseudo_var`]'s.
+    pub(crate) vmap: Vec<LVar>,
     pub(crate) cache: CoercionCache,
     pub(crate) stats: CoerceStats,
     pub(crate) warnings: Vec<String>,
@@ -105,12 +107,29 @@ pub(crate) struct Translator<'a> {
 impl Translator<'_> {
     /// The lambda variable for an Absyn variable.
     pub(crate) fn lv(&mut self, v: VarId) -> LVar {
-        if let Some(x) = self.vmap.get(&v) {
-            return *x;
+        match self.vmap.get(v.0 as usize) {
+            Some(&x) if x != NO_LVAR => x,
+            _ => {
+                let x = self.vg.fresh();
+                self.map_var(v, x);
+                x
+            }
         }
-        let x = self.vg.fresh();
-        self.vmap.insert(v, x);
-        x
+    }
+
+    /// Makes `x` the lambda variable of `v`.
+    pub(crate) fn map_var(&mut self, v: VarId, x: LVar) {
+        let at = v.0 as usize;
+        if at >= self.vmap.len() {
+            self.vmap.resize(at + 1, NO_LVAR);
+        }
+        self.vmap[at] = x;
+    }
+
+    /// The pseudo Absyn variable used for eta-expansion of special
+    /// primitives: one past the real `VarTable` range.
+    fn pseudo_var(&self) -> VarId {
+        VarId(self.elab.vars.len() as u32)
     }
 
     pub(crate) fn coerce(&mut self, e: Lexp, from: Lty, to: Lty) -> Lexp {
@@ -151,10 +170,10 @@ impl Translator<'_> {
         // Standard boxed representations: every value is one word; only
         // the arrow structure is preserved (functions take one boxed
         // argument and return one boxed result).
-        match ty.head() {
+        match &*ty.head() {
             Ty::Arrow(a, b) => {
-                let a = self.ltc_untyped(&a);
-                let b = self.ltc_untyped(&b);
+                let a = self.ltc_untyped(a);
+                let b = self.ltc_untyped(b);
                 let rb = self.interner.rboxed();
                 let a = match self.interner.kind(a) {
                     LtyKind::Arrow(..) => a,
@@ -167,9 +186,9 @@ impl Translator<'_> {
     }
 
     fn ltc_go(&mut self, ty: &Ty, marked: &FxHashSet<VarKey>) -> Lty {
-        match ty.head() {
+        match &*ty.head() {
             Ty::Var(v) => {
-                if marked.contains(&var_key(&v)) {
+                if marked.contains(&var_key(v)) {
                     self.interner.rboxed()
                 } else {
                     self.interner.boxed()
@@ -201,8 +220,8 @@ impl Translator<'_> {
                 self.interner.record(fields)
             }
             Ty::Arrow(a, b) => {
-                let a = self.ltc_go(&a, marked);
-                let b = self.ltc_go(&b, marked);
+                let a = self.ltc_go(a, marked);
+                let b = self.ltc_go(b, marked);
                 self.interner.arrow(a, b)
             }
         }
@@ -531,10 +550,7 @@ impl Translator<'_> {
                 }
                 out.expect("non-empty sequence")
             }
-            TExpKind::Let(decs, body) => {
-                let body = body.clone();
-                self.tr_decs(decs, &mut move |me: &mut Self| me.tr_exp(&body))
-            }
+            TExpKind::Let(decs, body) => self.tr_decs(decs, &mut |me: &mut Self| me.tr_exp(body)),
             TExpKind::Raise(e) => {
                 let v = self.tr_exp(e);
                 let lty = self.ltc(&exp.ty);
@@ -1054,7 +1070,7 @@ impl Translator<'_> {
         // Build a synthetic application `prim x`.
         let var_exp = TExp {
             kind: TExpKind::Var {
-                access: Access::Var(PSEUDO_VAR),
+                access: Access::Var(self.pseudo_var()),
                 scheme: Scheme::mono((*argt).clone()),
                 inst: Vec::new(),
             },
@@ -1122,14 +1138,14 @@ impl Translator<'_> {
                 let arg_lty = self.ltc(arg_ty);
                 let fake = TExp {
                     kind: TExpKind::Var {
-                        access: Access::Var(PSEUDO_VAR),
+                        access: Access::Var(self.pseudo_var()),
                         scheme: Scheme::mono(arg_ty.clone()),
                         inst: Vec::new(),
                     },
                     ty: arg_ty.clone(),
                 };
                 // Temporarily map the pseudo var to `v`.
-                self.vmap.insert(PSEUDO_VAR, v);
+                self.map_var(self.pseudo_var(), v);
                 // The pseudo variable has a monomorphic scheme equal to
                 // its type, so `var_reps` sees from == to.
                 let call = self.tr_prim_app_on_var(prim, inst, &fake, res_ty);
@@ -1144,9 +1160,8 @@ impl Translator<'_> {
     }
 }
 
-/// Pseudo Absyn variable used for eta-expansion of special primitives;
-/// outside the real VarTable range.
-const PSEUDO_VAR: VarId = VarId(u32::MAX);
+/// `Translator::vmap`'s entry for a variable not yet mapped.
+const NO_LVAR: LVar = LVar::MAX;
 
 #[derive(PartialEq, Eq, Clone, Copy)]
 enum OvHead {
@@ -1188,10 +1203,10 @@ fn var_key(v: &sml_types::TvRef) -> VarKey {
 /// type constructor (paper Figure 6: such variables translate to
 /// `RBOXEDty` because datatype contents use standard representations).
 fn mark_con_vars(ty: &Ty, under_con: bool, marked: &mut FxHashSet<VarKey>) {
-    match ty.head() {
+    match &*ty.head() {
         Ty::Var(v) => {
             if under_con {
-                marked.insert(var_key(&v));
+                marked.insert(var_key(v));
             }
         }
         Ty::Con(_, args) => {
@@ -1205,8 +1220,8 @@ fn mark_con_vars(ty: &Ty, under_con: bool, marked: &mut FxHashSet<VarKey>) {
             }
         }
         Ty::Arrow(a, b) => {
-            mark_con_vars(&a, under_con, marked);
-            mark_con_vars(&b, under_con, marked);
+            mark_con_vars(a, under_con, marked);
+            mark_con_vars(b, under_con, marked);
         }
     }
 }

@@ -21,6 +21,7 @@
 
 use crate::lexp::{LVar, Lexp};
 use crate::lty::{Lty, LtyInterner, LtyKind};
+use crate::translate::Translation;
 use sml_ast::FxHashMap;
 
 /// A structured well-formedness violation found by [`verify_lexp`].
@@ -85,21 +86,42 @@ pub fn compat(i: &mut LtyInterner, a: Lty, b: Lty) -> bool {
 struct Check<'i> {
     i: &'i mut LtyInterner,
     sum: LexpVerifySummary,
+    /// Every binder must be below this: the translation's variable
+    /// count, which the back end sizes its per-variable tables by.
+    n_vars: LVar,
 }
 
 fn violation(rule: &'static str, detail: String) -> LexpViolation {
     LexpViolation { rule, detail }
 }
 
-/// Verifies a translated (and coercion-inserted) LEXP program.
+/// Verifies a translation: its program by every rule, `var-range`
+/// included, against its own variable count.
+///
+/// Returns work counters on success and the first [`LexpViolation`]
+/// otherwise. Never mutates the term; the interner is only extended
+/// with derived types (hash-consing keeps that idempotent).
+pub fn verify_translation(tr: &mut Translation) -> Result<LexpVerifySummary, LexpViolation> {
+    check(&tr.lexp, &mut tr.interner, tr.n_vars)
+}
+
+/// Verifies a translated (and coercion-inserted) LEXP program by every
+/// rule but `var-range`, which needs the translation's variable count
+/// ([`verify_translation`] applies it).
 ///
 /// Returns work counters on success and the first [`LexpViolation`]
 /// otherwise. Never mutates the term; the interner is only extended
 /// with derived types (hash-consing keeps that idempotent).
 pub fn verify_lexp(e: &Lexp, i: &mut LtyInterner) -> Result<LexpVerifySummary, LexpViolation> {
+    check(e, i, LVar::MAX)
+}
+
+/// Checks `e`, whose binders must be below `n_vars`.
+fn check(e: &Lexp, i: &mut LtyInterner, n_vars: LVar) -> Result<LexpVerifySummary, LexpViolation> {
     let mut ck = Check {
         i,
         sum: LexpVerifySummary::default(),
+        n_vars,
     };
     ck.infer(e, &mut FxHashMap::default())?;
     Ok(ck.sum)
@@ -118,11 +140,24 @@ pub(crate) fn lty_of(
     Check {
         i,
         sum: LexpVerifySummary::default(),
+        n_vars: LVar::MAX,
     }
     .infer(e, env)
 }
 
 impl Check<'_> {
+    /// Brings binder `v` into scope at type `t`.
+    fn bind(&self, env: &mut FxHashMap<LVar, Lty>, v: LVar, t: Lty) -> Result<(), LexpViolation> {
+        if v >= self.n_vars {
+            return Err(violation(
+                "var-range",
+                format!("binder lvar {v} is not below the {} variables", self.n_vars),
+            ));
+        }
+        env.insert(v, t);
+        Ok(())
+    }
+
     fn infer(&mut self, e: &Lexp, env: &mut FxHashMap<LVar, Lty>) -> Result<Lty, LexpViolation> {
         self.sum.nodes += 1;
         match e {
@@ -134,7 +169,7 @@ impl Check<'_> {
             Lexp::Real(_) => Ok(self.i.real()),
             Lexp::Str(_) => Ok(self.i.boxed()),
             Lexp::Fn(v, t, r, b) => {
-                env.insert(*v, *t);
+                self.bind(env, *v, *t)?;
                 let bt = self.infer(b, env)?;
                 if !compat(self.i, bt, *r) {
                     return Err(violation(
@@ -174,7 +209,7 @@ impl Check<'_> {
             }
             Lexp::Fix(fs, b) => {
                 for (v, t, _) in fs {
-                    env.insert(*v, *t);
+                    self.bind(env, *v, *t)?;
                 }
                 for (v, t, body) in fs {
                     let bt = self.infer(body, env)?;
@@ -193,7 +228,7 @@ impl Check<'_> {
             }
             Lexp::Let(v, a, b) => {
                 let at = self.infer(a, env)?;
-                env.insert(*v, at);
+                self.bind(env, *v, at)?;
                 self.infer(b, env)
             }
             Lexp::Record(es) => {
@@ -399,6 +434,7 @@ impl Check<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coerce::CoerceStats;
     use crate::lexp::Primop;
     use crate::lty::InternMode;
 
@@ -498,6 +534,28 @@ mod tests {
         let mut i = interner();
         let e = Lexp::SRecord(vec![Lexp::Int(1), Lexp::Real(2.0)]);
         verify_lexp(&e, &mut i).expect("flat float structure field is legal");
+    }
+
+    #[test]
+    fn rejects_a_binder_at_or_above_the_variable_count() {
+        let mut i = interner();
+        let int = i.int();
+        for lexp in [
+            Lexp::Let(5, Box::new(Lexp::Int(1)), Box::new(Lexp::Var(5))),
+            Lexp::Fn(5, int, int, Box::new(Lexp::Var(5))),
+        ] {
+            let mut tr = Translation {
+                lexp,
+                interner: interner(),
+                stats: CoerceStats::default(),
+                n_vars: 5,
+                warnings: Vec::new(),
+            };
+            assert_eq!(verify_translation(&mut tr).unwrap_err().rule, "var-range");
+            tr.n_vars = 6;
+            verify_translation(&mut tr).expect("binder below the count");
+            verify_lexp(&tr.lexp, &mut i).expect("no bound without a translation");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end translation tests: source → Absyn → LEXP, checking the
 //! typed-IR invariant under every compiler configuration.
 
-use sml_lambda::{translate, verify_lexp, InternMode, LambdaConfig, Lexp, Translation};
+use sml_lambda::{translate, verify_translation, InternMode, LambdaConfig, Lexp, Translation};
 
 fn configs() -> Vec<(&'static str, LambdaConfig)> {
     vec![
@@ -61,11 +61,11 @@ fn trans_mtd(src: &str, cfg: &LambdaConfig) -> Translation {
 fn check_all(src: &str) {
     for (name, cfg) in configs() {
         let mut tr = trans(src, &cfg);
-        if let Err(e) = verify_lexp(&tr.lexp, &mut tr.interner) {
+        if let Err(e) = verify_translation(&mut tr) {
             panic!("[{name}] ill-typed LEXP for program:\n{src}\nerror: {e}");
         }
         let mut tr = trans_mtd(src, &cfg);
-        if let Err(e) = verify_lexp(&tr.lexp, &mut tr.interner) {
+        if let Err(e) = verify_translation(&mut tr) {
             panic!("[{name}+mtd] ill-typed LEXP for program:\n{src}\nerror: {e}");
         }
     }
@@ -410,7 +410,7 @@ fn structural_interning_still_correct() {
          val s = map (fn x => x + 1.0) [1.0, 2.0]",
         &cfg,
     );
-    assert!(verify_lexp(&tr.lexp, &mut tr.interner).is_ok());
+    assert!(verify_translation(&mut tr).is_ok());
     assert!(
         tr.interner.deep_compares > 0,
         "structural mode exercises deep compares"

@@ -5,7 +5,7 @@
 //! CPS ([`sml_cps::CpsProgram`]), first-order CPS
 //! ([`sml_cps::ClosedProgram`]), or bytecode
 //! ([`sml_vm::MachineProgram`]) — chosen so the corresponding verifier
-//! (`verify_lexp`, `verify_cps`, `verify_closed_program`,
+//! (`verify_translation`, `verify_cps`, `verify_closed_program`,
 //! `verify_bytecode`) must reject the mutant. The harness in
 //! `crates/core/tests/verify_ir.rs` applies every mutation to real
 //! compiler output and asserts rejection at the introducing stage.
@@ -92,7 +92,7 @@ fn flip_lty(i: &mut LtyInterner, t: Lty) -> Lty {
     }
 }
 
-/// The full LEXP corruption catalog (11 mutations).
+/// The full LEXP corruption catalog (12 mutations).
 pub fn lexp_mutations() -> Vec<LexpMutation> {
     vec![
         LexpMutation {
@@ -105,6 +105,22 @@ pub fn lexp_mutations() -> Vec<LexpMutation> {
                         return true;
                     }
                     false
+                })
+            },
+        },
+        LexpMutation {
+            name: "lexp-var-range",
+            expect_rule: Some("var-range"),
+            apply: |e, _| {
+                // The first binder in pre-order moves past every
+                // variable the translation allocated; the checker meets
+                // it before any use of the old or the new number.
+                walk_lexp(e, &mut |x| match x {
+                    Lexp::Fn(v, ..) | Lexp::Let(v, ..) => {
+                        *v += FAR;
+                        true
+                    }
+                    _ => false,
                 })
             },
         },

@@ -40,7 +40,7 @@ pub fn generalize_many(tys: &[Ty], level: u32) -> Vec<Scheme> {
 }
 
 fn go(ty: &Ty, level: u32, eq_flags: &mut Vec<bool>, cells: &mut Vec<TvRef>) {
-    match ty.head() {
+    match &*ty.head() {
         Ty::Var(v) => {
             let mut cell = v.0.borrow_mut();
             if let Tv::Unbound { level: vl, eq, .. } = &*cell {
@@ -56,8 +56,8 @@ fn go(ty: &Ty, level: u32, eq_flags: &mut Vec<bool>, cells: &mut Vec<TvRef>) {
         Ty::Con(_, args) => args.iter().for_each(|a| go(a, level, eq_flags, cells)),
         Ty::Record(fs) => fs.iter().for_each(|(_, a)| go(a, level, eq_flags, cells)),
         Ty::Arrow(a, b) => {
-            go(&a, level, eq_flags, cells);
-            go(&b, level, eq_flags, cells);
+            go(a, level, eq_flags, cells);
+            go(b, level, eq_flags, cells);
         }
     }
 }
@@ -101,7 +101,7 @@ impl AntiUnifier {
     /// Panics if `uses` is empty.
     pub fn lcg(&mut self, uses: &[Ty]) -> Ty {
         assert!(!uses.is_empty(), "lcg of zero uses");
-        let heads: Vec<Ty> = uses.iter().map(Ty::head).collect();
+        let heads: Vec<Ty> = uses.iter().map(|u| u.head().into_owned()).collect();
         match &heads[0] {
             Ty::Con(c0, args0) => {
                 let all_same = heads.iter().all(
@@ -248,7 +248,7 @@ mod tests {
     fn lcg_disagreement_becomes_var() {
         let mut au = AntiUnifier::new(0);
         let t = au.lcg(&[Ty::list(Ty::int()), Ty::list(Ty::real())]);
-        assert!(matches!(t.head(), Ty::Con(ref c, _) if c.name.as_str() == "list"));
+        assert!(matches!(&*t.head(), Ty::Con(c, _) if c.name.as_str() == "list"));
         assert_eq!(au.disagreements().len(), 1);
     }
 
@@ -262,9 +262,9 @@ mod tests {
             Ty::pair(Ty::real(), Ty::real()),
         ]);
         assert_eq!(au.disagreements().len(), 1);
-        match t.head() {
-            Ty::Record(fs) => match (fs[0].1.head(), fs[1].1.head()) {
-                (Ty::Var(a), Ty::Var(b)) => assert!(a.same(&b)),
+        match &*t.head() {
+            Ty::Record(fs) => match (&*fs[0].1.head(), &*fs[1].1.head()) {
+                (Ty::Var(a), Ty::Var(b)) => assert!(a.same(b)),
                 _ => panic!("expected shared var"),
             },
             _ => panic!("expected record"),

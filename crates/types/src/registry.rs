@@ -66,7 +66,7 @@ pub struct DatatypeDef {
 /// transparent constructor representation can be distinguished from
 /// constant constructors by a boxity test.
 pub fn certainly_boxed(ty: &Ty) -> bool {
-    match ty.head() {
+    match &*ty.head() {
         Ty::Record(fs) => !fs.is_empty(),
         Ty::Arrow(..) => true,
         Ty::Con(c, _) => matches!(
@@ -230,7 +230,7 @@ impl TyconRegistry {
     /// Equality admission for a payload type, assuming generic parameters
     /// admit equality and using `pending` for members of the current batch.
     fn payload_admits_eq(&self, t: &Ty, pending: &FxHashMap<Stamp, bool>) -> bool {
-        match t.head() {
+        match &*t.head() {
             Ty::Var(_) => true, // parameters assumed eq
             Ty::Record(fs) => fs.iter().all(|(_, t)| self.payload_admits_eq(t, pending)),
             Ty::Arrow(..) => false,

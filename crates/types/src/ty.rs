@@ -16,6 +16,7 @@
 //! they change.
 
 use sml_ast::Symbol;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::fmt;
@@ -303,16 +304,17 @@ impl Ty {
     }
 
     /// Follows `Link` cells until the head is not a resolved variable.
-    /// The result shares its children with the type it came from, so
+    /// Borrows `self` when it is not a resolved variable; otherwise the
+    /// result shares its children with the type the links lead to, so
     /// this costs a reference-count bump, not a copy.
-    pub fn head(&self) -> Ty {
-        let mut t = self.clone();
-        while let Ty::Var(v) = &t {
+    pub fn head(&self) -> Cow<'_, Ty> {
+        let mut t = Cow::Borrowed(self);
+        while let Ty::Var(v) = &*t {
             let next = match &*v.0.borrow() {
                 Tv::Link(u) => u.clone(),
                 _ => break,
             };
-            t = next;
+            t = Cow::Owned(next);
         }
         t
     }
@@ -325,7 +327,7 @@ impl Ty {
 
     /// True if the zonked type contains no unbound or generic variables.
     pub fn is_monomorphic(&self) -> bool {
-        match self.head() {
+        match &*self.head() {
             Ty::Var(_) => false,
             Ty::Con(_, args) => args.iter().all(Ty::is_monomorphic),
             Ty::Record(fs) => fs.iter().all(|(_, t)| t.is_monomorphic()),
@@ -336,7 +338,7 @@ impl Ty {
     /// Collects the distinct generic variable indices in the type.
     pub fn gen_vars(&self) -> Vec<u32> {
         fn go(t: &Ty, out: &mut Vec<u32>) {
-            match t.head() {
+            match &*t.head() {
                 Ty::Var(v) => {
                     if let Tv::Gen(i) = *v.0.borrow() {
                         if !out.contains(&i) {
@@ -347,8 +349,8 @@ impl Ty {
                 Ty::Con(_, args) => args.iter().for_each(|a| go(a, out)),
                 Ty::Record(fs) => fs.iter().for_each(|(_, a)| go(a, out)),
                 Ty::Arrow(a, b) => {
-                    go(&a, out);
-                    go(&b, out);
+                    go(a, out);
+                    go(b, out);
                 }
             }
         }
@@ -481,7 +483,7 @@ impl Scheme {
 impl fmt::Display for Ty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn prec(t: &Ty, f: &mut fmt::Formatter<'_>, level: u8) -> fmt::Result {
-            match t.head() {
+            match &*t.head() {
                 Ty::Var(v) => match &*v.0.borrow() {
                     Tv::Unbound { id, eq, .. } => {
                         write!(f, "{}X{}", if *eq { "''" } else { "'" }, id)
@@ -550,9 +552,9 @@ impl fmt::Display for Ty {
                     if level >= 1 {
                         write!(f, "(")?;
                     }
-                    prec(&a, f, 1)?;
+                    prec(a, f, 1)?;
                     write!(f, " -> ")?;
-                    prec(&b, f, 0)?;
+                    prec(b, f, 0)?;
                     if level >= 1 {
                         write!(f, ")")?;
                     }
@@ -589,7 +591,7 @@ mod tests {
         let v = TvRef::fresh(0);
         let t = Ty::Var(v.clone());
         *v.0.borrow_mut() = Tv::Link(Ty::int());
-        assert!(matches!(t.head(), Ty::Con(c, _) if c.kind == TyconKind::Int));
+        assert!(matches!(&*t.head(), Ty::Con(c, _) if c.kind == TyconKind::Int));
     }
 
     #[test]
@@ -599,7 +601,12 @@ mod tests {
         *v.0.borrow_mut() = Tv::Link(t.clone());
         let linked = Ty::Var(v);
         // A link-free subtree is shared, not copied, by every walk.
-        for u in [t.clone(), linked.head(), linked.zonk(), t.subst_gen(&[])] {
+        for u in [
+            t.clone(),
+            linked.head().into_owned(),
+            linked.zonk(),
+            t.subst_gen(&[]),
+        ] {
             let (Ty::Arrow(a1, r1), Ty::Arrow(a2, r2)) = (&t, &u) else {
                 panic!("expected two arrows, got {t} and {u}");
             };
@@ -634,7 +641,7 @@ mod tests {
         let (_t2, inst2) = s.instantiate(0);
         assert_eq!(inst1.len(), 1);
         // Distinct instantiations do not share variables.
-        match (&inst1[0].head(), &inst2[0].head()) {
+        match (&*inst1[0].head(), &*inst2[0].head()) {
             (Ty::Var(a), Ty::Var(b)) => assert!(!a.same(b)),
             _ => panic!("expected fresh vars"),
         }

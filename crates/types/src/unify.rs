@@ -42,13 +42,13 @@ pub type UnifyResult = Result<(), UnifyError>;
 pub fn unify(reg: &TyconRegistry, a: &Ty, b: &Ty) -> UnifyResult {
     let a = a.head();
     let b = b.head();
-    match (&a, &b) {
+    match (&*a, &*b) {
         (Ty::Var(va), Ty::Var(vb)) if va.same(vb) => Ok(()),
         (Ty::Var(v), _) => bind(reg, v, &b),
         (_, Ty::Var(v)) => bind(reg, v, &a),
         (Ty::Con(ca, argsa), Ty::Con(cb, argsb)) => {
             if ca.stamp != cb.stamp || argsa.len() != argsb.len() {
-                return Err(UnifyError::Mismatch(a.clone(), b.clone()));
+                return Err(UnifyError::Mismatch(Ty::clone(&a), Ty::clone(&b)));
             }
             for (x, y) in argsa.iter().zip(argsb.iter()) {
                 unify(reg, x, y)?;
@@ -57,11 +57,11 @@ pub fn unify(reg: &TyconRegistry, a: &Ty, b: &Ty) -> UnifyResult {
         }
         (Ty::Record(fa), Ty::Record(fb)) => {
             if fa.len() != fb.len() {
-                return Err(UnifyError::Mismatch(a.clone(), b.clone()));
+                return Err(UnifyError::Mismatch(Ty::clone(&a), Ty::clone(&b)));
             }
             for ((la, ta), (lb, tb)) in fa.iter().zip(fb.iter()) {
                 if la != lb {
-                    return Err(UnifyError::Mismatch(a.clone(), b.clone()));
+                    return Err(UnifyError::Mismatch(Ty::clone(&a), Ty::clone(&b)));
                 }
                 unify(reg, ta, tb)?;
             }
@@ -71,7 +71,7 @@ pub fn unify(reg: &TyconRegistry, a: &Ty, b: &Ty) -> UnifyResult {
             unify(reg, a1, a2)?;
             unify(reg, r1, r2)
         }
-        _ => Err(UnifyError::Mismatch(a.clone(), b.clone())),
+        _ => Err(UnifyError::Mismatch(Ty::clone(&a), Ty::clone(&b))),
     }
 }
 
@@ -97,7 +97,7 @@ fn bind(reg: &TyconRegistry, v: &TvRef, t: &Ty) -> UnifyResult {
 /// `t` is lowered to at most `level` so that it will not be generalized
 /// past the binder of `v`.
 fn occurs_adjust(v: &TvRef, t: &Ty, level: u32) -> UnifyResult {
-    match t.head() {
+    match &*t.head() {
         Ty::Var(u) => {
             if u.same(v) {
                 return Err(UnifyError::Occurs(Ty::Var(v.clone())));
@@ -113,8 +113,8 @@ fn occurs_adjust(v: &TvRef, t: &Ty, level: u32) -> UnifyResult {
         Ty::Con(_, args) => args.iter().try_for_each(|a| occurs_adjust(v, a, level)),
         Ty::Record(fs) => fs.iter().try_for_each(|(_, a)| occurs_adjust(v, a, level)),
         Ty::Arrow(a, b) => {
-            occurs_adjust(v, &a, level)?;
-            occurs_adjust(v, &b, level)
+            occurs_adjust(v, a, level)?;
+            occurs_adjust(v, b, level)
         }
     }
 }
@@ -122,7 +122,7 @@ fn occurs_adjust(v: &TvRef, t: &Ty, level: u32) -> UnifyResult {
 /// Requires `t` to admit equality, marking any unbound variables inside it
 /// as equality variables.
 pub fn force_equality(reg: &TyconRegistry, t: &Ty) -> UnifyResult {
-    match t.head() {
+    match &*t.head() {
         Ty::Var(u) => {
             let mut cell = u.0.borrow_mut();
             match &mut *cell {

@@ -11,7 +11,7 @@
 //! move with scratch-register cycle breaking.
 
 use crate::isa::*;
-use sml_ast::{FxHashMap, FxHashSet};
+use sml_ast::FxHashMap;
 use sml_cps::{
     AllocOp, Bind, BranchOp, CVar, Cexp, ClosedProgram, Cty, Exit, LookOp, PureOp, SetOp, Value,
 };
@@ -30,58 +30,51 @@ const FSCRATCH: FReg = 31;
 pub fn codegen(prog: &ClosedProgram) -> MachineProgram {
     let packed = limit_params(prog);
     let prog = packed.as_ref().unwrap_or(prog);
-    let mut pool: Vec<String> = Vec::new();
-    // Keyed by source string literals: std's seeded hasher, so crafted
-    // source cannot force collisions.
-    let mut pool_ix: HashMap<String, u32> = HashMap::new();
+    // Label numbering, by function name: block index. Entry gets block
+    // 0, the uncaught-exception stub block 1; a name that is no
+    // function's gets an index no block has, which the bytecode
+    // verifier rejects.
+    let mut label_of = vec![u32::MAX; prog.next_var as usize];
+    for (i, f) in prog.funs.iter().enumerate() {
+        let name = f.name as usize;
+        if name >= label_of.len() {
+            label_of.resize(name + 1, u32::MAX);
+        }
+        label_of[name] = (i + 2) as u32;
+    }
 
-    // Label numbering: function name -> block index. Entry gets block 0,
-    // the uncaught-exception stub block 1.
-    let label_of: FxHashMap<CVar, u32> = prog
-        .funs
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name, (i + 2) as u32))
-        .collect();
-
-    let mut blocks = Vec::new();
+    // One generator for every block, so its tables are allocated once.
+    let mut g = Gen {
+        label_of: &label_of,
+        pool: Vec::new(),
+        // Keyed by source string literals: std's seeded hasher, so
+        // crafted source cannot force collisions.
+        pool_ix: HashMap::new(),
+        live: Liveness::default(),
+        next_node: 0,
+        instrs: Vec::new(),
+        loc: Vec::new(),
+        free_r: Vec::new(),
+        free_f: Vec::new(),
+    };
+    let mut blocks = Vec::with_capacity(prog.funs.len() + 2);
 
     // Block 0: entry. Prologue installs the uncaught-exception handler
     // closure, then runs the program body.
-    {
-        let live = Liveness::of(&prog.entry);
-        let mut g = Gen {
-            label_of: &label_of,
-            pool: &mut pool,
-            pool_ix: &mut pool_ix,
-            live: &live,
-            next_node: 0,
-            instrs: Vec::new(),
-            loc: FxHashMap::default(),
-            free_r: (SCRATCH + 1..MAX_REGS)
-                .rev()
-                .chain((1..CSCRATCH).rev())
-                .collect(),
-            free_f: (FSCRATCH + 1..MAX_REGS)
-                .rev()
-                .chain((0..FSCRATCH).rev())
-                .collect(),
-        };
-        // handler closure = [label(uncaught)]
-        g.instrs.push(Instr::LoadLabel { d: 1, label: 1 });
-        g.instrs.push(Instr::Alloc {
-            d: 2,
-            kind: AllocKind::Record,
-            words: vec![1],
-            flts: vec![],
-        });
-        g.instrs.push(Instr::SetHdlr { s: 2 });
-        g.gen(&prog.entry);
-        blocks.push(CodeBlock {
-            name: "entry".into(),
-            instrs: g.instrs,
-        });
-    }
+    // handler closure = [label(uncaught)]
+    g.instrs.push(Instr::LoadLabel { d: 1, label: 1 });
+    g.instrs.push(Instr::Alloc {
+        d: 2,
+        kind: AllocKind::Record,
+        words: vec![1],
+        flts: vec![],
+    });
+    g.instrs.push(Instr::SetHdlr { s: 2 });
+    g.body(&prog.entry, &[]);
+    blocks.push(CodeBlock {
+        name: "entry".into(),
+        instrs: std::mem::take(&mut g.instrs),
+    });
 
     // Block 1: uncaught-exception stub. Convention: packet arrives in r2
     // (args after the closure in r1).
@@ -91,55 +84,17 @@ pub fn codegen(prog: &ClosedProgram) -> MachineProgram {
     });
 
     for f in &prog.funs {
-        let live = Liveness::of(&f.body);
-        let mut g = Gen {
-            label_of: &label_of,
-            pool: &mut pool,
-            pool_ix: &mut pool_ix,
-            live: &live,
-            next_node: 0,
-            instrs: Vec::new(),
-            loc: FxHashMap::default(),
-            free_r: Vec::new(),
-            free_f: Vec::new(),
-        };
-        // Assign parameters per convention.
-        let mut next_r: Reg = 1;
-        let mut next_f: FReg = 0;
-        let mut used_r = FxHashSet::default();
-        let mut used_f = FxHashSet::default();
-        for (p, c) in &f.params {
-            if c.is_word() {
-                g.loc.insert(*p, Loc::R(next_r));
-                used_r.insert(next_r);
-                next_r += 1;
-            } else {
-                g.loc.insert(*p, Loc::F(next_f));
-                used_f.insert(next_f);
-                next_f += 1;
-            }
-        }
-        g.free_r = (SCRATCH + 1..MAX_REGS)
-            .rev()
-            .chain((1..CSCRATCH).rev())
-            .filter(|r| !used_r.contains(r))
-            .collect();
-        g.free_f = (FSCRATCH + 1..MAX_REGS)
-            .rev()
-            .chain((0..FSCRATCH).rev())
-            .filter(|r| !used_f.contains(r))
-            .collect();
-        g.gen(&f.body);
+        g.body(&f.body, &f.params);
         blocks.push(CodeBlock {
             name: format!("f{}", f.name),
-            instrs: g.instrs,
+            instrs: std::mem::take(&mut g.instrs),
         });
     }
 
     MachineProgram {
         blocks,
         entry: 0,
-        pool,
+        pool: g.pool,
     }
 }
 
@@ -246,23 +201,24 @@ enum Loc {
 /// (a run's bindings, then its exit, then the exit's arms: a switch's
 /// arms and then its default, a branch's true and then its false side)
 /// gets the sorted free variables of the rest of its run.
+#[derive(Default)]
 struct Liveness {
     /// Node `i`'s set is `vars[spans[i].0..spans[i].1]`.
     spans: Vec<(u32, u32)>,
     vars: Vec<CVar>,
     /// Scratch for the set being built.
     set: Vec<CVar>,
+    /// Scratch: the first nodes of the arms of the exits being filled,
+    /// innermost last.
+    kids: Vec<usize>,
 }
 
 impl Liveness {
-    fn of(body: &Cexp) -> Liveness {
-        let mut l = Liveness {
-            spans: Vec::new(),
-            vars: Vec::new(),
-            set: Vec::new(),
-        };
-        l.run(body);
-        l
+    /// Computes the sets of `body`'s nodes, replacing any earlier ones.
+    fn compute(&mut self, body: &Cexp) {
+        self.spans.clear();
+        self.vars.clear();
+        self.run(body);
     }
 
     /// The live set of preorder node `i`.
@@ -278,29 +234,36 @@ impl Liveness {
         let first = self.spans.len();
         let exit = first + e.binds.len();
         self.spans.resize(exit + 1, (0, 0));
-        let kids: Vec<usize> = e.exit.arms().map(|a| self.run(a)).collect();
-        self.fill(exit, &kids, None, e.exit.operands());
+        let base = self.kids.len();
+        for a in e.exit.arms() {
+            let k = self.run(a);
+            self.kids.push(k);
+        }
+        self.fill(exit, base, None, e.exit.operands());
         for (i, b) in e.binds.iter().enumerate().rev() {
             let dst = b.binder().map(|(d, _)| d);
-            self.fill(first + i, &[first + i + 1], dst, b.operands());
+            self.kids.push(first + i + 1);
+            self.fill(first + i, base, dst, b.operands());
         }
         first
     }
 
-    /// Node `i`'s set: its children's, less the variable it binds, plus
-    /// the variables it uses.
+    /// Node `i`'s set: its children's (the nodes `kids[base..]`, which
+    /// this pops), less the variable it binds, plus the variables it
+    /// uses.
     fn fill<'v>(
         &mut self,
         i: usize,
-        kids: &[usize],
+        base: usize,
         dst: Option<CVar>,
         uses: impl Iterator<Item = &'v Value>,
     ) {
         let mut set = std::mem::take(&mut self.set);
         set.clear();
-        for &k in kids {
-            set.extend_from_slice(self.at(k));
+        for j in base..self.kids.len() {
+            set.extend_from_slice(self.at(self.kids[j]));
         }
+        self.kids.truncate(base);
         if let Some(d) = dst {
             set.retain(|v| *v != d);
         }
@@ -318,20 +281,49 @@ impl Liveness {
 }
 
 struct Gen<'a> {
-    label_of: &'a FxHashMap<CVar, u32>,
-    pool: &'a mut Vec<String>,
-    pool_ix: &'a mut HashMap<String, u32>,
+    /// Each function name's block index.
+    label_of: &'a [u32],
+    pool: Vec<String>,
+    pool_ix: HashMap<String, u32>,
     /// The function body's live sets, and the preorder number of the
     /// next node [`Gen::gen`] visits.
-    live: &'a Liveness,
+    live: Liveness,
     next_node: usize,
     instrs: Vec<Instr>,
-    loc: FxHashMap<CVar, Loc>,
+    /// Where each variable in a register lives, sorted by variable.
+    loc: Vec<(CVar, Loc)>,
     free_r: Vec<Reg>,
     free_f: Vec<FReg>,
 }
 
 impl Gen<'_> {
+    /// Emits a function body onto `instrs`. Its parameters arrive by
+    /// the calling convention: word parameters in `r1..`, float ones in
+    /// `f0..`; every other register starts free.
+    fn body(&mut self, body: &Cexp, params: &[(CVar, Cty)]) {
+        self.live.compute(body);
+        self.next_node = 0;
+        self.loc.clear();
+        let mut next_r: Reg = 1;
+        let mut next_f: FReg = 0;
+        for (p, c) in params {
+            if c.is_word() {
+                self.set_loc(*p, Loc::R(next_r));
+                next_r += 1;
+            } else {
+                self.set_loc(*p, Loc::F(next_f));
+                next_f += 1;
+            }
+        }
+        self.free_r.clear();
+        let free_r = (SCRATCH + 1..MAX_REGS).rev().chain((1..CSCRATCH).rev());
+        self.free_r.extend(free_r.filter(|r| *r >= next_r));
+        self.free_f.clear();
+        let free_f = (FSCRATCH + 1..MAX_REGS).rev().chain((0..FSCRATCH).rev());
+        self.free_f.extend(free_f.filter(|f| *f >= next_f));
+        self.gen(body);
+    }
+
     fn alloc_r(&mut self) -> Reg {
         self.free_r
             .pop()
@@ -344,35 +336,43 @@ impl Gen<'_> {
             .expect("out of float registers (including spill slots)")
     }
 
-    fn release(&mut self, v: CVar) {
-        if let Some(l) = self.loc.remove(&v) {
-            match l {
-                Loc::R(r) => self.free_r.push(r),
-                Loc::F(f) => self.free_f.push(f),
-            }
+    /// Where `v` lives, if it is in a register.
+    fn loc_of(&self, v: CVar) -> Option<Loc> {
+        let i = self.loc.binary_search_by_key(&v, |&(x, _)| x).ok()?;
+        Some(self.loc[i].1)
+    }
+
+    /// Puts `v` in `l`.
+    fn set_loc(&mut self, v: CVar, l: Loc) {
+        match self.loc.binary_search_by_key(&v, |&(x, _)| x) {
+            Ok(i) => self.loc[i].1 = l,
+            Err(i) => self.loc.insert(i, (v, l)),
         }
     }
 
-    /// Releases every variable not live on entry to the next node.
-    ///
-    /// Dead variables are released in sorted order: `loc` is a hash map,
-    /// and releasing in its iteration order would push registers onto the
-    /// free lists in an order that depends on the hasher, making spill
-    /// decisions — and therefore code size and cycle counts — depend on
-    /// it too.
+    /// Releases every variable not live on entry to the next node, in
+    /// the order of their numbers: `loc` and the live set are both
+    /// sorted, so one merge finds the dead, and the order registers go
+    /// back on the free lists — which decides spills, code size and
+    /// cycle counts — depends on nothing else.
     fn prune(&mut self) {
         let live = self.live.at(self.next_node);
         self.next_node += 1;
-        let mut dead: Vec<CVar> = self
-            .loc
-            .keys()
-            .copied()
-            .filter(|v| live.binary_search(v).is_err())
-            .collect();
-        dead.sort_unstable();
-        for v in dead {
-            self.release(v);
-        }
+        let mut next = 0;
+        let (free_r, free_f) = (&mut self.free_r, &mut self.free_f);
+        self.loc.retain(|&(v, l)| {
+            while live.get(next).is_some_and(|&x| x < v) {
+                next += 1;
+            }
+            let keep = live.get(next) == Some(&v);
+            if !keep {
+                match l {
+                    Loc::R(r) => free_r.push(r),
+                    Loc::F(f) => free_f.push(f),
+                }
+            }
+            keep
+        });
     }
 
     fn pool_id(&mut self, s: &str) -> u32 {
@@ -388,8 +388,8 @@ impl Gen<'_> {
     /// Materializes a word value into a register; returns (reg, temp?).
     fn word_reg(&mut self, v: &Value) -> (Reg, Option<Reg>) {
         match v {
-            Value::Var(x) => match self.loc.get(x) {
-                Some(Loc::R(r)) => (*r, None),
+            Value::Var(x) => match self.loc_of(*x) {
+                Some(Loc::R(r)) => (r, None),
                 other => panic!("v{x} not in an int register: {other:?}"),
             },
             Value::Int(n) => {
@@ -399,7 +399,7 @@ impl Gen<'_> {
             }
             Value::Label(l) => {
                 let r = self.alloc_r();
-                let label = self.label_of[l];
+                let label = self.label_of[*l as usize];
                 self.instrs.push(Instr::LoadLabel { d: r, label });
                 (r, Some(r))
             }
@@ -415,8 +415,8 @@ impl Gen<'_> {
 
     fn float_reg(&mut self, v: &Value) -> (FReg, Option<FReg>) {
         match v {
-            Value::Var(x) => match self.loc.get(x) {
-                Some(Loc::F(f)) => (*f, None),
+            Value::Var(x) => match self.loc_of(*x) {
+                Some(Loc::F(f)) => (f, None),
                 other => panic!("v{x} not in a float register: {other:?}"),
             },
             Value::Real(x) => {
@@ -442,13 +442,13 @@ impl Gen<'_> {
 
     fn bind_r(&mut self, v: CVar) -> Reg {
         let r = self.alloc_r();
-        self.loc.insert(v, Loc::R(r));
+        self.set_loc(v, Loc::R(r));
         r
     }
 
     fn bind_f(&mut self, v: CVar) -> FReg {
         let f = self.alloc_f();
-        self.loc.insert(v, Loc::F(f));
+        self.set_loc(v, Loc::F(f));
         f
     }
 
@@ -482,9 +482,9 @@ impl Gen<'_> {
                 let mut starts = Vec::with_capacity(arms.len());
                 for a in arms {
                     starts.push(self.instrs.len() as u32);
-                    self.loc = saved_loc.clone();
-                    self.free_r = saved_r.clone();
-                    self.free_f = saved_f.clone();
+                    self.loc.clone_from(&saved_loc);
+                    self.free_r.clone_from(&saved_r);
+                    self.free_f.clone_from(&saved_f);
                     self.gen(a);
                 }
                 let dstart = self.instrs.len() as u32;
@@ -923,20 +923,20 @@ impl Gen<'_> {
         // If the callee's register would be clobbered by argument moves,
         // save it to scratch first.
         let callee_reg: Option<Reg> = if let Value::Var(x) = f {
-            if let Some(Loc::R(r)) = self.loc.get(x) {
+            if let Some(Loc::R(r)) = self.loc_of(*x) {
                 let n_word_args = args
                     .iter()
                     .filter(|a| match a {
                         Value::Real(_) => false,
-                        Value::Var(y) => !matches!(self.loc.get(y), Some(Loc::F(_))),
+                        Value::Var(y) => !matches!(self.loc_of(*y), Some(Loc::F(_))),
                         _ => true,
                     })
                     .count() as u8;
-                if *r >= 1 && *r <= n_word_args {
-                    self.instrs.push(Instr::Move { d: CSCRATCH, s: *r });
+                if r >= 1 && r <= n_word_args {
+                    self.instrs.push(Instr::Move { d: CSCRATCH, s: r });
                     Some(CSCRATCH)
                 } else {
-                    Some(*r)
+                    Some(r)
                 }
             } else {
                 None
@@ -952,7 +952,7 @@ impl Gen<'_> {
         for a in args {
             let is_flt = match a {
                 Value::Real(_) => true,
-                Value::Var(x) => matches!(self.loc.get(x), Some(Loc::F(_))),
+                Value::Var(x) => matches!(self.loc_of(*x), Some(Loc::F(_))),
                 _ => false,
             };
             if is_flt {
@@ -969,10 +969,10 @@ impl Gen<'_> {
         for (v, d) in &dest_words {
             match v {
                 Value::Var(x) => {
-                    let Some(Loc::R(s)) = self.loc.get(x).copied() else {
+                    let Some(Loc::R(s)) = self.loc_of(*x) else {
                         panic!(
                             "call argument v{x} not in an int register ({:?})",
-                            self.loc.get(x)
+                            self.loc_of(*x)
                         )
                     };
                     if s != *d {
@@ -987,7 +987,7 @@ impl Gen<'_> {
             match v {
                 Value::Int(n) => self.instrs.push(Instr::LoadI { d, imm: n }),
                 Value::Label(l) => {
-                    let label = self.label_of[&l];
+                    let label = self.label_of[l as usize];
                     self.instrs.push(Instr::LoadLabel { d, label });
                 }
                 Value::Str(s) => {
@@ -1003,7 +1003,7 @@ impl Gen<'_> {
         for (v, d) in &dest_flts {
             match v {
                 Value::Var(x) => {
-                    let Loc::F(s) = self.loc[x] else {
+                    let Some(Loc::F(s)) = self.loc_of(*x) else {
                         panic!("cty mismatch")
                     };
                     if s != *d {
@@ -1021,14 +1021,15 @@ impl Gen<'_> {
         // Transfer.
         match f {
             Value::Label(l) => {
-                let label = self.label_of[l];
+                let label = self.label_of[*l as usize];
                 self.instrs.push(Instr::Jump { label });
             }
             Value::Var(x) => match callee_reg {
                 Some(r) => self.instrs.push(Instr::JumpReg { r }),
-                None => match self.loc[x] {
-                    Loc::R(r) => self.instrs.push(Instr::JumpReg { r }),
-                    Loc::F(_) => panic!("calling a float"),
+                None => match self.loc_of(*x) {
+                    Some(Loc::R(r)) => self.instrs.push(Instr::JumpReg { r }),
+                    Some(Loc::F(_)) => panic!("calling a float"),
+                    None => panic!("callee v{x} not in a register"),
                 },
             },
             other => panic!("calling constant {other:?}"),
@@ -1155,7 +1156,8 @@ mod tests {
                 let prog = closed(&src, v);
                 let bodies = std::iter::once(&prog.entry).chain(prog.funs.iter().map(|f| &f.body));
                 for body in bodies {
-                    let live = Liveness::of(body);
+                    let mut live = Liveness::default();
+                    live.compute(body);
                     let mut nodes = Vec::new();
                     preorder(body, &mut nodes);
                     assert_eq!(live.spans.len(), nodes.len(), "{} [{v}]", b.name);

@@ -74,6 +74,10 @@ fi
 # geometry under both engines, a 1,024-word nursery promoting after
 # three minors, semispace, a 2,000-cycle pause budget), so any change
 # to copy order, promotion, the remembered set or a charge fails it.
+# codegen_golden pins the emitted code, CPS sizes and optimizer
+# counters of the 72 figure cells (crates/bench/tests/codegen_golden.txt
+# and middle_end_golden.txt) in the profile the benchmark compiles in
+# too, so a release-only difference in the compiler cannot hide there.
 # The seeded batch sweep runs its 200-program release legs
 # (docs/ROBUSTNESS.md): once in the default mode and once with every IR
 # verifier forced on. The VM's engine and scheduler differentials run
@@ -85,7 +89,7 @@ fi
 # multi-threaded stress test makes 200,000 operations per thread there
 # (20,000 in the dev profile).
 echo "== release gates =="
-cargo test -q --release -p smlc-bench --test gates --test run_stats_golden
+cargo test -q --release -p smlc-bench --test gates --test run_stats_golden --test codegen_golden
 cargo test -q --release -p smlc --test fuzz_programs -- seeded_batch
 cargo test -q --release -p sml-vm --test dispatch --test sched
 cargo test -q --release -p smlc --lib -- alloc::tests
