@@ -470,13 +470,14 @@ fn serve_stdio_eof_shutdown_flushes_stats() {
 /// A server worker compiles as wide a program as its stack allows, so
 /// `smlc serve` must survive a `+` chain that std's 2 MiB default
 /// thread stack does not: its workers get the CLI's 8 MiB. The chain is
-/// about four times what 2 MiB holds in the test's build profile
-/// (unoptimized frames are far larger), and the server answers it and
+/// about twice what 2 MiB holds in the test's build profile (53 terms
+/// in debug, whose frames are far larger, and 451 in release) and about
+/// half what 8 MiB holds (217 and 1,812), and the server answers it and
 /// the next request on the same connection. A child process, because a
 /// stack overflow aborts the whole process.
 #[test]
 fn serve_survives_a_chain_that_overflows_a_default_stack() {
-    let terms = if cfg!(debug_assertions) { 40 } else { 800 };
+    let terms = if cfg!(debug_assertions) { 120 } else { 800 };
     let chain = format!("val s = 1{}", " + 1".repeat(terms - 1));
     let mut child = smlc()
         .args(["serve", "--workers=1"])
@@ -590,7 +591,7 @@ fn serve_caps_a_run_and_counts_what_it_turns_away() {
 /// child process, because a stack overflow aborts the whole process.
 #[test]
 fn cli_compiles_a_chain_that_overflows_a_2_mib_main_stack() {
-    let terms = if cfg!(debug_assertions) { 40 } else { 800 };
+    let terms = if cfg!(debug_assertions) { 120 } else { 800 };
     let chain = format!("val s = 1{}", " + 1".repeat(terms - 1));
     let out = Command::new("sh")
         .args(["-c", "ulimit -s 2048 && exec \"$0\" \"$@\""])

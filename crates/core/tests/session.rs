@@ -409,3 +409,34 @@ fn variant_from_str_round_trips() {
     let msg = "bogus".parse::<Variant>().unwrap_err().to_string();
     assert!(msg.contains("nrp"), "error lists accepted spellings: {msg}");
 }
+
+/// A figure program (Life, behind the shared prelude), compiled between
+/// two rounds of failing compiles below.
+const LIFE: &str = concat!(
+    include_str!("../../bench/benchmarks/prelude.sml"),
+    "\n",
+    include_str!("../../bench/benchmarks/life.sml")
+);
+
+#[test]
+fn type_errors_read_the_same_in_every_compile() {
+    // Type variables are numbered per compile, so a circular type and a
+    // mismatch between two variables read the same on fresh sessions,
+    // whatever the process compiled in between.
+    let circular = "fun f x = x x";
+    let mismatch = "fun g (x, y) = if true then {a = x} else {b = y}";
+    let messages = || -> Vec<String> {
+        [circular, mismatch]
+            .iter()
+            .map(|src| {
+                let e = Session::default().compile(src).expect_err("a type error");
+                e.to_string()
+            })
+            .collect()
+    };
+    let first = messages();
+    assert!(first[0].contains("circular type `'X"), "{}", first[0]);
+    assert!(first[1].contains("cannot unify `{a : 'X"), "{}", first[1]);
+    Session::default().compile(LIFE).expect("Life compiles");
+    assert_eq!(messages(), first);
+}

@@ -8,8 +8,9 @@
 //! lambda translator can insert coercions (paper §4).
 
 use sml_ast::Symbol;
-use sml_types::{ConRep, Scheme, Stamp, Ty};
+use sml_types::{ConRep, Scheme, Stamp, Ty, TyKind, TyStore};
 use std::fmt;
+use std::rc::Rc;
 
 /// A unique identifier for a term variable.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -227,8 +228,8 @@ impl ConInfo {
     }
 
     /// True if this constructor carries a payload.
-    pub fn has_payload(&self) -> bool {
-        matches!(self.scheme.body, Ty::Arrow(..))
+    pub fn has_payload(&self, store: &TyStore) -> bool {
+        matches!(store.kind(self.scheme.body), TyKind::Arrow(..))
     }
 }
 
@@ -237,8 +238,8 @@ impl ConInfo {
 pub struct TExp {
     /// The expression form.
     pub kind: TExpKind,
-    /// The expression's type (may contain unresolved links; zonk to
-    /// normalize).
+    /// The expression's type (may contain links; the elaboration's
+    /// store resolves them).
     pub ty: Ty,
 }
 
@@ -258,9 +259,10 @@ pub enum TExpKind {
     Var {
         /// How to reach the value.
         access: Access,
-        /// The variable's scheme (shares cells with the defining
-        /// declaration, so MTD re-linking is visible here too). The
-        /// translator derives the storage representation from it.
+        /// The variable's scheme (shares its body and generic variables
+        /// with the defining declaration, so MTD re-linking is visible
+        /// here too). The translator derives the storage representation
+        /// from it.
         scheme: Scheme,
         /// Instantiation of the variable's scheme at this use.
         inst: Vec<Ty>,
@@ -274,15 +276,15 @@ pub enum TExpKind {
     },
     /// Constructor occurrence (as a value; may be the head of an `App`).
     Con {
-        /// The constructor.
-        con: ConInfo,
+        /// The constructor, shared with its binding.
+        con: Rc<ConInfo>,
         /// Instantiation of the constructor's scheme.
         inst: Vec<Ty>,
     },
     /// Record/tuple construction; fields in canonical label order.
     Record(Vec<(Symbol, TExp)>),
     /// Field selection; the index is resolved at translation time from
-    /// the zonked record type of `arg`.
+    /// the record type of `arg`.
     Select {
         /// Field label.
         label: Symbol,
@@ -320,7 +322,7 @@ impl TExp {
     pub fn unit() -> TExp {
         TExp {
             kind: TExpKind::Record(Vec::new()),
-            ty: Ty::unit(),
+            ty: Ty::UNIT,
         }
     }
 }
@@ -344,12 +346,7 @@ pub struct TPat {
 }
 
 /// Typed pattern forms.
-///
-/// `Con` is much larger than the other variants; patterns are built once
-/// during elaboration and traversed, never stored in bulk, so boxing it
-/// would cost more indirection than the size difference saves.
 #[derive(Clone, Debug)]
-#[allow(clippy::large_enum_variant)]
 pub enum TPatKind {
     /// Wildcard.
     Wild,
@@ -364,15 +361,15 @@ pub enum TPatKind {
     /// Constructor pattern, with instantiation (mirrors expression
     /// occurrences so payload coercions work in patterns too).
     Con {
-        /// The constructor.
-        con: ConInfo,
+        /// The constructor, shared with its binding.
+        con: Rc<ConInfo>,
         /// Scheme instantiation at this occurrence.
         inst: Vec<Ty>,
         /// Payload pattern for value-carrying constructors.
         arg: Option<Box<TPat>>,
     },
     /// Record pattern; `flexible` records match any record containing the
-    /// listed fields (the full field set comes from the zonked type).
+    /// listed fields (the full field set comes from the resolved type).
     Record {
         /// Listed fields, canonically ordered.
         fields: Vec<(Symbol, TPat)>,
@@ -384,11 +381,7 @@ pub enum TPatKind {
 }
 
 /// A typed declaration.
-///
-/// Module declarations carry whole signature instances inline; a program
-/// holds a handful of `TDec`s, so variant size is immaterial.
 #[derive(Clone, Debug)]
-#[allow(clippy::large_enum_variant)]
 pub enum TDec {
     /// Monomorphic (possibly pattern) binding: `val pat = exp`.
     Val {

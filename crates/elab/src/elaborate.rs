@@ -9,10 +9,8 @@ use crate::absyn::*;
 use crate::env::*;
 use crate::error::{ElabError, ElabResult};
 use sml_ast::FxHashMap;
-use sml_ast::{self as ast, ExpKind, PatKind, Span, Symbol, TyKind};
-use sml_types::{
-    generalize_many, unify, EqProp, Scheme, Tv, TvRef, Ty, Tycon, TyconRegistry, UnifyResult,
-};
+use sml_ast::{self as ast, ExpKind, PatKind, Span, Symbol};
+use sml_types::{EqProp, Scheme, Tv, TvId, Ty, TyKind, TyStore, Tycon, TyconRegistry};
 use std::rc::Rc;
 
 /// The result of elaborating a whole program.
@@ -27,6 +25,8 @@ pub struct Elaboration {
     pub registry: TyconRegistry,
     /// Tag variables of the built-in exceptions.
     pub builtins: BuiltinExns,
+    /// The compile's type store: every [`Ty`] above is a handle into it.
+    pub types: TyStore,
 }
 
 /// Elaborates a parsed program against the initial environment.
@@ -43,10 +43,12 @@ pub struct Elaboration {
 /// assert!(!elab.decs.is_empty());
 /// ```
 pub fn elaborate(prog: &ast::Program) -> ElabResult<Elaboration> {
-    let registry = TyconRegistry::with_builtins();
+    let mut tys = TyStore::new();
+    let registry = TyconRegistry::with_builtins(&mut tys);
     let mut vars = VarTable::new();
-    let (mut env, builtins) = builtin_env(&registry, &mut vars);
+    let (mut env, builtins) = builtin_env(&registry, &mut vars, &mut tys);
     let mut elab = Elaborator {
+        tys,
         reg: registry,
         vars,
         level: 0,
@@ -72,6 +74,7 @@ pub fn elaborate(prog: &ast::Program) -> ElabResult<Elaboration> {
         vars: elab.vars,
         registry: elab.reg,
         builtins,
+        types: elab.tys,
     })
 }
 
@@ -80,6 +83,7 @@ pub fn elaborate(prog: &ast::Program) -> ElabResult<Elaboration> {
 type FlexConstraint = (Ty, Vec<(Symbol, Ty)>, Span);
 
 pub(crate) struct Elaborator {
+    pub(crate) tys: TyStore,
     pub(crate) reg: TyconRegistry,
     pub(crate) vars: VarTable,
     pub(crate) level: u32,
@@ -108,16 +112,23 @@ impl Elaborator {
         result
     }
 
-    pub(crate) fn fresh_ty(&self) -> Ty {
-        Ty::Var(TvRef::fresh(self.level))
+    pub(crate) fn fresh_ty(&mut self) -> Ty {
+        self.tys.fresh_var(self.level)
     }
 
     fn err<T>(&self, span: Span, msg: impl Into<String>) -> ElabResult<T> {
         Err(ElabError::new(span, msg))
     }
 
-    pub(crate) fn unify(&self, span: Span, a: &Ty, b: &Ty) -> ElabResult<()> {
-        to_elab(unify(&self.reg, a, b), span)
+    pub(crate) fn unify(&mut self, span: Span, a: Ty, b: Ty) -> ElabResult<()> {
+        self.tys
+            .unify(&self.reg, a, b)
+            .map_err(|e| ElabError::new(span, e.show(&self.tys)))
+    }
+
+    /// `t` printed.
+    pub(crate) fn show(&self, t: Ty) -> String {
+        self.tys.show(t).to_string()
     }
 
     // ----- pending-constraint resolution ---------------------------------
@@ -136,58 +147,53 @@ impl Elaborator {
         let final_boundary = self.level == 0;
         // Flexible records first: they may pin overloaded types.
         for (recty, fields, fspan) in self.flex.split_off(flex_mark) {
-            match &*recty.head() {
-                Ty::Record(have) => {
-                    for (lab, want) in fields {
-                        match have.iter().find(|(l, _)| *l == lab) {
-                            Some((_, t)) => self.unify(fspan, &want, t)?,
-                            None => {
-                                return self.err(
-                                    fspan,
-                                    format!("record type `{}` has no field `{lab}`", recty.zonk()),
-                                )
-                            }
-                        }
+            if !matches!(self.tys.kind(recty), TyKind::Record(_)) {
+                return self.err(
+                    fspan,
+                    format!(
+                        "unresolved flexible record (inferred `{}`); add a type annotation",
+                        self.show(recty)
+                    ),
+                );
+            }
+            for (lab, want) in fields {
+                let TyKind::Record(have) = self.tys.kind(recty) else {
+                    unreachable!("checked a record above")
+                };
+                match have.iter().find(|(l, _)| *l == lab) {
+                    Some(&(_, t)) => self.unify(fspan, want, t)?,
+                    None => {
+                        return self.err(
+                            fspan,
+                            format!("record type `{}` has no field `{lab}`", self.show(recty)),
+                        )
                     }
-                }
-                other => {
-                    return self.err(
-                        fspan,
-                        format!(
-                            "unresolved flexible record (inferred `{}`); add a type annotation",
-                            other.zonk()
-                        ),
-                    )
                 }
             }
         }
         let mut keep = Vec::new();
         for (ty, class, ospan) in self.overloads.split_off(ov_mark) {
-            match &*ty.head() {
-                Ty::Var(v) => {
+            match self.tys.kind(ty) {
+                TyKind::Var(v) => {
                     if final_boundary {
                         // Default to int.
-                        self.unify(ospan, &ty, &Ty::int())?;
+                        self.unify(ospan, ty, Ty::INT)?;
                     } else {
                         // Keep pending; prevent generalization by
                         // demoting the variable to the current level.
-                        if let Tv::Unbound { level, .. } = &mut *v.0.borrow_mut() {
-                            if *level > self.level {
-                                *level = self.level;
-                            }
-                        }
+                        self.tys.lower(v, self.level);
                         keep.push((ty, class, ospan));
                     }
                 }
-                Ty::Con(c, _) if class.admits(c) => {}
-                Ty::Record(fs) if fs.is_empty() && !final_boundary => {
+                TyKind::Con(c, _) if class.admits(&c) => {}
+                TyKind::Record(fs) if fs.is_empty() && !final_boundary => {
                     // `unit` can appear transiently; treat as undetermined.
                     keep.push((ty, class, ospan));
                 }
-                other => {
+                _ => {
                     return self.err(
                         ospan,
-                        format!("overloaded operator used at type `{}`", other.zonk()),
+                        format!("overloaded operator used at type `{}`", self.show(ty)),
                     )
                 }
             }
@@ -231,21 +237,21 @@ impl Elaborator {
     /// innermost scope.
     pub(crate) fn elab_ty(&mut self, env: &Env, ty: &ast::Ty) -> ElabResult<Ty> {
         match &ty.kind {
-            TyKind::Var(name) => {
+            ast::TyKind::Var(name) => {
                 for scope in self.tyvar_scopes.iter().rev() {
-                    if let Some(t) = scope.get(name) {
-                        return Ok(t.clone());
+                    if let Some(&t) = scope.get(name) {
+                        return Ok(t);
                     }
                 }
                 let eq = name.as_str().starts_with("''");
-                let t = Ty::Var(TvRef::fresh_eq(self.level, eq));
+                let t = self.tys.fresh_var_eq(self.level, eq);
                 self.tyvar_scopes
                     .last_mut()
                     .expect("scope stack is never empty")
-                    .insert(*name, t.clone());
+                    .insert(*name, t);
                 Ok(t)
             }
-            TyKind::Con(path, args) => {
+            ast::TyKind::Con(path, args) => {
                 let bind = self.lookup_tycon(env, path, ty.span)?;
                 if bind.arity() != args.len() {
                     return self.err(
@@ -261,16 +267,16 @@ impl Elaborator {
                     .iter()
                     .map(|a| self.elab_ty(env, a))
                     .collect::<ElabResult<Vec<_>>>()?;
-                Ok(bind.apply(args))
+                Ok(bind.apply(&mut self.tys, &args))
             }
-            TyKind::Tuple(parts) => {
+            ast::TyKind::Tuple(parts) => {
                 let parts = parts
                     .iter()
                     .map(|p| self.elab_ty(env, p))
                     .collect::<ElabResult<Vec<_>>>()?;
-                Ok(Ty::tuple(parts))
+                Ok(self.tys.tuple(&parts))
             }
-            TyKind::Record(fields) => {
+            ast::TyKind::Record(fields) => {
                 let mut fs = Vec::new();
                 for (lab, t) in fields {
                     if fs.iter().any(|(l, _)| l == lab) {
@@ -279,9 +285,13 @@ impl Elaborator {
                     fs.push((*lab, self.elab_ty(env, t)?));
                 }
                 sml_types::sort_fields(&mut fs);
-                Ok(Ty::Record(fs.into()))
+                Ok(self.tys.record(fs))
             }
-            TyKind::Arrow(a, b) => Ok(Ty::arrow(self.elab_ty(env, a)?, self.elab_ty(env, b)?)),
+            ast::TyKind::Arrow(a, b) => {
+                let a = self.elab_ty(env, a)?;
+                let b = self.elab_ty(env, b)?;
+                Ok(self.tys.arrow(a, b))
+            }
         }
     }
 
@@ -307,19 +317,19 @@ impl Elaborator {
         match &exp.kind {
             ExpKind::Int(n) => Ok(TExp {
                 kind: TExpKind::Int(*n),
-                ty: Ty::int(),
+                ty: Ty::INT,
             }),
             ExpKind::Real(x) => Ok(TExp {
                 kind: TExpKind::Real(*x),
-                ty: Ty::real(),
+                ty: Ty::REAL,
             }),
             ExpKind::Str(s) => Ok(TExp {
                 kind: TExpKind::Str(s.clone()),
-                ty: Ty::string(),
+                ty: Ty::STRING,
             }),
             ExpKind::Char(c) => Ok(TExp {
                 kind: TExpKind::Char(*c),
-                ty: Ty::char(),
+                ty: Ty::CHAR,
             }),
             ExpKind::Var(path) => self.elab_var(env, path, span),
             ExpKind::Tuple(parts) => {
@@ -332,7 +342,7 @@ impl Elaborator {
                     .enumerate()
                     .map(|(i, e)| (Symbol::numeric(i + 1), e))
                     .collect();
-                let ty = Ty::Record(fields.iter().map(|(l, e)| (*l, e.ty.clone())).collect());
+                let ty = self.tys.record(fields.iter().map(|(l, e)| (*l, e.ty)));
                 Ok(TExp {
                     kind: TExpKind::Record(fields),
                     ty,
@@ -346,8 +356,8 @@ impl Elaborator {
                     }
                     fs.push((*lab, self.elab_exp(env, e)?));
                 }
-                fs.sort_by(|(a, _), (b, _)| sml_types::label_cmp(*a, *b));
-                let ty = Ty::Record(fs.iter().map(|(l, e)| (*l, e.ty.clone())).collect());
+                sml_types::sort_fields(&mut fs);
+                let ty = self.tys.record(fs.iter().map(|(l, e)| (*l, e.ty)));
                 Ok(TExp {
                     kind: TExpKind::Record(fs),
                     ty,
@@ -358,37 +368,36 @@ impl Elaborator {
                 // constraint on v's type.
                 let rec_ty = self.fresh_ty();
                 let out_ty = self.fresh_ty();
-                self.flex
-                    .push((rec_ty.clone(), vec![(*lab, out_ty.clone())], span));
-                let v = self.vars.fresh(Symbol::intern("selectee"), rec_ty.clone());
+                self.flex.push((rec_ty, vec![(*lab, out_ty)], span));
+                let v = self.vars.fresh(Symbol::intern("selectee"), rec_ty);
                 let arg = TExp {
                     kind: TExpKind::Var {
                         access: Access::Var(v),
-                        scheme: Scheme::mono(rec_ty.clone()),
+                        scheme: Scheme::mono(rec_ty),
                         inst: Vec::new(),
                     },
-                    ty: rec_ty.clone(),
+                    ty: rec_ty,
                 };
                 let body = TExp {
                     kind: TExpKind::Select {
                         label: *lab,
                         arg: Box::new(arg),
                     },
-                    ty: out_ty.clone(),
+                    ty: out_ty,
                 };
                 let rule = TRule {
                     pat: TPat {
                         kind: TPatKind::Var(v),
-                        ty: rec_ty.clone(),
+                        ty: rec_ty,
                     },
                     exp: body,
                 };
                 Ok(TExp {
                     kind: TExpKind::Fn {
                         rules: vec![rule],
-                        arg_ty: rec_ty.clone(),
+                        arg_ty: rec_ty,
                     },
-                    ty: Ty::arrow(rec_ty, out_ty),
+                    ty: self.tys.arrow(rec_ty, out_ty),
                 })
             }
             ExpKind::List(elems) => {
@@ -396,7 +405,7 @@ impl Elaborator {
                 let mut texps = Vec::new();
                 for e in elems {
                     let te = self.elab_exp(env, e)?;
-                    self.unify(e.span, &te.ty, &elem_ty)?;
+                    self.unify(e.span, te.ty, elem_ty)?;
                     texps.push(te);
                 }
                 Ok(self.build_list(env, texps, elem_ty, span)?)
@@ -406,8 +415,7 @@ impl Elaborator {
                 if let ExpKind::Selector(lab) = &f.kind {
                     let arg = self.elab_exp(env, a)?;
                     let out_ty = self.fresh_ty();
-                    self.flex
-                        .push((arg.ty.clone(), vec![(*lab, out_ty.clone())], span));
+                    self.flex.push((arg.ty, vec![(*lab, out_ty)], span));
                     return Ok(TExp {
                         kind: TExpKind::Select {
                             label: *lab,
@@ -419,7 +427,8 @@ impl Elaborator {
                 let tf = self.elab_exp(env, f)?;
                 let ta = self.elab_exp(env, a)?;
                 let res = self.fresh_ty();
-                self.unify(span, &tf.ty, &Ty::arrow(ta.ty.clone(), res.clone()))?;
+                let want = self.tys.arrow(ta.ty, res);
+                self.unify(span, tf.ty, want)?;
                 Ok(TExp {
                     kind: TExpKind::App(Box::new(tf), Box::new(ta)),
                     ty: res,
@@ -428,20 +437,19 @@ impl Elaborator {
             ExpKind::Fn(rules) => {
                 let arg_ty = self.fresh_ty();
                 let res_ty = self.fresh_ty();
-                let trules = self.elab_rules(env, rules, &arg_ty, &res_ty, span)?;
+                let trules = self.elab_rules(env, rules, arg_ty, res_ty, span)?;
                 Ok(TExp {
                     kind: TExpKind::Fn {
                         rules: trules,
-                        arg_ty: arg_ty.clone(),
+                        arg_ty,
                     },
-                    ty: Ty::arrow(arg_ty, res_ty),
+                    ty: self.tys.arrow(arg_ty, res_ty),
                 })
             }
             ExpKind::Case(scrut, rules) => {
                 let ts = self.elab_exp(env, scrut)?;
                 let res_ty = self.fresh_ty();
-                let arg_ty = ts.ty.clone();
-                let trules = self.elab_rules(env, rules, &arg_ty, &res_ty, span)?;
+                let trules = self.elab_rules(env, rules, ts.ty, res_ty, span)?;
                 Ok(TExp {
                     kind: TExpKind::Case(Box::new(ts), trules),
                     ty: res_ty,
@@ -449,11 +457,11 @@ impl Elaborator {
             }
             ExpKind::If(c, t, e) => {
                 let tc = self.elab_exp(env, c)?;
-                self.unify(c.span, &tc.ty, &Ty::bool())?;
+                self.unify(c.span, tc.ty, Ty::BOOL)?;
                 let tt = self.elab_exp(env, t)?;
                 let te = self.elab_exp(env, e)?;
-                self.unify(span, &tt.ty, &te.ty)?;
-                let ty = tt.ty.clone();
+                self.unify(span, tt.ty, te.ty)?;
+                let ty = tt.ty;
                 Ok(TExp {
                     kind: TExpKind::If(Box::new(tc), Box::new(tt), Box::new(te)),
                     ty,
@@ -462,32 +470,32 @@ impl Elaborator {
             ExpKind::Andalso(a, b) => {
                 let ta = self.elab_exp(env, a)?;
                 let tb = self.elab_exp(env, b)?;
-                self.unify(a.span, &ta.ty, &Ty::bool())?;
-                self.unify(b.span, &tb.ty, &Ty::bool())?;
+                self.unify(a.span, ta.ty, Ty::BOOL)?;
+                self.unify(b.span, tb.ty, Ty::BOOL)?;
                 let false_exp = self.bool_const(env, false);
                 Ok(TExp {
                     kind: TExpKind::If(Box::new(ta), Box::new(tb), Box::new(false_exp)),
-                    ty: Ty::bool(),
+                    ty: Ty::BOOL,
                 })
             }
             ExpKind::Orelse(a, b) => {
                 let ta = self.elab_exp(env, a)?;
                 let tb = self.elab_exp(env, b)?;
-                self.unify(a.span, &ta.ty, &Ty::bool())?;
-                self.unify(b.span, &tb.ty, &Ty::bool())?;
+                self.unify(a.span, ta.ty, Ty::BOOL)?;
+                self.unify(b.span, tb.ty, Ty::BOOL)?;
                 let true_exp = self.bool_const(env, true);
                 Ok(TExp {
                     kind: TExpKind::If(Box::new(ta), Box::new(true_exp), Box::new(tb)),
-                    ty: Ty::bool(),
+                    ty: Ty::BOOL,
                 })
             }
             ExpKind::While(c, b) => {
                 let tc = self.elab_exp(env, c)?;
-                self.unify(c.span, &tc.ty, &Ty::bool())?;
+                self.unify(c.span, tc.ty, Ty::BOOL)?;
                 let tb = self.elab_exp(env, b)?;
                 Ok(TExp {
                     kind: TExpKind::While(Box::new(tc), Box::new(tb)),
-                    ty: Ty::unit(),
+                    ty: Ty::UNIT,
                 })
             }
             ExpKind::Seq(exps) => {
@@ -495,7 +503,7 @@ impl Elaborator {
                     .iter()
                     .map(|e| self.elab_exp(env, e))
                     .collect::<ElabResult<Vec<_>>>()?;
-                let ty = texps.last().expect("non-empty sequence").ty.clone();
+                let ty = texps.last().expect("non-empty sequence").ty;
                 Ok(TExp {
                     kind: TExpKind::Seq(texps),
                     ty,
@@ -509,7 +517,7 @@ impl Elaborator {
                     }
                     Ok((tdecs, me.elab_exp(inner, body)?))
                 })?;
-                let ty = tb.ty.clone();
+                let ty = tb.ty;
                 Ok(TExp {
                     kind: TExpKind::Let(tdecs, Box::new(tb)),
                     ty,
@@ -517,7 +525,7 @@ impl Elaborator {
             }
             ExpKind::Raise(e) => {
                 let te = self.elab_exp(env, e)?;
-                self.unify(e.span, &te.ty, &Ty::exn())?;
+                self.unify(e.span, te.ty, Ty::EXN)?;
                 Ok(TExp {
                     kind: TExpKind::Raise(Box::new(te)),
                     ty: self.fresh_ty(),
@@ -525,8 +533,8 @@ impl Elaborator {
             }
             ExpKind::Handle(e, rules) => {
                 let te = self.elab_exp(env, e)?;
-                let res_ty = te.ty.clone();
-                let trules = self.elab_rules(env, rules, &Ty::exn(), &res_ty, span)?;
+                let res_ty = te.ty;
+                let trules = self.elab_rules(env, rules, Ty::EXN, res_ty, span)?;
                 Ok(TExp {
                     kind: TExpKind::Handle(Box::new(te), trules),
                     ty: res_ty,
@@ -535,7 +543,7 @@ impl Elaborator {
             ExpKind::Constraint(e, ty) => {
                 let te = self.elab_exp(env, e)?;
                 let want = self.elab_ty(env, ty)?;
-                self.unify(span, &te.ty, &want)?;
+                self.unify(span, te.ty, want)?;
                 Ok(te)
             }
         }
@@ -544,7 +552,7 @@ impl Elaborator {
     fn elab_var(&mut self, env: &Env, path: &ast::Path, span: Span) -> ElabResult<TExp> {
         match self.lookup_val(env, path, span)? {
             ValBind::Var { access, scheme } => {
-                let (ty, inst) = scheme.instantiate(self.level);
+                let (ty, inst) = self.tys.instantiate(scheme, self.level);
                 Ok(TExp {
                     kind: TExpKind::Var {
                         access: access.clone(),
@@ -555,10 +563,10 @@ impl Elaborator {
                 })
             }
             ValBind::Con(con) => {
-                let (ty, inst) = con.scheme.instantiate(self.level);
+                let (ty, inst) = self.tys.instantiate(&con.scheme, self.level);
                 Ok(TExp {
                     kind: TExpKind::Con {
-                        con: con.clone(),
+                        con: Rc::clone(con),
                         inst,
                     },
                     ty,
@@ -569,9 +577,9 @@ impl Elaborator {
                 scheme,
                 overload,
             } => {
-                let (ty, inst) = scheme.instantiate(self.level);
-                if let (Some(class), Some(first)) = (overload, inst.first()) {
-                    self.overloads.push((first.clone(), *class, span));
+                let (ty, inst) = self.tys.instantiate(scheme, self.level);
+                if let (Some(class), Some(&first)) = (overload, inst.first()) {
+                    self.overloads.push((first, *class, span));
                 }
                 Ok(TExp {
                     kind: TExpKind::Prim { prim: *prim, inst },
@@ -586,10 +594,10 @@ impl Elaborator {
         match env.vals.get(&name) {
             Some(ValBind::Con(c)) => TExp {
                 kind: TExpKind::Con {
-                    con: c.clone(),
+                    con: Rc::clone(c),
                     inst: Vec::new(),
                 },
-                ty: Ty::bool(),
+                ty: Ty::BOOL,
             },
             _ => unreachable!("booleans are always in scope"),
         }
@@ -603,37 +611,40 @@ impl Elaborator {
         span: Span,
     ) -> ElabResult<TExp> {
         let cons = match env.vals.get(&Symbol::intern("::")) {
-            Some(ValBind::Con(c)) => c.clone(),
+            Some(ValBind::Con(c)) => Rc::clone(c),
             _ => return self.err(span, "list constructor `::` is not in scope"),
         };
         let nil = match env.vals.get(&Symbol::intern("nil")) {
-            Some(ValBind::Con(c)) => c.clone(),
+            Some(ValBind::Con(c)) => Rc::clone(c),
             _ => return self.err(span, "list constructor `nil` is not in scope"),
         };
-        let list_ty = Ty::list(elem_ty.clone());
+        let list_ty = self.tys.list(elem_ty);
         let mut acc = TExp {
             kind: TExpKind::Con {
                 con: nil,
-                inst: vec![elem_ty.clone()],
+                inst: vec![elem_ty],
             },
-            ty: list_ty.clone(),
+            ty: list_ty,
         };
+        // Every cell has the same type, so one pair and one arrow serve
+        // them all.
+        let pair_ty = self.tys.pair(elem_ty, list_ty);
+        let cons_ty = self.tys.arrow(pair_ty, list_ty);
         for e in elems.into_iter().rev() {
-            let pair_ty = Ty::pair(elem_ty.clone(), list_ty.clone());
             let pair = TExp {
                 kind: TExpKind::Record(vec![(Symbol::numeric(1), e), (Symbol::numeric(2), acc)]),
-                ty: pair_ty.clone(),
+                ty: pair_ty,
             };
             let conexp = TExp {
                 kind: TExpKind::Con {
-                    con: cons.clone(),
-                    inst: vec![elem_ty.clone()],
+                    con: Rc::clone(&cons),
+                    inst: vec![elem_ty],
                 },
-                ty: Ty::arrow(pair_ty, list_ty.clone()),
+                ty: cons_ty,
             };
             acc = TExp {
                 kind: TExpKind::App(Box::new(conexp), Box::new(pair)),
-                ty: list_ty.clone(),
+                ty: list_ty,
             };
         }
         Ok(acc)
@@ -643,20 +654,20 @@ impl Elaborator {
         &mut self,
         env: &mut Env,
         rules: &[ast::Rule],
-        arg_ty: &Ty,
-        res_ty: &Ty,
+        arg_ty: Ty,
+        res_ty: Ty,
         span: Span,
     ) -> ElabResult<Vec<TRule>> {
         let mut out = Vec::new();
         for rule in rules {
             let mut binds = Vec::new();
             let tpat = self.elab_pat(env, &rule.pat, &mut binds)?;
-            self.unify(rule.pat.span, &tpat.ty, arg_ty)?;
+            self.unify(rule.pat.span, tpat.ty, arg_ty)?;
             let texp = self.scoped(env, |me, inner| {
                 bind_mono(inner, &binds);
                 me.elab_exp(inner, &rule.exp)
             })?;
-            self.unify(span, &texp.ty, res_ty)?;
+            self.unify(span, texp.ty, res_ty)?;
             out.push(TRule {
                 pat: tpat,
                 exp: texp,
@@ -684,27 +695,27 @@ impl Elaborator {
             }
             PatKind::Int(n) => Ok(TPat {
                 kind: TPatKind::Int(*n),
-                ty: Ty::int(),
+                ty: Ty::INT,
             }),
             PatKind::Str(s) => Ok(TPat {
                 kind: TPatKind::Str(s.clone()),
-                ty: Ty::string(),
+                ty: Ty::STRING,
             }),
             PatKind::Char(c) => Ok(TPat {
                 kind: TPatKind::Char(*c),
-                ty: Ty::char(),
+                ty: Ty::CHAR,
             }),
             PatKind::Var(path) => {
                 // A name that resolves to a constructor is a constant
                 // constructor pattern; otherwise it binds a variable.
                 let con = if path.is_simple() {
                     match env.vals.get(&path.name) {
-                        Some(ValBind::Con(c)) => Some(c.clone()),
+                        Some(ValBind::Con(c)) => Some(Rc::clone(c)),
                         _ => None,
                     }
                 } else {
                     match self.lookup_val(env, path, span)? {
-                        ValBind::Con(c) => Some(c.clone()),
+                        ValBind::Con(c) => Some(Rc::clone(c)),
                         _ => {
                             return self
                                 .err(span, format!("`{path}` in pattern is not a constructor"))
@@ -713,11 +724,11 @@ impl Elaborator {
                 };
                 match con {
                     Some(c) => {
-                        if c.has_payload() {
+                        if c.has_payload(&self.tys) {
                             return self
                                 .err(span, format!("constructor `{path}` expects an argument"));
                         }
-                        let (ty, inst) = c.scheme.instantiate(self.level);
+                        let (ty, inst) = self.tys.instantiate(&c.scheme, self.level);
                         Ok(TPat {
                             kind: TPatKind::Con {
                                 con: c,
@@ -735,8 +746,8 @@ impl Elaborator {
                             );
                         }
                         let ty = self.fresh_ty();
-                        let var = self.vars.fresh(path.name, ty.clone());
-                        binds.push((path.name, var, ty.clone()));
+                        let var = self.vars.fresh(path.name, ty);
+                        binds.push((path.name, var, ty));
                         Ok(TPat {
                             kind: TPatKind::Var(var),
                             ty,
@@ -746,30 +757,30 @@ impl Elaborator {
             }
             PatKind::Con(path, arg) => {
                 let con = match self.lookup_val(env, path, span)? {
-                    ValBind::Con(c) => c.clone(),
+                    ValBind::Con(c) => Rc::clone(c),
                     _ => {
                         return self.err(span, format!("`{path}` in pattern is not a constructor"))
                     }
                 };
-                if !con.has_payload() {
+                if !con.has_payload(&self.tys) {
                     return self.err(
                         span,
                         format!("constant constructor `{path}` applied in pattern"),
                     );
                 }
-                let (conty, inst) = con.scheme.instantiate(self.level);
-                let Ty::Arrow(payload_ty, result_ty) = conty else {
+                let (conty, inst) = self.tys.instantiate(&con.scheme, self.level);
+                let TyKind::Arrow(payload_ty, result_ty) = self.tys.kind(conty) else {
                     unreachable!("has_payload checked the arrow")
                 };
                 let targ = self.elab_pat(env, arg, binds)?;
-                self.unify(span, &targ.ty, &payload_ty)?;
+                self.unify(span, targ.ty, payload_ty)?;
                 Ok(TPat {
                     kind: TPatKind::Con {
                         con,
                         inst,
                         arg: Some(Box::new(targ)),
                     },
-                    ty: Rc::unwrap_or_clone(result_ty),
+                    ty: result_ty,
                 })
             }
             PatKind::Tuple(parts) => {
@@ -782,7 +793,7 @@ impl Elaborator {
                     .enumerate()
                     .map(|(i, p)| (Symbol::numeric(i + 1), p))
                     .collect();
-                let ty = Ty::Record(fields.iter().map(|(l, p)| (*l, p.ty.clone())).collect());
+                let ty = self.tys.record(fields.iter().map(|(l, p)| (*l, p.ty)));
                 Ok(TPat {
                     kind: TPatKind::Record {
                         fields,
@@ -799,14 +810,11 @@ impl Elaborator {
                     }
                     tf.push((*lab, self.elab_pat(env, p, binds)?));
                 }
-                tf.sort_by(|(a, _), (b, _)| sml_types::label_cmp(*a, *b));
+                sml_types::sort_fields(&mut tf);
                 if *flexible {
                     let ty = self.fresh_ty();
-                    self.flex.push((
-                        ty.clone(),
-                        tf.iter().map(|(l, p)| (*l, p.ty.clone())).collect(),
-                        span,
-                    ));
+                    self.flex
+                        .push((ty, tf.iter().map(|(l, p)| (*l, p.ty)).collect(), span));
                     Ok(TPat {
                         kind: TPatKind::Record {
                             fields: tf,
@@ -815,7 +823,7 @@ impl Elaborator {
                         ty,
                     })
                 } else {
-                    let ty = Ty::Record(tf.iter().map(|(l, p)| (*l, p.ty.clone())).collect());
+                    let ty = self.tys.record(tf.iter().map(|(l, p)| (*l, p.ty)));
                     Ok(TPat {
                         kind: TPatKind::Record {
                             fields: tf,
@@ -828,39 +836,40 @@ impl Elaborator {
             PatKind::List(parts) => {
                 let elem_ty = self.fresh_ty();
                 let cons = match env.vals.get(&Symbol::intern("::")) {
-                    Some(ValBind::Con(c)) => c.clone(),
+                    Some(ValBind::Con(c)) => Rc::clone(c),
                     _ => return self.err(span, "`::` is not in scope"),
                 };
                 let nil = match env.vals.get(&Symbol::intern("nil")) {
-                    Some(ValBind::Con(c)) => c.clone(),
+                    Some(ValBind::Con(c)) => Rc::clone(c),
                     _ => return self.err(span, "`nil` is not in scope"),
                 };
-                let list_ty = Ty::list(elem_ty.clone());
+                let list_ty = self.tys.list(elem_ty);
+                let pair_ty = self.tys.pair(elem_ty, list_ty);
                 let mut acc = TPat {
                     kind: TPatKind::Con {
                         con: nil,
-                        inst: vec![elem_ty.clone()],
+                        inst: vec![elem_ty],
                         arg: None,
                     },
-                    ty: list_ty.clone(),
+                    ty: list_ty,
                 };
                 for p in parts.iter().rev() {
                     let tp = self.elab_pat(env, p, binds)?;
-                    self.unify(p.span, &tp.ty, &elem_ty)?;
+                    self.unify(p.span, tp.ty, elem_ty)?;
                     let pair = TPat {
                         kind: TPatKind::Record {
                             fields: vec![(Symbol::numeric(1), tp), (Symbol::numeric(2), acc)],
                             flexible: false,
                         },
-                        ty: Ty::pair(elem_ty.clone(), list_ty.clone()),
+                        ty: pair_ty,
                     };
                     acc = TPat {
                         kind: TPatKind::Con {
-                            con: cons.clone(),
-                            inst: vec![elem_ty.clone()],
+                            con: Rc::clone(&cons),
+                            inst: vec![elem_ty],
                             arg: Some(Box::new(pair)),
                         },
-                        ty: list_ty.clone(),
+                        ty: list_ty,
                     };
                 }
                 Ok(acc)
@@ -870,9 +879,9 @@ impl Elaborator {
                     return self.err(span, format!("duplicate variable `{name}` in pattern"));
                 }
                 let tp = self.elab_pat(env, inner, binds)?;
-                let var = self.vars.fresh(*name, tp.ty.clone());
-                binds.push((*name, var, tp.ty.clone()));
-                let ty = tp.ty.clone();
+                let var = self.vars.fresh(*name, tp.ty);
+                binds.push((*name, var, tp.ty));
+                let ty = tp.ty;
                 Ok(TPat {
                     kind: TPatKind::As(var, Box::new(tp)),
                     ty,
@@ -881,7 +890,7 @@ impl Elaborator {
             PatKind::Constraint(inner, ty) => {
                 let tp = self.elab_pat(env, inner, binds)?;
                 let want = self.elab_ty(env, ty)?;
-                self.unify(span, &tp.ty, &want)?;
+                self.unify(span, tp.ty, want)?;
                 Ok(tp)
             }
         }
@@ -907,7 +916,7 @@ impl Elaborator {
                 let result = texp.and_then(|texp| {
                     let mut binds = Vec::new();
                     let tpat = self.elab_pat(env, pat, &mut binds)?;
-                    self.unify(span, &tpat.ty, &texp.ty)?;
+                    self.unify(span, tpat.ty, texp.ty)?;
                     Ok((texp, tpat, binds))
                 });
                 self.level -= 1;
@@ -920,7 +929,7 @@ impl Elaborator {
                     let TPatKind::Var(var) = tpat.kind else {
                         unreachable!()
                     };
-                    let scheme = sml_types::generalize(&texp.ty, self.level);
+                    let scheme = self.tys.generalize(texp.ty, self.level);
                     self.vars.info_mut(var).scheme = scheme.clone();
                     let (name, _, _) = binds[0];
                     let bind = ValBind::Var {
@@ -932,14 +941,14 @@ impl Elaborator {
                 } else {
                     // Expansive or pattern binding: keep it monomorphic by
                     // demoting inner levels.
-                    demote(&texp.ty, self.level);
-                    for (name, var, ty) in &binds {
-                        demote(ty, self.level);
+                    self.tys.demote(texp.ty, self.level);
+                    for &(name, var, ty) in &binds {
+                        self.tys.demote(ty, self.level);
                         let bind = ValBind::Var {
-                            access: Access::Var(*var),
-                            scheme: Scheme::mono(ty.clone()),
+                            access: Access::Var(var),
+                            scheme: Scheme::mono(ty),
                         };
-                        env.vals.insert(*name, bind);
+                        env.vals.insert(name, bind);
                     }
                     out.push(TDec::Val {
                         pat: tpat,
@@ -959,12 +968,12 @@ impl Elaborator {
                 let bodies = self.scoped(env, |me, inner| {
                     for f in funs {
                         let ty = me.fresh_ty();
-                        let var = me.vars.fresh(f.name, ty.clone());
+                        let var = me.vars.fresh(f.name, ty);
                         inner.vals.insert(
                             f.name,
                             ValBind::Var {
                                 access: Access::Var(var),
-                                scheme: Scheme::mono(ty.clone()),
+                                scheme: Scheme::mono(ty),
                             },
                         );
                         fvars.push(var);
@@ -972,7 +981,7 @@ impl Elaborator {
                     }
                     funs.iter()
                         .zip(&ftys)
-                        .map(|(f, fty)| me.elab_funbind(inner, f, fty, span))
+                        .map(|(f, &fty)| me.elab_funbind(inner, f, fty, span))
                         .collect::<ElabResult<Vec<TExp>>>()
                 });
                 self.level -= 1;
@@ -980,7 +989,7 @@ impl Elaborator {
                 let bodies = bodies?;
                 self.resolve_pending(ov_mark, flex_mark, span)?;
 
-                let schemes = generalize_many(&ftys, self.level);
+                let schemes = self.tys.generalize_many(&ftys, self.level);
                 let mut exps = bodies;
                 for ((f, var), scheme) in funs.iter().zip(&fvars).zip(&schemes) {
                     self.vars.info_mut(*var).scheme = scheme.clone();
@@ -992,8 +1001,8 @@ impl Elaborator {
                 }
                 // Recursive occurrences were annotated before
                 // generalization; give them the identity instantiation.
-                if schemes.first().map_or(0, |s| s.arity) > 0 {
-                    let identity = schemes[0].identity_instance();
+                if schemes.first().map_or(0, Scheme::arity) > 0 {
+                    let identity = self.tys.identity_instance(&schemes[0]);
                     for e in &mut exps {
                         fixup_recursive_uses(e, &fvars, &identity);
                     }
@@ -1015,7 +1024,7 @@ impl Elaborator {
                     env.tycons.insert(name, bind);
                 }
                 for (name, ci) in cons.cons {
-                    env.vals.insert(name, ValBind::Con(ci));
+                    env.vals.insert(name, ValBind::Con(Rc::new(ci)));
                 }
                 Ok(())
             }
@@ -1025,26 +1034,10 @@ impl Elaborator {
                         Some(t) => Some(self.elab_ty(env, t)?),
                         None => None,
                     };
-                    let var = self.vars.fresh(b.name, Ty::exn());
-                    let (rep, scheme) = match &payload {
-                        Some(p) => (
-                            sml_types::ConRep::Exn,
-                            Scheme::mono(Ty::arrow(p.clone(), Ty::exn())),
-                        ),
-                        None => (sml_types::ConRep::ExnConst, Scheme::mono(Ty::exn())),
-                    };
-                    let ci = ConInfo {
-                        name: b.name,
-                        dt_stamp: Tycon::exn().stamp,
-                        index: 0,
-                        span: usize::MAX,
-                        rep,
-                        scheme,
-                        origin: None,
-                        tag: Some(Access::Var(var)),
-                    };
+                    let var = self.vars.fresh(b.name, Ty::EXN);
+                    let ci = exn_con(&mut self.tys, b.name, payload, Access::Var(var));
                     out.push(TDec::Exception { var, name: b.name });
-                    env.vals.insert(b.name, ValBind::Con(ci));
+                    env.vals.insert(b.name, ValBind::Con(Rc::new(ci)));
                 }
                 Ok(())
             }
@@ -1057,7 +1050,7 @@ impl Elaborator {
             ast::DecKind::Signature(binds) => {
                 for b in binds {
                     let def = SigDef {
-                        ast: std::rc::Rc::new(b.def.clone()),
+                        ast: Rc::new(b.def.clone()),
                         env: env.clone(),
                     };
                     env.sigs.insert(b.name, def);
@@ -1077,9 +1070,33 @@ impl Elaborator {
         let mut scope = FxHashMap::default();
         for tv in tyvars {
             let eq = tv.as_str().starts_with("''");
-            scope.insert(*tv, Ty::Var(TvRef::fresh_eq(self.level + 1, eq)));
+            scope.insert(*tv, self.tys.fresh_var_eq(self.level + 1, eq));
         }
         self.tyvar_scopes.push(scope);
+    }
+
+    /// Pushes a type-variable scope binding `tyvars` to fresh variables
+    /// at the current level, which become the parameters of a type
+    /// function or datatype.
+    pub(crate) fn push_param_scope(&mut self, tyvars: &[Symbol]) -> Vec<TvId> {
+        let mut scope = FxHashMap::default();
+        let mut params = Vec::new();
+        for tv in tyvars {
+            let t = self.tys.fresh_var(self.level);
+            scope.insert(*tv, t);
+            params.push(self.tys.head_var(t).expect("a fresh variable"));
+        }
+        self.tyvar_scopes.push(scope);
+        params
+    }
+
+    /// Pops the scope [`Elaborator::push_param_scope`] pushed and marks
+    /// its parameters `Gen(0..)`.
+    pub(crate) fn pop_param_scope(&mut self, params: &[TvId]) {
+        self.tyvar_scopes.pop();
+        for (i, &cell) in params.iter().enumerate() {
+            self.tys.set_tv(cell, Tv::Gen(i as u32));
+        }
     }
 
     /// Elaborates a `type` binding into a type function.
@@ -1089,21 +1106,10 @@ impl Elaborator {
         tyvars: &[Symbol],
         body: &ast::Ty,
     ) -> ElabResult<TyFun> {
-        let mut scope = FxHashMap::default();
-        let mut params = Vec::new();
-        for tv in tyvars {
-            let cell = TvRef::fresh(self.level);
-            scope.insert(*tv, Ty::Var(cell.clone()));
-            params.push(cell);
-        }
-        self.tyvar_scopes.push(scope);
+        let params = self.push_param_scope(tyvars);
         let t = self.elab_ty(env, body);
-        self.tyvar_scopes.pop();
-        let t = t?;
-        for (i, cell) in params.iter().enumerate() {
-            *cell.0.borrow_mut() = Tv::Gen(i as u32);
-        }
-        Ok(TyFun { params, body: t })
+        self.pop_param_scope(&params);
+        Ok(TyFun { params, body: t? })
     }
 
     /// Result of elaborating a datatype batch.
@@ -1120,61 +1126,25 @@ impl Elaborator {
         // Phase 2: elaborate payloads, in a scope that binds the tycons.
         let batch = self.scoped(env, |me, scratch| {
             for (b, tycon) in binds.iter().zip(&tycons) {
-                scratch
-                    .tycons
-                    .insert(b.name, TyconBind::Tycon(tycon.clone()));
+                scratch.tycons.insert(b.name, TyconBind::Tycon(*tycon));
             }
             let mut batch = Vec::new();
             for (b, tycon) in binds.iter().zip(&tycons) {
-                let mut scope = FxHashMap::default();
-                let mut params = Vec::new();
-                for tv in &b.tyvars {
-                    let cell = TvRef::fresh(me.level);
-                    scope.insert(*tv, Ty::Var(cell.clone()));
-                    params.push(cell);
-                }
-                me.tyvar_scopes.push(scope);
-                let mut cons = Vec::new();
-                for (cname, cty) in &b.cons {
-                    let payload = match cty {
-                        Some(t) => Some(me.elab_ty(scratch, t)?),
-                        None => None,
-                    };
-                    cons.push((*cname, payload));
-                }
-                me.tyvar_scopes.pop();
-                for (i, cell) in params.iter().enumerate() {
-                    *cell.0.borrow_mut() = Tv::Gen(i as u32);
-                }
-                batch.push((tycon.clone(), params, cons));
+                let params = me.push_param_scope(&b.tyvars);
+                let cons = me.elab_con_payloads(scratch, &b.cons);
+                me.pop_param_scope(&params);
+                batch.push((*tycon, params, cons?));
             }
             Ok(batch)
         })?;
-        self.reg.register_batch(batch);
+        self.reg.register_batch(&mut self.tys, batch);
         // Phase 3: build constructor infos.
         let mut additions = DatatypeAdditions::default();
         for (b, tycon) in binds.iter().zip(&tycons) {
-            additions
-                .tycons
-                .push((b.name, TyconBind::Tycon(tycon.clone())));
-            let def = self
-                .reg
-                .datatype(tycon.stamp)
-                .expect("just registered")
-                .clone();
+            additions.tycons.push((b.name, TyconBind::Tycon(*tycon)));
+            let def = self.reg.datatype(tycon.stamp).expect("just registered");
             for con in &def.cons {
-                let args = def.params.iter().map(|c| Ty::Var(c.clone())).collect();
-                let dt_ty = Ty::Con(tycon.clone(), args);
-                let body = match &con.payload {
-                    Some(p) => Ty::arrow(p.clone(), dt_ty),
-                    None => dt_ty,
-                };
-                let scheme = Scheme {
-                    arity: def.params.len(),
-                    eq_flags: vec![false; def.params.len()],
-                    cells: def.params.clone(),
-                    body,
-                };
+                let scheme = con_scheme(&mut self.tys, *tycon, &def.params, con.payload);
                 additions.cons.push((
                     con.name,
                     ConInfo {
@@ -1193,13 +1163,30 @@ impl Elaborator {
         Ok(additions)
     }
 
+    /// Elaborates the payload types of a datatype's constructors.
+    pub(crate) fn elab_con_payloads(
+        &mut self,
+        env: &Env,
+        cons: &[(Symbol, Option<ast::Ty>)],
+    ) -> ElabResult<Vec<(Symbol, Option<Ty>)>> {
+        cons.iter()
+            .map(|(cname, cty)| {
+                let payload = match cty {
+                    Some(t) => Some(self.elab_ty(env, t)?),
+                    None => None,
+                };
+                Ok((*cname, payload))
+            })
+            .collect()
+    }
+
     /// Elaborates one clausal function binding into a (possibly curried)
     /// `Fn` expression and unifies its type with `fty`.
     fn elab_funbind(
         &mut self,
         env: &mut Env,
         f: &ast::FunBind,
-        fty: &Ty,
+        fty: Ty,
         span: Span,
     ) -> ElabResult<TExp> {
         let n_args = f.clauses[0].pats.len();
@@ -1215,9 +1202,9 @@ impl Elaborator {
         for clause in &f.clauses {
             let mut binds = Vec::new();
             let mut tpats = Vec::new();
-            for (p, at) in clause.pats.iter().zip(&arg_tys) {
+            for (p, &at) in clause.pats.iter().zip(&arg_tys) {
                 let tp = self.elab_pat(env, p, &mut binds)?;
-                self.unify(p.span, &tp.ty, at)?;
+                self.unify(p.span, tp.ty, at)?;
                 tpats.push(tp);
             }
             let body = self.scoped(env, |me, inner| {
@@ -1226,9 +1213,9 @@ impl Elaborator {
             })?;
             if let Some(rt) = &clause.ret_ty {
                 let want = self.elab_ty(env, rt)?;
-                self.unify(span, &body.ty, &want)?;
+                self.unify(span, body.ty, want)?;
             }
-            self.unify(span, &body.ty, &res_ty)?;
+            self.unify(span, body.ty, res_ty)?;
             // For multi-argument clauses, pack patterns into a tuple to be
             // matched against the tuple of parameters.
             let pat = if n_args == 1 {
@@ -1239,7 +1226,7 @@ impl Elaborator {
                     .enumerate()
                     .map(|(i, p)| (Symbol::numeric(i + 1), p))
                     .collect();
-                let ty = Ty::Record(fields.iter().map(|(l, p)| (*l, p.ty.clone())).collect());
+                let ty = self.tys.record(fields.iter().map(|(l, p)| (*l, p.ty)));
                 TPat {
                     kind: TPatKind::Record {
                         fields,
@@ -1255,9 +1242,9 @@ impl Elaborator {
             TExp {
                 kind: TExpKind::Fn {
                     rules: trules,
-                    arg_ty: arg_tys[0].clone(),
+                    arg_ty: arg_tys[0],
                 },
-                ty: Ty::arrow(arg_tys[0].clone(), res_ty.clone()),
+                ty: self.tys.arrow(arg_tys[0], res_ty),
             }
         } else {
             // fun f p1 p2 ... = e  becomes
@@ -1265,59 +1252,56 @@ impl Elaborator {
             let params: Vec<VarId> = arg_tys
                 .iter()
                 .enumerate()
-                .map(|(i, t)| {
-                    self.vars
-                        .fresh(Symbol::intern(&format!("arg{i}")), t.clone())
-                })
+                .map(|(i, &t)| self.vars.fresh(Symbol::intern(&format!("arg{i}")), t))
                 .collect();
-            let tuple_ty = Ty::tuple(arg_tys.clone());
+            let tuple_ty = self.tys.tuple(&arg_tys);
             let tuple = TExp {
                 kind: TExpKind::Record(
                     params
                         .iter()
                         .zip(&arg_tys)
                         .enumerate()
-                        .map(|(i, (v, t))| {
+                        .map(|(i, (v, &t))| {
                             (
                                 Symbol::numeric(i + 1),
                                 TExp {
                                     kind: TExpKind::Var {
                                         access: Access::Var(*v),
-                                        scheme: Scheme::mono(t.clone()),
+                                        scheme: Scheme::mono(t),
                                         inst: Vec::new(),
                                     },
-                                    ty: t.clone(),
+                                    ty: t,
                                 },
                             )
                         })
                         .collect(),
                 ),
-                ty: tuple_ty.clone(),
+                ty: tuple_ty,
             };
             let mut body = TExp {
                 kind: TExpKind::Case(Box::new(tuple), trules),
-                ty: res_ty.clone(),
+                ty: res_ty,
             };
-            let mut ty = res_ty.clone();
-            for (v, at) in params.iter().zip(&arg_tys).rev() {
-                ty = Ty::arrow(at.clone(), ty);
+            let mut ty = res_ty;
+            for (v, &at) in params.iter().zip(&arg_tys).rev() {
+                ty = self.tys.arrow(at, ty);
                 body = TExp {
                     kind: TExpKind::Fn {
                         rules: vec![TRule {
                             pat: TPat {
                                 kind: TPatKind::Var(*v),
-                                ty: at.clone(),
+                                ty: at,
                             },
                             exp: body,
                         }],
-                        arg_ty: at.clone(),
+                        arg_ty: at,
                     },
-                    ty: ty.clone(),
+                    ty,
                 };
             }
             body
         };
-        self.unify(span, &exp.ty, fty)?;
+        self.unify(span, exp.ty, fty)?;
         Ok(exp)
     }
 }
@@ -1329,39 +1313,14 @@ struct DatatypeAdditions {
     cons: Vec<(Symbol, ConInfo)>,
 }
 
-fn to_elab(r: UnifyResult, span: Span) -> ElabResult<()> {
-    r.map_err(|e| ElabError::new(span, e.to_string()))
-}
-
-/// Lowers every unbound variable in `ty` deeper than `level` to `level`,
-/// preventing generalization (value restriction).
-fn demote(ty: &Ty, level: u32) {
-    match &*ty.head() {
-        Ty::Var(v) => {
-            let mut cell = v.0.borrow_mut();
-            if let Tv::Unbound { level: l, .. } = &mut *cell {
-                if *l > level {
-                    *l = level;
-                }
-            }
-        }
-        Ty::Con(_, args) => args.iter().for_each(|a| demote(a, level)),
-        Ty::Record(fs) => fs.iter().for_each(|(_, a)| demote(a, level)),
-        Ty::Arrow(a, b) => {
-            demote(a, level);
-            demote(b, level);
-        }
-    }
-}
-
 /// Binds each pattern variable of `binds` in `env` monomorphically.
 fn bind_mono(env: &mut Env, binds: &[(Symbol, VarId, Ty)]) {
-    for (name, var, ty) in binds {
+    for &(name, var, ty) in binds {
         env.vals.insert(
-            *name,
+            name,
             ValBind::Var {
-                access: Access::Var(*var),
-                scheme: Scheme::mono(ty.clone()),
+                access: Access::Var(var),
+                scheme: Scheme::mono(ty),
             },
         );
     }

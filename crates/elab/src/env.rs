@@ -2,7 +2,7 @@
 
 use crate::absyn::{Access, CompTy, ConInfo, Prim, StrTy, VarId, VarTable};
 use sml_ast::{FxHashMap, SigExp, Symbol};
-use sml_types::{ConRep, Scheme, Stamp, Tv, TvRef, Ty, Tycon, TyconRegistry};
+use sml_types::{ConRep, Generic, Scheme, Stamp, Tv, TvId, Ty, TyStore, Tycon, TyconRegistry};
 use std::rc::Rc;
 
 /// Overload classes for the overloaded source operators.
@@ -35,8 +35,8 @@ pub enum ValBind {
         /// Its scheme.
         scheme: Scheme,
     },
-    /// A data or exception constructor.
-    Con(ConInfo),
+    /// A data or exception constructor, shared with every occurrence.
+    Con(Rc<ConInfo>),
     /// A compiler primitive.
     Prim {
         /// The primitive.
@@ -52,8 +52,8 @@ pub enum ValBind {
 /// `type` abbreviations and manifest signature specs).
 #[derive(Clone, Debug)]
 pub struct TyFun {
-    /// Parameter cells (marked `Gen(0..)`).
-    pub params: Vec<TvRef>,
+    /// Parameter variables (marked `Gen(0..)`).
+    pub params: Vec<TvId>,
     /// The body.
     pub body: Ty,
 }
@@ -73,8 +73,8 @@ impl TyFun {
     }
 
     /// Applies the type function to `args`.
-    pub fn apply(&self, args: &[Ty]) -> Ty {
-        self.body.subst_gen(args)
+    pub fn apply(&self, store: &mut TyStore, args: &[Ty]) -> Ty {
+        store.subst_gen(self.body, args)
     }
 }
 
@@ -97,29 +97,25 @@ impl TyconBind {
     }
 
     /// Applies the binding to argument types.
-    pub fn apply(&self, args: Vec<Ty>) -> Ty {
+    pub fn apply(&self, store: &mut TyStore, args: &[Ty]) -> Ty {
         match self {
-            TyconBind::Tycon(t) => Ty::Con(t.clone(), args.into()),
-            TyconBind::Abbrev(f) => f.apply(&args),
+            TyconBind::Tycon(t) => store.con(*t, args),
+            TyconBind::Abbrev(f) => f.apply(store, args),
         }
     }
 
     /// As a type function (tycon eta-expanded).
-    pub fn to_tyfun(&self) -> TyFun {
+    pub fn to_tyfun(&self, store: &mut TyStore) -> TyFun {
         match self {
             TyconBind::Abbrev(f) => f.clone(),
             TyconBind::Tycon(t) => {
-                let params: Vec<TvRef> = (0..t.arity)
-                    .map(|i| {
-                        let c = TvRef::fresh(0);
-                        *c.0.borrow_mut() = Tv::Gen(i as u32);
-                        c
-                    })
+                let params: Vec<TvId> = (0..t.arity)
+                    .map(|i| store.new_tv(Tv::Gen(i as u32)))
                     .collect();
-                let args = params.iter().map(|c| Ty::Var(c.clone())).collect();
+                let args: Vec<Ty> = params.iter().map(|&c| store.var_ty(c)).collect();
                 TyFun {
                     params,
-                    body: Ty::Con(t.clone(), args),
+                    body: store.con(*t, &args),
                 }
             }
         }
@@ -184,7 +180,7 @@ pub enum SigItem {
         /// The spec's tycon.
         tycon: Tycon,
         /// Constructor infos (view schemes over the spec tycon).
-        cons: Vec<ConInfo>,
+        cons: Vec<Rc<ConInfo>>,
     },
     /// `exception` spec.
     Exn {
@@ -467,29 +463,21 @@ impl BuiltinExns {
 
 /// Builds a scheme `forall 'a. body('a)`; `eq` marks the variable as an
 /// equality variable.
-pub fn poly1(eq: bool, f: impl FnOnce(Ty) -> Ty) -> Scheme {
-    let c = TvRef::fresh(0);
-    *c.0.borrow_mut() = Tv::Gen(0);
-    Scheme {
-        arity: 1,
-        eq_flags: vec![eq],
-        cells: vec![c.clone()],
-        body: f(Ty::Var(c)),
-    }
+pub fn poly1(store: &mut TyStore, eq: bool, f: impl FnOnce(&mut TyStore, Ty) -> Ty) -> Scheme {
+    let c = store.new_tv(Tv::Gen(0));
+    let a = store.var_ty(c);
+    let body = f(store, a);
+    Scheme::poly(body, vec![Generic { cell: c, eq }])
 }
 
 /// Builds a scheme `forall 'a 'b. body('a, 'b)`.
-pub fn poly2(f: impl FnOnce(Ty, Ty) -> Ty) -> Scheme {
-    let a = TvRef::fresh(0);
-    let b = TvRef::fresh(0);
-    *a.0.borrow_mut() = Tv::Gen(0);
-    *b.0.borrow_mut() = Tv::Gen(1);
-    Scheme {
-        arity: 2,
-        eq_flags: vec![false, false],
-        cells: vec![a.clone(), b.clone()],
-        body: f(Ty::Var(a), Ty::Var(b)),
-    }
+pub fn poly2(store: &mut TyStore, f: impl FnOnce(&mut TyStore, Ty, Ty) -> Ty) -> Scheme {
+    let ca = store.new_tv(Tv::Gen(0));
+    let cb = store.new_tv(Tv::Gen(1));
+    let (a, b) = (store.var_ty(ca), store.var_ty(cb));
+    let body = f(store, a, b);
+    let generic = |cell| Generic { cell, eq: false };
+    Scheme::poly(body, vec![generic(ca), generic(cb)])
 }
 
 fn prim(env: &mut Env, name: &str, prim: Prim, scheme: Scheme) {
@@ -514,15 +502,63 @@ fn oprim(env: &mut Env, name: &str, p: Prim, class: OvClass, scheme: Scheme) {
     );
 }
 
-fn mono(ty: Ty) -> Scheme {
-    Scheme::mono(ty)
+/// The scheme of a constructor of the datatype `def` with `payload`:
+/// `payload -> dt` for value-carrying, `dt` for constants, over the
+/// datatype's generic parameters.
+pub(crate) fn con_scheme(
+    store: &mut TyStore,
+    tycon: Tycon,
+    params: &[TvId],
+    payload: Option<Ty>,
+) -> Scheme {
+    let args: Vec<Ty> = params.iter().map(|&c| store.var_ty(c)).collect();
+    let dt_ty = store.con(tycon, &args);
+    let body = match payload {
+        Some(p) => store.arrow(p, dt_ty),
+        None => dt_ty,
+    };
+    let generics = params
+        .iter()
+        .map(|&cell| Generic { cell, eq: false })
+        .collect();
+    Scheme::poly(body, generics)
+}
+
+/// The constructor info of an exception with `payload` whose tag lives
+/// at `tag`.
+pub(crate) fn exn_con(
+    store: &mut TyStore,
+    name: Symbol,
+    payload: Option<Ty>,
+    tag: Access,
+) -> ConInfo {
+    let (rep, scheme) = match payload {
+        Some(p) => (ConRep::Exn, Scheme::mono(store.arrow(p, Ty::EXN))),
+        None => (ConRep::ExnConst, Scheme::mono(Ty::EXN)),
+    };
+    ConInfo {
+        name,
+        dt_stamp: Tycon::exn().stamp,
+        index: 0,
+        span: usize::MAX,
+        rep,
+        scheme,
+        origin: None,
+        tag: Some(tag),
+    }
 }
 
 /// Builds the initial environment: primitive operations, built-in
 /// datatype constructors, built-in exceptions (whose tag variables are
-/// allocated in `vars`), and primitive tycons.
-pub fn builtin_env(reg: &TyconRegistry, vars: &mut VarTable) -> (Env, BuiltinExns) {
+/// allocated in `vars`), and primitive tycons, with their types in
+/// `store`.
+pub fn builtin_env(
+    reg: &TyconRegistry,
+    vars: &mut VarTable,
+    store: &mut TyStore,
+) -> (Env, BuiltinExns) {
     let mut env = Env::new();
+    let s = store;
 
     // ----- tycons ---------------------------------------------------------
     for t in [
@@ -543,27 +579,16 @@ pub fn builtin_env(reg: &TyconRegistry, vars: &mut VarTable) -> (Env, BuiltinExn
     }
     env.tycons.insert(
         Symbol::intern("unit"),
-        TyconBind::Abbrev(TyFun::constant(Ty::unit())),
+        TyconBind::Abbrev(TyFun::constant(Ty::UNIT)),
     );
 
     // ----- datatype constructors -----------------------------------------
     for dt in reg.iter() {
         for con in &dt.cons {
-            let args = dt.params.iter().map(|c| Ty::Var(c.clone())).collect();
-            let dt_ty = Ty::Con(dt.tycon.clone(), args);
-            let body = match &con.payload {
-                Some(p) => Ty::arrow(p.clone(), dt_ty),
-                None => dt_ty,
-            };
-            let scheme = Scheme {
-                arity: dt.params.len(),
-                eq_flags: vec![false; dt.params.len()],
-                cells: dt.params.clone(),
-                body,
-            };
+            let scheme = con_scheme(s, dt.tycon, &dt.params, con.payload);
             env.vals.insert(
                 con.name,
-                ValBind::Con(ConInfo {
+                ValBind::Con(Rc::new(ConInfo {
                     name: con.name,
                     dt_stamp: dt.tycon.stamp,
                     index: con.index,
@@ -572,249 +597,145 @@ pub fn builtin_env(reg: &TyconRegistry, vars: &mut VarTable) -> (Env, BuiltinExn
                     scheme,
                     origin: None,
                     tag: None,
-                }),
+                })),
             );
         }
     }
 
+    // Shapes of the primitives' types.
+    let fun = |s: &mut TyStore, a: Ty, b: Ty| s.arrow(a, b);
+    let binop = |s: &mut TyStore, a: Ty, r: Ty| {
+        let p = s.pair(a, a);
+        s.arrow(p, r)
+    };
+    let mono = |s: &mut TyStore, a: Ty, b: Ty| Scheme::mono(s.arrow(a, b));
+
     // ----- overloaded operators -------------------------------------------
     use Prim::*;
-    oprim(
-        &mut env,
-        "+",
-        OAdd,
-        OvClass::Num,
-        poly1(false, |a| Ty::arrow(Ty::pair(a.clone(), a.clone()), a)),
-    );
-    oprim(
-        &mut env,
-        "-",
-        OSub,
-        OvClass::Num,
-        poly1(false, |a| Ty::arrow(Ty::pair(a.clone(), a.clone()), a)),
-    );
-    oprim(
-        &mut env,
-        "*",
-        OMul,
-        OvClass::Num,
-        poly1(false, |a| Ty::arrow(Ty::pair(a.clone(), a.clone()), a)),
-    );
-    oprim(
-        &mut env,
-        "~",
-        ONeg,
-        OvClass::Num,
-        poly1(false, |a| Ty::arrow(a.clone(), a)),
-    );
-    oprim(
-        &mut env,
-        "<",
-        OLt,
-        OvClass::NumText,
-        poly1(false, |a| Ty::arrow(Ty::pair(a.clone(), a), Ty::bool())),
-    );
-    oprim(
-        &mut env,
-        "<=",
-        OLe,
-        OvClass::NumText,
-        poly1(false, |a| Ty::arrow(Ty::pair(a.clone(), a), Ty::bool())),
-    );
-    oprim(
-        &mut env,
-        ">",
-        OGt,
-        OvClass::NumText,
-        poly1(false, |a| Ty::arrow(Ty::pair(a.clone(), a), Ty::bool())),
-    );
-    oprim(
-        &mut env,
-        ">=",
-        OGe,
-        OvClass::NumText,
-        poly1(false, |a| Ty::arrow(Ty::pair(a.clone(), a), Ty::bool())),
-    );
+    for (name, p) in [("+", OAdd), ("-", OSub), ("*", OMul)] {
+        let scheme = poly1(s, false, |s, a| binop(s, a, a));
+        oprim(&mut env, name, p, OvClass::Num, scheme);
+    }
+    let scheme = poly1(s, false, |s, a| fun(s, a, a));
+    oprim(&mut env, "~", ONeg, OvClass::Num, scheme);
+    for (name, p) in [("<", OLt), ("<=", OLe), (">", OGt), (">=", OGe)] {
+        let scheme = poly1(s, false, |s, a| binop(s, a, Ty::BOOL));
+        oprim(&mut env, name, p, OvClass::NumText, scheme);
+    }
 
     // ----- fixed-type primitives ------------------------------------------
-    let ii_i = || mono(Ty::arrow(Ty::pair(Ty::int(), Ty::int()), Ty::int()));
-    let rr_r = || mono(Ty::arrow(Ty::pair(Ty::real(), Ty::real()), Ty::real()));
-    let r_r = || mono(Ty::arrow(Ty::real(), Ty::real()));
-    prim(&mut env, "div", IDiv, ii_i());
-    prim(&mut env, "mod", IMod, ii_i());
-    prim(&mut env, "/", FDiv, rr_r());
-    prim(&mut env, "sqrt", FSqrt, r_r());
-    prim(&mut env, "sin", FSin, r_r());
-    prim(&mut env, "cos", FCos, r_r());
-    prim(&mut env, "arctan", FAtan, r_r());
-    prim(&mut env, "exp", FExp, r_r());
-    prim(&mut env, "ln", FLn, r_r());
-    prim(
-        &mut env,
-        "floor",
-        Floor,
-        mono(Ty::arrow(Ty::real(), Ty::int())),
-    );
-    prim(
-        &mut env,
-        "real",
-        IntToReal,
-        mono(Ty::arrow(Ty::int(), Ty::real())),
-    );
+    for (name, p) in [("div", IDiv), ("mod", IMod)] {
+        let scheme = Scheme::mono(binop(s, Ty::INT, Ty::INT));
+        prim(&mut env, name, p, scheme);
+    }
+    let scheme = Scheme::mono(binop(s, Ty::REAL, Ty::REAL));
+    prim(&mut env, "/", FDiv, scheme);
+    for (name, p) in [
+        ("sqrt", FSqrt),
+        ("sin", FSin),
+        ("cos", FCos),
+        ("arctan", FAtan),
+        ("exp", FExp),
+        ("ln", FLn),
+    ] {
+        let scheme = mono(s, Ty::REAL, Ty::REAL);
+        prim(&mut env, name, p, scheme);
+    }
+    let scheme = mono(s, Ty::REAL, Ty::INT);
+    prim(&mut env, "floor", Floor, scheme);
+    let scheme = mono(s, Ty::INT, Ty::REAL);
+    prim(&mut env, "real", IntToReal, scheme);
 
     // Polymorphic equality: forall ''a. ''a * ''a -> bool.
-    prim(
-        &mut env,
-        "=",
-        PolyEq,
-        poly1(true, |a| Ty::arrow(Ty::pair(a.clone(), a), Ty::bool())),
-    );
-    prim(
-        &mut env,
-        "<>",
-        PolyNe,
-        poly1(true, |a| Ty::arrow(Ty::pair(a.clone(), a), Ty::bool())),
-    );
+    for (name, p) in [("=", PolyEq), ("<>", PolyNe)] {
+        let scheme = poly1(s, true, |s, a| binop(s, a, Ty::BOOL));
+        prim(&mut env, name, p, scheme);
+    }
 
     // References.
-    prim(
-        &mut env,
-        "ref",
-        MakeRef,
-        poly1(false, |a| Ty::arrow(a.clone(), Ty::reference(a))),
-    );
-    prim(
-        &mut env,
-        "!",
-        Deref,
-        poly1(false, |a| Ty::arrow(Ty::reference(a.clone()), a)),
-    );
-    prim(
-        &mut env,
-        ":=",
-        Assign,
-        poly1(false, |a| {
-            Ty::arrow(Ty::pair(Ty::reference(a.clone()), a), Ty::unit())
-        }),
-    );
+    let scheme = poly1(s, false, |s, a| {
+        let r = s.reference(a);
+        s.arrow(a, r)
+    });
+    prim(&mut env, "ref", MakeRef, scheme);
+    let scheme = poly1(s, false, |s, a| {
+        let r = s.reference(a);
+        s.arrow(r, a)
+    });
+    prim(&mut env, "!", Deref, scheme);
+    let scheme = poly1(s, false, |s, a| {
+        let r = s.reference(a);
+        let p = s.pair(r, a);
+        s.arrow(p, Ty::UNIT)
+    });
+    prim(&mut env, ":=", Assign, scheme);
 
     // Strings and chars.
-    prim(
-        &mut env,
-        "size",
-        StrSize,
-        mono(Ty::arrow(Ty::string(), Ty::int())),
-    );
-    prim(
-        &mut env,
-        "strsub",
-        StrSub,
-        mono(Ty::arrow(Ty::pair(Ty::string(), Ty::int()), Ty::char())),
-    );
-    prim(
-        &mut env,
-        "^",
-        StrCat,
-        mono(Ty::arrow(
-            Ty::pair(Ty::string(), Ty::string()),
-            Ty::string(),
-        )),
-    );
-    prim(&mut env, "ord", Ord, mono(Ty::arrow(Ty::char(), Ty::int())));
-    prim(&mut env, "chr", Chr, mono(Ty::arrow(Ty::int(), Ty::char())));
-    prim(
-        &mut env,
-        "itos",
-        IntToString,
-        mono(Ty::arrow(Ty::int(), Ty::string())),
-    );
-    prim(
-        &mut env,
-        "rtos",
-        RealToString,
-        mono(Ty::arrow(Ty::real(), Ty::string())),
-    );
+    let scheme = mono(s, Ty::STRING, Ty::INT);
+    prim(&mut env, "size", StrSize, scheme);
+    let si = s.pair(Ty::STRING, Ty::INT);
+    let scheme = mono(s, si, Ty::CHAR);
+    prim(&mut env, "strsub", StrSub, scheme);
+    let scheme = Scheme::mono(binop(s, Ty::STRING, Ty::STRING));
+    prim(&mut env, "^", StrCat, scheme);
+    let scheme = mono(s, Ty::CHAR, Ty::INT);
+    prim(&mut env, "ord", Ord, scheme);
+    let scheme = mono(s, Ty::INT, Ty::CHAR);
+    prim(&mut env, "chr", Chr, scheme);
+    let scheme = mono(s, Ty::INT, Ty::STRING);
+    prim(&mut env, "itos", IntToString, scheme);
+    let scheme = mono(s, Ty::REAL, Ty::STRING);
+    prim(&mut env, "rtos", RealToString, scheme);
 
     // Arrays.
-    prim(
-        &mut env,
-        "array",
-        ArrayMake,
-        poly1(false, |a| {
-            Ty::arrow(Ty::pair(Ty::int(), a.clone()), Ty::array(a))
-        }),
-    );
-    prim(
-        &mut env,
-        "asub",
-        ArraySub,
-        poly1(false, |a| {
-            Ty::arrow(Ty::pair(Ty::array(a.clone()), Ty::int()), a)
-        }),
-    );
-    prim(
-        &mut env,
-        "aupdate",
-        ArrayUpdate,
-        poly1(false, |a| {
-            Ty::arrow(
-                Ty::tuple(vec![Ty::array(a.clone()), Ty::int(), a]),
-                Ty::unit(),
-            )
-        }),
-    );
-    prim(
-        &mut env,
-        "alength",
-        ArrayLength,
-        poly1(false, |a| Ty::arrow(Ty::array(a), Ty::int())),
-    );
+    let scheme = poly1(s, false, |s, a| {
+        let p = s.pair(Ty::INT, a);
+        let arr = s.array(a);
+        s.arrow(p, arr)
+    });
+    prim(&mut env, "array", ArrayMake, scheme);
+    let scheme = poly1(s, false, |s, a| {
+        let arr = s.array(a);
+        let p = s.pair(arr, Ty::INT);
+        s.arrow(p, a)
+    });
+    prim(&mut env, "asub", ArraySub, scheme);
+    let scheme = poly1(s, false, |s, a| {
+        let arr = s.array(a);
+        let t = s.tuple(&[arr, Ty::INT, a]);
+        s.arrow(t, Ty::UNIT)
+    });
+    prim(&mut env, "aupdate", ArrayUpdate, scheme);
+    let scheme = poly1(s, false, |s, a| {
+        let arr = s.array(a);
+        s.arrow(arr, Ty::INT)
+    });
+    prim(&mut env, "alength", ArrayLength, scheme);
 
     // Continuations.
-    prim(
-        &mut env,
-        "callcc",
-        Callcc,
-        poly1(false, |a| {
-            Ty::arrow(Ty::arrow(Ty::cont(a.clone()), a.clone()), a)
-        }),
-    );
-    prim(
-        &mut env,
-        "throw",
-        Throw,
-        poly2(|a, b| Ty::arrow(Ty::cont(a.clone()), Ty::arrow(a, b))),
-    );
+    let scheme = poly1(s, false, |s, a| {
+        let k = s.cont(a);
+        let f = s.arrow(k, a);
+        s.arrow(f, a)
+    });
+    prim(&mut env, "callcc", Callcc, scheme);
+    let scheme = poly2(s, |s, a, b| {
+        let k = s.cont(a);
+        let f = s.arrow(a, b);
+        s.arrow(k, f)
+    });
+    prim(&mut env, "throw", Throw, scheme);
 
     // Output.
-    prim(
-        &mut env,
-        "print",
-        Print,
-        mono(Ty::arrow(Ty::string(), Ty::unit())),
-    );
+    let scheme = mono(s, Ty::STRING, Ty::UNIT);
+    prim(&mut env, "print", Print, scheme);
 
     // ----- built-in exceptions ---------------------------------------------
     let mut mk_exn = |env: &mut Env, name: &str, payload: Option<Ty>| -> VarId {
         let sym = Symbol::intern(name);
-        let var = vars.fresh(sym, Ty::exn());
-        let (rep, scheme) = match &payload {
-            Some(p) => (ConRep::Exn, mono(Ty::arrow(p.clone(), Ty::exn()))),
-            None => (ConRep::ExnConst, mono(Ty::exn())),
-        };
-        env.vals.insert(
-            sym,
-            ValBind::Con(ConInfo {
-                name: sym,
-                dt_stamp: Tycon::exn().stamp,
-                index: 0,
-                span: usize::MAX,
-                rep,
-                scheme,
-                origin: None,
-                tag: Some(Access::Var(var)),
-            }),
-        );
+        let var = vars.fresh(sym, Ty::EXN);
+        let ci = exn_con(s, sym, payload, Access::Var(var));
+        env.vals.insert(sym, ValBind::Con(Rc::new(ci)));
         var
     };
     let exns = BuiltinExns {
@@ -825,7 +746,7 @@ pub fn builtin_env(reg: &TyconRegistry, vars: &mut VarTable) -> (Env, BuiltinExn
         subscript_exn: mk_exn(&mut env, "Subscript", None),
         size_exn: mk_exn(&mut env, "Size", None),
         chr_exn: mk_exn(&mut env, "Chr", None),
-        fail_exn: mk_exn(&mut env, "Fail", Some(Ty::string())),
+        fail_exn: mk_exn(&mut env, "Fail", Some(Ty::STRING)),
     };
 
     (env, exns)
@@ -869,42 +790,56 @@ mod tests {
 
     #[test]
     fn undo_restores_what_a_scope_shadowed_wrote_and_added() {
+        let mut store = TyStore::new();
         let mut env = Env::new();
         let (a, b, c) = (
             Symbol::intern("undo_a"),
             Symbol::intern("undo_b"),
             Symbol::intern("undo_c"),
         );
-        let int = |n| TyconBind::Abbrev(TyFun::constant(Ty::tuple(vec![Ty::int(); n])));
-        let show = |env: &Env, n: &Symbol| env.tycons.get(n).map(|t| t.to_tyfun().body.to_string());
-        env.tycons.insert(a, int(2));
-        env.tycons.insert(b, int(3));
+        let mut int = |n| TyconBind::Abbrev(TyFun::constant(store.tuple(&vec![Ty::INT; n])));
+        let (i2, i3, i4, i5, i6) = (int(2), int(3), int(4), int(5), int(6));
+        let show = |env: &Env, n: &Symbol, store: &mut TyStore| {
+            env.tycons.get(n).map(|t| {
+                let body = t.to_tyfun(store).body;
+                store.show(body).to_string()
+            })
+        };
+        env.tycons.insert(a, i2.clone());
+        env.tycons.insert(b, i3);
         let outer = env.mark();
-        env.tycons.insert(a, int(4));
-        env.tycons.insert(c, int(5));
+        env.tycons.insert(a, i4);
+        env.tycons.insert(c, i5);
         let inner = env.mark();
-        env.tycons.insert(a, int(6));
+        env.tycons.insert(a, i6);
         if let Some(TyconBind::Abbrev(f)) = env.tycons.get_mut(&b) {
-            f.body = Ty::int();
+            f.body = Ty::INT;
         }
         let seen = env.clone();
         env.undo(inner);
-        assert_eq!(show(&env, &a).as_deref(), Some("int * int * int * int"));
-        assert_eq!(show(&env, &b).as_deref(), Some("int * int * int"));
-        assert_eq!(show(&seen, &b).as_deref(), Some("int"));
+        let s = &mut store;
+        assert_eq!(show(&env, &a, s).as_deref(), Some("int * int * int * int"));
+        assert_eq!(show(&env, &b, s).as_deref(), Some("int * int * int"));
+        assert_eq!(show(&seen, &b, s).as_deref(), Some("int"));
         env.undo(outer);
-        assert_eq!(show(&env, &a).as_deref(), Some("int * int"));
-        assert_eq!(show(&env, &c), None);
+        assert_eq!(show(&env, &a, s).as_deref(), Some("int * int"));
+        assert_eq!(show(&env, &c, s), None);
         // With no mark open, writes are not logged.
-        env.tycons.insert(c, int(2));
+        env.tycons.insert(c, i2);
         assert!(env.tycons.undo.is_empty() && seen.tycons.undo.is_empty());
+    }
+
+    fn builtins() -> (TyStore, Env, BuiltinExns, VarTable) {
+        let mut store = TyStore::new();
+        let reg = TyconRegistry::with_builtins(&mut store);
+        let mut vars = VarTable::new();
+        let (env, exns) = builtin_env(&reg, &mut vars, &mut store);
+        (store, env, exns, vars)
     }
 
     #[test]
     fn builtin_env_has_core_bindings() {
-        let reg = TyconRegistry::with_builtins();
-        let mut vars = VarTable::new();
-        let (env, exns) = builtin_env(&reg, &mut vars);
+        let (_, env, exns, vars) = builtins();
         assert!(env.vals.contains_key(&Symbol::intern("+")));
         assert!(env.vals.contains_key(&Symbol::intern("::")));
         assert!(env.vals.contains_key(&Symbol::intern("callcc")));
@@ -916,14 +851,12 @@ mod tests {
 
     #[test]
     fn cons_carry_reps() {
-        let reg = TyconRegistry::with_builtins();
-        let mut vars = VarTable::new();
-        let (env, _) = builtin_env(&reg, &mut vars);
+        let (_, env, _, _) = builtins();
         let ValBind::Con(c) = &env.vals[&Symbol::intern("::")] else {
             panic!()
         };
         assert_eq!(c.rep, ConRep::Transparent);
-        assert_eq!(c.scheme.arity, 1);
+        assert_eq!(c.scheme.arity(), 1);
         let ValBind::Con(t) = &env.vals[&Symbol::intern("true")] else {
             panic!()
         };
@@ -932,9 +865,7 @@ mod tests {
 
     #[test]
     fn overloads_are_marked() {
-        let reg = TyconRegistry::with_builtins();
-        let mut vars = VarTable::new();
-        let (env, _) = builtin_env(&reg, &mut vars);
+        let (_, env, _, _) = builtins();
         let ValBind::Prim { overload, .. } = &env.vals[&Symbol::intern("+")] else {
             panic!()
         };
@@ -947,12 +878,13 @@ mod tests {
 
     #[test]
     fn tyfun_apply() {
-        let f = poly1(false, |a| Ty::pair(a.clone(), a));
+        let mut store = TyStore::new();
+        let f = poly1(&mut store, false, |s, a| s.pair(a, a));
         let tf = TyFun {
-            params: f.cells.clone(),
-            body: f.body.clone(),
+            params: f.generics().iter().map(|g| g.cell).collect(),
+            body: f.body,
         };
-        let t = tf.apply(&[Ty::int()]);
-        assert_eq!(t.to_string(), "int * int");
+        let t = tf.apply(&mut store, &[Ty::INT]);
+        assert_eq!(store.show(t).to_string(), "int * int");
     }
 }

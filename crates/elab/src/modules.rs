@@ -14,7 +14,7 @@ use crate::env::*;
 use crate::error::{ElabError, ElabResult};
 use sml_ast::FxHashMap;
 use sml_ast::{self as ast, Span, Spec, Symbol};
-use sml_types::{ConRep, EqProp, Scheme, Stamp, Tv, TvRef, Ty, Tycon};
+use sml_types::{EqProp, Scheme, Stamp, Ty, TyStore, Tycon};
 use std::rc::Rc;
 
 /// The result of elaborating a structure expression: its typed form, its
@@ -45,7 +45,7 @@ pub(crate) fn reroot_env(env: &Env, root: VarId, new: &Access) -> Env {
             ValBind::Var { access, .. } => *access = access_splice(access, root, new),
             ValBind::Con(ci) => {
                 if let Some(tag) = &ci.tag {
-                    ci.tag = Some(access_splice(tag, root, new));
+                    Rc::make_mut(ci).tag = Some(access_splice(tag, root, new));
                 }
             }
             ValBind::Prim { .. } => {}
@@ -64,47 +64,24 @@ pub(crate) fn reroot_env(env: &Env, root: VarId, new: &Access) -> Env {
 // ----- tycon substitution (functor instantiation) --------------------------
 
 /// Substitutes flexible tycons by type functions throughout a type.
-pub(crate) fn subst_ty(ty: &Ty, map: &FxHashMap<Stamp, TyFun>) -> Ty {
-    match &*ty.head() {
-        Ty::Var(v) => Ty::Var(v.clone()),
-        Ty::Con(c, args) => {
-            let args: Rc<[Ty]> = args.iter().map(|a| subst_ty(a, map)).collect();
-            match map.get(&c.stamp) {
-                Some(f) => f.apply(&args),
-                None => Ty::Con(c.clone(), args),
-            }
-        }
-        Ty::Record(fs) => Ty::Record(fs.iter().map(|(l, t)| (*l, subst_ty(t, map))).collect()),
-        Ty::Arrow(a, b) => Ty::arrow(subst_ty(a, map), subst_ty(b, map)),
-    }
+pub(crate) fn subst_ty(store: &mut TyStore, ty: Ty, map: &FxHashMap<Stamp, TyFun>) -> Ty {
+    store.map_cons(ty, &mut |s, c, args| {
+        map.get(&c.stamp).map(|f| f.apply(s, args))
+    })
 }
 
-fn ty_mentions(ty: &Ty, map: &FxHashMap<Stamp, TyFun>) -> bool {
-    match &*ty.head() {
-        Ty::Var(_) => false,
-        Ty::Con(c, args) => map.contains_key(&c.stamp) || args.iter().any(|a| ty_mentions(a, map)),
-        Ty::Record(fs) => fs.iter().any(|(_, t)| ty_mentions(t, map)),
-        Ty::Arrow(a, b) => ty_mentions(a, map) || ty_mentions(b, map),
-    }
+fn subst_scheme(store: &mut TyStore, s: &Scheme, map: &FxHashMap<Stamp, TyFun>) -> Scheme {
+    s.with_body(subst_ty(store, s.body, map))
 }
 
-fn subst_scheme(s: &Scheme, map: &FxHashMap<Stamp, TyFun>) -> Scheme {
-    Scheme {
-        arity: s.arity,
-        eq_flags: s.eq_flags.clone(),
-        cells: s.cells.clone(),
-        body: subst_ty(&s.body, map),
-    }
-}
-
-fn subst_strty(t: &StrTy, map: &FxHashMap<Stamp, TyFun>) -> StrTy {
+fn subst_strty(store: &mut TyStore, t: &StrTy, map: &FxHashMap<Stamp, TyFun>) -> StrTy {
     StrTy(
         t.0.iter()
             .map(|(n, c)| {
                 let c = match c {
-                    CompTy::Val(s) => CompTy::Val(subst_scheme(s, map)),
+                    CompTy::Val(s) => CompTy::Val(subst_scheme(store, s, map)),
                     CompTy::Exn => CompTy::Exn,
-                    CompTy::Str(s) => CompTy::Str(subst_strty(s, map)),
+                    CompTy::Str(s) => CompTy::Str(subst_strty(store, s, map)),
                 };
                 (*n, c)
             })
@@ -112,15 +89,16 @@ fn subst_strty(t: &StrTy, map: &FxHashMap<Stamp, TyFun>) -> StrTy {
     )
 }
 
-fn subst_env(env: &Env, map: &FxHashMap<Stamp, TyFun>) -> Env {
+fn subst_env(store: &mut TyStore, env: &Env, map: &FxHashMap<Stamp, TyFun>) -> Env {
     let mut out = env.clone();
     for bind in out.vals.values_mut() {
         match bind {
-            ValBind::Var { scheme, .. } => *scheme = subst_scheme(scheme, map),
+            ValBind::Var { scheme, .. } => *scheme = subst_scheme(store, scheme, map),
             ValBind::Con(ci) => {
-                if ty_mentions(&ci.scheme.body, map) {
+                if store.any_con(ci.scheme.body, &mut |c| map.contains_key(&c.stamp)) {
+                    let ci = Rc::make_mut(ci);
                     let origin = ci.rep_scheme().clone();
-                    ci.scheme = subst_scheme(&ci.scheme, map);
+                    ci.scheme = subst_scheme(store, &ci.scheme, map);
                     ci.origin = Some(origin);
                 }
             }
@@ -135,13 +113,13 @@ fn subst_env(env: &Env, map: &FxHashMap<Stamp, TyFun>) -> Env {
                 }
             }
             TyconBind::Abbrev(f) => {
-                f.body = subst_ty(&f.body, map);
+                f.body = subst_ty(store, f.body, map);
             }
         }
     }
     for entry in out.strs.values_mut() {
-        entry.env = Rc::new(subst_env(&entry.env, map));
-        entry.ty = subst_strty(&entry.ty, map);
+        entry.env = Rc::new(subst_env(store, &entry.env, map));
+        entry.ty = subst_strty(store, &entry.ty, map);
     }
     out
 }
@@ -165,7 +143,7 @@ impl Elaborator {
         if let Some((sigexp, opaque)) = &b.ascription {
             res = self.ascribe(env, res, sigexp, *opaque)?;
         }
-        let var = self.vars.fresh(b.name, Ty::unit());
+        let var = self.vars.fresh(b.name, Ty::UNIT);
         let new_env = match res.root {
             Some(root) => reroot_env(&res.env, root, &Access::Var(var)),
             None => res.env,
@@ -187,7 +165,7 @@ impl Elaborator {
         out: &mut Vec<TDec>,
     ) -> ElabResult<()> {
         let si = Rc::new(self.elab_sigexp(env, &b.param_sig)?);
-        let param_var = self.vars.fresh(b.param, Ty::unit());
+        let param_var = self.vars.fresh(b.param, Ty::UNIT);
         let param_env = self.sig_instance_env(&si, &Access::Var(param_var));
         let mut res = self.scoped(env, |me, inner| {
             inner.strs.insert(
@@ -210,12 +188,12 @@ impl Elaborator {
         let result_root = match res.root {
             Some(r) => r,
             None => {
-                let r = self.vars.fresh(Symbol::intern("<fctres>"), Ty::unit());
+                let r = self.vars.fresh(Symbol::intern("<fctres>"), Ty::UNIT);
                 res.env = reroot_env(&res.env, param_var, &Access::Var(r));
                 r
             }
         };
-        let fvar = self.vars.fresh(b.name, Ty::unit());
+        let fvar = self.vars.fresh(b.name, Ty::UNIT);
         let result_ty = res.ty.clone();
         let def = FctDef {
             access: Access::Var(fvar),
@@ -287,8 +265,8 @@ impl Elaborator {
                     items,
                     to: fct.param_sig.str_ty(),
                 };
-                let to_ty = subst_strty(&fct.result_ty, &instmap);
-                let result_env = subst_env(&fct.result_env, &instmap);
+                let to_ty = subst_strty(&mut self.tys, &fct.result_ty, &instmap);
+                let result_env = subst_env(&mut self.tys, &fct.result_env, &instmap);
                 let result_root = self.fct_roots[&fct.access.root()];
                 Ok(StrResult {
                     texp: TStrExp::FctApp {
@@ -419,7 +397,7 @@ impl Elaborator {
 
         // Structure type and a component environment rooted at a fresh
         // placeholder.
-        let root = self.vars.fresh(Symbol::intern("<str>"), Ty::unit());
+        let root = self.vars.fresh(Symbol::intern("<str>"), Ty::UNIT);
         let mut comps = Vec::new();
         let mut visible = delta.clone();
         for (slot, ex) in exports.iter().enumerate() {
@@ -438,7 +416,7 @@ impl Elaborator {
                 ExportItem::Exn { .. } => {
                     comps.push((ex.name, CompTy::Exn));
                     if let Some(ValBind::Con(ci)) = visible.vals.get_mut(&ex.name) {
-                        ci.tag = Some(here);
+                        Rc::make_mut(ci).tag = Some(here);
                     }
                 }
                 ExportItem::Str { access, ty } => {
@@ -507,7 +485,7 @@ impl Elaborator {
                 self.level -= 1;
                 self.tyvar_scopes.pop();
                 let t = t?;
-                let scheme = sml_types::generalize(&t, self.level);
+                let scheme = self.tys.generalize(t, self.level);
                 items.push(SigItem::Val {
                     name: *name,
                     scheme,
@@ -537,50 +515,17 @@ impl Elaborator {
                 // with its constructors.
                 let tycon = Tycon::fresh_data(db.name, db.tyvars.len(), EqProp::IfArgs);
                 let mut scratch = local.clone();
-                scratch
-                    .tycons
-                    .insert(db.name, TyconBind::Tycon(tycon.clone()));
-                let mut scope = FxHashMap::default();
-                let mut params = Vec::new();
-                for tv in &db.tyvars {
-                    let cell = TvRef::fresh(self.level);
-                    scope.insert(*tv, Ty::Var(cell.clone()));
-                    params.push(cell);
-                }
-                self.tyvar_scopes.push(scope);
-                let mut cons = Vec::new();
-                for (cname, cty) in &db.cons {
-                    let payload = match cty {
-                        Some(t) => Some(self.elab_ty(&scratch, t)?),
-                        None => None,
-                    };
-                    cons.push((*cname, payload));
-                }
-                self.tyvar_scopes.pop();
-                for (i, cell) in params.iter().enumerate() {
-                    *cell.0.borrow_mut() = Tv::Gen(i as u32);
-                }
-                self.reg.register_batch(vec![(tycon.clone(), params, cons)]);
-                let def = self
-                    .reg
-                    .datatype(tycon.stamp)
-                    .expect("just registered")
-                    .clone();
+                scratch.tycons.insert(db.name, TyconBind::Tycon(tycon));
+                let params = self.push_param_scope(&db.tyvars);
+                let cons = self.elab_con_payloads(&scratch, &db.cons);
+                self.pop_param_scope(&params);
+                self.reg
+                    .register_batch(&mut self.tys, vec![(tycon, params, cons?)]);
+                let def = self.reg.datatype(tycon.stamp).expect("just registered");
                 let mut infos = Vec::new();
                 for con in &def.cons {
-                    let args = def.params.iter().map(|c| Ty::Var(c.clone())).collect();
-                    let dt_ty = Ty::Con(tycon.clone(), args);
-                    let body = match &con.payload {
-                        Some(p) => Ty::arrow(p.clone(), dt_ty),
-                        None => dt_ty,
-                    };
-                    let scheme = Scheme {
-                        arity: def.params.len(),
-                        eq_flags: vec![false; def.params.len()],
-                        cells: def.params.clone(),
-                        body,
-                    };
-                    let ci = ConInfo {
+                    let scheme = con_scheme(&mut self.tys, tycon, &def.params, con.payload);
+                    let ci = Rc::new(ConInfo {
                         name: con.name,
                         dt_stamp: tycon.stamp,
                         index: con.index,
@@ -589,13 +534,11 @@ impl Elaborator {
                         scheme,
                         origin: None,
                         tag: None,
-                    };
-                    local.vals.insert(con.name, ValBind::Con(ci.clone()));
+                    });
+                    local.vals.insert(con.name, ValBind::Con(Rc::clone(&ci)));
                     infos.push(ci);
                 }
-                local
-                    .tycons
-                    .insert(db.name, TyconBind::Tycon(tycon.clone()));
+                local.tycons.insert(db.name, TyconBind::Tycon(tycon));
                 flex.push(tycon.stamp);
                 items.push(SigItem::Datatype {
                     name: db.name,
@@ -620,7 +563,7 @@ impl Elaborator {
                 flex.extend(sub.flex.iter().copied());
                 // Bind the substructure's static parts so later specs can
                 // reference `S.t`.
-                let dummy_root = self.vars.fresh(Symbol::intern("<sigstr>"), Ty::unit());
+                let dummy_root = self.vars.fresh(Symbol::intern("<sigstr>"), Ty::UNIT);
                 let sub_env = self.sig_instance_env(&sub, &Access::Var(dummy_root));
                 local.strs.insert(
                     *name,
@@ -662,30 +605,15 @@ impl Elaborator {
                     env.tycons.insert(*name, bind.clone());
                 }
                 SigItem::Datatype { name, tycon, cons } => {
-                    env.tycons.insert(*name, TyconBind::Tycon(tycon.clone()));
+                    env.tycons.insert(*name, TyconBind::Tycon(*tycon));
                     for ci in cons {
-                        env.vals.insert(ci.name, ValBind::Con(ci.clone()));
+                        env.vals.insert(ci.name, ValBind::Con(Rc::clone(ci)));
                     }
                 }
                 SigItem::Exn { name, payload } => {
                     let tag = Access::Select(Box::new(root.clone()), slot);
-                    let (rep, scheme) = match payload {
-                        Some(p) => (ConRep::Exn, Scheme::mono(Ty::arrow(p.clone(), Ty::exn()))),
-                        None => (ConRep::ExnConst, Scheme::mono(Ty::exn())),
-                    };
-                    env.vals.insert(
-                        *name,
-                        ValBind::Con(ConInfo {
-                            name: *name,
-                            dt_stamp: Tycon::exn().stamp,
-                            index: 0,
-                            span: usize::MAX,
-                            rep,
-                            scheme,
-                            origin: None,
-                            tag: Some(tag),
-                        }),
-                    );
+                    let ci = exn_con(&mut self.tys, *name, *payload, tag);
+                    env.vals.insert(*name, ValBind::Con(Rc::new(ci)));
                     slot += 1;
                 }
                 SigItem::Str { name, sig } => {
@@ -742,7 +670,7 @@ impl Elaborator {
         span: Span,
         instmap: &mut FxHashMap<Stamp, TyFun>,
     ) -> ElabResult<(Vec<ThinItem>, StrTy, Env, VarId)> {
-        let root = self.vars.fresh(Symbol::intern("<thin>"), Ty::unit());
+        let root = self.vars.fresh(Symbol::intern("<thin>"), Ty::UNIT);
         let mut items = Vec::new();
         let mut comps = Vec::new();
         let mut renv = Env::new();
@@ -762,7 +690,7 @@ impl Elaborator {
                                     format!("type `{name}` has the wrong arity"),
                                 ));
                             }
-                            instmap.insert(abs.stamp, src_bind.to_tyfun());
+                            instmap.insert(abs.stamp, src_bind.to_tyfun(&mut self.tys));
                             let vis = if opaque {
                                 bind.clone()
                             } else {
@@ -792,12 +720,12 @@ impl Elaborator {
                             format!("datatype `{name}` has the wrong arity"),
                         ));
                     }
-                    instmap.insert(tycon.stamp, src_bind.to_tyfun());
+                    instmap.insert(tycon.stamp, src_bind.to_tyfun(&mut self.tys));
                     // Constructors must agree in name and order.
                     let mut vis_cons = Vec::new();
                     for spec_ci in cons {
                         let src_ci = match src_env.vals.get(&spec_ci.name) {
-                            Some(ValBind::Con(c)) if c.dt_stamp == src_tycon.stamp => c.clone(),
+                            Some(ValBind::Con(c)) if c.dt_stamp == src_tycon.stamp => Rc::clone(c),
                             _ => {
                                 return Err(ElabError::new(
                                     span,
@@ -815,18 +743,18 @@ impl Elaborator {
                             ));
                         }
                         let ci = if opaque {
-                            ConInfo {
+                            Rc::new(ConInfo {
                                 rep: src_ci.rep,
                                 origin: Some(src_ci.rep_scheme().clone()),
-                                ..spec_ci.clone()
-                            }
+                                ..(**spec_ci).clone()
+                            })
                         } else {
                             src_ci
                         };
                         vis_cons.push(ci);
                     }
                     let vis_tycon = if opaque {
-                        TyconBind::Tycon(tycon.clone())
+                        TyconBind::Tycon(*tycon)
                     } else {
                         src_bind.clone()
                     };
@@ -845,12 +773,12 @@ impl Elaborator {
                         }) => {
                             // Check: the (instantiated) spec type must be
                             // an instance of the structure's scheme.
-                            let want = subst_scheme(scheme, instmap);
+                            let want = subst_scheme(&mut self.tys, scheme, instmap);
                             self.check_instance(src_scheme, &want, *name, span)?;
                             let to = if opaque {
                                 scheme.clone()
                             } else {
-                                subst_scheme(scheme, instmap)
+                                subst_scheme(&mut self.tys, scheme, instmap)
                             };
                             (src_scheme.clone(), to)
                         }
@@ -881,7 +809,7 @@ impl Elaborator {
                         ElabError::new(span, format!("structure lacks exception `{name}`"))
                     })?;
                     let src_ci = match src_env.vals.get(name) {
-                        Some(ValBind::Con(c)) if c.tag.is_some() => c.clone(),
+                        Some(ValBind::Con(c)) if c.tag.is_some() => Rc::clone(c),
                         _ => {
                             return Err(ElabError::new(
                                 span,
@@ -892,30 +820,18 @@ impl Elaborator {
                     items.push(ThinItem::Exn { slot: src_slot });
                     comps.push((*name, CompTy::Exn));
                     let tag = Access::Select(Box::new(Access::Var(root)), slot);
-                    let payload = payload.as_ref().map(|p| {
+                    let payload = payload.map(|p| {
                         if opaque {
-                            p.clone()
+                            p
                         } else {
-                            subst_ty(p, instmap)
+                            subst_ty(&mut self.tys, p, instmap)
                         }
                     });
-                    let (rep, scheme) = match &payload {
-                        Some(p) => (ConRep::Exn, Scheme::mono(Ty::arrow(p.clone(), Ty::exn()))),
-                        None => (ConRep::ExnConst, Scheme::mono(Ty::exn())),
+                    let ci = ConInfo {
+                        origin: src_ci.origin.clone(),
+                        ..exn_con(&mut self.tys, *name, payload, tag)
                     };
-                    renv.vals.insert(
-                        *name,
-                        ValBind::Con(ConInfo {
-                            name: *name,
-                            dt_stamp: Tycon::exn().stamp,
-                            index: 0,
-                            span: usize::MAX,
-                            rep,
-                            scheme,
-                            origin: src_ci.origin.clone(),
-                            tag: Some(tag),
-                        }),
-                    );
+                    renv.vals.insert(*name, ValBind::Con(Rc::new(ci)));
                     slot += 1;
                 }
                 SigItem::Str { name, sig } => {
@@ -962,26 +878,26 @@ impl Elaborator {
         name: Symbol,
         span: Span,
     ) -> ElabResult<()> {
-        let skolems: Vec<Ty> = (0..want.arity)
-            .map(|i| {
-                let eq = want.eq_flags.get(i).copied().unwrap_or(false);
-                Ty::Con(
-                    Tycon::fresh_abstract(Symbol::intern(&format!("?{name}{i}")), 0, eq),
-                    Rc::new([]),
-                )
+        let skolems: Vec<Ty> = want
+            .generics()
+            .iter()
+            .enumerate()
+            .map(|(i, g)| {
+                let skolem = Tycon::fresh_abstract(Symbol::intern(&format!("?{name}{i}")), 0, g.eq);
+                self.tys.con(skolem, &[])
             })
             .collect();
-        let want_body = want.body.subst_gen(&skolems);
-        let (gen_inst, _) = general.instantiate(self.level + 1);
-        self.unify(span, &gen_inst, &want_body).map_err(|e| {
+        let want_body = self.tys.subst_gen(want.body, &skolems);
+        let (gen_inst, _) = self.tys.instantiate(general, self.level + 1);
+        self.unify(span, gen_inst, want_body).map_err(|e| {
             ElabError::new(
                 span,
                 format!(
                     "value `{name}` does not match its specification: {} (structure: `{}`, \
                      specification: `{}`)",
                     e.msg,
-                    general.body.zonk(),
-                    want.body.zonk()
+                    self.show(general.body),
+                    self.show(want.body)
                 ),
             )
         })

@@ -2,9 +2,10 @@
 //!
 //! After elaboration, every non-exported polymorphic binding is reassigned
 //! the *least* general type scheme that covers all of its actual
-//! instantiations. Because type annotations share mutable cells with the
-//! binding's scheme, re-linking the scheme's generic cells to the least
-//! common generalization automatically constrains every annotation inside
+//! instantiations. Because type annotations share the store's variables
+//! with the binding's scheme, re-linking the scheme's generic variables
+//! to the least common generalization (a [`Tv::Link`] set in the
+//! elaboration's store) automatically constrains every annotation inside
 //! the declaration body — exactly the paper's "the new type assigned to x
 //! is propagated into x's declaration, constraining other variables
 //! referenced by x". In particular, a polymorphic-equality instantiation
@@ -14,7 +15,7 @@
 
 use crate::absyn::*;
 use crate::elaborate::Elaboration;
-use sml_types::{AntiUnifier, Scheme, Tv, Ty};
+use sml_types::{AntiUnifier, Generic, Scheme, Tv, Ty};
 
 /// Runs minimum typing derivations over an elaborated program, in place.
 ///
@@ -40,7 +41,7 @@ pub fn minimum_typing(elab: &mut Elaboration) {
     }
     let arity: Vec<usize> = sites
         .iter()
-        .map(|site| elab.vars.scheme(site.vars[0]).arity)
+        .map(|site| elab.vars.scheme(site.vars[0]).arity())
         .collect();
     let mut g = Gather {
         site_of: &site_of,
@@ -187,7 +188,7 @@ struct Use {
 fn minimize_site(elab: &mut Elaboration, site: &Site, uses: Vec<Use>) -> Vec<Vec<Ty>> {
     let first = site.vars[0];
     let scheme = elab.vars.scheme(first).clone();
-    if scheme.arity == 0 {
+    if scheme.arity() == 0 {
         return Vec::new();
     }
     if site.vars.iter().any(|v| elab.vars.info(*v).exported) {
@@ -202,55 +203,53 @@ fn minimize_site(elab: &mut Elaboration, site: &Site, uses: Vec<Use>) -> Vec<Vec
 
     // Pass 2: per-position least common generalization over external
     // uses, with a shared disagreement table.
+    let tys = &mut elab.types;
     let mut au = AntiUnifier::new(0);
-    let subst: Vec<Ty> = (0..scheme.arity)
+    let subst: Vec<Ty> = (0..scheme.arity())
         .map(|i| {
-            let col: Vec<Ty> = externals.iter().map(|u| u.inst[i].clone()).collect();
-            au.lcg(&col)
+            let col: Vec<Ty> = externals.iter().map(|u| u.inst[i]).collect();
+            au.lcg(tys, &col)
         })
         .collect();
     let n_ext = externals.len();
     drop(externals);
 
-    // Link the old generic cells to their LCGs; shared annotations inside
-    // the declaration bodies update through the cells.
-    for (cell, s) in scheme.cells.iter().zip(&subst) {
-        *cell.0.borrow_mut() = Tv::Link(s.clone());
+    // Link the old generic variables to their LCGs; shared annotations
+    // inside the declaration bodies update through the variables.
+    for (g, &s) in scheme.generics().iter().zip(&subst) {
+        tys.set_tv(g.cell, Tv::Link(s));
     }
 
-    // The disagreement variables become the new generic cells.
+    // The disagreement variables become the new generic variables.
     let disagreements = au.into_disagreements();
-    let new_cells: Vec<_> = disagreements.iter().map(|d| d.var.clone()).collect();
-    for (k, c) in new_cells.iter().enumerate() {
-        *c.0.borrow_mut() = Tv::Gen(k as u32);
-    }
-    let arity = new_cells.len();
+    let generics: Vec<Generic> = disagreements
+        .iter()
+        .enumerate()
+        .map(|(k, d)| {
+            tys.set_tv(d.var, Tv::Gen(k as u32));
+            Generic {
+                cell: d.var,
+                eq: false,
+            }
+        })
+        .collect();
+    let identity: Vec<Ty> = generics.iter().map(|g| tys.var_ty(g.cell)).collect();
+    let new_scheme = Scheme::poly(scheme.body, generics);
     for v in &site.vars {
-        let old = elab.vars.scheme(*v).clone();
-        elab.vars.info_mut(*v).scheme = Scheme {
-            arity,
-            eq_flags: vec![false; arity],
-            cells: new_cells.clone(),
-            body: old.body,
-        };
+        let info = elab.vars.info_mut(*v);
+        info.scheme = new_scheme.with_body(info.scheme.body);
     }
 
     // Pass 3: new instantiation vectors. External use j gets the
     // disagreement values at j; internal (recursive) uses get the new
     // identity. The rewriting walk puts them in place.
-    let identity: Vec<Ty> = new_cells.iter().map(|c| Ty::Var(c.clone())).collect();
     let mut new_insts: Vec<Vec<Ty>> = Vec::with_capacity(uses.len());
     let mut ext_idx = 0usize;
     for u in &uses {
         if u.internal {
             new_insts.push(identity.clone());
         } else {
-            new_insts.push(
-                disagreements
-                    .iter()
-                    .map(|d| d.uses[ext_idx].clone())
-                    .collect(),
-            );
+            new_insts.push(disagreements.iter().map(|d| d.uses[ext_idx]).collect());
             ext_idx += 1;
         }
     }

@@ -31,7 +31,7 @@ fn simple_val() {
     let TDec::Val { exp, .. } = &decs[0] else {
         panic!("expected Val")
     };
-    assert_eq!(exp.ty.zonk().to_string(), "int");
+    assert_eq!(e.types.show(exp.ty).to_string(), "int");
 }
 
 #[test]
@@ -40,7 +40,10 @@ fn overload_defaults_to_int() {
     let TDec::Fun { vars, .. } = &user_decs(&e)[0] else {
         panic!()
     };
-    assert_eq!(e.vars.scheme(vars[0]).body.zonk().to_string(), "int -> int");
+    assert_eq!(
+        e.types.show(e.vars.scheme(vars[0]).body).to_string(),
+        "int -> int"
+    );
 }
 
 #[test]
@@ -50,7 +53,7 @@ fn overload_resolves_to_real() {
         panic!()
     };
     assert_eq!(
-        e.vars.scheme(vars[0]).body.zonk().to_string(),
+        e.types.show(e.vars.scheme(vars[0]).body).to_string(),
         "real -> real"
     );
 }
@@ -62,8 +65,8 @@ fn polymorphic_identity() {
         panic!()
     };
     let s = e.vars.scheme(*var);
-    assert_eq!(s.arity, 1);
-    assert_eq!(s.body.zonk().to_string(), "'a -> 'a");
+    assert_eq!(s.arity(), 1);
+    assert_eq!(e.types.show(s.body).to_string(), "'a -> 'a");
 }
 
 #[test]
@@ -73,9 +76,9 @@ fn map_has_standard_scheme() {
         panic!()
     };
     let s = e.vars.scheme(vars[0]);
-    assert_eq!(s.arity, 2);
+    assert_eq!(s.arity(), 2);
     assert_eq!(
-        s.body.zonk().to_string(),
+        e.types.show(s.body).to_string(),
         "('a -> 'b) -> 'a list -> 'b list"
     );
 }
@@ -104,7 +107,7 @@ fn instantiations_are_recorded() {
         panic!()
     };
     assert_eq!(inst.len(), 1);
-    assert_eq!(inst[0].zonk().to_string(), "int");
+    assert_eq!(e.types.show(inst[0]).to_string(), "int");
 }
 
 #[test]
@@ -120,7 +123,7 @@ fn datatype_and_case() {
         panic!()
     };
     let s = e.vars.scheme(vars[0]);
-    assert_eq!(s.body.zonk().to_string(), "'a tree -> int");
+    assert_eq!(e.types.show(s.body).to_string(), "'a tree -> int");
 }
 
 #[test]
@@ -161,7 +164,7 @@ fn flexible_record_pattern_resolves() {
         panic!()
     };
     assert_eq!(
-        e.vars.scheme(vars[0]).body.zonk().to_string(),
+        e.types.show(e.vars.scheme(vars[0]).body).to_string(),
         "{a : int, b : real} -> int"
     );
 }
@@ -178,7 +181,7 @@ fn selector_on_tuple() {
     let TDec::Val { exp, .. } = user_decs(&e).last().unwrap() else {
         panic!()
     };
-    assert_eq!(exp.ty.zonk().to_string(), "real");
+    assert_eq!(e.types.show(exp.ty).to_string(), "real");
 }
 
 #[test]
@@ -192,7 +195,7 @@ fn structure_and_projection() {
     let TDec::Val { exp, .. } = decs.last().unwrap() else {
         panic!()
     };
-    assert_eq!(exp.ty.zonk().to_string(), "int");
+    assert_eq!(e.types.show(exp.ty).to_string(), "int");
 }
 
 #[test]
@@ -283,7 +286,7 @@ fn functor_application() {
     let TDec::Val { exp, .. } = user_decs(&e).last().unwrap() else {
         panic!()
     };
-    assert_eq!(exp.ty.zonk().to_string(), "int");
+    assert_eq!(e.types.show(exp.ty).to_string(), "int");
     assert!(user_decs(&e).iter().any(|d| matches!(
         d,
         TDec::Structure {
@@ -328,7 +331,7 @@ fn nested_structures() {
     let TDec::Val { exp, .. } = user_decs(&e).last().unwrap() else {
         panic!()
     };
-    assert_eq!(exp.ty.zonk().to_string(), "int");
+    assert_eq!(e.types.show(exp.ty).to_string(), "int");
 }
 
 #[test]
@@ -351,11 +354,11 @@ fn mtd_specializes_single_use() {
         panic!()
     };
     let id_var = vars[0];
-    assert_eq!(e.vars.scheme(id_var).arity, 1);
+    assert_eq!(e.vars.scheme(id_var).arity(), 1);
     minimum_typing(&mut e);
     let s = e.vars.scheme(id_var);
-    assert_eq!(s.arity, 0, "id used only at int collapses to monomorphic");
-    assert_eq!(s.body.zonk().to_string(), "int -> int");
+    assert_eq!(s.arity(), 0, "id used only at int collapses to monomorphic");
+    assert_eq!(e.types.show(s.body).to_string(), "int -> int");
 }
 
 #[test]
@@ -371,7 +374,7 @@ fn mtd_keeps_needed_polymorphism() {
     let id_var = vars[0];
     minimum_typing(&mut e);
     assert_eq!(
-        e.vars.scheme(id_var).arity,
+        e.vars.scheme(id_var).arity(),
         1,
         "used at int and real: stays polymorphic"
     );
@@ -390,11 +393,11 @@ fn mtd_monomorphizes_equality() {
         panic!()
     };
     let mvar = vars[0];
-    assert_eq!(e.vars.scheme(mvar).arity, 1);
+    assert_eq!(e.vars.scheme(mvar).arity(), 1);
     minimum_typing(&mut e);
-    assert_eq!(e.vars.scheme(mvar).arity, 0);
+    assert_eq!(e.vars.scheme(mvar).arity(), 0);
     assert_eq!(
-        e.vars.scheme(mvar).body.zonk().to_string(),
+        e.types.show(e.vars.scheme(mvar).body).to_string(),
         "real * real list -> bool"
     );
     // And the PolyEq instantiation inside the (re-gathered) body is real.
@@ -402,16 +405,17 @@ fn mtd_monomorphizes_equality() {
         panic!()
     };
     let mut found = false;
-    find_polyeq_inst(&new_exps[0], &mut found);
+    find_polyeq_inst(&e.types, &new_exps[0], &mut found);
     assert!(found, "inner `=` instantiation became real");
 }
 
-fn find_polyeq_inst(e: &sml_elab::TExp, found: &mut bool) {
+fn find_polyeq_inst(tys: &sml_types::TyStore, e: &sml_elab::TExp, found: &mut bool) {
+    let find_polyeq_inst = |e, found: &mut bool| find_polyeq_inst(tys, e, found);
     match &e.kind {
         TExpKind::Prim {
             prim: sml_elab::Prim::PolyEq,
             inst,
-        } if inst.len() == 1 && inst[0].zonk().to_string() == "real" => {
+        } if inst.len() == 1 && tys.show(inst[0]).to_string() == "real" => {
             *found = true;
         }
         TExpKind::Record(fs) => fs.iter().for_each(|(_, e)| find_polyeq_inst(e, found)),
@@ -460,7 +464,7 @@ fn mtd_skips_exported_vars() {
     let sml_elab::ExportItem::Val { scheme, .. } = &exports[0].item else {
         panic!()
     };
-    assert_eq!(scheme.arity, 1);
+    assert_eq!(scheme.arity(), 1);
 }
 
 #[test]
@@ -479,8 +483,14 @@ fn mtd_chains_through_callers() {
     let TDec::Fun { vars: gv, .. } = &user_decs(&e)[1] else {
         panic!()
     };
-    assert_eq!(e.vars.scheme(gv[0]).body.zonk().to_string(), "real -> real");
-    assert_eq!(e.vars.scheme(fv[0]).body.zonk().to_string(), "real -> real");
+    assert_eq!(
+        e.types.show(e.vars.scheme(gv[0]).body).to_string(),
+        "real -> real"
+    );
+    assert_eq!(
+        e.types.show(e.vars.scheme(fv[0]).body).to_string(),
+        "real -> real"
+    );
 }
 
 #[test]
@@ -541,7 +551,7 @@ fn explicit_tyvar_binders() {
     let TDec::Fun { vars, .. } = &user_decs(&e)[0] else {
         panic!()
     };
-    assert_eq!(e.vars.scheme(vars[0]).arity, 1);
+    assert_eq!(e.vars.scheme(vars[0]).arity(), 1);
 }
 
 #[test]

@@ -78,40 +78,76 @@ pub fn is_identity(i: &mut LtyInterner, from: Lty, to: Lty) -> bool {
     if i.same(from, to) {
         return true;
     }
-    match (i.kind(from).clone(), i.kind(to).clone()) {
-        (LtyKind::Bottom, _) | (_, LtyKind::Bottom) => true,
+    // Decide on the two kinds as they sit in the table, then recurse
+    // once the borrow ends: the recursion may intern (`dup`).
+    enum Next {
+        Is(bool),
+        Fields(usize),
+        Arrows([Lty; 4]),
+        DupTo,
+        DupFrom,
+    }
+    let next = match (i.kind(from), i.kind(to)) {
+        (LtyKind::Bottom, _) | (_, LtyKind::Bottom) => Next::Is(true),
         // Any one-word value is already BOXED; only floats need boxing.
-        (a, LtyKind::Boxed) => !matches!(a, LtyKind::Real),
-        (LtyKind::Boxed, b) => !matches!(b, LtyKind::Real),
-        (LtyKind::Int, LtyKind::Int) | (LtyKind::Real, LtyKind::Real) => true,
+        (a, LtyKind::Boxed) => Next::Is(!matches!(a, LtyKind::Real)),
+        (LtyKind::Boxed, b) => Next::Is(!matches!(b, LtyKind::Real)),
+        (LtyKind::Int, LtyKind::Int) | (LtyKind::Real, LtyKind::Real) => Next::Is(true),
         (LtyKind::Record(a), LtyKind::Record(b)) | (LtyKind::SRecord(a), LtyKind::SRecord(b)) => {
-            a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| is_identity(i, *x, *y))
+            if a.len() == b.len() {
+                Next::Fields(a.len())
+            } else {
+                Next::Is(false)
+            }
         }
         // A function wrapper is skippable only when both the values AND
         // the calling conventions agree: a record-typed argument position
         // is spread into registers, so it never identity-matches a
         // one-word argument position.
-        (LtyKind::Arrow(a1, r1), LtyKind::Arrow(a2, r2)) => {
-            spread_compat(i, a1, a2) && spread_compat(i, r1, r2)
-        }
-        (LtyKind::RBoxed, _) => {
+        (LtyKind::Arrow(a1, r1), LtyKind::Arrow(a2, r2)) => Next::Arrows([*a1, *a2, *r1, *r2]),
+        (LtyKind::RBoxed, _) => Next::DupTo,
+        (_, LtyKind::RBoxed) => Next::DupFrom,
+        _ => Next::Is(false),
+    };
+    match next {
+        Next::Is(b) => b,
+        Next::Fields(n) => fields_identical(i, from, to, n),
+        Next::Arrows([a1, a2, r1, r2]) => spread_compat(i, a1, a2) && spread_compat(i, r1, r2),
+        Next::DupTo => {
             let d = i.dup(to);
             is_identity(i, d, to)
         }
-        (_, LtyKind::RBoxed) => {
+        Next::DupFrom => {
             let d = i.dup(from);
             is_identity(i, from, d)
         }
-        _ => false,
     }
+}
+
+/// Field `k` of the record or structure record `t`.
+fn field(i: &LtyInterner, t: Lty, k: usize) -> Lty {
+    match i.kind(t) {
+        LtyKind::Record(fs) | LtyKind::SRecord(fs) => fs[k],
+        _ => unreachable!("a record"),
+    }
+}
+
+/// Whether the first `n` fields of records `a` and `b` are identical
+/// representations.
+fn fields_identical(i: &mut LtyInterner, a: Lty, b: Lty, n: usize) -> bool {
+    (0..n).all(|k| {
+        let (x, y) = (field(i, a, k), field(i, b, k));
+        is_identity(i, x, y)
+    })
 }
 
 /// Whether two argument/result positions use the same register
 /// convention *and* identical value representations.
 fn spread_compat(i: &mut LtyInterner, x: Lty, y: Lty) -> bool {
-    match (i.kind(x).clone(), i.kind(y).clone()) {
+    match (i.kind(x), i.kind(y)) {
         (LtyKind::Record(a), LtyKind::Record(b)) => {
-            a.len() == b.len() && a.iter().zip(&b).all(|(p, q)| is_identity(i, *p, *q))
+            let n = a.len();
+            n == b.len() && fields_identical(i, x, y, n)
         }
         (LtyKind::Record(_), _) | (_, LtyKind::Record(_)) => false,
         _ => is_identity(i, x, y),
@@ -140,6 +176,8 @@ pub fn coerce_exp(
     coerce_inner(i, vg, stats, e, from, to)
 }
 
+/// Emits code coercing `e : from` to `to`, a pair [`is_identity`] has
+/// just rejected.
 fn coerce_inner(
     i: &mut LtyInterner,
     vg: &mut VarGen,
@@ -148,57 +186,75 @@ fn coerce_inner(
     from: Lty,
     to: Lty,
 ) -> Lexp {
-    if is_identity(i, from, to) {
-        return e;
+    enum Next {
+        DupTo,
+        DupFrom,
+        Wrap,
+        Unwrap,
+        Rebuild(usize, bool),
+        Arrows([Lty; 4]),
+        Incompatible,
     }
-    match (i.kind(from).clone(), i.kind(to).clone()) {
+    let next = match (i.kind(from), i.kind(to)) {
         // RBOXED: recursively boxed; go through dup (paper §4.2).
-        (LtyKind::RBoxed, _) => {
-            let d = i.dup(to);
-            coerce_inner(i, vg, stats, e, d, to)
-        }
-        (_, LtyKind::RBoxed) => {
-            let d = i.dup(from);
-            coerce_inner(i, vg, stats, e, from, d)
-        }
+        (LtyKind::RBoxed, _) => Next::DupTo,
+        (_, LtyKind::RBoxed) => Next::DupFrom,
         // BOXED: primitive wrap/unwrap.
-        (_, LtyKind::Boxed) => {
+        (_, LtyKind::Boxed) => Next::Wrap,
+        (LtyKind::Boxed, _) => Next::Unwrap,
+        (LtyKind::Record(fs), LtyKind::Record(gs)) if fs.len() == gs.len() => {
+            Next::Rebuild(fs.len(), false)
+        }
+        (LtyKind::SRecord(fs), LtyKind::SRecord(gs)) if fs.len() == gs.len() => {
+            Next::Rebuild(fs.len(), true)
+        }
+        (LtyKind::Arrow(a1, r1), LtyKind::Arrow(a2, r2)) => Next::Arrows([*a1, *r1, *a2, *r2]),
+        _ => Next::Incompatible,
+    };
+    match next {
+        // The pair through `dup` may need no code at all.
+        Next::DupTo => {
+            let d = i.dup(to);
+            if is_identity(i, d, to) {
+                e
+            } else {
+                coerce_inner(i, vg, stats, e, d, to)
+            }
+        }
+        Next::DupFrom => {
+            let d = i.dup(from);
+            if is_identity(i, from, d) {
+                e
+            } else {
+                coerce_inner(i, vg, stats, e, from, d)
+            }
+        }
+        Next::Wrap => {
             stats.wraps += 1;
             Lexp::Wrap(from, Box::new(e))
         }
-        (LtyKind::Boxed, _) => {
+        Next::Unwrap => {
             stats.wraps += 1;
             Lexp::Unwrap(to, Box::new(e))
         }
-        (LtyKind::Record(fs), LtyKind::Record(gs)) if fs.len() == gs.len() => {
+        Next::Rebuild(n, structure) => {
             stats.record_rebuilds += 1;
             let v = vg.fresh();
-            let fields = fs
-                .iter()
-                .zip(&gs)
-                .enumerate()
-                .map(|(idx, (f, g))| {
+            let fields = (0..n)
+                .map(|idx| {
                     let sel = Lexp::Select(idx, Box::new(Lexp::Var(v)));
-                    coerce_exp(i, vg, stats, sel, *f, *g)
+                    let (f, g) = (field(i, from, idx), field(i, to, idx));
+                    coerce_exp(i, vg, stats, sel, f, g)
                 })
                 .collect();
-            Lexp::Let(v, Box::new(e), Box::new(Lexp::Record(fields)))
+            let rebuilt = if structure {
+                Lexp::SRecord(fields)
+            } else {
+                Lexp::Record(fields)
+            };
+            Lexp::Let(v, Box::new(e), Box::new(rebuilt))
         }
-        (LtyKind::SRecord(fs), LtyKind::SRecord(gs)) if fs.len() == gs.len() => {
-            stats.record_rebuilds += 1;
-            let v = vg.fresh();
-            let fields = fs
-                .iter()
-                .zip(&gs)
-                .enumerate()
-                .map(|(idx, (f, g))| {
-                    let sel = Lexp::Select(idx, Box::new(Lexp::Var(v)));
-                    coerce_exp(i, vg, stats, sel, *f, *g)
-                })
-                .collect();
-            Lexp::Let(v, Box::new(e), Box::new(Lexp::SRecord(fields)))
-        }
-        (LtyKind::Arrow(a1, r1), LtyKind::Arrow(a2, r2)) => {
+        Next::Arrows([a1, r1, a2, r2]) => {
             // fn x : a2 => coerce_r1_r2 (f (coerce_a2_a1 x))
             stats.fn_wrappers += 1;
             let f = vg.fresh();
@@ -212,10 +268,12 @@ fn coerce_inner(
                 Box::new(Lexp::Fn(x, a2, r2, Box::new(body))),
             )
         }
-        (fk, tk) => panic!(
-            "coerce: incompatible representations {} vs {} ({fk:?} vs {tk:?})",
+        Next::Incompatible => panic!(
+            "coerce: incompatible representations {} vs {} ({:?} vs {:?})",
             i.show(from),
-            i.show(to)
+            i.show(to),
+            i.kind(from),
+            i.kind(to)
         ),
     }
 }

@@ -157,11 +157,11 @@ impl LtyInterner {
 
     /// Interns a kind, returning its handle.
     pub fn intern(&mut self, kind: LtyKind) -> Lty {
-        self.intern_calls += 1;
+        self.intern_calls = self.intern_calls.saturating_add(1);
         let t = Lty(u32::try_from(self.kinds.len()).expect("LTY table overflow"));
         if self.mode == InternMode::HashCons {
             if let Some(&old) = self.index.get(&kind) {
-                self.hashcons_hits += 1;
+                self.hashcons_hits = self.hashcons_hits.saturating_add(1);
                 return old;
             }
             self.index.insert(kind.clone(), t);
@@ -169,6 +169,17 @@ impl LtyInterner {
         self.hashcons_misses += 1;
         self.kinds.push(kind);
         t
+    }
+
+    /// Counts `n` `intern` calls that a cache above the table answered,
+    /// each of which would have repeated a kind already in the table
+    /// (hash-consing mode only; see `translate`'s type memo).
+    ///
+    /// The call and hit counts saturate: a type shared deeply enough
+    /// stands for more calls as a tree than a `u64` holds.
+    pub fn count_repeats(&mut self, n: u64) {
+        self.intern_calls = self.intern_calls.saturating_add(n);
+        self.hashcons_hits = self.hashcons_hits.saturating_add(n);
     }
 
     /// Fraction of `intern` calls served from the table, in `[0, 1]`;

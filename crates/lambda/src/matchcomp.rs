@@ -14,7 +14,7 @@ use crate::lexp::{LVar, Lexp, Primop};
 use crate::lty::{Lty, LtyKind};
 use crate::translate::Translator;
 use sml_elab::{ConInfo, TExp, TPat, TPatKind, TRule};
-use sml_types::{ConRep, Ty};
+use sml_types::{ConRep, TyKind};
 
 impl<'tr> Translator<'tr> {
     /// Compiles a full match over `scrut` (already bound, with type
@@ -241,8 +241,9 @@ impl<'tr> Translator<'tr> {
             }
             TPatKind::Record { fields, .. } => {
                 // Bind each listed field, then continue.
-                let Ty::Record(all) = pat.ty.zonk() else {
-                    panic!("record pattern at non-record type {}", pat.ty.zonk())
+                let tys = self.tys;
+                let TyKind::Record(all) = tys.kind(pat.ty) else {
+                    panic!("record pattern at non-record type {}", tys.show(pat.ty))
                 };
                 let mut lets: Vec<(LVar, Lexp)> = Vec::new();
                 for (lab, sub) in fields {
@@ -254,7 +255,7 @@ impl<'tr> Translator<'tr> {
                         LtyKind::Record(fl) => fl[idx],
                         _ => self.interner.rboxed(),
                     };
-                    let want = self.ltc(&sub.ty);
+                    let want = self.ltc(sub.ty);
                     let sel = Lexp::Select(idx, Box::new(Lexp::Var(occ)));
                     let sel = self.coerce(sel, field_lty, want);
                     let v = self.vg.fresh();
@@ -293,7 +294,7 @@ impl<'tr> Translator<'tr> {
          -> Lexp {
             match (payload, arg) {
                 (Some((raw, raw_lty)), Some(sub)) => {
-                    let want = me.ltc(&sub.ty);
+                    let want = me.ltc(sub.ty);
                     let coerced = me.coerce(raw, raw_lty, want);
                     let v = me.vg.fresh();
                     let mut w = work;

@@ -10,12 +10,11 @@
 use crate::coerce::{coerce_exp, CoerceStats, CoercionCache, VarGen};
 use crate::lexp::{LVar, Lexp, Primop};
 use crate::lty::{InternMode, Lty, LtyInterner, LtyKind};
-use sml_ast::FxHashSet;
 use sml_elab::{
     Access, CompTy, ConInfo, Elaboration, Prim, StrTy, TDec, TExp, TExpKind, TStrExp, ThinItem,
     VarId,
 };
-use sml_types::{ConRep, Scheme, Tv, Ty, TyconKind};
+use sml_types::{ConRep, Scheme, Tv, Ty, TyKind, TyStore, TyconKind};
 
 /// Configuration of the lambda translation, distinguishing the paper's
 /// compiler variants.
@@ -68,7 +67,9 @@ pub struct Translation {
 pub fn translate(elab: &Elaboration, cfg: &LambdaConfig) -> Translation {
     let mut tr = Translator {
         elab,
+        tys: &elab.types,
         cfg: *cfg,
+        ltc_memo: LtcMemo::new(&elab.types, cfg.intern_mode == InternMode::HashCons),
         interner: LtyInterner::new(cfg.intern_mode),
         vg: VarGen::new(),
         vmap: vec![NO_LVAR; elab.vars.len() + 1],
@@ -93,7 +94,10 @@ pub fn translate(elab: &Elaboration, cfg: &LambdaConfig) -> Translation {
 
 pub(crate) struct Translator<'a> {
     pub(crate) elab: &'a Elaboration,
+    /// The elaboration's type store, which translation only reads.
+    pub(crate) tys: &'a TyStore,
     pub(crate) cfg: LambdaConfig,
+    ltc_memo: LtcMemo,
     pub(crate) interner: LtyInterner,
     pub(crate) vg: VarGen,
     /// Each Absyn variable's lambda variable, by `VarId`, or `NO_LVAR`
@@ -157,80 +161,146 @@ impl Translator<'_> {
     // ----- type translation (paper Figure 6) -------------------------------
 
     /// Translates an ML type to an LTY.
-    pub(crate) fn ltc(&mut self, ty: &Ty) -> Lty {
-        if !self.cfg.type_based {
-            return self.ltc_untyped(ty);
+    ///
+    /// Translation links no type, so a type's LTY is remembered by its
+    /// resolved handle for the whole translation, and within one type a
+    /// shared node is translated once. A remembered answer counts the
+    /// `intern` calls its first translation made as hits
+    /// ([`LtyInterner::count_repeats`]): each would have repeated a kind
+    /// already in the table, so [`crate::LtyStats`] read as for a tree
+    /// walk. In [`InternMode::Structural`] nothing is remembered, so the
+    /// ablation interns every node of the tree.
+    pub(crate) fn ltc(&mut self, ty: Ty) -> Lty {
+        let h = self.tys.head(ty);
+        if let Some((lty, calls)) = self.ltc_memo.root(h) {
+            self.interner.count_repeats(calls);
+            return lty;
         }
-        let mut marked = FxHashSet::default();
-        mark_con_vars(ty, false, &mut marked);
-        self.ltc_go(ty, &marked)
+        let calls_before = self.interner.intern_calls;
+        self.ltc_memo.begin_type();
+        let lty = if self.cfg.type_based {
+            self.mark_con_vars(h, false);
+            self.ltc_go(h)
+        } else {
+            self.ltc_untyped(h)
+        };
+        let calls = self.interner.intern_calls - calls_before;
+        self.ltc_memo.set_root(h, lty, calls);
+        lty
     }
 
-    fn ltc_untyped(&mut self, ty: &Ty) -> Lty {
+    /// Marks type variables that appear anywhere under a (rigid or
+    /// flexible) type constructor (paper Figure 6: such variables
+    /// translate to `RBOXEDty` because datatype contents use standard
+    /// representations).
+    fn mark_con_vars(&mut self, ty: Ty, under_con: bool) {
+        let h = self.tys.head(ty);
+        if !self.ltc_memo.visit(h, under_con) {
+            return;
+        }
+        match self.tys.kind(h) {
+            TyKind::Var(v) => {
+                if under_con {
+                    self.ltc_memo.mark_var(self.tys.tv(v), v.index());
+                }
+            }
+            TyKind::Con(_, args) => {
+                for &a in args {
+                    self.mark_con_vars(a, true);
+                }
+            }
+            TyKind::Record(fs) => {
+                for &(_, t) in fs {
+                    self.mark_con_vars(t, under_con);
+                }
+            }
+            TyKind::Arrow(a, b) => {
+                self.mark_con_vars(a, under_con);
+                self.mark_con_vars(b, under_con);
+            }
+        }
+    }
+
+    fn ltc_untyped(&mut self, ty: Ty) -> Lty {
         // Standard boxed representations: every value is one word; only
         // the arrow structure is preserved (functions take one boxed
         // argument and return one boxed result).
-        match &*ty.head() {
-            Ty::Arrow(a, b) => {
-                let a = self.ltc_untyped(a);
-                let b = self.ltc_untyped(b);
-                let rb = self.interner.rboxed();
-                let a = match self.interner.kind(a) {
+        self.ltc_node(ty, |me, h| match me.tys.kind(h) {
+            TyKind::Arrow(a, b) => {
+                let a = me.ltc_untyped(a);
+                let b = me.ltc_untyped(b);
+                let rb = me.interner.rboxed();
+                let a = match me.interner.kind(a) {
                     LtyKind::Arrow(..) => a,
                     _ => rb,
                 };
-                self.interner.arrow(a, b)
+                me.interner.arrow(a, b)
             }
-            _ => self.interner.rboxed(),
-        }
+            _ => me.interner.rboxed(),
+        })
     }
 
-    fn ltc_go(&mut self, ty: &Ty, marked: &FxHashSet<VarKey>) -> Lty {
-        match &*ty.head() {
-            Ty::Var(v) => {
-                if marked.contains(&var_key(v)) {
-                    self.interner.rboxed()
+    fn ltc_go(&mut self, ty: Ty) -> Lty {
+        self.ltc_node(ty, |me, h| match me.tys.kind(h) {
+            TyKind::Var(v) => {
+                if me.ltc_memo.is_marked(me.tys.tv(v), v.index()) {
+                    me.interner.rboxed()
                 } else {
-                    self.interner.boxed()
+                    me.interner.boxed()
                 }
             }
-            Ty::Con(c, _) => match c.kind {
-                TyconKind::Int | TyconKind::Char => self.interner.int(),
+            TyKind::Con(c, _) => match c.kind {
+                TyconKind::Int | TyconKind::Char => me.interner.int(),
                 TyconKind::Real => {
-                    if self.cfg.unboxed_floats {
-                        self.interner.real()
+                    if me.cfg.unboxed_floats {
+                        me.interner.real()
                     } else {
-                        self.interner.rboxed()
+                        me.interner.rboxed()
                     }
                 }
-                TyconKind::Data if c.stamp == sml_types::Tycon::bool().stamp => self.interner.int(),
+                TyconKind::Data if c.stamp == sml_types::Tycon::bool().stamp => me.interner.int(),
                 TyconKind::String
                 | TyconKind::Exn
                 | TyconKind::Ref
                 | TyconKind::Array
                 | TyconKind::Cont
-                | TyconKind::Data => self.interner.boxed(),
-                TyconKind::Abstract => self.interner.rboxed(),
+                | TyconKind::Data => me.interner.boxed(),
+                TyconKind::Abstract => me.interner.rboxed(),
             },
-            Ty::Record(fs) => {
+            TyKind::Record(fs) => {
                 if fs.is_empty() {
-                    return self.interner.int();
+                    return me.interner.int();
                 }
-                let fields: Vec<Lty> = fs.iter().map(|(_, t)| self.ltc_go(t, marked)).collect();
-                self.interner.record(fields)
+                let fields: Vec<Lty> = fs.iter().map(|&(_, t)| me.ltc_go(t)).collect();
+                me.interner.record(fields)
             }
-            Ty::Arrow(a, b) => {
-                let a = self.ltc_go(a, marked);
-                let b = self.ltc_go(b, marked);
-                self.interner.arrow(a, b)
+            TyKind::Arrow(a, b) => {
+                let a = me.ltc_go(a);
+                let b = me.ltc_go(b);
+                me.interner.arrow(a, b)
             }
+        })
+    }
+
+    /// `node`'s translation of `ty`'s head within the current type,
+    /// taken from the memo if this type already translated it there.
+    fn ltc_node(&mut self, ty: Ty, node: impl FnOnce(&mut Self, Ty) -> Lty) -> Lty {
+        let h = self.tys.head(ty);
+        if let Some((lty, calls)) = self.ltc_memo.node(h) {
+            self.interner.count_repeats(calls);
+            return lty;
         }
+        let calls_before = self.interner.intern_calls;
+        let lty = node(self, h);
+        let calls = self.interner.intern_calls - calls_before;
+        self.ltc_memo.set_node(h, lty, calls);
+        lty
     }
 
     /// LTY of a variable as stored (its scheme body, generic variables
     /// translated by the marking rule).
     pub(crate) fn ltc_scheme(&mut self, s: &Scheme) -> Lty {
-        self.ltc(&s.body)
+        self.ltc(s.body)
     }
 
     /// LTY of a structure type (`SRECORDty`).
@@ -254,7 +324,7 @@ impl Translator<'_> {
             // representation (they may cross abstraction boundaries).
             return self.interner.rboxed();
         }
-        let full = self.ltc(&con.rep_scheme().body);
+        let full = self.ltc(con.rep_scheme().body);
         match *self.interner.kind(full) {
             LtyKind::Arrow(arg, _) => arg,
             _ => panic!("payload_rep of constant constructor"),
@@ -277,7 +347,7 @@ impl Translator<'_> {
         match dec {
             TDec::Val { pat, exp } => {
                 let e = self.tr_exp(exp);
-                let elty = self.ltc(&exp.ty);
+                let elty = self.ltc(exp.ty);
                 let v = self.vg.fresh();
                 let bind_exn = self.elab.builtins.bind_exn;
                 let fail = {
@@ -304,7 +374,7 @@ impl Translator<'_> {
                     // The body was translated at the (identical) zonked
                     // type; coerce defensively in case of representation
                     // drift between instance and scheme views.
-                    let elty = self.ltc(&exp.ty);
+                    let elty = self.ltc(exp.ty);
                     let e = self.coerce(e, elty, lty);
                     bindings.push((v, lty, e));
                 }
@@ -447,7 +517,7 @@ impl Translator<'_> {
             TExpKind::Int(n) => Lexp::Int(*n),
             TExpKind::Char(c) => Lexp::Int(*c as i64),
             TExpKind::Real(x) => {
-                let want = self.ltc(&exp.ty);
+                let want = self.ltc(exp.ty);
                 let real = self.interner.real();
                 self.coerce(Lexp::Real(*x), real, want)
             }
@@ -455,14 +525,14 @@ impl Translator<'_> {
             TExpKind::Var { access, scheme, .. } => {
                 let e = self.tr_access(access);
                 let from = self.ltc_scheme(scheme);
-                let to = self.ltc(&exp.ty);
+                let to = self.ltc(exp.ty);
                 self.coerce(e, from, to)
             }
             TExpKind::Prim { prim, inst } => {
                 // A primitive used as a value: eta-expand.
-                self.eta_prim(*prim, inst, &exp.ty)
+                self.eta_prim(*prim, inst, exp.ty)
             }
-            TExpKind::Con { con, inst } => self.con_value(con, inst, &exp.ty),
+            TExpKind::Con { con, inst } => self.con_value(con, inst, exp.ty),
             TExpKind::Record(fields) => {
                 if fields.is_empty() {
                     return Lexp::unit();
@@ -472,9 +542,9 @@ impl Translator<'_> {
             }
             TExpKind::Select { label, arg } => {
                 let a = self.tr_exp(arg);
-                let arg_lty = self.ltc(&arg.ty);
-                let Ty::Record(fs) = arg.ty.zonk() else {
-                    panic!("select from non-record type {}", arg.ty.zonk())
+                let arg_lty = self.ltc(arg.ty);
+                let TyKind::Record(fs) = self.tys.kind(arg.ty) else {
+                    panic!("select from non-record type {}", self.tys.show(arg.ty))
                 };
                 let idx = fs
                     .iter()
@@ -485,14 +555,14 @@ impl Translator<'_> {
                     LtyKind::Record(fl) => fl[idx],
                     _ => self.interner.rboxed(),
                 };
-                let want = self.ltc(&exp.ty);
+                let want = self.ltc(exp.ty);
                 self.coerce(sel, field_lty, want)
             }
-            TExpKind::App(f, a) => self.tr_app(f, a, &exp.ty),
+            TExpKind::App(f, a) => self.tr_app(f, a, exp.ty),
             TExpKind::Fn { rules, arg_ty } => {
                 let p = self.vg.fresh();
-                let plty = self.ltc(arg_ty);
-                let res_lty = self.ltc(&rules[0].exp.ty);
+                let plty = self.ltc(*arg_ty);
+                let res_lty = self.ltc(rules[0].exp.ty);
                 let match_tag = Access::Var(self.elab.builtins.match_exn);
                 let fail_tag = self.tr_access(&match_tag);
                 let body = self.compile_match(p, plty, rules, fail_tag, res_lty);
@@ -500,9 +570,9 @@ impl Translator<'_> {
             }
             TExpKind::Case(scrut, rules) => {
                 let s = self.tr_exp(scrut);
-                let slty = self.ltc(&scrut.ty);
+                let slty = self.ltc(scrut.ty);
                 let v = self.vg.fresh();
-                let res_lty = self.ltc(&exp.ty);
+                let res_lty = self.ltc(exp.ty);
                 let match_tag = Access::Var(self.elab.builtins.match_exn);
                 let fail_tag = self.tr_access(&match_tag);
                 let body = self.compile_match(v, slty, rules, fail_tag, res_lty);
@@ -553,14 +623,14 @@ impl Translator<'_> {
             TExpKind::Let(decs, body) => self.tr_decs(decs, &mut |me: &mut Self| me.tr_exp(body)),
             TExpKind::Raise(e) => {
                 let v = self.tr_exp(e);
-                let lty = self.ltc(&exp.ty);
+                let lty = self.ltc(exp.ty);
                 Lexp::Raise(Box::new(v), lty)
             }
             TExpKind::Handle(e, rules) => {
                 let body = self.tr_exp(e);
                 let x = self.vg.fresh();
                 let boxed = self.interner.boxed();
-                let res_lty = self.ltc(&exp.ty);
+                let res_lty = self.ltc(exp.ty);
                 let hbody = self.compile_handler(x, rules, res_lty);
                 Lexp::Handle(
                     Box::new(body),
@@ -570,12 +640,12 @@ impl Translator<'_> {
         }
     }
 
-    fn tr_app(&mut self, f: &TExp, a: &TExp, res_ty: &Ty) -> Lexp {
+    fn tr_app(&mut self, f: &TExp, a: &TExp, res_ty: Ty) -> Lexp {
         match &f.kind {
             TExpKind::Prim { prim, inst } => self.tr_prim_app(*prim, inst, a, res_ty),
             TExpKind::Con { con, inst } => {
                 let arg = self.tr_exp(a);
-                let arg_lty = self.ltc(&a.ty);
+                let arg_lty = self.ltc(a.ty);
                 self.con_inject(con, inst, arg, arg_lty)
             }
             _ => {
@@ -587,7 +657,7 @@ impl Translator<'_> {
     }
 
     /// Constructor used as a value (not directly applied): eta-expand.
-    fn con_value(&mut self, con: &ConInfo, inst: &[Ty], ty: &Ty) -> Lexp {
+    fn con_value(&mut self, con: &ConInfo, inst: &[Ty], ty: Ty) -> Lexp {
         match con.rep {
             ConRep::Constant(n) => Lexp::Int(n as i64),
             ConRep::ExnConst => {
@@ -596,11 +666,11 @@ impl Translator<'_> {
             }
             _ => {
                 // fn x => inject x
-                let Ty::Arrow(argt, _) = ty.zonk() else {
+                let TyKind::Arrow(argt, _) = self.tys.kind(ty) else {
                     panic!("carrying constructor at non-arrow type")
                 };
                 let x = self.vg.fresh();
-                let arg_lty = self.ltc(&argt);
+                let arg_lty = self.ltc(argt);
                 let body = self.con_inject(con, inst, Lexp::Var(x), arg_lty);
                 let boxed = self.interner.boxed();
                 Lexp::Fn(x, arg_lty, boxed, Box::new(body))
@@ -657,10 +727,10 @@ impl Translator<'_> {
     /// to a concrete [`Primop`] using its (post-MTD) instantiation.
     fn resolve_prim(&mut self, prim: Prim, inst: &[Ty]) -> ResolvedPrim {
         use Primop::*;
-        let head = inst.first().map(|t| t.zonk());
-        let class = |t: &Option<Ty>| -> OvHead {
+        let head = inst.first().map(|&t| self.tys.kind(t));
+        let class = |t: &Option<TyKind>| -> OvHead {
             match t {
-                Some(Ty::Con(c, _)) => match c.kind {
+                Some(TyKind::Con(c, _)) => match c.kind {
                     TyconKind::Int | TyconKind::Char => OvHead::Int,
                     TyconKind::Real => OvHead::Real,
                     TyconKind::String => OvHead::Str,
@@ -668,7 +738,7 @@ impl Translator<'_> {
                     TyconKind::Data if c.stamp == sml_types::Tycon::order().stamp => OvHead::Int,
                     _ => OvHead::Other,
                 },
-                Some(Ty::Record(fs)) if fs.is_empty() => OvHead::Int,
+                Some(TyKind::Record([])) => OvHead::Int,
                 _ => OvHead::Other,
             }
         };
@@ -784,14 +854,14 @@ impl Translator<'_> {
     }
 
     /// Translates a saturated primitive application `prim a`.
-    fn tr_prim_app(&mut self, prim: Prim, inst: &[Ty], a: &TExp, res_ty: &Ty) -> Lexp {
+    fn tr_prim_app(&mut self, prim: Prim, inst: &[Ty], a: &TExp, res_ty: Ty) -> Lexp {
         let resolved = self.resolve_prim(prim, inst);
         let want_res = self.ltc(res_ty);
         match resolved {
             ResolvedPrim::Identity => self.tr_exp(a),
             ResolvedPrim::Callcc => {
                 let f = self.tr_exp(a);
-                let flty = self.ltc(&a.ty);
+                let flty = self.ltc(a.ty);
                 let boxed = self.interner.boxed();
                 let want_f = self.interner.arrow(boxed, boxed);
                 let f = self.coerce(f, flty, want_f);
@@ -803,13 +873,13 @@ impl Translator<'_> {
                 // eta-expand over it, coercing to the continuation's
                 // standard (recursively boxed) value representation.
                 let k = self.tr_exp(a);
-                let klty = self.ltc(&a.ty);
+                let klty = self.ltc(a.ty);
                 let boxed = self.interner.boxed();
                 let k = self.coerce(k, klty, boxed);
                 let x = self.vg.fresh();
                 let rb = self.interner.rboxed();
-                let val_lty = match res_ty.zonk() {
-                    Ty::Arrow(vt, _) => self.ltc(&vt),
+                let val_lty = match self.tys.kind(res_ty) {
+                    TyKind::Arrow(vt, _) => self.ltc(vt),
                     _ => rb,
                 };
                 let kv = self.vg.fresh();
@@ -1003,8 +1073,8 @@ impl Translator<'_> {
 
     /// LTY of the `idx`th field of a tupled primitive argument.
     fn arg_field_lty(&mut self, a: &TExp, idx: usize) -> Lty {
-        match a.ty.zonk() {
-            Ty::Record(fs) if idx < fs.len() => self.ltc(&fs[idx].1),
+        match self.tys.kind(a.ty) {
+            TyKind::Record(fs) if idx < fs.len() => self.ltc(fs[idx].1),
             _ => self.interner.rboxed(),
         }
     }
@@ -1015,7 +1085,7 @@ impl Translator<'_> {
         let (want, _) = op.sig(&mut self.interner);
         if want.len() == 1 {
             let arg = self.tr_exp(a);
-            let from = self.ltc(&a.ty);
+            let from = self.ltc(a.ty);
             let arg = self.coerce(arg, from, want[0]);
             return Lexp::PrimApp(op, vec![arg]);
         }
@@ -1036,16 +1106,16 @@ impl Translator<'_> {
     /// The returned binding, if any, must wrap the expression that
     /// consumes the components (see [`wrap_binding`]).
     fn prim_args(&mut self, a: &TExp) -> (Vec<Lexp>, Option<(LVar, Lexp)>) {
-        match (&a.kind, a.ty.zonk()) {
+        match (&a.kind, self.tys.kind(a.ty)) {
             (TExpKind::Record(fields), _) => {
                 (fields.iter().map(|(_, e)| self.tr_exp(e)).collect(), None)
             }
-            (_, Ty::Record(fs)) => {
+            (_, TyKind::Record(fs)) => {
                 let v = self.vg.fresh();
                 let tup = self.tr_exp(a);
-                let tup_lty = self.ltc(&a.ty);
+                let tup_lty = self.ltc(a.ty);
                 let mut out = Vec::new();
-                for (i, (_, fty)) in fs.iter().enumerate() {
+                for (i, &(_, fty)) in fs.iter().enumerate() {
                     let sel = Lexp::Select(i, Box::new(Lexp::Var(v)));
                     let field_lty = match self.interner.kind(tup_lty).clone() {
                         LtyKind::Record(fl) => fl[i],
@@ -1056,47 +1126,35 @@ impl Translator<'_> {
                 }
                 (out, Some((v, tup)))
             }
-            _ => panic!("primitive applied to non-tuple of type {}", a.ty.zonk()),
+            _ => panic!(
+                "primitive applied to non-tuple of type {}",
+                self.tys.show(a.ty)
+            ),
         }
     }
 
     /// A primitive used as a first-class value: eta-expand to a function.
-    fn eta_prim(&mut self, prim: Prim, inst: &[Ty], ty: &Ty) -> Lexp {
-        let Ty::Arrow(argt, rest) = ty.zonk() else {
+    fn eta_prim(&mut self, prim: Prim, inst: &[Ty], ty: Ty) -> Lexp {
+        let TyKind::Arrow(argt, rest) = self.tys.kind(ty) else {
             panic!("primitive at non-arrow type")
         };
         let x = self.vg.fresh();
-        let arg_lty = self.ltc(&argt);
-        // Build a synthetic application `prim x`.
-        let var_exp = TExp {
-            kind: TExpKind::Var {
-                access: Access::Var(self.pseudo_var()),
-                scheme: Scheme::mono((*argt).clone()),
-                inst: Vec::new(),
-            },
-            ty: (*argt).clone(),
-        };
-        // We cannot reuse tr_prim_app directly with a fake TExp var (it
-        // would need a VarId); instead inline the argument by
-        // constructing the call around Lexp::Var(x).
-        let res_lty = self.ltc(&rest);
-        let body = self.eta_prim_body(prim, inst, Lexp::Var(x), &argt, &rest);
-        let _ = var_exp;
+        let arg_lty = self.ltc(argt);
+        let res_lty = self.ltc(rest);
+        let body = self.eta_prim_body(prim, inst, Lexp::Var(x), argt, rest);
         Lexp::Fn(x, arg_lty, res_lty, Box::new(body))
     }
 
+    /// The body of an eta-expanded primitive applied to `arg`, of type
+    /// `arg_ty`.
     fn eta_prim_body(
         &mut self,
         prim: Prim,
         inst: &[Ty],
         arg: Lexp,
-        arg_ty: &Ty,
-        res_ty: &Ty,
+        arg_ty: Ty,
+        res_ty: Ty,
     ) -> Lexp {
-        // Bind the argument to a pseudo TExp by translating through a
-        // wrapper: reuse tr_prim_app by substituting a `Let`-bound
-        // variable. The simplest correct approach: build the call
-        // manually for the common shapes.
         let resolved = self.resolve_prim(prim, inst);
         let want_res = self.ltc(res_ty);
         match resolved {
@@ -1110,53 +1168,46 @@ impl Translator<'_> {
                 } else {
                     let v = self.vg.fresh();
                     let arg_lty = self.ltc(arg_ty);
-                    let Ty::Record(fs) = arg_ty.zonk() else {
+                    let TyKind::Record(fs) = self.tys.kind(arg_ty) else {
                         panic!("tupled primitive at non-record type")
                     };
                     let mut args = Vec::new();
-                    for (i, (_, fty)) in fs.iter().enumerate() {
+                    for (i, &(_, fty)) in fs.iter().enumerate() {
                         let sel = Lexp::Select(i, Box::new(Lexp::Var(v)));
                         let field_lty = match self.interner.kind(arg_lty).clone() {
                             LtyKind::Record(fl) => fl[i],
                             _ => self.interner.rboxed(),
                         };
-                        let want_i = self.ltc(fty);
-                        let _ = want_i;
+                        // Translated for its interning only: the field is
+                        // coerced to the primitive's own argument type.
+                        self.ltc(fty);
                         args.push(self.coerce(sel, field_lty, want[i]));
                     }
                     Lexp::Let(v, Box::new(arg), Box::new(Lexp::PrimApp(op, args)))
                 };
                 self.coerce(call, res, want_res)
             }
-            // The checked/special primitives are eta-expanded by
-            // re-binding the argument and dispatching through a synthetic
-            // application; build a TExp-free version via a Let and the
-            // saturated translator on a variable reference is not
-            // available, so handle the few special cases directly.
+            // The checked and special primitives bind the argument to a
+            // variable and translate a saturated application of it: the
+            // pseudo variable one past the `VarTable` range stands for it,
+            // with a monomorphic scheme equal to its type, so the
+            // variable's coercion is the identity.
             _ => {
                 let v = self.vg.fresh();
-                let arg_lty = self.ltc(arg_ty);
+                self.ltc(arg_ty);
                 let fake = TExp {
                     kind: TExpKind::Var {
                         access: Access::Var(self.pseudo_var()),
-                        scheme: Scheme::mono(arg_ty.clone()),
+                        scheme: Scheme::mono(arg_ty),
                         inst: Vec::new(),
                     },
-                    ty: arg_ty.clone(),
+                    ty: arg_ty,
                 };
-                // Temporarily map the pseudo var to `v`.
                 self.map_var(self.pseudo_var(), v);
-                // The pseudo variable has a monomorphic scheme equal to
-                // its type, so `var_reps` sees from == to.
-                let call = self.tr_prim_app_on_var(prim, inst, &fake, res_ty);
-                let _ = arg_lty;
+                let call = self.tr_prim_app(prim, inst, &fake, res_ty);
                 Lexp::Let(v, Box::new(arg), Box::new(call))
             }
         }
-    }
-
-    fn tr_prim_app_on_var(&mut self, prim: Prim, inst: &[Ty], fake: &TExp, res_ty: &Ty) -> Lexp {
-        self.tr_prim_app(prim, inst, fake, res_ty)
     }
 }
 
@@ -1185,43 +1236,113 @@ enum ResolvedPrim {
     Throw,
 }
 
-#[derive(PartialEq, Eq, Hash)]
-enum VarKey {
-    Unbound(u32),
-    Gen(u32),
+/// `ltc`'s memo tables, dense by type handle: each resolved type's LTY
+/// for the whole translation, and per translated type, the LTY of each
+/// node and the variables found under a constructor. Every per-type
+/// entry carries the epoch of the type it belongs to. An LTY is stored
+/// as its handle plus one, so zero (a fresh, zeroed table) means none.
+struct LtcMemo {
+    /// False in [`InternMode::Structural`]: nothing is remembered.
+    on: bool,
+    root_lty: Vec<u32>,
+    root_calls: Vec<u64>,
+    epoch: u32,
+    node_epoch: Vec<u32>,
+    node_lty: Vec<u32>,
+    node_calls: Vec<u64>,
+    /// `mark_con_vars`' visits: `2 * epoch` for a node visited outside
+    /// every constructor, `2 * epoch + 1` for one visited under one.
+    visited: Vec<u32>,
+    /// Unbound variables marked, by variable index.
+    marked_vars: Vec<u32>,
+    /// Generic variables marked, by generic index.
+    marked_gens: Vec<u32>,
 }
 
-fn var_key(v: &sml_types::TvRef) -> VarKey {
-    match &*v.0.borrow() {
-        Tv::Unbound { id, .. } => VarKey::Unbound(*id),
-        Tv::Gen(i) => VarKey::Gen(*i),
-        Tv::Link(_) => unreachable!("head resolves links"),
+impl LtcMemo {
+    fn new(tys: &TyStore, on: bool) -> LtcMemo {
+        let n = tys.len();
+        LtcMemo {
+            on,
+            root_lty: vec![0; if on { n } else { 0 }],
+            root_calls: vec![0; if on { n } else { 0 }],
+            epoch: 0,
+            node_epoch: vec![0; n],
+            node_lty: vec![0; n],
+            node_calls: vec![0; n],
+            visited: vec![0; n],
+            marked_vars: vec![0; n],
+            marked_gens: Vec::new(),
+        }
     }
-}
 
-/// Marks type variables that appear anywhere under a (rigid or flexible)
-/// type constructor (paper Figure 6: such variables translate to
-/// `RBOXEDty` because datatype contents use standard representations).
-fn mark_con_vars(ty: &Ty, under_con: bool, marked: &mut FxHashSet<VarKey>) {
-    match &*ty.head() {
-        Ty::Var(v) => {
-            if under_con {
-                marked.insert(var_key(v));
-            }
+    /// The LTY of resolved type `h` and the `intern` calls it took.
+    fn root(&self, h: Ty) -> Option<(Lty, u64)> {
+        let l = *self.root_lty.get(h.index())?;
+        (l != 0).then(|| (Lty(l - 1), self.root_calls[h.index()]))
+    }
+
+    fn set_root(&mut self, h: Ty, lty: Lty, calls: u64) {
+        if self.on {
+            self.root_lty[h.index()] = lty.0 + 1;
+            self.root_calls[h.index()] = calls;
         }
-        Ty::Con(_, args) => {
-            for a in args.iter() {
-                mark_con_vars(a, true, marked);
-            }
+    }
+
+    /// Starts the translation of one type.
+    fn begin_type(&mut self) {
+        self.epoch += 1;
+    }
+
+    fn node(&self, h: Ty) -> Option<(Lty, u64)> {
+        let i = h.index();
+        (self.on && self.node_epoch[i] == self.epoch)
+            .then(|| (Lty(self.node_lty[i] - 1), self.node_calls[i]))
+    }
+
+    fn set_node(&mut self, h: Ty, lty: Lty, calls: u64) {
+        let i = h.index();
+        self.node_epoch[i] = self.epoch;
+        self.node_lty[i] = lty.0 + 1;
+        self.node_calls[i] = calls;
+    }
+
+    /// Records a visit of node `h` by `mark_con_vars`; false if the
+    /// current type already visited it as far under constructors.
+    fn visit(&mut self, h: Ty, under_con: bool) -> bool {
+        let want = 2 * self.epoch + u32::from(under_con);
+        let seen = &mut self.visited[h.index()];
+        if *seen >= want {
+            return false;
         }
-        Ty::Record(fs) => {
-            for (_, t) in fs.iter() {
-                mark_con_vars(t, under_con, marked);
+        *seen = want;
+        true
+    }
+
+    /// Marks a variable in state `tv` (index `var`) as found under a
+    /// constructor. Generic variables are marked by their index, so two
+    /// generic variables of one index are marked together.
+    fn mark_var(&mut self, tv: Tv, var: usize) {
+        match tv {
+            Tv::Unbound { .. } => self.marked_vars[var] = self.epoch,
+            Tv::Gen(i) => {
+                let i = i as usize;
+                if i >= self.marked_gens.len() {
+                    self.marked_gens.resize(i + 1, 0);
+                }
+                self.marked_gens[i] = self.epoch;
             }
+            Tv::Link(_) => unreachable!("head resolves links"),
         }
-        Ty::Arrow(a, b) => {
-            mark_con_vars(a, under_con, marked);
-            mark_con_vars(b, under_con, marked);
+    }
+
+    /// Whether [`LtcMemo::mark_var`] marked the variable in the current
+    /// type.
+    fn is_marked(&self, tv: Tv, var: usize) -> bool {
+        match tv {
+            Tv::Unbound { .. } => self.marked_vars[var] == self.epoch,
+            Tv::Gen(i) => self.marked_gens.get(i as usize) == Some(&self.epoch),
+            Tv::Link(_) => unreachable!("head resolves links"),
         }
     }
 }

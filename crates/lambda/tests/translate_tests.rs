@@ -449,3 +449,19 @@ fn dense_matches_emit_switch() {
         "dense constant match must compile to SwitchInt"
     );
 }
+
+#[test]
+fn a_deeply_shared_type_translates_in_its_shared_size() {
+    // `r70`'s type is a pair tower of 2^70 leaves as a tree and 70
+    // levels shared. Translation makes a few LTYs per level, and the
+    // interner's counts, which count a remembered translation's calls as
+    // a tree walk makes them, saturate instead of overflowing.
+    let mut src = String::from("fun p x = (x, x)\nval r0 = 1\n");
+    for i in 1..=70 {
+        src += &format!("val r{i} = p r{}\n", i - 1);
+    }
+    check_all(&src);
+    let s = trans(&src, &LambdaConfig::default()).interner.stats();
+    assert!(s.interned < 1_000, "{s:?}");
+    assert_eq!((s.intern_calls, s.hashcons_hits), (u64::MAX, u64::MAX));
+}

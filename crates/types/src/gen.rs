@@ -1,64 +1,55 @@
-//! Let-generalization and anti-unification (least common generalization).
+//! Let-generalization and anti-unification (least common generalization),
+//! over the [`TyStore`].
 //!
-//! Generalization marks unification cells [`Tv::Gen`] *in place*, so every
-//! annotation sharing the cell observes the change. Anti-unification is
-//! the core of the minimum-typing-derivations pass (paper §3, after
-//! Bjørner): given all actual instantiations of a let-bound variable, it
-//! computes the least general type scheme that generalizes them all.
+//! Generalization marks variables [`Tv::Gen`] *in place*, so every type
+//! sharing the variable observes the change; its walk visits a shared
+//! node once, by the store's visit marks. Anti-unification is the core
+//! of the minimum-typing-derivations pass (paper §3, after Bjørner):
+//! given all actual instantiations of a let-bound variable, it computes
+//! the least general type scheme that generalizes them all. A column of
+//! uses that are all one handle is its own generalization, and a column
+//! of distinct structured types is generalized once per anti-unifier,
+//! so shared subtrees cost their shared size.
 
-use crate::ty::{Scheme, Tv, TvRef, Ty};
+use crate::ty::{Generic, Scheme, Tv, TvId, Ty, TyKind, TyStore};
+use sml_ast::FxHashMap;
 
-/// Generalizes `ty` at `level`: every unbound variable bound strictly
-/// deeper than `level` becomes a generic variable of the returned scheme.
-///
-/// The marking happens in place, so other types sharing those cells (the
-/// body of the declaration being generalized) see generic variables too.
-pub fn generalize(ty: &Ty, level: u32) -> Scheme {
-    generalize_many(std::slice::from_ref(ty), level)
-        .pop()
-        .expect("one scheme per type")
-}
-
-/// Generalizes a group of mutually recursive binding types together: all
-/// generalized cells share a single index space, and every returned scheme
-/// carries the full cell vector (so mutually recursive functions agree on
-/// instantiation-vector layout).
-pub fn generalize_many(tys: &[Ty], level: u32) -> Vec<Scheme> {
-    let mut eq_flags = Vec::new();
-    let mut cells = Vec::new();
-    for ty in tys {
-        go(ty, level, &mut eq_flags, &mut cells);
+impl TyStore {
+    /// Generalizes `ty` at `level`: every unbound variable bound strictly
+    /// deeper than `level` becomes a generic variable of the returned
+    /// scheme.
+    ///
+    /// The marking happens in place, so other types sharing those
+    /// variables (the body of the declaration being generalized) see
+    /// generic variables too.
+    pub fn generalize(&mut self, ty: Ty, level: u32) -> Scheme {
+        self.generalize_many(&[ty], level)
+            .pop()
+            .expect("one scheme per type")
     }
-    tys.iter()
-        .map(|ty| Scheme {
-            arity: cells.len(),
-            eq_flags: eq_flags.clone(),
-            cells: cells.clone(),
-            body: ty.clone(),
-        })
-        .collect()
-}
 
-fn go(ty: &Ty, level: u32, eq_flags: &mut Vec<bool>, cells: &mut Vec<TvRef>) {
-    match &*ty.head() {
-        Ty::Var(v) => {
-            let mut cell = v.0.borrow_mut();
-            if let Tv::Unbound { level: vl, eq, .. } = &*cell {
-                if *vl > level {
-                    let idx = eq_flags.len() as u32;
-                    eq_flags.push(*eq);
-                    *cell = Tv::Gen(idx);
-                    drop(cell);
-                    cells.push(v.clone());
+    /// Generalizes a group of mutually recursive binding types together:
+    /// all generalized variables share a single index space, and every
+    /// returned scheme carries all of them (so mutually recursive
+    /// functions agree on instantiation-vector layout).
+    pub fn generalize_many(&mut self, tys: &[Ty], level: u32) -> Vec<Scheme> {
+        let mut generics = Vec::new();
+        let epoch = self.next_epoch();
+        for &ty in tys {
+            self.walk_from(ty, epoch, &mut |s, n| {
+                if let TyKind::Var(v) = s.kind(n) {
+                    if let Tv::Unbound { level: vl, eq } = s.tv(v) {
+                        if vl > level {
+                            s.set_tv(v, Tv::Gen(generics.len() as u32));
+                            generics.push(Generic { cell: v, eq });
+                        }
+                    }
                 }
-            }
+                true
+            });
         }
-        Ty::Con(_, args) => args.iter().for_each(|a| go(a, level, eq_flags, cells)),
-        Ty::Record(fs) => fs.iter().for_each(|(_, a)| go(a, level, eq_flags, cells)),
-        Ty::Arrow(a, b) => {
-            go(a, level, eq_flags, cells);
-            go(b, level, eq_flags, cells);
-        }
+        let first = Scheme::poly(tys.first().copied().unwrap_or(Ty::UNIT), generics);
+        tys.iter().map(|&ty| first.with_body(ty)).collect()
     }
 }
 
@@ -66,11 +57,9 @@ fn go(ty: &Ty, level: u32, eq_flags: &mut Vec<bool>, cells: &mut Vec<TvRef>) {
 #[derive(Clone, Debug)]
 pub struct Disagreement {
     /// The fresh variable standing for this position in the LCG.
-    pub var: TvRef,
+    pub var: TvId,
     /// The concrete type at this position in each use, in use order.
     pub uses: Vec<Ty>,
-    /// Whether the variable needs the equality attribute.
-    pub eq: bool,
 }
 
 /// Computes least common generalizations over a fixed set of "uses".
@@ -82,6 +71,9 @@ pub struct Disagreement {
 pub struct AntiUnifier {
     level: u32,
     entries: Vec<Disagreement>,
+    /// The generalization of each column of structured heads already
+    /// taken on.
+    memo: FxHashMap<Vec<Ty>, Ty>,
 }
 
 impl AntiUnifier {
@@ -90,104 +82,101 @@ impl AntiUnifier {
         AntiUnifier {
             level,
             entries: Vec::new(),
+            memo: FxHashMap::default(),
         }
     }
 
     /// The least common generalization of `uses` (which must be
-    /// non-empty).
+    /// non-empty), with its types in `store`.
     ///
     /// # Panics
     ///
     /// Panics if `uses` is empty.
-    pub fn lcg(&mut self, uses: &[Ty]) -> Ty {
+    pub fn lcg(&mut self, store: &mut TyStore, uses: &[Ty]) -> Ty {
         assert!(!uses.is_empty(), "lcg of zero uses");
-        let heads: Vec<Ty> = uses.iter().map(|u| u.head().into_owned()).collect();
-        match &heads[0] {
-            Ty::Con(c0, args0) => {
-                let all_same = heads.iter().all(
-                    |h| matches!(h, Ty::Con(c, args) if c.stamp == c0.stamp && args.len() == args0.len()),
-                );
-                if all_same {
-                    let args = (0..args0.len())
-                        .map(|i| {
-                            let col: Vec<Ty> = heads
-                                .iter()
-                                .map(|h| match h {
-                                    Ty::Con(_, a) => a[i].clone(),
-                                    _ => unreachable!(),
-                                })
-                                .collect();
-                            self.lcg(&col)
-                        })
-                        .collect();
-                    return Ty::Con(c0.clone(), args);
-                }
-            }
-            Ty::Record(fs0) => {
-                let all_same = heads.iter().all(|h| {
-                    matches!(h, Ty::Record(fs) if fs.len() == fs0.len()
-                        && fs.iter().zip(fs0.iter()).all(|((l, _), (l0, _))| l == l0))
-                });
-                if all_same {
-                    let fields = (0..fs0.len())
-                        .map(|i| {
-                            let col: Vec<Ty> = heads
-                                .iter()
-                                .map(|h| match h {
-                                    Ty::Record(fs) => fs[i].1.clone(),
-                                    _ => unreachable!(),
-                                })
-                                .collect();
-                            (fs0[i].0, self.lcg(&col))
-                        })
-                        .collect();
-                    return Ty::Record(fields);
-                }
-            }
-            Ty::Arrow(..) => {
-                if heads.iter().all(|h| matches!(h, Ty::Arrow(..))) {
-                    let doms: Vec<Ty> = heads
-                        .iter()
-                        .map(|h| match h {
-                            Ty::Arrow(a, _) => (**a).clone(),
-                            _ => unreachable!(),
-                        })
-                        .collect();
-                    let rans: Vec<Ty> = heads
-                        .iter()
-                        .map(|h| match h {
-                            Ty::Arrow(_, b) => (**b).clone(),
-                            _ => unreachable!(),
-                        })
-                        .collect();
-                    return Ty::arrow(self.lcg(&doms), self.lcg(&rans));
-                }
-            }
-            Ty::Var(v0) => {
-                // All the same variable cell: keep it.
-                if heads.iter().all(|h| matches!(h, Ty::Var(v) if v.same(v0))) {
-                    return Ty::Var(v0.clone());
-                }
-            }
+        let heads: Vec<Ty> = uses.iter().map(|&u| store.head(u)).collect();
+        let h0 = heads[0];
+        // One type at every use generalizes to itself, variables and all.
+        if heads.iter().all(|&h| h == h0) {
+            return h0;
         }
-        self.disagree(&heads)
+        if let Some(&t) = self.memo.get(&heads) {
+            return t;
+        }
+        let out = match store.kind(h0) {
+            TyKind::Con(c0, args0) => {
+                let n = args0.len();
+                let all_same = heads.iter().all(
+                    |&h| matches!(store.kind(h), TyKind::Con(c, args) if c.stamp == c0.stamp && args.len() == n),
+                );
+                all_same.then(|| {
+                    let args: Vec<Ty> = (0..n)
+                        .map(|i| {
+                            let col = column(store, &heads, i);
+                            self.lcg(store, &col)
+                        })
+                        .collect();
+                    store.con(c0, &args)
+                })
+            }
+            TyKind::Record(fs0) => {
+                let labels: Vec<_> = fs0.iter().map(|(l, _)| *l).collect();
+                let all_same = heads.iter().all(|&h| {
+                    matches!(store.kind(h), TyKind::Record(fs) if fs.len() == labels.len()
+                        && fs.iter().zip(&labels).all(|((l, _), l0)| l == l0))
+                });
+                all_same.then(|| {
+                    let fields: Vec<_> = labels
+                        .iter()
+                        .enumerate()
+                        .map(|(i, l)| {
+                            let col = column(store, &heads, i);
+                            (*l, self.lcg(store, &col))
+                        })
+                        .collect();
+                    store.record(fields)
+                })
+            }
+            TyKind::Arrow(..) => {
+                let all_same = heads
+                    .iter()
+                    .all(|&h| matches!(store.kind(h), TyKind::Arrow(..)));
+                all_same.then(|| {
+                    let doms = column(store, &heads, 0);
+                    let rans = column(store, &heads, 1);
+                    let d = self.lcg(store, &doms);
+                    let r = self.lcg(store, &rans);
+                    store.arrow(d, r)
+                })
+            }
+            // Distinct heads, so not one variable at every use.
+            TyKind::Var(_) => None,
+        };
+        match out {
+            Some(t) => {
+                self.memo.insert(heads, t);
+                t
+            }
+            None => self.disagree(store, heads),
+        }
     }
 
-    fn disagree(&mut self, heads: &[Ty]) -> Ty {
-        let keys: Vec<String> = heads.iter().map(|h| format!("{:?}", h.zonk())).collect();
+    fn disagree(&mut self, store: &mut TyStore, heads: Vec<Ty>) -> Ty {
         for e in &self.entries {
-            let ekeys: Vec<String> = e.uses.iter().map(|u| format!("{:?}", u.zonk())).collect();
-            if ekeys == keys {
-                return Ty::Var(e.var.clone());
+            if e.uses
+                .iter()
+                .zip(&heads)
+                .all(|(&u, &h)| store.same_shape(u, h))
+            {
+                return store.var_ty(e.var);
             }
         }
-        let var = TvRef::fresh(self.level);
-        self.entries.push(Disagreement {
-            var: var.clone(),
-            uses: heads.to_vec(),
+        let var = store.new_tv(Tv::Unbound {
+            level: self.level,
             eq: false,
         });
-        Ty::Var(var)
+        self.entries.push(Disagreement { var, uses: heads });
+        store.var_ty(var)
     }
 
     /// The discovered disagreement positions, in first-encounter order.
@@ -201,54 +190,87 @@ impl AntiUnifier {
     }
 }
 
+/// Child `i` of each structured head, in use order.
+fn column(store: &TyStore, heads: &[Ty], i: usize) -> Vec<Ty> {
+    heads
+        .iter()
+        .map(|&h| match store.kind(h) {
+            TyKind::Con(_, args) => args[i],
+            TyKind::Record(fs) => fs[i].1,
+            TyKind::Arrow(a, b) => [a, b][i],
+            TyKind::Var(_) => unreachable!("a column of structured heads"),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::TyconRegistry;
-    use crate::unify::unify;
 
     #[test]
     fn generalize_marks_in_place() {
-        let v = TvRef::fresh(5);
-        let t = Ty::arrow(Ty::Var(v.clone()), Ty::Var(v.clone()));
-        let s = generalize(&t, 0);
-        assert_eq!(s.arity, 1);
-        assert!(matches!(*v.0.borrow(), Tv::Gen(0)));
-        // The body shares the marked cells.
-        assert_eq!(s.body.to_string(), "'a -> 'a");
+        let mut s = TyStore::new();
+        let a = s.fresh_var(5);
+        let v = s.head_var(a).unwrap();
+        let t = s.arrow(a, a);
+        let sc = s.generalize(t, 0);
+        assert_eq!(sc.arity(), 1);
+        assert_eq!(s.tv(v), Tv::Gen(0));
+        // The body shares the marked variables.
+        assert_eq!(s.show(sc.body).to_string(), "'a -> 'a");
     }
 
     #[test]
     fn generalize_respects_level() {
-        let shallow = TvRef::fresh(1);
-        let deep = TvRef::fresh(3);
-        let t = Ty::pair(Ty::Var(shallow.clone()), Ty::Var(deep));
-        let s = generalize(&t, 1);
-        assert_eq!(s.arity, 1, "only the deeper variable generalizes");
-        assert!(matches!(*shallow.0.borrow(), Tv::Unbound { .. }));
+        let mut s = TyStore::new();
+        let shallow = s.fresh_var(1);
+        let deep = s.fresh_var(3);
+        let t = s.pair(shallow, deep);
+        let sc = s.generalize(t, 1);
+        assert_eq!(sc.arity(), 1, "only the deeper variable generalizes");
+        assert!(matches!(
+            s.tv(s.head_var(shallow).unwrap()),
+            Tv::Unbound { .. }
+        ));
     }
 
     #[test]
     fn generalize_keeps_eq_flags() {
-        let v = TvRef::fresh_eq(5, true);
-        let t = Ty::Var(v);
-        let s = generalize(&t, 0);
-        assert_eq!(s.eq_flags, vec![true]);
+        let mut s = TyStore::new();
+        let t = s.fresh_var_eq(5, true);
+        let sc = s.generalize(t, 0);
+        assert!(sc.generics()[0].eq);
+    }
+
+    #[test]
+    fn generalize_many_shares_one_index_space() {
+        let mut s = TyStore::new();
+        let (a, b) = (s.fresh_var(2), s.fresh_var(2));
+        let f = s.arrow(a, b);
+        let g = s.arrow(b, a);
+        let schemes = s.generalize_many(&[f, g], 1);
+        assert_eq!(schemes.len(), 2);
+        assert_eq!(schemes[1].generics(), schemes[0].generics());
+        assert_eq!(s.show(schemes[1].body).to_string(), "'b -> 'a");
     }
 
     #[test]
     fn lcg_identical_types() {
+        let mut s = TyStore::new();
         let mut au = AntiUnifier::new(0);
-        let t = au.lcg(&[Ty::int(), Ty::int()]);
-        assert_eq!(t.to_string(), "int");
+        let t = au.lcg(&mut s, &[Ty::INT, Ty::INT]);
+        assert_eq!(s.show(t).to_string(), "int");
         assert!(au.disagreements().is_empty());
     }
 
     #[test]
     fn lcg_disagreement_becomes_var() {
+        let mut s = TyStore::new();
+        let (li, lr) = (s.list(Ty::INT), s.list(Ty::REAL));
         let mut au = AntiUnifier::new(0);
-        let t = au.lcg(&[Ty::list(Ty::int()), Ty::list(Ty::real())]);
-        assert!(matches!(&*t.head(), Ty::Con(c, _) if c.name.as_str() == "list"));
+        let t = au.lcg(&mut s, &[li, lr]);
+        assert!(matches!(s.kind(t), TyKind::Con(c, _) if c.name.as_str() == "list"));
         assert_eq!(au.disagreements().len(), 1);
     }
 
@@ -256,17 +278,14 @@ mod tests {
     fn lcg_shares_consistent_disagreements() {
         // (int * int) vs (real * real): both positions disagree the same
         // way, so the LCG is 'a * 'a, not 'a * 'b.
+        let mut s = TyStore::new();
+        let ii = s.pair(Ty::INT, Ty::INT);
+        let rr = s.pair(Ty::REAL, Ty::REAL);
         let mut au = AntiUnifier::new(0);
-        let t = au.lcg(&[
-            Ty::pair(Ty::int(), Ty::int()),
-            Ty::pair(Ty::real(), Ty::real()),
-        ]);
+        let t = au.lcg(&mut s, &[ii, rr]);
         assert_eq!(au.disagreements().len(), 1);
-        match &*t.head() {
-            Ty::Record(fs) => match (&*fs[0].1.head(), &*fs[1].1.head()) {
-                (Ty::Var(a), Ty::Var(b)) => assert!(a.same(b)),
-                _ => panic!("expected shared var"),
-            },
+        match s.kind(t) {
+            TyKind::Record(fs) => assert_eq!(s.head(fs[0].1), s.head(fs[1].1)),
             _ => panic!("expected record"),
         }
     }
@@ -274,40 +293,59 @@ mod tests {
     #[test]
     fn lcg_distinct_disagreements() {
         // (int * real) vs (real * int) yields 'a * 'b.
+        let mut s = TyStore::new();
+        let ir = s.pair(Ty::INT, Ty::REAL);
+        let ri = s.pair(Ty::REAL, Ty::INT);
         let mut au = AntiUnifier::new(0);
-        let _ = au.lcg(&[
-            Ty::pair(Ty::int(), Ty::real()),
-            Ty::pair(Ty::real(), Ty::int()),
-        ]);
+        let _ = au.lcg(&mut s, &[ir, ri]);
         assert_eq!(au.disagreements().len(), 2);
     }
 
     #[test]
     fn lcg_single_use_is_identity() {
         // With one use, MTD degenerates to "assign exactly the use type".
+        let mut s = TyStore::new();
+        let f = s.arrow(Ty::REAL, Ty::BOOL);
         let mut au = AntiUnifier::new(0);
-        let t = au.lcg(&[Ty::arrow(Ty::real(), Ty::bool())]);
-        assert_eq!(t.to_string(), "real -> bool");
+        let t = au.lcg(&mut s, &[f]);
+        assert_eq!(s.show(t).to_string(), "real -> bool");
         assert!(au.disagreements().is_empty());
+    }
+
+    #[test]
+    fn lcg_takes_a_shared_column_once() {
+        // Two 60-level pair towers over int and real: one disagreement,
+        // and the generalization is a tower of 60 new pairs, not 2^60.
+        let mut s = TyStore::new();
+        let (mut a, mut b) = (Ty::INT, Ty::REAL);
+        for _ in 0..60 {
+            a = s.pair(a, a);
+            b = s.pair(b, b);
+        }
+        let before = s.len();
+        let mut au = AntiUnifier::new(0);
+        let _ = au.lcg(&mut s, &[a, b]);
+        assert_eq!(au.disagreements().len(), 1);
+        assert_eq!(s.len(), before + 61, "one variable and 60 pairs");
     }
 
     #[test]
     fn lcg_generalizes_each_use() {
         // Property: the LCG unifies with (a fresh copy of) each use.
-        let reg = TyconRegistry::with_builtins();
-        let uses = vec![
-            Ty::list(Ty::pair(Ty::int(), Ty::real())),
-            Ty::list(Ty::pair(Ty::bool(), Ty::real())),
-        ];
+        let mut s = TyStore::new();
+        let reg = TyconRegistry::with_builtins(&mut s);
+        let ir = s.pair(Ty::INT, Ty::REAL);
+        let br = s.pair(Ty::BOOL, Ty::REAL);
+        let uses = vec![s.list(ir), s.list(br)];
         let mut au = AntiUnifier::new(1);
-        let lcg = au.lcg(&uses);
+        let lcg = au.lcg(&mut s, &uses);
         // lcg = ('a * real) list; generalize the disagreement var and
         // instantiate a fresh copy per use so the unifications don't
         // interfere.
-        let s = generalize(&lcg, 0);
-        for u in &uses {
-            let (copy, _) = s.instantiate(1);
-            unify(&reg, &copy, u).expect("LCG generalizes each use");
+        let sc = s.generalize(lcg, 0);
+        for &u in &uses {
+            let (copy, _) = s.instantiate(&sc, 1);
+            s.unify(&reg, copy, u).expect("LCG generalizes each use");
         }
     }
 }

@@ -7,13 +7,13 @@
 //! certainly boxed, it is represented *transparently* (no tag record);
 //! otherwise value-carrying constructors become `[tag, value]` records.
 
-use crate::ty::{Stamp, Tv, TvRef, Ty, Tycon, TyconKind};
+use crate::ty::{EqProp, Stamp, Tv, TvId, Ty, TyKind, TyStore, Tycon, TyconKind};
 use sml_ast::FxHashMap;
 use sml_ast::Symbol;
 
 /// One datatype in a `register_batch` call: the type constructor,
 /// its bound variables, and its `(constructor, payload)` list.
-pub type DatatypeBatchItem = (Tycon, Vec<TvRef>, Vec<(Symbol, Option<Ty>)>);
+pub type DatatypeBatchItem = (Tycon, Vec<TvId>, Vec<(Symbol, Option<Ty>)>);
 
 /// Runtime representation of a data constructor.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -54,8 +54,8 @@ pub struct ConDef {
 pub struct DatatypeDef {
     /// The datatype's tycon (kind [`TyconKind::Data`]).
     pub tycon: Tycon,
-    /// Generic parameter cells, marked [`Tv::Gen`]`(0..arity)`.
-    pub params: Vec<TvRef>,
+    /// Generic parameter variables, marked [`Tv::Gen`]`(0..arity)`.
+    pub params: Vec<TvId>,
     /// The constructors in declaration order.
     pub cons: Vec<ConDef>,
     /// Whether the datatype admits equality when its arguments do.
@@ -65,11 +65,11 @@ pub struct DatatypeDef {
 /// True if every value of `ty` is certainly a heap pointer, so a
 /// transparent constructor representation can be distinguished from
 /// constant constructors by a boxity test.
-pub fn certainly_boxed(ty: &Ty) -> bool {
-    match &*ty.head() {
-        Ty::Record(fs) => !fs.is_empty(),
-        Ty::Arrow(..) => true,
-        Ty::Con(c, _) => matches!(
+pub fn certainly_boxed(store: &TyStore, ty: Ty) -> bool {
+    match store.kind(ty) {
+        TyKind::Record(fs) => !fs.is_empty(),
+        TyKind::Arrow(..) => true,
+        TyKind::Con(c, _) => matches!(
             c.kind,
             TyconKind::String
                 | TyconKind::Ref
@@ -77,19 +77,19 @@ pub fn certainly_boxed(ty: &Ty) -> bool {
                 | TyconKind::Real
                 | TyconKind::Exn
         ),
-        Ty::Var(_) => false,
+        TyKind::Var(_) => false,
     }
 }
 
 /// Assigns [`ConRep`]s to a list of `(name, payload)` constructor
 /// declarations.
-pub fn assign_reps(cons: &[(Symbol, Option<Ty>)]) -> Vec<ConDef> {
+pub fn assign_reps(store: &TyStore, cons: &[(Symbol, Option<Ty>)]) -> Vec<ConDef> {
     let n_carrying = cons.iter().filter(|(_, p)| p.is_some()).count();
     let single_transparent = n_carrying == 1
         && cons
             .iter()
-            .filter_map(|(_, p)| p.as_ref())
-            .all(certainly_boxed);
+            .filter_map(|(_, p)| *p)
+            .all(|p| certainly_boxed(store, p));
     let mut const_idx = 0;
     let mut tag_idx = 0;
     cons.iter()
@@ -110,7 +110,7 @@ pub fn assign_reps(cons: &[(Symbol, Option<Ty>)]) -> Vec<ConDef> {
             };
             ConDef {
                 name: *name,
-                payload: payload.clone(),
+                payload: *payload,
                 rep,
                 index,
             }
@@ -131,65 +131,77 @@ impl TyconRegistry {
     }
 
     /// A registry pre-populated with `bool`, `'a list`, `'a option`, and
-    /// `order`.
-    pub fn with_builtins() -> TyconRegistry {
+    /// `order`, their types made in `store`.
+    pub fn with_builtins(store: &mut TyStore) -> TyconRegistry {
         let mut reg = TyconRegistry::new();
 
         // datatype bool = false | true  (false = 0, true = 1)
-        reg.register_batch(vec![(
-            Tycon::bool(),
-            Vec::new(),
-            vec![
-                (Symbol::intern("false"), None),
-                (Symbol::intern("true"), None),
-            ],
-        )]);
+        reg.register_batch(
+            store,
+            vec![(
+                Tycon::bool(),
+                Vec::new(),
+                vec![
+                    (Symbol::intern("false"), None),
+                    (Symbol::intern("true"), None),
+                ],
+            )],
+        );
 
         // datatype 'a list = nil | :: of 'a * 'a list
-        let p = TvRef::fresh(0);
-        *p.0.borrow_mut() = Tv::Gen(0);
-        let elem = Ty::Var(p.clone());
-        let payload = Ty::pair(elem.clone(), Ty::list(elem));
-        reg.register_batch(vec![(
-            Tycon::list(),
-            vec![p],
-            vec![
-                (Symbol::intern("nil"), None),
-                (Symbol::intern("::"), Some(payload)),
-            ],
-        )]);
+        let p = store.new_tv(Tv::Gen(0));
+        let elem = store.var_ty(p);
+        let list = store.list(elem);
+        let payload = store.pair(elem, list);
+        reg.register_batch(
+            store,
+            vec![(
+                Tycon::list(),
+                vec![p],
+                vec![
+                    (Symbol::intern("nil"), None),
+                    (Symbol::intern("::"), Some(payload)),
+                ],
+            )],
+        );
 
         // datatype 'a option = NONE | SOME of 'a
-        let p = TvRef::fresh(0);
-        *p.0.borrow_mut() = Tv::Gen(0);
-        let elem = Ty::Var(p.clone());
-        reg.register_batch(vec![(
-            Tycon::option(),
-            vec![p],
-            vec![
-                (Symbol::intern("NONE"), None),
-                (Symbol::intern("SOME"), Some(elem)),
-            ],
-        )]);
+        let p = store.new_tv(Tv::Gen(0));
+        let elem = store.var_ty(p);
+        reg.register_batch(
+            store,
+            vec![(
+                Tycon::option(),
+                vec![p],
+                vec![
+                    (Symbol::intern("NONE"), None),
+                    (Symbol::intern("SOME"), Some(elem)),
+                ],
+            )],
+        );
 
         // datatype order = LESS | EQUAL | GREATER
-        reg.register_batch(vec![(
-            Tycon::order(),
-            Vec::new(),
-            vec![
-                (Symbol::intern("LESS"), None),
-                (Symbol::intern("EQUAL"), None),
-                (Symbol::intern("GREATER"), None),
-            ],
-        )]);
+        reg.register_batch(
+            store,
+            vec![(
+                Tycon::order(),
+                Vec::new(),
+                vec![
+                    (Symbol::intern("LESS"), None),
+                    (Symbol::intern("EQUAL"), None),
+                    (Symbol::intern("GREATER"), None),
+                ],
+            )],
+        );
 
         reg
     }
 
     /// Registers a (possibly mutually recursive) batch of datatypes,
-    /// assigning constructor representations and computing equality
-    /// admission by fixpoint over the batch.
-    pub fn register_batch(&mut self, batch: Vec<DatatypeBatchItem>) {
+    /// whose payload types are in `store`, assigning constructor
+    /// representations and computing equality admission by fixpoint over
+    /// the batch.
+    pub fn register_batch(&mut self, store: &mut TyStore, batch: Vec<DatatypeBatchItem>) {
         let stamps: Vec<Stamp> = batch.iter().map(|(t, _, _)| t.stamp).collect();
         // Optimistically assume every member admits equality, then iterate.
         let mut admits: FxHashMap<Stamp, bool> = stamps.iter().map(|s| (*s, true)).collect();
@@ -199,10 +211,9 @@ impl TyconRegistry {
                 if !admits[&tycon.stamp] {
                     continue;
                 }
-                let ok = cons.iter().all(|(_, p)| {
-                    p.as_ref()
-                        .is_none_or(|t| self.payload_admits_eq(t, &admits))
-                });
+                let ok = cons
+                    .iter()
+                    .all(|(_, p)| p.is_none_or(|t| self.payload_admits_eq(store, t, &admits)));
                 if !ok {
                     admits.insert(tycon.stamp, false);
                     changed = true;
@@ -213,7 +224,7 @@ impl TyconRegistry {
             }
         }
         for (tycon, params, cons) in batch {
-            let defs = assign_reps(&cons);
+            let defs = assign_reps(store, &cons);
             let admits_eq = admits[&tycon.stamp];
             self.map.insert(
                 tycon.stamp,
@@ -229,27 +240,34 @@ impl TyconRegistry {
 
     /// Equality admission for a payload type, assuming generic parameters
     /// admit equality and using `pending` for members of the current batch.
-    fn payload_admits_eq(&self, t: &Ty, pending: &FxHashMap<Stamp, bool>) -> bool {
-        match &*t.head() {
-            Ty::Var(_) => true, // parameters assumed eq
-            Ty::Record(fs) => fs.iter().all(|(_, t)| self.payload_admits_eq(t, pending)),
-            Ty::Arrow(..) => false,
-            Ty::Con(c, args) => match c.eq {
-                crate::ty::EqProp::Never => false,
-                crate::ty::EqProp::Always => true,
-                crate::ty::EqProp::IfArgs => {
-                    let self_ok = if c.kind == TyconKind::Data {
-                        pending
-                            .get(&c.stamp)
-                            .copied()
-                            .unwrap_or_else(|| self.datatype_admits_eq(c.stamp))
-                    } else {
-                        true
-                    };
-                    self_ok && args.iter().all(|a| self.payload_admits_eq(a, pending))
-                }
-            },
-        }
+    fn payload_admits_eq(
+        &self,
+        store: &mut TyStore,
+        t: Ty,
+        pending: &FxHashMap<Stamp, bool>,
+    ) -> bool {
+        let mut ok = true;
+        store.walk(t, &mut |s, n| {
+            ok &= match s.kind(n) {
+                // Parameters are assumed to admit equality.
+                TyKind::Var(_) | TyKind::Record(_) => true,
+                TyKind::Arrow(..) => false,
+                TyKind::Con(c, _) => match c.eq {
+                    EqProp::Never => false,
+                    // Arguments need not admit equality.
+                    EqProp::Always => return false,
+                    EqProp::IfArgs => {
+                        c.kind != TyconKind::Data
+                            || pending
+                                .get(&c.stamp)
+                                .copied()
+                                .unwrap_or_else(|| self.datatype_admits_eq(c.stamp))
+                    }
+                },
+            };
+            ok
+        });
+        ok
     }
 
     /// Looks up a datatype by stamp.
@@ -273,9 +291,15 @@ impl TyconRegistry {
 mod tests {
     use super::*;
 
+    fn builtins() -> (TyStore, TyconRegistry) {
+        let mut s = TyStore::new();
+        let r = TyconRegistry::with_builtins(&mut s);
+        (s, r)
+    }
+
     #[test]
     fn builtin_list_reps() {
-        let reg = TyconRegistry::with_builtins();
+        let (_, reg) = builtins();
         let list = reg.datatype(Tycon::list().stamp).unwrap();
         assert_eq!(list.cons[0].rep, ConRep::Constant(0), "nil");
         assert_eq!(
@@ -288,7 +312,7 @@ mod tests {
 
     #[test]
     fn builtin_bool_reps() {
-        let reg = TyconRegistry::with_builtins();
+        let (_, reg) = builtins();
         let b = reg.datatype(Tycon::bool().stamp).unwrap();
         assert_eq!(b.cons[0].name.as_str(), "false");
         assert_eq!(b.cons[0].rep, ConRep::Constant(0));
@@ -299,19 +323,20 @@ mod tests {
     fn option_is_tagged() {
         // SOME's payload ('a) is not certainly boxed, so it gets a tag
         // record.
-        let reg = TyconRegistry::with_builtins();
+        let (_, reg) = builtins();
         let o = reg.datatype(Tycon::option().stamp).unwrap();
         assert_eq!(o.cons[1].rep, ConRep::Tagged(0));
     }
 
     #[test]
     fn multiple_carrying_cons_are_tagged() {
+        let mut s = TyStore::new();
         let cons = vec![
-            (Symbol::intern("A"), Some(Ty::pair(Ty::int(), Ty::int()))),
-            (Symbol::intern("B"), Some(Ty::pair(Ty::real(), Ty::real()))),
+            (Symbol::intern("A"), Some(s.pair(Ty::INT, Ty::INT))),
+            (Symbol::intern("B"), Some(s.pair(Ty::REAL, Ty::REAL))),
             (Symbol::intern("C"), None),
         ];
-        let defs = assign_reps(&cons);
+        let defs = assign_reps(&s, &cons);
         assert_eq!(defs[0].rep, ConRep::Tagged(0));
         assert_eq!(defs[1].rep, ConRep::Tagged(1));
         assert_eq!(defs[2].rep, ConRep::Constant(0));
@@ -320,40 +345,54 @@ mod tests {
     #[test]
     fn eq_admission_fixpoint() {
         // datatype t = F of int -> int   does not admit equality.
-        let mut reg = TyconRegistry::with_builtins();
-        let tycon = Tycon::fresh_data(Symbol::intern("t"), 0, crate::ty::EqProp::IfArgs);
-        reg.register_batch(vec![(
-            tycon.clone(),
-            Vec::new(),
-            vec![(Symbol::intern("F"), Some(Ty::arrow(Ty::int(), Ty::int())))],
-        )]);
+        let (mut s, mut reg) = builtins();
+        let tycon = Tycon::fresh_data(Symbol::intern("t"), 0, EqProp::IfArgs);
+        let f = s.arrow(Ty::INT, Ty::INT);
+        reg.register_batch(
+            &mut s,
+            vec![(tycon, Vec::new(), vec![(Symbol::intern("F"), Some(f))])],
+        );
         assert!(!reg.datatype_admits_eq(tycon.stamp));
 
         // Recursive datatype over ints admits equality.
-        let t2 = Tycon::fresh_data(Symbol::intern("tree"), 0, crate::ty::EqProp::IfArgs);
-        let rec_ty = Ty::Con(t2.clone(), std::rc::Rc::new([]));
-        reg.register_batch(vec![(
-            t2.clone(),
-            Vec::new(),
-            vec![
-                (Symbol::intern("Leaf"), None),
-                (
-                    Symbol::intern("Node"),
-                    Some(Ty::pair(rec_ty.clone(), rec_ty)),
-                ),
-            ],
-        )]);
+        let t2 = Tycon::fresh_data(Symbol::intern("tree"), 0, EqProp::IfArgs);
+        let rec_ty = s.con(t2, &[]);
+        let node = s.pair(rec_ty, rec_ty);
+        reg.register_batch(
+            &mut s,
+            vec![(
+                t2,
+                Vec::new(),
+                vec![
+                    (Symbol::intern("Leaf"), None),
+                    (Symbol::intern("Node"), Some(node)),
+                ],
+            )],
+        );
         assert!(reg.datatype_admits_eq(t2.stamp));
+
+        // `ref` admits equality whatever it holds.
+        let t3 = Tycon::fresh_data(Symbol::intern("cell"), 0, EqProp::IfArgs);
+        let r = s.reference(f);
+        reg.register_batch(
+            &mut s,
+            vec![(t3, Vec::new(), vec![(Symbol::intern("C"), Some(r))])],
+        );
+        assert!(reg.datatype_admits_eq(t3.stamp));
     }
 
     #[test]
     fn certainly_boxed_cases() {
-        assert!(certainly_boxed(&Ty::pair(Ty::int(), Ty::int())));
-        assert!(certainly_boxed(&Ty::string()));
-        assert!(certainly_boxed(&Ty::real()));
-        assert!(certainly_boxed(&Ty::arrow(Ty::int(), Ty::int())));
-        assert!(!certainly_boxed(&Ty::int()));
-        assert!(!certainly_boxed(&Ty::bool()));
-        assert!(!certainly_boxed(&Ty::Var(TvRef::fresh(0))));
+        let mut s = TyStore::new();
+        let p = s.pair(Ty::INT, Ty::INT);
+        let f = s.arrow(Ty::INT, Ty::INT);
+        let v = s.fresh_var(0);
+        assert!(certainly_boxed(&s, p));
+        assert!(certainly_boxed(&s, Ty::STRING));
+        assert!(certainly_boxed(&s, Ty::REAL));
+        assert!(certainly_boxed(&s, f));
+        assert!(!certainly_boxed(&s, Ty::INT));
+        assert!(!certainly_boxed(&s, Ty::BOOL));
+        assert!(!certainly_boxed(&s, v));
     }
 }

@@ -1,23 +1,37 @@
-//! Semantic types for the SML subset: type constructors, types with
-//! mutable unification variables, and type schemes.
+//! Semantic types for the SML subset: type constructors, the type store
+//! of one compile, and type schemes.
 //!
-//! Types use the classic mutable-cell representation: a [`Ty::Var`] holds
-//! a shared [`TvRef`] cell that is either unbound, a link to another type,
-//! or a generalized ("generic") variable of an enclosing scheme.
-//! Generalization marks cells **in place**, so every type annotation that
-//! shares a cell sees the same change — this sharing is what makes the
-//! minimum-typing-derivation pass (paper §3) a constant-time re-linking of
-//! cells rather than a re-elaboration.
+//! Every type of a compile lives in one [`TyStore`], and a [`Ty`] is a
+//! 4-byte handle to one of its nodes: a constructor application (its
+//! arguments in a pool the store shares among all nodes), a record (its
+//! fields likewise), an arrow, or a type variable. Nodes never change
+//! once made, so a type is a DAG: a subtree two types share is one
+//! handle, never a copy.
 //!
-//! Everything else in a type is immutable and shares its children
-//! through `Rc`: cloning a type, or following its links with
-//! [`Ty::head`], bumps reference counts instead of copying a tree, and
-//! [`Ty::zonk`] and [`Ty::subst_gen`] rebuild only the path down to what
-//! they change.
+//! A type variable is an entry of the store's variable array: unbound
+//! (with its binding level and equality attribute), linked to another
+//! type, or generalized in place as the `i`th generic variable of a
+//! scheme ([`Tv`]). [`TyStore::head`] follows links with path
+//! compression, as in union-find. Generalization marks variables **in
+//! place**, so every type that shares a variable sees the change — this
+//! sharing is what makes the minimum-typing-derivation pass (paper §3) a
+//! constant-time re-linking of variables rather than a re-elaboration.
+//!
+//! Every walk over a type visits a shared node once. Walks that mark or
+//! check ([`TyStore::is_monomorphic`], [`TyStore::gen_vars`],
+//! [`TyStore::demote`], and in the sibling modules the occurs check,
+//! equality forcing and generalization) keep per-node visit marks;
+//! walks that rebuild ([`TyStore::subst_gen`], [`TyStore::instantiate`],
+//! [`TyStore::zonk`], [`TyStore::map_cons`]) keep a memo from node to
+//! result. Both live in dense arrays indexed by handle and are reset per
+//! walk by an epoch counter, so no walk hashes a node. Only printing
+//! ([`TyStore::show`]) still unfolds a type as a tree.
+//!
+//! Variables print as `'X<n>`, `n` the variable's index in the store, so
+//! a message names the same variables in every compile of one program.
 
 use sml_ast::Symbol;
-use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::rc::Rc;
@@ -81,7 +95,7 @@ pub enum TyconKind {
 }
 
 /// A type constructor: primitive, datatype, or abstract.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Tycon {
     /// Identity.
     pub stamp: Stamp,
@@ -160,13 +174,52 @@ impl Tycon {
     }
 }
 
-/// The contents of a unification-variable cell.
-#[derive(Clone, Debug)]
+/// A type: a handle to a node of the [`TyStore`] that made it.
+///
+/// Handles are meaningful only to their own store. Equal handles are
+/// the same type; distinct handles may still be structurally equal.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct Ty(u32);
+
+impl Ty {
+    /// `int`, made by every store.
+    pub const INT: Ty = Ty(0);
+    /// `real`, made by every store.
+    pub const REAL: Ty = Ty(1);
+    /// `string`, made by every store.
+    pub const STRING: Ty = Ty(2);
+    /// `char`, made by every store.
+    pub const CHAR: Ty = Ty(3);
+    /// `bool`, made by every store.
+    pub const BOOL: Ty = Ty(4);
+    /// `exn`, made by every store.
+    pub const EXN: Ty = Ty(5);
+    /// `unit`, the empty record, made by every store.
+    pub const UNIT: Ty = Ty(6);
+
+    /// The handle's index in its store's node array.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A type variable: an index into its [`TyStore`]'s variable array.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct TvId(u32);
+
+impl TvId {
+    /// The variable's index in its store, which also names it when
+    /// printed (`'X<index>`).
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The state of a type variable.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Tv {
     /// An unresolved variable.
     Unbound {
-        /// Unique id (for printing and hashing).
-        id: u32,
         /// Binding level for let-generalization.
         level: u32,
         /// Whether the variable must be an equality type (`''a`).
@@ -178,242 +231,661 @@ pub enum Tv {
     Gen(u32),
 }
 
-/// A shared, mutable unification-variable cell.
-#[derive(Clone)]
-pub struct TvRef(pub Rc<RefCell<Tv>>);
-
-static NEXT_TV: AtomicU32 = AtomicU32::new(0);
-
-impl TvRef {
-    /// Fresh unbound variable at `level`.
-    pub fn fresh(level: u32) -> TvRef {
-        TvRef::fresh_eq(level, false)
-    }
-
-    /// Fresh unbound variable at `level`, with equality attribute `eq`.
-    pub fn fresh_eq(level: u32, eq: bool) -> TvRef {
-        let id = NEXT_TV.fetch_add(1, AtomicOrdering::Relaxed);
-        TvRef(Rc::new(RefCell::new(Tv::Unbound { id, level, eq })))
-    }
-
-    /// Pointer identity.
-    pub fn same(&self, other: &TvRef) -> bool {
-        Rc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl fmt::Debug for TvRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &*self.0.borrow() {
-            Tv::Unbound { id, eq, .. } => write!(f, "{}t{}", if *eq { "''" } else { "'" }, id),
-            Tv::Link(t) => write!(f, "{t:?}"),
-            Tv::Gen(i) => write!(f, "'g{i}"),
-        }
-    }
-}
-
-/// A semantic type.
-#[derive(Clone, Debug)]
-pub enum Ty {
-    /// A unification variable (possibly resolved via its cell).
-    Var(TvRef),
+/// What a type is at its head, links followed, as [`TyStore::kind`]
+/// shows it.
+#[derive(Clone, Copy, Debug)]
+pub enum TyKind<'s> {
+    /// An unbound or generic variable.
+    Var(TvId),
     /// Constructor application; all primitive types are nullary `Con`s.
-    Con(Tycon, Rc<[Ty]>),
+    Con(Tycon, &'s [Ty]),
     /// Record type with fields sorted by [`label_cmp`]; tuples use numeric
     /// labels `1..n` and `unit` is the empty record.
-    Record(Rc<[(Symbol, Ty)]>),
+    Record(&'s [(Symbol, Ty)]),
     /// Function type.
-    Arrow(Rc<Ty>, Rc<Ty>),
+    Arrow(Ty, Ty),
 }
 
-impl Ty {
-    /// The `int` type.
-    pub fn int() -> Ty {
-        Ty::Con(Tycon::int(), Rc::new([]))
-    }
+/// One node of a store. Children sit in the store's pools: a `Con`'s
+/// arguments at `args[start..start + len]`, a `Record`'s fields at
+/// `fields[start..start + len]`.
+#[derive(Clone, Copy, Debug)]
+enum Node {
+    Var(TvId),
+    Con(Tycon, u32, u32),
+    Record(u32, u32),
+    Arrow(Ty, Ty),
+}
 
-    /// The `real` type.
-    pub fn real() -> Ty {
-        Ty::Con(Tycon::real(), Rc::new([]))
-    }
+/// The type store of one compile: every type node, the argument and
+/// field pools the nodes share, every type variable, and the scratch
+/// arrays its walks mark and memoize in.
+#[derive(Debug)]
+pub struct TyStore {
+    nodes: Vec<Node>,
+    args: Vec<Ty>,
+    fields: Vec<(Symbol, Ty)>,
+    /// Each variable's state. Cells, so that [`TyStore::head`] can
+    /// compress paths through a shared store.
+    vars: Vec<Cell<Tv>>,
+    /// Each variable's `Var` node.
+    var_nodes: Vec<Ty>,
+    /// The last epoch handed out: each walk takes a fresh one, and a
+    /// scratch entry belongs to the walk whose epoch it carries.
+    epoch: u32,
+    /// Visit marks by node: the epoch of the last walk that visited it.
+    marks: Vec<u32>,
+    /// Rebuild memo by node: `(epoch, result)`.
+    memo: Vec<(u32, Ty)>,
+    /// Pair memo by left node, for walks over two types at once
+    /// (unification, shape comparison): `(epoch, right node)` of the
+    /// last pair the walk of `epoch` took on with that left node.
+    pairs: Vec<(u32, Ty)>,
+}
 
-    /// The `string` type.
-    pub fn string() -> Ty {
-        Ty::Con(Tycon::string(), Rc::new([]))
+impl Default for TyStore {
+    fn default() -> TyStore {
+        TyStore::new()
     }
+}
 
-    /// The `char` type.
-    pub fn char() -> Ty {
-        Ty::Con(Tycon::char(), Rc::new([]))
-    }
+/// The nullary built-ins every store makes first, at the handles of the
+/// `Ty` constants.
+fn atoms() -> [Tycon; 6] {
+    [
+        Tycon::int(),
+        Tycon::real(),
+        Tycon::string(),
+        Tycon::char(),
+        Tycon::bool(),
+        Tycon::exn(),
+    ]
+}
 
-    /// The `bool` type.
-    pub fn bool() -> Ty {
-        Ty::Con(Tycon::bool(), Rc::new([]))
-    }
-
-    /// The `exn` type.
-    pub fn exn() -> Ty {
-        Ty::Con(Tycon::exn(), Rc::new([]))
-    }
-
-    /// The `unit` type (empty record).
-    pub fn unit() -> Ty {
-        Ty::Record(Rc::new([]))
-    }
-
-    /// `t list`.
-    pub fn list(t: Ty) -> Ty {
-        Ty::Con(Tycon::list(), Rc::new([t]))
-    }
-
-    /// `t ref`.
-    pub fn reference(t: Ty) -> Ty {
-        Ty::Con(Tycon::reference(), Rc::new([t]))
-    }
-
-    /// `t array`.
-    pub fn array(t: Ty) -> Ty {
-        Ty::Con(Tycon::array(), Rc::new([t]))
-    }
-
-    /// `t cont`.
-    pub fn cont(t: Ty) -> Ty {
-        Ty::Con(Tycon::cont(), Rc::new([t]))
-    }
-
-    /// `t1 -> t2`.
-    pub fn arrow(a: Ty, b: Ty) -> Ty {
-        Ty::Arrow(Rc::new(a), Rc::new(b))
-    }
-
-    /// An n-tuple with numeric labels (already in order).
-    pub fn tuple(parts: Vec<Ty>) -> Ty {
-        Ty::Record(
-            parts
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| (Symbol::numeric(i + 1), t))
-                .collect(),
-        )
-    }
-
-    /// `t1 * t2`.
-    pub fn pair(a: Ty, b: Ty) -> Ty {
-        Ty::tuple(vec![a, b])
-    }
-
-    /// Follows `Link` cells until the head is not a resolved variable.
-    /// Borrows `self` when it is not a resolved variable; otherwise the
-    /// result shares its children with the type the links lead to, so
-    /// this costs a reference-count bump, not a copy.
-    pub fn head(&self) -> Cow<'_, Ty> {
-        let mut t = Cow::Borrowed(self);
-        while let Ty::Var(v) = &*t {
-            let next = match &*v.0.borrow() {
-                Tv::Link(u) => u.clone(),
-                _ => break,
-            };
-            t = Cow::Owned(next);
+impl TyStore {
+    /// A store holding only the built-in atoms (`int`, `real`, `string`,
+    /// `char`, `bool`, `exn` and `unit`).
+    pub fn new() -> TyStore {
+        let mut s = TyStore {
+            nodes: Vec::new(),
+            args: Vec::new(),
+            fields: Vec::new(),
+            vars: Vec::new(),
+            var_nodes: Vec::new(),
+            epoch: 0,
+            marks: Vec::new(),
+            memo: Vec::new(),
+            pairs: Vec::new(),
+        };
+        for tc in atoms() {
+            s.push(Node::Con(tc, 0, 0));
         }
+        s.push(Node::Record(0, 0));
+        s
+    }
+
+    /// Number of nodes made so far.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True if the store holds no node (never: it starts with the atoms).
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    fn push(&mut self, n: Node) -> Ty {
+        let t = Ty(u32::try_from(self.nodes.len()).expect("type store overflow"));
+        self.nodes.push(n);
         t
     }
 
-    /// Deeply resolves all links, producing a canonical type. Subtrees
-    /// without links are shared with `self`, not copied.
-    pub fn zonk(&self) -> Ty {
-        self.rebuild(&|_| None)
+    fn pool_start(len: usize) -> u32 {
+        u32::try_from(len).expect("type store overflow")
     }
 
-    /// True if the zonked type contains no unbound or generic variables.
-    pub fn is_monomorphic(&self) -> bool {
-        match &*self.head() {
-            Ty::Var(_) => false,
-            Ty::Con(_, args) => args.iter().all(Ty::is_monomorphic),
-            Ty::Record(fs) => fs.iter().all(|(_, t)| t.is_monomorphic()),
-            Ty::Arrow(a, b) => a.is_monomorphic() && b.is_monomorphic(),
-        }
-    }
+    // ----- construction ------------------------------------------------
 
-    /// Collects the distinct generic variable indices in the type.
-    pub fn gen_vars(&self) -> Vec<u32> {
-        fn go(t: &Ty, out: &mut Vec<u32>) {
-            match &*t.head() {
-                Ty::Var(v) => {
-                    if let Tv::Gen(i) = *v.0.borrow() {
-                        if !out.contains(&i) {
-                            out.push(i);
-                        }
-                    }
-                }
-                Ty::Con(_, args) => args.iter().for_each(|a| go(a, out)),
-                Ty::Record(fs) => fs.iter().for_each(|(_, a)| go(a, out)),
-                Ty::Arrow(a, b) => {
-                    go(a, out);
-                    go(b, out);
-                }
+    /// `tycon args`. The nullary built-in atoms are the store's own
+    /// handles.
+    pub fn con(&mut self, tycon: Tycon, args: &[Ty]) -> Ty {
+        if args.is_empty() {
+            if let Some(i) = atoms().iter().position(|a| a.stamp == tycon.stamp) {
+                return Ty(i as u32);
             }
         }
+        let start = Self::pool_start(self.args.len());
+        self.args.extend_from_slice(args);
+        self.push(Node::Con(tycon, start, args.len() as u32))
+    }
+
+    /// A record from fields already in canonical label order
+    /// ([`sort_fields`]); no fields is `unit`.
+    pub fn record(&mut self, fields: impl IntoIterator<Item = (Symbol, Ty)>) -> Ty {
+        let start = Self::pool_start(self.fields.len());
+        self.fields.extend(fields);
+        let len = self.fields.len() as u32 - start;
+        if len == 0 {
+            return Ty::UNIT;
+        }
+        self.push(Node::Record(start, len))
+    }
+
+    /// `a -> b`.
+    pub fn arrow(&mut self, a: Ty, b: Ty) -> Ty {
+        self.push(Node::Arrow(a, b))
+    }
+
+    /// An n-tuple with numeric labels `1..n`.
+    pub fn tuple(&mut self, parts: &[Ty]) -> Ty {
+        self.record(
+            parts
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (Symbol::numeric(i + 1), *t)),
+        )
+    }
+
+    /// `a * b`.
+    pub fn pair(&mut self, a: Ty, b: Ty) -> Ty {
+        self.tuple(&[a, b])
+    }
+
+    /// `t list`.
+    pub fn list(&mut self, t: Ty) -> Ty {
+        self.con(Tycon::list(), &[t])
+    }
+
+    /// `t ref`.
+    pub fn reference(&mut self, t: Ty) -> Ty {
+        self.con(Tycon::reference(), &[t])
+    }
+
+    /// `t array`.
+    pub fn array(&mut self, t: Ty) -> Ty {
+        self.con(Tycon::array(), &[t])
+    }
+
+    /// `t cont`.
+    pub fn cont(&mut self, t: Ty) -> Ty {
+        self.con(Tycon::cont(), &[t])
+    }
+
+    /// A new variable in state `tv`.
+    pub fn new_tv(&mut self, tv: Tv) -> TvId {
+        let v = TvId(Self::pool_start(self.vars.len()));
+        self.vars.push(Cell::new(tv));
+        let node = self.push(Node::Var(v));
+        self.var_nodes.push(node);
+        v
+    }
+
+    /// A fresh unbound variable at `level`, as a type.
+    pub fn fresh_var(&mut self, level: u32) -> Ty {
+        self.fresh_var_eq(level, false)
+    }
+
+    /// A fresh unbound variable at `level` with equality attribute `eq`,
+    /// as a type.
+    pub fn fresh_var_eq(&mut self, level: u32, eq: bool) -> Ty {
+        let v = self.new_tv(Tv::Unbound { level, eq });
+        self.var_ty(v)
+    }
+
+    /// The type that is variable `v`.
+    pub fn var_ty(&self, v: TvId) -> Ty {
+        self.var_nodes[v.index()]
+    }
+
+    /// The state of variable `v`.
+    pub fn tv(&self, v: TvId) -> Tv {
+        self.vars[v.index()].get()
+    }
+
+    /// Sets the state of variable `v`: a unification binding, a
+    /// generalization, or MTD's re-linking of a generic variable.
+    pub fn set_tv(&mut self, v: TvId, tv: Tv) {
+        self.vars[v.index()].set(tv);
+    }
+
+    // ----- reading -----------------------------------------------------
+
+    /// Follows links until the head is not a resolved variable,
+    /// shortening every link on the way to point at the head.
+    pub fn head(&self, t: Ty) -> Ty {
+        let mut root = t;
+        while let Node::Var(v) = self.nodes[root.index()] {
+            match self.vars[v.index()].get() {
+                Tv::Link(u) => root = u,
+                _ => break,
+            }
+        }
+        let mut cur = t;
+        while cur != root {
+            let Node::Var(v) = self.nodes[cur.index()] else {
+                break;
+            };
+            let Tv::Link(next) = self.vars[v.index()].get() else {
+                break;
+            };
+            if next != root {
+                self.vars[v.index()].set(Tv::Link(root));
+            }
+            cur = next;
+        }
+        root
+    }
+
+    /// What `t` is at its head.
+    pub fn kind(&self, t: Ty) -> TyKind<'_> {
+        self.node_kind(self.head(t))
+    }
+
+    /// The kind of a node, links not followed.
+    fn node_kind(&self, t: Ty) -> TyKind<'_> {
+        match self.nodes[t.index()] {
+            Node::Var(v) => TyKind::Var(v),
+            Node::Con(tc, s, l) => TyKind::Con(tc, &self.args[s as usize..(s + l) as usize]),
+            Node::Record(s, l) => TyKind::Record(&self.fields[s as usize..(s + l) as usize]),
+            Node::Arrow(a, b) => TyKind::Arrow(a, b),
+        }
+    }
+
+    /// The variable `t` is at its head, if it is one.
+    pub fn head_var(&self, t: Ty) -> Option<TvId> {
+        match self.nodes[self.head(t).index()] {
+            Node::Var(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// `t`'s argument `k` (a `Con` node's, links not followed).
+    fn arg(&self, start: u32, k: u32) -> Ty {
+        self.args[(start + k) as usize]
+    }
+
+    /// `t`'s field `k` (a `Record` node's, links not followed).
+    fn field(&self, start: u32, k: u32) -> (Symbol, Ty) {
+        self.fields[(start + k) as usize]
+    }
+
+    /// The children of node `t` (links not followed), in order.
+    fn child(&self, t: Ty, k: u32) -> Option<Ty> {
+        match self.nodes[t.index()] {
+            Node::Var(_) => None,
+            Node::Con(_, s, l) => (k < l).then(|| self.arg(s, k)),
+            Node::Record(s, l) => (k < l).then(|| self.field(s, k).1),
+            Node::Arrow(a, b) => match k {
+                0 => Some(a),
+                1 => Some(b),
+                _ => None,
+            },
+        }
+    }
+
+    /// A printable view of `t`.
+    pub fn show(&self, t: Ty) -> TyDisplay<'_> {
+        TyDisplay { store: self, ty: t }
+    }
+
+    // ----- walk scratch ------------------------------------------------
+
+    /// A fresh epoch for one walk, with the scratch arrays covering every
+    /// node made so far.
+    pub(crate) fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.marks.fill(0);
+            self.memo.fill((0, Ty::INT));
+            self.pairs.fill((0, Ty::INT));
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let n = self.nodes.len();
+        if self.marks.len() < n {
+            self.marks.resize(n, 0);
+            self.memo.resize(n, (0, Ty::INT));
+            self.pairs.resize(n, (0, Ty::INT));
+        }
+        self.epoch
+    }
+
+    /// Marks node `t` visited in the walk of `epoch`; false if it
+    /// already was.
+    pub(crate) fn visit(&mut self, t: Ty, epoch: u32) -> bool {
+        if t.index() >= self.marks.len() {
+            self.marks.resize(self.nodes.len(), 0);
+        }
+        let m = &mut self.marks[t.index()];
+        if *m == epoch {
+            return false;
+        }
+        *m = epoch;
+        true
+    }
+
+    /// Records that the walk of `epoch` has taken on the pair `(a, b)`;
+    /// false if it already had.
+    pub(crate) fn pair_first_seen(&mut self, a: Ty, b: Ty, epoch: u32) -> bool {
+        if a.index() >= self.pairs.len() {
+            self.pairs.resize(self.nodes.len(), (0, Ty::INT));
+        }
+        let p = &mut self.pairs[a.index()];
+        if *p == (epoch, b) {
+            return false;
+        }
+        *p = (epoch, b);
+        true
+    }
+
+    fn memo_get(&self, t: Ty, epoch: u32) -> Option<Ty> {
+        match self.memo.get(t.index()) {
+            Some(&(e, r)) if e == epoch => Some(r),
+            _ => None,
+        }
+    }
+
+    fn memo_set(&mut self, t: Ty, epoch: u32, r: Ty) {
+        if let Some(slot) = self.memo.get_mut(t.index()) {
+            *slot = (epoch, r);
+        }
+    }
+
+    /// Calls `f` on every node reachable from `t` (links followed), each
+    /// once, in depth-first preorder, descending into a node's children
+    /// only when `f` returns true.
+    pub(crate) fn walk(&mut self, t: Ty, f: &mut impl FnMut(&mut TyStore, Ty) -> bool) {
+        let epoch = self.next_epoch();
+        self.walk_from(t, epoch, f);
+    }
+
+    /// [`TyStore::walk`] within the walk of `epoch`, so several roots
+    /// can share one set of visit marks.
+    pub(crate) fn walk_from(
+        &mut self,
+        t: Ty,
+        epoch: u32,
+        f: &mut impl FnMut(&mut TyStore, Ty) -> bool,
+    ) {
+        let h = self.head(t);
+        if !self.visit(h, epoch) || !f(self, h) {
+            return;
+        }
+        let mut k = 0;
+        while let Some(c) = self.child(h, k) {
+            self.walk_from(c, epoch, f);
+            k += 1;
+        }
+    }
+
+    // ----- walks -------------------------------------------------------
+
+    /// True if `t` contains no unbound or generic variables.
+    pub fn is_monomorphic(&mut self, t: Ty) -> bool {
+        let mut mono = true;
+        self.walk(t, &mut |s, n| {
+            if matches!(s.nodes[n.index()], Node::Var(_)) {
+                mono = false;
+            }
+            mono
+        });
+        mono
+    }
+
+    /// The distinct generic variable indices in `t`, in first-occurrence
+    /// order.
+    pub fn gen_vars(&mut self, t: Ty) -> Vec<u32> {
         let mut out = Vec::new();
-        go(self, &mut out);
+        self.walk(t, &mut |s, n| {
+            if let Node::Var(v) = s.nodes[n.index()] {
+                if let Tv::Gen(i) = s.tv(v) {
+                    if !out.contains(&i) {
+                        out.push(i);
+                    }
+                }
+            }
+            true
+        });
         out
     }
 
-    /// Substitutes generic variables: `Gen(i)` becomes `subst[i]`.
-    /// Positions beyond `subst.len()` are left as-is. Links are resolved
-    /// on the way; subtrees with neither links nor substituted variables
-    /// are shared with `self`.
-    pub fn subst_gen(&self, subst: &[Ty]) -> Ty {
-        self.rebuild(&|i| subst.get(i as usize).cloned())
+    /// Lowers every unbound variable in `t` deeper than `level` to
+    /// `level`, so it will not be generalized (the value restriction).
+    pub fn demote(&mut self, t: Ty, level: u32) {
+        self.walk(t, &mut |s, n| {
+            if let Node::Var(v) = s.nodes[n.index()] {
+                s.lower(v, level);
+            }
+            true
+        });
     }
 
-    /// `self` with every link resolved and every `Gen(i)` that `gen`
-    /// maps replaced.
-    fn rebuild(&self, gen: &impl Fn(u32) -> Option<Ty>) -> Ty {
-        self.rebuilt(gen).unwrap_or_else(|| self.clone())
-    }
-
-    /// [`Ty::rebuild`], or `None` where that would change nothing, so
-    /// the caller shares the subtree it already has.
-    fn rebuilt(&self, gen: &impl Fn(u32) -> Option<Ty>) -> Option<Ty> {
-        match self {
-            Ty::Var(v) => match &*v.0.borrow() {
-                Tv::Link(t) => Some(t.rebuild(gen)),
-                Tv::Gen(i) => gen(*i),
-                Tv::Unbound { .. } => None,
-            },
-            Ty::Con(c, args) => {
-                rebuilt_slice(args, |t| t.rebuilt(gen)).map(|a| Ty::Con(c.clone(), a))
+    /// Lowers variable `v`'s level to `level` if it is unbound deeper.
+    pub fn lower(&mut self, v: TvId, level: u32) {
+        if let Tv::Unbound { level: l, eq } = self.tv(v) {
+            if l > level {
+                self.set_tv(v, Tv::Unbound { level, eq });
             }
-            Ty::Record(fs) => {
-                rebuilt_slice(fs, |(l, t)| t.rebuilt(gen).map(|t| (*l, t))).map(Ty::Record)
-            }
-            Ty::Arrow(a, b) => match (a.rebuilt(gen), b.rebuilt(gen)) {
-                (None, None) => None,
-                (a2, b2) => Some(Ty::Arrow(
-                    a2.map_or_else(|| a.clone(), Rc::new),
-                    b2.map_or_else(|| b.clone(), Rc::new),
-                )),
-            },
         }
     }
-}
 
-/// Maps `xs` through `f`, where `None` means "element unchanged";
-/// `None` when no element changed, so the caller keeps sharing `xs`.
-fn rebuilt_slice<T: Clone>(xs: &[T], f: impl Fn(&T) -> Option<T>) -> Option<Rc<[T]>> {
-    let (at, first) = xs.iter().enumerate().find_map(|(i, x)| Some((i, f(x)?)))?;
-    let mut first = Some(first);
-    Some(
-        xs.iter()
-            .enumerate()
-            .map(|(i, x)| match i.cmp(&at) {
-                Ordering::Less => x.clone(),
-                Ordering::Equal => first.take().expect("one element at `at`"),
-                Ordering::Greater => f(x).unwrap_or_else(|| x.clone()),
-            })
-            .collect(),
-    )
+    /// Substitutes generic variables: `Gen(i)` becomes `subst[i]`.
+    /// Positions beyond `subst.len()` are left as-is. Nodes with no
+    /// substituted variable below them are shared, not copied.
+    pub fn subst_gen(&mut self, t: Ty, subst: &[Ty]) -> Ty {
+        if subst.is_empty() {
+            return t;
+        }
+        let epoch = self.next_epoch();
+        self.rebuild(t, epoch, false, &mut |s, v| match s.tv(v) {
+            Tv::Gen(i) => subst.get(i as usize).copied(),
+            _ => None,
+        })
+        .unwrap_or(t)
+    }
+
+    /// `t` with every link resolved: a type none of whose nodes is a
+    /// linked variable. Link-free nodes are shared, not copied.
+    pub fn zonk(&mut self, t: Ty) -> Ty {
+        let epoch = self.next_epoch();
+        self.rebuild(t, epoch, true, &mut |_, _| None).unwrap_or(t)
+    }
+
+    /// Instantiates `s` with fresh unification variables at `level`,
+    /// returning the instantiated body and the fresh instance vector
+    /// (one entry per generic variable). The instance vector is what the
+    /// elaborator records at each use of a polymorphic variable (paper
+    /// §3).
+    pub fn instantiate(&mut self, s: &Scheme, level: u32) -> (Ty, Vec<Ty>) {
+        let fresh: Vec<Ty> = s
+            .generics()
+            .iter()
+            .map(|g| self.fresh_var_eq(level, g.eq))
+            .collect();
+        (self.subst_gen(s.body, &fresh), fresh)
+    }
+
+    /// The identity instantiation of `s`: each generic variable as
+    /// itself.
+    pub fn identity_instance(&self, s: &Scheme) -> Vec<Ty> {
+        s.generics().iter().map(|g| self.var_ty(g.cell)).collect()
+    }
+
+    /// Rebuilds `t` bottom-up: a variable `gen` maps is replaced, a
+    /// linked variable becomes what its link rebuilds to (or, when
+    /// `zonk`, what it links to even if that stays), and a node whose
+    /// children all stay is kept. `None` means `t` itself stays.
+    fn rebuild(
+        &mut self,
+        t: Ty,
+        epoch: u32,
+        zonk: bool,
+        gen: &mut impl FnMut(&TyStore, TvId) -> Option<Ty>,
+    ) -> Option<Ty> {
+        if let Some(r) = self.memo_get(t, epoch) {
+            return (r != t).then_some(r);
+        }
+        let out = match self.nodes[t.index()] {
+            Node::Var(v) => match self.tv(v) {
+                Tv::Link(u) => match self.rebuild(u, epoch, zonk, gen) {
+                    None if zonk => Some(u),
+                    r => r,
+                },
+                _ => gen(self, v),
+            },
+            Node::Con(tc, start, len) => {
+                let mut out: Option<Vec<Ty>> = None;
+                for k in 0..len {
+                    let c = self.arg(start, k);
+                    let r = self.rebuild(c, epoch, zonk, gen);
+                    if r.is_some() && out.is_none() {
+                        out = Some((0..k).map(|j| self.arg(start, j)).collect());
+                    }
+                    if let Some(o) = &mut out {
+                        o.push(r.unwrap_or(c));
+                    }
+                }
+                out.map(|a| self.con(tc, &a))
+            }
+            Node::Record(start, len) => {
+                let mut out: Option<Vec<(Symbol, Ty)>> = None;
+                for k in 0..len {
+                    let (l, c) = self.field(start, k);
+                    let r = self.rebuild(c, epoch, zonk, gen);
+                    if r.is_some() && out.is_none() {
+                        out = Some((0..k).map(|j| self.field(start, j)).collect());
+                    }
+                    if let Some(o) = &mut out {
+                        o.push((l, r.unwrap_or(c)));
+                    }
+                }
+                out.map(|f| self.record(f))
+            }
+            Node::Arrow(a, b) => {
+                let ra = self.rebuild(a, epoch, zonk, gen);
+                let rb = self.rebuild(b, epoch, zonk, gen);
+                match (ra, rb) {
+                    (None, None) => None,
+                    _ => Some(self.arrow(ra.unwrap_or(a), rb.unwrap_or(b))),
+                }
+            }
+        };
+        self.memo_set(t, epoch, out.unwrap_or(t));
+        out
+    }
+
+    /// Rebuilds `t` with every constructor application `f` maps replaced
+    /// by what it returns (given the rebuilt arguments), sharing every
+    /// node with no replaced application below it.
+    pub fn map_cons(
+        &mut self,
+        t: Ty,
+        f: &mut impl FnMut(&mut TyStore, Tycon, &[Ty]) -> Option<Ty>,
+    ) -> Ty {
+        let epoch = self.next_epoch();
+        self.map_cons_in(t, epoch, f).unwrap_or(t)
+    }
+
+    fn map_cons_in(
+        &mut self,
+        t: Ty,
+        epoch: u32,
+        f: &mut impl FnMut(&mut TyStore, Tycon, &[Ty]) -> Option<Ty>,
+    ) -> Option<Ty> {
+        let t = self.head(t);
+        if let Some(r) = self.memo_get(t, epoch) {
+            return (r != t).then_some(r);
+        }
+        let out = match self.nodes[t.index()] {
+            Node::Var(_) => None,
+            Node::Con(tc, start, len) => {
+                let mut changed = false;
+                let args: Vec<Ty> = (0..len)
+                    .map(|k| {
+                        let c = self.arg(start, k);
+                        let r = self.map_cons_in(c, epoch, f);
+                        changed |= r.is_some();
+                        r.unwrap_or(c)
+                    })
+                    .collect();
+                match f(self, tc, &args) {
+                    Some(r) => Some(r),
+                    None if changed => Some(self.con(tc, &args)),
+                    None => None,
+                }
+            }
+            Node::Record(start, len) => {
+                let mut changed = false;
+                let fields: Vec<(Symbol, Ty)> = (0..len)
+                    .map(|k| {
+                        let (l, c) = self.field(start, k);
+                        let r = self.map_cons_in(c, epoch, f);
+                        changed |= r.is_some();
+                        (l, r.unwrap_or(c))
+                    })
+                    .collect();
+                changed.then(|| self.record(fields))
+            }
+            Node::Arrow(a, b) => {
+                let ra = self.map_cons_in(a, epoch, f);
+                let rb = self.map_cons_in(b, epoch, f);
+                match (ra, rb) {
+                    (None, None) => None,
+                    _ => Some(self.arrow(ra.unwrap_or(a), rb.unwrap_or(b))),
+                }
+            }
+        };
+        self.memo_set(t, epoch, out.unwrap_or(t));
+        out
+    }
+
+    /// True if some constructor application in `t` satisfies `p`.
+    pub fn any_con(&mut self, t: Ty, p: &mut impl FnMut(&Tycon) -> bool) -> bool {
+        let mut found = false;
+        self.walk(t, &mut |s, n| {
+            if let Node::Con(tc, _, _) = s.nodes[n.index()] {
+                found |= p(&tc);
+            }
+            !found
+        });
+        found
+    }
+
+    /// Structural equality of `a` and `b` with links followed, where an
+    /// unbound variable equals only itself and generic variables are
+    /// equal when their indices are.
+    pub fn same_shape(&mut self, a: Ty, b: Ty) -> bool {
+        let epoch = self.next_epoch();
+        self.same_shape_in(a, b, epoch)
+    }
+
+    fn same_shape_in(&mut self, a: Ty, b: Ty, epoch: u32) -> bool {
+        let (a, b) = (self.head(a), self.head(b));
+        if a == b || !self.pair_first_seen(a, b, epoch) {
+            return true;
+        }
+        match (self.nodes[a.index()], self.nodes[b.index()]) {
+            (Node::Var(va), Node::Var(vb)) => match (self.tv(va), self.tv(vb)) {
+                (Tv::Gen(i), Tv::Gen(j)) => i == j,
+                _ => va == vb,
+            },
+            (Node::Con(ca, sa, la), Node::Con(cb, sb, lb)) => {
+                ca == cb
+                    && la == lb
+                    && (0..la).all(|k| self.same_shape_in(self.arg(sa, k), self.arg(sb, k), epoch))
+            }
+            (Node::Record(sa, la), Node::Record(sb, lb)) => {
+                la == lb
+                    && (0..la).all(|k| {
+                        let ((l1, t1), (l2, t2)) = (self.field(sa, k), self.field(sb, k));
+                        l1 == l2 && self.same_shape_in(t1, t2, epoch)
+                    })
+            }
+            (Node::Arrow(a1, r1), Node::Arrow(a2, r2)) => {
+                self.same_shape_in(a1, a2, epoch) && self.same_shape_in(r1, r2, epoch)
+            }
+            _ => false,
+        }
+    }
 }
 
 /// SML record-label ordering: numeric labels numerically, before
@@ -432,137 +904,158 @@ pub fn sort_fields<T>(fields: &mut [(Symbol, T)]) {
     fields.sort_by(|(a, _), (b, _)| label_cmp(*a, *b));
 }
 
-/// A polymorphic type scheme: `arity` generic variables and a body in
-/// which they appear as [`Tv::Gen`] cells.
+/// One generic variable of a [`Scheme`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Generic {
+    /// The generalized variable, in state `Gen(i)` for its index `i`.
+    /// Kept so the MTD pass can re-link it in place, and so recursive
+    /// occurrences can be annotated with the identity instantiation.
+    pub cell: TvId,
+    /// Whether the variable carries the equality attribute.
+    pub eq: bool,
+}
+
+/// A polymorphic type scheme: generic variables and a body in which they
+/// appear in state [`Tv::Gen`].
+///
+/// A copy shares its generic variables with the original, so a variable
+/// occurrence carries its scheme for the cost of a reference count.
 #[derive(Clone, Debug)]
 pub struct Scheme {
-    /// Number of generic variables (`Gen(0) .. Gen(arity-1)`).
-    pub arity: usize,
-    /// Whether each generic variable carries the equality attribute.
-    pub eq_flags: Vec<bool>,
-    /// The actual generalized cells, indexed by generic-variable number.
-    /// Kept so the MTD pass can re-link them in place, and so recursive
-    /// occurrences can be annotated with the identity instantiation.
-    pub cells: Vec<TvRef>,
     /// Scheme body.
     pub body: Ty,
+    generics: Option<Rc<[Generic]>>,
 }
 
 impl Scheme {
     /// A monomorphic scheme.
-    pub fn mono(ty: Ty) -> Scheme {
+    pub fn mono(body: Ty) -> Scheme {
         Scheme {
-            arity: 0,
-            eq_flags: Vec::new(),
-            cells: Vec::new(),
-            body: ty,
+            body,
+            generics: None,
         }
     }
 
-    /// The identity instantiation: each generic variable maps to itself.
-    pub fn identity_instance(&self) -> Vec<Ty> {
-        self.cells.iter().map(|c| Ty::Var(c.clone())).collect()
+    /// A scheme with generic variables `generics`, indexed `0..`.
+    pub fn poly(body: Ty, generics: Vec<Generic>) -> Scheme {
+        Scheme {
+            body,
+            generics: (!generics.is_empty()).then(|| generics.into()),
+        }
     }
 
-    /// Instantiates the scheme with fresh unification variables at
-    /// `level`, returning the instantiated body and the fresh instance
-    /// vector (one entry per generic variable). The instance vector is
-    /// what the elaborator records at each use of a polymorphic variable
-    /// (paper §3).
-    pub fn instantiate(&self, level: u32) -> (Ty, Vec<Ty>) {
-        let fresh: Vec<Ty> = (0..self.arity)
-            .map(|i| {
-                let eq = self.eq_flags.get(i).copied().unwrap_or(false);
-                Ty::Var(TvRef::fresh_eq(level, eq))
-            })
-            .collect();
-        (self.body.subst_gen(&fresh), fresh)
+    /// Number of generic variables.
+    pub fn arity(&self) -> usize {
+        self.generics().len()
+    }
+
+    /// The generic variables, by index.
+    pub fn generics(&self) -> &[Generic] {
+        self.generics.as_deref().unwrap_or(&[])
+    }
+
+    /// The same generic variables over another body.
+    pub fn with_body(&self, body: Ty) -> Scheme {
+        Scheme {
+            body,
+            generics: self.generics.clone(),
+        }
     }
 }
 
-impl fmt::Display for Ty {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn prec(t: &Ty, f: &mut fmt::Formatter<'_>, level: u8) -> fmt::Result {
-            match &*t.head() {
-                Ty::Var(v) => match &*v.0.borrow() {
-                    Tv::Unbound { id, eq, .. } => {
-                        write!(f, "{}X{}", if *eq { "''" } else { "'" }, id)
-                    }
-                    Tv::Gen(i) => {
-                        let c = (b'a' + (*i % 26) as u8) as char;
-                        write!(f, "'{c}")
-                    }
-                    Tv::Link(_) => unreachable!("head resolves links"),
-                },
-                Ty::Con(c, args) => {
-                    match args.len() {
-                        0 => {}
-                        1 => {
-                            prec(&args[0], f, 2)?;
-                            write!(f, " ")?;
-                        }
-                        _ => {
-                            write!(f, "(")?;
-                            for (i, a) in args.iter().enumerate() {
-                                if i > 0 {
-                                    write!(f, ", ")?;
-                                }
-                                prec(a, f, 0)?;
-                            }
-                            write!(f, ") ")?;
-                        }
-                    }
-                    write!(f, "{}", c.name)
+/// A type ready to print against its store ([`TyStore::show`]).
+pub struct TyDisplay<'s> {
+    store: &'s TyStore,
+    ty: Ty,
+}
+
+impl TyDisplay<'_> {
+    fn prec(&self, t: Ty, f: &mut fmt::Formatter<'_>, level: u8) -> fmt::Result {
+        let s = self.store;
+        match s.kind(t) {
+            TyKind::Var(v) => match s.tv(v) {
+                Tv::Unbound { eq, .. } => {
+                    write!(f, "{}X{}", if eq { "''" } else { "'" }, v.index())
                 }
-                Ty::Record(fs) => {
-                    if fs.is_empty() {
-                        return write!(f, "unit");
+                Tv::Gen(i) => {
+                    let c = (b'a' + (i % 26) as u8) as char;
+                    write!(f, "'{c}")
+                }
+                Tv::Link(_) => unreachable!("head resolves links"),
+            },
+            TyKind::Con(c, args) => {
+                match args.len() {
+                    0 => {}
+                    1 => {
+                        self.prec(args[0], f, 2)?;
+                        write!(f, " ")?;
                     }
-                    let is_tuple = fs
-                        .iter()
-                        .enumerate()
-                        .all(|(i, (l, _))| l.as_numeric() == Some(i + 1));
-                    if is_tuple {
-                        if level >= 2 {
-                            write!(f, "(")?;
-                        }
-                        for (i, (_, t)) in fs.iter().enumerate() {
-                            if i > 0 {
-                                write!(f, " * ")?;
-                            }
-                            prec(t, f, 2)?;
-                        }
-                        if level >= 2 {
-                            write!(f, ")")?;
-                        }
-                        Ok(())
-                    } else {
-                        write!(f, "{{")?;
-                        for (i, (l, t)) in fs.iter().enumerate() {
+                    _ => {
+                        write!(f, "(")?;
+                        for (i, a) in args.iter().enumerate() {
                             if i > 0 {
                                 write!(f, ", ")?;
                             }
-                            write!(f, "{l} : ")?;
-                            prec(t, f, 0)?;
+                            self.prec(*a, f, 0)?;
                         }
-                        write!(f, "}}")
+                        write!(f, ") ")?;
                     }
                 }
-                Ty::Arrow(a, b) => {
-                    if level >= 1 {
+                write!(f, "{}", c.name)
+            }
+            TyKind::Record(fs) => {
+                if fs.is_empty() {
+                    return write!(f, "unit");
+                }
+                let is_tuple = fs
+                    .iter()
+                    .enumerate()
+                    .all(|(i, (l, _))| l.as_numeric() == Some(i + 1));
+                if is_tuple {
+                    if level >= 2 {
                         write!(f, "(")?;
                     }
-                    prec(a, f, 1)?;
-                    write!(f, " -> ")?;
-                    prec(b, f, 0)?;
-                    if level >= 1 {
+                    for (i, (_, t)) in fs.iter().enumerate() {
+                        if i > 0 {
+                            write!(f, " * ")?;
+                        }
+                        self.prec(*t, f, 2)?;
+                    }
+                    if level >= 2 {
                         write!(f, ")")?;
                     }
                     Ok(())
+                } else {
+                    write!(f, "{{")?;
+                    for (i, (l, t)) in fs.iter().enumerate() {
+                        if i > 0 {
+                            write!(f, ", ")?;
+                        }
+                        write!(f, "{l} : ")?;
+                        self.prec(*t, f, 0)?;
+                    }
+                    write!(f, "}}")
                 }
             }
+            TyKind::Arrow(a, b) => {
+                if level >= 1 {
+                    write!(f, "(")?;
+                }
+                self.prec(a, f, 1)?;
+                write!(f, " -> ")?;
+                self.prec(b, f, 0)?;
+                if level >= 1 {
+                    write!(f, ")")?;
+                }
+                Ok(())
+            }
         }
-        prec(self, f, 0)
+    }
+}
+
+impl fmt::Display for TyDisplay<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.prec(self.ty, f, 0)
     }
 }
 
@@ -572,80 +1065,118 @@ mod tests {
 
     #[test]
     fn display_basic() {
-        assert_eq!(Ty::int().to_string(), "int");
-        assert_eq!(Ty::arrow(Ty::int(), Ty::real()).to_string(), "int -> real");
-        assert_eq!(Ty::pair(Ty::real(), Ty::real()).to_string(), "real * real");
-        assert_eq!(
-            Ty::list(Ty::pair(Ty::int(), Ty::int())).to_string(),
-            "(int * int) list"
-        );
-        assert_eq!(Ty::unit().to_string(), "unit");
-        assert_eq!(
-            Ty::arrow(Ty::arrow(Ty::int(), Ty::int()), Ty::int()).to_string(),
-            "(int -> int) -> int"
-        );
+        let mut s = TyStore::new();
+        let t = s.arrow(Ty::INT, Ty::REAL);
+        assert_eq!(s.show(t).to_string(), "int -> real");
+        let t = s.pair(Ty::REAL, Ty::REAL);
+        assert_eq!(s.show(t).to_string(), "real * real");
+        let p = s.pair(Ty::INT, Ty::INT);
+        let t = s.list(p);
+        assert_eq!(s.show(t).to_string(), "(int * int) list");
+        assert_eq!(s.show(Ty::UNIT).to_string(), "unit");
+        let f = s.arrow(Ty::INT, Ty::INT);
+        let t = s.arrow(f, Ty::INT);
+        assert_eq!(s.show(t).to_string(), "(int -> int) -> int");
     }
 
     #[test]
     fn head_follows_links() {
-        let v = TvRef::fresh(0);
-        let t = Ty::Var(v.clone());
-        *v.0.borrow_mut() = Tv::Link(Ty::int());
-        assert!(matches!(&*t.head(), Ty::Con(c, _) if c.kind == TyconKind::Int));
+        let mut s = TyStore::new();
+        let t = s.fresh_var(0);
+        let v = s.head_var(t).expect("a variable");
+        s.set_tv(v, Tv::Link(Ty::INT));
+        assert_eq!(s.head(t), Ty::INT);
+        assert!(matches!(s.kind(t), TyKind::Con(c, _) if c.kind == TyconKind::Int));
     }
 
     #[test]
-    fn clone_head_and_zonk_share_children() {
-        let t = Ty::arrow(Ty::list(Ty::int()), Ty::pair(Ty::int(), Ty::real()));
-        let v = TvRef::fresh(0);
-        *v.0.borrow_mut() = Tv::Link(t.clone());
-        let linked = Ty::Var(v);
-        // A link-free subtree is shared, not copied, by every walk.
-        for u in [
-            t.clone(),
-            linked.head().into_owned(),
-            linked.zonk(),
-            t.subst_gen(&[]),
-        ] {
-            let (Ty::Arrow(a1, r1), Ty::Arrow(a2, r2)) = (&t, &u) else {
-                panic!("expected two arrows, got {t} and {u}");
-            };
-            assert!(
-                Rc::ptr_eq(a1, a2) && Rc::ptr_eq(r1, r2),
-                "{u} copied a child"
-            );
+    fn head_compresses_paths() {
+        // a -> b -> c -> int: after one head, every link points at int.
+        let mut s = TyStore::new();
+        let chain: Vec<Ty> = (0..3).map(|_| s.fresh_var(0)).collect();
+        let vars: Vec<TvId> = chain.iter().map(|t| s.head_var(*t).unwrap()).collect();
+        s.set_tv(vars[2], Tv::Link(Ty::INT));
+        s.set_tv(vars[1], Tv::Link(chain[2]));
+        s.set_tv(vars[0], Tv::Link(chain[1]));
+        assert_eq!(s.head(chain[0]), Ty::INT);
+        for v in vars {
+            assert_eq!(s.tv(v), Tv::Link(Ty::INT));
         }
     }
 
     #[test]
+    fn walks_share_link_free_nodes() {
+        // A link-free subtree keeps its handle through every walk, and a
+        // node with a link below it is rebuilt once.
+        let mut s = TyStore::new();
+        let l = s.list(Ty::INT);
+        let r = s.pair(Ty::INT, Ty::REAL);
+        let t = s.arrow(l, r);
+        let x = s.fresh_var(0);
+        s.set_tv(s.head_var(x).unwrap(), Tv::Link(t));
+        assert_eq!(s.head(x), t);
+        assert_eq!(s.zonk(t), t);
+        assert_eq!(s.subst_gen(t, &[Ty::INT]), t);
+        let before = s.len();
+        let u = s.arrow(x, x);
+        let z = s.zonk(u);
+        assert_ne!(z, u);
+        assert!(matches!(s.kind(z), TyKind::Arrow(a, b) if a == t && b == t));
+        assert_eq!(s.len(), before + 2, "one new arrow, not one per path");
+    }
+
+    #[test]
     fn zonk_resolves_deeply() {
-        let v = TvRef::fresh(0);
-        let t = Ty::list(Ty::Var(v.clone()));
-        *v.0.borrow_mut() = Tv::Link(Ty::real());
-        assert_eq!(t.zonk().to_string(), "real list");
+        let mut s = TyStore::new();
+        let x = s.fresh_var(0);
+        let t = s.list(x);
+        s.set_tv(s.head_var(x).unwrap(), Tv::Link(Ty::REAL));
+        assert_eq!(s.show(t).to_string(), "real list");
+        let z = s.zonk(t);
+        assert!(matches!(s.node_kind(z), TyKind::Con(_, [a]) if *a == Ty::REAL));
+    }
+
+    #[test]
+    fn subst_gen_copies_a_shared_node_once() {
+        // 'a -> 'a * 'a with the pair shared n levels deep: the instance
+        // has as many new nodes as the scheme body, not 2^n.
+        let mut s = TyStore::new();
+        let g = s.new_tv(Tv::Gen(0));
+        let mut t = s.var_ty(g);
+        for _ in 0..40 {
+            t = s.pair(t, t);
+        }
+        let before = s.len();
+        let u = s.subst_gen(t, &[Ty::INT]);
+        assert_eq!(s.len(), before + 40);
+        assert!(s.is_monomorphic(u));
     }
 
     #[test]
     fn scheme_instantiation_is_fresh() {
         // forall 'a. 'a -> 'a
-        let v = TvRef::fresh(0);
-        *v.0.borrow_mut() = Tv::Gen(0);
-        let body = Ty::arrow(Ty::Var(v.clone()), Ty::Var(v.clone()));
-        let s = Scheme {
-            arity: 1,
-            eq_flags: vec![false],
-            cells: vec![v],
-            body,
-        };
-        let (t1, inst1) = s.instantiate(0);
-        let (_t2, inst2) = s.instantiate(0);
+        let mut s = TyStore::new();
+        let v = s.new_tv(Tv::Gen(0));
+        let a = s.var_ty(v);
+        let body = s.arrow(a, a);
+        let sc = Scheme::poly(body, vec![Generic { cell: v, eq: false }]);
+        let (t1, inst1) = s.instantiate(&sc, 0);
+        let (_t2, inst2) = s.instantiate(&sc, 0);
         assert_eq!(inst1.len(), 1);
         // Distinct instantiations do not share variables.
-        match (&*inst1[0].head(), &*inst2[0].head()) {
-            (Ty::Var(a), Ty::Var(b)) => assert!(!a.same(b)),
-            _ => panic!("expected fresh vars"),
-        }
-        assert!(matches!(t1, Ty::Arrow(..)));
+        assert_ne!(s.head_var(inst1[0]), s.head_var(inst2[0]));
+        assert!(matches!(s.kind(t1), TyKind::Arrow(x, y) if x == inst1[0] && y == inst1[0]));
+        assert_eq!(s.identity_instance(&sc), vec![a]);
+    }
+
+    #[test]
+    fn copies_of_a_scheme_share_its_generics() {
+        let mut s = TyStore::new();
+        let v = s.new_tv(Tv::Gen(0));
+        let sc = Scheme::poly(s.var_ty(v), vec![Generic { cell: v, eq: true }]);
+        let copy = sc.clone();
+        assert!(std::ptr::eq(sc.generics(), copy.generics()));
+        assert_eq!(Scheme::mono(Ty::INT).arity(), 0);
     }
 
     #[test]
@@ -669,15 +1200,29 @@ mod tests {
         assert_ne!(Tycon::int().stamp, Tycon::real().stamp);
         assert!(Tycon::int().is_rigid());
         assert!(!Tycon::fresh_abstract(Symbol::intern("t"), 0, false).is_rigid());
+        let mut s = TyStore::new();
+        assert_eq!(s.con(Tycon::bool(), &[]), Ty::BOOL);
+        assert_eq!(s.tuple(&[]), Ty::UNIT);
     }
 
     #[test]
     fn gen_vars_collects() {
-        let v0 = TvRef::fresh(0);
-        let v1 = TvRef::fresh(0);
-        *v0.0.borrow_mut() = Tv::Gen(0);
-        *v1.0.borrow_mut() = Tv::Gen(1);
-        let t = Ty::pair(Ty::Var(v0.clone()), Ty::pair(Ty::Var(v1), Ty::Var(v0)));
-        assert_eq!(t.gen_vars(), vec![0, 1]);
+        let mut s = TyStore::new();
+        let v0 = s.new_tv(Tv::Gen(0));
+        let v1 = s.new_tv(Tv::Gen(1));
+        let (a, b) = (s.var_ty(v0), s.var_ty(v1));
+        let inner = s.pair(b, a);
+        let t = s.pair(a, inner);
+        assert_eq!(s.gen_vars(t), vec![0, 1]);
+        assert!(!s.is_monomorphic(t));
+    }
+
+    #[test]
+    fn variables_print_by_store_index() {
+        let mut s = TyStore::new();
+        let a = s.fresh_var(0);
+        let b = s.fresh_var_eq(0, true);
+        let t = s.arrow(a, b);
+        assert_eq!(s.show(t).to_string(), "'X0 -> ''X1");
     }
 }

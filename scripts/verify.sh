@@ -87,12 +87,16 @@ fi
 # comparison catches it. The global allocator's unit tests run again in
 # release too, the profile the benchmark allocates through: their
 # multi-threaded stress test makes 200,000 operations per thread there
-# (20,000 in the dev profile).
+# (20,000 in the dev profile). The type store's, the elaborator's and
+# the lambda translator's tests run again in release too: types are
+# handles indexing the store's arrays, and handle arithmetic is not
+# overflow-checked there.
 echo "== release gates =="
 cargo test -q --release -p smlc-bench --test gates --test run_stats_golden --test codegen_golden
 cargo test -q --release -p smlc --test fuzz_programs -- seeded_batch
 cargo test -q --release -p sml-vm --test dispatch --test sched
 cargo test -q --release -p smlc --lib -- alloc::tests
+cargo test -q --release -p sml-types -p sml-elab -p sml-lambda
 
 # The benchmark harness, smlc-bench/, is a package outside the
 # workspace that builds the compiler crates from source and names their
