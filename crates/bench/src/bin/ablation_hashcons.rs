@@ -2,72 +2,17 @@
 //! functor-heavy code. Compiles a program with many functor applications
 //! against large signatures, with and without hash-consing.
 
-use sml_cps::{convert, optimize, CpsConfig, OptConfig};
-use sml_lambda::{translate, InternMode, LambdaConfig};
+use sml_lambda::InternMode;
+use smlc_bench::{ablation_compile, functor_heavy_source};
 use std::time::Instant;
-
-fn functor_heavy_source(n_apps: usize) -> String {
-    // A deeply nested signature (big SRECORD types) and a matching
-    // structure; every application performs abstraction matching, whose
-    // coercions repeatedly compare large module types — the case the
-    // paper says took "tens of minutes" without hash-consing.
-    fn sig_level(depth: usize) -> String {
-        let mut vals = String::new();
-        for i in 0..6 {
-            vals.push_str(&format!(
-                "  val f{i} : (real * real) * (real -> real * real) -> real * real\n"
-            ));
-        }
-        if depth == 0 {
-            format!("sig\n{vals} end")
-        } else {
-            format!("sig\n{vals}  structure Sub : {}\nend", sig_level(depth - 1))
-        }
-    }
-    fn str_level(depth: usize) -> String {
-        let mut vals = String::new();
-        for i in 0..6 {
-            vals.push_str(&format!(
-                "  fun f{i} (((a, b), g) : (real * real) * (real -> real * real)) = g (a + b)\n"
-            ));
-        }
-        if depth == 0 {
-            format!("struct\n{vals} end")
-        } else {
-            format!(
-                "struct\n{vals}  structure Sub = {}\nend",
-                str_level(depth - 1)
-            )
-        }
-    }
-    let mut out = format!(
-        "signature BIG = {}\nstructure Impl = {}\n\
-         functor F (X : BIG) = struct structure Y = X val g = X.f0 end\n",
-        sig_level(5),
-        str_level(5)
-    );
-    for i in 0..n_apps {
-        out.push_str(&format!("structure A{i} = F (Impl)\n"));
-        out.push_str(&format!("abstraction Z{i} : BIG = Impl\n"));
-    }
-    out
-}
 
 fn compile_time(src: &str, mode: InternMode) -> (f64, usize, u64) {
     let t = Instant::now();
-    let prog = sml_ast::parse(src).expect("parse");
-    let elab = sml_elab::elaborate(&prog).expect("elaborate");
-    let cfg = LambdaConfig {
-        intern_mode: mode,
-        ..LambdaConfig::default()
-    };
-    let mut tr = translate(&elab, &cfg);
-    let mut cps = convert(&tr.lexp, &mut tr.interner, tr.n_vars, &CpsConfig::default());
-    optimize(&mut cps, &OptConfig::default());
+    let interner = ablation_compile(src, mode);
     (
         t.elapsed().as_secs_f64(),
-        tr.interner.len(),
-        tr.interner.deep_compares,
+        interner.len(),
+        interner.deep_compares,
     )
 }
 

@@ -28,6 +28,8 @@
 
 #![warn(missing_docs)]
 
+use sml_cps::{convert, optimize, CpsConfig, OptConfig};
+use sml_lambda::{translate, InternMode, LambdaConfig, LtyInterner};
 use smlc::{
     par_map, result_tag, CompileError, CompileStats, Compiled, Job, Json, Metrics, Outcome,
     RunMetrics, Session, Variant, VmResult, METRICS_SCHEMA_VERSION,
@@ -518,6 +520,75 @@ pub fn json_path_from_args(args: impl Iterator<Item = String>) -> Option<String>
         }
     }
     path
+}
+
+/// The program of the §4.5 hash-consing ablation (`ablation_hashcons`):
+/// `n_apps` functor applications and abstractions against a deeply
+/// nested signature (big SRECORD types) and a matching structure. Every
+/// application performs abstraction matching, whose coercions
+/// repeatedly compare large module types — the case the paper says took
+/// "tens of minutes" without hash-consing.
+pub fn functor_heavy_source(n_apps: usize) -> String {
+    fn sig_level(depth: usize) -> String {
+        let mut vals = String::new();
+        for i in 0..6 {
+            vals.push_str(&format!(
+                "  val f{i} : (real * real) * (real -> real * real) -> real * real\n"
+            ));
+        }
+        if depth == 0 {
+            format!("sig\n{vals} end")
+        } else {
+            format!("sig\n{vals}  structure Sub : {}\nend", sig_level(depth - 1))
+        }
+    }
+    fn str_level(depth: usize) -> String {
+        let mut vals = String::new();
+        for i in 0..6 {
+            vals.push_str(&format!(
+                "  fun f{i} (((a, b), g) : (real * real) * (real -> real * real)) = g (a + b)\n"
+            ));
+        }
+        if depth == 0 {
+            format!("struct\n{vals} end")
+        } else {
+            format!(
+                "struct\n{vals}  structure Sub = {}\nend",
+                str_level(depth - 1)
+            )
+        }
+    }
+    let mut out = format!(
+        "signature BIG = {}\nstructure Impl = {}\n\
+         functor F (X : BIG) = struct structure Y = X val g = X.f0 end\n",
+        sig_level(5),
+        str_level(5)
+    );
+    for i in 0..n_apps {
+        out.push_str(&format!("structure A{i} = F (Impl)\n"));
+        out.push_str(&format!("abstraction Z{i} : BIG = Impl\n"));
+    }
+    out
+}
+
+/// Compiles `src` through translation, CPS conversion and optimization
+/// with its LTYs interned in `intern_mode`, as the §4.5 ablation does,
+/// and returns the compile's LTY table.
+///
+/// # Panics
+///
+/// Panics if `src` does not parse or elaborate.
+pub fn ablation_compile(src: &str, intern_mode: InternMode) -> LtyInterner {
+    let prog = sml_ast::parse(src).expect("the ablation program parses");
+    let elab = sml_elab::elaborate(&prog).expect("the ablation program elaborates");
+    let cfg = LambdaConfig {
+        intern_mode,
+        ..LambdaConfig::default()
+    };
+    let mut tr = translate(&elab, &cfg);
+    let mut cps = convert(&tr.lexp, &mut tr.interner, tr.n_vars, &CpsConfig::default());
+    optimize(&mut cps, &OptConfig::default());
+    tr.interner
 }
 
 #[cfg(test)]

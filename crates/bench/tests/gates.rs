@@ -1,9 +1,10 @@
 //! Release-profile gates over the figure benchmarks and seeded
 //! generated corpora, one module per guarantee: the artifact cache and
 //! the collectors are outcome-invisible, no GC pause exceeds its budget,
-//! the two dispatch engines agree to the last counter, and the
+//! the two dispatch engines agree to the last counter, the
 //! scheduler keeps tenants solo-identical, EDF meeting every deadline
-//! on a feasible load.
+//! on a feasible load, and the paper's §4.5 hash-consing ablation runs
+//! to its largest row.
 //!
 //! Every assertion is on a deterministic quantity (outputs, outcomes,
 //! counters), never on wall time. Unoptimized, the figure programs run
@@ -895,5 +896,38 @@ mod sched {
             );
         }
         report(&failures);
+    }
+}
+
+/// Paper §4.5's hash-consing ablation (`ablation_hashcons`,
+/// EXPERIMENTS.md) at its largest row: the program of 64 functor
+/// applications translates, converts and optimizes under both interning
+/// modes on an 8 MiB stack, the binary's main-thread stack.
+mod ablation {
+    use sml_lambda::InternMode;
+    use smlc_bench::{ablation_compile, functor_heavy_source};
+
+    /// The number of LTYs the compile of `n_apps` applications makes.
+    fn lty_count(n_apps: usize, mode: InternMode) -> usize {
+        let src = functor_heavy_source(n_apps);
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(move || ablation_compile(&src, mode).len())
+            .expect("spawns")
+            .join()
+            .expect("compiles")
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-only gate")]
+    fn hash_consing_keeps_64_functor_applications_at_the_types_of_one() {
+        let one = lty_count(1, InternMode::HashCons);
+        let hash_consed = lty_count(64, InternMode::HashCons);
+        let structural = lty_count(64, InternMode::Structural);
+        assert_eq!(hash_consed, one, "hash-consed LTYs at 64 applications");
+        assert!(
+            structural > hash_consed,
+            "{structural} structural LTYs against {hash_consed} hash-consed"
+        );
     }
 }

@@ -68,20 +68,14 @@ pub fn convert(
     cfg: &CpsConfig,
 ) -> CpsProgram {
     // LEXP variables are below `first_var`; CPS ones count up from it.
-    let mut known = vec![false; first_var as usize];
-    collect_known(lexp, &mut known);
-    let mut known_arity = Vec::new();
-    if cfg.spread == SpreadMode::KnownOnly {
-        known_arity = vec![ARITY_UNSEEN; first_var as usize];
-        collect_known_arity(lexp, &known, cfg.max_spread, &mut known_arity);
-    }
+    let (facts, known_arity) = analyze(lexp, first_var as usize, cfg);
     let mut conv = Conv {
         i: interner,
         cfg: *cfg,
         next: first_var,
         env: vec![None; first_var as usize],
         subst: VarMap::default(),
-        known,
+        facts,
         known_arity,
     };
     let body = conv.cexp(lexp, K::Done);
@@ -91,183 +85,75 @@ pub fn convert(
     }
 }
 
-/// Marks, by variable, the LEXP `Fix`-bound functions whose every
-/// occurrence is a direct call head (known functions, eligible for
-/// `sml.fag` flattening).
-fn collect_known(e: &Lexp, known: &mut Vec<bool>) {
-    fn bound(e: &Lexp, out: &mut Vec<bool>) {
-        match e {
-            Lexp::Fix(fs, b) => {
-                for (v, _, f) in fs {
-                    set(out, *v, true, false);
-                    bound(f, out);
-                }
-                bound(b, out);
-            }
-            Lexp::Fn(_, _, _, b) => bound(b, out),
-            Lexp::App(f, a) => {
-                bound(f, out);
-                bound(a, out);
-            }
-            Lexp::Let(_, a, b) => {
-                bound(a, out);
-                bound(b, out);
-            }
-            Lexp::Record(es) | Lexp::SRecord(es) | Lexp::PrimApp(_, es) => {
-                es.iter().for_each(|e| bound(e, out))
-            }
-            Lexp::Select(_, e) | Lexp::Wrap(_, e) | Lexp::Unwrap(_, e) | Lexp::Raise(e, _) => {
-                bound(e, out)
-            }
-            Lexp::If(c, t, f) => {
-                bound(c, out);
-                bound(t, out);
-                bound(f, out);
-            }
-            Lexp::SwitchInt(s, arms, d) => {
-                bound(s, out);
-                arms.iter().for_each(|(_, e)| bound(e, out));
-                if let Some(d) = d {
-                    bound(d, out);
-                }
-            }
-            Lexp::Handle(e, h) => {
-                bound(e, out);
-                bound(h, out);
-            }
-            _ => {}
-        }
-    }
-    fn escapes(e: &Lexp, known: &mut Vec<bool>) {
-        match e {
-            Lexp::Var(v) => {
-                if let Some(k) = known.get_mut(*v as usize) {
-                    *k = false;
-                }
-            }
-            Lexp::App(f, a) => {
-                // The head survives as known; everything inside the
-                // argument escapes.
-                if !matches!(**f, Lexp::Var(_)) {
-                    escapes(f, known);
-                }
-                escapes(a, known);
-            }
-            Lexp::Fix(fs, b) => {
-                fs.iter().for_each(|(_, _, f)| escapes(f, known));
-                escapes(b, known);
-            }
-            Lexp::Fn(_, _, _, b) => escapes(b, known),
-            Lexp::Let(_, a, b) => {
-                escapes(a, known);
-                escapes(b, known);
-            }
-            Lexp::Record(es) | Lexp::SRecord(es) | Lexp::PrimApp(_, es) => {
-                es.iter().for_each(|e| escapes(e, known))
-            }
-            Lexp::Select(_, e) | Lexp::Wrap(_, e) | Lexp::Unwrap(_, e) | Lexp::Raise(e, _) => {
-                escapes(e, known)
-            }
-            Lexp::If(c, t, f) => {
-                escapes(c, known);
-                escapes(t, known);
-                escapes(f, known);
-            }
-            Lexp::SwitchInt(s, arms, d) => {
-                escapes(s, known);
-                arms.iter().for_each(|(_, e)| escapes(e, known));
-                if let Some(d) = d {
-                    escapes(d, known);
-                }
-            }
-            Lexp::Handle(e, h) => {
-                escapes(e, known);
-                escapes(h, known);
-            }
-            _ => {}
-        }
-    }
-    bound(e, known);
-    escapes(e, known);
-}
-
+/// `Conv::facts` bit: a `Fix` binds the variable.
+const FIX_BOUND: u8 = 1;
+/// `Conv::facts` bit: the variable occurs other than as a call head.
+const ESCAPES: u8 = 2;
 /// `known_arity`'s entry for a function no call of which was seen.
 const ARITY_UNSEEN: u32 = 0;
 /// `known_arity`'s entry for a function not to flatten.
 const NOT_FLAT: u32 = u32::MAX;
 
-/// For `sml.fag` (Kranz): a known function is flattenable when every
-/// call site passes a literal record of one consistent arity — a purely
-/// syntactic analysis requiring no type information. Fills in, by
-/// variable, that arity, or `NOT_FLAT`.
-fn collect_known_arity(e: &Lexp, known: &[bool], max: usize, out: &mut Vec<u32>) {
-    fn walk(e: &Lexp, known: &[bool], max: usize, out: &mut Vec<u32>) {
-        if let Lexp::App(f, a) = e {
-            if let Lexp::Var(v) = &**f {
-                if known.get(*v as usize) == Some(&true) {
-                    let arity = match &**a {
-                        Lexp::Record(es) if !es.is_empty() && es.len() <= max => es.len() as u32,
-                        _ => NOT_FLAT,
-                    };
-                    let prev = out.get(*v as usize).copied().unwrap_or(ARITY_UNSEEN);
-                    if prev == ARITY_UNSEEN {
-                        set(out, *v, arity, ARITY_UNSEEN);
-                    } else if prev != arity {
-                        set(out, *v, NOT_FLAT, ARITY_UNSEEN);
-                    }
-                }
-            }
+/// One walk over the program, returning per variable its `FIX_BOUND` and
+/// `ESCAPES` bits and, under `sml.fag`, the arity the function's call
+/// sites agree on. A function is *known* (eligible for `sml.fag`
+/// flattening) when `Fix` binds it and every occurrence is a direct call
+/// head. Kranz flattens a known function when every call passes a
+/// literal record of one arity — a purely syntactic analysis: the arity
+/// is `NOT_FLAT` when the sites disagree or pass something else, and
+/// `ARITY_UNSEEN` when no call was seen (empty under other variants).
+fn analyze(e: &Lexp, n_vars: usize, cfg: &CpsConfig) -> (Vec<u8>, Vec<u32>) {
+    let mut facts = vec![0; n_vars];
+    let mut arity = Vec::new();
+    if cfg.spread == SpreadMode::KnownOnly {
+        arity = vec![ARITY_UNSEEN; n_vars];
+    }
+    let mut mark = |v: LVar, bit: u8| {
+        if let Some(f) = facts.get_mut(v as usize) {
+            *f |= bit;
         }
+    };
+    let mut todo = vec![e];
+    while let Some(e) = todo.pop() {
         match e {
-            Lexp::Fn(_, _, _, b) => walk(b, known, max, out),
-            Lexp::Fix(fs, b) => {
-                fs.iter().for_each(|(_, _, f)| walk(f, known, max, out));
-                walk(b, known, max, out);
-            }
+            Lexp::Var(v) => mark(*v, ESCAPES),
+            Lexp::Fix(fs, _) => fs.iter().for_each(|(v, ..)| mark(*v, FIX_BOUND)),
             Lexp::App(f, a) => {
-                walk(f, known, max, out);
-                walk(a, known, max, out);
-            }
-            Lexp::Let(_, a, b) => {
-                walk(a, known, max, out);
-                walk(b, known, max, out);
-            }
-            Lexp::Record(es) | Lexp::SRecord(es) | Lexp::PrimApp(_, es) => {
-                es.iter().for_each(|e| walk(e, known, max, out))
-            }
-            Lexp::Select(_, e) | Lexp::Wrap(_, e) | Lexp::Unwrap(_, e) | Lexp::Raise(e, _) => {
-                walk(e, known, max, out)
-            }
-            Lexp::If(c, t, f) => {
-                walk(c, known, max, out);
-                walk(t, known, max, out);
-                walk(f, known, max, out);
-            }
-            Lexp::SwitchInt(s, arms, d) => {
-                walk(s, known, max, out);
-                arms.iter().for_each(|(_, e)| walk(e, known, max, out));
-                if let Some(d) = d {
-                    walk(d, known, max, out);
+                if let Lexp::Var(v) = **f {
+                    // The head survives as known; the argument escapes.
+                    if let Some(seen) = arity.get_mut(v as usize) {
+                        let n = match &**a {
+                            Lexp::Record(es) if !es.is_empty() && es.len() <= cfg.max_spread => {
+                                es.len() as u32
+                            }
+                            _ => NOT_FLAT,
+                        };
+                        *seen = if *seen == ARITY_UNSEEN || *seen == n {
+                            n
+                        } else {
+                            NOT_FLAT
+                        };
+                    }
+                    todo.push(a);
+                    continue;
                 }
-            }
-            Lexp::Handle(e, h) => {
-                walk(e, known, max, out);
-                walk(h, known, max, out);
             }
             _ => {}
         }
+        todo.extend(e.children());
     }
-    walk(e, known, max, out);
+    (facts, arity)
 }
 
-/// A boxed consumer of one converted value.
-type Consumer<'a> = Box<dyn FnOnce(&mut Conv<'_>, Value) -> Cexp + 'a>;
-/// A boxed consumer of several converted values.
-type MultiConsumer<'a> = Box<dyn FnOnce(&mut Conv<'_>, Vec<Value>) -> Cexp + 'a>;
+/// A boxed consumer of one converted value and its LTY.
+type Consumer<'a> = Box<dyn FnOnce(&mut Conv<'_>, Value, Lty) -> Cexp + 'a>;
+/// A boxed consumer of several converted values and their LTYs.
+type MultiConsumer<'a> = Box<dyn FnOnce(&mut Conv<'_>, Vec<Value>, Vec<Lty>) -> Cexp + 'a>;
 
-/// The meta-continuation of conversion.
+/// The meta-continuation of conversion. It borrows the input program,
+/// which stays in place for the whole conversion.
 enum K<'a> {
-    /// Apply this consumer to the produced value.
+    /// Apply this consumer to the produced value and its LTY.
     Fn(Consumer<'a>),
     /// Return to a continuation variable expecting results laid out per
     /// the given LTY.
@@ -280,17 +166,14 @@ struct Conv<'i> {
     i: &'i mut LtyInterner,
     cfg: CpsConfig,
     next: u32,
-    /// LTY environment for LEXP/CPS variables, by variable.
+    /// The LTY each LEXP variable was bound at.
     env: Vec<Option<Lty>>,
     /// Values substituted for let-bound variables.
     subst: VarMap<Value>,
-    /// Whether each LEXP variable is a known function.
-    known: Vec<bool>,
-    /// Kranz-style syntactic flattening (`sml.fag`), by variable: the
-    /// arity of the literal record every call site of a known function
-    /// passes, `NOT_FLAT` when the sites disagree or pass something
-    /// else, `ARITY_UNSEEN` when no call was seen. Empty under other
-    /// variants.
+    /// `FIX_BOUND` and `ESCAPES` bits by LEXP variable (see [`analyze`]).
+    facts: Vec<u8>,
+    /// The arity known functions are flattened to under `sml.fag` (see
+    /// [`analyze`]).
     known_arity: Vec<u32>,
 }
 
@@ -315,15 +198,23 @@ impl Conv<'_> {
     }
 
     fn is_known(&self, v: LVar) -> bool {
-        self.known.get(v as usize) == Some(&true)
+        self.facts.get(v as usize) == Some(&FIX_BOUND)
     }
 
     fn cty(&self, t: Lty) -> Cty {
         cty_of_lty(self.i, t)
     }
 
-    // ----- LTY reconstruction ------------------------------------------------
+    fn is_bottom(&self, t: Lty) -> bool {
+        matches!(self.i.kind(t), LtyKind::Bottom)
+    }
 
+    // ----- join-point types ------------------------------------------------------
+
+    /// The LTY of `e`, derived before `e` is converted. Conversion hands
+    /// every value to its consumer with its LTY, so only a join point
+    /// needs this: a non-tail `If` or `SwitchInt`, and a `Handle`, whose
+    /// continuation is built before the arms that return to it.
     fn lty_of(&mut self, e: &Lexp) -> Lty {
         match e {
             Lexp::Var(v) => self.var_lty(*v).unwrap_or_else(|| self.i.boxed()),
@@ -359,42 +250,16 @@ impl Conv<'_> {
             }
             Lexp::Select(idx, e) => {
                 let t = self.lty_of(e);
-                match self.i.kind(t).clone() {
-                    LtyKind::Record(fs) | LtyKind::SRecord(fs) => {
-                        fs.get(*idx).copied().unwrap_or_else(|| self.i.rboxed())
-                    }
-                    LtyKind::PRecord(fs) => fs
-                        .iter()
-                        .find(|(s, _)| s == idx)
-                        .map(|(_, t)| *t)
-                        .unwrap_or_else(|| self.i.rboxed()),
-                    _ => self.i.rboxed(),
-                }
+                self.field_lty(t, *idx)
             }
             Lexp::PrimApp(op, _) => match op {
                 Primop::Callcc => self.i.boxed(),
                 Primop::Throw => self.i.rboxed(),
                 _ => op.sig(self.i).1,
             },
-            Lexp::If(_, t, f) => {
-                let tt = self.lty_of(t);
-                if matches!(self.i.kind(tt), LtyKind::Bottom) {
-                    self.lty_of(f)
-                } else {
-                    tt
-                }
-            }
+            Lexp::If(_, t, f) => self.join_lty([&**t, &**f]),
             Lexp::SwitchInt(_, arms, d) => {
-                for (_, a) in arms {
-                    let t = self.lty_of(a);
-                    if !matches!(self.i.kind(t), LtyKind::Bottom) {
-                        return t;
-                    }
-                }
-                match d {
-                    Some(d) => self.lty_of(d),
-                    None => self.i.bottom(),
-                }
+                self.join_lty(arms.iter().map(|(_, a)| a).chain(d.as_deref()))
             }
             Lexp::Wrap(..) => self.i.boxed(),
             Lexp::Unwrap(t, _) => *t,
@@ -403,12 +268,35 @@ impl Conv<'_> {
         }
     }
 
+    /// The LTY of a join of `arms`: the first that returns, or bottom
+    /// when none does.
+    fn join_lty<'e>(&mut self, arms: impl IntoIterator<Item = &'e Lexp>) -> Lty {
+        for e in arms {
+            let t = self.lty_of(e);
+            if !self.is_bottom(t) {
+                return t;
+            }
+        }
+        self.i.bottom()
+    }
+
+    /// The LTY of field `idx` of a record of LTY `t`: standard boxed
+    /// when `t` does not say.
+    fn field_lty(&self, t: Lty, idx: usize) -> Lty {
+        let field = match self.i.kind(t) {
+            LtyKind::Record(fs) | LtyKind::SRecord(fs) => fs.get(idx).copied(),
+            LtyKind::PRecord(fs) => fs.iter().find(|(s, _)| *s == idx).map(|(_, t)| *t),
+            _ => None,
+        };
+        field.unwrap_or_else(|| self.i.rboxed())
+    }
+
     // ----- layouts --------------------------------------------------------------
 
     /// The flattened components of an argument (or result) LTY, if the
     /// configuration spreads it. `fnvar` is the function being defined or
     /// called, for the syntactic `sml.fag` analysis.
-    fn spread_of(&mut self, t: Lty, fnvar: Option<LVar>) -> Option<Vec<Lty>> {
+    fn spread_of(&self, t: Lty, fnvar: Option<LVar>) -> Option<Vec<Lty>> {
         match self.cfg.spread {
             SpreadMode::None => None,
             SpreadMode::KnownOnly => {
@@ -422,22 +310,22 @@ impl Conv<'_> {
                     _ => None,
                 }
             }
-            SpreadMode::ByType => match self.i.kind(t).clone() {
-                LtyKind::Record(fs) if !fs.is_empty() && fs.len() <= self.cfg.max_spread => {
-                    Some(fs)
-                }
-                _ => None,
-            },
+            SpreadMode::ByType => self.record_fields(t).map(<[Lty]>::to_vec),
         }
     }
 
     /// Result-value spreading: only under fully type-based conventions
     /// (escaping callers must agree by type).
-    fn ret_spread_of(&mut self, t: Lty) -> Option<Vec<Lty>> {
+    fn ret_spread_of(&self, t: Lty) -> Option<&[Lty]> {
         if self.cfg.spread != SpreadMode::ByType {
             return None;
         }
-        match self.i.kind(t).clone() {
+        self.record_fields(t)
+    }
+
+    /// The fields of `t` if it is a record small enough to spread.
+    fn record_fields(&self, t: Lty) -> Option<&[Lty]> {
+        match self.i.kind(t) {
             LtyKind::Record(fs) if !fs.is_empty() && fs.len() <= self.cfg.max_spread => Some(fs),
             _ => None,
         }
@@ -448,15 +336,15 @@ impl Conv<'_> {
     /// lengths (the information content of paper Figure 1c, with the
     /// scanned part leading so code pointers of closures sit at offset
     /// 0).
-    fn layout_fields(&mut self, vals: &[Value], ltys: &[Lty]) -> (Vec<(Value, Cty)>, usize) {
+    fn layout_fields(&self, vals: Vec<Value>, ltys: &[Lty]) -> (Vec<(Value, Cty)>, usize) {
         let mut floats = Vec::new();
         let mut words = Vec::new();
-        for (v, t) in vals.iter().zip(ltys) {
+        for (v, t) in vals.into_iter().zip(ltys) {
             let c = self.cty(*t);
             if c == Cty::Flt {
-                floats.push((v.clone(), c));
+                floats.push((v, c));
             } else {
-                words.push((v.clone(), c));
+                words.push((v, c));
             }
         }
         let nflt = floats.len();
@@ -466,23 +354,53 @@ impl Conv<'_> {
 
     /// Physical offset of logical field `idx` within a record of the
     /// given field LTYs: `(word_offset, is_float, cty)`.
-    fn field_offset(&mut self, fields: &[Lty], idx: usize) -> (usize, bool, Cty) {
-        let ctys: Vec<Cty> = fields.iter().map(|t| self.cty(*t)).collect();
-        let nwords = ctys.iter().filter(|c| **c != Cty::Flt).count();
-        if ctys[idx] == Cty::Flt {
-            let pos = ctys[..idx].iter().filter(|c| **c == Cty::Flt).count();
+    fn field_offset(&self, fields: &[Lty], idx: usize) -> (usize, bool, Cty) {
+        let is_flt = |t: &&Lty| self.cty(**t) == Cty::Flt;
+        let cty = self.cty(fields[idx]);
+        if cty == Cty::Flt {
+            let nwords = fields.len() - fields.iter().filter(is_flt).count();
+            let pos = fields[..idx].iter().filter(is_flt).count();
             (nwords + 2 * pos, true, Cty::Flt)
         } else {
-            let pos = ctys[..idx].iter().filter(|c| **c != Cty::Flt).count();
-            (pos, false, ctys[idx])
+            let pos = idx - fields[..idx].iter().filter(is_flt).count();
+            (pos, false, cty)
         }
+    }
+
+    /// Where field `idx` of a record of LTY `t` lives, and its LTY:
+    /// `(word_offset, is_float, cty, lty)`.
+    fn field_at(&self, t: Lty, idx: usize) -> (usize, bool, Cty, Lty) {
+        let lty = self.field_lty(t, idx);
+        let (word_off, flt, cty) = match self.i.kind(t) {
+            LtyKind::Record(fs) | LtyKind::SRecord(fs) => self.field_offset(fs, idx),
+            LtyKind::PRecord(_) => (idx, false, self.cty(lty)),
+            // Standard layout: all one-word fields.
+            _ => (idx, false, Cty::Ptr(None)),
+        };
+        (word_off, flt, cty, lty)
+    }
+
+    /// Fresh parameters for the components of a spread value.
+    fn spread_params(&mut self, fields: &[Lty]) -> Vec<(CVar, Cty)> {
+        fields
+            .iter()
+            .map(|t| (self.fresh(), self.cty(*t)))
+            .collect()
+    }
+
+    /// The record `dst` that rebuilds a spread value from its parameters
+    /// (the optimizer removes it when only selections follow).
+    fn rebuild(&self, params: &[(CVar, Cty)], fields: &[Lty], dst: CVar) -> Bind {
+        let vals = params.iter().map(|(x, _)| Value::Var(*x)).collect();
+        let (fields, nflt) = self.layout_fields(vals, fields);
+        Bind::Record { fields, nflt, dst }
     }
 
     // ----- conversion -------------------------------------------------------------
 
-    fn apply_k(&mut self, k: K<'_>, v: Value, _res_lty: Lty) -> Cexp {
+    fn apply_k(&mut self, k: K<'_>, v: Value, lty: Lty) -> Cexp {
         match k {
-            K::Fn(f) => f(self, v),
+            K::Fn(f) => f(self, v, lty),
             K::Ret(kvar, want_lty) => self.ret_to(kvar, want_lty, v),
             K::Done => Exit::Halt { v }.into(),
         }
@@ -490,7 +408,7 @@ impl Conv<'_> {
 
     /// Returns `v` to continuation `kvar`, spreading per `res_lty`.
     fn ret_to(&mut self, kvar: CVar, res_lty: Lty, v: Value) -> Cexp {
-        let Some(fields) = self.ret_spread_of(res_lty) else {
+        let Some(fields) = self.ret_spread_of(res_lty).map(<[Lty]>::to_vec) else {
             return Exit::App {
                 f: Value::Var(kvar),
                 args: vec![v],
@@ -524,56 +442,43 @@ impl Conv<'_> {
             .collect()
     }
 
+    /// The parameters of a join continuation receiving a value of LTY
+    /// `rlty`, and its body: `k` applied to that value.
+    fn join_body(&mut self, rlty: Lty, k: K<'_>) -> (Vec<(CVar, Cty)>, Cexp) {
+        match self.ret_spread_of(rlty).map(<[Lty]>::to_vec) {
+            None => {
+                let x = self.fresh();
+                let cty = self.cty(rlty);
+                let body = self.apply_k(k, Value::Var(x), rlty);
+                (vec![(x, cty)], body)
+            }
+            Some(fields) => {
+                // Receive components, rebuild the logical record.
+                let params = self.spread_params(&fields);
+                let dst = self.fresh();
+                let record = self.rebuild(&params, &fields, dst);
+                let body = self.apply_k(k, Value::Var(dst), rlty);
+                (params, Cexp::bind(record, body))
+            }
+        }
+    }
+
     /// Builds the join continuation for a call with result type `rlty`;
     /// returns (cont var, Fix wrapper builder).
     fn make_join(&mut self, rlty: Lty, k: K<'_>) -> (CVar, Vec<FunDef>) {
         let kvar = self.fresh();
-        let fun = match self.ret_spread_of(rlty) {
-            None => {
-                let x = self.fresh();
-                let cty = self.cty(rlty);
-                self.bind_lty(x, rlty);
-                let body = self.apply_k(k, Value::Var(x), rlty);
-                FunDef {
-                    kind: FunKind::Cont,
-                    name: kvar,
-                    params: vec![(x, cty)],
-                    body,
-                }
-            }
-            Some(fields) => {
-                // Receive components, rebuild the logical record (the
-                // optimizer removes it when only selections follow).
-                let params: Vec<(CVar, Cty)> = fields
-                    .iter()
-                    .map(|t| {
-                        let x = self.fresh();
-                        (x, self.cty(*t))
-                    })
-                    .collect();
-                let vals: Vec<Value> = params.iter().map(|(x, _)| Value::Var(*x)).collect();
-                let (phys, nflt) = self.layout_fields(&vals, &fields);
-                let rv = self.fresh();
-                self.bind_lty(rv, rlty);
-                let body = self.apply_k(k, Value::Var(rv), rlty);
-                let record = Bind::Record {
-                    fields: phys,
-                    nflt,
-                    dst: rv,
-                };
-                FunDef {
-                    kind: FunKind::Cont,
-                    name: kvar,
-                    params,
-                    body: Cexp::bind(record, body),
-                }
-            }
+        let (params, body) = self.join_body(rlty, k);
+        let fun = FunDef {
+            kind: FunKind::Cont,
+            name: kvar,
+            params,
+            body,
         };
         (kvar, vec![fun])
     }
 
     /// Converts `e`, delivering its value to `k`.
-    fn cexp(&mut self, e: &Lexp, k: K<'_>) -> Cexp {
+    fn cexp<'a>(&mut self, e: &'a Lexp, k: K<'a>) -> Cexp {
         match e {
             Lexp::Var(v) => {
                 let t = self.var_lty(*v).unwrap_or_else(|| self.i.boxed());
@@ -596,7 +501,6 @@ impl Conv<'_> {
                 let name = self.fresh();
                 let arrow = self.i.arrow(*t, *r);
                 let def = self.convert_fn(name, FunKind::Escape, *v, *t, *r, body, None);
-                self.bind_lty(name, arrow);
                 let rest = self.apply_k(k, Value::Var(name), arrow);
                 Cexp::bind(Bind::Fix { funs: vec![def] }, rest)
             }
@@ -625,68 +529,43 @@ impl Conv<'_> {
             Lexp::Let(v, a, b) => {
                 // No CPS code for the binding itself: convert `a`, alias
                 // `v` to the produced value.
-                let vcopy = *v;
-                let at = self.lty_of(a);
                 self.cexp(
                     a,
-                    K::Fn(Box::new(move |me: &mut Conv<'_>, va: Value| {
-                        me.bind_lty(vcopy, at);
-                        me.subst.insert(vcopy, va);
+                    K::Fn(Box::new(move |me: &mut Conv<'_>, va: Value, at: Lty| {
+                        me.bind_lty(*v, at);
+                        me.subst.insert(*v, va);
                         me.cexp(b, k)
                     })),
                 )
             }
             Lexp::Record(es) | Lexp::SRecord(es) => {
                 let is_module = matches!(e, Lexp::SRecord(_));
-                let ltys: Vec<Lty> = es.iter().map(|e| self.lty_of(e)).collect();
-                let rec_lty = if is_module {
-                    self.i.srecord(ltys.clone())
-                } else {
-                    self.i.record(ltys.clone())
-                };
                 self.cexps(
                     es,
-                    Box::new(move |me: &mut Conv<'_>, vals: Vec<Value>| {
-                        let (phys, nflt) = me.layout_fields(&vals, &ltys);
+                    Box::new(move |me: &mut Conv<'_>, vals: Vec<Value>, ltys: Vec<Lty>| {
+                        let (fields, nflt) = me.layout_fields(vals, &ltys);
+                        let rec_lty = if is_module {
+                            me.i.srecord(ltys)
+                        } else {
+                            me.i.record(ltys)
+                        };
                         let dst = me.fresh();
-                        me.bind_lty(dst, rec_lty);
                         let rest = me.apply_k(k, Value::Var(dst), rec_lty);
-                        let fields = phys;
                         Cexp::bind(Bind::Record { fields, nflt, dst }, rest)
                     }),
                 )
             }
             Lexp::Select(idx, rec) => {
-                let rec_lty = self.lty_of(rec);
                 let idx = *idx;
                 self.cexp(
                     rec,
-                    K::Fn(Box::new(move |me: &mut Conv<'_>, rv: Value| {
-                        let (off, flt, cty, out_lty) = match me.i.kind(rec_lty).clone() {
-                            LtyKind::Record(fs) | LtyKind::SRecord(fs) => {
-                                let (o, f, c) = me.field_offset(&fs, idx);
-                                (o, f, c, fs[idx])
-                            }
-                            LtyKind::PRecord(fs) => {
-                                let t = fs
-                                    .iter()
-                                    .find(|(s, _)| *s == idx)
-                                    .map(|(_, t)| *t)
-                                    .unwrap_or_else(|| me.i.rboxed());
-                                (idx, false, me.cty(t), t)
-                            }
-                            // Standard layout: all one-word fields.
-                            _ => {
-                                let rb = me.i.rboxed();
-                                (idx, false, Cty::Ptr(None), rb)
-                            }
-                        };
+                    K::Fn(Box::new(move |me: &mut Conv<'_>, rv: Value, t: Lty| {
+                        let (word_off, flt, cty, out_lty) = me.field_at(t, idx);
                         let dst = me.fresh();
-                        me.bind_lty(dst, out_lty);
                         let rest = me.apply_k(k, Value::Var(dst), out_lty);
                         let select = Bind::Select {
                             rec: rv,
-                            word_off: off,
+                            word_off,
                             flt,
                             dst,
                             cty,
@@ -697,7 +576,7 @@ impl Conv<'_> {
             }
             Lexp::App(f, a) => self.convert_app(f, a, k),
             Lexp::PrimApp(op, args) => self.convert_prim(*op, args, k),
-            Lexp::If(c, t, e) => self.convert_if(c, t, e, k),
+            Lexp::If(c, t, f) => self.convert_if(c, t, f, k),
             Lexp::SwitchInt(s, arms, d) => self.convert_switch(s, arms, d.as_deref(), k),
             Lexp::Wrap(t, inner) => {
                 let op = match self.i.kind(*t) {
@@ -708,9 +587,8 @@ impl Conv<'_> {
                 let boxed = self.i.boxed();
                 self.cexp(
                     inner,
-                    K::Fn(Box::new(move |me: &mut Conv<'_>, v: Value| {
+                    K::Fn(Box::new(move |me: &mut Conv<'_>, v: Value, _| {
                         let dst = me.fresh();
-                        me.bind_lty(dst, boxed);
                         let rest = me.apply_k(k, Value::Var(dst), boxed);
                         let args = vec![v];
                         let cty = Cty::Ptr(None);
@@ -727,9 +605,8 @@ impl Conv<'_> {
                 let t = *t;
                 self.cexp(
                     inner,
-                    K::Fn(Box::new(move |me: &mut Conv<'_>, v: Value| {
+                    K::Fn(Box::new(move |me: &mut Conv<'_>, v: Value, _| {
                         let dst = me.fresh();
-                        me.bind_lty(dst, t);
                         let rest = me.apply_k(k, Value::Var(dst), t);
                         let args = vec![v];
                         Cexp::bind(Bind::Pure { op, args, dst, cty }, rest)
@@ -738,7 +615,7 @@ impl Conv<'_> {
             }
             Lexp::Raise(e, _) => self.cexp(
                 e,
-                K::Fn(Box::new(move |me: &mut Conv<'_>, packet: Value| {
+                K::Fn(Box::new(move |me: &mut Conv<'_>, packet: Value, _| {
                     let h = me.fresh();
                     let raise = Exit::App {
                         f: Value::Var(h),
@@ -752,25 +629,28 @@ impl Conv<'_> {
     }
 
     /// Converts a list of expressions left to right.
-    fn cexps(&mut self, es: &[Lexp], k: MultiConsumer<'_>) -> Cexp {
+    fn cexps<'a>(&mut self, es: &'a [Lexp], k: MultiConsumer<'a>) -> Cexp {
         fn go<'a>(
             me: &mut Conv<'_>,
             es: &'a [Lexp],
-            mut acc: Vec<Value>,
+            mut vals: Vec<Value>,
+            mut ltys: Vec<Lty>,
             k: MultiConsumer<'a>,
         ) -> Cexp {
             match es.split_first() {
-                None => k(me, acc),
+                None => k(me, vals, ltys),
                 Some((e, rest)) => me.cexp(
                     e,
-                    K::Fn(Box::new(move |me: &mut Conv<'_>, v: Value| {
-                        acc.push(v);
-                        go(me, rest, acc, k)
+                    K::Fn(Box::new(move |me: &mut Conv<'_>, v: Value, t: Lty| {
+                        vals.push(v);
+                        ltys.push(t);
+                        go(me, rest, vals, ltys, k)
                     })),
                 ),
             }
         }
-        go(self, es, Vec::new(), k)
+        let n = es.len();
+        go(self, es, Vec::with_capacity(n), Vec::with_capacity(n), k)
     }
 
     /// Converts a function definition. `res_lty` is the function's
@@ -788,12 +668,11 @@ impl Conv<'_> {
         fnvar: Option<LVar>,
     ) -> FunDef {
         self.bind_lty(param, param_lty);
-        let body_lty = res_lty;
         let kvar = self.fresh();
         match self.spread_of(param_lty, fnvar) {
             None => {
                 let pcty = self.cty(param_lty);
-                let cbody = self.cexp(body, K::Ret(kvar, body_lty));
+                let cbody = self.cexp(body, K::Ret(kvar, res_lty));
                 FunDef {
                     kind,
                     name,
@@ -804,124 +683,91 @@ impl Conv<'_> {
             Some(fields) => {
                 // Components in registers; rebuild the record at entry
                 // (dead-code-eliminated when only selections follow).
-                let params: Vec<(CVar, Cty)> = fields
-                    .iter()
-                    .map(|t| {
-                        let x = self.fresh();
-                        (x, self.cty(*t))
-                    })
-                    .collect();
-                let vals: Vec<Value> = params.iter().map(|(x, _)| Value::Var(*x)).collect();
-                let (phys, nflt) = self.layout_fields(&vals, &fields);
-                let cbody = self.cexp(body, K::Ret(kvar, body_lty));
-                let mut all_params = params;
-                all_params.push((kvar, Cty::Cnt));
-                let record = Bind::Record {
-                    fields: phys,
-                    nflt,
-                    dst: param,
-                };
+                let mut params = self.spread_params(&fields);
+                let record = self.rebuild(&params, &fields, param);
+                let cbody = self.cexp(body, K::Ret(kvar, res_lty));
+                params.push((kvar, Cty::Cnt));
                 FunDef {
                     kind,
                     name,
-                    params: all_params,
+                    params,
                     body: Cexp::bind(record, cbody),
                 }
             }
         }
     }
 
-    fn convert_app(&mut self, f: &Lexp, a: &Lexp, k: K<'_>) -> Cexp {
-        let flty = self.lty_of(f);
-        let (arg_lty, res_lty) = match *self.i.kind(flty) {
-            LtyKind::Arrow(p, r) => (p, r),
-            _ => {
-                // Applying an unknown-representation value: the standard
-                // one-boxed-argument convention.
-                let rb = self.i.rboxed();
-                (rb, rb)
-            }
-        };
+    fn convert_app<'a>(&mut self, f: &'a Lexp, a: &'a Lexp, k: K<'a>) -> Cexp {
         let fnvar = match f {
             Lexp::Var(v) if self.is_known(*v) => Some(*v),
             _ => None,
         };
-        let spread = self.spread_of(arg_lty, fnvar);
-
-        let f = f.clone();
-        let a = a.clone();
         self.cexp(
-            &f,
-            K::Fn(Box::new(move |me: &mut Conv<'_>, fv: Value| {
-                // Build the continuation argument.
-                let (kvar, mut kdefs) = match k {
-                    K::Ret(kv, want) => {
-                        // Tail call: reuse our continuation directly when
-                        // the layouts agree.
-                        let same_layout = {
-                            let a = me.ret_spread_of(res_lty);
-                            let b = me.ret_spread_of(want);
-                            match (&a, &b) {
-                                (None, None) => true,
-                                (Some(x), Some(y)) => {
-                                    x.len() == y.len()
-                                        && x.iter().zip(y).all(|(p, q)| me.cty(*p) == me.cty(*q))
-                                }
-                                _ => false,
-                            }
-                        };
-                        if same_layout {
-                            (kv, Vec::new())
-                        } else {
-                            me.make_join(res_lty, K::Ret(kv, want))
-                        }
+            f,
+            K::Fn(Box::new(move |me: &mut Conv<'_>, fv: Value, flty: Lty| {
+                let (arg_lty, res_lty) = match *me.i.kind(flty) {
+                    LtyKind::Arrow(p, r) => (p, r),
+                    _ => {
+                        // Applying an unknown-representation value: the
+                        // standard one-boxed-argument convention.
+                        let rb = me.i.rboxed();
+                        (rb, rb)
                     }
-                    other => me.make_join(res_lty, other),
+                };
+                let spread = me.spread_of(arg_lty, fnvar);
+                // Build the continuation argument.
+                let (kvar, kdefs) = match k {
+                    // Tail call: reuse our continuation directly when the
+                    // layouts agree.
+                    K::Ret(kv, want) if me.same_ret_layout(res_lty, want) => (kv, Vec::new()),
+                    k => me.make_join(res_lty, k),
                 };
 
-                let finish = move |_me: &mut Conv<'_>, mut args: Vec<Value>| -> Cexp {
+                let finish = move |mut args: Vec<Value>| -> Cexp {
                     args.push(Value::Var(kvar));
-                    let app = Exit::App { f: fv, args }.into();
-                    with_fix(std::mem::take(&mut kdefs), app)
+                    with_fix(kdefs, Exit::App { f: fv, args }.into())
                 };
 
-                match spread {
-                    None => me.cexp(
-                        &a,
-                        K::Fn(Box::new(move |me: &mut Conv<'_>, av: Value| {
-                            finish(me, vec![av])
+                match (spread, a) {
+                    (None, _) => me.cexp(
+                        a,
+                        K::Fn(Box::new(move |_: &mut Conv<'_>, av: Value, _| {
+                            finish(vec![av])
                         })),
                     ),
-                    Some(fields) => {
-                        // Pass components directly; if the argument is a
-                        // literal record, never build it.
-                        if let Lexp::Record(es) = &a {
-                            let es = es.clone();
-                            me.cexps(
-                                &es,
-                                Box::new(move |me: &mut Conv<'_>, vals: Vec<Value>| {
-                                    finish(me, vals)
-                                }),
-                            )
-                        } else {
-                            me.cexp(
-                                &a,
-                                K::Fn(Box::new(move |me: &mut Conv<'_>, av: Value| {
-                                    let sels = me.spread_selects(&av, &fields);
-                                    let args = sels.iter().filter_map(Bind::binder);
-                                    let args = args.map(|(x, _)| Value::Var(x)).collect();
-                                    let mut body = finish(me, args);
-                                    for select in sels.into_iter().rev() {
-                                        body = Cexp::bind(select, body);
-                                    }
-                                    body
-                                })),
-                            )
-                        }
+                    // Pass components directly; if the argument is a
+                    // literal record, never build it.
+                    (Some(_), Lexp::Record(es)) => {
+                        me.cexps(es, Box::new(move |_, vals, _| finish(vals)))
                     }
+                    (Some(fields), _) => me.cexp(
+                        a,
+                        K::Fn(Box::new(move |me: &mut Conv<'_>, av: Value, _| {
+                            let sels = me.spread_selects(&av, &fields);
+                            let args = sels.iter().filter_map(Bind::binder);
+                            let args = args.map(|(x, _)| Value::Var(x)).collect();
+                            let mut body = finish(args);
+                            for select in sels.into_iter().rev() {
+                                body = Cexp::bind(select, body);
+                            }
+                            body
+                        })),
+                    ),
                 }
             })),
         )
+    }
+
+    /// Whether results of LTYs `a` and `b` travel to a continuation in
+    /// the same registers.
+    fn same_ret_layout(&self, a: Lty, b: Lty) -> bool {
+        match (self.ret_spread_of(a), self.ret_spread_of(b)) {
+            (None, None) => true,
+            (Some(x), Some(y)) => {
+                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| self.cty(*p) == self.cty(*q))
+            }
+            _ => false,
+        }
     }
 
     fn convert_switch<'a>(
@@ -931,41 +777,35 @@ impl Conv<'_> {
         default: Option<&'a Lexp>,
         k: K<'a>,
     ) -> Cexp {
-        let mut res_lty = self.i.int();
-        for (_, e) in arms {
-            let t = self.lty_of(e);
-            if !matches!(self.i.kind(t), LtyKind::Bottom) {
-                res_lty = t;
-                break;
-            }
-        }
         // Share the continuation through a join point unless it is
         // trivially duplicable.
-        let (kv, want, defs) = match k {
-            K::Ret(kv, want) => (Some(kv), want, Vec::new()),
-            K::Done => (None, res_lty, Vec::new()),
+        let (ret, defs) = match k {
+            K::Ret(kv, want) => (Some((kv, want)), Vec::new()),
+            K::Done => (None, Vec::new()),
             K::Fn(f) => {
+                let mut res_lty = self.join_lty(arms.iter().map(|(_, e)| e).chain(default));
+                if self.is_bottom(res_lty) {
+                    // No arm returns: any type serves.
+                    res_lty = self.i.int();
+                }
                 let (kvar, defs) = self.make_join(res_lty, K::Fn(f));
-                (Some(kvar), res_lty, defs)
+                (Some((kvar, res_lty)), defs)
             }
         };
-        let mk_k = |kv: Option<CVar>| match kv {
-            Some(kv) => K::Ret(kv, want),
+        let mk_k = move || match ret {
+            Some((kv, want)) => K::Ret(kv, want),
             None => K::Done,
         };
         let lo = arms.iter().map(|(n, _)| *n).min().unwrap_or(0);
         let hi = arms.iter().map(|(n, _)| *n).max().unwrap_or(0);
-        let scrut = scrut.clone();
-        let arms_v: Vec<(i64, Lexp)> = arms.to_vec();
-        let default = default.cloned().unwrap_or(Lexp::Int(0));
         let body = self.cexp(
-            &scrut,
-            K::Fn(Box::new(move |me: &mut Conv<'_>, sv: Value| {
+            scrut,
+            K::Fn(Box::new(move |me: &mut Conv<'_>, sv: Value, _| {
                 // Build the default once as a tiny known continuation so
                 // table holes can share it.
                 let dvar = me.fresh();
                 let dparam = me.fresh();
-                let dbody = me.cexp(&default, mk_k(kv));
+                let dbody = me.cexp(default.unwrap_or(&Lexp::Int(0)), mk_k());
                 let ddef = FunDef {
                     kind: FunKind::Cont,
                     name: dvar,
@@ -981,8 +821,8 @@ impl Conv<'_> {
                 };
                 let mut table = Vec::new();
                 for slot in lo..=hi {
-                    match arms_v.iter().find(|(n, _)| *n == slot) {
-                        Some((_, e)) => table.push(me.cexp(e, mk_k(kv))),
+                    match arms.iter().find(|(n, _)| *n == slot) {
+                        Some((_, e)) => table.push(me.cexp(e, mk_k())),
                         None => table.push(to_default()),
                     }
                 }
@@ -998,22 +838,14 @@ impl Conv<'_> {
         with_fix(defs, body)
     }
 
-    fn convert_if(&mut self, c: &Lexp, t: &Lexp, e: &Lexp, k: K<'_>) -> Cexp {
-        // Determine the result type for the join continuation.
-        let res_lty = {
-            let tt = self.lty_of(t);
-            if matches!(self.i.kind(tt), LtyKind::Bottom) {
-                self.lty_of(e)
-            } else {
-                tt
-            }
-        };
+    fn convert_if<'a>(&mut self, c: &'a Lexp, t: &'a Lexp, e: &'a Lexp, k: K<'a>) -> Cexp {
         // Share the continuation through a join point unless we are in
         // tail position (K::Ret/K::Done are cheap to duplicate).
         let (ka, kb, defs) = match k {
             K::Ret(kv, want) => (K::Ret(kv, want), K::Ret(kv, want), Vec::new()),
             K::Done => (K::Done, K::Done, Vec::new()),
             K::Fn(f) => {
+                let res_lty = self.join_lty([t, e]);
                 let (kvar, defs) = self.make_join(res_lty, K::Fn(f));
                 (K::Ret(kvar, res_lty), K::Ret(kvar, res_lty), defs)
             }
@@ -1022,47 +854,40 @@ impl Conv<'_> {
         with_fix(defs, body)
     }
 
-    fn convert_branch(&mut self, c: &Lexp, t: &Lexp, e: &Lexp, ka: K<'_>, kb: K<'_>) -> Cexp {
+    fn convert_branch<'a>(
+        &mut self,
+        c: &'a Lexp,
+        t: &'a Lexp,
+        e: &'a Lexp,
+        ka: K<'a>,
+        kb: K<'a>,
+    ) -> Cexp {
+        let arms = move |me: &mut Conv<'_>, op: BranchOp, args: Vec<Value>| -> Cexp {
+            let tru = me.cexp(t, ka);
+            let fls = me.cexp(e, kb);
+            Exit::Branch {
+                op,
+                args,
+                tru: Box::new(tru),
+                fls: Box::new(fls),
+            }
+            .into()
+        };
         // Fuse a comparison primitive with the branch.
         if let Lexp::PrimApp(op, args) = c {
             if let Some(bop) = branch_op(*op) {
-                let t = t.clone();
-                let e = e.clone();
-                return self.cexps(
-                    args,
-                    Box::new(move |me: &mut Conv<'_>, vals: Vec<Value>| {
-                        let tru = me.cexp(&t, ka);
-                        let fls = me.cexp(&e, kb);
-                        Exit::Branch {
-                            op: bop,
-                            args: vals,
-                            tru: Box::new(tru),
-                            fls: Box::new(fls),
-                        }
-                        .into()
-                    }),
-                );
+                return self.cexps(args, Box::new(move |me, vals, _| arms(me, bop, vals)));
             }
         }
-        let t = t.clone();
-        let e = e.clone();
         self.cexp(
             c,
-            K::Fn(Box::new(move |me: &mut Conv<'_>, cv: Value| {
-                let tru = me.cexp(&t, ka);
-                let fls = me.cexp(&e, kb);
-                Exit::Branch {
-                    op: BranchOp::INe,
-                    args: vec![cv, Value::Int(0)],
-                    tru: Box::new(tru),
-                    fls: Box::new(fls),
-                }
-                .into()
+            K::Fn(Box::new(move |me: &mut Conv<'_>, cv: Value, _| {
+                arms(me, BranchOp::INe, vec![cv, Value::Int(0)])
             })),
         )
     }
 
-    fn convert_prim(&mut self, op: Primop, args: &[Lexp], k: K<'_>) -> Cexp {
+    fn convert_prim<'a>(&mut self, op: Primop, args: &'a [Lexp], k: K<'a>) -> Cexp {
         // Comparisons used as values: branch and materialize a boolean.
         if let Some(bop) = branch_op(op) {
             let int = self.i.int();
@@ -1073,7 +898,7 @@ impl Conv<'_> {
             };
             let body = self.cexps(
                 args,
-                Box::new(move |_me: &mut Conv<'_>, vals: Vec<Value>| {
+                Box::new(move |_me: &mut Conv<'_>, vals: Vec<Value>, _| {
                     Exit::Branch {
                         op: bop,
                         args: vals,
@@ -1089,11 +914,9 @@ impl Conv<'_> {
             return self.convert_callcc(&args[0], k);
         }
         if op == Primop::Throw {
-            let boxed = self.i.boxed();
-            let _ = boxed;
             return self.cexps(
                 args,
-                Box::new(move |me: &mut Conv<'_>, vals: Vec<Value>| {
+                Box::new(move |me: &mut Conv<'_>, vals: Vec<Value>, _| {
                     let kc = me.fresh();
                     let h = me.fresh();
                     // Continuation value is [cont closure, saved handler].
@@ -1124,11 +947,9 @@ impl Conv<'_> {
         }
 
         let kind = prim_kind(op);
-        let ltys: Vec<Lty> = args.iter().map(|a| self.lty_of(a)).collect();
-        let _ = ltys;
         self.cexps(
             args,
-            Box::new(move |me: &mut Conv<'_>, vals: Vec<Value>| match kind {
+            Box::new(move |me: &mut Conv<'_>, vals: Vec<Value>, _| match kind {
                 PrimKind::Pure(p) => {
                     let cty = p.result_cty();
                     let dst = me.fresh();
@@ -1137,7 +958,6 @@ impl Conv<'_> {
                         Cty::Flt => me.i.real(),
                         _ => me.i.boxed(),
                     };
-                    me.bind_lty(dst, res_lty);
                     let rest = me.apply_k(k, Value::Var(dst), res_lty);
                     let (op, args) = (p, vals);
                     Cexp::bind(Bind::Pure { op, args, dst, cty }, rest)
@@ -1145,7 +965,6 @@ impl Conv<'_> {
                 PrimKind::Alloc(a) => {
                     let dst = me.fresh();
                     let b = me.i.boxed();
-                    me.bind_lty(dst, b);
                     let rest = me.apply_k(k, Value::Var(dst), b);
                     let (op, args) = (a, vals);
                     Cexp::bind(Bind::Alloc { op, args, dst }, rest)
@@ -1153,7 +972,6 @@ impl Conv<'_> {
                 PrimKind::Look(l) => {
                     let dst = me.fresh();
                     let rb = me.i.rboxed();
-                    me.bind_lty(dst, rb);
                     let rest = me.apply_k(k, Value::Var(dst), rb);
                     let (op, args, cty) = (l, vals, Cty::Ptr(None));
                     Cexp::bind(Bind::Look { op, args, dst, cty }, rest)
@@ -1167,7 +985,7 @@ impl Conv<'_> {
         )
     }
 
-    fn convert_callcc(&mut self, f: &Lexp, k: K<'_>) -> Cexp {
+    fn convert_callcc<'a>(&mut self, f: &'a Lexp, k: K<'a>) -> Cexp {
         let boxed = self.i.boxed();
         // Join continuation receives the (boxed) result, both on normal
         // return and on throw.
@@ -1175,14 +993,11 @@ impl Conv<'_> {
             K::Ret(kv, want) if self.ret_spread_of(want).is_none() => (kv, Vec::new()),
             other => self.make_join(boxed, other),
         };
-        let f = f.clone();
         let body = self.cexp(
-            &f,
-            K::Fn(Box::new(move |me: &mut Conv<'_>, fv: Value| {
+            f,
+            K::Fn(Box::new(move |me: &mut Conv<'_>, fv: Value, _| {
                 let h = me.fresh();
                 let cv = me.fresh();
-                let b = me.i.boxed();
-                me.bind_lty(cv, b);
                 let record = Bind::Record {
                     fields: vec![(Value::Var(kvar), Cty::Cnt), (Value::Var(h), Cty::Fun)],
                     nflt: 0,
@@ -1198,42 +1013,12 @@ impl Conv<'_> {
         with_fix(defs, body)
     }
 
-    fn convert_handle(&mut self, body: &Lexp, handler: &Lexp, k: K<'_>) -> Cexp {
+    fn convert_handle<'a>(&mut self, body: &'a Lexp, handler: &'a Lexp, k: K<'a>) -> Cexp {
         let res_lty = self.lty_of(body);
         let old = self.fresh();
         // Join continuation: restore the handler, then continue.
         let kvar = self.fresh();
-        let (params, inner_k): (Vec<(CVar, Cty)>, Cexp) = {
-            match self.ret_spread_of(res_lty) {
-                None => {
-                    let x = self.fresh();
-                    let cty = self.cty(res_lty);
-                    self.bind_lty(x, res_lty);
-                    let cont = self.apply_k(k, Value::Var(x), res_lty);
-                    (vec![(x, cty)], cont)
-                }
-                Some(fields) => {
-                    let params: Vec<(CVar, Cty)> = fields
-                        .iter()
-                        .map(|t| {
-                            let x = self.fresh();
-                            (x, self.cty(*t))
-                        })
-                        .collect();
-                    let vals: Vec<Value> = params.iter().map(|(x, _)| Value::Var(*x)).collect();
-                    let (phys, nflt) = self.layout_fields(&vals, &fields);
-                    let rv = self.fresh();
-                    self.bind_lty(rv, res_lty);
-                    let cont = self.apply_k(k, Value::Var(rv), res_lty);
-                    let record = Bind::Record {
-                        fields: phys,
-                        nflt,
-                        dst: rv,
-                    };
-                    (params, Cexp::bind(record, cont))
-                }
-            }
-        };
+        let (params, inner_k) = self.join_body(res_lty, k);
         let kjoin = FunDef {
             kind: FunKind::Cont,
             name: kvar,
@@ -1243,12 +1028,10 @@ impl Conv<'_> {
 
         // The handler closure: restore the old handler, then run the
         // user handler function with the join continuation.
-        let handler = handler.clone();
-        let body = body.clone();
         let hname = self.fresh();
         let hv_code = self.cexp(
-            &handler,
-            K::Fn(Box::new(move |me: &mut Conv<'_>, hv: Value| {
+            handler,
+            K::Fn(Box::new(move |me: &mut Conv<'_>, hv: Value, _| {
                 let pkt = me.fresh();
                 let handle = Exit::App {
                     f: hv,
@@ -1260,7 +1043,7 @@ impl Conv<'_> {
                     params: vec![(pkt, Cty::Ptr(None))],
                     body: Cexp::new(vec![set_handler(Value::Var(old))], handle),
                 };
-                let inner = me.cexp(&body, K::Ret(kvar, res_lty));
+                let inner = me.cexp(body, K::Ret(kvar, res_lty));
                 let inner = Cexp::bind(set_handler(Value::Var(hname)), inner);
                 Cexp::bind(Bind::Fix { funs: vec![hdef] }, inner)
             })),

@@ -13,7 +13,7 @@
 //! * records coerce fieldwise; functions get wrapper lambdas.
 
 use crate::lexp::{LVar, Lexp};
-use crate::lty::{Lty, LtyInterner, LtyKind};
+use crate::lty::{Lty, LtyInterner, LtyKind, PairWalk};
 use sml_ast::FxHashMap;
 
 /// A fresh-variable generator for the lambda language.
@@ -74,6 +74,9 @@ impl CoerceStats {
 /// so `WRAP`/`UNWRAP` against `BOXED` is free for all word types —
 /// exactly SML/NJ's situation, where `iwrap` "could apply the tag" but
 /// the tag is always present (paper §5.1). Only floats need real boxing.
+///
+/// The interner remembers the answer for each pair of compound types,
+/// so the walk takes on each pair of shared subtrees once.
 pub fn is_identity(i: &mut LtyInterner, from: Lty, to: Lty) -> bool {
     if i.same(from, to) {
         return true;
@@ -81,24 +84,22 @@ pub fn is_identity(i: &mut LtyInterner, from: Lty, to: Lty) -> bool {
     // Decide on the two kinds as they sit in the table, then recurse
     // once the borrow ends: the recursion may intern (`dup`).
     enum Next {
-        Is(bool),
         Fields(usize),
         Arrows([Lty; 4]),
         DupTo,
         DupFrom,
     }
     let next = match (i.kind(from), i.kind(to)) {
-        (LtyKind::Bottom, _) | (_, LtyKind::Bottom) => Next::Is(true),
+        (LtyKind::Bottom, _) | (_, LtyKind::Bottom) => return true,
         // Any one-word value is already BOXED; only floats need boxing.
-        (a, LtyKind::Boxed) => Next::Is(!matches!(a, LtyKind::Real)),
-        (LtyKind::Boxed, b) => Next::Is(!matches!(b, LtyKind::Real)),
-        (LtyKind::Int, LtyKind::Int) | (LtyKind::Real, LtyKind::Real) => Next::Is(true),
+        (a, LtyKind::Boxed) => return !matches!(a, LtyKind::Real),
+        (LtyKind::Boxed, b) => return !matches!(b, LtyKind::Real),
+        (LtyKind::Int, LtyKind::Int) | (LtyKind::Real, LtyKind::Real) => return true,
         (LtyKind::Record(a), LtyKind::Record(b)) | (LtyKind::SRecord(a), LtyKind::SRecord(b)) => {
-            if a.len() == b.len() {
-                Next::Fields(a.len())
-            } else {
-                Next::Is(false)
+            if a.len() != b.len() {
+                return false;
             }
+            Next::Fields(a.len())
         }
         // A function wrapper is skippable only when both the values AND
         // the calling conventions agree: a record-typed argument position
@@ -107,10 +108,9 @@ pub fn is_identity(i: &mut LtyInterner, from: Lty, to: Lty) -> bool {
         (LtyKind::Arrow(a1, r1), LtyKind::Arrow(a2, r2)) => Next::Arrows([*a1, *a2, *r1, *r2]),
         (LtyKind::RBoxed, _) => Next::DupTo,
         (_, LtyKind::RBoxed) => Next::DupFrom,
-        _ => Next::Is(false),
+        _ => return false,
     };
-    match next {
-        Next::Is(b) => b,
+    i.pair_memo(PairWalk::Identity, from, to, |i| match next {
         Next::Fields(n) => fields_identical(i, from, to, n),
         Next::Arrows([a1, a2, r1, r2]) => spread_compat(i, a1, a2) && spread_compat(i, r1, r2),
         Next::DupTo => {
@@ -121,22 +121,14 @@ pub fn is_identity(i: &mut LtyInterner, from: Lty, to: Lty) -> bool {
             let d = i.dup(from);
             is_identity(i, from, d)
         }
-    }
-}
-
-/// Field `k` of the record or structure record `t`.
-fn field(i: &LtyInterner, t: Lty, k: usize) -> Lty {
-    match i.kind(t) {
-        LtyKind::Record(fs) | LtyKind::SRecord(fs) => fs[k],
-        _ => unreachable!("a record"),
-    }
+    })
 }
 
 /// Whether the first `n` fields of records `a` and `b` are identical
 /// representations.
 fn fields_identical(i: &mut LtyInterner, a: Lty, b: Lty, n: usize) -> bool {
     (0..n).all(|k| {
-        let (x, y) = (field(i, a, k), field(i, b, k));
+        let (x, y) = (i.field(a, k), i.field(b, k));
         is_identity(i, x, y)
     })
 }
@@ -243,7 +235,7 @@ fn coerce_inner(
             let fields = (0..n)
                 .map(|idx| {
                     let sel = Lexp::Select(idx, Box::new(Lexp::Var(v)));
-                    let (f, g) = (field(i, from, idx), field(i, to, idx));
+                    let (f, g) = (i.field(from, idx), i.field(to, idx));
                     coerce_exp(i, vg, stats, sel, f, g)
                 })
                 .collect();

@@ -180,26 +180,89 @@ impl Lexp {
 
     /// Number of AST nodes (a rough code-size metric for the middle end).
     pub fn size(&self) -> usize {
-        match self {
-            Lexp::Var(_) | Lexp::Int(_) | Lexp::Real(_) | Lexp::Str(_) => 1,
-            Lexp::Fn(_, _, _, b) => 1 + b.size(),
-            Lexp::App(f, a) => 1 + f.size() + a.size(),
-            Lexp::Fix(fs, b) => 1 + b.size() + fs.iter().map(|(_, _, e)| e.size()).sum::<usize>(),
-            Lexp::Let(_, a, b) => 1 + a.size() + b.size(),
-            Lexp::Record(es) | Lexp::SRecord(es) | Lexp::PrimApp(_, es) => {
-                1 + es.iter().map(Lexp::size).sum::<usize>()
-            }
-            Lexp::Select(_, e) | Lexp::Wrap(_, e) | Lexp::Unwrap(_, e) | Lexp::Raise(e, _) => {
-                1 + e.size()
-            }
-            Lexp::If(c, t, e) => 1 + c.size() + t.size() + e.size(),
-            Lexp::SwitchInt(s, arms, d) => {
-                1 + s.size()
-                    + arms.iter().map(|(_, e)| e.size()).sum::<usize>()
-                    + d.as_ref().map_or(0, |e| e.size())
-            }
-            Lexp::Handle(e, h) => 1 + e.size() + h.size(),
+        let mut n = 0;
+        let mut todo = vec![self];
+        while let Some(e) = todo.pop() {
+            n += 1;
+            todo.extend(e.children());
         }
+        n
+    }
+
+    /// The immediate subexpressions, in evaluation order: a `Fix`'s
+    /// functions before its body, a switch's scrutinee, then its arms,
+    /// then its default.
+    pub fn children(&self) -> impl Iterator<Item = &Lexp> {
+        let mut lead: [Option<&Lexp>; 3] = [None; 3];
+        let mut fns: &[(LVar, Lty, Lexp)] = &[];
+        let mut arms: &[(i64, Lexp)] = &[];
+        let mut list: &[Lexp] = &[];
+        let mut last: Option<&Lexp> = None;
+        match self {
+            Lexp::Var(_) | Lexp::Int(_) | Lexp::Real(_) | Lexp::Str(_) => {}
+            Lexp::Fn(.., e)
+            | Lexp::Select(_, e)
+            | Lexp::Wrap(_, e)
+            | Lexp::Unwrap(_, e)
+            | Lexp::Raise(e, _) => lead[0] = Some(e),
+            Lexp::App(a, b) | Lexp::Let(_, a, b) | Lexp::Handle(a, b) => {
+                lead = [Some(a), Some(b), None];
+            }
+            Lexp::If(c, t, f) => lead = [Some(c), Some(t), Some(f)],
+            Lexp::Fix(fs, b) => {
+                fns = fs;
+                last = Some(b);
+            }
+            Lexp::Record(es) | Lexp::SRecord(es) | Lexp::PrimApp(_, es) => list = es,
+            Lexp::SwitchInt(s, a, d) => {
+                lead[0] = Some(s);
+                arms = a;
+                last = d.as_deref();
+            }
+        }
+        lead.into_iter()
+            .flatten()
+            .chain(fns.iter().map(|(.., e)| e))
+            .chain(arms.iter().map(|(_, e)| e))
+            .chain(list)
+            .chain(last)
+    }
+
+    /// [`Lexp::children`], for rewriting in place.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut Lexp> {
+        let mut lead: [Option<&mut Lexp>; 3] = [None, None, None];
+        let mut fns: &mut [(LVar, Lty, Lexp)] = &mut [];
+        let mut arms: &mut [(i64, Lexp)] = &mut [];
+        let mut list: &mut [Lexp] = &mut [];
+        let mut last: Option<&mut Lexp> = None;
+        match self {
+            Lexp::Var(_) | Lexp::Int(_) | Lexp::Real(_) | Lexp::Str(_) => {}
+            Lexp::Fn(.., e)
+            | Lexp::Select(_, e)
+            | Lexp::Wrap(_, e)
+            | Lexp::Unwrap(_, e)
+            | Lexp::Raise(e, _) => lead[0] = Some(e),
+            Lexp::App(a, b) | Lexp::Let(_, a, b) | Lexp::Handle(a, b) => {
+                lead = [Some(a), Some(b), None];
+            }
+            Lexp::If(c, t, f) => lead = [Some(c), Some(t), Some(f)],
+            Lexp::Fix(fs, b) => {
+                fns = fs;
+                last = Some(b);
+            }
+            Lexp::Record(es) | Lexp::SRecord(es) | Lexp::PrimApp(_, es) => list = es,
+            Lexp::SwitchInt(s, a, d) => {
+                lead[0] = Some(s);
+                arms = a;
+                last = d.as_deref_mut();
+            }
+        }
+        lead.into_iter()
+            .flatten()
+            .chain(fns.iter_mut().map(|(.., e)| e))
+            .chain(arms.iter_mut().map(|(_, e)| e))
+            .chain(list)
+            .chain(last)
     }
 }
 
@@ -211,6 +274,37 @@ mod tests {
     fn size_counts_nodes() {
         let e = Lexp::PrimApp(Primop::IAdd, vec![Lexp::Int(1), Lexp::Int(2)]);
         assert_eq!(e.size(), 3);
+    }
+
+    #[test]
+    fn children_follow_evaluation_order() {
+        let leaves = |e: &Lexp| -> Vec<i64> {
+            e.children()
+                .map(|c| match c {
+                    Lexp::Int(n) => *n,
+                    _ => panic!("not a leaf"),
+                })
+                .collect()
+        };
+        let int = |n| Box::new(Lexp::Int(n));
+        let switch = Lexp::SwitchInt(
+            int(0),
+            vec![(5, Lexp::Int(1)), (6, Lexp::Int(2))],
+            Some(int(3)),
+        );
+        assert_eq!(leaves(&switch), [0, 1, 2, 3]);
+        let real = crate::lty::LtyInterner::new(crate::lty::InternMode::HashCons).real();
+        let fix = Lexp::Fix(
+            vec![(0, real, Lexp::Int(1)), (1, real, Lexp::Int(2))],
+            int(3),
+        );
+        assert_eq!(leaves(&fix), [1, 2, 3]);
+        assert_eq!(leaves(&Lexp::If(int(1), int(2), int(3))), [1, 2, 3]);
+        assert_eq!(leaves(&Lexp::Int(0)), [0; 0]);
+        let mut fix = fix;
+        fix.children_mut().for_each(|c| *c = Lexp::Int(7));
+        assert_eq!(leaves(&fix), [7, 7, 7]);
+        assert_eq!(fix.size(), 4);
     }
 
     #[test]

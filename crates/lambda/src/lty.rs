@@ -15,6 +15,7 @@
 //! reproduce the paper's no-hash-consing compile-time blowup (see the
 //! `ablation_hashcons` bench).
 
+use sml_ast::FxHashMap;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -99,6 +100,17 @@ impl LtyStats {
     }
 }
 
+/// A walk over two types at once whose answers an [`LtyInterner`]
+/// remembers by handle pair.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) enum PairWalk {
+    /// `coerce::is_identity`: no code converts one to the other.
+    Identity,
+    /// `verify::compat`: a value of one may flow where the other is
+    /// expected.
+    Compat,
+}
+
 /// The atoms every interner interns first, so their handles are
 /// `Lty(0)` to `Lty(4)` in this order (the `int`/`real`/`boxed`/
 /// `rboxed`/`bottom` helpers rely on it).
@@ -135,6 +147,10 @@ pub struct LtyInterner {
     /// Statistics: number of deep equality comparisons performed in
     /// structural mode.
     pub deep_compares: u64,
+    /// The pair walks' answers by `(walk, from, to)`. A kind never
+    /// changes, so an answer holds for the whole compile, and a walk
+    /// over two types that share subtrees takes on each pair once.
+    pairs: FxHashMap<(PairWalk, Lty, Lty), bool>,
 }
 
 impl LtyInterner {
@@ -148,6 +164,7 @@ impl LtyInterner {
             hashcons_hits: 0,
             hashcons_misses: 0,
             deep_compares: 0,
+            pairs: FxHashMap::default(),
         };
         for kind in ATOMS {
             i.intern(kind);
@@ -202,6 +219,31 @@ impl LtyInterner {
     /// The structure of `t`.
     pub fn kind(&self, t: Lty) -> &LtyKind {
         &self.kinds[t.0 as usize]
+    }
+
+    /// Field `k` of the record or structure record `t`.
+    pub(crate) fn field(&self, t: Lty, k: usize) -> Lty {
+        match self.kind(t) {
+            LtyKind::Record(fs) | LtyKind::SRecord(fs) => fs[k],
+            _ => unreachable!("a record"),
+        }
+    }
+
+    /// `walk`'s answer on `(a, b)`: remembered, or computed by `f` and
+    /// remembered.
+    pub(crate) fn pair_memo(
+        &mut self,
+        walk: PairWalk,
+        a: Lty,
+        b: Lty,
+        f: impl FnOnce(&mut LtyInterner) -> bool,
+    ) -> bool {
+        if let Some(&known) = self.pairs.get(&(walk, a, b)) {
+            return known;
+        }
+        let answer = f(self);
+        self.pairs.insert((walk, a, b), answer);
+        answer
     }
 
     /// `INTty`.

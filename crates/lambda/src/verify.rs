@@ -20,7 +20,7 @@
 //! being measured.)
 
 use crate::lexp::{LVar, Lexp};
-use crate::lty::{Lty, LtyInterner, LtyKind};
+use crate::lty::{Lty, LtyInterner, LtyKind, PairWalk};
 use crate::translate::Translation;
 use sml_ast::FxHashMap;
 
@@ -74,13 +74,28 @@ pub fn compat(i: &mut LtyInterner, a: Lty, b: Lty) -> bool {
     if (a_box && b_word) || (b_box && a_word) {
         return true;
     }
-    match (i.kind(a).clone(), i.kind(b).clone()) {
-        (LtyKind::Arrow(a1, r1), LtyKind::Arrow(a2, r2)) => compat(i, a1, a2) && compat(i, r1, r2),
-        (LtyKind::Record(x), LtyKind::Record(y)) | (LtyKind::SRecord(x), LtyKind::SRecord(y)) => {
-            x.len() == y.len() && x.iter().zip(&y).all(|(p, q)| compat(i, *p, *q))
-        }
-        _ => false,
+    // Compound pairs: the interner remembers each answer, so two types
+    // that share subtrees are compared in their shared size.
+    enum Next {
+        Arrows([Lty; 4]),
+        Fields(usize),
     }
+    let next = match (i.kind(a), i.kind(b)) {
+        (LtyKind::Arrow(a1, r1), LtyKind::Arrow(a2, r2)) => Next::Arrows([*a1, *a2, *r1, *r2]),
+        (LtyKind::Record(x), LtyKind::Record(y)) | (LtyKind::SRecord(x), LtyKind::SRecord(y))
+            if x.len() == y.len() =>
+        {
+            Next::Fields(x.len())
+        }
+        _ => return false,
+    };
+    i.pair_memo(PairWalk::Compat, a, b, |i| match next {
+        Next::Arrows([a1, a2, r1, r2]) => compat(i, a1, a2) && compat(i, r1, r2),
+        Next::Fields(n) => (0..n).all(|k| {
+            let (p, q) = (i.field(a, k), i.field(b, k));
+            compat(i, p, q)
+        }),
+    })
 }
 
 struct Check<'i> {

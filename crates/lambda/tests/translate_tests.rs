@@ -2,6 +2,9 @@
 //! typed-IR invariant under every compiler configuration.
 
 use sml_lambda::{translate, verify_translation, InternMode, LambdaConfig, Lexp, Translation};
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 fn configs() -> Vec<(&'static str, LambdaConfig)> {
     vec![
@@ -421,22 +424,7 @@ fn structural_interning_still_correct() {
 #[test]
 fn dense_matches_emit_switch() {
     fn has_switch(e: &Lexp) -> bool {
-        match e {
-            Lexp::SwitchInt(..) => true,
-            Lexp::Fn(_, _, _, b) => has_switch(b),
-            Lexp::App(f, a) => has_switch(f) || has_switch(a),
-            Lexp::Fix(fs, b) => fs.iter().any(|(_, _, f)| has_switch(f)) || has_switch(b),
-            Lexp::Let(_, a, b) => has_switch(a) || has_switch(b),
-            Lexp::Record(es) | Lexp::SRecord(es) | Lexp::PrimApp(_, es) => {
-                es.iter().any(has_switch)
-            }
-            Lexp::Select(_, e) | Lexp::Wrap(_, e) | Lexp::Unwrap(_, e) | Lexp::Raise(e, _) => {
-                has_switch(e)
-            }
-            Lexp::If(c, t, f) => has_switch(c) || has_switch(t) || has_switch(f),
-            Lexp::Handle(e, h) => has_switch(e) || has_switch(h),
-            _ => false,
-        }
+        matches!(e, Lexp::SwitchInt(..)) || e.children().any(has_switch)
     }
     let tr = trans(
         "datatype d = A | B | C | D
@@ -464,4 +452,24 @@ fn a_deeply_shared_type_translates_in_its_shared_size() {
     let s = trans(&src, &LambdaConfig::default()).interner.stats();
     assert!(s.interned < 1_000, "{s:?}");
     assert_eq!((s.intern_calls, s.hashcons_hits), (u64::MAX, u64::MAX));
+}
+
+#[test]
+fn doubling_functions_translate_and_verify_in_their_shared_size() {
+    // `f8`'s type has 2^128 leaves as a tree. The coercion and checking
+    // walks over two LTYs (`is_identity`, `compat`) remember each pair
+    // of handles, so every configuration translates and checks it in
+    // proportion to the shared type.
+    let mut src = String::from("fun f1 x = (x, x)\n");
+    for k in 2..=8 {
+        src += &format!("fun f{k} x = f{} (f{} x)\n", k - 1, k - 1);
+    }
+    src += "val r = f8 1";
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        check_all(&src);
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("every configuration translates and checks f8 within 10 s");
 }

@@ -43,43 +43,7 @@ pub struct LexpMutation {
 
 /// Pre-order walk; stops at the first subexpression `f` rewrites.
 fn walk_lexp(e: &mut Lexp, f: &mut dyn FnMut(&mut Lexp) -> bool) -> bool {
-    if f(e) {
-        return true;
-    }
-    match e {
-        Lexp::Var(_) | Lexp::Int(_) | Lexp::Real(_) | Lexp::Str(_) => false,
-        Lexp::Fn(_, _, _, b)
-        | Lexp::Select(_, b)
-        | Lexp::Wrap(_, b)
-        | Lexp::Unwrap(_, b)
-        | Lexp::Raise(b, _) => walk_lexp(b, f),
-        Lexp::App(a, b) | Lexp::Let(_, a, b) | Lexp::Handle(a, b) => {
-            walk_lexp(a, f) || walk_lexp(b, f)
-        }
-        Lexp::Fix(binds, rest) => {
-            for (_, _, body) in binds.iter_mut() {
-                if walk_lexp(body, f) {
-                    return true;
-                }
-            }
-            walk_lexp(rest, f)
-        }
-        Lexp::Record(fs) | Lexp::SRecord(fs) | Lexp::PrimApp(_, fs) => {
-            fs.iter_mut().any(|x| walk_lexp(x, f))
-        }
-        Lexp::If(c, a, b) => walk_lexp(c, f) || walk_lexp(a, f) || walk_lexp(b, f),
-        Lexp::SwitchInt(s, arms, d) => {
-            if walk_lexp(s, f) {
-                return true;
-            }
-            for (_, a) in arms.iter_mut() {
-                if walk_lexp(a, f) {
-                    return true;
-                }
-            }
-            d.as_mut().is_some_and(|x| walk_lexp(x, f))
-        }
-    }
+    f(e) || e.children_mut().any(|c| walk_lexp(c, f))
 }
 
 /// The word type least compatible with `t`: `REAL` unless `t` is
